@@ -120,6 +120,10 @@ def _load_config(args) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
+# Upper bound on the values one --losses/--delays argument may expand to.
+MAX_VALUES = 100_000
+
+
 def _parse_values(text: str, what: str) -> list[float]:
     out: list[float] = []
     for token in text.split(","):
@@ -127,18 +131,27 @@ def _parse_values(text: str, what: str) -> list[float]:
         if not token:
             continue
         try:
-            if ":" in token:
-                a, b, s = (float(x) for x in token.split(":"))
-                if not (math.isfinite(s) and s > 0):
-                    raise InvalidInputError(f"{what} range step must be positive")
-                n = int(math.floor((b - a) / s + 1e-9)) + 1
-                if n <= 0:
-                    raise InvalidInputError(f"empty {what} range {token!r}")
-                out.extend(a + i * s for i in range(n))
-            else:
-                out.append(float(token))
+            numbers = [float(x) for x in token.split(":")]
         except ValueError as e:
             raise InvalidInputError(f"cannot parse {what} token {token!r}") from e
+        if len(numbers) == 1:
+            out.append(numbers[0])
+            continue
+        if len(numbers) != 3:
+            raise InvalidInputError(f"cannot parse {what} token {token!r}")
+        a, b, s = numbers
+        if not (math.isfinite(s) and s > 0):
+            raise InvalidInputError(f"{what} range step must be positive")
+        steps = (b - a) / s + 1e-9
+        if not math.isfinite(steps):
+            raise InvalidInputError(f"{what} range {token!r} is not finite")
+        if steps < 0:
+            raise InvalidInputError(f"empty {what} range {token!r}")
+        # count before allocating: a tiny step must not build a huge list
+        count = math.floor(steps) + 1
+        if len(out) + count > MAX_VALUES:
+            raise InvalidInputError(f"{what} values exceed the limit of {MAX_VALUES}")
+        out.extend(a + i * s for i in range(count))
     if not out:
         raise InvalidInputError(f"no {what} values given")
     return out

@@ -499,6 +499,72 @@ def _prune_dead_time(
     return keep
 
 
+def _prune_dead_time_clusters(
+    frames: np.ndarray, detector: np.ndarray, blocked: int
+) -> np.ndarray:
+    """The greedy dead-time pass, run only where it can drop something.
+
+    An event more than `blocked` frames after the previous event on its
+    detector is always kept, because whichever of the earlier events was
+    kept last has released the detector by then.  Only clusters of events
+    that close together go through `_prune_dead_time`; clusters on one
+    detector are that far apart, so each starts from a free detector.
+    frames must be sorted.
+    """
+    keep = np.ones(len(frames), dtype=bool)
+    if blocked <= 0 or len(frames) < 2:
+        return keep
+    clustered = np.zeros(len(frames), dtype=bool)
+    for d in (0, 1):
+        idx = np.flatnonzero(detector == d)
+        close = np.diff(frames[idx]) <= blocked
+        clustered[idx[1:][close]] = True
+        clustered[idx[:-1][close]] = True
+    sub = np.flatnonzero(clustered)
+    keep[sub] = _prune_dead_time(frames[sub].tolist(), detector[sub].tolist(), blocked)
+    return keep
+
+
+# A frame is in one of 24 states: pathway beta (1 = time) x signal {none,
+# bit 0, bit 1} x dark click in window 0 x dark click in window 1.  The two
+# states with no signal and no dark are silent; the other 22, in this
+# order, are the events the block engine draws.
+_EVENT_STATES = [
+    (b, s, d0, d1)
+    for b in (0, 1) for s in (0, 1, 2) for d0 in (0, 1) for d1 in (0, 1)
+    if s or d0 or d1
+]
+_EVENT_BETA = np.array([st[0] for st in _EVENT_STATES], dtype=np.int8)
+_EVENT_CLICK0 = np.array([st[1] == 1 or st[2] == 1 for st in _EVENT_STATES])
+_EVENT_CLICK1 = np.array([st[1] == 2 or st[3] == 1 for st in _EVENT_STATES])
+
+
+def _event_probabilities(
+    mean: float, q_surv: float, outcomes: list[tuple[float, float, float]], det: DetectorModel
+) -> np.ndarray:
+    """Per-frame probabilities of the 22 event states, then the silent rest.
+
+    A Poisson(mean) pulse thinned by q_surv gives a photon click with
+    probability 1 - exp(-mean * q_surv); the click then projects per the
+    `outcomes` of its pathway and flips with the intrinsic error.
+    """
+    p_photon = -math.expm1(-mean * q_surv)
+    e = det.intrinsic_error
+    p_dark = det.dark_prob_per_window
+    dark = (1.0 - p_dark, p_dark)
+    signal = [
+        (
+            1.0 - p_photon * (p0 + p1),
+            p_photon * (p0 * (1.0 - e) + p1 * e),
+            p_photon * (p1 * (1.0 - e) + p0 * e),
+        )
+        for p0, p1, _ in outcomes
+    ]
+    probs = [0.5 * signal[b][s] * dark[d0] * dark[d1] for b, s, d0, d1 in _EVENT_STATES]
+    probs.append(max(0.0, 1.0 - math.fsum(probs)))
+    return np.array(probs)
+
+
 def simulate_block(
     prep: PreparationSetting,
     n_pulses: int,
@@ -512,78 +578,73 @@ def simulate_block(
     layout: WindowLayout | None = None,
     start_index: int = 0,
 ):
-    """Simulate a pulse train of one preparation setting, fully vectorized.
+    """Simulate a pulse train of one preparation setting, drawing only events.
 
-    Per pulse: intensity class, Poisson photon number, per-photon survival
-    through path loss and detector efficiency, 50:50 pathway choice,
-    projection of the switched state, intrinsic error, per-window dark
-    counts, dead time, and the double-click policy.  Returns SessionCounts;
-    with collect_tags=True returns (counts, tags, ledger) where tags are
-    the physical click record (doubles keep both clicks, no policy applied).
+    Frames are independent, so a frame's fate is one of 22 event states
+    (pathway, signal bit after the intrinsic flip, dark click per window;
+    see `_event_probabilities`) or silence.  The block draws the class
+    totals, then per class the multinomial counts of the event states, and
+    places the events on distinct frames drawn uniformly without
+    replacement.  Dead time then drops clicks on a busy detector, and the
+    double-click policy draws a coin for each surviving double only.
+
+    Returns SessionCounts; with collect_tags=True returns (counts, tags,
+    ledger) where tags are the physical click record (doubles keep both
+    clicks, no policy applied).  The ledger and tag draws come after every
+    draw the counts depend on, so the counts do not depend on collect_tags.
     """
     if n_pulses < 0:
         raise InvalidInputError("n_pulses must be non-negative")
     sw = apply_switch_both_bins(prep.state(), switch)
-    probs_by_basis = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
-    thr1 = np.array([p[0] for p in probs_by_basis])
-    thr2 = np.array([p[0] + p[1] for p in probs_by_basis])
-
+    outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
     q_surv = transmittance(budget.path_db) * det.efficiency
-    p_dark = det.dark_prob_per_window
-    mu_by_class = np.array([source.mu, source.nu, 0.0])
-    cum_probs = np.cumsum(source.class_probabilities)
-
     n = int(n_pulses)
-    cls = np.searchsorted(cum_probs, rng.random(n), side="right")
-    cls[cls > 2] = 2  # guard the u == 1.0 edge
-    n_ph = rng.poisson(mu_by_class[cls])
-    if q_surv >= 1.0:
-        p_click = (n_ph > 0).astype(float)
-    else:
-        p_click = -np.expm1(n_ph * math.log1p(-q_surv))
-    clicked = rng.random(n) < p_click
-    beta = (rng.random(n) < 0.5).astype(np.int8)  # 1 = time pathway
 
-    u_out = rng.random(n)
-    sig_bit = (u_out >= thr1[beta]).astype(np.int8)
-    sig_drop = u_out >= thr2[beta]
-    flip = rng.random(n) < det.intrinsic_error
-    sig_bit ^= flip.astype(np.int8)
+    class_totals = rng.multinomial(n, source.class_probabilities)
+    per_class = np.stack([
+        rng.multinomial(
+            class_totals[c], _event_probabilities(source.mean_for(c), q_surv, outcomes, det)
+        )[:-1]
+        for c in range(3)
+    ])
+    n_states = len(_EVENT_STATES)
+    ev_cls = np.repeat(np.arange(3 * n_states) // n_states, per_class.ravel())
+    ev_state = np.repeat(np.tile(np.arange(n_states), 3), per_class.ravel())
+    # choice() returns its sample in random order, so pairing it with the
+    # grouped event list puts every event on a uniformly random frame.
+    frames = rng.choice(n, len(ev_cls), replace=False)
+    order = np.argsort(frames)
+    frames, ev_cls, ev_state = frames[order], ev_cls[order], ev_state[order]
+    beta = _EVENT_BETA[ev_state]
 
-    dark0 = rng.random(n) < p_dark
-    dark1 = rng.random(n) < p_dark
-    sig_click = clicked & ~sig_drop
-    click0 = (sig_click & (sig_bit == 0)) | dark0
-    click1 = (sig_click & (sig_bit == 1)) | dark1
-
-    any_click = click0 | click1
-    blocked = _dead_frames(det, source)
-    if blocked > 0 and any_click.any():
-        idx = np.flatnonzero(any_click)
-        keep = _prune_dead_time(idx, beta[idx], blocked)
-        dropped = idx[~keep]
-        click0[dropped] = False
-        click1[dropped] = False
-
+    keep = _prune_dead_time_clusters(frames, beta, _dead_frames(det, source))
+    click0 = _EVENT_CLICK0[ev_state] & keep
+    click1 = _EVENT_CLICK1[ev_state] & keep
     double = click0 & click1
-    single = click0 ^ click1
-    u_double = rng.random(n)
+    bit = click1.astype(np.int8)
     if det.double_click_policy == "random":
-        counted = single | double
-        bit = np.where(double, (u_double < 0.5).astype(np.int8), click1.astype(np.int8))
+        counted = click0 | click1
+        bit[double] = rng.random(int(double.sum())) < 0.5
     else:
-        counted = single
-        bit = click1.astype(np.int8)
+        counted = click0 ^ click1
 
     out = SessionCounts.zeros()
     alpha = int(prep.basis)
     i = prep.bit
-    flat = cls[counted] * 4 + beta[counted] * 2 + bit[counted]
+    flat = ev_cls[counted] * 4 + beta[counted] * 2 + bit[counted]
     out.counts[:, alpha, i, :, :] += np.bincount(flat, minlength=12).reshape(3, 2, 2)
-    out.pulses_sent[:, alpha, i] += np.bincount(cls, minlength=3)
+    out.pulses_sent[:, alpha, i] += class_totals
 
     if not collect_tags:
         return out
+
+    # Silent frames take the remaining class totals in random order.
+    cls = np.empty(n, dtype=np.int64)
+    silent = np.ones(n, dtype=bool)
+    silent[frames] = False
+    rest = class_totals - np.bincount(ev_cls, minlength=3)
+    cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
+    cls[frames] = ev_cls
 
     layout = layout or WindowLayout()
     tags: list[ClickEvent] = []
@@ -593,8 +654,8 @@ def simulate_block(
             continue
         centers = np.array([layout.center(Basis(bb), b_val) for bb in (0, 1)])
         ts = centers[beta[idx]] + rng.normal(0.0, det.jitter_sigma_ps, size=len(idx))
-        for k, pi in enumerate(idx):
-            tags.append(ClickEvent(start_index + int(pi), int(beta[pi]), float(ts[k])))
+        for pi, d, t in zip((start_index + frames[idx]).tolist(), beta[idx].tolist(), ts.tolist()):
+            tags.append(ClickEvent(pi, d, t))
     tags.sort(key=lambda t: (t.pulse_index, t.timestamp_ps))
     ledger = PulseLedger(
         start_index,

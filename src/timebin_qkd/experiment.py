@@ -203,6 +203,22 @@ def _blocks(n_pulses: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _require_decoy_and_vacuum(source: SourceConfig) -> None:
+    """Reject, before any block runs, a source the key-rate analysis cannot use.
+
+    The decoy bounds need a decoy class with nu > 0 and a vacuum class to
+    anchor the background yield.
+    """
+    _, p_decoy, p_vacuum = source.class_probabilities
+    if not source.nu > 0:
+        raise ConfigError("source.nu must be positive: the decoy bounds need a non-empty decoy")
+    if p_decoy == 0.0 or p_vacuum == 0.0:
+        raise ConfigError(
+            "source.class_probabilities must give the decoy and vacuum classes "
+            "non-zero probability: the key rate needs both"
+        )
+
+
 def _run_tasks(tasks, workers):
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -240,6 +256,7 @@ def run_session(
     n = int(pulses) if pulses is not None else config.pulses_per_setting
     if n <= 0:
         raise InvalidInputError("pulse count must be positive")
+    _require_decoy_and_vacuum(config.source)
     sw = switch if switch is not None else config.switch
 
     tasks = []
@@ -461,6 +478,7 @@ def run_stability(
         raise InvalidInputError("hours must be positive")
     if samples_per_hour <= 0 or pulses_per_sample <= 0:
         raise InvalidInputError("samples_per_hour and pulses_per_sample must be positive")
+    _require_decoy_and_vacuum(config.source)
 
     n_samples = int(round(hours * samples_per_hour)) + 1
     times = np.linspace(0.0, hours, n_samples)

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
-from timebin_qkd.cli import main
+from timebin_qkd import experiment
+from timebin_qkd.cli import MAX_VALUES, _parse_values, main
 from timebin_qkd.detection import SessionCounts, read_pulse_ledger, read_time_tags
+from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
     REPORT_SCHEMA,
@@ -171,3 +174,43 @@ def test_error_exit_codes(tmp_path, capsys):
     rc = main(["analyze", "--counts", str(empty)])
     assert rc == 5
     assert last_error()["category"] == "no-data"
+
+
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["session", "--set", "source.nu=0"],
+        ["session", "--set", "source.class_probabilities=[1,0,0]"],
+        ["session", "--set", "source.class_probabilities=[0.8,0,0.2]"],
+        ["session", "--set", "source.class_probabilities=[0.8,0.2,0]"],
+        ["sweep-loss", "--losses", "1,3", "--set", "source.nu=0"],
+        ["stability", "--hours", "1", "--set", "source.class_probabilities=[0.8,0.2,0]"],
+    ],
+)
+def test_source_without_decoy_or_vacuum_fails_before_simulating(argv, capsys, monkeypatch):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a block ran before the config was rejected")
+
+    monkeypatch.setattr(experiment, "simulate_block", no_blocks)
+    assert main(argv) == 2
+    assert _last_error(capsys)["category"] == "config"
+
+
+def test_range_expansion_is_capped(capsys):
+    # 1e12 values: refused from the count alone, before any list is built
+    assert main(["sweep-loss", "--losses", "0:1:1e-12", "--pulses", "100"]) == 3
+    err = _last_error(capsys)
+    assert err["category"] == "input"
+    assert str(MAX_VALUES) in err["message"]
+
+    assert len(_parse_values(f"0:{MAX_VALUES - 1}:1", "delay")) == MAX_VALUES
+    with pytest.raises(InvalidInputError):
+        _parse_values(f"0:{MAX_VALUES}:1", "delay")
+    with pytest.raises(InvalidInputError):
+        _parse_values(f"0:{MAX_VALUES - 1}:1,1:2:1", "delay")
+    with pytest.raises(InvalidInputError):
+        _parse_values("0:inf:1", "delay")

@@ -16,6 +16,8 @@ from timebin_qkd.detection import (
     PulseLedger,
     SessionCounts,
     WindowLayout,
+    _prune_dead_time,
+    _prune_dead_time_clusters,
     accumulate,
     measure,
     outcome_probabilities,
@@ -388,6 +390,32 @@ def test_dead_time_reduces_gain():
     a = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, live, _rng(17))
     b = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, dead, _rng(17))
     assert b.clicks(IntensityClass.SIGNAL) < a.clicks(IntensityClass.SIGNAL)
+
+
+def _dead_time_inputs(rng):
+    empty = np.array([], dtype=np.int64)
+    yield empty, empty.astype(np.int8), 4
+    yield np.array([3, 4, 5]), np.array([0, 0, 0], dtype=np.int8), 0
+    # long same-detector chains: every event within `blocked` of the last
+    for step, blocked in ((1, 4), (2, 4), (4, 4), (3, 10), (1, 1)):
+        frames = np.arange(0, 400, step)
+        yield frames, np.zeros(len(frames), dtype=np.int8), blocked
+        yield frames, (frames // 40 % 2).astype(np.int8), blocked
+    for _ in range(300):
+        span = int(rng.integers(1, 500))
+        k = int(rng.integers(0, span + 1))
+        frames = np.sort(rng.choice(span, k, replace=False))
+        yield frames, rng.integers(0, 2, k).astype(np.int8), int(rng.integers(0, 9))
+
+
+def test_cluster_dead_time_pass_matches_greedy_reference():
+    cases = list(_dead_time_inputs(_rng(31)))
+    assert len(cases) >= 300
+    for frames, detector, blocked in cases:
+        assert np.array_equal(
+            _prune_dead_time_clusters(frames, detector, blocked),
+            _prune_dead_time(frames, detector, blocked),
+        ), (frames.tolist(), detector.tolist(), blocked)
 
 
 def test_block_rejects_negative_pulse_count():

@@ -161,6 +161,18 @@ def test_run_session_tags_rebuild_the_counts():
     assert rebuilt == res.counts
 
 
+@pytest.mark.parametrize("dark_hz", [100.0, 1e7])
+def test_tags_do_not_change_the_counts(dark_hz):
+    # tag and ledger draws come after every draw the counts use; the high
+    # dark rate adds doubles, whose policy coins the counts do depend on
+    cfg = ExperimentConfig(seed=13)
+    cfg = replace(cfg, detector=replace(cfg.detector, dark_count_rate_hz=dark_hz))
+    plain = run_session(cfg, pulses=200_000)
+    for workers in (None, 2):
+        tagged = run_session(cfg, pulses=200_000, collect_tags=True, workers=workers)
+        assert tagged.counts == plain.counts
+
+
 def test_single_point_sweep_matches_session():
     cfg = ExperimentConfig(seed=12)
     sweep = run_loss_sweep(cfg, [4.0], pulses=25_000)
