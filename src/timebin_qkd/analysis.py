@@ -192,7 +192,7 @@ class KeyRateReport:
     q_mu: float
     e_mu: float
     q_nu: float
-    e_nu: float
+    e_nu: float | None
     y0: float
     y1_lower: float
     e1_upper: float
@@ -232,7 +232,7 @@ def secret_key_rate_from_values(
     q_mu: float,
     e_mu: float,
     q_nu: float,
-    e_nu: float,
+    e_nu: float | None,
     y0: float,
     mu: float,
     nu: float,
@@ -241,14 +241,23 @@ def secret_key_rate_from_values(
     f_ec: float = 1.22,
     sifting_factor: float = 0.5,
 ) -> KeyRateReport:
-    """Rate formula on already-extracted gains and error rates."""
+    """Rate formula on already-extracted gains and error rates.
+
+    e_nu=None means the decoy class had no matched-basis events: the decoy
+    pair then bounds nothing, so the single-photon terms take their
+    no-information values (Y_1 = Q_1 = 0, e_1 = 1), the rate is zero and
+    the report carries the flag "no-decoy-events".
+    """
     if not rep_rate_hz > 0:
         raise InvalidInputError("rep_rate_hz must be positive")
     if not f_ec >= 1.0:
         raise InvalidInputError("error-correction inefficiency must be >= 1")
     if not 0.0 < sifting_factor <= 1.0:
         raise InvalidInputError("sifting_factor must lie in (0, 1]")
-    est = decoy_bounds(q_mu, e_mu, q_nu, e_nu, mu, nu, y0)
+    if e_nu is None:
+        est = DecoyEstimates(0.0, 1.0, 0.0, y0, ("no-decoy-events",))
+    else:
+        est = decoy_bounds(q_mu, e_mu, q_nu, e_nu, mu, nu, y0)
     flags = list(est.flags)
     r = sifting_factor * (
         -q_mu * f_ec * binary_entropy(e_mu)
@@ -289,17 +298,25 @@ def secret_key_rate(
 
     Gains are overall click probabilities per class; error rates are the
     sifted matched-basis QBER of that class.  The vacuum yield comes from
-    the vacuum class unless given explicitly.
+    the vacuum class unless given explicitly.  A decoy class that was sent
+    but gave no matched-basis event (deep loss) yields a zero rate flagged
+    "no-decoy-events" rather than an error.
     """
     if y0 is None:
         if counts.pulses(IntensityClass.VACUUM) == 0:
             raise NoDataError("no vacuum-class pulses recorded and no y0 supplied")
         y0 = counts.gain(IntensityClass.VACUUM)
+    q_mu = counts.gain(IntensityClass.SIGNAL)
+    e_mu = qber(counts, IntensityClass.SIGNAL)
+    q_nu = counts.gain(IntensityClass.DECOY)
+    e_nu = None
+    if counts.matched_clicks(IntensityClass.DECOY):
+        e_nu = qber(counts, IntensityClass.DECOY)
     return secret_key_rate_from_values(
-        counts.gain(IntensityClass.SIGNAL),
-        qber(counts, IntensityClass.SIGNAL),
-        counts.gain(IntensityClass.DECOY),
-        qber(counts, IntensityClass.DECOY),
+        q_mu,
+        e_mu,
+        q_nu,
+        e_nu,
         y0,
         source.mu,
         source.nu,

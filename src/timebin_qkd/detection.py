@@ -19,9 +19,13 @@ interference partner and genuinely project 50:50.
 
 from __future__ import annotations
 
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 
 import numpy as np
 
@@ -355,7 +359,9 @@ class PulseLedger:
     """Sender-side record of a pulse range: class and preparation per pulse.
 
     Covers pulses [start_index, start_index + len); accumulate() needs it
-    to attribute windowed clicks to (class, alpha, i).
+    to attribute windowed clicks to (class, alpha, i).  Every class index
+    is 0, 1 or 2 and every alpha and bit 0 or 1, so each is one digit in
+    the ledger file.
     """
 
     start_index: int
@@ -372,6 +378,10 @@ class PulseLedger:
             raise InvalidInputError("ledger arrays must have equal length")
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
+        for name, top in (("class_idx", 2), ("alpha", 1), ("bit", 1)):
+            values = getattr(self, name)
+            if np.any((values < 0) | (values > top)):
+                raise InvalidInputError(f"ledger {name} values must lie in 0..{top}")
 
     def __len__(self) -> int:
         return len(self.class_idx)
@@ -384,7 +394,8 @@ def accumulate(
 ) -> SessionCounts:
     """Bin time tags into windows and tally counts against the ledger.
 
-    Each tag lands in the window containing its timestamp or is discarded.
+    Each tag lands in the window containing its timestamp (the first in
+    `centers_ps` order, as `WindowLayout.classify`) or is discarded.
     Pulses with more than one windowed tag are discarded (deterministic, so
     pieces merge associatively).  pulses_sent comes from the ledger, so
     accumulating disjoint (tags, ledger) pieces and summing equals
@@ -396,34 +407,52 @@ def accumulate(
     )
     out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
 
-    classified: dict[int, tuple[int, int]] = {}
-    multi: set[int] = set()
-    stop = ledger.start_index + len(ledger)
-    for tag in tags:
-        if not ledger.start_index <= tag.pulse_index < stop:
-            raise InvalidInputError(
-                f"tag pulse_index {tag.pulse_index} outside ledger range"
-            )
-        hit = layout.classify(tag.timestamp_ps)
-        if hit is None:
-            continue
-        if tag.pulse_index in classified or tag.pulse_index in multi:
-            classified.pop(tag.pulse_index, None)
-            multi.add(tag.pulse_index)
-            continue
-        classified[tag.pulse_index] = (int(hit[0]), hit[1])
-    for pi, (beta, j) in classified.items():
-        row = pi - ledger.start_index
-        out.counts[
-            ledger.class_idx[row], ledger.alpha[row], ledger.bit[row], beta, j
-        ] += 1
+    pulse = np.fromiter(map(attrgetter("pulse_index"), tags), np.int64, len(tags))
+    ts = np.fromiter(map(attrgetter("timestamp_ps"), tags), np.float64, len(tags))
+    outside = (pulse < ledger.start_index) | (pulse >= ledger.start_index + len(ledger))
+    if outside.any():
+        raise InvalidInputError(
+            f"tag pulse_index {pulse[outside.argmax()]} outside ledger range"
+        )
+    in_window = np.abs(ts[:, None] - np.array(layout.centers_ps)) <= 0.5 * layout.width_ps
+    hit = in_window.any(axis=1)
+    window = in_window.argmax(axis=1)[hit]
+    pulses, first, n_windowed = np.unique(pulse[hit], return_index=True, return_counts=True)
+    single = n_windowed == 1
+    row = pulses[single] - ledger.start_index
+    window = window[first[single]]
+    np.add.at(
+        out.counts,
+        (ledger.class_idx[row], ledger.alpha[row], ledger.bit[row], window // 2, window % 2),
+        1,
+    )
     return out
+
+
+TAG_HEADER = "pulse_index,detector_id,timestamp_ps"
+LEDGER_HEADER = "pulse_index,intensity_class,alpha,bit"
+
+# Ledger rows formatted per write; bounds the writer's memory whatever the
+# ledger length.
+LEDGER_CHUNK_ROWS = 1 << 14
+
+# A whitespace-only line, and a ledger line that is neither empty nor four
+# comma-separated integers.
+_BLANK_LINE = re.compile(r"(?m)^[ \t\v\f]+$")
+_INT_FIELD = r"[ \t]*[+-]?\d+[ \t]*"
+_BAD_LEDGER_LINE = re.compile(rf"(?m)^(?!{_INT_FIELD}(?:,{_INT_FIELD}){{3}}$).+$")
+
+
+def _check_header(f, expected: str, what: str) -> None:
+    header = f.readline().strip()
+    if header != expected:
+        raise InvalidInputError(f"unrecognized {what} header: {header!r}")
 
 
 def write_time_tags(path, tags: list[ClickEvent]) -> None:
     """Write tags as line-oriented text: pulse_index,detector_id,timestamp_ps."""
     with open(path, "w", encoding="ascii") as f:
-        f.write("pulse_index,detector_id,timestamp_ps\n")
+        f.write(TAG_HEADER + "\n")
         for t in tags:
             f.write(f"{t.pulse_index},{t.detector_id},{t.timestamp_ps!r}\n")
 
@@ -431,50 +460,99 @@ def write_time_tags(path, tags: list[ClickEvent]) -> None:
 def read_time_tags(path) -> list[ClickEvent]:
     tags = []
     with open(path, "r", encoding="ascii") as f:
-        header = f.readline().strip()
-        if header != "pulse_index,detector_id,timestamp_ps":
-            raise InvalidInputError(f"unrecognized tag file header: {header!r}")
-        for line in f:
+        _check_header(f, TAG_HEADER, "tag file")
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            pi, det_id, ts = line.split(",")
-            tags.append(ClickEvent(int(pi), int(det_id), float(ts)))
+            try:
+                pi, det_id, ts = line.split(",")
+                tags.append(ClickEvent(int(pi), int(det_id), float(ts)))
+            except ValueError as e:
+                raise InvalidInputError(
+                    f"tag file line {lineno}: expected {TAG_HEADER}, got {line!r}"
+                ) from e
     return tags
 
 
+def _ledger_chunk(ledger: PulseLedger, lo: int, hi: int) -> bytes:
+    """Ledger rows lo..hi-1 as ASCII, built as one byte matrix.
+
+    Each row of the matrix holds the pulse index right-aligned in `width`
+    digit columns, then ",c,a,b\n"; the leading zeros of shorter indices
+    are masked out when the matrix is flattened.
+    """
+    idx = np.arange(ledger.start_index + lo, ledger.start_index + hi, dtype=np.int64)
+    width = len(str(ledger.start_index + hi - 1))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    mat = np.empty((hi - lo, width + 7), dtype=np.uint8)
+    mat[:, :width] = idx[:, None] // powers % 10 + ord("0")
+    mat[:, width:] = np.frombuffer(b",0,0,0\n", dtype=np.uint8)
+    mat[:, width + 1] += ledger.class_idx[lo:hi].astype(np.uint8)
+    mat[:, width + 3] += ledger.alpha[lo:hi].astype(np.uint8)
+    mat[:, width + 5] += ledger.bit[lo:hi].astype(np.uint8)
+    keep = np.ones(mat.shape, dtype=bool)
+    keep[:, :width] = powers <= np.maximum(idx, 1)[:, None]
+    return mat[keep].tobytes()
+
+
 def write_pulse_ledger(path, ledger: PulseLedger) -> None:
-    """Write the sender record: pulse_index,intensity_class,alpha,bit."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("pulse_index,intensity_class,alpha,bit\n")
-        for row in range(len(ledger)):
-            f.write(
-                f"{ledger.start_index + row},{int(ledger.class_idx[row])},"
-                f"{int(ledger.alpha[row])},{int(ledger.bit[row])}\n"
-            )
+    """Write the sender record: pulse_index,intensity_class,alpha,bit.
+
+    Rows are formatted LEDGER_CHUNK_ROWS at a time, so memory stays bounded.
+    """
+    with open(path, "wb") as f:
+        f.write(LEDGER_HEADER.encode("ascii") + b"\n")
+        for lo in range(0, len(ledger), LEDGER_CHUNK_ROWS):
+            f.write(_ledger_chunk(ledger, lo, min(lo + LEDGER_CHUNK_ROWS, len(ledger))))
+
+
+def _load_ledger_rows(f) -> np.ndarray:
+    with warnings.catch_warnings():
+        # loadtxt warns on input without rows; the caller reports it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+
+
+def _reread_ledger_rows(body: str) -> np.ndarray:
+    """Rows of a ledger body that one loadtxt pass refused or misread.
+
+    loadtxt rejects whitespace-only lines, which the format allows, and
+    numbers rows inconsistently in its errors; here whitespace-only lines
+    are emptied first and a bad row is reported by its file line.
+    """
+    body = _BLANK_LINE.sub("", body)
+    bad = _BAD_LEDGER_LINE.search(body)
+    if bad is not None:
+        lineno = body.count("\n", 0, bad.start()) + 2
+        raise InvalidInputError(
+            f"ledger line {lineno}: expected {LEDGER_HEADER}, got {bad.group().strip()!r}"
+        )
+    try:
+        return _load_ledger_rows(io.StringIO(body))
+    except ValueError as e:
+        raise InvalidInputError(f"malformed pulse ledger: {e}") from e
 
 
 def read_pulse_ledger(path) -> PulseLedger:
-    idx, cls, alpha, bit = [], [], [], []
+    """Read a ledger file; one loadtxt call parses every row."""
     with open(path, "r", encoding="ascii") as f:
-        header = f.readline().strip()
-        if header != "pulse_index,intensity_class,alpha,bit":
-            raise InvalidInputError(f"unrecognized ledger header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, c, d = line.split(",")
-            idx.append(int(a))
-            cls.append(int(b))
-            alpha.append(int(c))
-            bit.append(int(d))
-    if not idx:
+        _check_header(f, LEDGER_HEADER, "ledger")
+        body_start = f.tell()
+        try:
+            rows = _load_ledger_rows(f)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape[1] != 4:
+            f.seek(body_start)
+            rows = _reread_ledger_rows(f.read())
+    if len(rows) == 0:
         raise InvalidInputError("empty pulse ledger")
-    start = idx[0]
-    if idx != list(range(start, start + len(idx))):
+    idx = rows[:, 0]
+    start = int(idx[0])
+    if not np.array_equal(idx, np.arange(start, start + len(idx))):
         raise InvalidInputError("ledger pulse indices must be contiguous")
-    return PulseLedger(start, np.array(cls), np.array(alpha), np.array(bit))
+    return PulseLedger(start, rows[:, 1], rows[:, 2], rows[:, 3])
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:

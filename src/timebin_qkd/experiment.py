@@ -635,7 +635,9 @@ def stability_payload(result: StabilityResult) -> dict:
 def _csv_lines(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{v!r}" if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(
+            f"{v!r}" if isinstance(v, float) else "" if v is None else str(v) for v in row
+        ))
     return "\n".join(lines) + "\n"
 
 

@@ -228,6 +228,25 @@ def test_secret_key_rate_from_counts_requires_vacuum_data():
     assert report.q_mu == pytest.approx(counts.gain(IntensityClass.SIGNAL))
 
 
+def test_decoy_class_without_matched_events_gives_flagged_zero_rate():
+    counts = _counts_with_rows(
+        [[96, 4, 10, 10], [2, 98, 10, 10], [10, 10, 99, 1], [10, 10, 3, 97]]
+    )
+    counts.pulses_sent[2] = 1000
+    counts.pulses_sent[1] = 1000
+    # decoy clicks only in the mismatched pathway: a gain but no error rate
+    counts.counts[1, 0, 0, 1, 0] = 3
+    with pytest.raises(NoDataError):
+        qber(counts, IntensityClass.DECOY)
+    report = secret_key_rate(counts, SourceConfig())
+    assert report.r_bps == 0.0
+    assert report.q_nu == pytest.approx(3 / 4000)
+    assert report.e_nu is None
+    assert (report.y1_lower, report.q1_lower, report.e1_upper) == (0.0, 0.0, 1.0)
+    assert "no-decoy-events" in report.flags
+    assert report.to_dict()["E_nu"] is None
+
+
 def test_analytic_channel_limits():
     ch = AnalyticChannel(eta=0.05, y0=1e-5, e_detector=0.01)
     assert ch.gain(0.0) == pytest.approx(1e-5, rel=1e-9)

@@ -7,7 +7,7 @@ import pytest
 
 from timebin_qkd import experiment
 from timebin_qkd.cli import MAX_VALUES, _parse_values, main
-from timebin_qkd.detection import SessionCounts, read_pulse_ledger, read_time_tags
+from timebin_qkd.detection import SessionCounts, accumulate, read_pulse_ledger, read_time_tags
 from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
@@ -17,6 +17,7 @@ from timebin_qkd.experiment import (
     SWEEP_SCHEMA,
     ExperimentConfig,
     config_to_dict,
+    read_counts_json,
     write_counts_json,
 )
 from timebin_qkd.source import SourceConfig
@@ -84,10 +85,11 @@ def test_set_override_accepts_bare_strings(tmp_path):
 
 def test_dump_tags_writes_record_and_ledger(tmp_path):
     tags_path = tmp_path / "tags.csv"
+    counts_path = tmp_path / "counts.json"
     out = tmp_path / "rep.json"
     rc = main(
         ["session", "--pulses", "2000", "--seed", "11", "--out", str(out),
-         "--dump-tags", str(tags_path)]
+         "--dump-tags", str(tags_path), "--save-counts", str(counts_path)]
     )
     assert rc == 0
     tags = read_time_tags(tags_path)
@@ -95,6 +97,10 @@ def test_dump_tags_writes_record_and_ledger(tmp_path):
     assert len(ledger) == 4 * 2000
     assert len(tags) > 0
     assert all(0 <= t.pulse_index < 8000 for t in tags)
+    # the files read back attribute every pulse as the session counted it
+    saved, _ = read_counts_json(counts_path)
+    rebuilt = accumulate(tags, ExperimentConfig().layout, ledger)
+    assert np.array_equal(rebuilt.pulses_sent, saved.pulses_sent)
 
 
 def test_sweep_loss_csv(tmp_path):
@@ -214,3 +220,18 @@ def test_range_expansion_is_capped(capsys):
         _parse_values(f"0:{MAX_VALUES - 1}:1,1:2:1", "delay")
     with pytest.raises(InvalidInputError):
         _parse_values("0:inf:1", "delay")
+
+
+def test_sweep_point_without_decoy_events_reports_zero_rate(capsys):
+    # at 30 dB the decoy class gives no matched-basis event at this size
+    assert main(["sweep-loss", "--losses", "0.45,30", "--pulses", "200000"]) == 0
+    def no_constants(name):
+        raise AssertionError(f"{name} in the payload")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+    assert payload["channel_db"] == [0.45, 30.0]
+    assert payload["R_bps"][0] > 0
+    deep = payload["reports"][1]
+    assert payload["R_bps"][1] == deep["R_bps"] == 0.0
+    assert "no-decoy-events" in deep["flags"]
+    assert deep["E_nu"] is None

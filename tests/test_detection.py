@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import defaultdict
 from dataclasses import replace
 
@@ -10,6 +11,9 @@ import pytest
 from timebin_qkd.detection import (
     BASIS_GROUP_OFFSET_PS,
     INTERFEROMETER_DELAY_PS,
+    LEDGER_CHUNK_ROWS,
+    LEDGER_HEADER,
+    TAG_HEADER,
     ClickEvent,
     DetectorModel,
     Outcome,
@@ -32,6 +36,8 @@ from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.qubit import BB84_SETTINGS, Basis, mub_states, overlap_probability
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
 from timebin_qkd.switch import SwitchModel, apply_switch_both_bins
+
+from reference import accumulate_loop, read_pulse_ledger_rows, write_pulse_ledger_rows
 
 PERFECT_SWITCH = SwitchModel()
 
@@ -529,6 +535,151 @@ def test_tag_file_header_is_checked(tmp_path):
     p.write_text("wrong,header,line\n0,0,0.0\n")
     with pytest.raises(InvalidInputError):
         read_time_tags(p)
+
+
+# Row counts around the writer's chunk boundary and across several chunks.
+_LEDGER_LENGTHS = (
+    1,
+    LEDGER_CHUNK_ROWS - 1,
+    LEDGER_CHUNK_ROWS,
+    LEDGER_CHUNK_ROWS + 1,
+    3 * LEDGER_CHUNK_ROWS + 5,
+)
+
+
+@pytest.mark.parametrize("start_index", [0, 9, 10, 99_999, 999_999])
+def test_ledger_writer_matches_the_row_by_row_reference(tmp_path, start_index):
+    # start indices sit on digit-width boundaries, so rows of one chunk
+    # and of neighbouring chunks differ in index width
+    rng = _rng(22)
+    for n in _LEDGER_LENGTHS:
+        ledger = PulseLedger(
+            start_index, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+        )
+        write_pulse_ledger(tmp_path / "fast", ledger)
+        write_pulse_ledger_rows(tmp_path / "ref", ledger)
+        assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes(), n
+        back = read_pulse_ledger(tmp_path / "fast")
+        assert back.start_index == start_index
+        assert np.array_equal(back.class_idx, ledger.class_idx)
+        assert np.array_equal(back.alpha, ledger.alpha)
+        assert np.array_equal(back.bit, ledger.bit)
+
+
+def test_ledger_reader_accepts_what_the_row_reader_accepts(tmp_path):
+    variants = {
+        "blank lines": "pulse_index,intensity_class,alpha,bit\n\n5,0,1,0\n\n6,2,0,1\n\n",
+        "whitespace lines": "pulse_index,intensity_class,alpha,bit\n5,0,1,0\n \t\n6,2,0,1\n  \n",
+        "padding": "pulse_index,intensity_class,alpha,bit\n 5 ,0, 1,0 \n\t6,2 ,0,1\n",
+        "crlf": "pulse_index,intensity_class,alpha,bit\r\n5,0,1,0\r\n6,2,0,1\r\n",
+        "no final newline": "pulse_index,intensity_class,alpha,bit\n5,0,1,0\n6,2,0,1",
+    }
+    for name, text in variants.items():
+        path = tmp_path / "ledger"
+        path.write_bytes(text.encode("ascii"))
+        got, ref = read_pulse_ledger(path), read_pulse_ledger_rows(path)
+        assert got.start_index == ref.start_index == 5, name
+        for col in ("class_idx", "alpha", "bit"):
+            assert np.array_equal(getattr(got, col), getattr(ref, col)), name
+
+
+@pytest.mark.parametrize(
+    "reader, header, body, match",
+    [
+        (read_pulse_ledger, LEDGER_HEADER, "0,1,0\n", "line 2"),
+        (read_pulse_ledger, LEDGER_HEADER, "0,1,0,1\n\n1,1,0\n", "line 4"),
+        (read_pulse_ledger, LEDGER_HEADER, "0,1,0,1\n1,1,0,1,1\n", "line 3"),
+        (read_pulse_ledger, LEDGER_HEADER, "0,1,0,1\n1,1,x,1\n", "line 3"),
+        (read_pulse_ledger, LEDGER_HEADER, "0,1,1.5,1\n", "line 2"),
+        (read_pulse_ledger, LEDGER_HEADER, "", "empty pulse ledger"),
+        (read_pulse_ledger, LEDGER_HEADER, "\n \n", "empty pulse ledger"),
+        (read_time_tags, TAG_HEADER, "0,1\n", "line 2"),
+        (read_time_tags, TAG_HEADER, "0,1,0.0\n1,0,2.0,7\n", "line 3"),
+        (read_time_tags, TAG_HEADER, "0,x,0.0\n", "line 2"),
+    ],
+    ids=[
+        "ledger-too-few", "ledger-too-few-after-blank", "ledger-too-many",
+        "ledger-not-integer", "ledger-float", "ledger-header-only", "ledger-blank-only",
+        "tags-too-few", "tags-too-many", "tags-not-integer",
+    ],
+)
+def test_malformed_rows_raise_input_errors_naming_the_row(
+    tmp_path, reader, header, body, match
+):
+    path = tmp_path / "file"
+    path.write_text(f"{header}\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=match):
+            reader(path)
+
+
+def test_ledger_values_are_range_checked():
+    ok = PulseLedger(0, [0, 1, 2], [0, 1, 0], [1, 0, 1])
+    assert len(ok) == 3
+    for cls, alpha, bit in (([3], [0], [0]), ([-1], [0], [0]), ([0], [2], [0]), ([0], [0], [-1])):
+        with pytest.raises(InvalidInputError):
+            PulseLedger(0, cls, alpha, bit)
+
+
+def test_ledger_reader_rejects_out_of_range_values(tmp_path):
+    path = tmp_path / "ledger"
+    for row in ("0,7,0,1", "0,1,2,1", "0,1,0,-1"):
+        path.write_text(f"{LEDGER_HEADER}\n{row}\n")
+        with pytest.raises(InvalidInputError):
+            read_pulse_ledger(path)
+    path.write_text(f"{LEDGER_HEADER}\n4,1,0,1\n6,1,0,1\n")
+    with pytest.raises(InvalidInputError, match="contiguous"):
+        read_pulse_ledger(path)
+
+
+def _edge_case_tags(rng, layout, n_pulses, n_tags):
+    """Unsorted tags over n_pulses pulses, rich in window edges and repeats."""
+    centers = np.array(layout.centers_ps)
+    half = 0.5 * layout.width_ps
+    tags = []
+    for _ in range(n_tags):
+        pulse = int(rng.integers(0, n_pulses))
+        c = centers[rng.integers(0, 4)]
+        kind = rng.integers(0, 4)
+        if kind == 0:  # exactly on a window edge: inside
+            ts = c + half * rng.choice([-1.0, 1.0])
+        elif kind == 1:  # just past an edge: outside
+            ts = np.nextafter(c + half, np.inf) if rng.random() < 0.5 else c - 1.5 * half
+        else:
+            ts = c + rng.normal(0.0, half)
+        tags.append(ClickEvent(pulse, int(rng.integers(0, 2)), float(ts)))
+        if rng.random() < 0.2:  # a second tag of the same pulse, same window
+            tags.append(ClickEvent(pulse, 0, float(c)))
+    return tags
+
+
+def test_accumulate_matches_the_dict_loop_reference():
+    # windows that touch: a tag on the shared edge is in both, and counts
+    # in the first
+    touching = WindowLayout((0.0, 800.0, 8000.0, 8800.0), 800.0)
+    for seed in range(40):
+        layout = touching if seed % 2 else WindowLayout()
+        rng = _rng(100 + seed)
+        n = int(rng.integers(1, 60))
+        start = int(rng.integers(0, 1000))
+        ledger = PulseLedger(
+            start, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+        )
+        tags = [
+            ClickEvent(t.pulse_index + start, t.detector_id, t.timestamp_ps)
+            for t in _edge_case_tags(rng, layout, n, int(rng.integers(0, 80)))
+        ]
+        assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger), seed
+    # a full block's tags
+    layout = WindowLayout()
+    det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6)
+    _, tags, ledger = simulate_block(
+        BB84_SETTINGS[3], 100_000, SourceConfig(), LossBudget(), PERFECT_SWITCH, det,
+        _rng(23), collect_tags=True, start_index=77,
+    )
+    assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger)
+    assert accumulate([], layout, ledger) == accumulate_loop([], layout, ledger)
 
 
 def test_detector_model_validation():
