@@ -6,7 +6,7 @@ A time-bin qubit lives in two temporal modes of one photon: the early slot
 |t0> and the late slot |t1>.  A rotatable half-wave plate upstream of the
 bin-splitting element sets the superposition, so every protocol state is
 labeled by one plate angle.  This script prepares the four key states and
-shows how they project onto the three available bases.
+shows how they project onto the two protocol bases.
 """
 
 import numpy as np

@@ -8,83 +8,40 @@ from .errors import ConfigError, InvalidInputError, InvalidStateError, NoDataErr
 from .qubit import (
     BB84_SETTINGS,
     Basis,
-    PreparationSetting,
-    TimeBinQubit,
-    global_phase_between,
     mub_states,
     overlap_probability,
     prepare_state,
-    states_equal,
 )
 from .switch import (
-    DEFAULT_BIN_SEPARATION_PS,
     DEFAULT_PUMP_FWHM_PS,
     DEFAULT_SIGNAL_FWHM_PS,
     DEFAULT_WALKOFF_PS,
     SwitchModel,
-    SwitchedState,
-    apply_switch,
-    apply_switch_both_bins,
     effective_efficiency,
     nonlinear_phase,
-    pump_overlap_fraction,
     switching_efficiency,
-    transform_limited_fwhm_ps,
     with_delay,
 )
-from .source import (
-    DriftModel,
-    IntensityClass,
-    LossBudget,
-    SourceConfig,
-    derived_rng,
-    drift_state,
-    sample_photon_number,
-    total_loss,
-    transmittance,
-)
+from .source import sample_photon_number, transmittance
 from .detection import (
-    ClickEvent,
-    DetectorModel,
-    Outcome,
-    PulseLedger,
-    SessionCounts,
-    WindowLayout,
     accumulate,
-    measure,
-    outcome_probabilities,
     read_pulse_ledger,
     read_time_tags,
     simulate_block,
-    to_time_tags,
     write_pulse_ledger,
     write_time_tags,
 )
 from .analysis import (
     AnalyticChannel,
-    DecoyEstimates,
-    KeyRateReport,
-    ProbabilityMatrix,
-    binary_entropy,
     conditional_probabilities,
     decoy_bounds,
-    fidelities,
-    golden_section_max,
-    optimize_decoy_intensity,
-    qber,
     secret_key_rate,
-    secret_key_rate_from_values,
 )
 from .experiment import (
     ExperimentConfig,
-    LossSweepResult,
-    PumpScanResult,
-    SessionResult,
-    StabilityResult,
     config_from_dict,
     config_to_dict,
     extract_separation,
-    load_config,
     plateau_mean,
     read_counts_json,
     run_loss_sweep,
@@ -100,62 +57,27 @@ __all__ = [
     "AnalyticChannel",
     "BB84_SETTINGS",
     "Basis",
-    "ClickEvent",
     "ConfigError",
-    "DEFAULT_BIN_SEPARATION_PS",
     "DEFAULT_PUMP_FWHM_PS",
     "DEFAULT_SIGNAL_FWHM_PS",
     "DEFAULT_WALKOFF_PS",
-    "DecoyEstimates",
-    "DetectorModel",
-    "DriftModel",
     "ExperimentConfig",
-    "IntensityClass",
     "InvalidInputError",
     "InvalidStateError",
-    "KeyRateReport",
-    "LossBudget",
-    "LossSweepResult",
     "NoDataError",
-    "Outcome",
-    "PreparationSetting",
-    "ProbabilityMatrix",
-    "PulseLedger",
-    "PumpScanResult",
-    "SessionCounts",
-    "SessionResult",
-    "SourceConfig",
-    "StabilityResult",
     "SwitchModel",
-    "SwitchedState",
-    "TimeBinQubit",
-    "WindowLayout",
     "accumulate",
-    "apply_switch",
-    "apply_switch_both_bins",
-    "binary_entropy",
-    "conditional_probabilities",
     "config_from_dict",
     "config_to_dict",
+    "conditional_probabilities",
     "decoy_bounds",
-    "derived_rng",
-    "drift_state",
     "effective_efficiency",
     "extract_separation",
-    "fidelities",
-    "global_phase_between",
-    "golden_section_max",
-    "load_config",
-    "measure",
     "mub_states",
     "nonlinear_phase",
-    "optimize_decoy_intensity",
-    "outcome_probabilities",
     "overlap_probability",
     "plateau_mean",
     "prepare_state",
-    "pump_overlap_fraction",
-    "qber",
     "read_counts_json",
     "read_pulse_ledger",
     "read_time_tags",
@@ -165,13 +87,8 @@ __all__ = [
     "run_stability",
     "sample_photon_number",
     "secret_key_rate",
-    "secret_key_rate_from_values",
     "simulate_block",
-    "states_equal",
     "switching_efficiency",
-    "to_time_tags",
-    "total_loss",
-    "transform_limited_fwhm_ps",
     "transmittance",
     "with_delay",
     "write_counts_json",

@@ -190,7 +190,7 @@ class KeyRateReport:
     """Everything the rate formula consumed plus the result."""
 
     q_mu: float
-    e_mu: float
+    e_mu: float | None
     q_nu: float
     e_nu: float | None
     y0: float
@@ -210,7 +210,7 @@ class KeyRateReport:
         return {
             "Q_mu": self.q_mu,
             "E_mu": self.e_mu,
-            "H2_E_mu": binary_entropy(self.e_mu),
+            "H2_E_mu": None if self.e_mu is None else binary_entropy(self.e_mu),
             "Q_nu": self.q_nu,
             "E_nu": self.e_nu,
             "Y_0": self.y0,
@@ -230,7 +230,7 @@ class KeyRateReport:
 
 def secret_key_rate_from_values(
     q_mu: float,
-    e_mu: float,
+    e_mu: float | None,
     q_nu: float,
     e_nu: float | None,
     y0: float,
@@ -243,10 +243,12 @@ def secret_key_rate_from_values(
 ) -> KeyRateReport:
     """Rate formula on already-extracted gains and error rates.
 
-    e_nu=None means the decoy class had no matched-basis events: the decoy
-    pair then bounds nothing, so the single-photon terms take their
-    no-information values (Y_1 = Q_1 = 0, e_1 = 1), the rate is zero and
-    the report carries the flag "no-decoy-events".
+    An error rate of None means its class had no matched-basis events.
+    The decoy pair then bounds nothing, so the single-photon terms take
+    their no-information values (Y_1 = Q_1 = 0, e_1 = 1) and the report
+    carries the flag "no-decoy-events" or "no-signal-events".  Either way
+    the rate is zero; without signal events it is zero by definition,
+    since there is no sifted key to correct.
     """
     if not rep_rate_hz > 0:
         raise InvalidInputError("rep_rate_hz must be positive")
@@ -254,15 +256,20 @@ def secret_key_rate_from_values(
         raise InvalidInputError("error-correction inefficiency must be >= 1")
     if not 0.0 < sifting_factor <= 1.0:
         raise InvalidInputError("sifting_factor must lie in (0, 1]")
-    if e_nu is None:
-        est = DecoyEstimates(0.0, 1.0, 0.0, y0, ("no-decoy-events",))
+    missing = tuple(
+        f"no-{name}-events" for name, e in (("signal", e_mu), ("decoy", e_nu)) if e is None
+    )
+    if missing:
+        est = DecoyEstimates(0.0, 1.0, 0.0, y0, missing)
     else:
         est = decoy_bounds(q_mu, e_mu, q_nu, e_nu, mu, nu, y0)
     flags = list(est.flags)
-    r = sifting_factor * (
-        -q_mu * f_ec * binary_entropy(e_mu)
-        + est.q1_lower * (1.0 - binary_entropy(est.e1_upper))
-    )
+    r = 0.0
+    if e_mu is not None:
+        r = sifting_factor * (
+            -q_mu * f_ec * binary_entropy(e_mu)
+            + est.q1_lower * (1.0 - binary_entropy(est.e1_upper))
+        )
     if r < 0.0:
         r = 0.0
         flags.append("rate-clamped-zero")
@@ -298,20 +305,21 @@ def secret_key_rate(
 
     Gains are overall click probabilities per class; error rates are the
     sifted matched-basis QBER of that class.  The vacuum yield comes from
-    the vacuum class unless given explicitly.  A decoy class that was sent
-    but gave no matched-basis event (deep loss) yields a zero rate flagged
-    "no-decoy-events" rather than an error.
+    the vacuum class unless given explicitly.  A class that was sent but
+    gave no matched-basis event (deep loss) leaves its error rate
+    undefined; the rate is then zero, flagged "no-signal-events" or
+    "no-decoy-events", rather than an error.
     """
     if y0 is None:
         if counts.pulses(IntensityClass.VACUUM) == 0:
             raise NoDataError("no vacuum-class pulses recorded and no y0 supplied")
         y0 = counts.gain(IntensityClass.VACUUM)
     q_mu = counts.gain(IntensityClass.SIGNAL)
-    e_mu = qber(counts, IntensityClass.SIGNAL)
     q_nu = counts.gain(IntensityClass.DECOY)
-    e_nu = None
-    if counts.matched_clicks(IntensityClass.DECOY):
-        e_nu = qber(counts, IntensityClass.DECOY)
+    e_mu, e_nu = (
+        qber(counts, cls) if counts.matched_clicks(cls) else None
+        for cls in (IntensityClass.SIGNAL, IntensityClass.DECOY)
+    )
     return secret_key_rate_from_values(
         q_mu,
         e_mu,
@@ -393,71 +401,3 @@ class AnalyticChannel:
             f_ec=f_ec,
             sifting_factor=sifting_factor,
         )
-
-
-def golden_section_max(fn, lo: float, hi: float, *, grid_points: int = 50, tol: float = 1e-4):
-    """Maximize a scalar function on [lo, hi]: coarse grid, then golden
-    section on the best bracket down to an interval of width tol.
-
-    Robust for unimodal functions; for others it returns a local maximum
-    near the best grid point.  Returns (x_opt, fn(x_opt)).
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidInputError("need a finite interval with lo < hi")
-    if grid_points < 2 or not tol > 0:
-        raise InvalidInputError("grid_points must be >= 2 and tol positive")
-
-    grid = np.linspace(lo, hi, grid_points)
-    vals = [fn(float(x)) for x in grid]
-    k = int(np.argmax(vals))
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, len(grid) - 1)])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    best = max(((fc, c), (fd, d), (vals[k], float(grid[k]))))
-    return best[1], best[0]
-
-
-def optimize_decoy_intensity(
-    channel: AnalyticChannel,
-    mu: float,
-    rep_rate_hz: float = 80e6,
-    *,
-    f_ec: float = 1.22,
-    sifting_factor: float = 0.5,
-    nu_lo: float | None = None,
-    nu_hi: float | None = None,
-    tol: float = 1e-4,
-) -> tuple[float, float]:
-    """Decoy intensity maximizing the bound rate over [nu_lo, nu_hi].
-
-    On exact gains the vacuum+weak bound tightens monotonically as the
-    decoy weakens, so the maximum sits at nu_lo; pick nu_lo to reflect the
-    weakest decoy whose gain you could actually resolve.  Defaults span
-    (1e-3 mu, 0.999 mu).  Returns (nu_opt, r_bps_opt).
-    """
-    if not mu > 0:
-        raise InvalidInputError("mu must be positive")
-    lo = mu * 1e-3 if nu_lo is None else nu_lo
-    hi = mu * 0.999 if nu_hi is None else nu_hi
-    if not 0.0 < lo < hi < mu:
-        raise InvalidInputError("need 0 < nu_lo < nu_hi < mu")
-
-    def rate_of(nu: float) -> float:
-        return channel.rate(
-            mu, nu, rep_rate_hz, f_ec=f_ec, sifting_factor=sifting_factor
-        ).r_bps
-
-    return golden_section_max(rate_of, lo, hi, tol=tol)

@@ -20,6 +20,7 @@ from .experiment import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
+    load_config,
     matrix_payload,
     read_counts_json,
     report_csv,
@@ -52,7 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument("--out", help="write the result here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, help="thread count for block simulation")
+    p.add_argument("--workers", type=int, help="block simulation threads, capped at the CPU count")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,16 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            try:
-                payload = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"configuration is not valid JSON: {e}") from e
-    else:
-        payload = config_to_dict(ExperimentConfig())
-    payload = apply_overrides(payload, args.set)
+def _config(args) -> ExperimentConfig:
+    """The config file (or the defaults), then --set, --seed and --pulses."""
+    base = load_config(args.config) if args.config else ExperimentConfig()
+    payload = apply_overrides(config_to_dict(base), args.set)
     if args.seed is not None:
         payload["seed"] = args.seed
     if getattr(args, "pulses", None) is not None:
@@ -167,7 +162,7 @@ def _emit(args, payload: dict, csv_text: str) -> None:
 
 
 def _cmd_session(args) -> int:
-    cfg = _load_config(args)
+    cfg = _config(args)
     res = run_session(cfg, workers=args.workers, collect_tags=bool(args.dump_tags))
     if args.save_counts:
         write_counts_json(args.save_counts, res.counts, cfg.source)
@@ -181,7 +176,7 @@ def _cmd_session(args) -> int:
 
 
 def _cmd_sweep_loss(args) -> int:
-    cfg = _load_config(args)
+    cfg = _config(args)
     losses = _parse_values(args.losses, "loss")
     res = run_loss_sweep(cfg, losses, workers=args.workers)
     _emit(args, sweep_payload(res), sweep_csv(res))
@@ -189,7 +184,7 @@ def _cmd_sweep_loss(args) -> int:
 
 
 def _cmd_pump_scan(args) -> int:
-    cfg = _load_config(args)
+    cfg = _config(args)
     delays = _parse_values(args.delays, "delay")
     res = run_pump_delay_scan(
         cfg, delays, pulses_per_point=args.pulses_per_point, workers=args.workers
@@ -199,7 +194,7 @@ def _cmd_pump_scan(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    cfg = _load_config(args)
+    cfg = _config(args)
     res = run_stability(
         cfg,
         hours=args.hours,

@@ -24,7 +24,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from enum import IntEnum
 from operator import attrgetter
 
 import numpy as np
@@ -40,13 +39,6 @@ INTERFEROMETER_DELAY_PS = 0.88 / 299792458.0 * 1e12
 
 # Electronic offset separating the two basis groups on the shared time axis.
 BASIS_GROUP_OFFSET_PS = 8000.0
-
-
-class Outcome(IntEnum):
-    BIT0 = 0
-    BIT1 = 1
-    NO_CLICK = 2
-    DOUBLE_CLICK = 3
 
 
 _STRAY_POLICIES = ("random", "discard", "by_polarization")
@@ -242,10 +234,22 @@ class SessionCounts:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionCounts":
+        """Counts from parsed JSON; every entry must be a JSON integer.
+
+        Floats, strings and booleans are rejected rather than cast, so a
+        hand-edited file cannot lose a fraction or turn `true` into 1.
+        """
         try:
-            return cls(np.array(d["counts"]), np.array(d["pulses_sent"]))
+            fields = [np.array(d[k], dtype=object) for k in ("counts", "pulses_sent")]
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidInputError(f"malformed counts payload: {e}") from e
+        bad = [v for arr in fields for v in arr.flat if type(v) is not int]
+        if bad:
+            raise InvalidInputError(f"counts entries must be integers, got {bad[0]!r}")
+        try:
+            return cls(*fields)
+        except OverflowError as e:
+            raise InvalidInputError(f"counts entry out of range: {e}") from e
 
 
 def outcome_probabilities(
@@ -282,76 +286,6 @@ def outcome_probabilities(
     p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
     p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
     return p0, p1, 0.0
-
-
-def measure(
-    q_switched: SwitchedState,
-    basis: Basis,
-    det: DetectorModel,
-    rng: np.random.Generator,
-) -> Outcome:
-    """Measurement outcome for one pulse carrying one incident photon.
-
-    The caller has already drawn the pathway (50:50) and established that a
-    photon reached the receiver; this gates it through the detector
-    efficiency, projects it, applies the intrinsic error, and injects dark
-    counts into the two windows of the chosen pathway.  Dead time acts at
-    the pulse-train level and is handled by simulate_block.
-    """
-    p0, p1, _ = outcome_probabilities(q_switched, basis, det)
-    sig = None
-    if rng.random() < det.efficiency:
-        u = rng.random()
-        if u < p0:
-            sig = 0
-        elif u < p0 + p1:
-            sig = 1
-    if sig is not None and rng.random() < det.intrinsic_error:
-        sig ^= 1
-    p_dark = det.dark_prob_per_window
-    d0 = rng.random() < p_dark
-    d1 = rng.random() < p_dark
-    click0 = sig == 0 or d0
-    click1 = sig == 1 or d1
-    if click0 and click1:
-        return Outcome.DOUBLE_CLICK
-    if click0:
-        return Outcome.BIT0
-    if click1:
-        return Outcome.BIT1
-    return Outcome.NO_CLICK
-
-
-def to_time_tags(
-    outcome: Outcome,
-    basis: Basis,
-    pulse_index: int,
-    det: DetectorModel,
-    rng: np.random.Generator,
-    layout: WindowLayout | None = None,
-) -> list[ClickEvent]:
-    """Detector record of one outcome: zero, one, or two timestamped clicks.
-
-    Timestamps are the slot center plus Gaussian jitter.  Both BB84
-    pathways share the time axis; the time pathway reads out on detector 1,
-    the phase pathway on detector 0.
-    """
-    if basis not in (Basis.PHASE, Basis.TIME):
-        raise InvalidInputError("time tags exist only for the two BB84 pathways")
-    layout = layout or WindowLayout()
-    detector_id = 1 if basis == Basis.TIME else 0
-    bits: tuple[int, ...]
-    if outcome == Outcome.NO_CLICK:
-        bits = ()
-    elif outcome == Outcome.DOUBLE_CLICK:
-        bits = (0, 1)
-    else:
-        bits = (int(outcome),)
-    tags = []
-    for b in bits:
-        ts = layout.center(basis, b) + rng.normal(0.0, det.jitter_sigma_ps)
-        tags.append(ClickEvent(pulse_index, detector_id, float(ts)))
-    return tags
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +25,7 @@ from .analysis import (
     KeyRateReport,
     ProbabilityMatrix,
     conditional_probabilities,
+    fidelities,
     qber,
     secret_key_rate,
 )
@@ -219,11 +221,105 @@ def _require_decoy_and_vacuum(source: SourceConfig) -> None:
         )
 
 
-def _run_tasks(tasks, workers):
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda fn: fn(), tasks))
-    return [fn() for fn in tasks]
+@dataclass(frozen=True)
+class _Job:
+    """One pulse train of one setting: the unit the block engine splits.
+
+    Block b of the job draws from derived_rng(seed, *key, b); start_index
+    is the global index of the job's first pulse in the tag record.
+    """
+
+    key: tuple[int, ...]
+    setting: PreparationSetting
+    pulses: int
+    budget: LossBudget
+    switch: SwitchModel
+    start_index: int = 0
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(
+    config: ExperimentConfig,
+    jobs: list[_Job],
+    workers: int | None,
+    *,
+    collect_tags: bool = False,
+) -> tuple[list[SessionCounts], list[ClickEvent] | None, PulseLedger | None]:
+    """The block engine: simulate every block of every job, then merge.
+
+    Returns the summed counts of each job in job order and, with
+    collect_tags, the tags of all jobs in job order and their merged
+    ledger.  Blocks run on one thread pool of at most `workers` threads,
+    capped at the usable CPUs; the result does not depend on the count.
+    """
+    if workers is not None and workers < 1:
+        raise InvalidInputError("workers must be at least 1")
+    blocks = [(j, job, b) for j, job in enumerate(jobs) for b in _blocks(job.pulses)]
+
+    def run(block):
+        _, job, (b_idx, start, cnt) = block
+        return simulate_block(
+            job.setting,
+            cnt,
+            config.source,
+            job.budget,
+            job.switch,
+            config.detector,
+            derived_rng(config.seed, *job.key, b_idx),
+            collect_tags=collect_tags,
+            layout=config.layout,
+            start_index=job.start_index + start,
+        )
+
+    threads = min(workers or 1, _usable_cpus(), len(blocks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, blocks))
+    else:
+        results = [run(block) for block in blocks]
+
+    totals = [SessionCounts.zeros() for _ in jobs]
+    for (j, _, _), r in zip(blocks, results):
+        totals[j] = totals[j] + (r[0] if collect_tags else r)
+    if not collect_tags:
+        return totals, None, None
+    tags = [tag for _, block_tags, _ in results for tag in block_tags]
+    ledgers = [ledger for _, _, ledger in results]
+    ledger = PulseLedger(
+        ledgers[0].start_index,
+        np.concatenate([l.class_idx for l in ledgers]),
+        np.concatenate([l.alpha for l in ledgers]),
+        np.concatenate([l.bit for l in ledgers]),
+    )
+    return totals, tags, ledger
+
+
+def _group_sums(counts: list[SessionCounts], size: int) -> list[SessionCounts]:
+    """Sums of consecutive runs of `size` job counts."""
+    return [
+        sum(counts[k : k + size], SessionCounts.zeros()) for k in range(0, len(counts), size)
+    ]
+
+
+def _session_jobs(n: int, budget: LossBudget, switch: SwitchModel) -> list[_Job]:
+    # Settings occupy contiguous global pulse-index ranges: setting s covers
+    # [s*n, (s+1)*n), which is what the tag record and ledger index against.
+    return [
+        _Job((PURPOSE_SESSION, s_idx), setting, n, budget, switch, s_idx * n)
+        for s_idx, setting in enumerate(BB84_SETTINGS)
+    ]
+
+
+def _pulses_per_setting(config: ExperimentConfig, pulses: int | None) -> int:
+    n = int(pulses) if pulses is not None else config.pulses_per_setting
+    if n <= 0:
+        raise InvalidInputError("pulse count must be positive")
+    return n
 
 
 @dataclass
@@ -244,64 +340,21 @@ def run_session(
     pulses: int | None = None,
     workers: int | None = None,
     collect_tags: bool = False,
-    switch: SwitchModel | None = None,
-    purpose: int = PURPOSE_SESSION,
 ) -> SessionResult:
     """Simulate all four preparation settings and reduce to matrix + report.
 
-    `pulses` overrides pulses_per_setting.  Settings occupy contiguous
-    global pulse-index ranges (setting s covers [s*n, (s+1)*n)), which is
-    what the tag record and ledger index against.
+    `pulses` overrides pulses_per_setting.  With collect_tags the result
+    also holds the time tags and the pulse ledger of the whole session.
     """
-    n = int(pulses) if pulses is not None else config.pulses_per_setting
-    if n <= 0:
-        raise InvalidInputError("pulse count must be positive")
+    n = _pulses_per_setting(config, pulses)
     _require_decoy_and_vacuum(config.source)
-    sw = switch if switch is not None else config.switch
-
-    tasks = []
-    for s_idx, setting in enumerate(BB84_SETTINGS):
-        for b_idx, start, cnt in _blocks(n):
-            rng = derived_rng(config.seed, purpose, s_idx, b_idx)
-            tasks.append(
-                lambda setting=setting, cnt=cnt, rng=rng, start=s_idx * n + start: simulate_block(
-                    setting,
-                    cnt,
-                    config.source,
-                    config.budget,
-                    sw,
-                    config.detector,
-                    rng,
-                    collect_tags=collect_tags,
-                    layout=config.layout,
-                    start_index=start,
-                )
-            )
-    results = _run_tasks(tasks, workers)
-
-    total = SessionCounts.zeros()
-    tags: list[ClickEvent] = []
-    ledgers: list[PulseLedger] = []
-    for r in results:
-        if collect_tags:
-            counts, block_tags, ledger = r
-            tags.extend(block_tags)
-            ledgers.append(ledger)
-        else:
-            counts = r
-        total = total + counts
-
+    counts, tags, ledger = _run_jobs(
+        config, _session_jobs(n, config.budget, config.switch), workers, collect_tags=collect_tags
+    )
+    total = sum(counts, SessionCounts.zeros())
     matrix = ProbabilityMatrix.from_counts(total)
     report = secret_key_rate(total, config.source)
-    if not collect_tags:
-        return SessionResult(config, total, matrix, report)
-    merged = PulseLedger(
-        ledgers[0].start_index,
-        np.concatenate([l.class_idx for l in ledgers]),
-        np.concatenate([l.alpha for l in ledgers]),
-        np.concatenate([l.bit for l in ledgers]),
-    )
-    return SessionResult(config, total, matrix, report, tags, merged)
+    return SessionResult(config, total, matrix, report, tags, ledger)
 
 
 @dataclass
@@ -327,10 +380,20 @@ def run_loss_sweep(
         raise InvalidInputError("channel losses must be finite and non-negative")
     losses = np.sort(losses)
 
-    reports = []
-    for loss in losses:
-        point_cfg = replace(config, budget=replace(config.budget, channel_db=float(loss)))
-        reports.append(run_session(point_cfg, pulses=pulses, workers=workers).report)
+    n = _pulses_per_setting(config, pulses)
+    _require_decoy_and_vacuum(config.source)
+    jobs = [
+        job
+        for loss in losses
+        for job in _session_jobs(
+            n, replace(config.budget, channel_db=float(loss)), config.switch
+        )
+    ]
+    counts, _, _ = _run_jobs(config, jobs, workers)
+    reports = [
+        secret_key_rate(total, config.source)
+        for total in _group_sums(counts, len(BB84_SETTINGS))
+    ]
     rates = np.array([r.r_bps for r in reports])
     return LossSweepResult(losses, rates, reports)
 
@@ -366,33 +429,20 @@ def run_pump_delay_scan(
         raise InvalidInputError("pulses_per_point must be positive")
 
     time_settings = [s for s in BB84_SETTINGS if s.basis == Basis.TIME]
-    f0 = np.empty(delays.size)
-    f1 = np.empty(delays.size)
-    for d_idx, delay in enumerate(delays):
-        sw = with_delay(config.switch, float(delay))
-        tasks = []
-        for s_idx, setting in enumerate(time_settings):
-            for b_idx, _, cnt in _blocks(pulses_per_point):
-                rng = derived_rng(config.seed, PURPOSE_SCAN, s_idx, b_idx)
-                tasks.append(
-                    lambda setting=setting, cnt=cnt, rng=rng: simulate_block(
-                        setting,
-                        cnt,
-                        config.source,
-                        config.budget,
-                        sw,
-                        config.detector,
-                        rng,
-                    )
-                )
-        total = SessionCounts.zeros()
-        for counts in _run_tasks(tasks, workers):
-            total = total + counts
-        for bit, out in ((0, f0), (1, f1)):
-            p = conditional_probabilities(
-                total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME
-            )
-            out[d_idx] = p[bit]
+    jobs = [
+        _Job((PURPOSE_SCAN, s_idx), setting, pulses_per_point, config.budget, sw)
+        for sw in (with_delay(config.switch, float(delay)) for delay in delays)
+        for s_idx, setting in enumerate(time_settings)
+    ]
+    counts, _, _ = _run_jobs(config, jobs, workers)
+    totals = _group_sums(counts, len(time_settings))
+    f0, f1 = (
+        np.array([
+            conditional_probabilities(total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME)[bit]
+            for total in totals
+        ])
+        for bit in (0, 1)
+    )
     return PumpScanResult(delays, f0, f1)
 
 
@@ -453,7 +503,6 @@ class StabilityResult:
     fidelity_series: dict[tuple[Basis, int], np.ndarray]
     qber_series: np.ndarray
     counts: SessionCounts
-    matrix: ProbabilityMatrix
     report: KeyRateReport
     mean_fidelities: dict[tuple[Basis, int], float]
     qber_aggregate: float
@@ -483,7 +532,7 @@ def run_stability(
     n_samples = int(round(hours * samples_per_hour)) + 1
     times = np.linspace(0.0, hours, n_samples)
 
-    per_sample: list[SessionCounts] = []
+    jobs = []
     for k, t in enumerate(times):
         dpow, dtheta = drift_state(config.drift, float(t))
         theta = min(max(config.switch.theta + dtheta, 0.0), math.pi / 2)
@@ -492,52 +541,22 @@ def run_stability(
             theta=theta,
             delta_phi_peak=config.switch.delta_phi_peak * (1.0 + dpow),
         )
-        tasks = []
-        for s_idx, setting in enumerate(BB84_SETTINGS):
-            for b_idx, _, cnt in _blocks(pulses_per_sample):
-                rng = derived_rng(config.seed, PURPOSE_STABILITY, k, s_idx, b_idx)
-                tasks.append(
-                    lambda setting=setting, cnt=cnt, rng=rng, sw=sw: simulate_block(
-                        setting,
-                        cnt,
-                        config.source,
-                        config.budget,
-                        sw,
-                        config.detector,
-                        rng,
-                    )
-                )
-        sample_total = SessionCounts.zeros()
-        for counts in _run_tasks(tasks, workers):
-            sample_total = sample_total + counts
-        per_sample.append(sample_total)
+        jobs += [
+            _Job((PURPOSE_STABILITY, k, s_idx), setting, pulses_per_sample, config.budget, sw)
+            for s_idx, setting in enumerate(BB84_SETTINGS)
+        ]
+    counts, _, _ = _run_jobs(config, jobs, workers)
+    per_sample = _group_sums(counts, len(BB84_SETTINGS))
 
-    keys = [(Basis.PHASE, 0), (Basis.PHASE, 1), (Basis.TIME, 0), (Basis.TIME, 1)]
-    series = {key: np.empty(n_samples) for key in keys}
-    qber_series = np.empty(n_samples)
-    total = SessionCounts.zeros()
-    for k, sample in enumerate(per_sample):
-        total = total + sample
-        for basis, bit in keys:
-            p = conditional_probabilities(
-                sample, IntensityClass.SIGNAL, basis, bit, basis
-            )
-            series[(basis, bit)][k] = p[bit]
-        qber_series[k] = qber(sample)
-
-    matrix = ProbabilityMatrix.from_counts(total)
-    report = secret_key_rate(total, config.source)
-    means = {}
-    for basis, bit in keys:
-        p = conditional_probabilities(total, IntensityClass.SIGNAL, basis, bit, basis)
-        means[(basis, bit)] = p[bit]
+    total = sum(per_sample, SessionCounts.zeros())
+    per_fidelity = [fidelities(sample) for sample in per_sample]
+    means = fidelities(total)
     return StabilityResult(
         times_h=times,
-        fidelity_series=series,
-        qber_series=qber_series,
+        fidelity_series={key: np.array([f[key] for f in per_fidelity]) for key in means},
+        qber_series=np.array([qber(sample) for sample in per_sample]),
         counts=total,
-        matrix=matrix,
-        report=report,
+        report=secret_key_rate(total, config.source),
         mean_fidelities=means,
         qber_aggregate=qber(total),
     )
@@ -658,7 +677,7 @@ def scan_csv(result: PumpScanResult) -> str:
 
 
 def stability_csv(result: StabilityResult) -> str:
-    keys = [(Basis.PHASE, 0), (Basis.PHASE, 1), (Basis.TIME, 0), (Basis.TIME, 1)]
+    keys = list(result.fidelity_series)
     header = ["time_h"] + [f"fidelity_{b.name.lower()}{i}" for b, i in keys] + ["qber"]
     rows = []
     for k, t in enumerate(result.times_h):

@@ -1,11 +1,10 @@
 """Time-bin qubit states, mutually unbiased bases, and half-wave-plate preparation.
 
 A qubit lives in the span of two 4.5 ps time bins, |t0> (early) and |t1>
-(late).  Three mutually unbiased bases are supported:
+(late).  The protocol uses two mutually unbiased bases:
 
     Time:     {|t0>, |t1>}
     Phase:    {(|t0> + |t1>)/sqrt(2), (|t0> - |t1>)/sqrt(2)}
-    Circular: {(|t0> + i|t1>)/sqrt(2), (|t0> - i|t1>)/sqrt(2)}
 
 States are compared up to a global phase; all statistics downstream use
 overlap probabilities, so only the ray matters.
@@ -13,7 +12,6 @@ overlap probabilities, so only the ray matters.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -38,7 +36,6 @@ class Basis(IntEnum):
 
     PHASE = 0
     TIME = 1
-    CIRCULAR = 2
 
 
 @dataclass(frozen=True)
@@ -114,18 +111,13 @@ def prepare_state(hwp_angle_deg: float) -> TimeBinQubit:
 
 
 def mub_states(basis: Basis) -> tuple[TimeBinQubit, TimeBinQubit]:
-    """The (bit 0, bit 1) eigenstate pair of one of the three bases."""
+    """The (bit 0, bit 1) eigenstate pair of one of the two bases."""
     if basis == Basis.TIME:
         return TimeBinQubit(1.0 + 0.0j, 0.0j), TimeBinQubit(0.0j, 1.0 + 0.0j)
     if basis == Basis.PHASE:
         return (
             TimeBinQubit(_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
             TimeBinQubit(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
-        )
-    if basis == Basis.CIRCULAR:
-        return (
-            TimeBinQubit(_INV_SQRT2 + 0.0j, _INV_SQRT2 * 1.0j),
-            TimeBinQubit(_INV_SQRT2 + 0.0j, -_INV_SQRT2 * 1.0j),
         )
     raise InvalidInputError(f"unknown basis: {basis!r}")
 
@@ -138,13 +130,3 @@ def overlap_probability(a: TimeBinQubit, b: TimeBinQubit) -> float:
     p = abs(a.overlap(b)) ** 2
     # clamp float dust so downstream probabilities stay in [0, 1]
     return min(max(p, 0.0), 1.0)
-
-
-def states_equal(a: TimeBinQubit, b: TimeBinQubit, tol: float = 1e-12) -> bool:
-    """Ray equality: |<b|a>| = 1 within tol (global phase ignored)."""
-    return abs(abs(a.overlap(b)) - 1.0) <= tol
-
-
-def global_phase_between(a: TimeBinQubit, b: TimeBinQubit) -> float:
-    """Phase angle of <b|a>, useful when checking sign conventions."""
-    return cmath.phase(a.overlap(b))

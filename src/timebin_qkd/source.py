@@ -28,21 +28,17 @@ class IntensityClass(IntEnum):
     VACUUM = 2
 
 
-CLASS_NAMES = ("signal", "decoy", "vacuum")
-
-
 @dataclass(frozen=True)
 class SourceConfig:
     """Pulse train parameters.
 
     class_probabilities orders as (signal, decoy, vacuum) and must sum to
-    1; with vacuum_included False the vacuum slot must carry probability 0.
+    1; a zero vacuum probability leaves the vacuum class out.
     """
 
     rep_rate_hz: float = 80e6
     mu: float = 0.8
     nu: float = 0.1
-    vacuum_included: bool = True
     class_probabilities: tuple[float, float, float] = (0.7, 0.2, 0.1)
 
     def __post_init__(self) -> None:
@@ -57,8 +53,6 @@ class SourceConfig:
             raise InvalidInputError("class_probabilities must be three non-negative values")
         if abs(sum(p) - 1.0) > _PROB_TOL:
             raise InvalidInputError("class_probabilities must sum to 1")
-        if not self.vacuum_included and p[IntensityClass.VACUUM] != 0.0:
-            raise InvalidInputError("vacuum_included=False requires zero vacuum probability")
         object.__setattr__(self, "class_probabilities", p)
 
     def mean_for(self, cls: IntensityClass) -> float:
@@ -103,11 +97,6 @@ def transmittance(loss_db: float) -> float:
     if not (math.isfinite(loss_db) and loss_db >= 0):
         raise InvalidInputError("loss_db must be finite and non-negative")
     return 10.0 ** (-loss_db / 10.0)
-
-
-def total_loss(budget: LossBudget) -> float:
-    """Total dB loss of a budget."""
-    return budget.total_db
 
 
 def sample_photon_number(mean, rng: np.random.Generator, size=None):

@@ -207,49 +207,24 @@ def _bin_rotation(amp: complex, eta: float, phase: float) -> tuple[complex, comp
     return amp * stay, amp * go * complex(math.cos(phase), math.sin(phase))
 
 
-def apply_switch(q: TimeBinQubit, model: SwitchModel, target_bin: int = 0) -> SwitchedState:
-    """Act with the pump on one bin of an H-polarized input qubit.
-
-    The target bin's amplitude splits into a switched V component with
-    weight eta_eff = switching_efficiency(theta, delta_phi_peak * w) and an
-    unswitched H remainder; the other bin keeps polarization H unchanged.
-    Norm is preserved.
-    """
-    if target_bin not in (0, 1):
-        raise InvalidInputError("target_bin must be 0 or 1")
-    eta = effective_efficiency(model)
-    amps = np.zeros((2, 2), dtype=complex)
-    a = (q.amp_t0, q.amp_t1)
-    for b in (0, 1):
-        if b == target_bin:
-            h, v = _bin_rotation(a[b], eta, model.bin_phase_offset)
-            amps[b, POL_H] = h
-            amps[b, POL_V] = v
-        else:
-            amps[b, POL_H] = a[b]
-    return SwitchedState(amps)
-
-
 def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState:
-    """Act with the pump on both bins, each at its own relative delay.
+    """Act with the pump on both bins of an H-polarized input qubit.
 
-    The pump is aimed at the early bin; the late bin sees it at
+    Each bin's amplitude splits into a switched V component with weight
+    switching_efficiency(theta, delta_phi_peak * w) and an unswitched H
+    remainder, where w is the pump overlap at that bin's own delay: the
+    pump is aimed at the early bin, and the late bin sees it at
     pump_delay - bin_separation.  At the operating point the late-bin
-    weight is negligible and this reduces to apply_switch on bin 0, but a
-    pump delayed by about one bin separation switches the late bin
-    instead, which is what a delay scan sweeps across.
+    weight is negligible, so only the early bin switches; a pump delayed
+    by about one bin separation switches the late bin instead, which is
+    what a delay scan sweeps across.  Norm is preserved.
     """
-    eta0 = switching_efficiency(
-        model.theta,
-        model.delta_phi_peak * _overlap_weight(model, model.pump_delay_ps),
-    )
-    eta1 = switching_efficiency(
-        model.theta,
-        model.delta_phi_peak
-        * _overlap_weight(model, model.pump_delay_ps - model.bin_separation_ps),
-    )
+    etas = [
+        switching_efficiency(model.theta, model.delta_phi_peak * _overlap_weight(model, delay))
+        for delay in (model.pump_delay_ps, model.pump_delay_ps - model.bin_separation_ps)
+    ]
     amps = np.zeros((2, 2), dtype=complex)
-    for b, (amp_in, eta) in enumerate(((q.amp_t0, eta0), (q.amp_t1, eta1))):
+    for b, (amp_in, eta) in enumerate(zip((q.amp_t0, q.amp_t1), etas)):
         h, v = _bin_rotation(amp_in, eta, model.bin_phase_offset)
         amps[b, POL_H] = h
         amps[b, POL_V] = v

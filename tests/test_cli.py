@@ -161,6 +161,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert last_error()["category"] == "config"
 
+    # a config file is validated on its own, before --seed touches it
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    rc = main(["session", "--config", str(not_object), "--seed", "3", "--pulses", "100"])
+    assert rc == 2
+    assert last_error()["category"] == "config"
+
     rc = main(["pump-scan", "--delays", "abc", "--pulses-per-point", "100"])
     assert rc == 3
     assert last_error()["category"] == "input"
@@ -235,3 +242,48 @@ def test_sweep_point_without_decoy_events_reports_zero_rate(capsys):
     assert payload["R_bps"][1] == deep["R_bps"] == 0.0
     assert "no-decoy-events" in deep["flags"]
     assert deep["E_nu"] is None
+
+
+@pytest.mark.parametrize(
+    "losses, pulses, flag",
+    [
+        # no matched-basis signal event at 45 dB: E_mu is undefined
+        ("0.45,45", "200000", "no-signal-events"),
+        # at this size a 30 dB signal row records no event at all
+        ("0.45,30", "20000", "no-decoy-events"),
+    ],
+)
+def test_deep_sweep_points_report_zero_rate(losses, pulses, flag, capsys):
+    argv = ["sweep-loss", "--losses", losses, "--pulses", pulses]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    deep = payload["reports"][1]
+    assert payload["R_bps"][0] > 0
+    assert payload["R_bps"][1] == deep["R_bps"] == 0.0
+    assert flag in deep["flags"]
+    if flag == "no-signal-events":
+        assert deep["E_mu"] is None and deep["H2_E_mu"] is None
+
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "channel_db,R_bps,Q_mu,E_mu"
+    assert rows[2].startswith(f"{float(losses.split(',')[1])!r},0.0,")
+    assert rows[2].endswith(",") == (flag == "no-signal-events")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1.7, "3", True, 1e30, 10**30, None])
+def test_analyze_rejects_non_integer_counts(value, tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    _run_session(tmp_path, "report.json", "--save-counts", str(counts))
+    payload = json.loads(counts.read_text())
+    payload["counts"][0][0][0][0][0] = value
+    counts.write_text(json.dumps(payload))
+    assert main(["analyze", "--counts", str(counts)]) == 3
+    assert _last_error(capsys)["category"] == "input"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_with_input_error(workers, capsys):
+    assert main(["session", "--pulses", "1000", "--workers", workers]) == 3
+    assert _last_error(capsys)["category"] == "input"

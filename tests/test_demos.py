@@ -1,0 +1,24 @@
+"""Every narrative script in demos/ runs to completion.
+
+The demos import only the public modules and assert their own headline
+facts, so running them in-process catches an API change that breaks one.
+"""
+
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

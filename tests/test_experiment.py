@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from timebin_qkd import experiment
 from timebin_qkd.detection import accumulate
 from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import (
@@ -171,6 +172,56 @@ def test_tags_do_not_change_the_counts(dark_hz):
     for workers in (None, 2):
         tagged = run_session(cfg, pulses=200_000, collect_tags=True, workers=workers)
         assert tagged.counts == plain.counts
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every pool the flows create, on a 3-CPU affinity mask.
+
+    The stand-in pool runs its map serially, so no thread starts.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return sizes
+
+
+def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes):
+    cfg = ExperimentConfig(seed=4)
+    delays = [0.0, 2.0, 4.0, 6.0]
+    scan = run_pump_delay_scan(cfg, delays, pulses_per_point=2_000, workers=100_000)
+    assert pool_sizes == [3]
+    serial = run_pump_delay_scan(cfg, delays, pulses_per_point=2_000, workers=1)
+    assert pool_sizes == [3]
+    assert scan.fidelity_t0.tolist() == serial.fidelity_t0.tolist()
+    assert scan.fidelity_t1.tolist() == serial.fidelity_t1.tolist()
+
+    run_session(cfg, pulses=2_000, workers=2)
+    run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000, workers=8)
+    run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
+    run_pump_delay_scan(cfg, [0.0], pulses_per_point=2_000, workers=8)  # two blocks
+    run_session(cfg, pulses=2_000)
+    assert pool_sizes == [3, 2, 3, 3, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(InvalidInputError):
+        run_session(ExperimentConfig(), pulses=1_000, workers=workers)
 
 
 def test_single_point_sweep_matches_session():

@@ -14,7 +14,6 @@ from timebin_qkd.source import (
     derived_rng,
     drift_state,
     sample_photon_number,
-    total_loss,
     transmittance,
 )
 
@@ -34,7 +33,6 @@ def test_default_loss_budget_totals():
     budget = LossBudget()
     assert budget.total_db == pytest.approx(14.55, abs=1e-12)
     assert budget.path_db == pytest.approx(14.55 - 2.2, abs=1e-12)
-    assert total_loss(budget) == budget.total_db
     assert transmittance(budget.total_db) == pytest.approx(
         0.03507518739525679, abs=1e-15
     )
@@ -53,9 +51,8 @@ def test_source_config_defaults_and_validation():
         SourceConfig(nu=0.9)  # nu >= mu
     with pytest.raises(InvalidInputError):
         SourceConfig(class_probabilities=(0.5, 0.5, 0.5))
-    with pytest.raises(InvalidInputError):
-        SourceConfig(vacuum_included=False, class_probabilities=(0.7, 0.2, 0.1))
-    SourceConfig(vacuum_included=False, class_probabilities=(0.8, 0.2, 0.0))
+    # a source without vacuum is valid; the key-rate flows reject it
+    SourceConfig(class_probabilities=(0.8, 0.2, 0.0))
 
 
 def test_poisson_statistics_match_the_mean():

@@ -16,7 +16,6 @@ from timebin_qkd.switch import (
     POL_V,
     SwitchModel,
     SwitchedState,
-    apply_switch,
     apply_switch_both_bins,
     effective_efficiency,
     nonlinear_phase,
@@ -115,45 +114,44 @@ def test_effective_efficiency_operating_point_and_detuned():
     assert effective_efficiency(with_delay(model, DEFAULT_BIN_SEPARATION_PS)) < 1e-14
 
 
-def test_apply_switch_splits_target_bin_only():
+def test_both_bins_split_each_bin_by_its_own_efficiency():
     rng = np.random.default_rng(12)
     for _ in range(100):
         q = prepare_state(float(rng.uniform(0, 180)))
         model = SwitchModel(
             theta=float(rng.uniform(0.05, math.pi / 2 - 0.05)),
             delta_phi_peak=float(rng.uniform(0.0, math.pi)),
-            pump_delay_ps=float(rng.uniform(-2.0, 2.0)),
+            pump_delay_ps=float(rng.uniform(-2.0, 8.0)),
         )
-        out = apply_switch(q, model, target_bin=0)
+        out = apply_switch_both_bins(q, model)
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        eta = effective_efficiency(model)
-        assert abs(out.amp(0, POL_V)) ** 2 == pytest.approx(
-            eta * abs(q.amp_t0) ** 2, abs=1e-12
-        )
-        # non-target bin passes through untouched
-        assert out.amp(1, POL_H) == q.amp_t1
-        assert out.amp(1, POL_V) == 0.0
+        # the late bin meets the pump one bin separation earlier
+        late = with_delay(model, model.pump_delay_ps - model.bin_separation_ps)
+        for b, amp, eta in ((0, q.amp_t0, effective_efficiency(model)),
+                            (1, q.amp_t1, effective_efficiency(late))):
+            assert abs(out.amp(b, POL_V)) ** 2 == pytest.approx(eta * abs(amp) ** 2, abs=1e-12)
+            assert abs(out.amp(b, POL_H)) ** 2 == pytest.approx(
+                (1.0 - eta) * abs(amp) ** 2, abs=1e-12
+            )
 
 
 def test_apply_switch_full_transfer():
     q = prepare_state(0.0)
-    out = apply_switch(q, SwitchModel(), target_bin=0)
+    out = apply_switch_both_bins(q, SwitchModel())
     assert abs(out.amp(0, POL_V)) == pytest.approx(1.0, abs=1e-9)
     assert abs(out.amp(0, POL_H)) < 1e-6
-
-
-def test_apply_switch_target_bin_validation():
-    with pytest.raises(InvalidInputError):
-        apply_switch(prepare_state(0.0), SwitchModel(), target_bin=2)
 
 
 def test_both_bins_reduces_to_single_target_at_operating_point():
     model = SwitchModel()
     for angle in (0.0, 45.0, -22.5, 22.5):
         q = prepare_state(angle)
-        one = apply_switch(q, model, target_bin=0)
-        both = apply_switch_both_bins(q, model)
-        assert np.allclose(one.amplitudes, both.amplitudes, atol=1e-7)
+        out = apply_switch_both_bins(q, model)
+        # the early bin transfers fully to V, the late bin passes as H
+        assert abs(out.amp(0, POL_V)) == pytest.approx(abs(q.amp_t0), abs=1e-7)
+        assert abs(out.amp(0, POL_H)) < 1e-6
+        assert out.amp(1, POL_H) == pytest.approx(q.amp_t1, abs=1e-7)
+        assert abs(out.amp(1, POL_V)) < 1e-7
 
 
 def test_both_bins_swaps_roles_when_pump_delayed_by_bin_separation():
@@ -191,5 +189,5 @@ def test_with_delay_changes_only_the_delay():
 
 def test_phase_offset_lands_on_switched_amplitude():
     model = SwitchModel(bin_phase_offset=0.7)
-    out = apply_switch(prepare_state(0.0), model, target_bin=0)
+    out = apply_switch_both_bins(prepare_state(0.0), model)
     assert math.isclose(math.atan2(out.amp(0, POL_V).imag, out.amp(0, POL_V).real), 0.7)
