@@ -91,12 +91,16 @@ def conditional_probabilities(
 def fidelities(
     counts: SessionCounts, intensity: IntensityClass = IntensityClass.SIGNAL
 ) -> dict[tuple[Basis, int], float]:
-    """Matched-basis readout fidelity per prepared setting."""
+    """Matched-basis readout fidelity per prepared setting.
+
+    A setting without a matched-basis event has fidelity NaN.
+    """
+    c = counts.counts[int(intensity)]
     out = {}
     for alpha in (Basis.PHASE, Basis.TIME):
         for i in (0, 1):
-            p0, p1 = conditional_probabilities(counts, intensity, alpha, i, alpha)
-            out[(alpha, i)] = (p0, p1)[i]
+            matched = int(c[alpha, i, alpha].sum())
+            out[(alpha, i)] = int(c[alpha, i, alpha, i]) / matched if matched else math.nan
     return out
 
 

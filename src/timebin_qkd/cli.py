@@ -170,7 +170,7 @@ def _cmd_session(args) -> int:
         write_time_tags(args.dump_tags, res.tags)
         write_pulse_ledger(args.dump_tags + ".ledger", res.ledger)
     payload = report_payload(res.report)
-    payload["matrix"] = matrix_payload(res.matrix)
+    payload["matrix"] = None if res.matrix is None else matrix_payload(res.matrix)
     _emit(args, payload, report_csv(res.report))
     return 0
 

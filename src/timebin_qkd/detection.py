@@ -24,7 +24,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -101,23 +100,6 @@ class DetectorModel:
         return self.dark_count_rate_hz * self.window_ns * 1e-9
 
 
-@dataclass(frozen=True)
-class ClickEvent:
-    """One detector click: which detector, when (ps since pulse epoch)."""
-
-    pulse_index: int
-    detector_id: int
-    timestamp_ps: float
-
-    def __post_init__(self) -> None:
-        if self.pulse_index < 0:
-            raise InvalidInputError("pulse_index must be non-negative")
-        if self.detector_id not in (0, 1):
-            raise InvalidInputError("detector_id must be 0 or 1")
-        if not math.isfinite(self.timestamp_ps):
-            raise InvalidInputError("timestamp_ps must be finite")
-
-
 def _default_centers() -> tuple[float, float, float, float]:
     return (
         0.0,
@@ -149,21 +131,6 @@ class WindowLayout:
                 raise ConfigError(
                     f"windows overlap: centers {a} and {b} ps are closer than {self.width_ps} ps"
                 )
-
-    def center(self, basis: Basis, bit: int) -> float:
-        if basis not in (Basis.PHASE, Basis.TIME):
-            raise InvalidInputError("only the two BB84 pathways have slots")
-        if bit not in (0, 1):
-            raise InvalidInputError("bit must be 0 or 1")
-        return self.centers_ps[int(basis) * 2 + bit]
-
-    def classify(self, timestamp_ps: float) -> tuple[Basis, int] | None:
-        """Window containing the timestamp, or None if it falls outside all."""
-        half = 0.5 * self.width_ps
-        for idx, c in enumerate(self.centers_ps):
-            if abs(timestamp_ps - c) <= half:
-                return Basis(idx // 2), idx % 2
-        return None
 
 
 @dataclass
@@ -321,15 +288,46 @@ class PulseLedger:
         return len(self.class_idx)
 
 
+@dataclass
+class TimeTags:
+    """The click record as columns: one row per click, in any order.
+
+    Row k says detector detector_id[k] (0 the phase pathway, 1 the time
+    pathway) clicked at timestamp_ps[k] ps after the epoch of pulse
+    pulse_index[k].
+    """
+
+    pulse_index: np.ndarray
+    detector_id: np.ndarray
+    timestamp_ps: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.pulse_index = np.asarray(self.pulse_index, dtype=np.int64)
+        self.detector_id = np.asarray(self.detector_id, dtype=np.int64)
+        self.timestamp_ps = np.asarray(self.timestamp_ps, dtype=np.float64)
+        n = len(self.pulse_index)
+        if len(self.detector_id) != n or len(self.timestamp_ps) != n:
+            raise InvalidInputError("tag arrays must have equal length")
+        if np.any(self.pulse_index < 0):
+            raise InvalidInputError("pulse_index must be non-negative")
+        if np.any((self.detector_id != 0) & (self.detector_id != 1)):
+            raise InvalidInputError("detector_id must be 0 or 1")
+        if not np.all(np.isfinite(self.timestamp_ps)):
+            raise InvalidInputError("timestamp_ps must be finite")
+
+    def __len__(self) -> int:
+        return len(self.pulse_index)
+
+
 def accumulate(
-    tags: list[ClickEvent],
+    tags: TimeTags,
     layout: WindowLayout,
     ledger: PulseLedger,
 ) -> SessionCounts:
     """Bin time tags into windows and tally counts against the ledger.
 
-    Each tag lands in the window containing its timestamp (the first in
-    `centers_ps` order, as `WindowLayout.classify`) or is discarded.
+    Each tag lands in the window containing its timestamp, edges
+    included (the first in `centers_ps` order), or is discarded.
     Pulses with more than one windowed tag are discarded (deterministic, so
     pieces merge associatively).  pulses_sent comes from the ledger, so
     accumulating disjoint (tags, ledger) pieces and summing equals
@@ -341,8 +339,7 @@ def accumulate(
     )
     out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
 
-    pulse = np.fromiter(map(attrgetter("pulse_index"), tags), np.int64, len(tags))
-    ts = np.fromiter(map(attrgetter("timestamp_ps"), tags), np.float64, len(tags))
+    pulse, ts = tags.pulse_index, tags.timestamp_ps
     outside = (pulse < ledger.start_index) | (pulse >= ledger.start_index + len(ledger))
     if outside.any():
         raise InvalidInputError(
@@ -365,48 +362,75 @@ def accumulate(
 
 TAG_HEADER = "pulse_index,detector_id,timestamp_ps"
 LEDGER_HEADER = "pulse_index,intensity_class,alpha,bit"
+_TAG_DTYPE = np.dtype(list(zip(TAG_HEADER.split(","), (np.int64, np.int64, np.float64))))
+_LEDGER_DTYPE = np.dtype([(name, np.int64) for name in LEDGER_HEADER.split(",")])
 
 # Ledger rows formatted per write; bounds the writer's memory whatever the
 # ledger length.
 LEDGER_CHUNK_ROWS = 1 << 14
 
-# A whitespace-only line, and a ledger line that is neither empty nor four
-# comma-separated integers.
+# A whitespace-only line, and a tag or ledger line that is neither empty
+# nor the comma-separated numbers of its format.
 _BLANK_LINE = re.compile(r"(?m)^[ \t\v\f]+$")
 _INT_FIELD = r"[ \t]*[+-]?\d+[ \t]*"
+_FLOAT_FIELD = r"[ \t]*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:inf|infinity|nan))[ \t]*"
+_BAD_TAG_LINE = re.compile(rf"(?m)^(?!{_INT_FIELD},{_INT_FIELD},{_FLOAT_FIELD}$).+$")
 _BAD_LEDGER_LINE = re.compile(rf"(?m)^(?!{_INT_FIELD}(?:,{_INT_FIELD}){{3}}$).+$")
 
 
-def _check_header(f, expected: str, what: str) -> None:
-    header = f.readline().strip()
-    if header != expected:
-        raise InvalidInputError(f"unrecognized {what} header: {header!r}")
+def _load_rows(f, dtype: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        # loadtxt warns on input without rows; the caller reports it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(f, delimiter=",", dtype=dtype, ndmin=1, comments=None)
 
 
-def write_time_tags(path, tags: list[ClickEvent]) -> None:
-    """Write tags as line-oriented text: pulse_index,detector_id,timestamp_ps."""
+def _read_rows(path, header: str, what: str, dtype: np.dtype, bad_line: re.Pattern) -> np.ndarray:
+    """The rows of a tag or ledger file as one structured array.
+
+    One loadtxt call parses the body.  loadtxt rejects whitespace-only
+    lines, which the formats allow, and numbers rows inconsistently in its
+    errors; when it refuses the body, the text is re-read with
+    whitespace-only lines emptied and the first line `bad_line` matches is
+    reported by its file line.
+    """
+    with open(path, "r", encoding="ascii") as f:
+        found = f.readline().strip()
+        if found != header:
+            raise InvalidInputError(f"unrecognized {what} header: {found!r}")
+        body_start = f.tell()
+        try:
+            return _load_rows(f, dtype)
+        except ValueError:
+            f.seek(body_start)
+            body = _BLANK_LINE.sub("", f.read())
+    bad = bad_line.search(body)
+    if bad is not None:
+        lineno = body.count("\n", 0, bad.start()) + 2
+        raise InvalidInputError(
+            f"{what} line {lineno}: expected {header}, got {bad.group().strip()!r}"
+        )
+    try:
+        return _load_rows(io.StringIO(body), dtype)
+    except ValueError as e:
+        raise InvalidInputError(f"malformed {what}: {e}") from e
+
+
+def write_time_tags(path, tags: TimeTags) -> None:
+    """Write tags as line-oriented text: pulse_index,detector_id,timestamp_ps.
+
+    Timestamps are written as their repr, so reading them back is exact.
+    """
+    columns = (tags.pulse_index.tolist(), tags.detector_id.tolist(), tags.timestamp_ps.tolist())
     with open(path, "w", encoding="ascii") as f:
         f.write(TAG_HEADER + "\n")
-        for t in tags:
-            f.write(f"{t.pulse_index},{t.detector_id},{t.timestamp_ps!r}\n")
+        f.writelines(map("{},{},{!r}\n".format, *columns))
 
 
-def read_time_tags(path) -> list[ClickEvent]:
-    tags = []
-    with open(path, "r", encoding="ascii") as f:
-        _check_header(f, TAG_HEADER, "tag file")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pi, det_id, ts = line.split(",")
-                tags.append(ClickEvent(int(pi), int(det_id), float(ts)))
-            except ValueError as e:
-                raise InvalidInputError(
-                    f"tag file line {lineno}: expected {TAG_HEADER}, got {line!r}"
-                ) from e
-    return tags
+def read_time_tags(path) -> TimeTags:
+    """Read a tag file; one loadtxt call parses every row."""
+    rows = _read_rows(path, TAG_HEADER, "tag file", _TAG_DTYPE, _BAD_TAG_LINE)
+    return TimeTags(rows["pulse_index"], rows["detector_id"], rows["timestamp_ps"])
 
 
 def _ledger_chunk(ledger: PulseLedger, lo: int, hi: int) -> bytes:
@@ -441,52 +465,16 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
             f.write(_ledger_chunk(ledger, lo, min(lo + LEDGER_CHUNK_ROWS, len(ledger))))
 
 
-def _load_ledger_rows(f) -> np.ndarray:
-    with warnings.catch_warnings():
-        # loadtxt warns on input without rows; the caller reports it
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-
-
-def _reread_ledger_rows(body: str) -> np.ndarray:
-    """Rows of a ledger body that one loadtxt pass refused or misread.
-
-    loadtxt rejects whitespace-only lines, which the format allows, and
-    numbers rows inconsistently in its errors; here whitespace-only lines
-    are emptied first and a bad row is reported by its file line.
-    """
-    body = _BLANK_LINE.sub("", body)
-    bad = _BAD_LEDGER_LINE.search(body)
-    if bad is not None:
-        lineno = body.count("\n", 0, bad.start()) + 2
-        raise InvalidInputError(
-            f"ledger line {lineno}: expected {LEDGER_HEADER}, got {bad.group().strip()!r}"
-        )
-    try:
-        return _load_ledger_rows(io.StringIO(body))
-    except ValueError as e:
-        raise InvalidInputError(f"malformed pulse ledger: {e}") from e
-
-
 def read_pulse_ledger(path) -> PulseLedger:
     """Read a ledger file; one loadtxt call parses every row."""
-    with open(path, "r", encoding="ascii") as f:
-        _check_header(f, LEDGER_HEADER, "ledger")
-        body_start = f.tell()
-        try:
-            rows = _load_ledger_rows(f)
-        except ValueError:
-            rows = None
-        if rows is None or rows.shape[1] != 4:
-            f.seek(body_start)
-            rows = _reread_ledger_rows(f.read())
+    rows = _read_rows(path, LEDGER_HEADER, "ledger", _LEDGER_DTYPE, _BAD_LEDGER_LINE)
     if len(rows) == 0:
         raise InvalidInputError("empty pulse ledger")
-    idx = rows[:, 0]
+    idx = rows["pulse_index"]
     start = int(idx[0])
     if not np.array_equal(idx, np.arange(start, start + len(idx))):
         raise InvalidInputError("ledger pulse indices must be contiguous")
-    return PulseLedger(start, rows[:, 1], rows[:, 2], rows[:, 3])
+    return PulseLedger(start, rows["intensity_class"], rows["alpha"], rows["bit"])
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:
@@ -658,17 +646,17 @@ def simulate_block(
     cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
     cls[frames] = ev_cls
 
+    # Window 0's jitter is drawn before window 1's; the tags are then
+    # ordered by pulse, then time.
     layout = layout or WindowLayout()
-    tags: list[ClickEvent] = []
-    for b_val, clicks in ((0, click0), (1, click1)):
-        idx = np.flatnonzero(clicks)
-        if len(idx) == 0:
-            continue
-        centers = np.array([layout.center(Basis(bb), b_val) for bb in (0, 1)])
-        ts = centers[beta[idx]] + rng.normal(0.0, det.jitter_sigma_ps, size=len(idx))
-        for pi, d, t in zip((start_index + frames[idx]).tolist(), beta[idx].tolist(), ts.tolist()):
-            tags.append(ClickEvent(pi, d, t))
-    tags.sort(key=lambda t: (t.pulse_index, t.timestamp_ps))
+    n_clicks = (int(click0.sum()), int(click1.sum()))
+    idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
+    centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
+    jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
+    ts = centers + np.concatenate(jitter)
+    pulse = start_index + frames[idx]
+    order = np.lexsort((ts, pulse))
+    tags = TimeTags(pulse[order], beta[idx][order], ts[order])
     ledger = PulseLedger(
         start_index,
         cls,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import (
+    SETTING_LABELS,
     KeyRateReport,
     ProbabilityMatrix,
     conditional_probabilities,
@@ -30,10 +31,10 @@ from .analysis import (
     secret_key_rate,
 )
 from .detection import (
-    ClickEvent,
     DetectorModel,
     PulseLedger,
     SessionCounts,
+    TimeTags,
     WindowLayout,
     simulate_block,
 )
@@ -194,15 +195,8 @@ def apply_overrides(payload: dict, overrides: list[str]) -> dict:
 
 def _blocks(n_pulses: int) -> list[tuple[int, int, int]]:
     """(block_index, start_offset, count) decomposition of a pulse train."""
-    out = []
-    start = 0
-    b = 0
-    while start < n_pulses:
-        cnt = min(BLOCK_PULSES, n_pulses - start)
-        out.append((b, start, cnt))
-        start += cnt
-        b += 1
-    return out
+    starts = range(0, n_pulses, BLOCK_PULSES)
+    return [(b, start, min(BLOCK_PULSES, n_pulses - start)) for b, start in enumerate(starts)]
 
 
 def _require_decoy_and_vacuum(source: SourceConfig) -> None:
@@ -249,7 +243,7 @@ def _run_jobs(
     workers: int | None,
     *,
     collect_tags: bool = False,
-) -> tuple[list[SessionCounts], list[ClickEvent] | None, PulseLedger | None]:
+) -> tuple[list[SessionCounts], TimeTags | None, PulseLedger | None]:
     """The block engine: simulate every block of every job, then merge.
 
     Returns the summed counts of each job in job order and, with
@@ -288,15 +282,15 @@ def _run_jobs(
         totals[j] = totals[j] + (r[0] if collect_tags else r)
     if not collect_tags:
         return totals, None, None
-    tags = [tag for _, block_tags, _ in results for tag in block_tags]
-    ledgers = [ledger for _, _, ledger in results]
-    ledger = PulseLedger(
-        ledgers[0].start_index,
-        np.concatenate([l.class_idx for l in ledgers]),
-        np.concatenate([l.alpha for l in ledgers]),
-        np.concatenate([l.bit for l in ledgers]),
-    )
+    _, tag_parts, ledgers = zip(*results)
+    tags = TimeTags(*_concat(tag_parts, ("pulse_index", "detector_id", "timestamp_ps")))
+    ledger = PulseLedger(ledgers[0].start_index, *_concat(ledgers, ("class_idx", "alpha", "bit")))
     return totals, tags, ledger
+
+
+def _concat(parts, columns: tuple[str, ...]) -> list[np.ndarray]:
+    """Each named column of the block records, joined in block order."""
+    return [np.concatenate([getattr(p, name) for p in parts]) for name in columns]
 
 
 def _group_sums(counts: list[SessionCounts], size: int) -> list[SessionCounts]:
@@ -324,13 +318,16 @@ def _pulses_per_setting(config: ExperimentConfig, pulses: int | None) -> int:
 
 @dataclass
 class SessionResult:
-    """Counts plus the two standard reductions of one session."""
+    """Counts plus the two standard reductions of one session.
+
+    matrix is None when a preparation recorded no signal-class event.
+    """
 
     config: ExperimentConfig
     counts: SessionCounts
-    matrix: ProbabilityMatrix
+    matrix: ProbabilityMatrix | None
     report: KeyRateReport
-    tags: list[ClickEvent] | None = None
+    tags: TimeTags | None = None
     ledger: PulseLedger | None = None
 
 
@@ -352,7 +349,8 @@ def run_session(
         config, _session_jobs(n, config.budget, config.switch), workers, collect_tags=collect_tags
     )
     total = sum(counts, SessionCounts.zeros())
-    matrix = ProbabilityMatrix.from_counts(total)
+    signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
+    matrix = ProbabilityMatrix.from_counts(total) if signal_rows.all() else None
     report = secret_key_rate(total, config.source)
     return SessionResult(config, total, matrix, report, tags, ledger)
 
@@ -417,8 +415,9 @@ def run_pump_delay_scan(
     """Scan the pump arrival time and read out both time slots.
 
     Only the two time-basis preparations are simulated; the reported
-    fidelities condition on the time pathway.  Every delay reuses the same
-    RNG streams, so the curves vary smoothly with delay.
+    fidelities condition on the time pathway; a point without such events
+    has NaN fidelity.  Every delay reuses the same RNG streams, so the
+    curves vary smoothly with delay.
     """
     delays = np.asarray(list(delays_ps), dtype=float)
     if delays.size == 0:
@@ -439,6 +438,7 @@ def run_pump_delay_scan(
     f0, f1 = (
         np.array([
             conditional_probabilities(total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME)[bit]
+            if total.counts[IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME].any() else math.nan
             for total in totals
         ])
         for bit in (0, 1)
@@ -460,7 +460,8 @@ def _level_crossings(x: np.ndarray, y: np.ndarray, level: float) -> list[float]:
 
 
 def _feature_center(x: np.ndarray, y: np.ndarray) -> float:
-    lo, hi = float(np.min(y)), float(np.max(y))
+    x, y = x[np.isfinite(y)], y[np.isfinite(y)]
+    lo, hi = (float(np.min(y)), float(np.max(y))) if len(y) else (0.0, 0.0)
     # a curve that never leaves its noise band has no feature to center
     if hi - lo < 0.1:
         raise InvalidInputError(
@@ -480,7 +481,8 @@ def extract_separation(scan: PumpScanResult) -> float:
 
     The early-slot curve shows a high plateau while the pump overlaps that
     slot; the late-slot curve shows a dip displaced by one bin separation.
-    Each feature center is the midpoint of its half-depth edge crossings.
+    Each feature center is the midpoint of its half-depth edge crossings;
+    points without events (NaN) are left out.
     """
     c0 = _feature_center(scan.delays_ps, scan.fidelity_t0)
     c1 = _feature_center(scan.delays_ps, scan.fidelity_t1)
@@ -488,10 +490,10 @@ def extract_separation(scan: PumpScanResult) -> float:
 
 
 def plateau_mean(scan: PumpScanResult, lo_ps: float, hi_ps: float) -> float:
-    """Mean early-slot fidelity over a delay interval."""
-    mask = (scan.delays_ps >= lo_ps) & (scan.delays_ps <= hi_ps)
+    """Mean early-slot fidelity over the points of a delay interval that have events."""
+    mask = (scan.delays_ps >= lo_ps) & (scan.delays_ps <= hi_ps) & np.isfinite(scan.fidelity_t0)
     if not np.any(mask):
-        raise InvalidInputError("no scan points inside the requested interval")
+        raise InvalidInputError("no scan points with events inside the requested interval")
     return float(np.mean(scan.fidelity_t0[mask]))
 
 
@@ -508,6 +510,10 @@ class StabilityResult:
     qber_aggregate: float
 
 
+def _qber_or_nan(counts: SessionCounts) -> float:
+    return qber(counts) if counts.matched_clicks(IntensityClass.SIGNAL) else math.nan
+
+
 def run_stability(
     config: ExperimentConfig,
     *,
@@ -521,7 +527,8 @@ def run_stability(
     Pump power drift scales the peak nonlinear phase; polarization drift
     offsets the switch interaction angle.  Both follow the configured
     bounded random walks.  Per-sample fidelities and signal QBER form the
-    series; pooled counts give the aggregate report.
+    series, NaN where a sample has no matched-basis event for them; pooled
+    counts give the aggregate report.
     """
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
@@ -554,11 +561,11 @@ def run_stability(
     return StabilityResult(
         times_h=times,
         fidelity_series={key: np.array([f[key] for f in per_fidelity]) for key in means},
-        qber_series=np.array([qber(sample) for sample in per_sample]),
+        qber_series=np.array([_qber_or_nan(sample) for sample in per_sample]),
         counts=total,
         report=secret_key_rate(total, config.source),
         mean_fidelities=means,
-        qber_aggregate=qber(total),
+        qber_aggregate=_qber_or_nan(total),
     )
 
 
@@ -600,8 +607,6 @@ def report_payload(report: KeyRateReport) -> dict:
 
 
 def matrix_payload(matrix: ProbabilityMatrix) -> dict:
-    from .analysis import SETTING_LABELS
-
     return {
         "labels": list(SETTING_LABELS),
         "rows": [[float(v) for v in row] for row in matrix.values],
@@ -617,12 +622,17 @@ def sweep_payload(result: LossSweepResult) -> dict:
     }
 
 
+def _null_nan(values):
+    """Floats for JSON, with NaN (a point without events) as None, i.e. null."""
+    return np.where(np.isnan(values), None, values).tolist()
+
+
 def scan_payload(result: PumpScanResult) -> dict:
     payload = {
         "schema": SCAN_SCHEMA,
         "pump_delay_ps": result.delays_ps.tolist(),
-        "fidelity_t0": result.fidelity_t0.tolist(),
-        "fidelity_t1": result.fidelity_t1.tolist(),
+        "fidelity_t0": _null_nan(result.fidelity_t0),
+        "fidelity_t1": _null_nan(result.fidelity_t1),
     }
     try:
         payload["separation_ps"] = extract_separation(result)
@@ -633,29 +643,31 @@ def scan_payload(result: PumpScanResult) -> dict:
 
 def stability_payload(result: StabilityResult) -> dict:
     series = {
-        f"fidelity_{basis.name.lower()}{bit}": result.fidelity_series[(basis, bit)].tolist()
+        f"fidelity_{basis.name.lower()}{bit}": _null_nan(result.fidelity_series[(basis, bit)])
         for basis, bit in result.fidelity_series
     }
     means = {
-        f"{basis.name.lower()}{bit}": result.mean_fidelities[(basis, bit)]
+        f"{basis.name.lower()}{bit}": _null_nan(result.mean_fidelities[(basis, bit)])
         for basis, bit in result.mean_fidelities
     }
     return {
         "schema": STABILITY_SCHEMA,
         "times_h": result.times_h.tolist(),
         **series,
-        "qber_series": result.qber_series.tolist(),
+        "qber_series": _null_nan(result.qber_series),
         "mean_fidelities": means,
-        "E_mu": result.qber_aggregate,
+        "E_mu": _null_nan(result.qber_aggregate),
         "report": result.report.to_dict(),
     }
 
 
 def _csv_lines(header: list[str], rows) -> str:
+    # None and NaN (a point without events) are empty fields
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            f"{v!r}" if isinstance(v, float) else "" if v is None else str(v) for v in row
+            "" if v is None or v != v else f"{v!r}" if isinstance(v, float) else str(v)
+            for v in row
         ))
     return "\n".join(lines) + "\n"
 
@@ -669,22 +681,15 @@ def sweep_csv(result: LossSweepResult) -> str:
 
 
 def scan_csv(result: PumpScanResult) -> str:
-    rows = [
-        (float(d), float(a), float(b))
-        for d, a, b in zip(result.delays_ps, result.fidelity_t0, result.fidelity_t1)
-    ]
+    rows = zip(result.delays_ps.tolist(), result.fidelity_t0.tolist(), result.fidelity_t1.tolist())
     return _csv_lines(["pump_delay_ps", "fidelity_t0", "fidelity_t1"], rows)
 
 
 def stability_csv(result: StabilityResult) -> str:
     keys = list(result.fidelity_series)
     header = ["time_h"] + [f"fidelity_{b.name.lower()}{i}" for b, i in keys] + ["qber"]
-    rows = []
-    for k, t in enumerate(result.times_h):
-        row = [float(t)]
-        row += [float(result.fidelity_series[key][k]) for key in keys]
-        row.append(float(result.qber_series[k]))
-        rows.append(tuple(row))
+    series = [result.fidelity_series[key].tolist() for key in keys]
+    rows = zip(result.times_h.tolist(), *series, result.qber_series.tolist())
     return _csv_lines(header, rows)
 
 

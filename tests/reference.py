@@ -1,4 +1,4 @@
-"""Row-by-row reference versions of the ledger writer, reader and accumulate.
+"""Row-by-row reference versions of the tag and ledger file code and accumulate.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced.  They are slow and kept only so the tests
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from timebin_qkd.detection import ClickEvent, PulseLedger, SessionCounts, WindowLayout
+from timebin_qkd.detection import PulseLedger, SessionCounts, TimeTags, WindowLayout
 
 
 def write_pulse_ledger_rows(path, ledger: PulseLedger) -> None:
@@ -38,24 +38,56 @@ def read_pulse_ledger_rows(path) -> PulseLedger:
     return PulseLedger(idx[0], np.array(cls), np.array(alpha), np.array(bit))
 
 
-def accumulate_loop(
-    tags: list[ClickEvent], layout: WindowLayout, ledger: PulseLedger
-) -> SessionCounts:
+def write_time_tags_rows(path, tags: TimeTags) -> None:
+    with open(path, "w", encoding="ascii") as f:
+        f.write("pulse_index,detector_id,timestamp_ps\n")
+        for k in range(len(tags)):
+            f.write(
+                f"{int(tags.pulse_index[k])},{int(tags.detector_id[k])},"
+                f"{float(tags.timestamp_ps[k])!r}\n"
+            )
+
+
+def read_time_tags_rows(path) -> TimeTags:
+    pulse, det, ts = [], [], []
+    with open(path, "r", encoding="ascii") as f:
+        f.readline()
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            a, b, c = line.split(",")
+            pulse.append(int(a))
+            det.append(int(b))
+            ts.append(float(c))
+    return TimeTags(pulse, det, ts)
+
+
+def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | None:
+    """(pathway, bit) of the first window containing the timestamp, or None."""
+    half = 0.5 * layout.width_ps
+    for idx, c in enumerate(layout.centers_ps):
+        if abs(timestamp_ps - c) <= half:
+            return idx // 2, idx % 2
+    return None
+
+
+def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -> SessionCounts:
     out = SessionCounts.zeros()
     flat_sent = ledger.class_idx * 4 + ledger.alpha * 2 + ledger.bit
     out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
 
     classified: dict[int, tuple[int, int]] = {}
     multi: set[int] = set()
-    for tag in tags:
-        hit = layout.classify(tag.timestamp_ps)
+    for pulse, ts in zip(tags.pulse_index.tolist(), tags.timestamp_ps.tolist()):
+        hit = classify(layout, ts)
         if hit is None:
             continue
-        if tag.pulse_index in classified or tag.pulse_index in multi:
-            classified.pop(tag.pulse_index, None)
-            multi.add(tag.pulse_index)
+        if pulse in classified or pulse in multi:
+            classified.pop(pulse, None)
+            multi.add(pulse)
             continue
-        classified[tag.pulse_index] = (int(hit[0]), hit[1])
+        classified[pulse] = hit
     for pi, (beta, j) in classified.items():
         row = pi - ledger.start_index
         out.counts[ledger.class_idx[row], ledger.alpha[row], ledger.bit[row], beta, j] += 1

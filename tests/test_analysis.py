@@ -105,6 +105,22 @@ def test_fidelities_and_qber_on_known_counts():
         qber(counts, IntensityClass.DECOY)
 
 
+def test_fidelity_of_a_setting_without_matched_events_is_nan():
+    counts = _counts_with_rows(
+        [
+            [96, 4, 10, 10],
+            [0, 0, 10, 10],  # phase bit 1: events only in the time pathway
+            [10, 10, 99, 1],
+            [0, 0, 0, 0],  # time bit 1: no events at all
+        ]
+    )
+    f = fidelities(counts)
+    assert f[(Basis.PHASE, 0)] == 0.96
+    assert f[(Basis.TIME, 0)] == 0.99
+    assert math.isnan(f[(Basis.PHASE, 1)]) and math.isnan(f[(Basis.TIME, 1)])
+    assert all(math.isnan(v) for v in fidelities(counts, IntensityClass.DECOY).values())
+
+
 def test_decoy_bounds_hand_computed_case():
     """Fully worked numerical example, done with plain floats here and
     frozen; guards the algebra against sign and normalization slips."""

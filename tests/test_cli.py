@@ -96,7 +96,7 @@ def test_dump_tags_writes_record_and_ledger(tmp_path):
     ledger = read_pulse_ledger(str(tags_path) + ".ledger")
     assert len(ledger) == 4 * 2000
     assert len(tags) > 0
-    assert all(0 <= t.pulse_index < 8000 for t in tags)
+    assert np.all((tags.pulse_index >= 0) & (tags.pulse_index < 8000))
     # the files read back attribute every pulse as the session counted it
     saved, _ = read_counts_json(counts_path)
     rebuilt = accumulate(tags, ExperimentConfig().layout, ledger)
@@ -287,3 +287,78 @@ def test_analyze_rejects_non_integer_counts(value, tmp_path, capsys):
 def test_workers_below_one_exit_with_input_error(workers, capsys):
     assert main(["session", "--pulses", "1000", "--workers", workers]) == 3
     assert _last_error(capsys)["category"] == "input"
+
+
+def _strict_json(text: str):
+    """Parsed JSON; a bare NaN or Infinity token fails the test."""
+
+    def refuse(token):
+        raise AssertionError(f"bare {token} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_deep_loss_session_reports_a_zero_rate_and_writes_its_files(tmp_path):
+    # at 40 dB channel loss no signal-class event is recorded in 2000 pulses
+    # per setting; the simulation has run, so its outputs are still written
+    counts, tags, out = tmp_path / "c.json", tmp_path / "t.csv", tmp_path / "r.json"
+    rc = main(
+        ["session", "--pulses", "2000", "--set", "budget.channel_db=40",
+         "--save-counts", str(counts), "--dump-tags", str(tags), "--out", str(out)]
+    )
+    assert rc == 0
+    payload = _strict_json(out.read_text())
+    assert payload["matrix"] is None
+    assert payload["R_bps"] == 0.0
+    assert "no-signal-events" in payload["flags"]
+    saved, _ = read_counts_json(counts)
+    assert saved.pulses_sent.sum() == 4 * 2000
+    assert len(read_pulse_ledger(f"{tags}.ledger")) == 4 * 2000
+    assert len(read_time_tags(tags)) == saved.counts.sum()
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    return [line.split(",") for line in text.strip().split("\n")]
+
+
+def test_scan_points_without_events_are_null(tmp_path):
+    # 10 pulses per point: some points record no time-pathway signal event
+    argv = ["pump-scan", "--delays=0:3:1", "--pulses-per-point", "10"]
+    out = tmp_path / "scan.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = _strict_json(out.read_text())
+    fidelities = payload["fidelity_t0"] + payload["fidelity_t1"]
+    assert None in fidelities
+    assert all(f is None or 0.0 <= f <= 1.0 for f in fidelities)
+    assert payload["separation_ps"] is None
+
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    rows = _csv_rows(out.read_text())
+    assert rows[0] == ["pump_delay_ps", "fidelity_t0", "fidelity_t1"]
+    fields = [v for row in rows[1:] for v in row[1:]]
+    assert fields == ["" if f is None else repr(f) for pair in
+                      zip(payload["fidelity_t0"], payload["fidelity_t1"]) for f in pair]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--pulses-per-sample", "200"], ["--pulses-per-sample", "20"],
+     ["--pulses-per-sample", "200", "--set", "budget.channel_db=60"]],
+    ids=["fidelity-gaps", "qber-gaps", "no-events-at-all"],
+)
+def test_stability_samples_without_events_are_null(tmp_path, extra):
+    argv = ["stability", "--hours", "1", *extra]
+    out = tmp_path / "stab.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = _strict_json(out.read_text())
+    keys = ["fidelity_phase0", "fidelity_phase1", "fidelity_time0", "fidelity_time1",
+            "qber_series"]
+    series = [payload[k] for k in keys]
+    assert None in [v for s in series for v in s]
+    assert (payload["E_mu"] is None) == (extra[-1] == "budget.channel_db=60")
+
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    rows = _csv_rows(out.read_text())
+    assert [row[1:] for row in rows[1:]] == [
+        ["" if v is None else repr(v) for v in sample] for sample in zip(*series)
+    ]

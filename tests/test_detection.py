@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +13,10 @@ from timebin_qkd.detection import (
     LEDGER_CHUNK_ROWS,
     LEDGER_HEADER,
     TAG_HEADER,
-    ClickEvent,
     DetectorModel,
     PulseLedger,
     SessionCounts,
+    TimeTags,
     WindowLayout,
     _prune_dead_time,
     _prune_dead_time_clusters,
@@ -34,7 +33,13 @@ from timebin_qkd.qubit import BB84_SETTINGS, Basis, mub_states, overlap_probabil
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
 from timebin_qkd.switch import SwitchModel, apply_switch_both_bins
 
-from reference import accumulate_loop, read_pulse_ledger_rows, write_pulse_ledger_rows
+from reference import (
+    accumulate_loop,
+    read_pulse_ledger_rows,
+    read_time_tags_rows,
+    write_pulse_ledger_rows,
+    write_time_tags_rows,
+)
 
 PERFECT_SWITCH = SwitchModel()
 
@@ -52,29 +57,56 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _tags(*rows) -> TimeTags:
+    """TimeTags from (pulse_index, detector_id, timestamp_ps) rows."""
+    return TimeTags(*(list(col) for col in zip(*rows))) if rows else TimeTags([], [], [])
+
+
+def _select(tags: TimeTags, rows) -> TimeTags:
+    return TimeTags(tags.pulse_index[rows], tags.detector_id[rows], tags.timestamp_ps[rows])
+
+
+def _same_tags(a: TimeTags, b: TimeTags) -> bool:
+    """Equal columns, timestamps compared bit for bit."""
+    return (
+        np.array_equal(a.pulse_index, b.pulse_index)
+        and np.array_equal(a.detector_id, b.detector_id)
+        and np.array_equal(a.timestamp_ps.view(np.int64), b.timestamp_ps.view(np.int64))
+    )
+
+
 # ---------------------------------------------------------------- layout
 
 
 def test_default_window_centers():
-    layout = WindowLayout()
-    assert layout.center(Basis.PHASE, 0) == 0.0
-    assert layout.center(Basis.PHASE, 1) == pytest.approx(2935.364037743738, abs=1e-9)
-    assert layout.center(Basis.TIME, 0) == 8000.0
-    assert layout.center(Basis.TIME, 1) == pytest.approx(
-        8000.0 + 2935.364037743738, abs=1e-9
-    )
+    # centers_ps index is pathway * 2 + bit, pathway 0 = phase, 1 = time
+    phase0, phase1, time0, time1 = WindowLayout().centers_ps
+    assert phase0 == 0.0
+    assert phase1 == pytest.approx(2935.364037743738, abs=1e-9)
+    assert time0 == 8000.0
+    assert time1 == pytest.approx(8000.0 + 2935.364037743738, abs=1e-9)
     assert INTERFEROMETER_DELAY_PS == pytest.approx(2935.364037743738, abs=1e-9)
     assert BASIS_GROUP_OFFSET_PS == 8000.0
 
 
 def test_classify_in_and_out_of_window():
+    # one tag per pulse, so each lands in its own window or in none
     layout = WindowLayout()
-    assert layout.classify(8000.0) == (Basis.TIME, 0)
-    assert layout.classify(8400.0) == (Basis.TIME, 0)  # edge inclusive
-    assert layout.classify(8400.1) is None
-    assert layout.classify(-150.0) == (Basis.PHASE, 0)
-    assert layout.classify(5500.0) is None
-    assert layout.classify(10935.0) == (Basis.TIME, 1)
+    expected = {
+        8000.0: (Basis.TIME, 0),
+        8400.0: (Basis.TIME, 0),  # edge inclusive
+        8400.1: None,
+        -150.0: (Basis.PHASE, 0),
+        5500.0: None,
+        10935.0: (Basis.TIME, 1),
+    }
+    ledger = PulseLedger(0, np.zeros(1), np.zeros(1), np.zeros(1))
+    for ts, window in expected.items():
+        counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
+        if window is None:
+            assert counts.sum() == 0, ts
+        else:
+            assert counts.sum() == counts[window] == 1, ts
 
 
 def test_overlapping_windows_rejected():
@@ -151,13 +183,17 @@ def test_recombination_phase_flips_phase_basis():
     assert (t0, t1) == pytest.approx((ref0, ref1), abs=1e-12)
 
 
-def test_click_event_validation():
-    with pytest.raises(InvalidInputError):
-        ClickEvent(-1, 0, 0.0)
-    with pytest.raises(InvalidInputError):
-        ClickEvent(0, 2, 0.0)
-    with pytest.raises(InvalidInputError):
-        ClickEvent(0, 0, math.inf)
+def test_time_tags_validation():
+    assert len(_tags((0, 0, 0.0), (3, 1, -2.5))) == 2
+    assert len(_tags()) == 0
+    for bad in ((-1, 0, 0.0), (0, 2, 0.0), (0, -1, 0.0), (0, 0, math.inf), (0, 0, -math.inf),
+                (0, 0, math.nan)):
+        with pytest.raises(InvalidInputError):
+            _tags((1, 0, 5.0), bad)
+    with pytest.raises(InvalidInputError, match="equal length"):
+        TimeTags([0, 1], [0, 1], [0.0])
+    with pytest.raises(InvalidInputError, match="equal length"):
+        TimeTags([0], [0, 1], [0.0])
 
 
 # ---------------------------------------------------------- session counts
@@ -305,11 +341,9 @@ def test_dead_time_enforces_spacing_per_detector():
         collect_tags=True,
     )
     assert len(tags) > 5000
-    by_det = defaultdict(list)
-    for t in tags:
-        by_det[t.detector_id].append(t.pulse_index)
-    for det_id, frames in by_det.items():
-        gaps = np.diff(sorted(set(frames)))
+    for det_id in (0, 1):
+        frames = tags.pulse_index[tags.detector_id == det_id]
+        gaps = np.diff(np.unique(frames))
         assert gaps.min() > 4, f"detector {det_id} violates dead time"
 
 
@@ -390,8 +424,8 @@ def test_accumulate_jitter_losses_match_window_acceptance():
     )
     # each tag's offset from the nearest slot center of its pathway; the
     # slots are 2.9 ns apart, so no 150 ps jitter draw crosses halfway
-    ts = np.array([t.timestamp_ps for t in tags])
-    centers = np.array(layout.centers_ps).reshape(2, 2)[[t.detector_id for t in tags]]
+    ts = tags.timestamp_ps
+    centers = np.array(layout.centers_ps).reshape(2, 2)[tags.detector_id]
     offsets = ts - centers[np.arange(len(ts)), np.abs(ts[:, None] - centers).argmin(axis=1)]
     # sample sd of n normal draws has standard error ~ sigma / sqrt(2n)
     assert abs(np.std(offsets) - 150.0) < 4.0 * 150.0 / math.sqrt(2 * len(offsets))
@@ -416,8 +450,8 @@ def test_accumulate_is_associative_over_ledger_pieces():
     second = PulseLedger(
         cut, ledger.class_idx[cut:], ledger.alpha[cut:], ledger.bit[cut:]
     )
-    tags_a = [t for t in tags if t.pulse_index < cut]
-    tags_b = [t for t in tags if t.pulse_index >= cut]
+    tags_a = _select(tags, tags.pulse_index < cut)
+    tags_b = _select(tags, tags.pulse_index >= cut)
     whole = accumulate(tags, layout, ledger)
     assert accumulate(tags_a, layout, first) + accumulate(tags_b, layout, second) == whole
 
@@ -425,12 +459,12 @@ def test_accumulate_is_associative_over_ledger_pieces():
 def test_accumulate_discards_multi_window_pulses():
     layout = WindowLayout()
     ledger = PulseLedger(0, np.zeros(3), np.ones(3), np.zeros(3))
-    tags = [
-        ClickEvent(0, 1, 8000.0),
-        ClickEvent(0, 1, 10935.0),  # second window, same pulse: dropped
-        ClickEvent(1, 1, 8000.0),
-        ClickEvent(2, 1, 5000.0),  # outside every window: ignored
-    ]
+    tags = _tags(
+        (0, 1, 8000.0),
+        (0, 1, 10935.0),  # second window, same pulse: dropped
+        (1, 1, 8000.0),
+        (2, 1, 5000.0),  # outside every window: ignored
+    )
     out = accumulate(tags, layout, ledger)
     assert out.counts.sum() == 1
     assert out.counts[0, 1, 0, 1, 0] == 1
@@ -441,7 +475,7 @@ def test_accumulate_rejects_out_of_range_tags():
     layout = WindowLayout()
     ledger = PulseLedger(10, np.zeros(5), np.zeros(5), np.zeros(5))
     with pytest.raises(InvalidInputError):
-        accumulate([ClickEvent(3, 0, 0.0)], layout, ledger)
+        accumulate(_tags((3, 0, 0.0)), layout, ledger)
 
 
 def test_tag_and_ledger_files_round_trip(tmp_path):
@@ -454,7 +488,7 @@ def test_tag_and_ledger_files_round_trip(tmp_path):
     ledger_path = tmp_path / "run.ledger"
     write_time_tags(tag_path, tags)
     write_pulse_ledger(ledger_path, ledger)
-    assert read_time_tags(tag_path) == tags
+    assert _same_tags(read_time_tags(tag_path), tags)
     back = read_pulse_ledger(ledger_path)
     assert back.start_index == 500
     assert np.array_equal(back.class_idx, ledger.class_idx)
@@ -467,6 +501,68 @@ def test_tag_file_header_is_checked(tmp_path):
     p.write_text("wrong,header,line\n0,0,0.0\n")
     with pytest.raises(InvalidInputError):
         read_time_tags(p)
+
+
+# Timestamps whose repr is short, signed zero, subnormal, huge or long.
+_EDGE_TIMESTAMPS = (3.2e-05, -0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1 / 3, 1e-300,
+                    -2.5e-7, 1.7976931348623157e308, 123456789.123456789)
+
+
+def test_tag_files_round_trip_edge_floats_bit_exactly(tmp_path):
+    rng = _rng(24)
+    ts = np.concatenate([_EDGE_TIMESTAMPS, rng.normal(0.0, 1e4, 2000)])
+    tags = TimeTags(np.arange(len(ts)) * 7, rng.integers(0, 2, len(ts)), ts)
+    write_time_tags(tmp_path / "fast", tags)
+    write_time_tags_rows(tmp_path / "ref", tags)
+    assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes()
+    assert _same_tags(read_time_tags(tmp_path / "fast"), tags)
+    write_time_tags(tmp_path / "empty", _tags())
+    assert (tmp_path / "empty").read_text() == TAG_HEADER + "\n"
+    assert len(read_time_tags(tmp_path / "empty")) == 0
+
+
+def test_tag_writer_matches_the_row_by_row_reference_on_block_tags(tmp_path):
+    det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0, dark_count_rate_hz=1e6)
+    _, tags, _ = simulate_block(
+        BB84_SETTINGS[1], 50_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
+        det, _rng(25), collect_tags=True, start_index=999_990,
+    )
+    write_time_tags(tmp_path / "fast", tags)
+    write_time_tags_rows(tmp_path / "ref", tags)
+    assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes()
+    assert _same_tags(read_time_tags(tmp_path / "fast"), read_time_tags_rows(tmp_path / "ref"))
+
+
+def test_tag_reader_accepts_what_the_row_reader_accepts(tmp_path):
+    variants = {
+        "blank lines": f"{TAG_HEADER}\n\n5,0,1.5\n\n6,1,-0.0\n\n",
+        "whitespace lines": f"{TAG_HEADER}\n5,0,1.5\n \t\n6,1,-0.0\n  \n",
+        "padding": f"{TAG_HEADER}\n 5 ,0, 1.5 \n\t6,1 ,-0.0\n",
+        "crlf": f"{TAG_HEADER}\r\n5,0,1.5\r\n6,1,-0.0\r\n",
+        "no final newline": f"{TAG_HEADER}\n5,0,1.5\n6,1,-0.0",
+        "exponents": f"{TAG_HEADER}\n5,0,1.5e3\n6,1,+2E-7\n7,1,.5\n8,0,3.\n",
+        "one row": f"{TAG_HEADER}\n5,0,1.5\n",
+    }
+    for name, text in variants.items():
+        path = tmp_path / "tags"
+        path.write_bytes(text.encode("ascii"))
+        assert _same_tags(read_time_tags(path), read_time_tags_rows(path)), name
+
+
+@pytest.mark.parametrize("row", ["0,0,nan", "0,1,inf", "0,0,-inf", "0,1,-Infinity", "0,0,NaN"])
+def test_tag_reader_rejects_non_finite_timestamps(tmp_path, row):
+    path = tmp_path / "tags"
+    path.write_text(f"{TAG_HEADER}\n1,0,5.0\n{row}\n")
+    with pytest.raises(InvalidInputError, match="finite"):
+        read_time_tags(path)
+
+
+def test_tag_reader_rejects_out_of_range_columns(tmp_path):
+    path = tmp_path / "tags"
+    for row, match in (("-1,0,0.0", "non-negative"), ("0,2,0.0", "0 or 1")):
+        path.write_text(f"{TAG_HEADER}\n{row}\n")
+        with pytest.raises(InvalidInputError, match=match):
+            read_time_tags(path)
 
 
 # Row counts around the writer's chunk boundary and across several chunks.
@@ -580,10 +676,10 @@ def _edge_case_tags(rng, layout, n_pulses, n_tags):
             ts = np.nextafter(c + half, np.inf) if rng.random() < 0.5 else c - 1.5 * half
         else:
             ts = c + rng.normal(0.0, half)
-        tags.append(ClickEvent(pulse, int(rng.integers(0, 2)), float(ts)))
+        tags.append((pulse, int(rng.integers(0, 2)), float(ts)))
         if rng.random() < 0.2:  # a second tag of the same pulse, same window
-            tags.append(ClickEvent(pulse, 0, float(c)))
-    return tags
+            tags.append((pulse, 0, float(c)))
+    return _tags(*tags)
 
 
 def test_accumulate_matches_the_dict_loop_reference():
@@ -598,10 +694,8 @@ def test_accumulate_matches_the_dict_loop_reference():
         ledger = PulseLedger(
             start, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
         )
-        tags = [
-            ClickEvent(t.pulse_index + start, t.detector_id, t.timestamp_ps)
-            for t in _edge_case_tags(rng, layout, n, int(rng.integers(0, 80)))
-        ]
+        tags = _edge_case_tags(rng, layout, n, int(rng.integers(0, 80)))
+        tags.pulse_index += start
         assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger), seed
     # a full block's tags
     layout = WindowLayout()
@@ -611,7 +705,7 @@ def test_accumulate_matches_the_dict_loop_reference():
         _rng(23), collect_tags=True, start_index=77,
     )
     assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger)
-    assert accumulate([], layout, ledger) == accumulate_loop([], layout, ledger)
+    assert accumulate(_tags(), layout, ledger) == accumulate_loop(_tags(), layout, ledger)
 
 
 def test_detector_model_validation():

@@ -156,8 +156,8 @@ def test_run_session_tags_rebuild_the_counts():
     res = run_session(cfg, pulses=5_000, collect_tags=True)
     assert len(res.ledger) == 4 * 5_000
     assert res.ledger.start_index == 0
-    order = [(t.pulse_index, t.timestamp_ps) for t in res.tags]
-    assert order == sorted(order)
+    order = np.lexsort((res.tags.timestamp_ps, res.tags.pulse_index))
+    assert np.array_equal(order, np.arange(len(res.tags)))
     rebuilt = accumulate(res.tags, cfg.layout, res.ledger)
     assert rebuilt == res.counts
 
@@ -387,3 +387,50 @@ def test_sweep_and_stability_payloads():
     rlines = report_csv(stab.report).strip().split("\n")
     assert rlines[0] == "quantity,value"
     assert any(line.startswith("R_bps,") for line in rlines)
+
+
+def test_session_without_signal_events_has_no_matrix():
+    cfg = ExperimentConfig(seed=5)
+    cfg = replace(cfg, budget=replace(cfg.budget, channel_db=40.0))
+    res = run_session(cfg, pulses=2000)
+    assert res.matrix is None
+    assert res.report.r_bps == 0.0
+    assert "no-signal-events" in res.report.flags
+    assert run_session(ExperimentConfig(seed=5), pulses=2000).matrix is not None
+
+
+def test_separation_and_plateau_leave_out_points_without_events(coarse_scan):
+    # points without events (NaN) between the measured ones change nothing
+    n = len(coarse_scan.delays_ps)
+    delays = np.empty(2 * n)
+    delays[0::2], delays[1::2] = coarse_scan.delays_ps, coarse_scan.delays_ps + 0.5
+    curves = []
+    for measured in (coarse_scan.fidelity_t0, coarse_scan.fidelity_t1):
+        curve = np.full(2 * n, np.nan)
+        curve[0::2] = measured
+        curves.append(curve)
+    gappy = PumpScanResult(delays, *curves)
+    assert extract_separation(gappy) == extract_separation(coarse_scan)
+    assert plateau_mean(gappy, -1.0, 1.0) == plateau_mean(coarse_scan, -1.0, 1.0)
+    assert scan_payload(gappy)["fidelity_t0"][1::2] == [None] * n
+
+    empty = PumpScanResult(delays, np.full(2 * n, np.nan), np.full(2 * n, np.nan))
+    with pytest.raises(InvalidInputError):
+        extract_separation(empty)
+    with pytest.raises(InvalidInputError):
+        plateau_mean(empty, -1.0, 1.0)
+    assert scan_payload(empty)["separation_ps"] is None
+
+
+def test_scan_point_without_events_is_nan():
+    scan = run_pump_delay_scan(ExperimentConfig(seed=5), [0.0, 1.0, 2.0, 3.0], pulses_per_point=10)
+    both = np.concatenate([scan.fidelity_t0, scan.fidelity_t1])
+    assert np.isnan(both).any()
+    assert np.all(np.isnan(both) | ((both >= 0.0) & (both <= 1.0)))
+
+
+def test_stability_sample_without_events_is_nan():
+    res = run_stability(ExperimentConfig(seed=6), hours=1.0, pulses_per_sample=20)
+    assert np.isnan(res.qber_series).any()
+    assert any(np.isnan(series).any() for series in res.fidelity_series.values())
+    assert not np.isnan(res.qber_aggregate)
