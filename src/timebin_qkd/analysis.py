@@ -131,7 +131,7 @@ class DecoyEstimates:
     y1_lower: float
     e1_upper: float
     q1_lower: float
-    y0: float
+    y0: float | None
     flags: tuple[str, ...]
 
 
@@ -197,7 +197,7 @@ class KeyRateReport:
     e_mu: float | None
     q_nu: float
     e_nu: float | None
-    y0: float
+    y0: float | None
     y1_lower: float
     e1_upper: float
     q1_lower: float
@@ -237,7 +237,7 @@ def secret_key_rate_from_values(
     e_mu: float | None,
     q_nu: float,
     e_nu: float | None,
-    y0: float,
+    y0: float | None,
     mu: float,
     nu: float,
     rep_rate_hz: float,
@@ -247,12 +247,14 @@ def secret_key_rate_from_values(
 ) -> KeyRateReport:
     """Rate formula on already-extracted gains and error rates.
 
-    An error rate of None means its class had no matched-basis events.
-    The decoy pair then bounds nothing, so the single-photon terms take
-    their no-information values (Y_1 = Q_1 = 0, e_1 = 1) and the report
-    carries the flag "no-decoy-events" or "no-signal-events".  Either way
-    the rate is zero; without signal events it is zero by definition,
-    since there is no sifted key to correct.
+    An error rate of None means its class had no matched-basis events; a
+    y0 of None means no vacuum-class pulse was sent, so the background
+    yield is unknown.  The decoy pair then bounds nothing, so the
+    single-photon terms take their no-information values (Y_1 = Q_1 = 0,
+    e_1 = 1) and the report carries the flag "no-decoy-events",
+    "no-signal-events" or "no-vacuum-pulses".  Either way the rate is
+    zero; without signal events it is zero by definition, since there is
+    no sifted key to correct.
     """
     if not rep_rate_hz > 0:
         raise InvalidInputError("rep_rate_hz must be positive")
@@ -262,7 +264,7 @@ def secret_key_rate_from_values(
         raise InvalidInputError("sifting_factor must lie in (0, 1]")
     missing = tuple(
         f"no-{name}-events" for name, e in (("signal", e_mu), ("decoy", e_nu)) if e is None
-    )
+    ) + (("no-vacuum-pulses",) if y0 is None else ())
     if missing:
         est = DecoyEstimates(0.0, 1.0, 0.0, y0, missing)
     else:
@@ -309,14 +311,14 @@ def secret_key_rate(
 
     Gains are overall click probabilities per class; error rates are the
     sifted matched-basis QBER of that class.  The vacuum yield comes from
-    the vacuum class unless given explicitly.  A class that was sent but
-    gave no matched-basis event (deep loss) leaves its error rate
-    undefined; the rate is then zero, flagged "no-signal-events" or
-    "no-decoy-events", rather than an error.
+    the vacuum class unless given explicitly.  A signal or decoy class
+    without a matched-basis event (deep loss, or never sent) leaves its
+    error rate undefined, and a vacuum class that was never sent leaves
+    the vacuum yield undefined; the rate is then zero, flagged
+    "no-signal-events", "no-decoy-events" or "no-vacuum-pulses", rather
+    than an error.
     """
-    if y0 is None:
-        if counts.pulses(IntensityClass.VACUUM) == 0:
-            raise NoDataError("no vacuum-class pulses recorded and no y0 supplied")
+    if y0 is None and counts.pulses(IntensityClass.VACUUM):
         y0 = counts.gain(IntensityClass.VACUUM)
     q_mu = counts.gain(IntensityClass.SIGNAL)
     q_nu = counts.gain(IntensityClass.DECOY)

@@ -157,10 +157,10 @@ class SessionCounts:
         self.pulses_sent = np.asarray(self.pulses_sent, dtype=np.int64)
         if self.counts.shape != (3, 2, 2, 2, 2) or self.pulses_sent.shape != (3, 2, 2):
             raise InvalidInputError("counts must be (3,2,2,2,2) and pulses_sent (3,2,2)")
-        if np.any(self.counts < 0) or np.any(self.pulses_sent < 0):
+        if (self.counts < 0).any() or (self.pulses_sent < 0).any():
             raise InvalidInputError("counts must be non-negative")
         recorded = self.counts.sum(axis=(3, 4))
-        if np.any(recorded > self.pulses_sent):
+        if (recorded > self.pulses_sent).any():
             raise InvalidInputError("more recorded events than pulses sent")
 
     def __add__(self, other: "SessionCounts") -> "SessionCounts":
@@ -180,10 +180,9 @@ class SessionCounts:
         return int(self.pulses_sent[int(cls)].sum())
 
     def gain(self, cls: IntensityClass) -> float:
+        """Recorded events per pulse sent; 0.0 for a class that was never sent."""
         n = self.pulses(cls)
-        if n == 0:
-            raise InvalidInputError(f"no pulses recorded for class {IntensityClass(cls).name}")
-        return self.clicks(cls) / n
+        return self.clicks(cls) / n if n else 0.0
 
     def matched_clicks(self, cls: IntensityClass) -> int:
         c = self.counts[int(cls)]
@@ -534,35 +533,151 @@ _EVENT_STATES = [
     for b in (0, 1) for s in (0, 1, 2) for d0 in (0, 1) for d1 in (0, 1)
     if s or d0 or d1
 ]
-_EVENT_BETA = np.array([st[0] for st in _EVENT_STATES], dtype=np.int8)
-_EVENT_CLICK0 = np.array([st[1] == 1 or st[2] == 1 for st in _EVENT_STATES])
-_EVENT_CLICK1 = np.array([st[1] == 2 or st[3] == 1 for st in _EVENT_STATES])
+_N_EVENTS = len(_EVENT_STATES)
+_EVENT_BETA, _EVENT_SIGNAL, _EVENT_DARK0, _EVENT_DARK1 = np.array(_EVENT_STATES, dtype=np.int8).T
+_EVENT_CLICK0 = (_EVENT_SIGNAL == 1) | (_EVENT_DARK0 == 1)
+_EVENT_CLICK1 = (_EVENT_SIGNAL == 2) | (_EVENT_DARK1 == 1)
+_EVENT_NO_SIGNAL = (_EVENT_SIGNAL == 0).astype(np.float64)
+# Class and event state of each cell of the (3, 22) event-count table, in
+# row-major order.
+_CELL_CLASS = np.repeat(np.arange(3), _N_EVENTS)
+_CELL_STATE = np.tile(np.arange(_N_EVENTS), 3)
 
 
 def _event_probabilities(
-    mean: float, q_surv: float, outcomes: list[tuple[float, float, float]], det: DetectorModel
+    means, q_surv: float, outcomes: list[tuple[float, float, float]], det: DetectorModel
 ) -> np.ndarray:
-    """Per-frame probabilities of the 22 event states, then the silent rest.
+    """(3, 23) per-frame probabilities: the 22 event states, then the silent rest.
 
-    A Poisson(mean) pulse thinned by q_surv gives a photon click with
-    probability 1 - exp(-mean * q_surv); the click then projects per the
-    `outcomes` of its pathway and flips with the intrinsic error.
+    Row c is the class of mean photon number means[c].  A Poisson(mean)
+    pulse thinned by q_surv gives a photon click with probability
+    1 - exp(-mean * q_surv); the click then projects per the `outcomes` of
+    its pathway and flips with the intrinsic error.
     """
-    p_photon = -math.expm1(-mean * q_surv)
     e = det.intrinsic_error
     p_dark = det.dark_prob_per_window
-    dark = (1.0 - p_dark, p_dark)
-    signal = [
-        (
-            1.0 - p_photon * (p0 + p1),
-            p_photon * (p0 * (1.0 - e) + p1 * e),
-            p_photon * (p1 * (1.0 - e) + p0 * e),
-        )
+    # The signal factor of a state is 1 - p_photon * (p0 + p1) without a
+    # signal click and p_photon * P(bit) with one, written here as
+    # 0 - p_photon * -P(bit), which is the same float.
+    slope = np.array([
+        (p0 + p1, -(p0 * (1.0 - e) + p1 * e), -(p1 * (1.0 - e) + p0 * e))
         for p0, p1, _ in outcomes
-    ]
-    probs = [0.5 * signal[b][s] * dark[d0] * dark[d1] for b, s, d0, d1 in _EVENT_STATES]
-    probs.append(max(0.0, 1.0 - math.fsum(probs)))
-    return np.array(probs)
+    ])[_EVENT_BETA, _EVENT_SIGNAL]
+    p_photon = np.array([[-math.expm1(-mean * q_surv)] for mean in means])
+    dark = np.array([1.0 - p_dark, p_dark])
+    probs = 0.5 * (_EVENT_NO_SIGNAL - p_photon * slope) * dark[_EVENT_DARK0] * dark[_EVENT_DARK1]
+    rest = [max(0.0, 1.0 - math.fsum(row)) for row in probs.tolist()]
+    return np.column_stack([probs, rest])
+
+
+def _event_table(
+    prep: PreparationSetting,
+    source: SourceConfig,
+    budget: LossBudget,
+    switch: SwitchModel,
+    det: DetectorModel,
+) -> np.ndarray:
+    """The (3, 23) event probabilities of one setting's frames."""
+    sw = apply_switch_both_bins(prep.state(), switch)
+    outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
+    q_surv = transmittance(budget.path_db) * det.efficiency
+    return _event_probabilities([source.mean_for(c) for c in range(3)], q_surv, outcomes, det)
+
+
+def _draw_events(n: int, source: SourceConfig, table: np.ndarray, rng: np.random.Generator):
+    """Class totals, then the events, each on its own frame.
+
+    Returns (class_totals, frames, ev_cls, ev_state) with the events
+    sorted by frame.
+    """
+    class_totals = rng.multinomial(n, source.class_probabilities)
+    per_cell = rng.multinomial(class_totals, table)[:, :-1].ravel()
+    ev_cls = np.repeat(_CELL_CLASS, per_cell)
+    ev_state = np.repeat(_CELL_STATE, per_cell)
+    # choice() returns its sample in random order, so pairing it with the
+    # grouped event list puts every event on a uniformly random frame.
+    frames = rng.choice(n, len(ev_cls), replace=False)
+    order = np.argsort(frames)
+    return class_totals, frames[order], ev_cls[order], ev_state[order]
+
+
+def _double_click_policy(
+    ev_state: np.ndarray, keep: np.ndarray, det: DetectorModel, rng: np.random.Generator
+):
+    """(click0, click1, counted, bit) of the events dead time kept.
+
+    A coin is drawn for each surviving double only.
+    """
+    click0 = _EVENT_CLICK0[ev_state] & keep
+    click1 = _EVENT_CLICK1[ev_state] & keep
+    bit = click1.astype(np.int8)
+    if det.double_click_policy == "random":
+        counted = click0 | click1
+        double = click0 & click1
+        bit[double] = rng.random(np.count_nonzero(double)) < 0.5
+    else:
+        counted = click0 ^ click1
+    return click0, click1, counted, bit
+
+
+def _tally(
+    prep: PreparationSetting,
+    class_totals: np.ndarray,
+    ev_cls: np.ndarray,
+    beta: np.ndarray,
+    bit: np.ndarray,
+    counted: np.ndarray,
+) -> SessionCounts:
+    """The counted events and the pulses sent, as SessionCounts."""
+    alpha, i = int(prep.basis), prep.bit
+    cell = ev_cls * 4 + beta * 2 + bit
+    counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
+    counts[:, alpha, i] = np.bincount(cell[counted], minlength=12).reshape(3, 2, 2)
+    sent = np.zeros((3, 2, 2), dtype=np.int64)
+    sent[:, alpha, i] = class_totals
+    return SessionCounts(counts, sent)
+
+
+def _tags_and_ledger(
+    prep: PreparationSetting,
+    n: int,
+    class_totals: np.ndarray,
+    frames: np.ndarray,
+    ev_cls: np.ndarray,
+    beta: np.ndarray,
+    click0: np.ndarray,
+    click1: np.ndarray,
+    det: DetectorModel,
+    layout: WindowLayout,
+    start_index: int,
+    rng: np.random.Generator,
+) -> tuple[TimeTags, PulseLedger]:
+    """The physical click record and the sender's ledger."""
+    # Silent frames take the remaining class totals in random order.
+    cls = np.empty(n, dtype=np.int64)
+    silent = np.ones(n, dtype=bool)
+    silent[frames] = False
+    rest = class_totals - np.bincount(ev_cls, minlength=3)
+    cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
+    cls[frames] = ev_cls
+
+    # Window 0's jitter is drawn before window 1's; the tags are then
+    # ordered by pulse, then time.
+    n_clicks = (int(click0.sum()), int(click1.sum()))
+    idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
+    centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
+    jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
+    ts = centers + np.concatenate(jitter)
+    pulse = start_index + frames[idx]
+    order = np.lexsort((ts, pulse))
+    tags = TimeTags(pulse[order], beta[idx][order], ts[order])
+    ledger = PulseLedger(
+        start_index,
+        cls,
+        np.full(n, int(prep.basis), dtype=np.int64),
+        np.full(n, prep.bit, dtype=np.int64),
+    )
+    return tags, ledger
 
 
 def simulate_block(
@@ -595,72 +710,17 @@ def simulate_block(
     """
     if n_pulses < 0:
         raise InvalidInputError("n_pulses must be non-negative")
-    sw = apply_switch_both_bins(prep.state(), switch)
-    outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
-    q_surv = transmittance(budget.path_db) * det.efficiency
     n = int(n_pulses)
-
-    class_totals = rng.multinomial(n, source.class_probabilities)
-    per_class = np.stack([
-        rng.multinomial(
-            class_totals[c], _event_probabilities(source.mean_for(c), q_surv, outcomes, det)
-        )[:-1]
-        for c in range(3)
-    ])
-    n_states = len(_EVENT_STATES)
-    ev_cls = np.repeat(np.arange(3 * n_states) // n_states, per_class.ravel())
-    ev_state = np.repeat(np.tile(np.arange(n_states), 3), per_class.ravel())
-    # choice() returns its sample in random order, so pairing it with the
-    # grouped event list puts every event on a uniformly random frame.
-    frames = rng.choice(n, len(ev_cls), replace=False)
-    order = np.argsort(frames)
-    frames, ev_cls, ev_state = frames[order], ev_cls[order], ev_state[order]
+    table = _event_table(prep, source, budget, switch, det)
+    class_totals, frames, ev_cls, ev_state = _draw_events(n, source, table, rng)
     beta = _EVENT_BETA[ev_state]
-
     keep = _prune_dead_time_clusters(frames, beta, _dead_frames(det, source))
-    click0 = _EVENT_CLICK0[ev_state] & keep
-    click1 = _EVENT_CLICK1[ev_state] & keep
-    double = click0 & click1
-    bit = click1.astype(np.int8)
-    if det.double_click_policy == "random":
-        counted = click0 | click1
-        bit[double] = rng.random(int(double.sum())) < 0.5
-    else:
-        counted = click0 ^ click1
-
-    out = SessionCounts.zeros()
-    alpha = int(prep.basis)
-    i = prep.bit
-    flat = ev_cls[counted] * 4 + beta[counted] * 2 + bit[counted]
-    out.counts[:, alpha, i, :, :] += np.bincount(flat, minlength=12).reshape(3, 2, 2)
-    out.pulses_sent[:, alpha, i] += class_totals
-
+    click0, click1, counted, bit = _double_click_policy(ev_state, keep, det, rng)
+    out = _tally(prep, class_totals, ev_cls, beta, bit, counted)
     if not collect_tags:
         return out
-
-    # Silent frames take the remaining class totals in random order.
-    cls = np.empty(n, dtype=np.int64)
-    silent = np.ones(n, dtype=bool)
-    silent[frames] = False
-    rest = class_totals - np.bincount(ev_cls, minlength=3)
-    cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
-    cls[frames] = ev_cls
-
-    # Window 0's jitter is drawn before window 1's; the tags are then
-    # ordered by pulse, then time.
-    layout = layout or WindowLayout()
-    n_clicks = (int(click0.sum()), int(click1.sum()))
-    idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
-    centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
-    jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
-    ts = centers + np.concatenate(jitter)
-    pulse = start_index + frames[idx]
-    order = np.lexsort((ts, pulse))
-    tags = TimeTags(pulse[order], beta[idx][order], ts[order])
-    ledger = PulseLedger(
-        start_index,
-        cls,
-        np.full(n, alpha, dtype=np.int64),
-        np.full(n, i, dtype=np.int64),
+    tags, ledger = _tags_and_ledger(
+        prep, n, class_totals, frames, ev_cls, beta, click0, click1,
+        det, layout or WindowLayout(), start_index, rng,
     )
     return out, tags, ledger

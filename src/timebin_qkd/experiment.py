@@ -17,6 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -248,8 +249,12 @@ def _run_jobs(
 
     Returns the summed counts of each job in job order and, with
     collect_tags, the tags of all jobs in job order and their merged
-    ledger.  Blocks run on one thread pool of at most `workers` threads,
-    capped at the usable CPUs; the result does not depend on the count.
+    ledger.  `workers` bounds the threads: blocks run on one pool of at
+    most that many, capped at the usable CPUs and at the number of
+    full-size blocks, and on the calling thread when that leaves fewer
+    than two.  A block shorter than BLOCK_PULSES spends most of its time
+    in Python holding the interpreter lock, so a second thread would only
+    contend for it.  The result does not depend on the thread count.
     """
     if workers is not None and workers < 1:
         raise InvalidInputError("workers must be at least 1")
@@ -270,19 +275,24 @@ def _run_jobs(
             start_index=job.start_index + start,
         )
 
-    threads = min(workers or 1, _usable_cpus(), len(blocks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(block) for block in blocks]
+    full_blocks = sum(cnt == BLOCK_PULSES for _, _, (_, _, cnt) in blocks)
+    threads = min(workers or 1, _usable_cpus(), full_blocks)
+    counts = np.zeros((len(jobs), 3, 2, 2, 2, 2), dtype=np.int64)
+    sent = np.zeros((len(jobs), 3, 2, 2), dtype=np.int64)
+    records = []
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
+        results = pool.map(run, blocks) if pool else map(run, blocks)
+        for (j, _, _), r in zip(blocks, results):
+            if collect_tags:
+                r, block_tags, block_ledger = r
+                records.append((block_tags, block_ledger))
+            counts[j] += r.counts
+            sent[j] += r.pulses_sent
 
-    totals = [SessionCounts.zeros() for _ in jobs]
-    for (j, _, _), r in zip(blocks, results):
-        totals[j] = totals[j] + (r[0] if collect_tags else r)
+    totals = [SessionCounts(c, s) for c, s in zip(counts, sent)]
     if not collect_tags:
         return totals, None, None
-    _, tag_parts, ledgers = zip(*results)
+    tag_parts, ledgers = zip(*records)
     tags = TimeTags(*_concat(tag_parts, ("pulse_index", "detector_id", "timestamp_ps")))
     ledger = PulseLedger(ledgers[0].start_index, *_concat(ledgers, ("class_idx", "alpha", "bit")))
     return totals, tags, ledger
@@ -296,7 +306,11 @@ def _concat(parts, columns: tuple[str, ...]) -> list[np.ndarray]:
 def _group_sums(counts: list[SessionCounts], size: int) -> list[SessionCounts]:
     """Sums of consecutive runs of `size` job counts."""
     return [
-        sum(counts[k : k + size], SessionCounts.zeros()) for k in range(0, len(counts), size)
+        SessionCounts(
+            sum(c.counts for c in counts[k : k + size]),
+            sum(c.pulses_sent for c in counts[k : k + size]),
+        )
+        for k in range(0, len(counts), size)
     ]
 
 

@@ -1,15 +1,47 @@
-"""Row-by-row reference versions of the tag and ledger file code and accumulate.
+"""Row-by-row reference versions of the tag and ledger file code, accumulate
+and the event table.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced.  They are slow and kept only so the tests
-can require byte-identical files and identical counts from the array code.
+can require byte-identical files, identical counts and bit-identical
+probabilities from the array code.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from timebin_qkd.detection import PulseLedger, SessionCounts, TimeTags, WindowLayout
+from timebin_qkd.detection import (
+    _EVENT_STATES,
+    DetectorModel,
+    PulseLedger,
+    SessionCounts,
+    TimeTags,
+    WindowLayout,
+)
+
+
+def event_probabilities_loop(
+    mean: float, q_surv: float, outcomes: list[tuple[float, float, float]], det: DetectorModel
+) -> np.ndarray:
+    """One class row of the event table: the 22 event states one by one, then the silent rest."""
+    p_photon = -math.expm1(-mean * q_surv)
+    e = det.intrinsic_error
+    p_dark = det.dark_prob_per_window
+    dark = (1.0 - p_dark, p_dark)
+    signal = [
+        (
+            1.0 - p_photon * (p0 + p1),
+            p_photon * (p0 * (1.0 - e) + p1 * e),
+            p_photon * (p1 * (1.0 - e) + p0 * e),
+        )
+        for p0, p1, _ in outcomes
+    ]
+    probs = [0.5 * signal[b][s] * dark[d0] * dark[d1] for b, s, d0, d1 in _EVENT_STATES]
+    probs.append(max(0.0, 1.0 - math.fsum(probs)))
+    return np.array(probs)
 
 
 def write_pulse_ledger_rows(path, ledger: PulseLedger) -> None:

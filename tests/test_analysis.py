@@ -226,7 +226,7 @@ def test_report_dict_keys_are_stable():
     assert d["f_rep_Hz"] == 80e6
 
 
-def test_secret_key_rate_from_counts_requires_vacuum_data():
+def test_secret_key_rate_without_vacuum_pulses_is_a_flagged_zero():
     counts = _counts_with_rows(
         [[96, 4, 10, 10], [2, 98, 10, 10], [10, 10, 99, 1], [10, 10, 3, 97]]
     )
@@ -234,11 +234,16 @@ def test_secret_key_rate_from_counts_requires_vacuum_data():
     counts.pulses_sent[1] = 1000
     counts.counts[1, 0, 0, 0, 0] = 12
     counts.counts[1, 1, 0, 1, 0] = 14
-    with pytest.raises(NoDataError):
-        secret_key_rate(counts, SourceConfig())
+    assert counts.gain(IntensityClass.VACUUM) == 0.0
+    report = secret_key_rate(counts, SourceConfig())
+    assert report.r_bps == 0.0
+    assert report.y0 is None and report.to_dict()["Y_0"] is None
+    assert (report.y1_lower, report.q1_lower, report.e1_upper) == (0.0, 0.0, 1.0)
+    assert "no-vacuum-pulses" in report.flags
     counts.pulses_sent[2] = 1000
     report = secret_key_rate(counts, SourceConfig())
     assert report.y0 == 0.0
+    assert "no-vacuum-pulses" not in report.flags
     assert report.q_mu == pytest.approx(counts.gain(IntensityClass.SIGNAL))
 
 

@@ -176,17 +176,50 @@ def test_error_exit_codes(tmp_path, capsys):
     assert rc == 4
     assert last_error()["category"] == "io"
 
+
+def test_analyze_without_vacuum_pulses_reports_a_flagged_zero_rate(tmp_path):
     # counts with no vacuum pulses cannot anchor the background yield
-    empty = tmp_path / "novac.json"
+    novac = tmp_path / "novac.json"
     counts = SessionCounts.zeros()
     counts.pulses_sent[0] = 1000
     counts.pulses_sent[1] = 1000
     counts.counts[0, :, :, :, :] = 5
     counts.counts[1, :, :, :, :] = 3
-    write_counts_json(empty, counts, SourceConfig())
-    rc = main(["analyze", "--counts", str(empty)])
-    assert rc == 5
-    assert last_error()["category"] == "no-data"
+    write_counts_json(novac, counts, SourceConfig())
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--counts", str(novac), "--out", str(out)]) == 0
+    report = _strict_json(out.read_text())
+    assert report["R_bps"] == 0.0 and report["Y_0"] is None
+    assert "no-vacuum-pulses" in report["flags"]
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_session_too_short_for_every_class_writes_its_files(tmp_path, seed):
+    # one pulse per setting: some class is never sent
+    paths = {name: tmp_path / name for name in ("tags.csv", "counts.json", "report.json")}
+    rc = main([
+        "session", "--pulses", "1", "--seed", seed,
+        "--dump-tags", str(paths["tags.csv"]), "--save-counts", str(paths["counts.json"]),
+        "--out", str(paths["report.json"]),
+    ])
+    assert rc == 0
+    assert (tmp_path / "tags.csv.ledger").read_text().count("\n") == 1 + 4
+    assert paths["tags.csv"].read_text().startswith("pulse_index,")
+    assert read_counts_json(paths["counts.json"])[0].pulses_sent.sum() == 4
+    report = _strict_json(paths["report.json"].read_text())
+    assert report["R_bps"] == 0.0 and report["flags"]
+
+
+def test_stability_too_short_for_every_class_writes_its_output(tmp_path):
+    out = tmp_path / "stability.json"
+    rc = main([
+        "stability", "--hours", "0.01", "--pulses-per-sample", "1", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    payload = _strict_json(out.read_text())
+    assert payload["report"]["R_bps"] == 0.0
+    assert "no-vacuum-pulses" in payload["report"]["flags"]
 
 
 def _last_error(capsys):

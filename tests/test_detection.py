@@ -18,6 +18,7 @@ from timebin_qkd.detection import (
     SessionCounts,
     TimeTags,
     WindowLayout,
+    _event_probabilities,
     _prune_dead_time,
     _prune_dead_time_clusters,
     accumulate,
@@ -35,6 +36,7 @@ from timebin_qkd.switch import SwitchModel, apply_switch_both_bins
 
 from reference import (
     accumulate_loop,
+    event_probabilities_loop,
     read_pulse_ledger_rows,
     read_time_tags_rows,
     write_pulse_ledger_rows,
@@ -381,6 +383,35 @@ def test_cluster_dead_time_pass_matches_greedy_reference():
             _prune_dead_time_clusters(frames, detector, blocked),
             _prune_dead_time(frames, detector, blocked),
         ), (frames.tolist(), detector.tolist(), blocked)
+
+
+def _event_table_inputs(rng):
+    # dark rates 0 and 1e8 Hz give p_dark 0 and 0.08 per window
+    for k in range(64):
+        means = [rng.uniform(0.0, 5.0), rng.uniform(0.0, 1.0), 0.0 if k % 3 else rng.uniform(0.0, 0.1)]
+        q_surv = (0.0, 1.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-6.0, 0.0))[k % 4]
+        outcomes = [tuple(rng.dirichlet(np.ones(3)) * rng.uniform(0.5, 1.0)) for _ in range(2)]
+        if k % 5 == 0:
+            outcomes[1] = (1.0, 0.0, 0.0)
+        det = DetectorModel(
+            dark_count_rate_hz=(0.0, 100.0, 1e8, rng.uniform(0.0, 1e6))[k % 4 if k % 7 else 0],
+            intrinsic_error=(0.0, 0.5, 0.008, rng.uniform(0.0, 0.5))[(k // 4) % 4],
+        )
+        yield means, q_surv, outcomes, det
+
+
+def test_event_table_matches_the_per_state_reference_bit_for_bit():
+    cases = list(_event_table_inputs(_rng(41)))
+    assert len(cases) >= 50
+    assert {c[3].dark_prob_per_window for c in cases} >= {0.0, 0.08}
+    assert {c[3].intrinsic_error for c in cases} >= {0.0, 0.5}
+    for means, q_surv, outcomes, det in cases:
+        table = _event_probabilities(means, q_surv, outcomes, det)
+        assert table.shape == (3, 23)
+        for c, mean in enumerate(means):
+            assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det)), (
+                mean, q_surv, outcomes, det,
+            )
 
 
 def test_block_rejects_negative_pulse_count():

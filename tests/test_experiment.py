@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -200,7 +201,8 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes):
+def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
     cfg = ExperimentConfig(seed=4)
     delays = [0.0, 2.0, 4.0, 6.0]
     scan = run_pump_delay_scan(cfg, delays, pulses_per_point=2_000, workers=100_000)
@@ -213,9 +215,69 @@ def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes):
     run_session(cfg, pulses=2_000, workers=2)
     run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000, workers=8)
     run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
-    run_pump_delay_scan(cfg, [0.0], pulses_per_point=2_000, workers=8)  # two blocks
+    run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)  # two blocks
     run_session(cfg, pulses=2_000)
     assert pool_sizes == [3, 2, 3, 3, 2]
+
+
+def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):
+    # every block below BLOCK_PULSES: no pool, whatever `workers` allows
+    cfg = ExperimentConfig(seed=4)
+    run_pump_delay_scan(cfg, [0.0, 2.0, 4.0], pulses_per_point=2_000, workers=8)
+    run_session(cfg, pulses=2_000, workers=8)
+    run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000, workers=8)
+    run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
+    assert pool_sizes == []
+
+    # only the full-size blocks count towards the pool: 1,500 pulses are
+    # one full block and one short block per setting
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    run_session(cfg, pulses=1_500, workers=8)
+    run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8)
+    assert pool_sizes == [3, 2]
+
+
+def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    block_threads = set()
+    original = experiment.simulate_block
+
+    def recording_block(*args, **kwargs):
+        block_threads.add(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "simulate_block", recording_block)
+    cfg = ExperimentConfig(seed=21)
+
+    def flows(workers):
+        session = run_session(cfg, pulses=20_000, workers=workers)
+        tagged = run_session(cfg, pulses=20_000, workers=workers, collect_tags=True)
+        sweep = run_loss_sweep(cfg, [1.0, 6.0], pulses=20_000, workers=workers)
+        scan = run_pump_delay_scan(cfg, [0.0, 4.5], pulses_per_point=20_000, workers=workers)
+        stability = run_stability(
+            cfg, hours=1, samples_per_hour=1, pulses_per_sample=20_000, workers=workers
+        )
+        return session, tagged, sweep, scan, stability
+
+    serial = flows(None)
+    assert block_threads == {threading.get_ident()}
+    block_threads.clear()
+    threaded = flows(2)
+    assert threading.get_ident() not in block_threads
+
+    (s1, t1, w1, p1, b1), (s2, t2, w2, p2, b2) = serial, threaded
+    assert s1.counts == s2.counts and s1.report == s2.report
+    assert t1.counts == s1.counts and t2.counts == s1.counts
+    for name in ("pulse_index", "detector_id", "timestamp_ps"):
+        assert np.array_equal(getattr(t1.tags, name), getattr(t2.tags, name))
+    for name in ("class_idx", "alpha", "bit"):
+        assert np.array_equal(getattr(t1.ledger, name), getattr(t2.ledger, name))
+    assert w1.rates_bps.tolist() == w2.rates_bps.tolist() and w1.reports == w2.reports
+    np.testing.assert_array_equal(p1.fidelity_t0, p2.fidelity_t0)
+    np.testing.assert_array_equal(p1.fidelity_t1, p2.fidelity_t1)
+    assert b1.counts == b2.counts and b1.report == b2.report
+    np.testing.assert_array_equal(b1.qber_series, b2.qber_series)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
