@@ -261,7 +261,9 @@ class PulseLedger:
     Covers pulses [start_index, start_index + len); accumulate() needs it
     to attribute windowed clicks to (class, alpha, i).  Every class index
     is 0, 1 or 2 and every alpha and bit 0 or 1, so each is one digit in
-    the ledger file.
+    the ledger file and the columns are held as int8.  Values are
+    range-checked in the input's own dtype (int64 for input that is not
+    integer), before narrowing, so 258 cannot wrap to 2.
     """
 
     start_index: int
@@ -270,18 +272,18 @@ class PulseLedger:
     bit: np.ndarray
 
     def __post_init__(self) -> None:
-        self.class_idx = np.asarray(self.class_idx, dtype=np.int64)
-        self.alpha = np.asarray(self.alpha, dtype=np.int64)
-        self.bit = np.asarray(self.bit, dtype=np.int64)
         n = len(self.class_idx)
         if len(self.alpha) != n or len(self.bit) != n:
             raise InvalidInputError("ledger arrays must have equal length")
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
         for name, top in (("class_idx", 2), ("alpha", 1), ("bit", 1)):
-            values = getattr(self, name)
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iu":
+                values = values.astype(np.int64)
             if np.any((values < 0) | (values > top)):
                 raise InvalidInputError(f"ledger {name} values must lie in 0..{top}")
+            setattr(self, name, values.astype(np.int8, copy=False))
 
     def __len__(self) -> int:
         return len(self.class_idx)
@@ -364,9 +366,14 @@ LEDGER_HEADER = "pulse_index,intensity_class,alpha,bit"
 _TAG_DTYPE = np.dtype(list(zip(TAG_HEADER.split(","), (np.int64, np.int64, np.float64))))
 _LEDGER_DTYPE = np.dtype([(name, np.int64) for name in LEDGER_HEADER.split(",")])
 
-# Ledger rows formatted per write; bounds the writer's memory whatever the
-# ledger length.
-LEDGER_CHUNK_ROWS = 1 << 14
+# Pulse indices in an aligned run of _RUN share all but their last four
+# digits, which the ledger writer copies from one template per run.
+_RUN = 10_000
+_ROW_TAIL = np.frombuffer(b",0,0,0\n", dtype=np.uint8)
+
+# Ledger rows formatted per write, a whole number of runs; bounds the
+# writer's memory whatever the ledger length.
+LEDGER_CHUNK_ROWS = 2 * _RUN
 
 # A whitespace-only line, and a tag or ledger line that is neither empty
 # nor the comma-separated numbers of its format.
@@ -393,16 +400,19 @@ def _read_rows(path, header: str, what: str, dtype: np.dtype, bad_line: re.Patte
     whitespace-only lines emptied and the first line `bad_line` matches is
     reported by its file line.
     """
-    with open(path, "r", encoding="ascii") as f:
-        found = f.readline().strip()
-        if found != header:
-            raise InvalidInputError(f"unrecognized {what} header: {found!r}")
-        body_start = f.tell()
-        try:
-            return _load_rows(f, dtype)
-        except ValueError:
-            f.seek(body_start)
-            body = _BLANK_LINE.sub("", f.read())
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            found = f.readline().strip()
+            if found != header:
+                raise InvalidInputError(f"unrecognized {what} header: {found!r}")
+            body_start = f.tell()
+            try:
+                return _load_rows(f, dtype)
+            except ValueError:
+                f.seek(body_start)
+                body = _BLANK_LINE.sub("", f.read())
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{what} line {_non_ascii_line(path)}: not ASCII text") from None
     bad = bad_line.search(body)
     if bad is not None:
         lineno = body.count("\n", 0, bad.start()) + 2
@@ -432,40 +442,132 @@ def read_time_tags(path) -> TimeTags:
     return TimeTags(rows["pulse_index"], rows["detector_id"], rows["timestamp_ps"])
 
 
-def _ledger_chunk(ledger: PulseLedger, lo: int, hi: int) -> bytes:
-    """Ledger rows lo..hi-1 as ASCII, built as one byte matrix.
+def _non_ascii_line(path) -> int:
+    """The line number, header included, of the first non-ASCII byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    first = re.search(rb"[\x80-\xff]", data).start()
+    return len(data[: first + 1].splitlines())
 
-    Each row of the matrix holds the pulse index right-aligned in `width`
-    digit columns, then ",c,a,b\n"; the leading zeros of shorter indices
-    are masked out when the matrix is flattened.
+
+def _ledger_chunks(start_index: int, class_idx, alpha, bit):
+    """The ledger file body as C-contiguous (rows, width + 7) byte matrices.
+
+    Each chunk holds rows of one index width and lies in one aligned
+    block of LEDGER_CHUNK_ROWS indices.  It is cut from a (runs, _RUN,
+    width + 7) matrix of whole runs: one run's rows of low digits and
+    ",0,0,0\n" are broadcast over every run, each run's high digits are
+    written once, then the three digit columns are added.
     """
-    idx = np.arange(ledger.start_index + lo, ledger.start_index + hi, dtype=np.int64)
-    width = len(str(ledger.start_index + hi - 1))
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    mat = np.empty((hi - lo, width + 7), dtype=np.uint8)
-    mat[:, :width] = idx[:, None] // powers % 10 + ord("0")
-    mat[:, width:] = np.frombuffer(b",0,0,0\n", dtype=np.uint8)
-    mat[:, width + 1] += ledger.class_idx[lo:hi].astype(np.uint8)
-    mat[:, width + 3] += ledger.alpha[lo:hi].astype(np.uint8)
-    mat[:, width + 5] += ledger.bit[lo:hi].astype(np.uint8)
-    keep = np.ones(mat.shape, dtype=bool)
-    keep[:, :width] = powers <= np.maximum(idx, 1)[:, None]
-    return mat[keep].tobytes()
+    # the four low digits of 0.._RUN - 1, built per call so that importing
+    # the module allocates nothing
+    low_digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, _RUN).T + ord("0")
+    end_index = start_index + len(class_idx)
+    first = start_index
+    while first < end_index:
+        width = len(str(first))
+        low = min(width, 4)
+        run = np.empty((_RUN, width + 7), dtype=np.uint8)
+        run[:, width - low : width] = low_digits[:, 4 - low :]
+        run[:, width:] = _ROW_TAIL
+        width_end = min(end_index, 10**width)
+        while first < width_end:
+            stop = min(width_end, first - first % LEDGER_CHUNK_ROWS + LEDGER_CHUNK_ROWS)
+            base = first - first % _RUN
+            runs = -(-(stop - base) // _RUN)
+            mat = np.empty((runs, _RUN, width + 7), dtype=np.uint8)
+            mat[:] = run
+            if width > 4:
+                high = "".join(map(str, range(base // _RUN, base // _RUN + runs)))
+                digits = np.frombuffer(high.encode("ascii"), dtype=np.uint8)
+                for col, digit in enumerate(digits.reshape(runs, width - 4).T):
+                    mat[:, :, col] = digit[:, None]
+            rows = mat.reshape(-1, width + 7)[first - base : stop - base]
+            lo, hi = first - start_index, stop - start_index
+            for col, values in ((1, class_idx), (3, alpha), (5, bit)):
+                rows[:, width + col] += values[lo:hi].view(np.uint8)
+            yield rows
+            first = stop
 
 
 def write_pulse_ledger(path, ledger: PulseLedger) -> None:
     """Write the sender record: pulse_index,intensity_class,alpha,bit.
 
-    Rows are formatted LEDGER_CHUNK_ROWS at a time, so memory stays bounded.
+    Rows are formatted at most LEDGER_CHUNK_ROWS at a time, so memory
+    stays bounded.
     """
     with open(path, "wb") as f:
         f.write(LEDGER_HEADER.encode("ascii") + b"\n")
-        for lo in range(0, len(ledger), LEDGER_CHUNK_ROWS):
-            f.write(_ledger_chunk(ledger, lo, min(lo + LEDGER_CHUNK_ROWS, len(ledger))))
+        for rows in _ledger_chunks(ledger.start_index, ledger.class_idx, ledger.alpha, ledger.bit):
+            f.write(rows)
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _decode_written_ledger(data: bytes) -> PulseLedger | None:
+    """The ledger whose written file is exactly `data`, or None.
+
+    Rows of one index width have one length, so the body's length fixes
+    where each width starts and the digit columns are read at fixed
+    offsets.  The ledger they give is accepted only if the writer's own
+    chunks reproduce the body byte for byte, and its last index fits the
+    int64 the row reader parses into.
+    """
+    header = LEDGER_HEADER.encode("ascii") + b"\n"
+    if not data.startswith(header):
+        return None
+    pos = len(header)
+    comma = data.find(b",", pos, pos + 21)
+    digits = data[pos:comma]
+    if comma < 0 or not digits.isdigit():
+        return None
+    start = index = int(digits)
+    groups = []
+    rest = len(data) - pos
+    while rest:
+        width = len(str(index))
+        rows = min(10**width - index, rest // (width + 7))
+        if rows == 0:
+            return None
+        groups.append((pos, rows, width))
+        index += rows
+        pos += rows * (width + 7)
+        rest -= rows * (width + 7)
+    if index - 1 > _INT64_MAX:
+        return None
+    columns = np.empty((3, index - start), dtype=np.uint8)
+    row = 0
+    for offset, rows, width in groups:
+        mat = np.frombuffer(data, np.uint8, rows * (width + 7), offset).reshape(rows, width + 7)
+        columns[:, row : row + rows] = mat[:, width + 1 : width + 6 : 2].T
+        row += rows
+    columns -= ord("0")
+    if columns[0].max() > 2 or columns[1:].max() > 1:
+        return None
+    class_idx, alpha, bit = columns.view(np.int8)
+    pos = len(header)
+    for chunk in _ledger_chunks(start, class_idx, alpha, bit):
+        if not data.startswith(chunk, pos):
+            return None
+        pos += chunk.nbytes
+    return PulseLedger(start, class_idx, alpha, bit)
 
 
 def read_pulse_ledger(path) -> PulseLedger:
-    """Read a ledger file; one loadtxt call parses every row."""
+    """Read a ledger file.
+
+    A file that is exactly what write_pulse_ledger writes is decoded at
+    fixed offsets; any other file goes through one loadtxt call, which also
+    accepts padding, CRLF and blank lines and names a bad line.
+    """
+    with open(path, "rb") as f:
+        ledger = _decode_written_ledger(f.read())
+    return ledger if ledger is not None else _read_ledger_rows(path)
+
+
+def _read_ledger_rows(path) -> PulseLedger:
+    """The loadtxt path of read_pulse_ledger, which takes any ledger file."""
     rows = _read_rows(path, LEDGER_HEADER, "ledger", _LEDGER_DTYPE, _BAD_LEDGER_LINE)
     if len(rows) == 0:
         raise InvalidInputError("empty pulse ledger")
@@ -654,11 +756,11 @@ def _tags_and_ledger(
 ) -> tuple[TimeTags, PulseLedger]:
     """The physical click record and the sender's ledger."""
     # Silent frames take the remaining class totals in random order.
-    cls = np.empty(n, dtype=np.int64)
+    cls = np.empty(n, dtype=np.int8)
     silent = np.ones(n, dtype=bool)
     silent[frames] = False
     rest = class_totals - np.bincount(ev_cls, minlength=3)
-    cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
+    cls[silent] = rng.permutation(np.repeat(np.arange(3, dtype=np.int8), rest))
     cls[frames] = ev_cls
 
     # Window 0's jitter is drawn before window 1's; the tags are then
@@ -674,8 +776,8 @@ def _tags_and_ledger(
     ledger = PulseLedger(
         start_index,
         cls,
-        np.full(n, int(prep.basis), dtype=np.int64),
-        np.full(n, prep.bit, dtype=np.int64),
+        np.full(n, int(prep.basis), dtype=np.int8),
+        np.full(n, prep.bit, dtype=np.int8),
     )
     return tags, ledger
 

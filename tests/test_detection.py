@@ -18,9 +18,11 @@ from timebin_qkd.detection import (
     SessionCounts,
     TimeTags,
     WindowLayout,
+    _decode_written_ledger,
     _event_probabilities,
     _prune_dead_time,
     _prune_dead_time_clusters,
+    _read_ledger_rows,
     accumulate,
     outcome_probabilities,
     read_pulse_ledger,
@@ -606,10 +608,12 @@ _LEDGER_LENGTHS = (
 )
 
 
-@pytest.mark.parametrize("start_index", [0, 9, 10, 99_999, 999_999])
+@pytest.mark.parametrize("start_index", [0, 9, 10, 9_995, 99_999, 999_999, 123_456_789])
 def test_ledger_writer_matches_the_row_by_row_reference(tmp_path, start_index):
     # start indices sit on digit-width boundaries, so rows of one chunk
-    # and of neighbouring chunks differ in index width
+    # and of neighbouring chunks differ in index width; 9,995 crosses a
+    # run of 10^4 indices inside a chunk, and 123,456,789 has more than
+    # one high digit
     rng = _rng(22)
     for n in _LEDGER_LENGTHS:
         ledger = PulseLedger(
@@ -617,7 +621,10 @@ def test_ledger_writer_matches_the_row_by_row_reference(tmp_path, start_index):
         )
         write_pulse_ledger(tmp_path / "fast", ledger)
         write_pulse_ledger_rows(tmp_path / "ref", ledger)
-        assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes(), n
+        written = (tmp_path / "fast").read_bytes()
+        assert written == (tmp_path / "ref").read_bytes(), n
+        # the reader takes its fixed-offset path for what the writer wrote
+        assert _decode_written_ledger(written) is not None, n
         back = read_pulse_ledger(tmp_path / "fast")
         assert back.start_index == start_index
         assert np.array_equal(back.class_idx, ledger.class_idx)
@@ -655,18 +662,24 @@ def test_ledger_reader_accepts_what_the_row_reader_accepts(tmp_path):
         (read_time_tags, TAG_HEADER, "0,1\n", "line 2"),
         (read_time_tags, TAG_HEADER, "0,1,0.0\n1,0,2.0,7\n", "line 3"),
         (read_time_tags, TAG_HEADER, "0,x,0.0\n", "line 2"),
+        (read_pulse_ledger, LEDGER_HEADER, "0,1,0,1\n1,1,\u00e9,1\n", "line 3"),
+        (read_pulse_ledger, LEDGER_HEADER + "\u00e9", "0,1,0,1\n", "line 1"),
+        (read_time_tags, TAG_HEADER, "0,1,0.0\n1,\u00e9,2.0\n", "line 3"),
+        (read_time_tags, "\u00e9" + TAG_HEADER, "0,1,0.0\n", "line 1"),
     ],
     ids=[
         "ledger-too-few", "ledger-too-few-after-blank", "ledger-too-many",
         "ledger-not-integer", "ledger-float", "ledger-header-only", "ledger-blank-only",
         "tags-too-few", "tags-too-many", "tags-not-integer",
+        "ledger-non-ascii-row", "ledger-non-ascii-header",
+        "tags-non-ascii-row", "tags-non-ascii-header",
     ],
 )
 def test_malformed_rows_raise_input_errors_naming_the_row(
     tmp_path, reader, header, body, match
 ):
     path = tmp_path / "file"
-    path.write_text(f"{header}\n{body}")
+    path.write_text(f"{header}\n{body}", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=match):
@@ -679,6 +692,32 @@ def test_ledger_values_are_range_checked():
     for cls, alpha, bit in (([3], [0], [0]), ([-1], [0], [0]), ([0], [2], [0]), ([0], [0], [-1])):
         with pytest.raises(InvalidInputError):
             PulseLedger(0, cls, alpha, bit)
+    # values that wrap to a valid int8 digit are rejected before narrowing
+    for value in (258, 256, -254):
+        wide = np.array([value], dtype=np.int64)
+        zero = np.zeros(1, dtype=np.int64)
+        for columns in ((wide, zero, zero), (zero, wide, zero), (zero, zero, wide)):
+            with pytest.raises(InvalidInputError):
+                PulseLedger(0, *columns)
+
+
+def test_ledger_columns_are_int8(tmp_path):
+    made = PulseLedger(0, [0, 1, 2], np.array([0, 1, 0], dtype=np.int64), [1.0, 0.0, 1.0])
+    write_pulse_ledger(tmp_path / "written", made)
+    (tmp_path / "padded").write_text(f"{LEDGER_HEADER}\n 0,0,0,1\n1,1,1,0\n")
+    _, _, simulated = simulate_block(
+        BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
+        DetectorModel(), _rng(3), collect_tags=True,
+    )
+    ledgers = (
+        made,
+        read_pulse_ledger(tmp_path / "written"),
+        read_pulse_ledger(tmp_path / "padded"),
+        simulated,
+    )
+    for ledger in ledgers:
+        for name in ("class_idx", "alpha", "bit"):
+            assert getattr(ledger, name).dtype == np.int8, name
 
 
 def test_ledger_reader_rejects_out_of_range_values(tmp_path):
@@ -690,6 +729,82 @@ def test_ledger_reader_rejects_out_of_range_values(tmp_path):
     path.write_text(f"{LEDGER_HEADER}\n4,1,0,1\n6,1,0,1\n")
     with pytest.raises(InvalidInputError, match="contiguous"):
         read_pulse_ledger(path)
+
+
+def _ledger_outcome(reader, path):
+    """(start_index, class_idx, alpha, bit) as lists, or InvalidInputError."""
+    try:
+        ledger = reader(path)
+    except InvalidInputError:
+        return InvalidInputError
+    return ledger.start_index, ledger.class_idx.tolist(), ledger.alpha.tolist(), ledger.bit.tolist()
+
+
+_MUTATION_BYTES = b"0123456789,\n\r \t+-:/.x\xc3"
+
+
+@pytest.mark.parametrize("start_index", [0, 7, 95, 9_995, 99_998])
+def test_ledger_reader_agrees_with_the_row_reader_on_mutated_files(tmp_path, start_index):
+    # 250 single-byte substitutions, insertions and deletions of writer
+    # output per start index, whose 12 rows cross an index width: the
+    # reader returns what the loadtxt path returns, or raises
+    # InvalidInputError where it does
+    rng = _rng(start_index)
+    n = 12
+    ledger = PulseLedger(
+        start_index, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+    )
+    write_pulse_ledger(tmp_path / "ledger", ledger)
+    written = (tmp_path / "ledger").read_bytes()
+    path = tmp_path / "mutant"
+    accepted = decoded = 0
+    for _ in range(250):
+        pos = int(rng.integers(0, len(written)))
+        k = int(rng.integers(len(_MUTATION_BYTES)))
+        byte = _MUTATION_BYTES[k : k + 1]
+        kind = rng.integers(3)
+        if kind == 0:
+            mutant = written[:pos] + byte + written[pos + 1 :]
+        elif kind == 1:
+            mutant = written[:pos] + byte + written[pos:]
+        else:
+            mutant = written[:pos] + written[pos + 1 :]
+        path.write_bytes(mutant)
+        got = _ledger_outcome(read_pulse_ledger, path)
+        assert got == _ledger_outcome(_read_ledger_rows, path), mutant
+        accepted += got is not InvalidInputError
+        decoded += _decode_written_ledger(mutant) is not None
+    # both outcomes occur, and some mutants are writer output of another ledger
+    assert 0 < accepted < 250 and decoded > 0
+
+
+@pytest.mark.parametrize(
+    "body, accepted",
+    [
+        (f"{2**63},0,0,0\n", False),
+        (f"{2**63 - 1},0,0,0\n{2**63},1,1,1\n", False),
+        (f"{2**63 - 1},2,1,1\n", True),
+        ("05,0,1,0\n6,2,0,1\n", True),
+        ("+5,0,1,0\n6,2,0,1\n", True),
+        ("5,0,1,0\r\n6,2,0,1\r\n", True),
+        ("5,0,1,0\n6,2,0,1", True),
+        ("5,0,1,0\n6,2,0,1\n\n", True),
+        ("5,3,1,0\n6,2,0,1\n", False),
+        ("5,0,:,0\n6,2,0,1\n", False),
+        ("5,0,1,0\n:,2,0,1\n", False),
+    ],
+    ids=[
+        "first-index-beyond-int64", "last-index-beyond-int64", "index-int64-max",
+        "leading-zero", "leading-plus", "crlf", "no-final-newline", "trailing-blank-line",
+        "class-3", "colon-in-alpha", "colon-in-index",
+    ],
+)
+def test_ledger_reader_edge_cases_match_the_row_reader(tmp_path, body, accepted):
+    path = tmp_path / "ledger"
+    path.write_text(f"{LEDGER_HEADER}\n{body}")
+    got = _ledger_outcome(read_pulse_ledger, path)
+    assert got == _ledger_outcome(_read_ledger_rows, path)
+    assert (got is not InvalidInputError) == accepted
 
 
 def _edge_case_tags(rng, layout, n_pulses, n_tags):
