@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 
 from .errors import ConfigError, InvalidInputError, InvalidStateError, NoDataError
 from .experiment import (
@@ -161,14 +163,40 @@ def _emit(args, payload: dict, csv_text: str) -> None:
         sys.stdout.write(text)
 
 
+@contextmanager
+def _replaced_on_success(path: str):
+    """A binary file at a sibling temp name, moved to `path` when the with-body returns.
+
+    If the body raises, the temp file is removed instead, so a failed run
+    leaves no partial file at `path`.
+    """
+    tmp = f"{path}.partial"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _cmd_session(args) -> int:
     cfg = _config(args)
-    res = run_session(cfg, workers=args.workers, collect_tags=bool(args.dump_tags))
+    if not args.dump_tags:
+        res = run_session(cfg, workers=args.workers)
+    else:
+        # each block's tags and ledger are appended as the run reduces it
+        with _replaced_on_success(args.dump_tags) as tag_file, _replaced_on_success(
+            args.dump_tags + ".ledger"
+        ) as ledger_file:
+
+            def sink(tags, ledger) -> None:
+                write_time_tags(tag_file, tags)
+                write_pulse_ledger(ledger_file, ledger)
+
+            res = run_session(cfg, workers=args.workers, sink=sink)
     if args.save_counts:
         write_counts_json(args.save_counts, res.counts, cfg.source)
-    if args.dump_tags:
-        write_time_tags(args.dump_tags, res.tags)
-        write_pulse_ledger(args.dump_tags + ".ledger", res.ledger)
     payload = report_payload(res.report)
     payload["matrix"] = None if res.matrix is None else matrix_payload(res.matrix)
     _emit(args, payload, report_csv(res.report))

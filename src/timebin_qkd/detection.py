@@ -23,6 +23,7 @@ import io
 import math
 import re
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,7 +282,7 @@ class PulseLedger:
             values = np.asarray(getattr(self, name))
             if values.dtype.kind not in "iu":
                 values = values.astype(np.int64)
-            if np.any((values < 0) | (values > top)):
+            if n and (values.min() < 0 or values.max() > top):
                 raise InvalidInputError(f"ledger {name} values must lie in 0..{top}")
             setattr(self, name, values.astype(np.int8, copy=False))
 
@@ -335,10 +336,11 @@ def accumulate(
     accumulating the concatenation.
     """
     out = SessionCounts.zeros()
-    flat_sent = (
-        ledger.class_idx * 4 + ledger.alpha * 2 + ledger.bit
-    )
-    out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
+    # tallied 2**16 pulses at a time: bincount casts its input to intp
+    for lo in range(0, len(ledger), 1 << 16):
+        part = slice(lo, lo + (1 << 16))
+        flat_sent = ledger.class_idx[part] * 4 + ledger.alpha[part] * 2 + ledger.bit[part]
+        out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
 
     pulse, ts = tags.pulse_index, tags.timestamp_ps
     outside = (pulse < ledger.start_index) | (pulse >= ledger.start_index + len(ledger))
@@ -371,8 +373,9 @@ _LEDGER_DTYPE = np.dtype([(name, np.int64) for name in LEDGER_HEADER.split(",")]
 _RUN = 10_000
 _ROW_TAIL = np.frombuffer(b",0,0,0\n", dtype=np.uint8)
 
-# Ledger rows formatted per write, a whole number of runs; bounds the
-# writer's memory whatever the ledger length.
+# Ledger rows formatted or read back at a time, a whole number of runs;
+# bounds the memory of each whatever the ledger length.  Tag rows are
+# formatted in batches of the same size.
 LEDGER_CHUNK_ROWS = 2 * _RUN
 
 # A whitespace-only line, and a tag or ledger line that is neither empty
@@ -425,15 +428,27 @@ def _read_rows(path, header: str, what: str, dtype: np.dtype, bad_line: re.Patte
         raise InvalidInputError(f"malformed {what}: {e}") from e
 
 
+def _output(target):
+    """`target` itself if it is an open file, else `target` opened for binary writing."""
+    return nullcontext(target) if hasattr(target, "write") else open(target, "wb")
+
+
 def write_time_tags(path, tags: TimeTags) -> None:
     """Write tags as line-oriented text: pulse_index,detector_id,timestamp_ps.
 
     Timestamps are written as their repr, so reading them back is exact.
+    `path` may also be a binary file open for writing: the rows are
+    appended, after the header if the file is still empty.  Rows are
+    formatted at most LEDGER_CHUNK_ROWS at a time.
     """
-    columns = (tags.pulse_index.tolist(), tags.detector_id.tolist(), tags.timestamp_ps.tolist())
-    with open(path, "w", encoding="ascii") as f:
-        f.write(TAG_HEADER + "\n")
-        f.writelines(map("{},{},{!r}\n".format, *columns))
+    with _output(path) as f:
+        if f.tell() == 0:
+            f.write(TAG_HEADER.encode("ascii") + b"\n")
+        for lo in range(0, len(tags), LEDGER_CHUNK_ROWS):
+            part = slice(lo, lo + LEDGER_CHUNK_ROWS)
+            columns = (tags.pulse_index[part].tolist(), tags.detector_id[part].tolist(),
+                       tags.timestamp_ps[part].tolist())
+            f.write("".join(map("{},{},{!r}\n".format, *columns)).encode("ascii"))
 
 
 def read_time_tags(path) -> TimeTags:
@@ -450,19 +465,21 @@ def _non_ascii_line(path) -> int:
     return len(data[: first + 1].splitlines())
 
 
-def _ledger_chunks(start_index: int, class_idx, alpha, bit):
-    """The ledger file body as C-contiguous (rows, width + 7) byte matrices.
+def _ledger_chunks(start_index: int, end_index: int):
+    """The ledger file body of pulses [start_index, end_index), chunk by chunk.
 
-    Each chunk holds rows of one index width and lies in one aligned
-    block of LEDGER_CHUNK_ROWS indices.  It is cut from a (runs, _RUN,
-    width + 7) matrix of whole runs: one run's rows of low digits and
-    ",0,0,0\n" are broadcast over every run, each run's high digits are
-    written once, then the three digit columns are added.
+    Yields (lo, hi, rows): rows is the C-contiguous (hi - lo, width + 7)
+    byte matrix of the file rows of pulses start_index + lo ..
+    start_index + hi - 1, with each of the three digit columns
+    `rows[:, -6:-1:2]` still "0".  Each chunk holds rows of one index width
+    and lies in one aligned block of LEDGER_CHUNK_ROWS indices.  It is cut
+    from a (runs, _RUN, width + 7) matrix of whole runs: one run's rows of
+    low digits and ",0,0,0\n" are broadcast over every run, then each
+    run's high digits are written once.
     """
     # the four low digits of 0.._RUN - 1, built per call so that importing
     # the module allocates nothing
     low_digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, _RUN).T + ord("0")
-    end_index = start_index + len(class_idx)
     first = start_index
     while first < end_index:
         width = len(str(first))
@@ -483,10 +500,7 @@ def _ledger_chunks(start_index: int, class_idx, alpha, bit):
                 for col, digit in enumerate(digits.reshape(runs, width - 4).T):
                     mat[:, :, col] = digit[:, None]
             rows = mat.reshape(-1, width + 7)[first - base : stop - base]
-            lo, hi = first - start_index, stop - start_index
-            for col, values in ((1, class_idx), (3, alpha), (5, bit)):
-                rows[:, width + col] += values[lo:hi].view(np.uint8)
-            yield rows
+            yield first - start_index, stop - start_index, rows
             first = stop
 
 
@@ -494,75 +508,82 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
     """Write the sender record: pulse_index,intensity_class,alpha,bit.
 
     Rows are formatted at most LEDGER_CHUNK_ROWS at a time, so memory
-    stays bounded.
+    stays bounded.  `path` may also be a binary file open for writing: the
+    rows are appended, after the header if the file is still empty.
     """
-    with open(path, "wb") as f:
-        f.write(LEDGER_HEADER.encode("ascii") + b"\n")
-        for rows in _ledger_chunks(ledger.start_index, ledger.class_idx, ledger.alpha, ledger.bit):
+    columns = (ledger.class_idx, ledger.alpha, ledger.bit)
+    with _output(path) as f:
+        if f.tell() == 0:
+            f.write(LEDGER_HEADER.encode("ascii") + b"\n")
+        for lo, hi, rows in _ledger_chunks(ledger.start_index, ledger.start_index + len(ledger)):
+            for digit, values in zip(rows[:, -6:-1:2].T, columns):
+                digit += values[lo:hi].view(np.uint8)
             f.write(rows)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _decode_written_ledger(data: bytes) -> PulseLedger | None:
-    """The ledger whose written file is exactly `data`, or None.
+def _decode_written_ledger(f) -> PulseLedger | None:
+    """The ledger whose written file is exactly what binary file `f` holds, or None.
 
-    Rows of one index width have one length, so the body's length fixes
+    Rows of one index width have one length, so the file's size fixes
     where each width starts and the digit columns are read at fixed
-    offsets.  The ledger they give is accepted only if the writer's own
-    chunks reproduce the body byte for byte, and its last index fits the
-    int64 the row reader parses into.
+    offsets.  The file is read one writer chunk at a time, and each chunk
+    is accepted only if the writer's own chunk of the values it gives
+    reproduces it byte for byte; the last index must fit the int64 the row
+    reader parses into.
     """
     header = LEDGER_HEADER.encode("ascii") + b"\n"
-    if not data.startswith(header):
+    size = f.seek(0, io.SEEK_END)
+    f.seek(0)
+    head = f.read(len(header) + 21)
+    if not head.startswith(header):
         return None
     pos = len(header)
-    comma = data.find(b",", pos, pos + 21)
-    digits = data[pos:comma]
+    comma = head.find(b",", pos)
+    digits = head[pos:comma]
     if comma < 0 or not digits.isdigit():
         return None
     start = index = int(digits)
-    groups = []
-    rest = len(data) - pos
+    rest = size - pos
     while rest:
         width = len(str(index))
         rows = min(10**width - index, rest // (width + 7))
         if rows == 0:
             return None
-        groups.append((pos, rows, width))
         index += rows
-        pos += rows * (width + 7)
         rest -= rows * (width + 7)
     if index - 1 > _INT64_MAX:
         return None
     columns = np.empty((3, index - start), dtype=np.uint8)
-    row = 0
-    for offset, rows, width in groups:
-        mat = np.frombuffer(data, np.uint8, rows * (width + 7), offset).reshape(rows, width + 7)
-        columns[:, row : row + rows] = mat[:, width + 1 : width + 6 : 2].T
-        row += rows
-    columns -= ord("0")
-    if columns[0].max() > 2 or columns[1:].max() > 1:
-        return None
-    class_idx, alpha, bit = columns.view(np.int8)
-    pos = len(header)
-    for chunk in _ledger_chunks(start, class_idx, alpha, bit):
-        if not data.startswith(chunk, pos):
+    f.seek(pos)
+    for lo, hi, rows in _ledger_chunks(start, index):
+        data = f.read(rows.nbytes)
+        if len(data) != rows.nbytes:
             return None
-        pos += chunk.nbytes
-    return PulseLedger(start, class_idx, alpha, bit)
+        values = columns[:, lo:hi]
+        values[...] = np.frombuffer(data, np.uint8).reshape(rows.shape)[:, -6:-1:2].T
+        values -= ord("0")
+        if values[0].max() > 2 or values[1:].max() > 1:
+            return None
+        for digit, column in zip(rows[:, -6:-1:2].T, values):
+            digit += column
+        if not data.startswith(rows):
+            return None
+    return PulseLedger(start, *columns.view(np.int8))
 
 
 def read_pulse_ledger(path) -> PulseLedger:
     """Read a ledger file.
 
     A file that is exactly what write_pulse_ledger writes is decoded at
-    fixed offsets; any other file goes through one loadtxt call, which also
-    accepts padding, CRLF and blank lines and names a bad line.
+    fixed offsets, one chunk at a time; any other file goes through one
+    loadtxt call, which also accepts padding, CRLF and blank lines and
+    names a bad line.
     """
     with open(path, "rb") as f:
-        ledger = _decode_written_ledger(f.read())
+        ledger = _decode_written_ledger(f)
     return ledger if ledger is not None else _read_ledger_rows(path)
 
 

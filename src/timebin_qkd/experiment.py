@@ -16,6 +16,8 @@ import dataclasses
 import json
 import math
 import os
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -226,7 +228,6 @@ class _Job:
 
     key: tuple[int, ...]
     setting: PreparationSetting
-    pulses: int
     budget: LossBudget
     switch: SwitchModel
     start_index: int = 0
@@ -238,30 +239,69 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_order(pool, fn, items: Iterable, window: int) -> Iterator[tuple]:
+    """(item, fn(item)) for each item, in order.
+
+    On a pool at most `window` items are submitted and not yet taken;
+    without one each item runs on the calling thread as its turn comes.
+    """
+    if pool is None:
+        for item in items:
+            yield item, fn(item)
+        return
+    pending: deque = deque()
+
+    def take():
+        # no reference to a taken result outlives the caller's use of it
+        done, future = pending.popleft()
+        return done, future.result()
+
+    for item in items:
+        if len(pending) == window:
+            yield take()
+        pending.append((item, pool.submit(fn, item)))
+    while pending:
+        yield take()
+
+
 def _run_jobs(
     config: ExperimentConfig,
-    jobs: list[_Job],
+    groups: Iterable[list[_Job]],
+    n_jobs: int,
+    pulses: int,
     workers: int | None,
-    *,
-    collect_tags: bool = False,
-) -> tuple[list[SessionCounts], TimeTags | None, PulseLedger | None]:
-    """The block engine: simulate every block of every job, then merge.
+    sink: Callable[[TimeTags, PulseLedger], None] | None = None,
+) -> Iterator[SessionCounts]:
+    """The block engine: simulate every block of every job, reduced in order.
 
-    Returns the summed counts of each job in job order and, with
-    collect_tags, the tags of all jobs in job order and their merged
-    ledger.  `workers` bounds the threads: blocks run on one pool of at
-    most that many, capped at the usable CPUs and at the number of
-    full-size blocks, and on the calling thread when that leaves fewer
-    than two.  A block shorter than BLOCK_PULSES spends most of its time
-    in Python holding the interpreter lock, so a second thread would only
-    contend for it.  The result does not depend on the thread count.
+    `groups` yields lists of jobs, n_jobs jobs in all, each a train of
+    `pulses` pulses.  The engine yields the summed counts of each group in
+    order, as soon as its last block is in; with a sink it also hands each
+    block's tags and ledger to sink(tags, ledger), in job and block order.
+    It keeps nothing else, so its memory does not grow with the run.
+
+    `workers` bounds the threads: blocks run on one pool of at most that
+    many, capped at the usable CPUs and at the number of full-size blocks,
+    and on the calling thread when that leaves fewer than two.  A block
+    shorter than BLOCK_PULSES spends most of its time in Python holding
+    the interpreter lock, so a second thread would only contend for it.
+    At most twice as many blocks as threads are submitted and not yet
+    reduced.  The result does not depend on the thread count.
     """
     if workers is not None and workers < 1:
         raise InvalidInputError("workers must be at least 1")
-    blocks = [(j, job, b) for j, job in enumerate(jobs) for b in _blocks(job.pulses)]
+    blocks = _blocks(pulses)
+    full_blocks = n_jobs * sum(cnt == BLOCK_PULSES for _, _, cnt in blocks)
+    threads = min(workers or 1, _usable_cpus(), full_blocks)
 
-    def run(block):
-        _, job, (b_idx, start, cnt) = block
+    def tasks():
+        for group in groups:
+            for j, job in enumerate(group, 1):
+                for b, block in enumerate(blocks, 1):
+                    yield job, block, j == len(group) and b == len(blocks)
+
+    def run(task):
+        job, (b_idx, start, cnt), _ = task
         return simulate_block(
             job.setting,
             cnt,
@@ -270,32 +310,24 @@ def _run_jobs(
             job.switch,
             config.detector,
             derived_rng(config.seed, *job.key, b_idx),
-            collect_tags=collect_tags,
+            collect_tags=sink is not None,
             layout=config.layout,
             start_index=job.start_index + start,
         )
 
-    full_blocks = sum(cnt == BLOCK_PULSES for _, _, (_, _, cnt) in blocks)
-    threads = min(workers or 1, _usable_cpus(), full_blocks)
-    counts = np.zeros((len(jobs), 3, 2, 2, 2, 2), dtype=np.int64)
-    sent = np.zeros((len(jobs), 3, 2, 2), dtype=np.int64)
-    records = []
+    counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
+    sent = np.zeros((3, 2, 2), dtype=np.int64)
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
-        results = pool.map(run, blocks) if pool else map(run, blocks)
-        for (j, _, _), r in zip(blocks, results):
-            if collect_tags:
-                r, block_tags, block_ledger = r
-                records.append((block_tags, block_ledger))
-            counts[j] += r.counts
-            sent[j] += r.pulses_sent
-
-    totals = [SessionCounts(c, s) for c, s in zip(counts, sent)]
-    if not collect_tags:
-        return totals, None, None
-    tag_parts, ledgers = zip(*records)
-    tags = TimeTags(*_concat(tag_parts, ("pulse_index", "detector_id", "timestamp_ps")))
-    ledger = PulseLedger(ledgers[0].start_index, *_concat(ledgers, ("class_idx", "alpha", "bit")))
-    return totals, tags, ledger
+        for (_, _, ends_group), r in _in_order(pool, run, tasks(), 2 * threads):
+            if sink is not None:
+                # drops the block's tags and ledger before the next block runs
+                sink(*r[1:])
+                r = r[0]
+            counts += r.counts
+            sent += r.pulses_sent
+            if ends_group:
+                yield SessionCounts(counts, sent)
+                counts, sent = np.zeros_like(counts), np.zeros_like(sent)
 
 
 def _concat(parts, columns: tuple[str, ...]) -> list[np.ndarray]:
@@ -303,22 +335,11 @@ def _concat(parts, columns: tuple[str, ...]) -> list[np.ndarray]:
     return [np.concatenate([getattr(p, name) for p in parts]) for name in columns]
 
 
-def _group_sums(counts: list[SessionCounts], size: int) -> list[SessionCounts]:
-    """Sums of consecutive runs of `size` job counts."""
-    return [
-        SessionCounts(
-            sum(c.counts for c in counts[k : k + size]),
-            sum(c.pulses_sent for c in counts[k : k + size]),
-        )
-        for k in range(0, len(counts), size)
-    ]
-
-
 def _session_jobs(n: int, budget: LossBudget, switch: SwitchModel) -> list[_Job]:
     # Settings occupy contiguous global pulse-index ranges: setting s covers
     # [s*n, (s+1)*n), which is what the tag record and ledger index against.
     return [
-        _Job((PURPOSE_SESSION, s_idx), setting, n, budget, switch, s_idx * n)
+        _Job((PURPOSE_SESSION, s_idx), setting, budget, switch, s_idx * n)
         for s_idx, setting in enumerate(BB84_SETTINGS)
     ]
 
@@ -351,21 +372,33 @@ def run_session(
     pulses: int | None = None,
     workers: int | None = None,
     collect_tags: bool = False,
+    sink: Callable[[TimeTags, PulseLedger], None] | None = None,
 ) -> SessionResult:
     """Simulate all four preparation settings and reduce to matrix + report.
 
-    `pulses` overrides pulses_per_setting.  With collect_tags the result
-    also holds the time tags and the pulse ledger of the whole session.
+    `pulses` overrides pulses_per_setting.  With a sink, each block's time
+    tags and pulse ledger go to sink(tags, ledger) as the block is
+    reduced, in pulse-index order.  With collect_tags the result holds
+    the tags and the ledger of the whole session instead.
     """
     n = _pulses_per_setting(config, pulses)
     _require_decoy_and_vacuum(config.source)
-    counts, tags, ledger = _run_jobs(
-        config, _session_jobs(n, config.budget, config.switch), workers, collect_tags=collect_tags
-    )
-    total = sum(counts, SessionCounts.zeros())
+    if collect_tags and sink is not None:
+        raise InvalidInputError("collect_tags and sink exclude each other")
+    parts: list[tuple[TimeTags, PulseLedger]] = []
+    if collect_tags:
+        def sink(tags: TimeTags, ledger: PulseLedger) -> None:
+            parts.append((tags, ledger))
+    jobs = _session_jobs(n, config.budget, config.switch)
+    (total,) = _run_jobs(config, [jobs], len(jobs), n, workers, sink)
     signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
     matrix = ProbabilityMatrix.from_counts(total) if signal_rows.all() else None
     report = secret_key_rate(total, config.source)
+    tags = ledger = None
+    if collect_tags:
+        tag_parts, ledgers = zip(*parts)
+        tags = TimeTags(*_concat(tag_parts, ("pulse_index", "detector_id", "timestamp_ps")))
+        ledger = PulseLedger(ledgers[0].start_index, *_concat(ledgers, ("class_idx", "alpha", "bit")))
     return SessionResult(config, total, matrix, report, tags, ledger)
 
 
@@ -394,17 +427,13 @@ def run_loss_sweep(
 
     n = _pulses_per_setting(config, pulses)
     _require_decoy_and_vacuum(config.source)
-    jobs = [
-        job
+    points = (
+        _session_jobs(n, replace(config.budget, channel_db=float(loss)), config.switch)
         for loss in losses
-        for job in _session_jobs(
-            n, replace(config.budget, channel_db=float(loss)), config.switch
-        )
-    ]
-    counts, _, _ = _run_jobs(config, jobs, workers)
+    )
     reports = [
         secret_key_rate(total, config.source)
-        for total in _group_sums(counts, len(BB84_SETTINGS))
+        for total in _run_jobs(config, points, len(BB84_SETTINGS) * len(losses), n, workers)
     ]
     rates = np.array([r.r_bps for r in reports])
     return LossSweepResult(losses, rates, reports)
@@ -442,22 +471,22 @@ def run_pump_delay_scan(
         raise InvalidInputError("pulses_per_point must be positive")
 
     time_settings = [s for s in BB84_SETTINGS if s.basis == Basis.TIME]
-    jobs = [
-        _Job((PURPOSE_SCAN, s_idx), setting, pulses_per_point, config.budget, sw)
+    points = (
+        [_Job((PURPOSE_SCAN, s_idx), setting, config.budget, sw)
+         for s_idx, setting in enumerate(time_settings)]
         for sw in (with_delay(config.switch, float(delay)) for delay in delays)
-        for s_idx, setting in enumerate(time_settings)
-    ]
-    counts, _, _ = _run_jobs(config, jobs, workers)
-    totals = _group_sums(counts, len(time_settings))
-    f0, f1 = (
-        np.array([
-            conditional_probabilities(total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME)[bit]
-            if total.counts[IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME].any() else math.nan
-            for total in totals
-        ])
-        for bit in (0, 1)
     )
-    return PumpScanResult(delays, f0, f1)
+    totals = _run_jobs(
+        config, points, len(time_settings) * len(delays), pulses_per_point, workers
+    )
+    fidelity = np.full((2, len(delays)), math.nan)
+    for k, total in enumerate(totals):
+        for bit in (0, 1):
+            if total.counts[IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME].any():
+                fidelity[bit, k] = conditional_probabilities(
+                    total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME
+                )[bit]
+    return PumpScanResult(delays, *fidelity)
 
 
 def _level_crossings(x: np.ndarray, y: np.ndarray, level: float) -> list[float]:
@@ -553,21 +582,23 @@ def run_stability(
     n_samples = int(round(hours * samples_per_hour)) + 1
     times = np.linspace(0.0, hours, n_samples)
 
-    jobs = []
-    for k, t in enumerate(times):
-        dpow, dtheta = drift_state(config.drift, float(t))
+    def sample_jobs(k: int, t: float) -> list[_Job]:
+        dpow, dtheta = drift_state(config.drift, t)
         theta = min(max(config.switch.theta + dtheta, 0.0), math.pi / 2)
         sw = replace(
             config.switch,
             theta=theta,
             delta_phi_peak=config.switch.delta_phi_peak * (1.0 + dpow),
         )
-        jobs += [
-            _Job((PURPOSE_STABILITY, k, s_idx), setting, pulses_per_sample, config.budget, sw)
+        return [
+            _Job((PURPOSE_STABILITY, k, s_idx), setting, config.budget, sw)
             for s_idx, setting in enumerate(BB84_SETTINGS)
         ]
-    counts, _, _ = _run_jobs(config, jobs, workers)
-    per_sample = _group_sums(counts, len(BB84_SETTINGS))
+
+    samples = (sample_jobs(k, float(t)) for k, t in enumerate(times))
+    per_sample = list(
+        _run_jobs(config, samples, len(BB84_SETTINGS) * n_samples, pulses_per_sample, workers)
+    )
 
     total = sum(per_sample, SessionCounts.zeros())
     per_fidelity = [fidelities(sample) for sample in per_sample]

@@ -7,7 +7,14 @@ import pytest
 
 from timebin_qkd import experiment
 from timebin_qkd.cli import MAX_VALUES, _parse_values, main
-from timebin_qkd.detection import SessionCounts, accumulate, read_pulse_ledger, read_time_tags
+from timebin_qkd.detection import (
+    SessionCounts,
+    accumulate,
+    read_pulse_ledger,
+    read_time_tags,
+    write_pulse_ledger,
+    write_time_tags,
+)
 from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
@@ -101,6 +108,48 @@ def test_dump_tags_writes_record_and_ledger(tmp_path):
     saved, _ = read_counts_json(counts_path)
     rebuilt = accumulate(tags, ExperimentConfig().layout, ledger)
     assert np.array_equal(rebuilt.pulses_sent, saved.pulses_sent)
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers2"])
+def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
+    tmp_path, monkeypatch, workers
+):
+    # 25,000 pulses per setting are three blocks, the last one short; with
+    # --workers 2 the blocks run on two real threads
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    dumped = tmp_path / "tags.csv"
+    argv = ["session", "--pulses", "25000", "--seed", "5", "--out", str(tmp_path / "rep.json")]
+    assert main([*argv, "--dump-tags", str(dumped), *workers]) == 0
+    whole = experiment.run_session(ExperimentConfig(seed=5), pulses=25_000, collect_tags=True)
+    write_time_tags(tmp_path / "whole.csv", whole.tags)
+    write_pulse_ledger(tmp_path / "whole.csv.ledger", whole.ledger)
+    assert len(whole.ledger) == 100_000 and len(whole.tags) > 0
+    assert dumped.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "tags.csv.ledger").read_bytes() == (
+        tmp_path / "whole.csv.ledger"
+    ).read_bytes()
+
+
+def test_session_failing_mid_run_leaves_no_dump_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    original = experiment.simulate_block
+    calls = []
+
+    def failing_block(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("block failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "simulate_block", failing_block)
+    dumped = tmp_path / "tags.csv"
+    argv = ["session", "--pulses", "2000", "--seed", "5", "--dump-tags", str(dumped)]
+    assert main(argv) != 0
+    assert len(calls) == 3
+    assert _last_error(capsys)["message"] == "block failed"
+    # neither PATH nor PATH.ledger, and no temp file beside them
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_loss_csv(tmp_path):

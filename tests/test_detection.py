@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -624,7 +625,7 @@ def test_ledger_writer_matches_the_row_by_row_reference(tmp_path, start_index):
         written = (tmp_path / "fast").read_bytes()
         assert written == (tmp_path / "ref").read_bytes(), n
         # the reader takes its fixed-offset path for what the writer wrote
-        assert _decode_written_ledger(written) is not None, n
+        assert _decode_written_ledger(io.BytesIO(written)) is not None, n
         back = read_pulse_ledger(tmp_path / "fast")
         assert back.start_index == start_index
         assert np.array_equal(back.class_idx, ledger.class_idx)
@@ -773,7 +774,7 @@ def test_ledger_reader_agrees_with_the_row_reader_on_mutated_files(tmp_path, sta
         got = _ledger_outcome(read_pulse_ledger, path)
         assert got == _ledger_outcome(_read_ledger_rows, path), mutant
         accepted += got is not InvalidInputError
-        decoded += _decode_written_ledger(mutant) is not None
+        decoded += _decode_written_ledger(io.BytesIO(mutant)) is not None
     # both outcomes occur, and some mutants are writer output of another ledger
     assert 0 < accepted < 250 and decoded > 0
 

@@ -163,6 +163,11 @@ def test_run_session_tags_rebuild_the_counts():
     assert rebuilt == res.counts
 
 
+def test_run_session_takes_a_sink_or_collects_tags_not_both():
+    with pytest.raises(InvalidInputError, match="exclude"):
+        run_session(ExperimentConfig(), pulses=100, collect_tags=True, sink=lambda t, l: None)
+
+
 @pytest.mark.parametrize("dark_hz", [100.0, 1e7])
 def test_tags_do_not_change_the_counts(dark_hz):
     # tag and ledger draws come after every draw the counts use; the high
@@ -175,17 +180,37 @@ def test_tags_do_not_change_the_counts(dark_hz):
         assert tagged.counts == plain.counts
 
 
+class _PoolLog(list):
+    """max_workers of every pool created, plus each pool's peak in flight."""
+
+    def __init__(self):
+        super().__init__()
+        self.in_flight = []
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """max_workers of every pool the flows create, on a 3-CPU affinity mask.
 
-    The stand-in pool runs its map serially, so no thread starts.
+    The stand-in pool runs each submitted block at once, so no thread
+    starts.  `pool_sizes.in_flight` holds, per pool, the most blocks that
+    were ever submitted and not yet taken by the engine's reduce.
     """
-    sizes = []
+    sizes = _PoolLog()
+
+    class Done:
+        def __init__(self, pool, value):
+            self.pool, self.value = pool, value
+
+        def result(self):
+            self.pool.outstanding -= 1
+            return self.value
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            sizes.in_flight.append(0)
+            self.outstanding = 0
 
         def __enter__(self):
             return self
@@ -193,8 +218,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            self.outstanding += 1
+            sizes.in_flight[-1] = max(sizes.in_flight[-1], self.outstanding)
+            return Done(self, fn(*args))
 
     monkeypatch.setattr(experiment, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -218,6 +245,16 @@ def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
     run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)  # two blocks
     run_session(cfg, pulses=2_000)
     assert pool_sizes == [3, 2, 3, 3, 2]
+
+
+def test_at_most_two_blocks_per_thread_are_in_flight(pool_sizes, monkeypatch):
+    # 40 blocks on 2 threads, then 24 on 3: the window fills, never overflows
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    cfg = ExperimentConfig(seed=4)
+    run_session(cfg, pulses=10_000, workers=2)
+    run_pump_delay_scan(cfg, [0.0, 2.0, 4.0, 6.0], pulses_per_point=3_000, workers=8)
+    assert pool_sizes == [2, 3]
+    assert pool_sizes.in_flight == [4, 6]
 
 
 def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):

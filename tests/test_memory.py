@@ -1,0 +1,78 @@
+"""Memory of the streaming paths, measured with tracemalloc.
+
+tracemalloc traces numpy's data buffers as well as Python objects, so a
+traced peak is the same on every run and host, unlike the process RSS.
+Each check compares a peak against a size that does not grow with the
+input, which is what keeps a long run from exhausting memory.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+
+from timebin_qkd import experiment
+from timebin_qkd.cli import main
+from timebin_qkd.detection import (
+    PulseLedger,
+    TimeTags,
+    accumulate,
+    read_pulse_ledger,
+    write_pulse_ledger,
+)
+from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan
+
+MB = 1 << 20
+
+
+def _peak(fn) -> int:
+    """The traced peak, in bytes, of allocations made while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tag_dump_memory_does_not_grow_with_the_pulses(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
+
+    def dump(pulses: int) -> None:
+        argv = ["session", "--pulses", str(pulses), "--seed", "3",
+                "--dump-tags", str(tmp_path / "tags.csv"), "--out", str(tmp_path / "rep.json")]
+        assert main(argv) == 0
+
+    dump(20_000)  # warm-up: first-call caches are not part of either peak
+    small = _peak(lambda: dump(20_000))
+    large = _peak(lambda: dump(200_000))
+    assert abs(large - small) < MB, (small, large)
+
+
+def test_ledger_read_back_and_accumulate_hold_little_beyond_the_ledger(tmp_path):
+    # the ledger itself is 3 MB of int8 columns; the file is 13 MB
+    n = 1_000_000
+    rng = np.random.default_rng(8)
+    path = tmp_path / "ledger"
+    write_pulse_ledger(
+        path, PulseLedger(0, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
+    )
+    tags = TimeTags(
+        np.sort(rng.choice(n, 5_000, replace=False)), rng.integers(0, 2, 5_000),
+        rng.normal(0.0, 150.0, 5_000),
+    )
+    layout = ExperimentConfig().layout
+    got = []
+    peak = _peak(lambda: got.append(accumulate(tags, layout, read_pulse_ledger(path))))
+    assert got[0].pulses_sent.sum() == n
+    assert peak < 6 * MB, peak
+
+
+def test_long_scan_keeps_only_its_per_point_results():
+    # the result is three float arrays of one entry per delay
+    cfg = ExperimentConfig(seed=3)
+    run_pump_delay_scan(cfg, [0.0], pulses_per_point=20)
+    small = _peak(lambda: run_pump_delay_scan(cfg, np.arange(30.0), pulses_per_point=20))
+    large = _peak(lambda: run_pump_delay_scan(cfg, np.arange(300.0), pulses_per_point=20))
+    assert large - small < 64 * 1024, (small, large)
