@@ -117,7 +117,8 @@ def _config(args) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
-# Upper bound on the values one --losses/--delays argument may expand to.
+# Upper bound on the values one --losses/--delays argument may expand to,
+# and on the samples of a stability grid.
 MAX_VALUES = 100_000
 
 
@@ -223,6 +224,11 @@ def _cmd_pump_scan(args) -> int:
 
 def _cmd_stability(args) -> int:
     cfg = _config(args)
+    # run_stability's grid has round(hours * samples_per_hour) + 1 samples;
+    # counted before it is built, and an infinite product is never rounded
+    samples = args.hours * args.samples_per_hour
+    if samples > MAX_VALUES or (math.isfinite(samples) and round(samples) + 1 > MAX_VALUES):
+        raise InvalidInputError(f"stability samples exceed the limit of {MAX_VALUES}")
     res = run_stability(
         cfg,
         hours=args.hours,

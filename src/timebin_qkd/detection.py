@@ -23,8 +23,10 @@ import io
 import math
 import re
 import warnings
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,7 +298,8 @@ class TimeTags:
 
     Row k says detector detector_id[k] (0 the phase pathway, 1 the time
     pathway) clicked at timestamp_ps[k] ps after the epoch of pulse
-    pulse_index[k].
+    pulse_index[k].  detector_id is range-checked as int64 and then held
+    as int8, so 256 cannot wrap to 0.
     """
 
     pulse_index: np.ndarray
@@ -305,15 +308,16 @@ class TimeTags:
 
     def __post_init__(self) -> None:
         self.pulse_index = np.asarray(self.pulse_index, dtype=np.int64)
-        self.detector_id = np.asarray(self.detector_id, dtype=np.int64)
+        detector_id = np.asarray(self.detector_id, dtype=np.int64)
         self.timestamp_ps = np.asarray(self.timestamp_ps, dtype=np.float64)
         n = len(self.pulse_index)
-        if len(self.detector_id) != n or len(self.timestamp_ps) != n:
+        if len(detector_id) != n or len(self.timestamp_ps) != n:
             raise InvalidInputError("tag arrays must have equal length")
         if np.any(self.pulse_index < 0):
             raise InvalidInputError("pulse_index must be non-negative")
-        if np.any((self.detector_id != 0) & (self.detector_id != 1)):
+        if np.any((detector_id != 0) & (detector_id != 1)):
             raise InvalidInputError("detector_id must be 0 or 1")
+        self.detector_id = detector_id.astype(np.int8)
         if not np.all(np.isfinite(self.timestamp_ps)):
             raise InvalidInputError("timestamp_ps must be finite")
 
@@ -661,21 +665,39 @@ _EVENT_BETA, _EVENT_SIGNAL, _EVENT_DARK0, _EVENT_DARK1 = np.array(_EVENT_STATES,
 _EVENT_CLICK0 = (_EVENT_SIGNAL == 1) | (_EVENT_DARK0 == 1)
 _EVENT_CLICK1 = (_EVENT_SIGNAL == 2) | (_EVENT_DARK1 == 1)
 _EVENT_NO_SIGNAL = (_EVENT_SIGNAL == 0).astype(np.float64)
-# Class and event state of each cell of the (3, 22) event-count table, in
-# row-major order.
+# Class and event state of each cell of a block's (3, 22) event-count
+# table, in row-major order.
 _CELL_CLASS = np.repeat(np.arange(3), _N_EVENTS)
 _CELL_STATE = np.tile(np.arange(_N_EVENTS), 3)
 
 
-def _event_probabilities(
-    means, q_surv: float, outcomes: list[tuple[float, float, float]], det: DetectorModel
-) -> np.ndarray:
-    """(3, 23) per-frame probabilities: the 22 event states, then the silent rest.
+class Block(NamedTuple):
+    """One pulse train of one preparation setting, with its own generator.
 
-    Row c is the class of mean photon number means[c].  A Poisson(mean)
-    pulse thinned by q_surv gives a photon click with probability
-    1 - exp(-mean * q_surv); the click then projects per the `outcomes` of
-    its pathway and flips with the intrinsic error.
+    start_index is the global index of its first pulse in the tag record.
+    """
+
+    setting: PreparationSetting
+    pulses: int
+    budget: LossBudget
+    switch: SwitchModel
+    rng: np.random.Generator
+    start_index: int = 0
+
+
+def _event_probabilities(
+    means,
+    q_surv: list[float],
+    outcomes: list[list[tuple[float, float, float]]],
+    det: DetectorModel,
+) -> np.ndarray:
+    """(J, 3, 23) per-frame probabilities of J blocks: 22 event states, then the silent rest.
+
+    Row c of block j is the class of mean photon number means[c].  A
+    Poisson(mean) pulse thinned by q_surv[j] gives a photon click with
+    probability 1 - exp(-mean * q_surv[j]); the click then projects per
+    outcomes[j][beta], the (P bit0, P bit1, P dropped) of its pathway, and
+    flips with the intrinsic error.
     """
     e = det.intrinsic_error
     p_dark = det.dark_prob_per_window
@@ -683,53 +705,75 @@ def _event_probabilities(
     # signal click and p_photon * P(bit) with one, written here as
     # 0 - p_photon * -P(bit), which is the same float.
     slope = np.array([
-        (p0 + p1, -(p0 * (1.0 - e) + p1 * e), -(p1 * (1.0 - e) + p0 * e))
-        for p0, p1, _ in outcomes
-    ])[_EVENT_BETA, _EVENT_SIGNAL]
-    p_photon = np.array([[-math.expm1(-mean * q_surv)] for mean in means])
+        [
+            (p0 + p1, -(p0 * (1.0 - e) + p1 * e), -(p1 * (1.0 - e) + p0 * e))
+            for p0, p1, _ in pathways
+        ]
+        for pathways in outcomes
+    ])[:, _EVENT_BETA, _EVENT_SIGNAL]
+    p_photon = np.array([[[-math.expm1(-mean * q)] for mean in means] for q in q_surv])
     dark = np.array([1.0 - p_dark, p_dark])
-    probs = 0.5 * (_EVENT_NO_SIGNAL - p_photon * slope) * dark[_EVENT_DARK0] * dark[_EVENT_DARK1]
-    rest = [max(0.0, 1.0 - math.fsum(row)) for row in probs.tolist()]
-    return np.column_stack([probs, rest])
+    probs = (
+        0.5 * (_EVENT_NO_SIGNAL - p_photon * slope[:, None, :])
+        * dark[_EVENT_DARK0] * dark[_EVENT_DARK1]
+    )
+    rest = [max(0.0, 1.0 - math.fsum(row)) for row in probs.reshape(-1, _N_EVENTS).tolist()]
+    return np.concatenate([probs, np.reshape(rest, (len(q_surv), 3, 1))], axis=2)
 
 
-def _event_table(
-    prep: PreparationSetting,
-    source: SourceConfig,
-    budget: LossBudget,
-    switch: SwitchModel,
-    det: DetectorModel,
-) -> np.ndarray:
-    """The (3, 23) event probabilities of one setting's frames."""
-    sw = apply_switch_both_bins(prep.state(), switch)
-    outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
-    q_surv = transmittance(budget.path_db) * det.efficiency
+def _event_tables(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> np.ndarray:
+    """The (J, 3, 23) event probabilities of the frames of each block."""
+    outcomes = []
+    for block in blocks:
+        sw = apply_switch_both_bins(block.setting.state(), block.switch)
+        outcomes.append([outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)])
+    q_surv = [transmittance(block.budget.path_db) * det.efficiency for block in blocks]
     return _event_probabilities([source.mean_for(c) for c in range(3)], q_surv, outcomes, det)
 
 
-def _draw_events(n: int, source: SourceConfig, table: np.ndarray, rng: np.random.Generator):
-    """Class totals, then the events, each on its own frame.
+def _draw_events(blocks: list[Block], source: SourceConfig, tables: np.ndarray, stride: int):
+    """Each block's class totals and events, then every event sorted by frame.
 
-    Returns (class_totals, frames, ev_cls, ev_state) with the events
-    sorted by frame.
+    Each block draws from its own generator: its class totals, then the
+    event-state counts of its three classes, then one distinct frame per
+    event.  Block j's frames are then offset by j * stride, so one sort
+    orders the batch by block, then frame.  Returns (class_totals, frames,
+    ev_block, ev_cls, ev_state): class_totals is (J, 3) and the rest are
+    per event, sorted, with frames offset.
     """
-    class_totals = rng.multinomial(n, source.class_probabilities)
-    per_cell = rng.multinomial(class_totals, table)[:, :-1].ravel()
-    ev_cls = np.repeat(_CELL_CLASS, per_cell)
-    ev_state = np.repeat(_CELL_STATE, per_cell)
-    # choice() returns its sample in random order, so pairing it with the
-    # grouped event list puts every event on a uniformly random frame.
-    frames = rng.choice(n, len(ev_cls), replace=False)
+    n_blocks = len(blocks)
+    class_totals = np.empty((n_blocks, 3), dtype=np.int64)
+    per_cell = np.empty((n_blocks, 3 * _N_EVENTS), dtype=np.int64)
+    frames = []
+    for j, (block, table) in enumerate(zip(blocks, tables)):
+        totals = block.rng.multinomial(block.pulses, source.class_probabilities)
+        class_totals[j] = totals
+        per_cell[j] = block.rng.multinomial(totals, table)[:, :-1].ravel()
+        # choice() returns its sample in random order, so pairing it with the
+        # grouped event list puts every event on a uniformly random frame.
+        block_frames = block.rng.choice(block.pulses, per_cell[j].sum(), replace=False)
+        block_frames += j * stride
+        frames.append(block_frames)
+    frames = np.concatenate(frames)
     order = np.argsort(frames)
-    return class_totals, frames[order], ev_cls[order], ev_state[order]
+    # sorted, the events of block j are the j-th run of per_cell[j].sum()
+    ev_block = np.repeat(np.arange(n_blocks), per_cell.sum(axis=1))
+    per_cell = per_cell.ravel()
+    ev_cls = np.repeat(np.tile(_CELL_CLASS, n_blocks), per_cell)[order]
+    ev_state = np.repeat(np.tile(_CELL_STATE, n_blocks), per_cell)[order]
+    return class_totals, frames[order], ev_block, ev_cls, ev_state
 
 
 def _double_click_policy(
-    ev_state: np.ndarray, keep: np.ndarray, det: DetectorModel, rng: np.random.Generator
+    blocks: list[Block],
+    ev_block: np.ndarray,
+    ev_state: np.ndarray,
+    keep: np.ndarray,
+    det: DetectorModel,
 ):
     """(click0, click1, counted, bit) of the events dead time kept.
 
-    A coin is drawn for each surviving double only.
+    Each block draws a coin for each of its surviving doubles only.
     """
     click0 = _EVENT_CLICK0[ev_state] & keep
     click1 = _EVENT_CLICK1[ev_state] & keep
@@ -737,33 +781,39 @@ def _double_click_policy(
     if det.double_click_policy == "random":
         counted = click0 | click1
         double = click0 & click1
-        bit[double] = rng.random(np.count_nonzero(double)) < 0.5
+        doubles = np.bincount(ev_block[double], minlength=len(blocks)).tolist()
+        coins = [block.rng.random(k) for block, k in zip(blocks, doubles)]
+        bit[double] = np.concatenate(coins) < 0.5
     else:
         counted = click0 ^ click1
     return click0, click1, counted, bit
 
 
 def _tally(
-    prep: PreparationSetting,
+    blocks: list[Block],
     class_totals: np.ndarray,
+    ev_block: np.ndarray,
     ev_cls: np.ndarray,
     beta: np.ndarray,
     bit: np.ndarray,
     counted: np.ndarray,
-) -> SessionCounts:
-    """The counted events and the pulses sent, as SessionCounts."""
-    alpha, i = int(prep.basis), prep.bit
-    cell = ev_cls * 4 + beta * 2 + bit
-    counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
-    counts[:, alpha, i] = np.bincount(cell[counted], minlength=12).reshape(3, 2, 2)
-    sent = np.zeros((3, 2, 2), dtype=np.int64)
-    sent[:, alpha, i] = class_totals
-    return SessionCounts(counts, sent)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's counted events and pulses sent: (J, 3, 2, 2, 2, 2) and (J, 3, 2, 2) arrays."""
+    n_blocks = len(blocks)
+    cell = ev_block * 12 + ev_cls * 4 + beta * 2 + bit
+    tallied = np.bincount(cell[counted], minlength=12 * n_blocks).reshape(n_blocks, 3, 2, 2)
+    j = np.arange(n_blocks)
+    alpha = [int(block.setting.basis) for block in blocks]
+    i = [block.setting.bit for block in blocks]
+    counts = np.zeros((n_blocks, 3, 2, 2, 2, 2), dtype=np.int64)
+    counts[j, :, alpha, i] = tallied
+    sent = np.zeros((n_blocks, 3, 2, 2), dtype=np.int64)
+    sent[j, :, alpha, i] = class_totals
+    return counts, sent
 
 
 def _tags_and_ledger(
-    prep: PreparationSetting,
-    n: int,
+    block: Block,
     class_totals: np.ndarray,
     frames: np.ndarray,
     ev_cls: np.ndarray,
@@ -772,16 +822,16 @@ def _tags_and_ledger(
     click1: np.ndarray,
     det: DetectorModel,
     layout: WindowLayout,
-    start_index: int,
-    rng: np.random.Generator,
 ) -> tuple[TimeTags, PulseLedger]:
-    """The physical click record and the sender's ledger."""
-    # Silent frames take the remaining class totals in random order.
+    """The physical click record and the sender's ledger of one block."""
+    n, rng = block.pulses, block.rng
+    # Silent frames take the remaining class totals in random order.  An
+    # intp array is shuffled with the same draws as any other and faster.
     cls = np.empty(n, dtype=np.int8)
     silent = np.ones(n, dtype=bool)
     silent[frames] = False
     rest = class_totals - np.bincount(ev_cls, minlength=3)
-    cls[silent] = rng.permutation(np.repeat(np.arange(3, dtype=np.int8), rest))
+    cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
     cls[frames] = ev_cls
 
     # Window 0's jitter is drawn before window 1's; the tags are then
@@ -791,16 +841,69 @@ def _tags_and_ledger(
     centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
     jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
     ts = centers + np.concatenate(jitter)
-    pulse = start_index + frames[idx]
+    pulse = block.start_index + frames[idx]
     order = np.lexsort((ts, pulse))
     tags = TimeTags(pulse[order], beta[idx][order], ts[order])
     ledger = PulseLedger(
-        start_index,
+        block.start_index,
         cls,
-        np.full(n, int(prep.basis), dtype=np.int8),
-        np.full(n, prep.bit, dtype=np.int8),
+        np.full(n, int(block.setting.basis), dtype=np.int8),
+        np.full(n, block.setting.bit, dtype=np.int8),
     )
     return tags, ledger
+
+
+def simulate_blocks(
+    blocks: list[Block],
+    source: SourceConfig,
+    det: DetectorModel,
+    *,
+    collect_tags: bool = False,
+    layout: WindowLayout | None = None,
+) -> Iterator[tuple]:
+    """Simulate a batch of pulse trains, each drawing only its events from its own stream.
+
+    Frames are independent, so a frame's fate is one of 22 event states
+    (pathway, signal bit after the intrinsic flip, dark click per window;
+    see `_event_probabilities`) or silence.  Each block draws its class
+    totals, then per class the multinomial counts of the event states, and
+    places the events on distinct frames drawn uniformly without
+    replacement.  Dead time then drops clicks on a busy detector, and the
+    double-click policy draws a coin for each surviving double only.
+
+    Only the draws are made block by block, each from the block's own
+    generator and in the order above.  The event tables, the frame sort,
+    the dead-time pass, the click masks and the tally run once for the
+    whole batch, so a block's result does not depend on the batch it is in.
+
+    Yields (counts, pulses_sent, record) per block, in order: the block's
+    SessionCounts arrays, and with collect_tags its (tags, ledger), where
+    tags are the physical click record (doubles keep both clicks, no policy
+    applied), else None.  The ledger and tag draws of a block come after
+    every draw its counts depend on, so the counts do not depend on
+    collect_tags; they are made as the block is yielded, so a consumer can
+    drop one block's record before the next one's is drawn.
+    """
+    longest = max(block.pulses for block in blocks)
+    # A block's events are less than `longest` frames apart, so a longer
+    # dead time drops no more of them.  With the offsets one stride apart,
+    # no dead-time cluster reaches from one block into the next.
+    blocked = min(_dead_frames(det, source), longest)
+    stride = longest + blocked + 1
+    tables = _event_tables(blocks, source, det)
+    class_totals, frames, ev_block, ev_cls, ev_state = _draw_events(blocks, source, tables, stride)
+    beta = _EVENT_BETA[ev_state]
+    keep = _prune_dead_time_clusters(frames, beta, blocked)
+    click0, click1, counted, bit = _double_click_policy(blocks, ev_block, ev_state, keep, det)
+    counts, sent = _tally(blocks, class_totals, ev_block, ev_cls, beta, bit, counted)
+    bounds = np.searchsorted(ev_block, np.arange(len(blocks) + 1)).tolist()
+    layout = layout or WindowLayout()
+    for j, block in enumerate(blocks):
+        part = slice(bounds[j], bounds[j + 1])
+        yield counts[j], sent[j], _tags_and_ledger(
+            block, class_totals[j], frames[part] - j * stride, ev_cls[part], beta[part],
+            click0[part], click1[part], det, layout,
+        ) if collect_tags else None
 
 
 def simulate_block(
@@ -816,34 +919,16 @@ def simulate_block(
     layout: WindowLayout | None = None,
     start_index: int = 0,
 ):
-    """Simulate a pulse train of one preparation setting, drawing only events.
-
-    Frames are independent, so a frame's fate is one of 22 event states
-    (pathway, signal bit after the intrinsic flip, dark click per window;
-    see `_event_probabilities`) or silence.  The block draws the class
-    totals, then per class the multinomial counts of the event states, and
-    places the events on distinct frames drawn uniformly without
-    replacement.  Dead time then drops clicks on a busy detector, and the
-    double-click policy draws a coin for each surviving double only.
+    """Simulate a pulse train of one preparation setting: simulate_blocks of one block.
 
     Returns SessionCounts; with collect_tags=True returns (counts, tags,
-    ledger) where tags are the physical click record (doubles keep both
-    clicks, no policy applied).  The ledger and tag draws come after every
-    draw the counts depend on, so the counts do not depend on collect_tags.
+    ledger), as simulate_blocks describes them.
     """
     if n_pulses < 0:
         raise InvalidInputError("n_pulses must be non-negative")
-    n = int(n_pulses)
-    table = _event_table(prep, source, budget, switch, det)
-    class_totals, frames, ev_cls, ev_state = _draw_events(n, source, table, rng)
-    beta = _EVENT_BETA[ev_state]
-    keep = _prune_dead_time_clusters(frames, beta, _dead_frames(det, source))
-    click0, click1, counted, bit = _double_click_policy(ev_state, keep, det, rng)
-    out = _tally(prep, class_totals, ev_cls, beta, bit, counted)
-    if not collect_tags:
-        return out
-    tags, ledger = _tags_and_ledger(
-        prep, n, class_totals, frames, ev_cls, beta, click0, click1,
-        det, layout or WindowLayout(), start_index, rng,
+    block = Block(prep, int(n_pulses), budget, switch, rng, start_index)
+    ((counts, sent, record),) = simulate_blocks(
+        [block], source, det, collect_tags=collect_tags, layout=layout
     )
-    return out, tags, ledger
+    out = SessionCounts(counts, sent)
+    return (out, *record) if collect_tags else out

@@ -34,12 +34,14 @@ from .analysis import (
     secret_key_rate,
 )
 from .detection import (
+    Block,
     DetectorModel,
     PulseLedger,
     SessionCounts,
     TimeTags,
     WindowLayout,
-    simulate_block,
+    simulate_block,  # noqa: F401  (perfbench/spans.py wraps it at this name)
+    simulate_blocks,
 )
 from .errors import ConfigError, InvalidInputError
 from .qubit import BB84_SETTINGS, Basis, PreparationSetting
@@ -54,6 +56,11 @@ from .source import (
 from .switch import SwitchModel, with_delay
 
 BLOCK_PULSES = 1_000_000
+
+# Most blocks one batch holds.  Consecutive blocks that together hold at
+# most BLOCK_PULSES pulses run as one batch; the cap bounds a batch's
+# memory when the blocks are tiny.
+BATCH_BLOCKS = 16
 
 # Stream-key purposes: keeps session, scan, and stability draws disjoint.
 PURPOSE_SESSION = 0
@@ -280,13 +287,19 @@ def _run_jobs(
     block's tags and ledger to sink(tags, ledger), in job and block order.
     It keeps nothing else, so its memory does not grow with the run.
 
-    `workers` bounds the threads: blocks run on one pool of at most that
+    Consecutive blocks that together hold at most BLOCK_PULSES pulses, and
+    at most BATCH_BLOCKS of them, run as one batch through simulate_blocks:
+    each block still draws from its own stream, and the stages without
+    draws run once per batch.  A full-size block is a batch of its own.
+
+    `workers` bounds the threads: batches run on one pool of at most that
     many, capped at the usable CPUs and at the number of full-size blocks,
     and on the calling thread when that leaves fewer than two.  A block
     shorter than BLOCK_PULSES spends most of its time in Python holding
     the interpreter lock, so a second thread would only contend for it.
-    At most twice as many blocks as threads are submitted and not yet
-    reduced.  The result does not depend on the thread count.
+    At most twice as many batches as threads are submitted and not yet
+    reduced.  The result does not depend on the thread count or on how
+    the blocks fall into batches.
     """
     if workers is not None and workers < 1:
         raise InvalidInputError("workers must be at least 1")
@@ -300,34 +313,50 @@ def _run_jobs(
                 for b, block in enumerate(blocks, 1):
                     yield job, block, j == len(group) and b == len(blocks)
 
-    def run(task):
-        job, (b_idx, start, cnt), _ = task
-        return simulate_block(
-            job.setting,
-            cnt,
+    def batches():
+        batch, batch_pulses = [], 0
+        for task in tasks():
+            cnt = task[1][2]
+            if batch and (batch_pulses + cnt > BLOCK_PULSES or len(batch) == BATCH_BLOCKS):
+                yield batch
+                batch, batch_pulses = [], 0
+            batch.append(task)
+            batch_pulses += cnt
+        if batch:
+            yield batch
+
+    def run(batch):
+        return simulate_blocks(
+            [
+                Block(job.setting, cnt, job.budget, job.switch,
+                      derived_rng(config.seed, *job.key, b_idx), job.start_index + start)
+                for job, (b_idx, start, cnt), _ in batch
+            ],
             config.source,
-            job.budget,
-            job.switch,
             config.detector,
-            derived_rng(config.seed, *job.key, b_idx),
             collect_tags=sink is not None,
             layout=config.layout,
-            start_index=job.start_index + start,
         )
 
     counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
     sent = np.zeros((3, 2, 2), dtype=np.int64)
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
-        for (_, _, ends_group), r in _in_order(pool, run, tasks(), 2 * threads):
-            if sink is not None:
-                # drops the block's tags and ledger before the next block runs
-                sink(*r[1:])
-                r = r[0]
-            counts += r.counts
-            sent += r.pulses_sent
-            if ends_group:
-                yield SessionCounts(counts, sent)
-                counts, sent = np.zeros_like(counts), np.zeros_like(sent)
+        # a pool thread runs its batch to the end; on the calling thread each
+        # block's tags are drawn only when the reduce below reaches it
+        fn = run if pool is None else lambda batch: list(run(batch))
+        for batch, results in _in_order(pool, fn, batches(), 2 * threads):
+            results = iter(results)
+            for _, _, ends_group in batch:
+                block_counts, block_sent, record = next(results)
+                if sink is not None:
+                    sink(*record)
+                    # dropped before the next block's tags are drawn
+                    del record
+                counts += block_counts
+                sent += block_sent
+                if ends_group:
+                    yield SessionCounts(counts, sent)
+                    counts, sent = np.zeros_like(counts), np.zeros_like(sent)
 
 
 def _concat(parts, columns: tuple[str, ...]) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from timebin_qkd import experiment
+from timebin_qkd import cli, experiment
 from timebin_qkd.cli import MAX_VALUES, _parse_values, main
 from timebin_qkd.detection import (
     SessionCounts,
@@ -133,16 +133,17 @@ def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
 
 def test_session_failing_mid_run_leaves_no_dump_files(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
-    original = experiment.simulate_block
+    original = experiment.simulate_blocks
     calls = []
 
     def failing_block(*args, **kwargs):
+        # every block is full-size, so each batch is one block
         calls.append(1)
         if len(calls) == 3:
             raise RuntimeError("block failed")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "simulate_block", failing_block)
+    monkeypatch.setattr(experiment, "simulate_blocks", failing_block)
     dumped = tmp_path / "tags.csv"
     argv = ["session", "--pulses", "2000", "--seed", "5", "--dump-tags", str(dumped)]
     assert main(argv) != 0
@@ -290,7 +291,7 @@ def test_source_without_decoy_or_vacuum_fails_before_simulating(argv, capsys, mo
     def no_blocks(*args, **kwargs):
         raise AssertionError("a block ran before the config was rejected")
 
-    monkeypatch.setattr(experiment, "simulate_block", no_blocks)
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
     assert main(argv) == 2
     assert _last_error(capsys)["category"] == "config"
 
@@ -309,6 +310,40 @@ def test_range_expansion_is_capped(capsys):
         _parse_values(f"0:{MAX_VALUES - 1}:1,1:2:1", "delay")
     with pytest.raises(InvalidInputError):
         _parse_values("0:inf:1", "delay")
+
+
+@pytest.mark.parametrize(
+    "hours, per_hour, samples",
+    [
+        ("1e308", "10", None),  # the product is infinite
+        ("1e300", "10", None),
+        ("1e9", "10", None),
+        ("100000", "1", None),
+        ("99999.5", "1", None),  # rounds half to even: 100,001 samples
+        ("99999", "1", MAX_VALUES),
+        ("99998.5", "1", MAX_VALUES - 1),
+        ("nan", "1", "rejected later"),
+        ("-5", "1", "rejected later"),
+    ],
+)
+def test_stability_grid_is_capped_before_it_is_built(hours, per_hour, samples, monkeypatch, capsys):
+    reached = []
+
+    def stand_in(cfg, *, hours, samples_per_hour, **kwargs):
+        # never simulates: only records the grid it was asked for
+        reached.append(hours * samples_per_hour)
+        raise RuntimeError("stand-in")
+
+    monkeypatch.setattr(cli, "run_stability", stand_in)
+    code = main(["stability", "--hours", hours, "--samples-per-hour", per_hour])
+    err = _last_error(capsys)
+    if samples is None:
+        assert code == 3 and reached == []
+        assert err["category"] == "input" and str(MAX_VALUES) in err["message"]
+    else:
+        assert code == 1 and err["message"] == "stand-in" and len(reached) == 1
+        if samples != "rejected later":
+            assert round(reached[0]) + 1 == samples
 
 
 def test_sweep_point_without_decoy_events_reports_zero_rate(capsys):

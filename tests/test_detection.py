@@ -14,6 +14,7 @@ from timebin_qkd.detection import (
     LEDGER_CHUNK_ROWS,
     LEDGER_HEADER,
     TAG_HEADER,
+    Block,
     DetectorModel,
     PulseLedger,
     SessionCounts,
@@ -29,13 +30,14 @@ from timebin_qkd.detection import (
     read_pulse_ledger,
     read_time_tags,
     simulate_block,
+    simulate_blocks,
     write_pulse_ledger,
     write_time_tags,
 )
 from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.qubit import BB84_SETTINGS, Basis, mub_states, overlap_probability
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
-from timebin_qkd.switch import SwitchModel, apply_switch_both_bins
+from timebin_qkd.switch import SwitchModel, apply_switch_both_bins, with_delay
 
 from reference import (
     accumulate_loop,
@@ -192,7 +194,7 @@ def test_time_tags_validation():
     assert len(_tags((0, 0, 0.0), (3, 1, -2.5))) == 2
     assert len(_tags()) == 0
     for bad in ((-1, 0, 0.0), (0, 2, 0.0), (0, -1, 0.0), (0, 0, math.inf), (0, 0, -math.inf),
-                (0, 0, math.nan)):
+                (0, 0, math.nan), (0, 256, 0.0), (0, 257, 0.0), (0, -255, 0.0)):
         with pytest.raises(InvalidInputError):
             _tags((1, 0, 5.0), bad)
     with pytest.raises(InvalidInputError, match="equal length"):
@@ -408,13 +410,23 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
     assert len(cases) >= 50
     assert {c[3].dark_prob_per_window for c in cases} >= {0.0, 0.08}
     assert {c[3].intrinsic_error for c in cases} >= {0.0, 0.5}
-    for means, q_surv, outcomes, det in cases:
-        table = _event_probabilities(means, q_surv, outcomes, det)
+    for k, (means, q_surv, outcomes, det) in enumerate(cases):
+        (table,) = _event_probabilities(means, [q_surv], [outcomes], det)
         assert table.shape == (3, 23)
         for c, mean in enumerate(means):
             assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det)), (
                 mean, q_surv, outcomes, det,
             )
+        # batched: the survivals and outcomes of 16 cases, this one eighth,
+        # under this case's means and detector
+        batch = [cases[(k + d) % len(cases)][1:3] for d in range(-7, 9)]
+        tables = _event_probabilities(means, *zip(*batch), det)
+        assert tables.shape == (16, 3, 23)
+        for (q, pathways), table in zip(batch, tables):
+            for c, mean in enumerate(means):
+                assert np.array_equal(table[c], event_probabilities_loop(mean, q, pathways, det)), (
+                    mean, q, pathways, det,
+                )
 
 
 def test_block_rejects_negative_pulse_count():
@@ -423,6 +435,66 @@ def test_block_rejects_negative_pulse_count():
             BB84_SETTINGS[0], -1, SourceConfig(), LossBudget(),
             PERFECT_SWITCH, IDEAL_DET, _rng(0),
         )
+
+
+def _batches(rng):
+    """Random batches of blocks, each with the detector and tag choice of its batch.
+
+    Each block is (setting, pulses, budget, switch, generator key,
+    start_index); one batch in four has a single block.
+    """
+    dead_times = (0.0, 50.0, 3.0, 1e5)  # 0, 50, 3 and 100,000 frames at 1 GHz
+    for k in range(48):
+        det = DetectorModel(
+            dark_count_rate_hz=(100.0, 1e7)[k % 2],
+            double_click_policy=("random", "discard")[(k // 2) % 2],
+            dead_time_ns=dead_times[(k // 4) % 4],
+            jitter_sigma_ps=150.0,
+        )
+        n_blocks = 1 if k % 4 == 3 else int(rng.integers(2, 9))
+        blocks = []
+        for j in range(n_blocks):
+            pulses = int((1, 2, 17, 999, rng.integers(1, 30_000))[rng.integers(0, 5)])
+            budget = LossBudget(channel_db=float(rng.uniform(0.0, 20.0)))
+            switch = with_delay(PERFECT_SWITCH, float(rng.uniform(-4.0, 12.0)))
+            setting = BB84_SETTINGS[rng.integers(0, 4)]
+            blocks.append((setting, pulses, budget, switch, (k, j), int(rng.integers(0, 10**9))))
+        yield det, blocks, k % 3 != 0
+
+
+def test_batched_blocks_equal_lone_blocks():
+    # a strong source gives doubles beside the 1e7 Hz darks
+    source = SourceConfig(mu=2.0, nu=0.3)
+    layout = WindowLayout()
+    cases = list(_batches(_rng(43)))
+    sizes = [b[1] for _, blocks, _ in cases for b in blocks]
+    assert {1, 2, 17} <= set(sizes) and max(sizes) > 10_000
+    n_events = 0
+    for det, blocks, collect_tags in cases:
+        batch = simulate_blocks(
+            [Block(s, n, b, sw, _rng(key), start) for s, n, b, sw, key, start in blocks],
+            source, det, collect_tags=collect_tags, layout=layout,
+        )
+        for (setting, n, budget, switch, key, start), (counts, sent, record) in zip(
+            blocks, batch, strict=True
+        ):
+            lone = simulate_block(
+                setting, n, source, budget, switch, det, _rng(key),
+                collect_tags=collect_tags, layout=layout, start_index=start,
+            )
+            if not collect_tags:
+                assert record is None
+                lone = (lone,)
+            assert lone[0] == SessionCounts(counts, sent), (det, key)
+            n_events += int(counts.sum())
+            if collect_tags:
+                tags, ledger = record
+                for name in ("pulse_index", "detector_id", "timestamp_ps"):
+                    assert np.array_equal(getattr(tags, name), getattr(lone[1], name)), (det, key)
+                assert ledger.start_index == lone[2].start_index == start
+                for name in ("class_idx", "alpha", "bit"):
+                    assert np.array_equal(getattr(ledger, name), getattr(lone[2], name)), (det, key)
+    assert n_events > 10_000
 
 
 # ----------------------------------------------- tags, ledger, accumulate
@@ -719,6 +791,19 @@ def test_ledger_columns_are_int8(tmp_path):
     for ledger in ledgers:
         for name in ("class_idx", "alpha", "bit"):
             assert getattr(ledger, name).dtype == np.int8, name
+
+
+def test_tag_detector_ids_are_int8(tmp_path):
+    made = TimeTags([0, 1], np.array([1, 0], dtype=np.int64), [0.0, 1.5])
+    write_time_tags(tmp_path / "tags", made)
+    _, simulated, _ = simulate_block(
+        BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
+        DetectorModel(), _rng(3), collect_tags=True,
+    )
+    assert len(simulated) > 0
+    for tags in (made, read_time_tags(tmp_path / "tags"), simulated):
+        assert tags.detector_id.dtype == np.int8
+    assert read_time_tags(tmp_path / "tags").detector_id.tolist() == [1, 0]
 
 
 def test_ledger_reader_rejects_out_of_range_values(tmp_path):

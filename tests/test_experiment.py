@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timebin_qkd import experiment
-from timebin_qkd.detection import accumulate
+from timebin_qkd import detection, experiment
+from timebin_qkd.detection import DetectorModel, accumulate
 from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import (
     BLOCK_PULSES,
@@ -278,13 +278,13 @@ def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     block_threads = set()
-    original = experiment.simulate_block
+    original = experiment.simulate_blocks
 
     def recording_block(*args, **kwargs):
         block_threads.add(threading.get_ident())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "simulate_block", recording_block)
+    monkeypatch.setattr(experiment, "simulate_blocks", recording_block)
     cfg = ExperimentConfig(seed=21)
 
     def flows(workers):
@@ -315,6 +315,83 @@ def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
     np.testing.assert_array_equal(p1.fidelity_t1, p2.fidelity_t1)
     assert b1.counts == b2.counts and b1.report == b2.report
     np.testing.assert_array_equal(b1.qber_series, b2.qber_series)
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The pulse counts of the blocks of every batch the engine simulates."""
+    sizes = []
+    original = experiment.simulate_blocks
+
+    def recording(blocks, *args, **kwargs):
+        sizes.append([block.pulses for block in blocks])
+        return original(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "simulate_blocks", recording)
+    return sizes
+
+
+def test_short_blocks_share_a_batch_up_to_the_block_size(batch_sizes, monkeypatch):
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    cfg = ExperimentConfig(seed=4)
+    # four trains of 250 pulses fill one batch; of 300, the fourth starts another
+    run_session(cfg, pulses=250)
+    run_session(cfg, pulses=300)
+    # a full-size block is a batch of its own; 2,500 pulses are 1,000 + 1,000 + 500
+    run_session(cfg, pulses=2_500)
+    # 40 delays x 2 settings of 20 pulses: at most BATCH_BLOCKS blocks a batch
+    run_pump_delay_scan(cfg, np.arange(40.0), pulses_per_point=20)
+    assert batch_sizes == [
+        [250] * 4,
+        [300] * 3, [300],
+        *[[1_000], [1_000], [500]] * 4,
+        *[[20] * experiment.BATCH_BLOCKS] * 5,
+    ]
+
+
+def test_flows_do_not_depend_on_the_batches(monkeypatch):
+    # 2,500 pulses per train are two full blocks and a short one
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    cfg = ExperimentConfig(seed=23, detector=DetectorModel(dark_count_rate_hz=1e7))
+
+    def flows():
+        return (
+            run_session(cfg, pulses=2_500, collect_tags=True),
+            run_session(cfg, pulses=300, collect_tags=True),
+            run_loss_sweep(cfg, [1.0, 6.0, 9.0], pulses=300),
+            run_pump_delay_scan(cfg, np.arange(-4.0, 12.0, 0.5), pulses_per_point=100),
+            run_stability(cfg, hours=1, samples_per_hour=4, pulses_per_sample=200),
+        )
+
+    batched = flows()
+    monkeypatch.setattr(experiment, "BATCH_BLOCKS", 1)
+    lone = flows()
+    for a, b in zip(batched[:2], lone[:2]):
+        assert a.counts == b.counts and a.report == b.report
+        for name in ("pulse_index", "detector_id", "timestamp_ps"):
+            assert np.array_equal(getattr(a.tags, name), getattr(b.tags, name))
+        for name in ("class_idx", "alpha", "bit"):
+            assert np.array_equal(getattr(a.ledger, name), getattr(b.ledger, name))
+    assert batched[2].reports == lone[2].reports
+    np.testing.assert_array_equal(batched[3].fidelity_t0, lone[3].fidelity_t0)
+    np.testing.assert_array_equal(batched[3].fidelity_t1, lone[3].fidelity_t1)
+    assert batched[4].counts == lone[4].counts
+    np.testing.assert_array_equal(batched[4].qber_series, lone[4].qber_series)
+
+
+def test_each_block_reaches_the_sink_before_the_next_block_draws_its_tags(monkeypatch):
+    events = []
+    original = detection._tags_and_ledger
+
+    def tag_stage(block, *args):
+        events.append(("tags", block.start_index))
+        return original(block, *args)
+
+    monkeypatch.setattr(detection, "_tags_and_ledger", tag_stage)
+    # four trains of 2,000 pulses are one batch
+    run_session(ExperimentConfig(seed=2), pulses=2_000,
+                sink=lambda tags, ledger: events.append(("sink", ledger.start_index)))
+    assert events == [(what, s * 2_000) for s in range(4) for what in ("tags", "sink")]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
