@@ -19,8 +19,8 @@ res = run_session(cfg, pulses=500_000, workers=4)
 print("probability matrix, signal class (rows: sent, columns: measured):")
 labels = ("phase:0", "phase:1", "time:0", "time:1")
 print(" " * 10 + "".join(f"{c:>9}" for c in labels))
-for label, row in zip(labels, res.matrix.values):
-    print(f"  {label:>7} " + "".join(f"{float(v):9.4f}" for v in row))
+for label, row in zip(labels, res.matrix):
+    print(f"  {label:>7} " + "".join(f"{v:9.4f}" for v in row))
 
 rep = res.report
 print()

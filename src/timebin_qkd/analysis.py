@@ -5,7 +5,9 @@ The decoy treatment is the standard vacuum+weak two-intensity analysis: a
 lower bound on the single-photon yield from the signal/decoy gain pair and
 the vacuum yield, an upper bound on the single-photon error rate from the
 decoy error gain, and the usual one-way rate formula
-    R = q * (-Q_mu f H2(E_mu) + Q_1 (1 - H2(e_1))).
+    R = q * (-Q_mu f H2(E_mu) + Q_1 (1 - H2(e_1)))
+of Ma, Qi, Zhao and Lo, PRA 72, 012326 (2005), with the error-correction
+inefficiency f = F_EC and the sifting factor q = SIFTING_FACTOR.
 All bounds clamp to [0, 1] and report what was clamped via flags rather
 than failing, since estimator excursions outside the physical range are
 expected at finite sample sizes.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +27,10 @@ from .source import IntensityClass, SourceConfig
 
 SETTING_LABELS = ("phase:0", "phase:1", "time:0", "time:1")
 
+# Error-correction inefficiency and BB84 sifting factor of the rate formula.
+F_EC = 1.22
+SIFTING_FACTOR = 0.5
+
 
 def _setting_index(basis: Basis, bit: int) -> int:
     if basis not in (Basis.PHASE, Basis.TIME):
@@ -35,39 +40,19 @@ def _setting_index(basis: Basis, bit: int) -> int:
     return int(basis) * 2 + bit
 
 
-@dataclass(frozen=True)
-class ProbabilityMatrix:
-    """Measured conditional probabilities P(beta, j | alpha, i, clicked).
+def probability_matrix(counts: SessionCounts) -> np.ndarray:
+    """Measured conditional probabilities P(beta, j | alpha, i, clicked) of the signal class.
 
-    Rows are prepared settings, columns measured (pathway, slot), both in
-    SETTING_LABELS order.  Entries are exact rationals of the underlying
-    counts, so every row sums to exactly 1.
+    A (4, 4) float64 array: rows are prepared settings, columns measured
+    (pathway, slot), both in SETTING_LABELS order.  Each entry is its count
+    over the row total, correctly rounded.
     """
-
-    values: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_counts(
-        cls, counts: SessionCounts, intensity: IntensityClass = IntensityClass.SIGNAL
-    ) -> "ProbabilityMatrix":
-        c = counts.counts[int(intensity)]
-        rows = []
-        for alpha in (0, 1):
-            for i in (0, 1):
-                row_counts = [int(c[alpha, i, beta, j]) for beta in (0, 1) for j in (0, 1)]
-                total = sum(row_counts)
-                if total == 0:
-                    raise NoDataError(
-                        f"no recorded events for preparation {SETTING_LABELS[alpha * 2 + i]}"
-                    )
-                rows.append(tuple(Fraction(n, total) for n in row_counts))
-        return cls(tuple(rows))
-
-    def prob(self, alpha: Basis, i: int, beta: Basis, j: int) -> Fraction:
-        return self.values[_setting_index(alpha, i)][_setting_index(beta, j)]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.values])
+    rows = counts.counts[IntensityClass.SIGNAL].reshape(4, 4)
+    totals = rows.sum(axis=1)
+    if not totals.all():
+        empty = SETTING_LABELS[int(np.argmin(totals))]
+        raise NoDataError(f"no recorded events for preparation {empty}")
+    return rows / totals[:, None]
 
 
 def conditional_probabilities(
@@ -241,9 +226,6 @@ def secret_key_rate_from_values(
     mu: float,
     nu: float,
     rep_rate_hz: float,
-    *,
-    f_ec: float = 1.22,
-    sifting_factor: float = 0.5,
 ) -> KeyRateReport:
     """Rate formula on already-extracted gains and error rates.
 
@@ -258,10 +240,6 @@ def secret_key_rate_from_values(
     """
     if not rep_rate_hz > 0:
         raise InvalidInputError("rep_rate_hz must be positive")
-    if not f_ec >= 1.0:
-        raise InvalidInputError("error-correction inefficiency must be >= 1")
-    if not 0.0 < sifting_factor <= 1.0:
-        raise InvalidInputError("sifting_factor must lie in (0, 1]")
     missing = tuple(
         f"no-{name}-events" for name, e in (("signal", e_mu), ("decoy", e_nu)) if e is None
     ) + (("no-vacuum-pulses",) if y0 is None else ())
@@ -272,8 +250,8 @@ def secret_key_rate_from_values(
     flags = list(est.flags)
     r = 0.0
     if e_mu is not None:
-        r = sifting_factor * (
-            -q_mu * f_ec * binary_entropy(e_mu)
+        r = SIFTING_FACTOR * (
+            -q_mu * F_EC * binary_entropy(e_mu)
             + est.q1_lower * (1.0 - binary_entropy(est.e1_upper))
         )
     if r < 0.0:
@@ -291,35 +269,26 @@ def secret_key_rate_from_values(
         mu=mu,
         nu=nu,
         rep_rate_hz=rep_rate_hz,
-        f_ec=f_ec,
-        sifting_factor=sifting_factor,
+        f_ec=F_EC,
+        sifting_factor=SIFTING_FACTOR,
         r_per_pulse=r,
         r_bps=r * rep_rate_hz,
         flags=tuple(flags),
     )
 
 
-def secret_key_rate(
-    counts: SessionCounts,
-    source: SourceConfig,
-    *,
-    f_ec: float = 1.22,
-    sifting_factor: float = 0.5,
-    y0: float | None = None,
-) -> KeyRateReport:
+def secret_key_rate(counts: SessionCounts, source: SourceConfig) -> KeyRateReport:
     """Extract gains and error rates from counts, then apply the formula.
 
     Gains are overall click probabilities per class; error rates are the
-    sifted matched-basis QBER of that class.  The vacuum yield comes from
-    the vacuum class unless given explicitly.  A signal or decoy class
-    without a matched-basis event (deep loss, or never sent) leaves its
-    error rate undefined, and a vacuum class that was never sent leaves
-    the vacuum yield undefined; the rate is then zero, flagged
-    "no-signal-events", "no-decoy-events" or "no-vacuum-pulses", rather
-    than an error.
+    sifted matched-basis QBER of that class, and the vacuum yield is the
+    gain of the vacuum class.  A signal or decoy class without a
+    matched-basis event (deep loss, or never sent) leaves its error rate
+    undefined, and a vacuum class that was never sent leaves the vacuum
+    yield undefined; the rate is then zero, flagged "no-signal-events",
+    "no-decoy-events" or "no-vacuum-pulses", rather than an error.
     """
-    if y0 is None and counts.pulses(IntensityClass.VACUUM):
-        y0 = counts.gain(IntensityClass.VACUUM)
+    y0 = counts.gain(IntensityClass.VACUUM) if counts.pulses(IntensityClass.VACUUM) else None
     q_mu = counts.gain(IntensityClass.SIGNAL)
     q_nu = counts.gain(IntensityClass.DECOY)
     e_mu, e_nu = (
@@ -335,8 +304,6 @@ def secret_key_rate(
         source.mu,
         source.nu,
         source.rep_rate_hz,
-        f_ec=f_ec,
-        sifting_factor=sifting_factor,
     )
 
 
@@ -386,15 +353,7 @@ class AnalyticChannel:
             raise NoDataError("zero gain: error rate undefined")
         return self.error_gain(mean_photons) / g
 
-    def rate(
-        self,
-        mu: float,
-        nu: float,
-        rep_rate_hz: float,
-        *,
-        f_ec: float = 1.22,
-        sifting_factor: float = 0.5,
-    ) -> KeyRateReport:
+    def rate(self, mu: float, nu: float, rep_rate_hz: float) -> KeyRateReport:
         return secret_key_rate_from_values(
             self.gain(mu),
             self.error_rate(mu),
@@ -404,6 +363,4 @@ class AnalyticChannel:
             mu,
             nu,
             rep_rate_hz,
-            f_ec=f_ec,
-            sifting_factor=sifting_factor,
         )

@@ -83,8 +83,8 @@ class DetectorModel:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidInputError(f"{name} must be finite and non-negative")
-        if not self.window_ns > 0:
-            raise InvalidInputError("window_ns must be positive")
+        if not (math.isfinite(self.window_ns) and self.window_ns > 0):
+            raise InvalidInputError("window_ns must be finite and positive")
         if not 0.0 <= self.intrinsic_error <= 0.5:
             raise InvalidInputError("intrinsic_error must lie in [0, 0.5]")
         if self.double_click_policy not in _DOUBLE_POLICIES:
@@ -93,6 +93,11 @@ class DetectorModel:
             raise InvalidInputError(f"stray_time_policy must be one of {_STRAY_POLICIES}")
         if not math.isfinite(self.recombination_phase):
             raise InvalidInputError("recombination_phase must be finite")
+        if not self.dark_prob_per_window <= 1.0:
+            raise InvalidInputError(
+                "dark_count_rate_hz * window_ns gives a dark probability per window "
+                f"of {self.dark_prob_per_window}, above 1"
+            )
 
     @property
     def efficiency(self) -> float:
@@ -914,21 +919,10 @@ def simulate_block(
     switch: SwitchModel,
     det: DetectorModel,
     rng: np.random.Generator,
-    *,
-    collect_tags: bool = False,
-    layout: WindowLayout | None = None,
-    start_index: int = 0,
-):
-    """Simulate a pulse train of one preparation setting: simulate_blocks of one block.
-
-    Returns SessionCounts; with collect_tags=True returns (counts, tags,
-    ledger), as simulate_blocks describes them.
-    """
+) -> SessionCounts:
+    """The counts of a pulse train of one preparation setting: simulate_blocks of one block."""
     if n_pulses < 0:
         raise InvalidInputError("n_pulses must be non-negative")
-    block = Block(prep, int(n_pulses), budget, switch, rng, start_index)
-    ((counts, sent, record),) = simulate_blocks(
-        [block], source, det, collect_tags=collect_tags, layout=layout
-    )
-    out = SessionCounts(counts, sent)
-    return (out, *record) if collect_tags else out
+    block = Block(prep, int(n_pulses), budget, switch, rng)
+    ((counts, sent, _),) = simulate_blocks([block], source, det)
+    return SessionCounts(counts, sent)

@@ -27,9 +27,9 @@ import numpy as np
 from .analysis import (
     SETTING_LABELS,
     KeyRateReport,
-    ProbabilityMatrix,
     conditional_probabilities,
     fidelities,
+    probability_matrix,
     qber,
     secret_key_rate,
 )
@@ -61,6 +61,10 @@ BLOCK_PULSES = 1_000_000
 # most BLOCK_PULSES pulses run as one batch; the cap bounds a batch's
 # memory when the blocks are tiny.
 BATCH_BLOCKS = 16
+
+# Upper bound on the points of a grid: the samples of a stability run, and
+# the values one --losses or --delays argument may expand to.
+MAX_VALUES = 100_000
 
 # Stream-key purposes: keeps session, scan, and stability draws disjoint.
 PURPOSE_SESSION = 0
@@ -359,11 +363,6 @@ def _run_jobs(
                     counts, sent = np.zeros_like(counts), np.zeros_like(sent)
 
 
-def _concat(parts, columns: tuple[str, ...]) -> list[np.ndarray]:
-    """Each named column of the block records, joined in block order."""
-    return [np.concatenate([getattr(p, name) for p in parts]) for name in columns]
-
-
 def _session_jobs(n: int, budget: LossBudget, switch: SwitchModel) -> list[_Job]:
     # Settings occupy contiguous global pulse-index ranges: setting s covers
     # [s*n, (s+1)*n), which is what the tag record and ledger index against.
@@ -384,15 +383,13 @@ def _pulses_per_setting(config: ExperimentConfig, pulses: int | None) -> int:
 class SessionResult:
     """Counts plus the two standard reductions of one session.
 
-    matrix is None when a preparation recorded no signal-class event.
+    matrix is the probability_matrix of the counts, or None when a
+    preparation recorded no signal-class event.
     """
 
-    config: ExperimentConfig
     counts: SessionCounts
-    matrix: ProbabilityMatrix | None
+    matrix: np.ndarray | None
     report: KeyRateReport
-    tags: TimeTags | None = None
-    ledger: PulseLedger | None = None
 
 
 def run_session(
@@ -400,35 +397,21 @@ def run_session(
     *,
     pulses: int | None = None,
     workers: int | None = None,
-    collect_tags: bool = False,
     sink: Callable[[TimeTags, PulseLedger], None] | None = None,
 ) -> SessionResult:
     """Simulate all four preparation settings and reduce to matrix + report.
 
     `pulses` overrides pulses_per_setting.  With a sink, each block's time
     tags and pulse ledger go to sink(tags, ledger) as the block is
-    reduced, in pulse-index order.  With collect_tags the result holds
-    the tags and the ledger of the whole session instead.
+    reduced, in pulse-index order.
     """
     n = _pulses_per_setting(config, pulses)
     _require_decoy_and_vacuum(config.source)
-    if collect_tags and sink is not None:
-        raise InvalidInputError("collect_tags and sink exclude each other")
-    parts: list[tuple[TimeTags, PulseLedger]] = []
-    if collect_tags:
-        def sink(tags: TimeTags, ledger: PulseLedger) -> None:
-            parts.append((tags, ledger))
     jobs = _session_jobs(n, config.budget, config.switch)
     (total,) = _run_jobs(config, [jobs], len(jobs), n, workers, sink)
     signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
-    matrix = ProbabilityMatrix.from_counts(total) if signal_rows.all() else None
-    report = secret_key_rate(total, config.source)
-    tags = ledger = None
-    if collect_tags:
-        tag_parts, ledgers = zip(*parts)
-        tags = TimeTags(*_concat(tag_parts, ("pulse_index", "detector_id", "timestamp_ps")))
-        ledger = PulseLedger(ledgers[0].start_index, *_concat(ledgers, ("class_idx", "alpha", "bit")))
-    return SessionResult(config, total, matrix, report, tags, ledger)
+    matrix = probability_matrix(total) if signal_rows.all() else None
+    return SessionResult(total, matrix, secret_key_rate(total, config.source))
 
 
 @dataclass
@@ -600,15 +583,20 @@ def run_stability(
     offsets the switch interaction angle.  Both follow the configured
     bounded random walks.  Per-sample fidelities and signal QBER form the
     series, NaN where a sample has no matched-basis event for them; pooled
-    counts give the aggregate report.
+    counts give the aggregate report.  The grid has round(hours *
+    samples_per_hour) + 1 samples, at most MAX_VALUES.
     """
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
     if samples_per_hour <= 0 or pulses_per_sample <= 0:
         raise InvalidInputError("samples_per_hour and pulses_per_sample must be positive")
+    # counted before the grid is built; an infinite product is never rounded
+    grid = hours * samples_per_hour
+    if not grid <= MAX_VALUES or round(grid) + 1 > MAX_VALUES:
+        raise InvalidInputError(f"stability samples exceed the limit of {MAX_VALUES}")
     _require_decoy_and_vacuum(config.source)
 
-    n_samples = int(round(hours * samples_per_hour)) + 1
+    n_samples = int(round(grid)) + 1
     times = np.linspace(0.0, hours, n_samples)
 
     def sample_jobs(k: int, t: float) -> list[_Job]:
@@ -665,26 +653,27 @@ def read_counts_json(path) -> tuple[SessionCounts, SourceConfig]:
     if not isinstance(payload, dict) or payload.get("schema") != COUNTS_SCHEMA:
         raise InvalidInputError(f"counts file must declare schema {COUNTS_SCHEMA!r}")
     counts = SessionCounts.from_dict(payload)
-    try:
-        source = SourceConfig(
-            mu=float(payload["mu"]),
-            nu=float(payload["nu"]),
-            rep_rate_hz=float(payload["rep_rate_hz"]),
-        )
-    except KeyError as e:
-        raise InvalidInputError(f"counts file missing field: {e}") from e
-    return counts, source
+    fields = {}
+    for name in ("mu", "nu", "rep_rate_hz"):
+        if name not in payload:
+            raise InvalidInputError(f"counts file missing field: {name!r}")
+        value = payload[name]
+        # a JSON number only: a string, null, list or boolean is not cast
+        if type(value) not in (int, float):
+            raise InvalidInputError(f"counts field {name!r} must be a number, got {value!r}")
+        try:
+            fields[name] = float(value)
+        except OverflowError as e:
+            raise InvalidInputError(f"counts field {name!r} out of range: {e}") from e
+    return counts, SourceConfig(**fields)
 
 
 def report_payload(report: KeyRateReport) -> dict:
     return {"schema": REPORT_SCHEMA, **report.to_dict()}
 
 
-def matrix_payload(matrix: ProbabilityMatrix) -> dict:
-    return {
-        "labels": list(SETTING_LABELS),
-        "rows": [[float(v) for v in row] for row in matrix.values],
-    }
+def matrix_payload(matrix: np.ndarray) -> dict:
+    return {"labels": list(SETTING_LABELS), "rows": matrix.tolist()}
 
 
 def sweep_payload(result: LossSweepResult) -> dict:

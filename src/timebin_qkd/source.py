@@ -42,10 +42,10 @@ class SourceConfig:
     class_probabilities: tuple[float, float, float] = (0.7, 0.2, 0.1)
 
     def __post_init__(self) -> None:
-        if not self.rep_rate_hz > 0:
-            raise InvalidInputError("rep_rate_hz must be positive")
-        if not self.mu > 0:
-            raise InvalidInputError("mu must be positive")
+        if not (math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0):
+            raise InvalidInputError("rep_rate_hz must be finite and positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise InvalidInputError("mu must be finite and positive")
         if not 0.0 <= self.nu < self.mu:
             raise InvalidInputError("nu must satisfy 0 <= nu < mu")
         p = tuple(float(x) for x in self.class_probabilities)

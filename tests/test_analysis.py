@@ -8,11 +8,11 @@ import pytest
 
 from timebin_qkd.analysis import (
     AnalyticChannel,
-    ProbabilityMatrix,
     binary_entropy,
     conditional_probabilities,
     decoy_bounds,
     fidelities,
+    probability_matrix,
     qber,
     secret_key_rate,
     secret_key_rate_from_values,
@@ -51,23 +51,26 @@ def test_binary_entropy_values():
         binary_entropy(1.01)
 
 
-def test_probability_matrix_rows_are_exact_rationals():
-    counts = _counts_with_rows(
-        [
-            [30, 2, 6, 2],
-            [1, 39, 5, 5],
-            [4, 4, 70, 2],
-            [3, 3, 1, 69],
-        ]
-    )
-    m = ProbabilityMatrix.from_counts(counts)
-    assert m.prob(Basis.PHASE, 0, Basis.PHASE, 0) == Fraction(30, 40)
-    assert m.prob(Basis.TIME, 0, Basis.TIME, 0) == Fraction(70, 80)
-    for row in m.values:
-        assert sum(row) == 1  # exact
-    arr = m.as_array()
-    assert arr.shape == (4, 4)
-    assert np.allclose(arr.sum(axis=1), 1.0)
+def test_probability_matrix_entries_are_correctly_rounded_ratios():
+    rows = [
+        [30, 2, 6, 2],
+        [1, 39, 5, 5],
+        [4, 4, 70, 2],
+        [3, 3, 1, 69],
+    ]
+    rng = np.random.default_rng(61)
+    cases = [rows] + [rng.integers(1, 10**int(rng.integers(1, 12)), (4, 4)).tolist() for _ in range(200)]
+    for case in cases:
+        m = probability_matrix(_counts_with_rows(case, pulses=4 * 10**12))
+        assert m.shape == (4, 4) and m.dtype == np.float64
+        for row, row_counts in zip(m, case):
+            total = sum(row_counts)
+            # n / total is the correctly rounded float of the exact ratio
+            for value, n in zip(row, row_counts):
+                assert value == n / total == float(Fraction(n, total))
+            assert abs(math.fsum(row) - 1.0) <= 4 * math.ulp(1.0)
+    m = probability_matrix(_counts_with_rows(rows))
+    assert m[0, 0] == 30 / 40 and m[2, 2] == 70 / 80
 
 
 def test_probability_matrix_names_the_empty_row():
@@ -80,7 +83,7 @@ def test_probability_matrix_names_the_empty_row():
         ]
     )
     with pytest.raises(NoDataError, match="phase:1"):
-        ProbabilityMatrix.from_counts(counts)
+        probability_matrix(counts)
 
 
 def test_fidelities_and_qber_on_known_counts():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from timebin_qkd import cli, experiment
+from timebin_qkd import experiment
 from timebin_qkd.cli import MAX_VALUES, _parse_values, main
 from timebin_qkd.detection import (
     SessionCounts,
@@ -28,6 +28,8 @@ from timebin_qkd.experiment import (
     write_counts_json,
 )
 from timebin_qkd.source import SourceConfig
+
+from sinks import tagged_session
 
 
 def _run_session(tmp_path, name, *extra):
@@ -121,10 +123,10 @@ def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
     dumped = tmp_path / "tags.csv"
     argv = ["session", "--pulses", "25000", "--seed", "5", "--out", str(tmp_path / "rep.json")]
     assert main([*argv, "--dump-tags", str(dumped), *workers]) == 0
-    whole = experiment.run_session(ExperimentConfig(seed=5), pulses=25_000, collect_tags=True)
-    write_time_tags(tmp_path / "whole.csv", whole.tags)
-    write_pulse_ledger(tmp_path / "whole.csv.ledger", whole.ledger)
-    assert len(whole.ledger) == 100_000 and len(whole.tags) > 0
+    _, tags, ledger = tagged_session(ExperimentConfig(seed=5), pulses=25_000)
+    write_time_tags(tmp_path / "whole.csv", tags)
+    write_pulse_ledger(tmp_path / "whole.csv.ledger", ledger)
+    assert len(ledger) == 100_000 and len(tags) > 0
     assert dumped.read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert (tmp_path / "tags.csv.ledger").read_bytes() == (
         tmp_path / "whole.csv.ledger"
@@ -285,6 +287,12 @@ def _last_error(capsys):
         ["session", "--set", "source.class_probabilities=[0.8,0.2,0]"],
         ["sweep-loss", "--losses", "1,3", "--set", "source.nu=0"],
         ["stability", "--hours", "1", "--set", "source.class_probabilities=[0.8,0.2,0]"],
+        # non-finite or impossible source and detector values
+        ["session", "--set", "source.rep_rate_hz=1e400"],
+        ["session", "--set", "source.mu=1e400"],
+        ["session", "--set", "detector.window_ns=1e400"],
+        ["session", "--set", "detector.dark_count_rate_hz=1e12"],
+        ["session", "--set", "detector.window_ns=1e8"],
     ],
 )
 def test_source_without_decoy_or_vacuum_fails_before_simulating(argv, capsys, monkeypatch):
@@ -329,21 +337,24 @@ def test_range_expansion_is_capped(capsys):
 def test_stability_grid_is_capped_before_it_is_built(hours, per_hour, samples, monkeypatch, capsys):
     reached = []
 
-    def stand_in(cfg, *, hours, samples_per_hour, **kwargs):
-        # never simulates: only records the grid it was asked for
-        reached.append(hours * samples_per_hour)
+    def stand_in(config, groups, n_jobs, *args, **kwargs):
+        # never simulates: only records the samples of the grid, four jobs each
+        reached.append(n_jobs // 4)
         raise RuntimeError("stand-in")
 
-    monkeypatch.setattr(cli, "run_stability", stand_in)
+    monkeypatch.setattr(experiment, "_run_jobs", stand_in)
     code = main(["stability", "--hours", hours, "--samples-per-hour", per_hour])
     err = _last_error(capsys)
     if samples is None:
         assert code == 3 and reached == []
         assert err["category"] == "input" and str(MAX_VALUES) in err["message"]
+    elif samples == "rejected later":
+        # not a grid: run_stability refuses the hours before it counts one
+        assert code == 3 and reached == []
+        assert err["category"] == "input" and "hours" in err["message"]
     else:
         assert code == 1 and err["message"] == "stand-in" and len(reached) == 1
-        if samples != "rejected later":
-            assert round(reached[0]) + 1 == samples
+        assert reached[0] == samples
 
 
 def test_sweep_point_without_decoy_events_reports_zero_rate(capsys):
@@ -398,6 +409,20 @@ def test_analyze_rejects_non_integer_counts(value, tmp_path, capsys):
     counts.write_text(json.dumps(payload))
     assert main(["analyze", "--counts", str(counts)]) == 3
     assert _last_error(capsys)["category"] == "input"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["mu", "nu", "rep_rate_hz"])
+@pytest.mark.parametrize("value", ["abc", None, [1], True, 10**400])
+def test_analyze_rejects_non_numeric_source_fields(field, value, tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    _run_session(tmp_path, "report.json", "--save-counts", str(counts))
+    payload = json.loads(counts.read_text())
+    payload[field] = value
+    counts.write_text(json.dumps(payload))
+    assert main(["analyze", "--counts", str(counts)]) == 3
+    err = _last_error(capsys)
+    assert err["category"] == "input" and field in err["message"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

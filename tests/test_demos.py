@@ -1,17 +1,21 @@
-"""Every narrative script in demos/ runs to completion.
+"""Every narrative script in demos/ and every python block of README.md runs to completion.
 
 The demos import only the public modules and assert their own headline
-facts, so running them in-process catches an API change that breaks one.
+facts, so running them in-process catches an API change that breaks one;
+running the README's blocks keeps its examples in step with the API.
 """
 
 from __future__ import annotations
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
 
 
 def test_demos_are_found():
@@ -21,4 +25,14 @@ def test_demos_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_blocks_are_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{k}" for k in range(len(README_BLOCKS))])
+def test_readme_block_runs(block, capsys):
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

@@ -73,6 +73,15 @@ def _select(tags: TimeTags, rows) -> TimeTags:
     return TimeTags(tags.pulse_index[rows], tags.detector_id[rows], tags.timestamp_ps[rows])
 
 
+def _tagged_block(prep, n_pulses, source, budget, switch, det, rng, *, layout=None, start_index=0):
+    """(counts, tags, ledger) of one pulse train: simulate_blocks of one block, with tags."""
+    ((counts, sent, (tags, ledger)),) = simulate_blocks(
+        [Block(prep, n_pulses, budget, switch, rng, start_index)],
+        source, det, collect_tags=True, layout=layout or WindowLayout(),
+    )
+    return SessionCounts(counts, sent), tags, ledger
+
+
 def _same_tags(a: TimeTags, b: TimeTags) -> bool:
     """Equal columns, timestamps compared bit for bit."""
     return (
@@ -337,7 +346,7 @@ def test_dead_time_enforces_spacing_per_detector():
     source = _signal_only(mu=5.0)
     budget = LossBudget(channel_db=0.0, coupling_db=0.0, detector_db=0.0, receiver_optics_db=0.0)
     det = replace(IDEAL_DET, efficiency_db=0.0, dead_time_ns=50.0)
-    out, tags, _ = simulate_block(
+    out, tags, _ = _tagged_block(
         BB84_SETTINGS[0],
         50_000,
         source,
@@ -345,7 +354,6 @@ def test_dead_time_enforces_spacing_per_detector():
         PERFECT_SWITCH,
         det,
         _rng(16),
-        collect_tags=True,
     )
     assert len(tags) > 5000
     for det_id in (0, 1):
@@ -478,13 +486,14 @@ def test_batched_blocks_equal_lone_blocks():
         for (setting, n, budget, switch, key, start), (counts, sent, record) in zip(
             blocks, batch, strict=True
         ):
-            lone = simulate_block(
-                setting, n, source, budget, switch, det, _rng(key),
-                collect_tags=collect_tags, layout=layout, start_index=start,
-            )
-            if not collect_tags:
+            if collect_tags:
+                lone = _tagged_block(
+                    setting, n, source, budget, switch, det, _rng(key),
+                    layout=layout, start_index=start,
+                )
+            else:
                 assert record is None
-                lone = (lone,)
+                lone = (simulate_block(setting, n, source, budget, switch, det, _rng(key)),)
             assert lone[0] == SessionCounts(counts, sent), (det, key)
             n_events += int(counts.sum())
             if collect_tags:
@@ -505,7 +514,7 @@ def test_accumulate_reproduces_block_counts_without_jitter():
     budget = LossBudget()
     det = replace(IDEAL_DET, efficiency_db=2.2)
     layout = WindowLayout()
-    counts, tags, ledger = simulate_block(
+    counts, tags, ledger = _tagged_block(
         BB84_SETTINGS[1],
         200_000,
         source,
@@ -513,7 +522,6 @@ def test_accumulate_reproduces_block_counts_without_jitter():
         PERFECT_SWITCH,
         det,
         _rng(18),
-        collect_tags=True,
         start_index=1000,
     )
     rebuilt = accumulate(tags, layout, ledger)
@@ -524,9 +532,9 @@ def test_accumulate_jitter_losses_match_window_acceptance():
     source = _signal_only()
     det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0)
     layout = WindowLayout()
-    counts, tags, ledger = simulate_block(
+    counts, tags, ledger = _tagged_block(
         BB84_SETTINGS[0], 400_000, source, LossBudget(), PERFECT_SWITCH, det,
-        _rng(19), collect_tags=True,
+        _rng(19),
     )
     # each tag's offset from the nearest slot center of its pathway; the
     # slots are 2.9 ns apart, so no 150 ps jitter draw crosses halfway
@@ -547,9 +555,9 @@ def test_accumulate_is_associative_over_ledger_pieces():
     source = SourceConfig()
     det = replace(IDEAL_DET, efficiency_db=2.2)
     layout = WindowLayout()
-    _, tags, ledger = simulate_block(
+    _, tags, ledger = _tagged_block(
         BB84_SETTINGS[2], 100_000, source, LossBudget(), PERFECT_SWITCH, det,
-        _rng(20), collect_tags=True,
+        _rng(20),
     )
     cut = 40_000
     first = PulseLedger(0, ledger.class_idx[:cut], ledger.alpha[:cut], ledger.bit[:cut])
@@ -586,9 +594,9 @@ def test_accumulate_rejects_out_of_range_tags():
 
 def test_tag_and_ledger_files_round_trip(tmp_path):
     det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0)
-    _, tags, ledger = simulate_block(
+    _, tags, ledger = _tagged_block(
         BB84_SETTINGS[0], 20_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
-        det, _rng(21), collect_tags=True, start_index=500,
+        det, _rng(21), start_index=500,
     )
     tag_path = tmp_path / "run.tags"
     ledger_path = tmp_path / "run.ledger"
@@ -629,9 +637,9 @@ def test_tag_files_round_trip_edge_floats_bit_exactly(tmp_path):
 
 def test_tag_writer_matches_the_row_by_row_reference_on_block_tags(tmp_path):
     det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0, dark_count_rate_hz=1e6)
-    _, tags, _ = simulate_block(
+    _, tags, _ = _tagged_block(
         BB84_SETTINGS[1], 50_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
-        det, _rng(25), collect_tags=True, start_index=999_990,
+        det, _rng(25), start_index=999_990,
     )
     write_time_tags(tmp_path / "fast", tags)
     write_time_tags_rows(tmp_path / "ref", tags)
@@ -778,9 +786,9 @@ def test_ledger_columns_are_int8(tmp_path):
     made = PulseLedger(0, [0, 1, 2], np.array([0, 1, 0], dtype=np.int64), [1.0, 0.0, 1.0])
     write_pulse_ledger(tmp_path / "written", made)
     (tmp_path / "padded").write_text(f"{LEDGER_HEADER}\n 0,0,0,1\n1,1,1,0\n")
-    _, _, simulated = simulate_block(
+    _, _, simulated = _tagged_block(
         BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
-        DetectorModel(), _rng(3), collect_tags=True,
+        DetectorModel(), _rng(3),
     )
     ledgers = (
         made,
@@ -796,9 +804,9 @@ def test_ledger_columns_are_int8(tmp_path):
 def test_tag_detector_ids_are_int8(tmp_path):
     made = TimeTags([0, 1], np.array([1, 0], dtype=np.int64), [0.0, 1.5])
     write_time_tags(tmp_path / "tags", made)
-    _, simulated, _ = simulate_block(
+    _, simulated, _ = _tagged_block(
         BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
-        DetectorModel(), _rng(3), collect_tags=True,
+        DetectorModel(), _rng(3),
     )
     assert len(simulated) > 0
     for tags in (made, read_time_tags(tmp_path / "tags"), simulated):
@@ -932,9 +940,9 @@ def test_accumulate_matches_the_dict_loop_reference():
     # a full block's tags
     layout = WindowLayout()
     det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6)
-    _, tags, ledger = simulate_block(
+    _, tags, ledger = _tagged_block(
         BB84_SETTINGS[3], 100_000, SourceConfig(), LossBudget(), PERFECT_SWITCH, det,
-        _rng(23), collect_tags=True, start_index=77,
+        _rng(23), start_index=77,
     )
     assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger)
     assert accumulate(_tags(), layout, ledger) == accumulate_loop(_tags(), layout, ledger)
@@ -951,3 +959,10 @@ def test_detector_model_validation():
         DetectorModel(stray_time_policy="whatever")
     with pytest.raises(InvalidInputError):
         DetectorModel(window_ns=0.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        DetectorModel(window_ns=math.inf)
+    # 1e12 Hz over 0.8 ns, and 100 Hz over 1e8 ns: ten dark clicks a window
+    for det in ({"dark_count_rate_hz": 1e12}, {"window_ns": 1e8}):
+        with pytest.raises(InvalidInputError, match="above 1"):
+            DetectorModel(**det)
+    assert DetectorModel(dark_count_rate_hz=1.25e9).dark_prob_per_window == 1.0

@@ -41,6 +41,8 @@ from timebin_qkd.experiment import (
 )
 from timebin_qkd.qubit import Basis
 
+from sinks import tagged_session
+
 
 @pytest.fixture(scope="module")
 def coarse_scan():
@@ -154,18 +156,13 @@ def test_run_session_tags_rebuild_the_counts():
     # accumulation of the tag record reproduces the online counts exactly
     cfg = ExperimentConfig(seed=9)
     cfg = replace(cfg, detector=replace(cfg.detector, jitter_sigma_ps=0.0))
-    res = run_session(cfg, pulses=5_000, collect_tags=True)
-    assert len(res.ledger) == 4 * 5_000
-    assert res.ledger.start_index == 0
-    order = np.lexsort((res.tags.timestamp_ps, res.tags.pulse_index))
-    assert np.array_equal(order, np.arange(len(res.tags)))
-    rebuilt = accumulate(res.tags, cfg.layout, res.ledger)
+    res, tags, ledger = tagged_session(cfg, pulses=5_000)
+    assert len(ledger) == 4 * 5_000
+    assert ledger.start_index == 0
+    order = np.lexsort((tags.timestamp_ps, tags.pulse_index))
+    assert np.array_equal(order, np.arange(len(tags)))
+    rebuilt = accumulate(tags, cfg.layout, ledger)
     assert rebuilt == res.counts
-
-
-def test_run_session_takes_a_sink_or_collects_tags_not_both():
-    with pytest.raises(InvalidInputError, match="exclude"):
-        run_session(ExperimentConfig(), pulses=100, collect_tags=True, sink=lambda t, l: None)
 
 
 @pytest.mark.parametrize("dark_hz", [100.0, 1e7])
@@ -176,7 +173,7 @@ def test_tags_do_not_change_the_counts(dark_hz):
     cfg = replace(cfg, detector=replace(cfg.detector, dark_count_rate_hz=dark_hz))
     plain = run_session(cfg, pulses=200_000)
     for workers in (None, 2):
-        tagged = run_session(cfg, pulses=200_000, collect_tags=True, workers=workers)
+        tagged, _, _ = tagged_session(cfg, pulses=200_000, workers=workers)
         assert tagged.counts == plain.counts
 
 
@@ -289,7 +286,7 @@ def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
 
     def flows(workers):
         session = run_session(cfg, pulses=20_000, workers=workers)
-        tagged = run_session(cfg, pulses=20_000, workers=workers, collect_tags=True)
+        tagged = tagged_session(cfg, pulses=20_000, workers=workers)
         sweep = run_loss_sweep(cfg, [1.0, 6.0], pulses=20_000, workers=workers)
         scan = run_pump_delay_scan(cfg, [0.0, 4.5], pulses_per_point=20_000, workers=workers)
         stability = run_stability(
@@ -303,13 +300,14 @@ def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
     threaded = flows(2)
     assert threading.get_ident() not in block_threads
 
-    (s1, t1, w1, p1, b1), (s2, t2, w2, p2, b2) = serial, threaded
+    (s1, (t1, tags1, ledger1), w1, p1, b1) = serial
+    (s2, (t2, tags2, ledger2), w2, p2, b2) = threaded
     assert s1.counts == s2.counts and s1.report == s2.report
     assert t1.counts == s1.counts and t2.counts == s1.counts
     for name in ("pulse_index", "detector_id", "timestamp_ps"):
-        assert np.array_equal(getattr(t1.tags, name), getattr(t2.tags, name))
+        assert np.array_equal(getattr(tags1, name), getattr(tags2, name))
     for name in ("class_idx", "alpha", "bit"):
-        assert np.array_equal(getattr(t1.ledger, name), getattr(t2.ledger, name))
+        assert np.array_equal(getattr(ledger1, name), getattr(ledger2, name))
     assert w1.rates_bps.tolist() == w2.rates_bps.tolist() and w1.reports == w2.reports
     np.testing.assert_array_equal(p1.fidelity_t0, p2.fidelity_t0)
     np.testing.assert_array_equal(p1.fidelity_t1, p2.fidelity_t1)
@@ -356,8 +354,8 @@ def test_flows_do_not_depend_on_the_batches(monkeypatch):
 
     def flows():
         return (
-            run_session(cfg, pulses=2_500, collect_tags=True),
-            run_session(cfg, pulses=300, collect_tags=True),
+            tagged_session(cfg, pulses=2_500),
+            tagged_session(cfg, pulses=300),
             run_loss_sweep(cfg, [1.0, 6.0, 9.0], pulses=300),
             run_pump_delay_scan(cfg, np.arange(-4.0, 12.0, 0.5), pulses_per_point=100),
             run_stability(cfg, hours=1, samples_per_hour=4, pulses_per_sample=200),
@@ -366,12 +364,12 @@ def test_flows_do_not_depend_on_the_batches(monkeypatch):
     batched = flows()
     monkeypatch.setattr(experiment, "BATCH_BLOCKS", 1)
     lone = flows()
-    for a, b in zip(batched[:2], lone[:2]):
+    for (a, a_tags, a_ledger), (b, b_tags, b_ledger) in zip(batched[:2], lone[:2]):
         assert a.counts == b.counts and a.report == b.report
         for name in ("pulse_index", "detector_id", "timestamp_ps"):
-            assert np.array_equal(getattr(a.tags, name), getattr(b.tags, name))
+            assert np.array_equal(getattr(a_tags, name), getattr(b_tags, name))
         for name in ("class_idx", "alpha", "bit"):
-            assert np.array_equal(getattr(a.ledger, name), getattr(b.ledger, name))
+            assert np.array_equal(getattr(a_ledger, name), getattr(b_ledger, name))
     assert batched[2].reports == lone[2].reports
     np.testing.assert_array_equal(batched[3].fidelity_t0, lone[3].fidelity_t0)
     np.testing.assert_array_equal(batched[3].fidelity_t1, lone[3].fidelity_t1)
@@ -479,6 +477,37 @@ def test_run_stability_small_grid():
         run_stability(cfg, samples_per_hour=0)
     with pytest.raises(InvalidInputError):
         run_stability(cfg, pulses_per_sample=0)
+
+
+@pytest.mark.parametrize(
+    "hours, per_hour, samples",
+    [
+        (1e308, 10, None),  # the product is infinite
+        (1e300, 10, None),
+        (100_000, 1, None),
+        (99_999.5, 1, None),  # rounds half to even: 100,001 samples
+        (99_999, 1, experiment.MAX_VALUES),
+    ],
+)
+def test_run_stability_refuses_a_grid_over_the_cap(hours, per_hour, samples, monkeypatch):
+    # the stand-in engine never simulates; before the cap moved here, the
+    # grids over it raised OverflowError or ValueError before allocating
+    reached = []
+
+    def stand_in(config, groups, n_jobs, *args, **kwargs):
+        reached.append(n_jobs // 4)
+        raise RuntimeError("stand-in")
+
+    monkeypatch.setattr(experiment, "_run_jobs", stand_in)
+    cfg = ExperimentConfig()
+    if samples is None:
+        with pytest.raises(InvalidInputError, match=str(experiment.MAX_VALUES)):
+            run_stability(cfg, hours=hours, samples_per_hour=per_hour)
+        assert reached == []
+    else:
+        with pytest.raises(RuntimeError, match="stand-in"):
+            run_stability(cfg, hours=hours, samples_per_hour=per_hour)
+        assert reached == [samples]
 
 
 def test_counts_json_round_trip(tmp_path):

@@ -51,6 +51,9 @@ def test_source_config_defaults_and_validation():
         SourceConfig(nu=0.9)  # nu >= mu
     with pytest.raises(InvalidInputError):
         SourceConfig(class_probabilities=(0.5, 0.5, 0.5))
+    for kwargs in ({"mu": math.inf}, {"rep_rate_hz": math.inf}, {"rep_rate_hz": math.nan}):
+        with pytest.raises(InvalidInputError, match="finite"):
+            SourceConfig(**kwargs)
     # a source without vacuum is valid; the key-rate flows reject it
     SourceConfig(class_probabilities=(0.8, 0.2, 0.0))
 
