@@ -33,7 +33,15 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .qubit import Basis, PreparationSetting, mub_states
 from .source import IntensityClass, LossBudget, SourceConfig, transmittance
-from .switch import POL_H, POL_V, SwitchedState, SwitchModel, apply_switch_both_bins
+from .switch import (
+    POL_H,
+    POL_V,
+    SwitchedState,
+    SwitchModel,
+    _bin_rotation,
+    apply_switch_both_bins,  # noqa: F401  (perfbench/spans.py wraps it at this name)
+    bin_efficiencies,
+)
 
 # Path difference of the polarizing delayed interferometer: 0.88 m of fiber
 # free-space-equivalent delay between the two polarization arms.
@@ -612,47 +620,62 @@ def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:
     return int(math.ceil(det.dead_time_ns * 1e3 / source.frame_ps))
 
 
-def _prune_dead_time(
-    frames: np.ndarray, detector: np.ndarray, blocked: int
-) -> np.ndarray:
-    # Greedy pass per detector over the sparse click list: a kept event
-    # blocks the next `blocked` frames on its detector.
-    keep = np.ones(len(frames), dtype=bool)
-    if blocked <= 0 or len(frames) == 0:
-        return keep
-    next_free = [0, 0]
-    for k in range(len(frames)):
-        d = detector[k]
-        if frames[k] < next_free[d]:
-            keep[k] = False
-        else:
-            next_free[d] = frames[k] + blocked + 1
-    return keep
-
-
 def _prune_dead_time_clusters(
     frames: np.ndarray, detector: np.ndarray, blocked: int
 ) -> np.ndarray:
-    """The greedy dead-time pass, run only where it can drop something.
+    """Keep mask of the greedy dead-time pass: a kept event blocks the next
+    `blocked` frames on its detector.  frames must be sorted.
 
     An event more than `blocked` frames after the previous event on its
     detector is always kept, because whichever of the earlier events was
     kept last has released the detector by then.  Only clusters of events
-    that close together go through `_prune_dead_time`; clusters on one
-    detector are that far apart, so each starts from a free detector.
-    frames must be sorted.
+    that close together need the pass.  Within them the kept events are
+    the chain that starts at each cluster's first event and steps to the
+    first event at least `blocked` + 1 frames later; the chains are
+    marked by pointer doubling, so the pass takes O(log n) array rounds.
     """
     keep = np.ones(len(frames), dtype=bool)
     if blocked <= 0 or len(frames) < 2:
         return keep
-    clustered = np.zeros(len(frames), dtype=bool)
-    for d in (0, 1):
-        idx = np.flatnonzero(detector == d)
-        close = np.diff(frames[idx]) <= blocked
-        clustered[idx[1:][close]] = True
-        clustered[idx[:-1][close]] = True
+    # Two events that close on one detector make every event between them
+    # close to its neighbours, so only events close to a neighbour on
+    # either detector can be clustered.
+    near = np.diff(frames) <= blocked
+    candidates = np.zeros(len(frames), dtype=bool)
+    candidates[1:] = near
+    candidates[:-1] |= near
+    candidates = np.flatnonzero(candidates)
+    # the candidates on detector 0, then on detector 1, each in frame order
+    on = detector[candidates]
+    on_detector = [candidates[on == d] for d in (0, 1)]
+    order = np.concatenate(on_detector)
+    f = frames[order]
+    close = np.diff(f) <= blocked
+    n0 = len(on_detector[0])
+    close[n0 - 1 : n0] = False  # the last event on detector 0 and the first on 1
+    clustered = np.zeros(len(f), dtype=bool)
+    clustered[1:] = close
+    clustered[:-1] |= close
     sub = np.flatnonzero(clustered)
-    keep[sub] = _prune_dead_time(frames[sub].tolist(), detector[sub].tolist(), blocked)
+    if len(sub) == 0:
+        return keep
+    # detector 1's frames shifted past detector 0's, so one sorted axis
+    # holds both and no step crosses from one detector to the other
+    axis = f[sub] + (sub >= n0) * (int(frames[-1]) + blocked + 2)
+    step = np.append(np.searchsorted(axis, axis + (blocked + 1)), len(sub))
+    marked = np.zeros(len(sub) + 1, dtype=bool)
+    marked[0] = True
+    marked[1:-1] = ~close[sub[1:] - 1]
+    # marked holds every event fewer than 2**r steps down a chain from a
+    # cluster start and step[i] is 2**r steps on from i; stop when a round
+    # marks nothing new, so marked is closed under step
+    while True:
+        reached = step[marked]
+        if marked[reached].all():
+            break
+        marked[reached] = True
+        step = step[step]
+    keep[order[sub]] = marked[:-1]
     return keep
 
 
@@ -726,14 +749,66 @@ def _event_probabilities(
     return np.concatenate([probs, np.reshape(rest, (len(q_surv), 3, 1))], axis=2)
 
 
+def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tuple]]:
+    """Each block's (P bit0, P bit1, P dropped) in the phase, then the time pathway.
+
+    These are outcome_probabilities(apply_switch_both_bins(state, switch),
+    basis, det), computed in the same float operations in the same order,
+    so each is the same float.  Only the objects are left out: each
+    distinct preparation's state and each distinct switch's two bin
+    efficiencies are computed once per batch, and each block then rotates
+    and projects plain complex numbers.
+    """
+    chi = det.recombination_phase
+    turn = complex(math.cos(chi), math.sin(chi))
+    policy = det.stray_time_policy
+    # the conjugated amplitudes of the phase-basis states of bit 0 and bit 1
+    (c00, c01), (c10, c11) = (
+        (b.amp_t0.conjugate(), b.amp_t1.conjugate()) for b in mub_states(Basis.PHASE)
+    )
+    states = {setting: setting.state() for setting in {block.setting for block in blocks}}
+    etas = {switch: bin_efficiencies(switch) for switch in {block.switch for block in blocks}}
+    out = []
+    for block in blocks:
+        q, phase = states[block.setting], block.switch.bin_phase_offset
+        eta0, eta1 = etas[block.switch]
+        h0, v0 = _bin_rotation(q.amp_t0, eta0, phase)
+        h1, v1 = _bin_rotation(q.amp_t1, eta1, phase)
+        # the detected qubit (e^{i chi} V of the early bin, H of the late
+        # bin) and the crossed modes
+        psi0 = v0 * turn
+        stray_h = abs(h0) ** 2
+        stray_v = abs(v1) ** 2
+        stray = stray_h + stray_v
+        phase_pathway = (
+            abs(c00 * psi0 + c01 * h1) ** 2 + 0.5 * stray,
+            abs(c10 * psi0 + c11 * h1) ** 2 + 0.5 * stray,
+            0.0,
+        )
+        p0 = abs(psi0) ** 2
+        p1 = abs(h1) ** 2
+        if policy == "random":
+            time_pathway = (p0 + 0.5 * stray, p1 + 0.5 * stray, 0.0)
+        elif policy == "by_polarization":
+            time_pathway = (p0 + stray_v, p1 + stray_h, 0.0)
+        else:
+            time_pathway = (p0, p1, stray)
+        out.append([phase_pathway, time_pathway])
+    return out
+
+
 def _event_tables(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> np.ndarray:
     """The (J, 3, 23) event probabilities of the frames of each block."""
-    outcomes = []
-    for block in blocks:
-        sw = apply_switch_both_bins(block.setting.state(), block.switch)
-        outcomes.append([outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)])
-    q_surv = [transmittance(block.budget.path_db) * det.efficiency for block in blocks]
-    return _event_probabilities([source.mean_for(c) for c in range(3)], q_surv, outcomes, det)
+    efficiency = det.efficiency
+    q_surv = [transmittance(block.budget.path_db) * efficiency for block in blocks]
+    return _event_probabilities(
+        [source.mean_for(c) for c in range(3)], q_surv, _pathway_outcomes(blocks, det), det
+    )
+
+
+# Bits of a packed event key below the frame: the event's cell of its
+# block's (3, 22) table, 0 .. 65.
+_CELL_BITS = 7
 
 
 def _draw_events(blocks: list[Block], source: SourceConfig, tables: np.ndarray, stride: int):
@@ -741,10 +816,11 @@ def _draw_events(blocks: list[Block], source: SourceConfig, tables: np.ndarray, 
 
     Each block draws from its own generator: its class totals, then the
     event-state counts of its three classes, then one distinct frame per
-    event.  Block j's frames are then offset by j * stride, so one sort
-    orders the batch by block, then frame.  Returns (class_totals, frames,
-    ev_block, ev_cls, ev_state): class_totals is (J, 3) and the rest are
-    per event, sorted, with frames offset.
+    event.  Block j's frames are then offset by j * stride, so the batch's
+    frames are distinct and one sort of (frame, cell) keys packed in an
+    int64 orders the batch by block, then frame.  Returns (class_totals,
+    frames, ev_block, ev_cls, ev_state): class_totals is (J, 3) and the
+    rest are per event, sorted, with frames offset.
     """
     n_blocks = len(blocks)
     class_totals = np.empty((n_blocks, 3), dtype=np.int64)
@@ -759,14 +835,15 @@ def _draw_events(blocks: list[Block], source: SourceConfig, tables: np.ndarray, 
         block_frames = block.rng.choice(block.pulses, per_cell[j].sum(), replace=False)
         block_frames += j * stride
         frames.append(block_frames)
-    frames = np.concatenate(frames)
-    order = np.argsort(frames)
+    keys = np.concatenate(frames)
+    keys <<= _CELL_BITS
+    keys |= np.repeat(np.tile(np.arange(3 * _N_EVENTS), n_blocks), per_cell.ravel())
+    keys.sort()
+    cell = keys & ((1 << _CELL_BITS) - 1)
+    keys >>= _CELL_BITS
     # sorted, the events of block j are the j-th run of per_cell[j].sum()
     ev_block = np.repeat(np.arange(n_blocks), per_cell.sum(axis=1))
-    per_cell = per_cell.ravel()
-    ev_cls = np.repeat(np.tile(_CELL_CLASS, n_blocks), per_cell)[order]
-    ev_state = np.repeat(np.tile(_CELL_STATE, n_blocks), per_cell)[order]
-    return class_totals, frames[order], ev_block, ev_cls, ev_state
+    return class_totals, keys, ev_block, _CELL_CLASS[cell], _CELL_STATE[cell]
 
 
 def _double_click_policy(
@@ -835,8 +912,9 @@ def _tags_and_ledger(
     cls = np.empty(n, dtype=np.int8)
     silent = np.ones(n, dtype=bool)
     silent[frames] = False
-    rest = class_totals - np.bincount(ev_cls, minlength=3)
-    cls[silent] = rng.permutation(np.repeat(np.arange(3), rest))
+    rest = np.repeat(np.arange(3), class_totals - np.bincount(ev_cls, minlength=3))
+    rng.shuffle(rest)
+    cls[silent] = rest
     cls[frames] = ev_cls
 
     # Window 0's jitter is drawn before window 1's; the tags are then
@@ -877,9 +955,13 @@ def simulate_blocks(
     double-click policy draws a coin for each surviving double only.
 
     Only the draws are made block by block, each from the block's own
-    generator and in the order above.  The event tables, the frame sort,
-    the dead-time pass, the click masks and the tally run once for the
-    whole batch, so a block's result does not depend on the batch it is in.
+    generator and in the order above.  The stages that draw nothing run
+    once for the whole batch, so a block's result does not depend on the
+    batch it is in: the event tables (`_pathway_outcomes` computes each
+    distinct preparation and switch once), one sort of the batch's events
+    as packed (frame, cell) int64 keys, the dead-time pass (pointer
+    doubling over the clusters of close clicks, no per-event loop), the
+    click masks and the tally.
 
     Yields (counts, pulses_sent, record) per block, in order: the block's
     SessionCounts arrays, and with collect_tags its (tags, ledger), where

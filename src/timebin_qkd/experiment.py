@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -97,9 +98,10 @@ class ExperimentConfig:
     pulses_per_setting: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if not isinstance(self.pulses_per_setting, int) or self.pulses_per_setting <= 0:
+        count = self.pulses_per_setting
+        if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
             raise ConfigError("pulses_per_setting must be a positive integer")
         if abs(self.budget.detector_db - self.detector.efficiency_db) > 1e-9:
             raise ConfigError(
@@ -117,20 +119,50 @@ _SECTIONS = {
     "layout": WindowLayout,
     "drift": DriftModel,
 }
-_TUPLE_FIELDS = {"class_probabilities", "centers_ps"}
+
+
+def _number(value, where: str) -> float:
+    # a JSON number only: a string, null, list or boolean is not cast
+    if type(value) not in (int, float):
+        raise ConfigError(f"'{where}' must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as e:
+        raise ConfigError(f"'{where}' out of range: {e}") from e
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+    return value
 
 
 def _build_section(cls, payload: dict, section: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - names
+    """One config section from its parsed JSON, each value of its field's type.
+
+    A float field takes a JSON number, an int field a JSON integer, a
+    string field a string and a tuple field a list of numbers; a boolean
+    is none of these.  The dataclass then checks the values' ranges.
+    """
+    kinds = typing.get_type_hints(cls)
+    unknown = set(payload) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
     kwargs = {}
     for k, v in payload.items():
-        if k in _TUPLE_FIELDS:
+        where = f"{section}.{k}"
+        kind = kinds[k]
+        if kind is float:
+            v = _number(v, where)
+        elif kind is int:
+            v = _integer(v, where)
+        elif kind is str:
+            if type(v) is not str:
+                raise ConfigError(f"'{where}' must be a string, got {v!r}")
+        else:  # a tuple of floats
             if not isinstance(v, (list, tuple)):
-                raise ConfigError(f"'{section}.{k}' must be a list")
-            v = tuple(v)
+                raise ConfigError(f"'{where}' must be a list")
+            v = tuple(_number(x, where) for x in v)
         kwargs[k] = v
     try:
         return cls(**kwargs)
@@ -154,7 +186,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             kwargs[section] = _build_section(cls, sub, section)
     for scalar in ("seed", "pulses_per_setting"):
         if scalar in payload:
-            kwargs[scalar] = payload[scalar]
+            kwargs[scalar] = _integer(payload[scalar], scalar)
     return ExperimentConfig(**kwargs)
 
 

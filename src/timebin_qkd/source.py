@@ -128,6 +128,8 @@ class DriftModel:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidInputError(f"{name} must be finite and non-negative")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidInputError("seed must be a non-negative integer")
 
 
 def _reflect(x: float, bound: float) -> float:

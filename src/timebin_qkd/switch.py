@@ -91,6 +91,9 @@ class SwitchModel:
     bin_separation_ps: float = DEFAULT_BIN_SEPARATION_PS
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite")
         for name in ("pump_fwhm_ps", "signal_fwhm_ps", "walkoff_ps", "bin_separation_ps"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be positive")
@@ -98,9 +101,6 @@ class SwitchModel:
             raise InvalidInputError("theta must lie in [0, pi/2]")
         if self.delta_phi_peak < 0:
             raise InvalidInputError("delta_phi_peak must be non-negative")
-        for name in ("pump_delay_ps", "bin_phase_offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite")
 
 
 def nonlinear_phase(
@@ -168,6 +168,20 @@ def effective_efficiency(model: SwitchModel) -> float:
     return switching_efficiency(model.theta, model.delta_phi_peak * w)
 
 
+def bin_efficiencies(model: SwitchModel) -> tuple[float, float]:
+    """Switching efficiencies of the early and the late bin.
+
+    Each is switching_efficiency(theta, delta_phi_peak * w) with w the pump
+    overlap at that bin's own delay: pump_delay for the early bin and
+    pump_delay - bin_separation for the late one.
+    """
+    early, late = (
+        switching_efficiency(model.theta, model.delta_phi_peak * _overlap_weight(model, delay))
+        for delay in (model.pump_delay_ps, model.pump_delay_ps - model.bin_separation_ps)
+    )
+    return early, late
+
+
 NORM_TOL_SWITCHED = 1e-9
 
 
@@ -219,10 +233,7 @@ def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState
     by about one bin separation switches the late bin instead, which is
     what a delay scan sweeps across.  Norm is preserved.
     """
-    etas = [
-        switching_efficiency(model.theta, model.delta_phi_peak * _overlap_weight(model, delay))
-        for delay in (model.pump_delay_ps, model.pump_delay_ps - model.bin_separation_ps)
-    ]
+    etas = bin_efficiencies(model)
     amps = np.zeros((2, 2), dtype=complex)
     for b, (amp_in, eta) in enumerate(zip((q.amp_t0, q.amp_t1), etas)):
         h, v = _bin_rotation(amp_in, eta, model.bin_phase_offset)

@@ -1,5 +1,5 @@
-"""Row-by-row reference versions of the tag and ledger file code, accumulate
-and the event table.
+"""Row-by-row reference versions of the tag and ledger file code, accumulate,
+the event table and the dead-time pass.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced.  They are slow and kept only so the tests
@@ -124,3 +124,20 @@ def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -
         row = pi - ledger.start_index
         out.counts[ledger.class_idx[row], ledger.alpha[row], ledger.bit[row], beta, j] += 1
     return out
+
+
+def prune_dead_time_loop(frames, detector, blocked: int) -> np.ndarray:
+    """The greedy dead-time pass event by event, per detector over the
+    sorted events: a kept event blocks the next `blocked` frames on its
+    detector."""
+    keep = np.ones(len(frames), dtype=bool)
+    if blocked <= 0 or len(frames) == 0:
+        return keep
+    next_free = [0, 0]
+    for k in range(len(frames)):
+        d = detector[k]
+        if frames[k] < next_free[d]:
+            keep[k] = False
+        else:
+            next_free[d] = frames[k] + blocked + 1
+    return keep

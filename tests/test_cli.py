@@ -425,6 +425,34 @@ def test_analyze_rejects_non_numeric_source_fields(field, value, tmp_path, capsy
     assert err["category"] == "input" and field in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["session"], ["stability", "--hours", "1"]],
+    ids=["session", "stability"],
+)
+@pytest.mark.parametrize(
+    "override",
+    [
+        'source.mu="abc"', "source.mu=null", 'layout.width_ps="x"', "detector.window_ns=true",
+        "seed=true", "seed=1.5", 'seed="7"', "pulses_per_setting=true",
+        "drift.seed=-1", "drift.seed=1.5", 'drift.seed="x"', "drift.seed=true",
+        "switch.delta_phi_peak=NaN", "switch.delta_phi_peak=Infinity",
+        "switch.walkoff_ps=Infinity", "switch.pump_fwhm_ps=Infinity", "switch.theta=NaN",
+    ],
+)
+def test_config_values_of_the_wrong_type_or_not_finite_fail_before_simulating(
+    argv, override, capsys, monkeypatch
+):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a block ran before the config was rejected")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
+    assert main([*argv, "--set", override]) == 2
+    err = _last_error(capsys)
+    assert err["category"] == "config"
+    assert override.split("=")[0].split(".")[-1] in err["message"]
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_exit_with_input_error(workers, capsys):
     assert main(["session", "--pulses", "1000", "--workers", workers]) == 3

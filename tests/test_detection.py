@@ -22,7 +22,8 @@ from timebin_qkd.detection import (
     WindowLayout,
     _decode_written_ledger,
     _event_probabilities,
-    _prune_dead_time,
+    _event_tables,
+    _pathway_outcomes,
     _prune_dead_time_clusters,
     _read_ledger_rows,
     accumulate,
@@ -35,13 +36,14 @@ from timebin_qkd.detection import (
     write_time_tags,
 )
 from timebin_qkd.errors import ConfigError, InvalidInputError
-from timebin_qkd.qubit import BB84_SETTINGS, Basis, mub_states, overlap_probability
+from timebin_qkd.qubit import BB84_SETTINGS, Basis, PreparationSetting, mub_states, overlap_probability
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
 from timebin_qkd.switch import SwitchModel, apply_switch_both_bins, with_delay
 
 from reference import (
     accumulate_loop,
     event_probabilities_loop,
+    prune_dead_time_loop,
     read_pulse_ledger_rows,
     read_time_tags_rows,
     write_pulse_ledger_rows,
@@ -381,11 +383,24 @@ def _dead_time_inputs(rng):
         frames = np.arange(0, 400, step)
         yield frames, np.zeros(len(frames), dtype=np.int8), blocked
         yield frames, (frames // 40 % 2).astype(np.int8), blocked
+    # dense: every frame an event, on one or both detectors, with a dead
+    # time shorter than, equal to and longer than the train
+    for n in (1, 2, 3, 50, 1000):
+        frames = np.arange(n)
+        for blocked in (1, n - 1, n, 2 * n):
+            yield frames, np.zeros(n, dtype=np.int8), blocked
+            yield frames, (frames % 2).astype(np.int8), blocked
+            yield frames, rng.integers(0, 2, n).astype(np.int8), blocked
     for _ in range(300):
         span = int(rng.integers(1, 500))
         k = int(rng.integers(0, span + 1))
         frames = np.sort(rng.choice(span, k, replace=False))
         yield frames, rng.integers(0, 2, k).astype(np.int8), int(rng.integers(0, 9))
+    # one detector only, either one, and a dead time as long as the train
+    for d in (0, 1):
+        frames = np.sort(rng.choice(300, 120, replace=False))
+        for blocked in (3, 299, 300, 1000):
+            yield frames, np.full(120, d, dtype=np.int8), blocked
 
 
 def test_cluster_dead_time_pass_matches_greedy_reference():
@@ -394,7 +409,7 @@ def test_cluster_dead_time_pass_matches_greedy_reference():
     for frames, detector, blocked in cases:
         assert np.array_equal(
             _prune_dead_time_clusters(frames, detector, blocked),
-            _prune_dead_time(frames, detector, blocked),
+            prune_dead_time_loop(frames.tolist(), detector.tolist(), blocked),
         ), (frames.tolist(), detector.tolist(), blocked)
 
 
@@ -411,6 +426,63 @@ def _event_table_inputs(rng):
             intrinsic_error=(0.0, 0.5, 0.008, rng.uniform(0.0, 0.5))[(k // 4) % 4],
         )
         yield means, q_surv, outcomes, det
+
+
+def _switched_table_inputs(rng):
+    """(blocks, detector) batches over every setting, the scan's 65 pump
+    delays, drifted theta and delta_phi_peak, every stray policy and a
+    non-zero recombination phase."""
+    switches = [with_delay(SwitchModel(), float(t)) for t in np.arange(-4.0, 12.0 + 1e-9, 0.25)]
+    for _ in range(40):
+        switches.append(replace(
+            SwitchModel(),
+            theta=float(np.clip(math.pi / 4 + rng.normal(0.0, 0.05), 0.0, math.pi / 2)),
+            delta_phi_peak=math.pi * (1.0 + rng.normal(0.0, 0.03)),
+            pump_delay_ps=rng.uniform(-6.0, 14.0),
+            bin_phase_offset=rng.uniform(-math.pi, math.pi),
+        ))
+    for k in range(24):
+        det = DetectorModel(
+            stray_time_policy=("random", "discard", "by_polarization")[k % 3],
+            recombination_phase=(0.0, 0.3, rng.uniform(-math.pi, math.pi))[(k // 3) % 3],
+            dark_count_rate_hz=(100.0, 1e8)[k % 2],
+            intrinsic_error=(0.008, 0.0, 0.5, rng.uniform(0.0, 0.5))[(k // 6) % 4],
+        )
+        picks = rng.choice(len(switches), 16)
+        settings = rng.choice(len(BB84_SETTINGS), 16)
+        blocks = [
+            Block(BB84_SETTINGS[s], 1000, LossBudget(channel_db=rng.uniform(0.0, 30.0)),
+                  switches[w], None)
+            for s, w in zip(settings, picks)
+        ]
+        yield blocks, det
+    # every setting at every delay, one batch per setting
+    for setting in BB84_SETTINGS:
+        yield [Block(setting, 1000, LossBudget(), w, None) for w in switches[:65]], IDEAL_DET
+
+
+def _random_switched_batches(rng, n_batches):
+    """Batches of 16 blocks with any wave-plate angle and switch, so that
+    every amplitude is a generic float."""
+    for k in range(n_batches):
+        det = DetectorModel(
+            stray_time_policy=("random", "discard", "by_polarization")[k % 3],
+            recombination_phase=rng.uniform(-math.pi, math.pi),
+        )
+        blocks = [
+            Block(
+                PreparationSetting(rng.uniform(-90.0, 90.0), Basis(k % 2), int(rng.integers(2))),
+                1000,
+                LossBudget(),
+                SwitchModel(
+                    theta=rng.uniform(0.0, math.pi / 2), delta_phi_peak=rng.uniform(0.0, 2 * math.pi),
+                    pump_delay_ps=rng.uniform(-8.0, 16.0), bin_phase_offset=rng.uniform(-math.pi, math.pi),
+                ),
+                None,
+            )
+            for _ in range(16)
+        ]
+        yield blocks, det
 
 
 def test_event_table_matches_the_per_state_reference_bit_for_bit():
@@ -435,6 +507,33 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
                 assert np.array_equal(table[c], event_probabilities_loop(mean, q, pathways, det)), (
                     mean, q, pathways, det,
                 )
+
+    # the whole chain: (setting, switch, detector) -> table, against
+    # apply_switch_both_bins -> outcome_probabilities -> the per-state loop
+    source = SourceConfig()
+    means = [source.mean_for(c) for c in range(3)]
+    cases = list(_switched_table_inputs(_rng(43)))
+    assert {d.stray_time_policy for _, d in cases} == {"random", "discard", "by_polarization"}
+    assert {b.setting for blocks, _ in cases for b in blocks} == set(BB84_SETTINGS)
+    for blocks, det in cases:
+        tables = _event_tables(blocks, source, det)
+        assert tables.shape == (len(blocks), 3, 23)
+        for block, table in zip(blocks, tables):
+            sw = apply_switch_both_bins(block.setting.state(), block.switch)
+            outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
+            q_surv = transmittance(block.budget.path_db) * det.efficiency
+            for c, mean in enumerate(means):
+                assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det)), (
+                    block, det,
+                )
+    # generic amplitudes round differently in about one operation in a
+    # thousand if an operation is changed, so many are compared
+    for blocks, det in _random_switched_batches(_rng(47), 512):
+        for block, pathways in zip(blocks, _pathway_outcomes(blocks, det)):
+            sw = apply_switch_both_bins(block.setting.state(), block.switch)
+            assert list(pathways) == [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)], (
+                block, det,
+            )
 
 
 def test_block_rejects_negative_pulse_count():

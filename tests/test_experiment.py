@@ -94,6 +94,29 @@ def test_config_rejects_bad_scalars():
         config_from_dict({"seed": 2.5})
     with pytest.raises(ConfigError):
         config_from_dict({"source": {"mu": -0.1}})
+    for scalar in ("seed", "pulses_per_setting"):
+        with pytest.raises(ConfigError, match=scalar):
+            config_from_dict({scalar: True})
+    with pytest.raises(ConfigError):
+        ExperimentConfig(seed=True)
+
+
+def test_config_values_keep_their_field_types():
+    cfg = config_from_dict({"source": {"mu": 1}, "drift": {"seed": 5}})
+    assert type(cfg.source.mu) is float and cfg.source.mu == 1.0
+    assert cfg.drift.seed == 5
+    for section, key, value in [
+        ("source", "mu", "0.8"), ("source", "mu", None), ("source", "mu", True),
+        ("source", "mu", [0.8]), ("source", "mu", 10**400),
+        ("source", "class_probabilities", ["0.7", 0.2, 0.1]),
+        ("source", "class_probabilities", 0.7),
+        ("layout", "centers_ps", [0.0, 1e4, 2e4, False]),
+        ("detector", "stray_time_policy", 1),
+        ("drift", "seed", 1.5), ("drift", "seed", True), ("drift", "seed", "1"),
+        ("drift", "seed", -1),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({section: {key: value}})
 
 
 def test_apply_overrides():

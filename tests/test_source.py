@@ -123,3 +123,9 @@ def test_derived_streams_are_keyed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None])
+def test_drift_model_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(InvalidInputError, match="seed"):
+        DriftModel(seed=seed)

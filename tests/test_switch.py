@@ -180,6 +180,16 @@ def test_model_validation():
         SwitchModel(pump_fwhm_ps=-1.0)
 
 
+@pytest.mark.parametrize("name", [
+    "theta", "delta_phi_peak", "pump_fwhm_ps", "signal_fwhm_ps", "walkoff_ps",
+    "pump_delay_ps", "bin_phase_offset", "bin_separation_ps",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_requires_every_field_finite(name, value):
+    with pytest.raises(InvalidInputError, match=name):
+        SwitchModel(**{name: value})
+
+
 def test_with_delay_changes_only_the_delay():
     model = SwitchModel()
     moved = with_delay(model, 2.5)
