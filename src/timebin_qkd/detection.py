@@ -353,11 +353,13 @@ def accumulate(
     accumulating the concatenation.
     """
     out = SessionCounts.zeros()
-    # tallied 2**16 pulses at a time: bincount casts its input to intp
+    sent = out.pulses_sent.reshape(-1)
+    # tallied 2**16 pulses at a time in int8, one count per (class, alpha, i)
     for lo in range(0, len(ledger), 1 << 16):
         part = slice(lo, lo + (1 << 16))
         flat_sent = ledger.class_idx[part] * 4 + ledger.alpha[part] * 2 + ledger.bit[part]
-        out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
+        for v in range(12):
+            sent[v] += np.count_nonzero(flat_sent == v)
 
     pulse, ts = tags.pulse_index, tags.timestamp_ps
     outside = (pulse < ledger.start_index) | (pulse >= ledger.start_index + len(ledger))
@@ -463,9 +465,12 @@ def write_time_tags(path, tags: TimeTags) -> None:
             f.write(TAG_HEADER.encode("ascii") + b"\n")
         for lo in range(0, len(tags), LEDGER_CHUNK_ROWS):
             part = slice(lo, lo + LEDGER_CHUNK_ROWS)
-            columns = (tags.pulse_index[part].tolist(), tags.detector_id[part].tolist(),
-                       tags.timestamp_ps[part].tolist())
-            f.write("".join(map("{},{},{!r}\n".format, *columns)).encode("ascii"))
+            columns = (tags.pulse_index[part], tags.detector_id[part], tags.timestamp_ps[part])
+            # the columns interleaved row by row, so one `%` formats the chunk
+            fields = [None] * (3 * len(columns[0]))
+            for k, column in enumerate(columns):
+                fields[k::3] = column.tolist()
+            f.write((("%d,%d,%r\n" * len(columns[0])) % tuple(fields)).encode("ascii"))
 
 
 def read_time_tags(path) -> TimeTags:
@@ -907,26 +912,37 @@ def _tags_and_ledger(
 ) -> tuple[TimeTags, PulseLedger]:
     """The physical click record and the sender's ledger of one block."""
     n, rng = block.pulses, block.rng
-    # Silent frames take the remaining class totals in random order.  An
-    # intp array is shuffled with the same draws as any other and faster.
-    cls = np.empty(n, dtype=np.int8)
+    # Silent frames take the class totals the events left over.  All of
+    # them get the largest left-over class; one ordered sample of distinct
+    # silent frames then places the other two, its first r_a frames one
+    # class and the rest the other, so every arrangement is equally likely.
+    left = class_totals - np.bincount(ev_cls, minlength=3)
+    fill = int(left.argmax())
+    a, b = (c for c in range(3) if c != fill)
+    r_a = int(left[a])
     silent = np.ones(n, dtype=bool)
     silent[frames] = False
-    rest = np.repeat(np.arange(3), class_totals - np.bincount(ev_cls, minlength=3))
-    rng.shuffle(rest)
-    cls[silent] = rest
+    placed = np.flatnonzero(silent)[rng.choice(n - len(frames), r_a + int(left[b]), replace=False)]
+    cls = np.full(n, fill, dtype=np.int8)
     cls[frames] = ev_cls
+    cls[placed[:r_a]] = a
+    cls[placed[r_a:]] = b
 
     # Window 0's jitter is drawn before window 1's; the tags are then
-    # ordered by pulse, then time.
+    # ordered by pulse, then time.  A pulse has at most one tag per window,
+    # both on its pathway's detector, so after a stable sort by pulse only
+    # the timestamps of a pulse's two tags may be out of order.
     n_clicks = (int(click0.sum()), int(click1.sum()))
     idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
     centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
     jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
     ts = centers + np.concatenate(jitter)
     pulse = block.start_index + frames[idx]
-    order = np.lexsort((ts, pulse))
-    tags = TimeTags(pulse[order], beta[idx][order], ts[order])
+    order = np.argsort(pulse, kind="stable")
+    pulse, ts = pulse[order], ts[order]
+    swap = np.flatnonzero((pulse[1:] == pulse[:-1]) & (ts[1:] < ts[:-1]))
+    ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
+    tags = TimeTags(pulse, beta[idx][order], ts)
     ledger = PulseLedger(
         block.start_index,
         cls,

@@ -36,6 +36,7 @@ from timebin_qkd.detection import (
     write_time_tags,
 )
 from timebin_qkd.errors import ConfigError, InvalidInputError
+from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS, Basis, PreparationSetting, mub_states, overlap_probability
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
 from timebin_qkd.switch import SwitchModel, apply_switch_both_bins, with_delay
@@ -49,6 +50,7 @@ from reference import (
     write_pulse_ledger_rows,
     write_time_tags_rows,
 )
+from sinks import tagged_session
 
 PERFECT_SWITCH = SwitchModel()
 
@@ -691,22 +693,104 @@ def test_accumulate_rejects_out_of_range_tags():
         accumulate(_tags((3, 0, 0.0)), layout, ledger)
 
 
+def _assert_record_reads_back(tmp_path, tags, ledger, pulses_sent):
+    """Both files of a record read back equal, and the ledger's totals are pulses_sent."""
+    write_time_tags(tmp_path / "run.tags", tags)
+    write_pulse_ledger(tmp_path / "run.ledger", ledger)
+    assert _same_tags(read_time_tags(tmp_path / "run.tags"), tags)
+    back = read_pulse_ledger(tmp_path / "run.ledger")
+    assert back.start_index == ledger.start_index
+    for name in ("class_idx", "alpha", "bit"):
+        assert np.array_equal(getattr(back, name), getattr(ledger, name))
+    flat = back.class_idx.astype(np.int64) * 4 + back.alpha * 2 + back.bit
+    assert np.array_equal(np.bincount(flat, minlength=12).reshape(3, 2, 2), pulses_sent)
+    assert np.array_equal(accumulate(tags, WindowLayout(), back).pulses_sent, pulses_sent)
+
+
+def _tagged_batch(blocks, source, det):
+    """(pulses_sent, tags, ledger) of each block of one simulate_blocks batch with tags."""
+    return [
+        (sent, *record)
+        for _, sent, record in simulate_blocks(blocks, source, det, collect_tags=True)
+    ]
+
+
 def test_tag_and_ledger_files_round_trip(tmp_path):
     det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0)
-    _, tags, ledger = _tagged_block(
+    counts, tags, ledger = _tagged_block(
         BB84_SETTINGS[0], 20_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
         det, _rng(21), start_index=500,
     )
-    tag_path = tmp_path / "run.tags"
-    ledger_path = tmp_path / "run.ledger"
-    write_time_tags(tag_path, tags)
-    write_pulse_ledger(ledger_path, ledger)
-    assert _same_tags(read_time_tags(tag_path), tags)
-    back = read_pulse_ledger(ledger_path)
-    assert back.start_index == 500
-    assert np.array_equal(back.class_idx, ledger.class_idx)
-    assert np.array_equal(back.alpha, ledger.alpha)
-    assert np.array_equal(back.bit, ledger.bit)
+    _assert_record_reads_back(tmp_path, tags, ledger, counts.pulses_sent)
+
+
+def test_session_without_silent_frames_records_every_pulse(tmp_path):
+    # a dark probability of 1.0 per window makes every frame an event
+    det = replace(DetectorModel(), dark_count_rate_hz=1.25e9, dead_time_ns=0.0)
+    assert det.dark_prob_per_window == 1.0
+    res, tags, ledger = tagged_session(ExperimentConfig(detector=det, seed=3), pulses=2000)
+    assert len(ledger) == 4 * 2000
+    assert np.array_equal(np.unique(tags.pulse_index), np.arange(4 * 2000))
+    _assert_record_reads_back(tmp_path, tags, ledger, res.counts.pulses_sent)
+
+
+def test_one_pulse_blocks_record_their_pulse(tmp_path):
+    det = replace(IDEAL_DET, dark_count_rate_hz=2.5e8, jitter_sigma_ps=150.0)
+    blocks = [
+        Block(BB84_SETTINGS[j % 4], 1, LossBudget(), PERFECT_SWITCH, _rng([44, j]), 7 + j)
+        for j in range(64)
+    ]
+    records = _tagged_batch(blocks, SourceConfig(mu=0.5, nu=0.1), det)
+    tagged = sum(len(tags) > 0 for _, tags, _ in records)
+    assert 0 < tagged < len(records)  # both silent and event frames occur
+    for sent, tags, ledger in records:
+        assert len(ledger) == 1
+        _assert_record_reads_back(tmp_path, tags, ledger, sent)
+
+
+@pytest.mark.parametrize(
+    "probabilities", [(1.0, 0.0, 0.0), (0.15, 0.6, 0.25)], ids=["one_class", "decoy_largest"]
+)
+def test_silent_frames_take_the_left_over_classes(tmp_path, probabilities):
+    source = SourceConfig(class_probabilities=probabilities)
+    det = replace(DetectorModel(), dark_count_rate_hz=1e6)
+    blocks = [
+        Block(s, 30_000, LossBudget(), PERFECT_SWITCH, _rng([45, j]))
+        for j, s in enumerate(BB84_SETTINGS)
+    ]
+    for sent, tags, ledger in _tagged_batch(blocks, source, det):
+        per_class = np.bincount(ledger.class_idx, minlength=3)
+        assert len(tags) > 0 and per_class.argmax() == np.argmax(probabilities)
+        assert np.array_equal(per_class > 0, np.array(probabilities) > 0)
+        _assert_record_reads_back(tmp_path, tags, ledger, sent)
+
+
+def test_tags_of_one_pulse_are_swapped_into_time_order():
+    # Strong pulses and darks give doubles.  The jitter is scale times the
+    # same standard normals at any sigma, so the 1 ps run tells each
+    # double's window-0 and window-1 draws apart and predicts the 2048 ps
+    # run's timestamps, where a window-1 tag can come first.
+    source = SourceConfig(mu=2.0, nu=0.3)
+    layout = WindowLayout()
+    runs = {}
+    for sigma in (1.0, 2048.0):
+        det = replace(IDEAL_DET, dark_count_rate_hz=1e8, jitter_sigma_ps=sigma)
+        _, runs[sigma], _ = _tagged_block(
+            BB84_SETTINGS[1], 20_000, source, LossBudget(), PERFECT_SWITCH, det, _rng(47),
+            layout=layout,
+        )
+    narrow, wide = runs[1.0], runs[2048.0]
+    assert np.array_equal(narrow.pulse_index, wide.pulse_index)
+    assert np.array_equal(narrow.detector_id, wide.detector_id)
+    assert np.array_equal(np.lexsort((wide.timestamp_ps, wide.pulse_index)), np.arange(len(wide)))
+    first = np.flatnonzero(np.diff(narrow.pulse_index) == 0)  # each double's first row
+    centers = np.reshape(layout.centers_ps, (2, 2))[narrow.detector_id[first]]
+    # at 1 ps a double's rows are window 0, then window 1; scale their draws
+    predicted = centers + 2048.0 * (narrow.timestamp_ps[np.stack([first, first + 1], 1)] - centers)
+    inverted = predicted[:, 1] < predicted[:, 0]
+    assert len(first) > 100 and inverted.sum() > 10
+    got = wide.timestamp_ps[np.stack([first, first + 1], 1)]
+    assert np.allclose(got, np.sort(predicted, axis=1), rtol=0, atol=1e-6)
 
 
 def test_tag_file_header_is_checked(tmp_path):
