@@ -176,7 +176,11 @@ def decoy_bounds(
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Everything the rate formula consumed plus the result."""
+    """Everything the rate formula consumed plus the result.
+
+    The formula's fixed constants are not carried; to_dict writes them
+    from F_EC and SIFTING_FACTOR.
+    """
 
     q_mu: float
     e_mu: float | None
@@ -189,8 +193,6 @@ class KeyRateReport:
     mu: float
     nu: float
     rep_rate_hz: float
-    f_ec: float
-    sifting_factor: float
     r_per_pulse: float
     r_bps: float
     flags: tuple[str, ...]
@@ -209,8 +211,8 @@ class KeyRateReport:
             "mu": self.mu,
             "nu": self.nu,
             "f_rep_Hz": self.rep_rate_hz,
-            "f_EC": self.f_ec,
-            "sifting_factor": self.sifting_factor,
+            "f_EC": F_EC,
+            "sifting_factor": SIFTING_FACTOR,
             "R_per_pulse": self.r_per_pulse,
             "R_bps": self.r_bps,
             "flags": list(self.flags),
@@ -269,8 +271,6 @@ def secret_key_rate_from_values(
         mu=mu,
         nu=nu,
         rep_rate_hz=rep_rate_hz,
-        f_ec=F_EC,
-        sifting_factor=SIFTING_FACTOR,
         r_per_pulse=r,
         r_bps=r * rep_rate_hz,
         flags=tuple(flags),

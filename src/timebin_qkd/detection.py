@@ -19,11 +19,11 @@ interference partner and genuinely project 50:50.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import re
 import warnings
-from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -903,6 +903,7 @@ def _tags_and_ledger(
     block: Block,
     class_totals: np.ndarray,
     frames: np.ndarray,
+    offset: int,
     ev_cls: np.ndarray,
     beta: np.ndarray,
     click0: np.ndarray,
@@ -910,8 +911,13 @@ def _tags_and_ledger(
     det: DetectorModel,
     layout: WindowLayout,
 ) -> tuple[TimeTags, PulseLedger]:
-    """The physical click record and the sender's ledger of one block."""
+    """The physical click record and the sender's ledger of one block.
+
+    `frames` are the block's event frames as sorted in its batch, each
+    `offset` past the block's own frame.
+    """
     n, rng = block.pulses, block.rng
+    frames = frames - offset
     # Silent frames take the class totals the events left over.  All of
     # them get the largest left-over class; one ordered sample of distinct
     # silent frames then places the other two, its first r_a frames one
@@ -952,14 +958,7 @@ def _tags_and_ledger(
     return tags, ledger
 
 
-def simulate_blocks(
-    blocks: list[Block],
-    source: SourceConfig,
-    det: DetectorModel,
-    *,
-    collect_tags: bool = False,
-    layout: WindowLayout | None = None,
-) -> Iterator[tuple]:
+def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> list[tuple]:
     """Simulate a batch of pulse trains, each drawing only its events from its own stream.
 
     Frames are independent, so a frame's fate is one of 22 event states
@@ -979,13 +978,13 @@ def simulate_blocks(
     doubling over the clusters of close clicks, no per-event loop), the
     click masks and the tally.
 
-    Yields (counts, pulses_sent, record) per block, in order: the block's
-    SessionCounts arrays, and with collect_tags its (tags, ledger), where
-    tags are the physical click record (doubles keep both clicks, no policy
-    applied), else None.  The ledger and tag draws of a block come after
-    every draw its counts depend on, so the counts do not depend on
-    collect_tags; they are made as the block is yielded, so a consumer can
-    drop one block's record before the next one's is drawn.
+    Returns (counts, pulses_sent, record) per block, in order: the block's
+    SessionCounts arrays, and record(layout), which draws the block's
+    (tags, ledger) from the block's stream: tags are the physical click
+    record (doubles keep both clicks, no policy applied).  Those draws come
+    after every draw the counts depend on, so calling a record never
+    changes the counts, and nothing is drawn or computed for a record that
+    is not called.  Call each record at most once.
     """
     longest = max(block.pulses for block in blocks)
     # A block's events are less than `longest` frames apart, so a longer
@@ -1000,13 +999,15 @@ def simulate_blocks(
     click0, click1, counted, bit = _double_click_policy(blocks, ev_block, ev_state, keep, det)
     counts, sent = _tally(blocks, class_totals, ev_block, ev_cls, beta, bit, counted)
     bounds = np.searchsorted(ev_block, np.arange(len(blocks) + 1)).tolist()
-    layout = layout or WindowLayout()
+    out = []
     for j, block in enumerate(blocks):
         part = slice(bounds[j], bounds[j + 1])
-        yield counts[j], sent[j], _tags_and_ledger(
-            block, class_totals[j], frames[part] - j * stride, ev_cls[part], beta[part],
-            click0[part], click1[part], det, layout,
-        ) if collect_tags else None
+        record = functools.partial(
+            _tags_and_ledger, block, class_totals[j], frames[part], j * stride,
+            ev_cls[part], beta[part], click0[part], click1[part], det,
+        )
+        out.append((counts[j], sent[j], record))
+    return out
 
 
 def simulate_block(

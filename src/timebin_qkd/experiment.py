@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import typing
 from collections import deque
@@ -239,10 +240,10 @@ def apply_overrides(payload: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _blocks(n_pulses: int) -> list[tuple[int, int, int]]:
+def _blocks(n_pulses: int) -> Iterator[tuple[int, int, int]]:
     """(block_index, start_offset, count) decomposition of a pulse train."""
-    starts = range(0, n_pulses, BLOCK_PULSES)
-    return [(b, start, min(BLOCK_PULSES, n_pulses - start)) for b, start in enumerate(starts)]
+    for b, start in enumerate(range(0, n_pulses, BLOCK_PULSES)):
+        yield b, start, min(BLOCK_PULSES, n_pulses - start)
 
 
 def _require_decoy_and_vacuum(source: SourceConfig) -> None:
@@ -310,44 +311,52 @@ def _in_order(pool, fn, items: Iterable, window: int) -> Iterator[tuple]:
 def _run_jobs(
     config: ExperimentConfig,
     groups: Iterable[list[_Job]],
-    n_jobs: int,
     pulses: int,
     workers: int | None,
     sink: Callable[[TimeTags, PulseLedger], None] | None = None,
 ) -> Iterator[SessionCounts]:
     """The block engine: simulate every block of every job, reduced in order.
 
-    `groups` yields lists of jobs, n_jobs jobs in all, each a train of
-    `pulses` pulses.  The engine yields the summed counts of each group in
-    order, as soon as its last block is in; with a sink it also hands each
-    block's tags and ledger to sink(tags, ledger), in job and block order.
-    It keeps nothing else, so its memory does not grow with the run.
+    `groups` yields lists of jobs, each a train of `pulses` pulses, an
+    integer of at least 1.  The engine yields the summed counts of each
+    group in order, as soon as its last block is in; with a sink it also
+    draws each block's tags and ledger as the reduce reaches the block, on
+    the calling thread, and hands them to sink(tags, ledger), in job and
+    block order.  It keeps nothing else, so its memory does not grow with
+    the run.
 
     Consecutive blocks that together hold at most BLOCK_PULSES pulses, and
     at most BATCH_BLOCKS of them, run as one batch through simulate_blocks:
     each block still draws from its own stream, and the stages without
     draws run once per batch.  A full-size block is a batch of its own.
 
-    `workers` bounds the threads: batches run on one pool of at most that
-    many, capped at the usable CPUs and at the number of full-size blocks,
-    and on the calling thread when that leaves fewer than two.  A block
-    shorter than BLOCK_PULSES spends most of its time in Python holding
-    the interpreter lock, so a second thread would only contend for it.
-    At most twice as many batches as threads are submitted and not yet
-    reduced.  The result does not depend on the thread count or on how
-    the blocks fall into batches.
+    `workers` bounds the threads: when a train holds a full-size block,
+    batches run on one pool of at most that many, capped at the usable
+    CPUs, and otherwise on the calling thread.  A block shorter than
+    BLOCK_PULSES spends most of its time in Python holding the interpreter
+    lock, so a second thread would only contend for it.  The pool starts a
+    thread only when a batch finds none idle, and at most twice as many
+    batches as threads are submitted and not yet reduced.  The result does
+    not depend on the thread count or on how the blocks fall into batches.
     """
+    if isinstance(pulses, bool):
+        raise InvalidInputError("pulse count must be an integer, got a boolean")
+    try:
+        pulses = operator.index(pulses)
+    except TypeError:
+        raise InvalidInputError(f"pulse count must be an integer, got {pulses!r}") from None
+    if pulses < 1:
+        raise InvalidInputError("pulse count must be positive")
     if workers is not None and workers < 1:
         raise InvalidInputError("workers must be at least 1")
-    blocks = _blocks(pulses)
-    full_blocks = n_jobs * sum(cnt == BLOCK_PULSES for _, _, cnt in blocks)
-    threads = min(workers or 1, _usable_cpus(), full_blocks)
+    threads = min(workers or 1, _usable_cpus()) if pulses >= BLOCK_PULSES else 1
+    n_blocks = len(range(0, pulses, BLOCK_PULSES))
 
     def tasks():
         for group in groups:
             for j, job in enumerate(group, 1):
-                for b, block in enumerate(blocks, 1):
-                    yield job, block, j == len(group) and b == len(blocks)
+                for block in _blocks(pulses):
+                    yield job, block, j == len(group) and block[0] == n_blocks - 1
 
     def batches():
         batch, batch_pulses = [], 0
@@ -362,7 +371,7 @@ def _run_jobs(
             yield batch
 
     def run(batch):
-        return simulate_blocks(
+        results = simulate_blocks(
             [
                 Block(job.setting, cnt, job.budget, job.switch,
                       derived_rng(config.seed, *job.key, b_idx), job.start_index + start)
@@ -370,24 +379,17 @@ def _run_jobs(
             ],
             config.source,
             config.detector,
-            collect_tags=sink is not None,
-            layout=config.layout,
         )
+        # a record holds on to its batch's event arrays: keep none not drawn
+        return results if sink is not None else [(c, s, None) for c, s, _ in results]
 
     counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
     sent = np.zeros((3, 2, 2), dtype=np.int64)
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
-        # a pool thread runs its batch to the end; on the calling thread each
-        # block's tags are drawn only when the reduce below reaches it
-        fn = run if pool is None else lambda batch: list(run(batch))
-        for batch, results in _in_order(pool, fn, batches(), 2 * threads):
-            results = iter(results)
-            for _, _, ends_group in batch:
-                block_counts, block_sent, record = next(results)
+        for batch, results in _in_order(pool, run, batches(), 2 * threads):
+            for (_, _, ends_group), (block_counts, block_sent, record) in zip(batch, results):
                 if sink is not None:
-                    sink(*record)
-                    # dropped before the next block's tags are drawn
-                    del record
+                    sink(*record(config.layout))
                 counts += block_counts
                 sent += block_sent
                 if ends_group:
@@ -402,13 +404,6 @@ def _session_jobs(n: int, budget: LossBudget, switch: SwitchModel) -> list[_Job]
         _Job((PURPOSE_SESSION, s_idx), setting, budget, switch, s_idx * n)
         for s_idx, setting in enumerate(BB84_SETTINGS)
     ]
-
-
-def _pulses_per_setting(config: ExperimentConfig, pulses: int | None) -> int:
-    n = int(pulses) if pulses is not None else config.pulses_per_setting
-    if n <= 0:
-        raise InvalidInputError("pulse count must be positive")
-    return n
 
 
 @dataclass
@@ -437,10 +432,10 @@ def run_session(
     tags and pulse ledger go to sink(tags, ledger) as the block is
     reduced, in pulse-index order.
     """
-    n = _pulses_per_setting(config, pulses)
+    n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
     jobs = _session_jobs(n, config.budget, config.switch)
-    (total,) = _run_jobs(config, [jobs], len(jobs), n, workers, sink)
+    (total,) = _run_jobs(config, [jobs], n, workers, sink)
     signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
     matrix = probability_matrix(total) if signal_rows.all() else None
     return SessionResult(total, matrix, secret_key_rate(total, config.source))
@@ -469,7 +464,7 @@ def run_loss_sweep(
         raise InvalidInputError("channel losses must be finite and non-negative")
     losses = np.sort(losses)
 
-    n = _pulses_per_setting(config, pulses)
+    n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
     points = (
         _session_jobs(n, replace(config.budget, channel_db=float(loss)), config.switch)
@@ -477,7 +472,7 @@ def run_loss_sweep(
     )
     reports = [
         secret_key_rate(total, config.source)
-        for total in _run_jobs(config, points, len(BB84_SETTINGS) * len(losses), n, workers)
+        for total in _run_jobs(config, points, n, workers)
     ]
     rates = np.array([r.r_bps for r in reports])
     return LossSweepResult(losses, rates, reports)
@@ -511,8 +506,6 @@ def run_pump_delay_scan(
         raise InvalidInputError("need at least one pump delay")
     if not np.all(np.isfinite(delays)):
         raise InvalidInputError("pump delays must be finite")
-    if pulses_per_point <= 0:
-        raise InvalidInputError("pulses_per_point must be positive")
 
     time_settings = [s for s in BB84_SETTINGS if s.basis == Basis.TIME]
     points = (
@@ -520,9 +513,7 @@ def run_pump_delay_scan(
          for s_idx, setting in enumerate(time_settings)]
         for sw in (with_delay(config.switch, float(delay)) for delay in delays)
     )
-    totals = _run_jobs(
-        config, points, len(time_settings) * len(delays), pulses_per_point, workers
-    )
+    totals = _run_jobs(config, points, pulses_per_point, workers)
     fidelity = np.full((2, len(delays)), math.nan)
     for k, total in enumerate(totals):
         for bit in (0, 1):
@@ -620,8 +611,8 @@ def run_stability(
     """
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
-    if samples_per_hour <= 0 or pulses_per_sample <= 0:
-        raise InvalidInputError("samples_per_hour and pulses_per_sample must be positive")
+    if samples_per_hour <= 0:
+        raise InvalidInputError("samples_per_hour must be positive")
     # counted before the grid is built; an infinite product is never rounded
     grid = hours * samples_per_hour
     if not grid <= MAX_VALUES or round(grid) + 1 > MAX_VALUES:
@@ -631,8 +622,7 @@ def run_stability(
     n_samples = int(round(grid)) + 1
     times = np.linspace(0.0, hours, n_samples)
 
-    def sample_jobs(k: int, t: float) -> list[_Job]:
-        dpow, dtheta = drift_state(config.drift, t)
+    def sample_jobs(k: int, dpow: float, dtheta: float) -> list[_Job]:
         theta = min(max(config.switch.theta + dtheta, 0.0), math.pi / 2)
         sw = replace(
             config.switch,
@@ -644,10 +634,8 @@ def run_stability(
             for s_idx, setting in enumerate(BB84_SETTINGS)
         ]
 
-    samples = (sample_jobs(k, float(t)) for k, t in enumerate(times))
-    per_sample = list(
-        _run_jobs(config, samples, len(BB84_SETTINGS) * n_samples, pulses_per_sample, workers)
-    )
+    samples = (sample_jobs(k, *drift) for k, drift in enumerate(drift_state(config.drift, times)))
+    per_sample = list(_run_jobs(config, samples, pulses_per_sample, workers))
 
     total = sum(per_sample, SessionCounts.zeros())
     per_fidelity = [fidelities(sample) for sample in per_sample]

@@ -10,7 +10,6 @@ an hourly grid with linear interpolation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -145,9 +144,10 @@ def _reflect(x: float, bound: float) -> float:
     return y
 
 
-@functools.lru_cache(maxsize=256)
-def _walk_grid(sigma: float, seed: int, channel: int, n_hours: int) -> tuple[float, ...]:
-    # One reflected random walk, hourly resolution, value 0 at t = 0.
+def _walk(sigma: float, seed: int, channel: int, n_hours: int) -> list[float]:
+    # One reflected random walk, hourly resolution, value 0 at t = 0.  A
+    # longer walk begins with the same steps, so its values do not depend
+    # on n_hours.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD21F7, channel)))
     steps = rng.normal(0.0, sigma, size=n_hours) if sigma > 0 else np.zeros(n_hours)
     bound = 5.0 * sigma
@@ -156,32 +156,30 @@ def _walk_grid(sigma: float, seed: int, channel: int, n_hours: int) -> tuple[flo
     for s in steps:
         x = _reflect(x + float(s), bound)
         values.append(x)
-    return tuple(values)
+    return values
 
 
-_GRID_QUANTUM = 64
+def drift_state(model: DriftModel, times_h) -> list[tuple[float, float]]:
+    """(relative pump power offset, polarization angle offset) at each time.
 
-
-def drift_state(model: DriftModel, t_hours: float) -> tuple[float, float]:
-    """(relative pump power offset, polarization angle offset) at time t.
-
-    Deterministic in (model, t): the same model always reproduces the same
-    trajectory bit for bit.
+    Each channel's walk is drawn once, up to the last time.  Deterministic
+    in (model, t): the same model always reproduces the same trajectory bit
+    for bit, whatever the other times.
     """
-    if not (math.isfinite(t_hours) and t_hours >= 0):
-        raise InvalidInputError("t_hours must be finite and non-negative")
-    n = int(math.floor(t_hours))
-    frac = t_hours - n
-    # grid length quantized so nearby times share a cache entry
-    length = _GRID_QUANTUM * ((n + 1 + _GRID_QUANTUM) // _GRID_QUANTUM)
+    times = [float(t) for t in times_h]
+    if not all(math.isfinite(t) and t >= 0 for t in times):
+        raise InvalidInputError("drift times must be finite and non-negative")
+    n_hours = math.floor(max(times, default=0.0)) + 1
+    walks = [
+        _walk(sigma, model.seed, channel, n_hours)
+        for channel, sigma in enumerate((model.pump_power_rel_sigma, model.pump_polarization_sigma))
+    ]
     out = []
-    for channel, sigma in enumerate(
-        (model.pump_power_rel_sigma, model.pump_polarization_sigma)
-    ):
-        grid = _walk_grid(sigma, model.seed, channel, length)
-        a, b = grid[n], grid[n + 1]
-        out.append(a + (b - a) * frac)
-    return out[0], out[1]
+    for t in times:
+        n = math.floor(t)
+        frac = t - n
+        out.append(tuple(w[n] + (w[n + 1] - w[n]) * frac for w in walks))
+    return out
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:

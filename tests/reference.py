@@ -1,14 +1,16 @@
 """Row-by-row reference versions of the tag and ledger file code, accumulate,
-the event table and the dead-time pass.
+the event table, the dead-time pass and the drift walk.
 
 These are the plain Python loops the vectorized functions in
-`timebin_qkd.detection` replaced.  They are slow and kept only so the tests
-can require byte-identical files, identical counts and bit-identical
-probabilities from the array code.
+`timebin_qkd.detection` replaced, and the per-time drift evaluation that
+`timebin_qkd.source.drift_state` replaced.  They are slow and kept only so
+the tests can require byte-identical files, identical counts and
+bit-identical probabilities and drift values from the newer code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from timebin_qkd.detection import (
     TimeTags,
     WindowLayout,
 )
+from timebin_qkd.source import DriftModel, _reflect
 
 
 def event_probabilities_loop(
@@ -141,3 +144,36 @@ def prune_dead_time_loop(frames, detector, blocked: int) -> np.ndarray:
         else:
             next_free[d] = frames[k] + blocked + 1
     return keep
+
+
+@functools.lru_cache(maxsize=256)
+def _walk_grid(sigma: float, seed: int, channel: int, n_hours: int) -> tuple[float, ...]:
+    # One reflected random walk, hourly resolution, value 0 at t = 0.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD21F7, channel)))
+    steps = rng.normal(0.0, sigma, size=n_hours) if sigma > 0 else np.zeros(n_hours)
+    bound = 5.0 * sigma
+    values = [0.0]
+    x = 0.0
+    for s in steps:
+        x = _reflect(x + float(s), bound)
+        values.append(x)
+    return tuple(values)
+
+
+_GRID_QUANTUM = 64
+
+
+def drift_state_at(model: DriftModel, t_hours: float) -> tuple[float, float]:
+    """The drift at one time, from a cached walk whose length is quantized
+    to 64 hours, so that nearby times share a cache entry."""
+    n = int(math.floor(t_hours))
+    frac = t_hours - n
+    length = _GRID_QUANTUM * ((n + 1 + _GRID_QUANTUM) // _GRID_QUANTUM)
+    out = []
+    for channel, sigma in enumerate(
+        (model.pump_power_rel_sigma, model.pump_polarization_sigma)
+    ):
+        grid = _walk_grid(sigma, model.seed, channel, length)
+        a, b = grid[n], grid[n + 1]
+        out.append(a + (b - a) * frac)
+    return out[0], out[1]

@@ -337,9 +337,9 @@ def test_range_expansion_is_capped(capsys):
 def test_stability_grid_is_capped_before_it_is_built(hours, per_hour, samples, monkeypatch, capsys):
     reached = []
 
-    def stand_in(config, groups, n_jobs, *args, **kwargs):
-        # never simulates: only records the samples of the grid, four jobs each
-        reached.append(n_jobs // 4)
+    def stand_in(config, groups, *args, **kwargs):
+        # never simulates: only counts the samples of the grid
+        reached.append(sum(1 for _ in groups))
         raise RuntimeError("stand-in")
 
     monkeypatch.setattr(experiment, "_run_jobs", stand_in)

@@ -79,11 +79,10 @@ def _select(tags: TimeTags, rows) -> TimeTags:
 
 def _tagged_block(prep, n_pulses, source, budget, switch, det, rng, *, layout=None, start_index=0):
     """(counts, tags, ledger) of one pulse train: simulate_blocks of one block, with tags."""
-    ((counts, sent, (tags, ledger)),) = simulate_blocks(
-        [Block(prep, n_pulses, budget, switch, rng, start_index)],
-        source, det, collect_tags=True, layout=layout or WindowLayout(),
+    ((counts, sent, record),) = simulate_blocks(
+        [Block(prep, n_pulses, budget, switch, rng, start_index)], source, det
     )
-    return SessionCounts(counts, sent), tags, ledger
+    return (SessionCounts(counts, sent), *record(layout or WindowLayout()))
 
 
 def _same_tags(a: TimeTags, b: TimeTags) -> bool:
@@ -547,7 +546,7 @@ def test_block_rejects_negative_pulse_count():
 
 
 def _batches(rng):
-    """Random batches of blocks, each with the detector and tag choice of its batch.
+    """Random batches of blocks, with the detector of each batch and whether its records are drawn.
 
     Each block is (setting, pulses, budget, switch, generator key,
     start_index); one batch in four has a single block.
@@ -579,26 +578,25 @@ def test_batched_blocks_equal_lone_blocks():
     sizes = [b[1] for _, blocks, _ in cases for b in blocks]
     assert {1, 2, 17} <= set(sizes) and max(sizes) > 10_000
     n_events = 0
-    for det, blocks, collect_tags in cases:
+    for det, blocks, with_record in cases:
         batch = simulate_blocks(
             [Block(s, n, b, sw, _rng(key), start) for s, n, b, sw, key, start in blocks],
-            source, det, collect_tags=collect_tags, layout=layout,
+            source, det,
         )
         for (setting, n, budget, switch, key, start), (counts, sent, record) in zip(
             blocks, batch, strict=True
         ):
-            if collect_tags:
+            if with_record:
                 lone = _tagged_block(
                     setting, n, source, budget, switch, det, _rng(key),
                     layout=layout, start_index=start,
                 )
             else:
-                assert record is None
                 lone = (simulate_block(setting, n, source, budget, switch, det, _rng(key)),)
             assert lone[0] == SessionCounts(counts, sent), (det, key)
             n_events += int(counts.sum())
-            if collect_tags:
-                tags, ledger = record
+            if with_record:
+                tags, ledger = record(layout)
                 for name in ("pulse_index", "detector_id", "timestamp_ps"):
                     assert np.array_equal(getattr(tags, name), getattr(lone[1], name)), (det, key)
                 assert ledger.start_index == lone[2].start_index == start
@@ -710,8 +708,7 @@ def _assert_record_reads_back(tmp_path, tags, ledger, pulses_sent):
 def _tagged_batch(blocks, source, det):
     """(pulses_sent, tags, ledger) of each block of one simulate_blocks batch with tags."""
     return [
-        (sent, *record)
-        for _, sent, record in simulate_blocks(blocks, source, det, collect_tags=True)
+        (sent, *record(WindowLayout())) for _, sent, record in simulate_blocks(blocks, source, det)
     ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -148,9 +149,9 @@ def test_load_config(tmp_path):
 
 
 def test_block_decomposition():
-    assert _blocks(1) == [(0, 0, 1)]
-    assert _blocks(BLOCK_PULSES) == [(0, 0, BLOCK_PULSES)]
-    assert _blocks(2_500_000) == [
+    assert list(_blocks(1)) == [(0, 0, 1)]
+    assert list(_blocks(BLOCK_PULSES)) == [(0, 0, BLOCK_PULSES)]
+    assert list(_blocks(2_500_000)) == [
         (0, 0, 1_000_000),
         (1, 1_000_000, 1_000_000),
         (2, 2_000_000, 500_000),
@@ -264,7 +265,7 @@ def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
     run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
     run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)  # two blocks
     run_session(cfg, pulses=2_000)
-    assert pool_sizes == [3, 2, 3, 3, 2]
+    assert pool_sizes == [3, 2, 3, 3, 3]
 
 
 def test_at_most_two_blocks_per_thread_are_in_flight(pool_sizes, monkeypatch):
@@ -286,12 +287,40 @@ def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):
     run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
     assert pool_sizes == []
 
-    # only the full-size blocks count towards the pool: 1,500 pulses are
-    # one full block and one short block per setting
+    # a train with a full-size block gets the pool: 1,500 pulses are one
+    # full block and one short block per setting
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
     run_session(cfg, pulses=1_500, workers=8)
     run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8)
-    assert pool_sizes == [3, 2]
+    assert pool_sizes == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "flow, full_blocks",
+    [
+        # two time-basis settings of one full-size block each
+        (lambda cfg: run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8), 2),
+        # and of one full-size and one short block each
+        (lambda cfg: run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8), 2),
+        (lambda cfg: run_session(cfg, pulses=1_000, workers=8), 4),
+    ],
+)
+def test_no_more_threads_run_than_full_size_blocks(flow, full_blocks, monkeypatch):
+    # a real pool of up to 8 threads starts a thread only for a batch that
+    # finds none idle, so a run of few batches never uses the whole pool
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    threads = set()
+    original = experiment.simulate_blocks
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(experiment, "simulate_blocks", recording)
+    flow(ExperimentConfig(seed=4))
+    assert threading.get_ident() not in threads
+    assert 1 <= len(threads) <= full_blocks
 
 
 def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
@@ -415,6 +444,54 @@ def test_each_block_reaches_the_sink_before_the_next_block_draws_its_tags(monkey
     assert events == [(what, s * 2_000) for s in range(4) for what in ("tags", "sink")]
 
 
+@pytest.mark.parametrize("pulses", [2500.7, 5e4, True, False, 0, -3, "100"])
+@pytest.mark.parametrize(
+    "flow",
+    [
+        lambda cfg, n: run_session(cfg, pulses=n),
+        lambda cfg, n: run_loss_sweep(cfg, [1.0], pulses=n),
+        lambda cfg, n: run_pump_delay_scan(cfg, [0.0], pulses_per_point=n),
+        lambda cfg, n: run_stability(cfg, hours=1, pulses_per_sample=n),
+    ],
+)
+def test_train_length_must_be_an_integer_of_at_least_one(flow, pulses, monkeypatch):
+    # a float used to be truncated by the session and raised a bare
+    # TypeError in the scan and the stability run; True ran one pulse
+    def no_blocks(*args):
+        raise AssertionError("a block ran before the train length was checked")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
+    with pytest.raises(InvalidInputError, match="pulse count"):
+        flow(ExperimentConfig(seed=3), pulses)
+
+
+def test_train_length_accepts_numpy_integers():
+    cfg = ExperimentConfig(seed=3)
+    assert run_session(cfg, pulses=np.int64(2_000)).counts == run_session(cfg, pulses=2_000).counts
+    scan = run_pump_delay_scan(cfg, [0.0], pulses_per_point=np.uint16(500))
+    assert scan.fidelity_t0.tolist() == run_pump_delay_scan(
+        cfg, [0.0], pulses_per_point=500
+    ).fidelity_t0.tolist()
+
+
+def test_a_long_session_builds_no_block_list(monkeypatch):
+    # 10**11 pulses a setting are 10**5 blocks; a list of them took 13 MB
+    # before the first block ran.  The stand-in engine stops at the first.
+    def first_block(*args):
+        raise RuntimeError("stand-in")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", first_block)
+    cfg = ExperimentConfig()
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="stand-in"):
+            run_session(cfg, pulses=10**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(InvalidInputError):
@@ -517,8 +594,8 @@ def test_run_stability_refuses_a_grid_over_the_cap(hours, per_hour, samples, mon
     # grids over it raised OverflowError or ValueError before allocating
     reached = []
 
-    def stand_in(config, groups, n_jobs, *args, **kwargs):
-        reached.append(n_jobs // 4)
+    def stand_in(config, groups, *args, **kwargs):
+        reached.append(sum(1 for _ in groups))
         raise RuntimeError("stand-in")
 
     monkeypatch.setattr(experiment, "_run_jobs", stand_in)

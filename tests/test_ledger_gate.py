@@ -4,7 +4,8 @@ A block's event frames carry their own classes; its silent frames carry
 the class totals the events left over, and every arrangement of them must
 be equally likely.  N_BLOCKS seeded blocks of BLOCK pulses each (default
 config, no dead time, so every event frame has a tag and the silent frames
-are exactly the pulses without one) go through `simulate_blocks` with tags.
+are exactly the pulses without one) go through `simulate_blocks`, and
+each block's record is drawn.
 Each silent frame is binned by its class and by the decile of its rank
 among its block's silent frames.  Under uniform placement a block's 3 x 10
 table has both margins fixed, the left-over class totals and the decile
@@ -83,9 +84,9 @@ def _records():
         for b in range(N_BLOCKS)
     ]
     for block, (_, sent, record) in zip(
-        blocks, simulate_blocks(blocks, cfg.source, det, collect_tags=True), strict=True
+        blocks, simulate_blocks(blocks, cfg.source, det), strict=True
     ):
-        yield block, sent, record
+        yield block, sent, record(cfg.layout)
 
 
 def test_silent_frame_classes_are_placed_uniformly():

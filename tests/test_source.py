@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import reference
 
 from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.source import (
@@ -82,18 +84,60 @@ def test_sample_photon_number_shapes():
 
 def test_drift_starts_at_zero_and_is_deterministic():
     model = DriftModel()
-    assert drift_state(model, 0.0) == (0.0, 0.0)
-    a = drift_state(model, 13.37)
-    b = drift_state(model, 13.37)
-    assert a == b
-    assert drift_state(DriftModel(seed=1), 13.37) != a
+    assert drift_state(model, [0.0]) == [(0.0, 0.0)]
+    (a,) = drift_state(model, [13.37])
+    assert drift_state(model, [13.37]) == [a]
+    assert drift_state(DriftModel(seed=1), [13.37]) != [a]
+    assert drift_state(model, []) == []
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        DriftModel(),
+        DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02, seed=5),
+        DriftModel(pump_power_rel_sigma=0.0, pump_polarization_sigma=0.3, seed=2),
+    ],
+)
+def test_drift_equals_the_per_time_walk_bit_for_bit(model):
+    # one walk drawn up to the last time gives every time the value of the
+    # cached per-time walk, whose length was quantized to 64 hours
+    grid = [0.0, 1.0, 27.0, 63.0, 64.0, 65.0, 127.0, 128.0, 300.0]
+    fractional = [0.5, 13.37, 27.999, 63.5, 64.25, 200.75, 299.999]
+    rng_times = np.random.default_rng(3).uniform(0.0, 300.0, size=50).tolist()
+    for times in (grid, fractional, rng_times, sorted(rng_times), [0.0], [63.5], [64.0]):
+        got = drift_state(model, times)
+        want = [reference.drift_state_at(model, t) for t in times]
+        assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
+        # the same time gives the same value whatever the other times
+        assert drift_state(model, times[:1]) == got[:1]
+
+
+def test_drift_over_a_long_grid_holds_one_walk():
+    # the per-time walks grew by 64 h and were cached per sample, so a
+    # 20,000 h grid took 32 s and peaked at 125 MB
+    model = DriftModel()
+    times = np.arange(20_001.0)
+    tracemalloc.start()
+    try:
+        out = drift_state(model, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(times)
+    assert peak < 10 * (1 << 20), peak
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_drift_refuses_a_time_that_is_not_finite_and_non_negative(bad):
+    with pytest.raises(InvalidInputError):
+        drift_state(DriftModel(), [1.0, bad])
 
 
 def test_drift_stays_bounded():
     model = DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02)
     rng = np.random.default_rng(8)
-    for t in rng.uniform(0.0, 300.0, size=400):
-        dpow, dpol = drift_state(model, float(t))
+    for dpow, dpol in drift_state(model, rng.uniform(0.0, 300.0, size=400)):
         assert abs(dpow) <= 5.0 * 0.01 + 1e-12
         assert abs(dpol) <= 5.0 * 0.02 + 1e-12
 
@@ -102,17 +146,15 @@ def test_drift_is_continuous_between_grid_points():
     model = DriftModel()
     bound = 5.0 * model.pump_power_rel_sigma
     rng = np.random.default_rng(9)
-    for t in rng.uniform(0.0, 100.0, size=200):
-        a = drift_state(model, float(t))[0]
-        b = drift_state(model, float(t) + 0.01)[0]
+    times = rng.uniform(0.0, 100.0, size=200)
+    for (a, _), (b, _) in zip(drift_state(model, times), drift_state(model, times + 0.01)):
         # linear interpolation of a walk confined to [-bound, bound]
         assert abs(b - a) <= 2.0 * bound * 0.01 + 1e-12
 
 
 def test_zero_sigma_drift_is_identically_zero():
     model = DriftModel(pump_power_rel_sigma=0.0, pump_polarization_sigma=0.0)
-    for t in (0.0, 1.0, 27.5, 100.0):
-        assert drift_state(model, t) == (0.0, 0.0)
+    assert drift_state(model, [0.0, 1.0, 27.5, 100.0]) == [(0.0, 0.0)] * 4
 
 
 def test_derived_streams_are_keyed():
