@@ -38,9 +38,7 @@ from .switch import (
     POL_V,
     SwitchedState,
     SwitchModel,
-    _bin_rotation,
-    apply_switch_both_bins,  # noqa: F401  (perfbench/spans.py wraps it at this name)
-    bin_efficiencies,
+    apply_switch_both_bins,
 )
 
 # Path difference of the polarizing delayed interferometer: 0.88 m of fiber
@@ -757,49 +755,19 @@ def _event_probabilities(
 def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tuple]]:
     """Each block's (P bit0, P bit1, P dropped) in the phase, then the time pathway.
 
-    These are outcome_probabilities(apply_switch_both_bins(state, switch),
-    basis, det), computed in the same float operations in the same order,
-    so each is the same float.  Only the objects are left out: each
-    distinct preparation's state and each distinct switch's two bin
-    efficiencies are computed once per batch, and each block then rotates
-    and projects plain complex numbers.
+    Each is outcome_probabilities(apply_switch_both_bins(state, switch),
+    basis, det).  A batch's blocks share few preparations and switches, so
+    each distinct preparation's state, and each distinct (setting, switch)
+    pair's pathways, are computed once per batch and looked up per block.
     """
-    chi = det.recombination_phase
-    turn = complex(math.cos(chi), math.sin(chi))
-    policy = det.stray_time_policy
-    # the conjugated amplitudes of the phase-basis states of bit 0 and bit 1
-    (c00, c01), (c10, c11) = (
-        (b.amp_t0.conjugate(), b.amp_t1.conjugate()) for b in mub_states(Basis.PHASE)
-    )
     states = {setting: setting.state() for setting in {block.setting for block in blocks}}
-    etas = {switch: bin_efficiencies(switch) for switch in {block.switch for block in blocks}}
-    out = []
-    for block in blocks:
-        q, phase = states[block.setting], block.switch.bin_phase_offset
-        eta0, eta1 = etas[block.switch]
-        h0, v0 = _bin_rotation(q.amp_t0, eta0, phase)
-        h1, v1 = _bin_rotation(q.amp_t1, eta1, phase)
-        # the detected qubit (e^{i chi} V of the early bin, H of the late
-        # bin) and the crossed modes
-        psi0 = v0 * turn
-        stray_h = abs(h0) ** 2
-        stray_v = abs(v1) ** 2
-        stray = stray_h + stray_v
-        phase_pathway = (
-            abs(c00 * psi0 + c01 * h1) ** 2 + 0.5 * stray,
-            abs(c10 * psi0 + c11 * h1) ** 2 + 0.5 * stray,
-            0.0,
-        )
-        p0 = abs(psi0) ** 2
-        p1 = abs(h1) ** 2
-        if policy == "random":
-            time_pathway = (p0 + 0.5 * stray, p1 + 0.5 * stray, 0.0)
-        elif policy == "by_polarization":
-            time_pathway = (p0 + stray_v, p1 + stray_h, 0.0)
-        else:
-            time_pathway = (p0, p1, stray)
-        out.append([phase_pathway, time_pathway])
-    return out
+    pathways = {}
+    for setting, switch in {(block.setting, block.switch) for block in blocks}:
+        switched = apply_switch_both_bins(states[setting], switch)
+        pathways[setting, switch] = [
+            outcome_probabilities(switched, basis, det) for basis in (Basis.PHASE, Basis.TIME)
+        ]
+    return [pathways[block.setting, block.switch] for block in blocks]
 
 
 def _event_tables(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> np.ndarray:
@@ -972,11 +940,11 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     Only the draws are made block by block, each from the block's own
     generator and in the order above.  The stages that draw nothing run
     once for the whole batch, so a block's result does not depend on the
-    batch it is in: the event tables (`_pathway_outcomes` computes each
-    distinct preparation and switch once), one sort of the batch's events
-    as packed (frame, cell) int64 keys, the dead-time pass (pointer
-    doubling over the clusters of close clicks, no per-event loop), the
-    click masks and the tally.
+    batch it is in: the event tables (`_pathway_outcomes` switches and
+    projects each distinct preparation and switch once), one sort of the
+    batch's events as packed (frame, cell) int64 keys, the dead-time pass
+    (pointer doubling over the clusters of close clicks, no per-event
+    loop), the click masks and the tally.
 
     Returns (counts, pulses_sent, record) per block, in order: the block's
     SessionCounts arrays, and record(layout), which draws the block's

@@ -13,6 +13,7 @@ makes a single-point sweep coincide exactly with a plain session.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -308,6 +309,19 @@ def _in_order(pool, fn, items: Iterable, window: int) -> Iterator[tuple]:
         yield take()
 
 
+def _count(value, what: str) -> int:
+    """`value` as an int of at least 1; a bool or a non-integer is refused."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be an integer, got a boolean")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise InvalidInputError(f"{what} must be positive")
+    return value
+
+
 def _run_jobs(
     config: ExperimentConfig,
     groups: Iterable[list[_Job]],
@@ -331,29 +345,27 @@ def _run_jobs(
     draws run once per batch.  A full-size block is a batch of its own.
 
     `workers` bounds the threads: when a train holds a full-size block,
-    batches run on one pool of at most that many, capped at the usable
-    CPUs, and otherwise on the calling thread.  A block shorter than
-    BLOCK_PULSES spends most of its time in Python holding the interpreter
-    lock, so a second thread would only contend for it.  The pool starts a
-    thread only when a batch finds none idle, and at most twice as many
-    batches as threads are submitted and not yet reduced.  The result does
-    not depend on the thread count or on how the blocks fall into batches.
+    batches run on one pool of at most that many, and otherwise on the
+    calling thread.  A block shorter than BLOCK_PULSES spends most of its
+    time in Python holding the interpreter lock, so a second thread would
+    only contend for it.  The pool is capped at the usable CPUs and at the
+    full-size blocks of one group (every flow's groups hold the same number
+    of trains), because it starts a thread for any batch, short ones too,
+    that finds none idle.  At most twice as many batches as threads are
+    submitted and not yet reduced.  The result does not depend on the thread count or on how the
+    blocks fall into batches.
     """
-    if isinstance(pulses, bool):
-        raise InvalidInputError("pulse count must be an integer, got a boolean")
-    try:
-        pulses = operator.index(pulses)
-    except TypeError:
-        raise InvalidInputError(f"pulse count must be an integer, got {pulses!r}") from None
-    if pulses < 1:
-        raise InvalidInputError("pulse count must be positive")
+    pulses = _count(pulses, "pulse count")
     if workers is not None and workers < 1:
         raise InvalidInputError("workers must be at least 1")
-    threads = min(workers or 1, _usable_cpus()) if pulses >= BLOCK_PULSES else 1
+    groups = iter(groups)
+    first = next(groups, [])
+    full_blocks = len(first) * (pulses // BLOCK_PULSES)
+    threads = min(workers or 1, _usable_cpus(), full_blocks) if full_blocks else 1
     n_blocks = len(range(0, pulses, BLOCK_PULSES))
 
     def tasks():
-        for group in groups:
+        for group in itertools.chain([first], groups):
             for j, job in enumerate(group, 1):
                 for block in _blocks(pulses):
                     yield job, block, j == len(group) and block[0] == n_blocks - 1
@@ -607,12 +619,12 @@ def run_stability(
     bounded random walks.  Per-sample fidelities and signal QBER form the
     series, NaN where a sample has no matched-basis event for them; pooled
     counts give the aggregate report.  The grid has round(hours *
-    samples_per_hour) + 1 samples, at most MAX_VALUES.
+    samples_per_hour) + 1 samples, at most MAX_VALUES; samples_per_hour
+    is an integer of at least 1.
     """
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
-    if samples_per_hour <= 0:
-        raise InvalidInputError("samples_per_hour must be positive")
+    samples_per_hour = _count(samples_per_hour, "samples_per_hour")
     # counted before the grid is built; an infinite product is never rounded
     grid = hours * samples_per_hour
     if not grid <= MAX_VALUES or round(grid) + 1 > MAX_VALUES:

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError
 from .qubit import TimeBinQubit
 
 # Center wavelengths and bandwidths of the two pulses (nm).
@@ -151,23 +151,6 @@ def _overlap_weight(model: SwitchModel, delay_ps: float) -> float:
     return min(max(w, 0.0), 1.0)
 
 
-def pump_overlap_fraction(model: SwitchModel) -> float:
-    """Signal-averaged fraction of the peak cross-phase, in [0, 1].
-
-    Equals ~1 when the pump delay sits well inside the walkoff plateau and
-    falls off with Gaussian-convolved edges; symmetric about the plateau
-    center (delay 0).
-    """
-    return _overlap_weight(model, model.pump_delay_ps)
-
-
-def effective_efficiency(model: SwitchModel) -> float:
-    """Switching efficiency at the model's own delay: the driven phase is
-    delta_phi_peak scaled by the pump overlap weight there."""
-    w = pump_overlap_fraction(model)
-    return switching_efficiency(model.theta, model.delta_phi_peak * w)
-
-
 def bin_efficiencies(model: SwitchModel) -> tuple[float, float]:
     """Switching efficiencies of the early and the late bin.
 
@@ -182,36 +165,28 @@ def bin_efficiencies(model: SwitchModel) -> tuple[float, float]:
     return early, late
 
 
-NORM_TOL_SWITCHED = 1e-9
+def effective_efficiency(model: SwitchModel) -> float:
+    """Switching efficiency of the early bin at the pump delay: bin_efficiencies(model)[0]."""
+    return bin_efficiencies(model)[0]
 
 
-@dataclass(frozen=True)
-class SwitchedState:
-    """Amplitudes over the four modes (bin, polarization) after the switch.
+class SwitchedState(NamedTuple):
+    """The two bins after the switch, each as its (H, V) amplitude pair.
 
-    amplitudes[b][p] is the amplitude of bin b in polarization p with
-    b in {0: t0, 1: t1} and p in {POL_H, POL_V}.  The input qubit arrives
-    entirely H-polarized; the switch moves amplitude into V.  Total norm is
-    1 for the lossless switch implemented here.
+    The input qubit arrives entirely H-polarized; the switch moves
+    amplitude into V.  The lossless switch keeps the total norm at 1.
+    amp(time_bin, pol) reads one of the four modes, with time_bin in
+    {0: t0, 1: t1} and pol in {POL_H, POL_V}.
     """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.shape != (2, 2):
-            raise InvalidStateError("amplitudes must have shape (2, 2)")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise InvalidStateError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", arr)
-        if self.norm_sq() > 1.0 + NORM_TOL_SWITCHED:
-            raise InvalidStateError("total norm exceeds 1")
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+    early: tuple[complex, complex]
+    late: tuple[complex, complex]
 
     def amp(self, time_bin: int, pol: int) -> complex:
-        return complex(self.amplitudes[time_bin][pol])
+        return self[time_bin][pol]
+
+    def norm_sq(self) -> float:
+        return sum(abs(a) ** 2 for pair in self for a in pair)
 
 
 def _bin_rotation(amp: complex, eta: float, phase: float) -> tuple[complex, complex]:
@@ -222,24 +197,22 @@ def _bin_rotation(amp: complex, eta: float, phase: float) -> tuple[complex, comp
 
 
 def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState:
-    """Act with the pump on both bins of an H-polarized input qubit.
+    """The pump acting on both bins of an H-polarized input qubit.
 
-    Each bin's amplitude splits into a switched V component with weight
-    switching_efficiency(theta, delta_phi_peak * w) and an unswitched H
-    remainder, where w is the pump overlap at that bin's own delay: the
-    pump is aimed at the early bin, and the late bin sees it at
-    pump_delay - bin_separation.  At the operating point the late-bin
-    weight is negligible, so only the early bin switches; a pump delayed
-    by about one bin separation switches the late bin instead, which is
-    what a delay scan sweeps across.  Norm is preserved.
+    Each bin's amplitude rotates by _bin_rotation into an unswitched H and
+    a switched V part, the V part weighted by that bin's efficiency from
+    bin_efficiencies and turned by bin_phase_offset.  At the operating
+    point only the early bin switches; a pump delayed by about one bin
+    separation switches the late bin instead, which is what a delay scan
+    sweeps across.  The rotation is unitary on each bin, so the norm is
+    kept.  The receiver projects the result with
+    detection.outcome_probabilities, in the engine and in the tests alike.
     """
-    etas = bin_efficiencies(model)
-    amps = np.zeros((2, 2), dtype=complex)
-    for b, (amp_in, eta) in enumerate(zip((q.amp_t0, q.amp_t1), etas)):
-        h, v = _bin_rotation(amp_in, eta, model.bin_phase_offset)
-        amps[b, POL_H] = h
-        amps[b, POL_V] = v
-    return SwitchedState(amps)
+    eta0, eta1 = bin_efficiencies(model)
+    phase = model.bin_phase_offset
+    return SwitchedState(
+        _bin_rotation(q.amp_t0, eta0, phase), _bin_rotation(q.amp_t1, eta1, phase)
+    )
 
 
 def with_delay(model: SwitchModel, pump_delay_ps: float) -> SwitchModel:

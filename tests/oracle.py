@@ -20,6 +20,11 @@ per-frame probability that detector d clicks.  The greedy rule (a kept
 click blocks the next B frames of its detector) makes kept clicks a
 renewal process with mean cycle B + 1/r_d frames, so the factor is exact
 up to the restart at each block boundary.
+
+The oracle and the engine share the switch and the projection
+(`apply_switch_both_bins`, then `outcome_probabilities`), so a gate built
+on this oracle checks the sampler: the draws, dead time, the double-click
+policy and the tally.
 """
 
 from __future__ import annotations

@@ -263,9 +263,10 @@ def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
     run_session(cfg, pulses=2_000, workers=2)
     run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000, workers=8)
     run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
-    run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)  # two blocks
+    # two full-size blocks: the pool is capped at them
+    run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)
     run_session(cfg, pulses=2_000)
-    assert pool_sizes == [3, 2, 3, 3, 3]
+    assert pool_sizes == [3, 2, 3, 3, 2]
 
 
 def test_at_most_two_blocks_per_thread_are_in_flight(pool_sizes, monkeypatch):
@@ -288,11 +289,12 @@ def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):
     assert pool_sizes == []
 
     # a train with a full-size block gets the pool: 1,500 pulses are one
-    # full block and one short block per setting
+    # full block and one short block per setting, so the scan's two
+    # settings get a pool of two
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
     run_session(cfg, pulses=1_500, workers=8)
     run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8)
-    assert pool_sizes == [3, 3]
+    assert pool_sizes == [3, 2]
 
 
 @pytest.mark.parametrize(
@@ -306,8 +308,8 @@ def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):
     ],
 )
 def test_no_more_threads_run_than_full_size_blocks(flow, full_blocks, monkeypatch):
-    # a real pool of up to 8 threads starts a thread only for a batch that
-    # finds none idle, so a run of few batches never uses the whole pool
+    # the affinity mask allows 8 threads, but short batches on a real pool
+    # must not start threads beyond the full-size blocks
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     threads = set()
@@ -321,6 +323,28 @@ def test_no_more_threads_run_than_full_size_blocks(flow, full_blocks, monkeypatc
     flow(ExperimentConfig(seed=4))
     assert threading.get_ident() not in threads
     assert 1 <= len(threads) <= full_blocks
+
+
+def test_tables_switch_each_distinct_setting_and_switch_once(monkeypatch):
+    # one batch per flow here; perfbench wraps the switch at this name.
+    # The sweep's two points share their four (setting, switch) pairs.
+    switched = []
+    original = detection.apply_switch_both_bins
+
+    def counting(q, model):
+        switched.append(model)
+        return original(q, model)
+
+    monkeypatch.setattr(detection, "apply_switch_both_bins", counting)
+    cfg = ExperimentConfig(seed=4)
+    run_pump_delay_scan(cfg, [0.0, 2.0, 4.0], pulses_per_point=2_000)
+    assert len(switched) == 6
+    switched.clear()
+    run_session(cfg, pulses=2_000)
+    assert len(switched) == 4
+    switched.clear()
+    run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000)
+    assert len(switched) == 4
 
 
 def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
@@ -577,6 +601,24 @@ def test_run_stability_small_grid():
         run_stability(cfg, samples_per_hour=0)
     with pytest.raises(InvalidInputError):
         run_stability(cfg, pulses_per_sample=0)
+
+
+@pytest.mark.parametrize("per_hour", [0.5, 1.5, True, "2", 0, -1])
+def test_run_stability_takes_only_an_integer_samples_per_hour(per_hour, monkeypatch):
+    # unchecked, 0.5, 1.5 and True would build grids of one, three and two samples
+    def unreached(*args):
+        pytest.fail("the grid was simulated")
+
+    monkeypatch.setattr(experiment, "_run_jobs", unreached)
+    with pytest.raises(InvalidInputError, match="samples_per_hour"):
+        run_stability(ExperimentConfig(), hours=1, samples_per_hour=per_hour)
+
+
+def test_run_stability_takes_a_numpy_integer_samples_per_hour():
+    res = run_stability(
+        ExperimentConfig(seed=4), hours=1, samples_per_hour=np.int64(2), pulses_per_sample=200
+    )
+    assert res.times_h.tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize(

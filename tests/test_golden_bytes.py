@@ -49,6 +49,35 @@ CASES = {
         ["stability", "--hours", "2"],
         {"out": "87712dce339fa9fb2d99c0e119e9a0c73a5e8b3396ae208ed32a8e79ad7df5d9"},
     ),
+    # the receiver policies and switch settings the cases above leave at
+    # their defaults
+    "session-discard-stray": (
+        ["session", "--pulses", "100000", "--seed", "5", "--save-counts", "{counts}",
+         "--set", "detector.stray_time_policy=discard",
+         "--set", "detector.recombination_phase=0.3",
+         "--set", "switch.pump_delay_ps=1.5"],
+        {
+            "counts": "a9af57ad4cc6438f14a17f2270367e138205a179c1bf44575d2f805944327f49",
+            "out": "782174e70658423f019808407908561e340adf7b98b8f26618c13674f9e4dbc4",
+        },
+    ),
+    "session-by-polarization": (
+        ["session", "--pulses", "100000", "--seed", "6", "--save-counts", "{counts}",
+         "--set", "detector.stray_time_policy=by_polarization",
+         "--set", "detector.double_click_policy=discard",
+         "--set", "switch.theta=0.6",
+         "--set", "switch.bin_phase_offset=0.4"],
+        {
+            "counts": "072b3276f7cb144409f1ce5fe8bcc0030562cbb839fd0eecaf28818627b04284",
+            "out": "5572b7067583ba932b0fdc79144f7dd478a11f59ead5ddf0743f79ee9fcdb08b",
+        },
+    ),
+    "pump-scan-discard-stray": (
+        ["pump-scan", "--delays=-2:8:0.5", "--pulses-per-point", "20000",
+         "--set", "detector.stray_time_policy=discard",
+         "--set", "detector.recombination_phase=-0.7"],
+        {"out": "5a314b45ff667c3b9410aad164611324785caa1997746834e91b0a40c16c73ff"},
+    ),
 }
 
 

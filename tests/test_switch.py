@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timebin_qkd.errors import InvalidInputError, InvalidStateError
+from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.qubit import mub_states, prepare_state, Basis
 from timebin_qkd.switch import (
     DEFAULT_BIN_SEPARATION_PS,
@@ -15,11 +15,10 @@ from timebin_qkd.switch import (
     POL_H,
     POL_V,
     SwitchModel,
-    SwitchedState,
+    _overlap_weight,
     apply_switch_both_bins,
     effective_efficiency,
     nonlinear_phase,
-    pump_overlap_fraction,
     switching_efficiency,
     transform_limited_fwhm_ps,
     with_delay,
@@ -87,22 +86,22 @@ def _brute_force_overlap(model: SwitchModel, delay_ps: float, n: int = 4001) -> 
 def test_overlap_weight_matches_quadrature():
     model = SwitchModel()
     for d in (0.0, 1.5, 3.0, 4.5, -2.0, 6.0):
-        closed = pump_overlap_fraction(with_delay(model, d))
+        closed = _overlap_weight(model, d)
         brute = _brute_force_overlap(model, d)
         assert closed == pytest.approx(brute, abs=1e-4), f"delay {d}"
 
 
 def test_overlap_weight_plateau_and_edges():
     model = SwitchModel()
-    assert pump_overlap_fraction(model) > 1.0 - 1e-12
+    assert _overlap_weight(model, model.pump_delay_ps) > 1.0 - 1e-12
     # half maximum sits exactly at half the walkoff window
     half = 0.5 * model.walkoff_ps
-    assert pump_overlap_fraction(with_delay(model, half)) == pytest.approx(0.5, abs=1e-8)
-    assert pump_overlap_fraction(with_delay(model, -half)) == pytest.approx(0.5, abs=1e-8)
+    assert _overlap_weight(model, half) == pytest.approx(0.5, abs=1e-8)
+    assert _overlap_weight(model, -half) == pytest.approx(0.5, abs=1e-8)
     rng = np.random.default_rng(5)
     for d in rng.uniform(-8.0, 8.0, size=100):
-        w_pos = pump_overlap_fraction(with_delay(model, float(d)))
-        w_neg = pump_overlap_fraction(with_delay(model, float(-d)))
+        w_pos = _overlap_weight(model, float(d))
+        w_neg = _overlap_weight(model, float(-d))
         assert 0.0 <= w_pos <= 1.0
         assert abs(w_pos - w_neg) < 1e-12
 
@@ -160,13 +159,6 @@ def test_both_bins_swaps_roles_when_pump_delayed_by_bin_separation():
     out = apply_switch_both_bins(q, model)
     assert abs(out.amp(1, POL_V)) == pytest.approx(1.0, abs=1e-7)
     assert abs(out.amp(0, POL_V)) < 1e-7
-
-
-def test_switched_state_validation():
-    with pytest.raises(InvalidStateError):
-        SwitchedState(np.ones((2, 2), dtype=complex))
-    with pytest.raises(InvalidStateError):
-        SwitchedState(np.zeros((3, 2), dtype=complex))
 
 
 def test_model_validation():
