@@ -349,23 +349,24 @@ def _run_jobs(
     calling thread.  A block shorter than BLOCK_PULSES spends most of its
     time in Python holding the interpreter lock, so a second thread would
     only contend for it.  The pool is capped at the usable CPUs and at the
-    full-size blocks of one group (every flow's groups hold the same number
-    of trains), because it starts a thread for any batch, short ones too,
-    that finds none idle.  At most twice as many batches as threads are
-    submitted and not yet reduced.  The result does not depend on the thread count or on how the
-    blocks fall into batches.
+    run's full-size blocks, because it starts a thread for any batch, short
+    ones too, that finds none idle; the cap reads only as many groups as
+    it allows threads.  At most twice as many batches as threads are
+    submitted and not yet reduced.  The result does not depend on the
+    thread count or on how the blocks fall into batches.
     """
     pulses = _count(pulses, "pulse count")
     if workers is not None and workers < 1:
         raise InvalidInputError("workers must be at least 1")
     groups = iter(groups)
-    first = next(groups, [])
-    full_blocks = len(first) * (pulses // BLOCK_PULSES)
-    threads = min(workers or 1, _usable_cpus(), full_blocks) if full_blocks else 1
+    limit = min(workers or 1, _usable_cpus())
+    peeked = list(itertools.islice(groups, limit))
+    full_blocks = sum(len(group) for group in peeked) * (pulses // BLOCK_PULSES)
+    threads = min(limit, full_blocks) if full_blocks else 1
     n_blocks = len(range(0, pulses, BLOCK_PULSES))
 
     def tasks():
-        for group in itertools.chain([first], groups):
+        for group in itertools.chain(peeked, groups):
             for j, job in enumerate(group, 1):
                 for block in _blocks(pulses):
                     yield job, block, j == len(group) and block[0] == n_blocks - 1

@@ -265,8 +265,10 @@ def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
     run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
     # two full-size blocks: the pool is capped at them
     run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)
+    # two full-size blocks per point, eight over the run: the CPUs cap it
+    run_pump_delay_scan(cfg, delays, pulses_per_point=1_000, workers=8)
     run_session(cfg, pulses=2_000)
-    assert pool_sizes == [3, 2, 3, 3, 2]
+    assert pool_sizes == [3, 2, 3, 3, 2, 3]
 
 
 def test_at_most_two_blocks_per_thread_are_in_flight(pool_sizes, monkeypatch):
@@ -305,6 +307,8 @@ def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):
         # and of one full-size and one short block each
         (lambda cfg: run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8), 2),
         (lambda cfg: run_session(cfg, pulses=1_000, workers=8), 4),
+        # two points of two settings, one full-size and one short block each
+        (lambda cfg: run_pump_delay_scan(cfg, [0.0, 2.0], pulses_per_point=1_500, workers=8), 4),
     ],
 )
 def test_no_more_threads_run_than_full_size_blocks(flow, full_blocks, monkeypatch):
