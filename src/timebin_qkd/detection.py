@@ -57,7 +57,9 @@ _DOUBLE_POLICIES = ("random", "discard")
 class DetectorModel:
     """Detector and measurement-chain imperfections.
 
-    efficiency_db: detection efficiency expressed as a dB loss.
+    The detection efficiency is not here: it is LossBudget.detector_db,
+    applied once with the rest of the loss budget.
+
     dark_count_rate_hz: dark rate per detector; darks are injected per
         window as rate * window duration.
     jitter_sigma_ps: Gaussian timing jitter applied to time tags.
@@ -72,7 +74,6 @@ class DetectorModel:
     recombination_phase: phase error of the phase-basis recombination (rad).
     """
 
-    efficiency_db: float = 2.2
     dark_count_rate_hz: float = 100.0
     jitter_sigma_ps: float = 150.0
     window_ns: float = 0.8
@@ -83,8 +84,6 @@ class DetectorModel:
     recombination_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.efficiency_db) and self.efficiency_db >= 0):
-            raise InvalidInputError("efficiency_db must be finite and non-negative")
         for name in ("dark_count_rate_hz", "jitter_sigma_ps", "dead_time_ns"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -104,10 +103,6 @@ class DetectorModel:
                 "dark_count_rate_hz * window_ns gives a dark probability per window "
                 f"of {self.dark_prob_per_window}, above 1"
             )
-
-    @property
-    def efficiency(self) -> float:
-        return transmittance(self.efficiency_db)
 
     @property
     def dark_prob_per_window(self) -> float:
@@ -137,8 +132,10 @@ class WindowLayout:
     def __post_init__(self) -> None:
         if len(self.centers_ps) != 4:
             raise ConfigError("centers_ps must hold four slot centers")
-        if not self.width_ps > 0:
-            raise ConfigError("width_ps must be positive")
+        if not all(math.isfinite(c) for c in self.centers_ps):
+            raise ConfigError("centers_ps must be finite")
+        if not (math.isfinite(self.width_ps) and self.width_ps > 0):
+            raise ConfigError("width_ps must be finite and positive")
         ordered = sorted(self.centers_ps)
         for a, b in zip(ordered, ordered[1:]):
             if b - a < self.width_ps:
@@ -772,8 +769,10 @@ def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tupl
 
 def _event_tables(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> np.ndarray:
     """The (J, 3, 23) event probabilities of the frames of each block."""
-    efficiency = det.efficiency
-    q_surv = [transmittance(block.budget.path_db) * efficiency for block in blocks]
+    q_surv = [
+        transmittance(block.budget.path_db) * transmittance(block.budget.detector_db)
+        for block in blocks
+    ]
     return _event_probabilities(
         [source.mean_for(c) for c in range(3)], q_surv, _pathway_outcomes(blocks, det), det
     )

@@ -1,8 +1,10 @@
 """Top-level experiment flows: configuration, sessions, and parameter scans.
 
-Every flow decomposes its work into fixed-size pulse blocks.  Each block
+Every flow hands the block engine its points, each a stream key, a loss
+budget and a switch, and the settings to run at every point.  The engine
+splits each (point, setting) train into fixed-size pulse blocks; each block
 draws from its own RNG stream, derived from the master seed and the block's
-coordinates (purpose, then setting or sample, then block index).  Results
+coordinates (the point's key, then setting index, then block index).  Results
 are integer count tensors summed in a fixed order, so a run is bit-for-bit
 reproducible for a given seed and identical whether blocks execute
 serially or on a thread pool.  Parameter sweeps reuse the same streams at
@@ -85,9 +87,9 @@ STABILITY_SCHEMA = "timebin-qkd-stability/1"
 class ExperimentConfig:
     """One fully specified experiment.
 
-    The detector efficiency appears both in the loss budget (for bookkeeping
-    of the end-to-end link) and on the detector model (where it is applied);
-    the two must agree so it is counted exactly once.
+    The detector efficiency is budget.detector_db, one term of the
+    end-to-end loss budget; the detector model holds the rest of the
+    measurement chain.
     """
 
     source: SourceConfig = field(default_factory=SourceConfig)
@@ -105,12 +107,6 @@ class ExperimentConfig:
         count = self.pulses_per_setting
         if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
             raise ConfigError("pulses_per_setting must be a positive integer")
-        if abs(self.budget.detector_db - self.detector.efficiency_db) > 1e-9:
-            raise ConfigError(
-                "budget.detector_db must equal detector.efficiency_db "
-                f"({self.budget.detector_db} vs {self.detector.efficiency_db}); "
-                "detector efficiency is applied once, at the detector"
-            )
 
 
 _SECTIONS = {
@@ -241,12 +237,6 @@ def apply_overrides(payload: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _blocks(n_pulses: int) -> Iterator[tuple[int, int, int]]:
-    """(block_index, start_offset, count) decomposition of a pulse train."""
-    for b, start in enumerate(range(0, n_pulses, BLOCK_PULSES)):
-        yield b, start, min(BLOCK_PULSES, n_pulses - start)
-
-
 def _require_decoy_and_vacuum(source: SourceConfig) -> None:
     """Reject, before any block runs, a source the key-rate analysis cannot use.
 
@@ -261,21 +251,6 @@ def _require_decoy_and_vacuum(source: SourceConfig) -> None:
             "source.class_probabilities must give the decoy and vacuum classes "
             "non-zero probability: the key rate needs both"
         )
-
-
-@dataclass(frozen=True)
-class _Job:
-    """One pulse train of one setting: the unit the block engine splits.
-
-    Block b of the job draws from derived_rng(seed, *key, b); start_index
-    is the global index of the job's first pulse in the tag record.
-    """
-
-    key: tuple[int, ...]
-    setting: PreparationSetting
-    budget: LossBudget
-    switch: SwitchModel
-    start_index: int = 0
 
 
 def _usable_cpus() -> int:
@@ -322,73 +297,79 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _run_jobs(
+def _run_points(
     config: ExperimentConfig,
-    groups: Iterable[list[_Job]],
+    settings: tuple[PreparationSetting, ...],
+    points: Iterable[tuple[tuple[int, ...], LossBudget, SwitchModel]],
     pulses: int,
     workers: int | None,
     sink: Callable[[TimeTags, PulseLedger], None] | None = None,
 ) -> Iterator[SessionCounts]:
-    """The block engine: simulate every block of every job, reduced in order.
+    """The block engine: simulate every setting at every point, reduced in order.
 
-    `groups` yields lists of jobs, each a train of `pulses` pulses, an
-    integer of at least 1.  The engine yields the summed counts of each
-    group in order, as soon as its last block is in; with a sink it also
-    draws each block's tags and ledger as the reduce reaches the block, on
-    the calling thread, and hands them to sink(tags, ledger), in job and
-    block order.  It keeps nothing else, so its memory does not grow with
-    the run.
+    `points` yields (key, budget, switch) triples.  At each point every
+    setting runs a train of `pulses` pulses, an integer of at least 1, cut
+    into blocks of BLOCK_PULSES.  Block b of setting s draws from
+    derived_rng(config.seed, *key, s, b), and its first pulse has the
+    index s * pulses + b * BLOCK_PULSES in the tag record.  The engine
+    yields the summed counts of each point in order, as soon as its last
+    block is in; with a sink it also draws each block's tags and ledger as
+    the reduce reaches the block, on the calling thread, and hands them to
+    sink(tags, ledger), in point, setting and block order.  It keeps
+    nothing else, so its memory does not grow with the run.
 
     Consecutive blocks that together hold at most BLOCK_PULSES pulses, and
     at most BATCH_BLOCKS of them, run as one batch through simulate_blocks:
     each block still draws from its own stream, and the stages without
     draws run once per batch.  A full-size block is a batch of its own.
 
-    `workers` bounds the threads: when a train holds a full-size block,
-    batches run on one pool of at most that many, and otherwise on the
-    calling thread.  A block shorter than BLOCK_PULSES spends most of its
-    time in Python holding the interpreter lock, so a second thread would
-    only contend for it.  The pool is capped at the usable CPUs and at the
-    run's full-size blocks, because it starts a thread for any batch, short
-    ones too, that finds none idle; the cap reads only as many groups as
-    it allows threads.  At most twice as many batches as threads are
-    submitted and not yet reduced.  The result does not depend on the
-    thread count or on how the blocks fall into batches.
+    `workers`, None or an integer of at least 1, bounds the threads: when
+    a train holds a full-size block, batches run on one pool of at most
+    that many, and otherwise on the calling thread.  A block shorter than
+    BLOCK_PULSES spends most of its time in Python holding the interpreter
+    lock, so a second thread would only contend for it.  The pool is
+    capped at the usable CPUs and at the run's full-size blocks, because it
+    starts a thread for any batch, short ones too, that finds none idle;
+    the cap reads only as many points as it allows threads.  At most twice
+    as many batches as threads are submitted and not yet reduced.  The
+    result does not depend on the thread count or on how the blocks fall
+    into batches.
     """
     pulses = _count(pulses, "pulse count")
-    if workers is not None and workers < 1:
-        raise InvalidInputError("workers must be at least 1")
-    groups = iter(groups)
+    if workers is not None:
+        workers = _count(workers, "workers")
+    points = iter(points)
     limit = min(workers or 1, _usable_cpus())
-    peeked = list(itertools.islice(groups, limit))
-    full_blocks = sum(len(group) for group in peeked) * (pulses // BLOCK_PULSES)
+    peeked = list(itertools.islice(points, limit))
+    full_blocks = len(peeked) * len(settings) * (pulses // BLOCK_PULSES)
     threads = min(limit, full_blocks) if full_blocks else 1
-    n_blocks = len(range(0, pulses, BLOCK_PULSES))
-
-    def tasks():
-        for group in itertools.chain(peeked, groups):
-            for j, job in enumerate(group, 1):
-                for block in _blocks(pulses):
-                    yield job, block, j == len(group) and block[0] == n_blocks - 1
+    starts = range(0, pulses, BLOCK_PULSES)
+    last = (len(settings) - 1, len(starts) - 1)
 
     def batches():
+        # each block as its stream key, its Block fields but the generator,
+        # and whether it ends its point
         batch, batch_pulses = [], 0
-        for task in tasks():
-            cnt = task[1][2]
-            if batch and (batch_pulses + cnt > BLOCK_PULSES or len(batch) == BATCH_BLOCKS):
-                yield batch
-                batch, batch_pulses = [], 0
-            batch.append(task)
-            batch_pulses += cnt
+        for key, budget, switch in itertools.chain(peeked, points):
+            for s, setting in enumerate(settings):
+                for b, start in enumerate(starts):
+                    cnt = min(BLOCK_PULSES, pulses - start)
+                    if batch and (batch_pulses + cnt > BLOCK_PULSES or len(batch) == BATCH_BLOCKS):
+                        yield batch
+                        batch, batch_pulses = [], 0
+                    batch.append((
+                        (*key, s, b), setting, cnt, budget, switch, s * pulses + start,
+                        (s, b) == last,
+                    ))
+                    batch_pulses += cnt
         if batch:
             yield batch
 
     def run(batch):
         results = simulate_blocks(
             [
-                Block(job.setting, cnt, job.budget, job.switch,
-                      derived_rng(config.seed, *job.key, b_idx), job.start_index + start)
-                for job, (b_idx, start, cnt), _ in batch
+                Block(setting, cnt, budget, switch, derived_rng(config.seed, *stream), start)
+                for stream, setting, cnt, budget, switch, start, _ in batch
             ],
             config.source,
             config.detector,
@@ -400,23 +381,14 @@ def _run_jobs(
     sent = np.zeros((3, 2, 2), dtype=np.int64)
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
         for batch, results in _in_order(pool, run, batches(), 2 * threads):
-            for (_, _, ends_group), (block_counts, block_sent, record) in zip(batch, results):
+            for (*_, ends_point), (block_counts, block_sent, record) in zip(batch, results):
                 if sink is not None:
                     sink(*record(config.layout))
                 counts += block_counts
                 sent += block_sent
-                if ends_group:
+                if ends_point:
                     yield SessionCounts(counts, sent)
                     counts, sent = np.zeros_like(counts), np.zeros_like(sent)
-
-
-def _session_jobs(n: int, budget: LossBudget, switch: SwitchModel) -> list[_Job]:
-    # Settings occupy contiguous global pulse-index ranges: setting s covers
-    # [s*n, (s+1)*n), which is what the tag record and ledger index against.
-    return [
-        _Job((PURPOSE_SESSION, s_idx), setting, budget, switch, s_idx * n)
-        for s_idx, setting in enumerate(BB84_SETTINGS)
-    ]
 
 
 @dataclass
@@ -447,8 +419,8 @@ def run_session(
     """
     n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
-    jobs = _session_jobs(n, config.budget, config.switch)
-    (total,) = _run_jobs(config, [jobs], n, workers, sink)
+    point = ((PURPOSE_SESSION,), config.budget, config.switch)
+    (total,) = _run_points(config, BB84_SETTINGS, [point], n, workers, sink)
     signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
     matrix = probability_matrix(total) if signal_rows.all() else None
     return SessionResult(total, matrix, secret_key_rate(total, config.source))
@@ -480,12 +452,12 @@ def run_loss_sweep(
     n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
     points = (
-        _session_jobs(n, replace(config.budget, channel_db=float(loss)), config.switch)
+        ((PURPOSE_SESSION,), replace(config.budget, channel_db=float(loss)), config.switch)
         for loss in losses
     )
     reports = [
         secret_key_rate(total, config.source)
-        for total in _run_jobs(config, points, n, workers)
+        for total in _run_points(config, BB84_SETTINGS, points, n, workers)
     ]
     rates = np.array([r.r_bps for r in reports])
     return LossSweepResult(losses, rates, reports)
@@ -520,13 +492,12 @@ def run_pump_delay_scan(
     if not np.all(np.isfinite(delays)):
         raise InvalidInputError("pump delays must be finite")
 
-    time_settings = [s for s in BB84_SETTINGS if s.basis == Basis.TIME]
+    time_settings = tuple(s for s in BB84_SETTINGS if s.basis == Basis.TIME)
     points = (
-        [_Job((PURPOSE_SCAN, s_idx), setting, config.budget, sw)
-         for s_idx, setting in enumerate(time_settings)]
-        for sw in (with_delay(config.switch, float(delay)) for delay in delays)
+        ((PURPOSE_SCAN,), config.budget, with_delay(config.switch, float(delay)))
+        for delay in delays
     )
-    totals = _run_jobs(config, points, pulses_per_point, workers)
+    totals = _run_points(config, time_settings, points, pulses_per_point, workers)
     fidelity = np.full((2, len(delays)), math.nan)
     for k, total in enumerate(totals):
         for bit in (0, 1):
@@ -623,6 +594,8 @@ def run_stability(
     samples_per_hour) + 1 samples, at most MAX_VALUES; samples_per_hour
     is an integer of at least 1.
     """
+    if isinstance(hours, bool):
+        raise InvalidInputError("hours must be a number, got a boolean")
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
     samples_per_hour = _count(samples_per_hour, "samples_per_hour")
@@ -635,20 +608,18 @@ def run_stability(
     n_samples = int(round(grid)) + 1
     times = np.linspace(0.0, hours, n_samples)
 
-    def sample_jobs(k: int, dpow: float, dtheta: float) -> list[_Job]:
-        theta = min(max(config.switch.theta + dtheta, 0.0), math.pi / 2)
-        sw = replace(
+    def drifted(dpow: float, dtheta: float) -> SwitchModel:
+        return replace(
             config.switch,
-            theta=theta,
+            theta=min(max(config.switch.theta + dtheta, 0.0), math.pi / 2),
             delta_phi_peak=config.switch.delta_phi_peak * (1.0 + dpow),
         )
-        return [
-            _Job((PURPOSE_STABILITY, k, s_idx), setting, config.budget, sw)
-            for s_idx, setting in enumerate(BB84_SETTINGS)
-        ]
 
-    samples = (sample_jobs(k, *drift) for k, drift in enumerate(drift_state(config.drift, times)))
-    per_sample = list(_run_jobs(config, samples, pulses_per_sample, workers))
+    samples = (
+        ((PURPOSE_STABILITY, k), config.budget, drifted(*drift))
+        for k, drift in enumerate(drift_state(config.drift, times))
+    )
+    per_sample = list(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample, workers))
 
     total = sum(per_sample, SessionCounts.zeros())
     per_fidelity = [fidelities(sample) for sample in per_sample]

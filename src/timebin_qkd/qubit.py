@@ -110,15 +110,22 @@ def prepare_state(hwp_angle_deg: float) -> TimeBinQubit:
     )
 
 
+_TIME_STATES = (TimeBinQubit(1.0 + 0.0j, 0.0j), TimeBinQubit(0.0j, 1.0 + 0.0j))
+_PHASE_STATES = (
+    TimeBinQubit(_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
+    TimeBinQubit(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
+)
+
+
 def mub_states(basis: Basis) -> tuple[TimeBinQubit, TimeBinQubit]:
-    """The (bit 0, bit 1) eigenstate pair of one of the two bases."""
+    """The (bit 0, bit 1) eigenstate pair of one of the two bases.
+
+    The pairs are module constants; a TimeBinQubit is frozen, so callers share them.
+    """
     if basis == Basis.TIME:
-        return TimeBinQubit(1.0 + 0.0j, 0.0j), TimeBinQubit(0.0j, 1.0 + 0.0j)
+        return _TIME_STATES
     if basis == Basis.PHASE:
-        return (
-            TimeBinQubit(_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
-            TimeBinQubit(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
-        )
+        return _PHASE_STATES
     raise InvalidInputError(f"unknown basis: {basis!r}")
 
 

@@ -48,8 +48,8 @@ class SourceConfig:
         if not 0.0 <= self.nu < self.mu:
             raise InvalidInputError("nu must satisfy 0 <= nu < mu")
         p = tuple(float(x) for x in self.class_probabilities)
-        if len(p) != 3 or any(x < 0 for x in p):
-            raise InvalidInputError("class_probabilities must be three non-negative values")
+        if len(p) != 3 or not all(math.isfinite(x) and x >= 0 for x in p):
+            raise InvalidInputError("class_probabilities must be three finite non-negative values")
         if abs(sum(p) - 1.0) > _PROB_TOL:
             raise InvalidInputError("class_probabilities must sum to 1")
         object.__setattr__(self, "class_probabilities", p)
@@ -87,7 +87,8 @@ class LossBudget:
 
     @property
     def path_db(self) -> float:
-        """Everything except the detector itself (applied at measurement)."""
+        """Every term of total_db but detector_db, the detector efficiency; a
+        pulse survives with transmittance(path_db) * transmittance(detector_db)."""
         return self.channel_db + self.coupling_db + self.receiver_optics_db
 
 
@@ -116,6 +117,8 @@ class DriftModel:
     Both quantities perform independent Gaussian random walks on an hourly
     grid, reflected at +/- 5 sigma_step so excursions stay bounded; values
     between grid points are linearly interpolated and the walk starts at 0.
+    Both bounds must be finite, and the power bound at most 1, so that the
+    pump power 1 + offset never goes negative.
     """
 
     pump_power_rel_sigma: float = 0.005
@@ -125,8 +128,13 @@ class DriftModel:
     def __post_init__(self) -> None:
         for name in ("pump_power_rel_sigma", "pump_polarization_sigma"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise InvalidInputError(f"{name} must be finite and non-negative")
+            if not (math.isfinite(5.0 * v) and v >= 0):
+                raise InvalidInputError(f"{name} must be non-negative with a finite 5 sigma bound")
+        if not 5.0 * self.pump_power_rel_sigma <= 1.0:
+            raise InvalidInputError(
+                "pump_power_rel_sigma must be at most 0.2: the walk reaches 5 sigma, "
+                "and the pump power 1 + offset must not go negative"
+            )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
 

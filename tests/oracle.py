@@ -43,7 +43,7 @@ def expected_counts(config, prep: PreparationSetting, n: int) -> tuple[np.ndarra
     """(E[N] per [class][beta][j] cell, E[frames with no counted event]) for n pulses."""
     src, det = config.source, config.detector
     sw = apply_switch_both_bins(prep.state(), config.switch)
-    t = transmittance(config.budget.path_db) * det.efficiency
+    t = transmittance(config.budget.path_db) * transmittance(config.budget.detector_db)
     e = det.intrinsic_error
     pd = det.dark_prob_per_window
     dead_frames = math.ceil(det.dead_time_ns * 1e3 / src.frame_ps)

@@ -293,6 +293,14 @@ def _last_error(capsys):
         ["session", "--set", "detector.window_ns=1e400"],
         ["session", "--set", "detector.dark_count_rate_hz=1e12"],
         ["session", "--set", "detector.window_ns=1e8"],
+        # values that pass a range check: NaN, an infinite center, an infinite
+        # 5-sigma drift bound, and a pump power walk that would go negative
+        ["session", "--set", "source.class_probabilities=[NaN,0.5,0.5]"],
+        ["session", "--set", "layout.centers_ps=[NaN,1000,8000,9000]"],
+        ["session", "--set", "layout.centers_ps=[-Infinity,1000,8000,9000]"],
+        ["stability", "--hours", "1", "--set", "drift.pump_power_rel_sigma=1e308"],
+        ["stability", "--hours", "1", "--set", "drift.pump_polarization_sigma=1e308"],
+        ["stability", "--hours", "1", "--set", "drift.pump_power_rel_sigma=2"],
     ],
 )
 def test_source_without_decoy_or_vacuum_fails_before_simulating(argv, capsys, monkeypatch):
@@ -337,12 +345,12 @@ def test_range_expansion_is_capped(capsys):
 def test_stability_grid_is_capped_before_it_is_built(hours, per_hour, samples, monkeypatch, capsys):
     reached = []
 
-    def stand_in(config, groups, *args, **kwargs):
+    def stand_in(config, settings, points, *args, **kwargs):
         # never simulates: only counts the samples of the grid
-        reached.append(sum(1 for _ in groups))
+        reached.append(sum(1 for _ in points))
         raise RuntimeError("stand-in")
 
-    monkeypatch.setattr(experiment, "_run_jobs", stand_in)
+    monkeypatch.setattr(experiment, "_run_points", stand_in)
     code = main(["stability", "--hours", hours, "--samples-per-hour", per_hour])
     err = _last_error(capsys)
     if samples is None:
@@ -457,6 +465,19 @@ def test_config_values_of_the_wrong_type_or_not_finite_fail_before_simulating(
 def test_workers_below_one_exit_with_input_error(workers, capsys):
     assert main(["session", "--pulses", "1000", "--workers", workers]) == 3
     assert _last_error(capsys)["category"] == "input"
+
+
+def test_detector_efficiency_is_the_budget_term(tmp_path, capsys):
+    assert main(["session", "--set", "detector.efficiency_db=3"]) == 2
+    err = _last_error(capsys)
+    assert err["category"] == "config" and "efficiency_db" in err["message"]
+    gains = []
+    for db in ("2.2", "5"):
+        out = tmp_path / f"{db}.json"
+        argv = ["session", "--pulses", "20000", "--seed", "11", "--out", str(out)]
+        assert main([*argv, "--set", f"budget.detector_db={db}"]) == 0
+        gains.append(json.loads(out.read_text())["Q_mu"])
+    assert gains[1] < gains[0]
 
 
 def _strict_json(text: str):

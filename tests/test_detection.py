@@ -56,7 +56,6 @@ PERFECT_SWITCH = SwitchModel()
 
 # detector with every imperfection turned off, for clean statistics checks
 IDEAL_DET = DetectorModel(
-    efficiency_db=0.0,
     dark_count_rate_hz=0.0,
     jitter_sigma_ps=0.0,
     dead_time_ns=0.0,
@@ -133,6 +132,12 @@ def test_overlapping_windows_rejected():
         WindowLayout(centers_ps=(0.0, 500.0, 8000.0, 10935.0), width_ps=800.0)
     with pytest.raises(ConfigError):
         WindowLayout(width_ps=0.0)
+    # a NaN or infinite center passes the overlap check
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="centers_ps"):
+            WindowLayout(centers_ps=(bad, 1000.0, 8000.0, 9000.0))
+    with pytest.raises(ConfigError, match="width_ps"):
+        WindowLayout(width_ps=math.nan)
 
 
 # ------------------------------------------------- projection probabilities
@@ -272,7 +277,7 @@ def _signal_only(mu=0.8):
 def test_block_gain_matches_poisson_threshold_formula():
     source = _signal_only()
     budget = LossBudget()
-    det = replace(IDEAL_DET, efficiency_db=budget.detector_db)
+    det = IDEAL_DET
     n = 400_000
     counts = simulate_block(
         BB84_SETTINGS[0], n, source, budget, PERFECT_SWITCH, det, _rng(11)
@@ -283,9 +288,24 @@ def test_block_gain_matches_poisson_threshold_formula():
     assert abs(got - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
 
 
+def test_block_gain_follows_the_budget_detector_term():
+    source = _signal_only()
+    n = 400_000
+    gains = []
+    for detector_db in (0.0, 2.2, 10.0):
+        budget = LossBudget(detector_db=detector_db)
+        counts = simulate_block(
+            BB84_SETTINGS[0], n, source, budget, PERFECT_SWITCH, IDEAL_DET, _rng(1)
+        )
+        expected = -math.expm1(-source.mu * transmittance(budget.total_db))
+        gains.append(counts.gain(IntensityClass.SIGNAL))
+        assert abs(gains[-1] - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
+    assert gains[0] > gains[1] > gains[2]
+
+
 def test_block_splits_pathways_evenly():
     source = _signal_only()
-    det = replace(IDEAL_DET, efficiency_db=2.2)
+    det = IDEAL_DET
     counts = simulate_block(
         BB84_SETTINGS[0], 400_000, source, LossBudget(), PERFECT_SWITCH, det, _rng(12)
     )
@@ -297,7 +317,7 @@ def test_block_splits_pathways_evenly():
 
 def test_block_dark_rate_reproduces_vacuum_yield():
     source = SourceConfig(class_probabilities=(0.0, 0.0, 1.0))
-    det = replace(IDEAL_DET, efficiency_db=2.2, dark_count_rate_hz=1e6)
+    det = replace(IDEAL_DET, dark_count_rate_hz=1e6)
     n = 1_000_000
     counts = simulate_block(
         BB84_SETTINGS[0], n, source, LossBudget(), PERFECT_SWITCH, det, _rng(13)
@@ -310,7 +330,7 @@ def test_block_dark_rate_reproduces_vacuum_yield():
 
 def test_block_intrinsic_error_sets_the_error_floor():
     source = _signal_only()
-    det = replace(IDEAL_DET, efficiency_db=2.2, intrinsic_error=0.008)
+    det = replace(IDEAL_DET, intrinsic_error=0.008)
     counts = simulate_block(
         BB84_SETTINGS[0], 2_000_000, source, LossBudget(), PERFECT_SWITCH, det, _rng(14)
     )
@@ -322,7 +342,7 @@ def test_block_intrinsic_error_sets_the_error_floor():
 
 def test_double_click_policy_changes_counted_events():
     source = SourceConfig(class_probabilities=(0.0, 0.0, 1.0))
-    base = replace(IDEAL_DET, efficiency_db=2.2, dark_count_rate_hz=1e7)
+    base = replace(IDEAL_DET, dark_count_rate_hz=1e7)
     n = 1_000_000
     kept = simulate_block(
         BB84_SETTINGS[0], n, source, LossBudget(), PERFECT_SWITCH, base, _rng(15)
@@ -348,7 +368,7 @@ def test_dead_time_enforces_spacing_per_detector():
     # so the 50 ns dead window (4 frames) dominates the record
     source = _signal_only(mu=5.0)
     budget = LossBudget(channel_db=0.0, coupling_db=0.0, detector_db=0.0, receiver_optics_db=0.0)
-    det = replace(IDEAL_DET, efficiency_db=0.0, dead_time_ns=50.0)
+    det = replace(IDEAL_DET, dead_time_ns=50.0)
     out, tags, _ = _tagged_block(
         BB84_SETTINGS[0],
         50_000,
@@ -368,7 +388,7 @@ def test_dead_time_enforces_spacing_per_detector():
 def test_dead_time_reduces_gain():
     source = _signal_only()
     budget = LossBudget()
-    live = replace(IDEAL_DET, efficiency_db=2.2)
+    live = IDEAL_DET
     dead = replace(live, dead_time_ns=50.0)
     a = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, live, _rng(17))
     b = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, dead, _rng(17))
@@ -459,7 +479,7 @@ def _switched_table_inputs(rng):
         yield blocks, det
     # every setting at every delay, one batch per setting
     for setting in BB84_SETTINGS:
-        yield [Block(setting, 1000, LossBudget(), w, None) for w in switches[:65]], IDEAL_DET
+        yield [Block(setting, 1000, LossBudget(detector_db=0.0), w, None) for w in switches[:65]], IDEAL_DET
 
 
 def _random_switched_batches(rng, n_batches):
@@ -522,7 +542,7 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
         for block, table in zip(blocks, tables):
             sw = apply_switch_both_bins(block.setting.state(), block.switch)
             outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
-            q_surv = transmittance(block.budget.path_db) * det.efficiency
+            q_surv = transmittance(block.budget.path_db) * transmittance(block.budget.detector_db)
             for c, mean in enumerate(means):
                 assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det)), (
                     block, det,
@@ -611,7 +631,7 @@ def test_batched_blocks_equal_lone_blocks():
 def test_accumulate_reproduces_block_counts_without_jitter():
     source = SourceConfig()
     budget = LossBudget()
-    det = replace(IDEAL_DET, efficiency_db=2.2)
+    det = IDEAL_DET
     layout = WindowLayout()
     counts, tags, ledger = _tagged_block(
         BB84_SETTINGS[1],
@@ -629,7 +649,7 @@ def test_accumulate_reproduces_block_counts_without_jitter():
 
 def test_accumulate_jitter_losses_match_window_acceptance():
     source = _signal_only()
-    det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0)
+    det = replace(IDEAL_DET, jitter_sigma_ps=150.0)
     layout = WindowLayout()
     counts, tags, ledger = _tagged_block(
         BB84_SETTINGS[0], 400_000, source, LossBudget(), PERFECT_SWITCH, det,
@@ -652,7 +672,7 @@ def test_accumulate_jitter_losses_match_window_acceptance():
 
 def test_accumulate_is_associative_over_ledger_pieces():
     source = SourceConfig()
-    det = replace(IDEAL_DET, efficiency_db=2.2)
+    det = IDEAL_DET
     layout = WindowLayout()
     _, tags, ledger = _tagged_block(
         BB84_SETTINGS[2], 100_000, source, LossBudget(), PERFECT_SWITCH, det,
@@ -713,7 +733,7 @@ def _tagged_batch(blocks, source, det):
 
 
 def test_tag_and_ledger_files_round_trip(tmp_path):
-    det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0)
+    det = replace(IDEAL_DET, jitter_sigma_ps=150.0)
     counts, tags, ledger = _tagged_block(
         BB84_SETTINGS[0], 20_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
         det, _rng(21), start_index=500,
@@ -734,7 +754,7 @@ def test_session_without_silent_frames_records_every_pulse(tmp_path):
 def test_one_pulse_blocks_record_their_pulse(tmp_path):
     det = replace(IDEAL_DET, dark_count_rate_hz=2.5e8, jitter_sigma_ps=150.0)
     blocks = [
-        Block(BB84_SETTINGS[j % 4], 1, LossBudget(), PERFECT_SWITCH, _rng([44, j]), 7 + j)
+        Block(BB84_SETTINGS[j % 4], 1, LossBudget(detector_db=0.0), PERFECT_SWITCH, _rng([44, j]), 7 + j)
         for j in range(64)
     ]
     records = _tagged_batch(blocks, SourceConfig(mu=0.5, nu=0.1), det)
@@ -773,7 +793,7 @@ def test_tags_of_one_pulse_are_swapped_into_time_order():
     for sigma in (1.0, 2048.0):
         det = replace(IDEAL_DET, dark_count_rate_hz=1e8, jitter_sigma_ps=sigma)
         _, runs[sigma], _ = _tagged_block(
-            BB84_SETTINGS[1], 20_000, source, LossBudget(), PERFECT_SWITCH, det, _rng(47),
+            BB84_SETTINGS[1], 20_000, source, LossBudget(detector_db=0.0), PERFECT_SWITCH, det, _rng(47),
             layout=layout,
         )
     narrow, wide = runs[1.0], runs[2048.0]
@@ -816,7 +836,7 @@ def test_tag_files_round_trip_edge_floats_bit_exactly(tmp_path):
 
 
 def test_tag_writer_matches_the_row_by_row_reference_on_block_tags(tmp_path):
-    det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=150.0, dark_count_rate_hz=1e6)
+    det = replace(IDEAL_DET, jitter_sigma_ps=150.0, dark_count_rate_hz=1e6)
     _, tags, _ = _tagged_block(
         BB84_SETTINGS[1], 50_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
         det, _rng(25), start_index=999_990,
@@ -1119,7 +1139,7 @@ def test_accumulate_matches_the_dict_loop_reference():
         assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger), seed
     # a full block's tags
     layout = WindowLayout()
-    det = replace(IDEAL_DET, efficiency_db=2.2, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6)
+    det = replace(IDEAL_DET, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6)
     _, tags, ledger = _tagged_block(
         BB84_SETTINGS[3], 100_000, SourceConfig(), LossBudget(), PERFECT_SWITCH, det,
         _rng(23), start_index=77,
@@ -1129,8 +1149,6 @@ def test_accumulate_matches_the_dict_loop_reference():
 
 
 def test_detector_model_validation():
-    with pytest.raises(InvalidInputError):
-        DetectorModel(efficiency_db=-1.0)
     with pytest.raises(InvalidInputError):
         DetectorModel(intrinsic_error=0.6)
     with pytest.raises(InvalidInputError):

@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from timebin_qkd import detection, experiment
-from timebin_qkd.detection import DetectorModel, accumulate
+from timebin_qkd.detection import DetectorModel, SessionCounts, accumulate, simulate_block
 from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import (
-    BLOCK_PULSES,
     COUNTS_SCHEMA,
+    PURPOSE_SCAN,
     SCAN_SCHEMA,
     STABILITY_SCHEMA,
     SWEEP_SCHEMA,
     ExperimentConfig,
     PumpScanResult,
-    _blocks,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -40,7 +39,9 @@ from timebin_qkd.experiment import (
     sweep_payload,
     write_counts_json,
 )
-from timebin_qkd.qubit import Basis
+from timebin_qkd.qubit import BB84_SETTINGS, Basis
+from timebin_qkd.source import derived_rng
+from timebin_qkd.switch import with_delay
 
 from sinks import tagged_session
 
@@ -74,16 +75,6 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"detector": 3})
     with pytest.raises(ConfigError):
         config_from_dict([1, 2])
-
-
-def test_config_rejects_inconsistent_detector_loss():
-    payload = {"budget": {"detector_db": 1.0}}
-    with pytest.raises(ConfigError, match="detector"):
-        config_from_dict(payload)
-    # consistent when both sides move together
-    payload["detector"] = {"efficiency_db": 1.0}
-    cfg = config_from_dict(payload)
-    assert cfg.detector.efficiency_db == 1.0
 
 
 def test_config_rejects_bad_scalars():
@@ -148,14 +139,43 @@ def test_load_config(tmp_path):
         load_config(bad)
 
 
-def test_block_decomposition():
-    assert list(_blocks(1)) == [(0, 0, 1)]
-    assert list(_blocks(BLOCK_PULSES)) == [(0, 0, BLOCK_PULSES)]
-    assert list(_blocks(2_500_000)) == [
-        (0, 0, 1_000_000),
-        (1, 1_000_000, 1_000_000),
-        (2, 2_000_000, 500_000),
+def test_engine_lays_out_blocks_by_point_setting_and_block(monkeypatch):
+    # at 1,000 pulses per block a 2,500-pulse train has blocks of 1,000, 1,000 and 500
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
+    cfg = ExperimentConfig(seed=31)
+    ledgers = []
+    run_session(cfg, pulses=2_500, sink=lambda tags, ledger: ledgers.append(ledger))
+    assert [(ledger.start_index, len(ledger)) for ledger in ledgers] == [
+        (s * 2_500 + start, n)
+        for s in range(4)
+        for start, n in ((0, 1_000), (1_000, 1_000), (2_000, 500))
     ]
+
+    # block b of time setting s draws from (seed, PURPOSE_SCAN, s, b) at every point
+    totals = []
+    original = experiment._run_points
+
+    def recording(*args, **kwargs):
+        for total in original(*args, **kwargs):
+            totals.append(total)
+            yield total
+
+    monkeypatch.setattr(experiment, "_run_points", recording)
+    delays = [0.0, 3.0]
+    run_pump_delay_scan(cfg, delays, pulses_per_point=2_500)
+    time_settings = [setting for setting in BB84_SETTINGS if setting.basis == Basis.TIME]
+    assert len(totals) == len(delays)
+    for delay, total in zip(delays, totals):
+        switch = with_delay(cfg.switch, delay)
+        lone = SessionCounts.zeros()
+        for s, setting in enumerate(time_settings):
+            for b, n in enumerate((1_000, 1_000, 500)):
+                rng = derived_rng(cfg.seed, PURPOSE_SCAN, s, b)
+                lone += simulate_block(
+                    setting, n, cfg.source, cfg.budget, switch, cfg.detector, rng
+                )
+        assert lone.counts.sum() > 0
+        assert total == lone
 
 
 def test_run_session_is_reproducible():
@@ -613,9 +633,36 @@ def test_run_stability_takes_only_an_integer_samples_per_hour(per_hour, monkeypa
     def unreached(*args):
         pytest.fail("the grid was simulated")
 
-    monkeypatch.setattr(experiment, "_run_jobs", unreached)
+    monkeypatch.setattr(experiment, "_run_points", unreached)
     with pytest.raises(InvalidInputError, match="samples_per_hour"):
         run_stability(ExperimentConfig(), hours=1, samples_per_hour=per_hour)
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2", 0])
+def test_the_engine_takes_only_an_integer_worker_count(workers, monkeypatch):
+    def no_blocks(*args):
+        pytest.fail("a block ran")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
+    with pytest.raises(InvalidInputError, match="workers"):
+        run_session(ExperimentConfig(), pulses=1000, workers=workers)
+
+
+def test_the_engine_takes_a_numpy_integer_worker_count():
+    cfg = ExperimentConfig(seed=4)
+    assert run_session(cfg, pulses=1000, workers=np.int64(2)).counts == run_session(
+        cfg, pulses=1000
+    ).counts
+
+
+def test_run_stability_refuses_boolean_hours(monkeypatch):
+    # unchecked, True would run a grid of [0, 0.5, 1]
+    def unreached(*args):
+        pytest.fail("the grid was simulated")
+
+    monkeypatch.setattr(experiment, "_run_points", unreached)
+    with pytest.raises(InvalidInputError, match="hours"):
+        run_stability(ExperimentConfig(), hours=True)
 
 
 def test_run_stability_takes_a_numpy_integer_samples_per_hour():
@@ -640,11 +687,11 @@ def test_run_stability_refuses_a_grid_over_the_cap(hours, per_hour, samples, mon
     # grids over it raised OverflowError or ValueError before allocating
     reached = []
 
-    def stand_in(config, groups, *args, **kwargs):
-        reached.append(sum(1 for _ in groups))
+    def stand_in(config, settings, points, *args, **kwargs):
+        reached.append(sum(1 for _ in points))
         raise RuntimeError("stand-in")
 
-    monkeypatch.setattr(experiment, "_run_jobs", stand_in)
+    monkeypatch.setattr(experiment, "_run_points", stand_in)
     cfg = ExperimentConfig()
     if samples is None:
         with pytest.raises(InvalidInputError, match=str(experiment.MAX_VALUES)):

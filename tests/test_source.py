@@ -53,6 +53,9 @@ def test_source_config_defaults_and_validation():
         SourceConfig(nu=0.9)  # nu >= mu
     with pytest.raises(InvalidInputError):
         SourceConfig(class_probabilities=(0.5, 0.5, 0.5))
+    # NaN fails neither a "< 0" check nor the sum check
+    with pytest.raises(InvalidInputError, match="finite"):
+        SourceConfig(class_probabilities=(math.nan, 0.5, 0.5))
     for kwargs in ({"mu": math.inf}, {"rep_rate_hz": math.inf}, {"rep_rate_hz": math.nan}):
         with pytest.raises(InvalidInputError, match="finite"):
             SourceConfig(**kwargs)
@@ -165,6 +168,25 @@ def test_derived_streams_are_keyed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize(
+    "sigmas",
+    [
+        {"pump_power_rel_sigma": 1e308},  # 5 sigma is infinite
+        {"pump_polarization_sigma": 1e308},
+        {"pump_power_rel_sigma": 0.21},  # the pump power could reach 1 - 1.05
+        {"pump_power_rel_sigma": math.nan},
+    ],
+)
+def test_drift_model_needs_finite_bounds_and_a_non_negative_pump_power(sigmas):
+    with pytest.raises(InvalidInputError, match=next(iter(sigmas))):
+        DriftModel(**sigmas)
+
+
+def test_drift_model_takes_a_pump_power_bound_of_one():
+    model = DriftModel(pump_power_rel_sigma=0.2, seed=3)
+    assert min(dpow for dpow, _ in drift_state(model, range(500))) >= -1.0
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None])
