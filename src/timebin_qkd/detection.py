@@ -305,9 +305,10 @@ class TimeTags:
     """The click record as columns: one row per click, in any order.
 
     Row k says detector detector_id[k] (0 the phase pathway, 1 the time
-    pathway) clicked at timestamp_ps[k] ps after the epoch of pulse
-    pulse_index[k].  detector_id is range-checked as int64 and then held
-    as int8, so 256 cannot wrap to 0.
+    pathway) clicked timestamp_ps[k] whole picoseconds after the epoch of
+    pulse pulse_index[k].  Both are int64; a timestamp with a fraction is
+    refused, not truncated.  detector_id is range-checked, then held as
+    int8, so 256 cannot wrap to 0.
     """
 
     pulse_index: np.ndarray
@@ -317,7 +318,15 @@ class TimeTags:
     def __post_init__(self) -> None:
         self.pulse_index = np.asarray(self.pulse_index, dtype=np.int64)
         detector_id = np.asarray(self.detector_id, dtype=np.int64)
-        self.timestamp_ps = np.asarray(self.timestamp_ps, dtype=np.float64)
+        ts = np.asarray(self.timestamp_ps)
+        if ts.dtype.kind == "u" and ts.size and ts.max() > _INT64_MAX:
+            ts = ts.astype(np.float64)  # at least 2**63, so refused below
+        if ts.dtype.kind not in "iu":
+            ts = ts.astype(np.float64)
+            # NaN fails both bounds, and ±inf one of them
+            if not np.all((ts >= -(2.0**63)) & (ts < 2.0**63) & (np.rint(ts) == ts)):
+                raise InvalidInputError("timestamp_ps must be whole picoseconds within int64")
+        self.timestamp_ps = ts.astype(np.int64, copy=False)
         n = len(self.pulse_index)
         if len(detector_id) != n or len(self.timestamp_ps) != n:
             raise InvalidInputError("tag arrays must have equal length")
@@ -326,8 +335,6 @@ class TimeTags:
         if np.any((detector_id != 0) & (detector_id != 1)):
             raise InvalidInputError("detector_id must be 0 or 1")
         self.detector_id = detector_id.astype(np.int8)
-        if not np.all(np.isfinite(self.timestamp_ps)):
-            raise InvalidInputError("timestamp_ps must be finite")
 
     def __len__(self) -> int:
         return len(self.pulse_index)
@@ -379,8 +386,7 @@ def accumulate(
 
 TAG_HEADER = "pulse_index,detector_id,timestamp_ps"
 LEDGER_HEADER = "pulse_index,intensity_class,alpha,bit"
-_TAG_DTYPE = np.dtype(list(zip(TAG_HEADER.split(","), (np.int64, np.int64, np.float64))))
-_LEDGER_DTYPE = np.dtype([(name, np.int64) for name in LEDGER_HEADER.split(",")])
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Pulse indices in an aligned run of _RUN share all but their last four
 # digits, which the ledger writer copies from one template per run.
@@ -392,13 +398,9 @@ _ROW_TAIL = np.frombuffer(b",0,0,0\n", dtype=np.uint8)
 # formatted in batches of the same size.
 LEDGER_CHUNK_ROWS = 2 * _RUN
 
-# A whitespace-only line, and a tag or ledger line that is neither empty
-# nor the comma-separated numbers of its format.
+# A whitespace-only line, and one field of a tag or ledger row.
 _BLANK_LINE = re.compile(r"(?m)^[ \t\v\f]+$")
 _INT_FIELD = r"[ \t]*[+-]?\d+[ \t]*"
-_FLOAT_FIELD = r"[ \t]*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:inf|infinity|nan))[ \t]*"
-_BAD_TAG_LINE = re.compile(rf"(?m)^(?!{_INT_FIELD},{_INT_FIELD},{_FLOAT_FIELD}$).+$")
-_BAD_LEDGER_LINE = re.compile(rf"(?m)^(?!{_INT_FIELD}(?:,{_INT_FIELD}){{3}}$).+$")
 
 
 def _load_rows(f, dtype: np.dtype) -> np.ndarray:
@@ -408,15 +410,18 @@ def _load_rows(f, dtype: np.dtype) -> np.ndarray:
         return np.loadtxt(f, delimiter=",", dtype=dtype, ndmin=1, comments=None)
 
 
-def _read_rows(path, header: str, what: str, dtype: np.dtype, bad_line: re.Pattern) -> np.ndarray:
-    """The rows of a tag or ledger file as one structured array.
+def _read_rows(path, header: str, what: str) -> np.ndarray:
+    """The rows of a tag or ledger file: one int64 field per name in `header`.
 
     One loadtxt call parses the body.  loadtxt rejects whitespace-only
     lines, which the formats allow, and numbers rows inconsistently in its
     errors; when it refuses the body, the text is re-read with
-    whitespace-only lines emptied and the first line `bad_line` matches is
-    reported by its file line.
+    whitespace-only lines emptied and the first line that is not empty or
+    comma-separated integers (a float timestamp, say) is reported by line.
     """
+    names = header.split(",")
+    dtype = np.dtype([(name, np.int64) for name in names])
+    bad_line = re.compile(rf"(?m)^(?!{_INT_FIELD}(?:,{_INT_FIELD}){{{len(names) - 1}}}$).+$")
     try:
         with open(path, "r", encoding="ascii") as f:
             found = f.readline().strip()
@@ -450,7 +455,7 @@ def _output(target):
 def write_time_tags(path, tags: TimeTags) -> None:
     """Write tags as line-oriented text: pulse_index,detector_id,timestamp_ps.
 
-    Timestamps are written as their repr, so reading them back is exact.
+    Every field is a decimal integer; timestamps are whole picoseconds.
     `path` may also be a binary file open for writing: the rows are
     appended, after the header if the file is still empty.  Rows are
     formatted at most LEDGER_CHUNK_ROWS at a time.
@@ -460,17 +465,14 @@ def write_time_tags(path, tags: TimeTags) -> None:
             f.write(TAG_HEADER.encode("ascii") + b"\n")
         for lo in range(0, len(tags), LEDGER_CHUNK_ROWS):
             part = slice(lo, lo + LEDGER_CHUNK_ROWS)
-            columns = (tags.pulse_index[part], tags.detector_id[part], tags.timestamp_ps[part])
             # the columns interleaved row by row, so one `%` formats the chunk
-            fields = [None] * (3 * len(columns[0]))
-            for k, column in enumerate(columns):
-                fields[k::3] = column.tolist()
-            f.write((("%d,%d,%r\n" * len(columns[0])) % tuple(fields)).encode("ascii"))
+            rows = np.stack([getattr(tags, name)[part] for name in TAG_HEADER.split(",")], 1)
+            f.write((("%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii"))
 
 
 def read_time_tags(path) -> TimeTags:
-    """Read a tag file; one loadtxt call parses every row."""
-    rows = _read_rows(path, TAG_HEADER, "tag file", _TAG_DTYPE, _BAD_TAG_LINE)
+    """Read a tag file of integers; one loadtxt call parses every row."""
+    rows = _read_rows(path, TAG_HEADER, "tag file")
     return TimeTags(rows["pulse_index"], rows["detector_id"], rows["timestamp_ps"])
 
 
@@ -538,9 +540,6 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
             f.write(rows)
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _decode_written_ledger(f) -> PulseLedger | None:
     """The ledger whose written file is exactly what binary file `f` holds, or None.
 
@@ -606,7 +605,7 @@ def read_pulse_ledger(path) -> PulseLedger:
 
 def _read_ledger_rows(path) -> PulseLedger:
     """The loadtxt path of read_pulse_ledger, which takes any ledger file."""
-    rows = _read_rows(path, LEDGER_HEADER, "ledger", _LEDGER_DTYPE, _BAD_LEDGER_LINE)
+    rows = _read_rows(path, LEDGER_HEADER, "ledger")
     if len(rows) == 0:
         raise InvalidInputError("empty pulse ledger")
     idx = rows["pulse_index"]
@@ -909,7 +908,8 @@ def _tags_and_ledger(
     idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
     centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
     jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
-    ts = centers + np.concatenate(jitter)
+    # a time tagger's whole picoseconds, rounded once here
+    ts = np.rint(centers + np.concatenate(jitter)).astype(np.int64)
     pulse = block.start_index + frames[idx]
     order = np.argsort(pulse, kind="stable")
     pulse, ts = pulse[order], ts[order]

@@ -18,6 +18,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import typing
@@ -107,6 +108,11 @@ class ExperimentConfig:
         count = self.pulses_per_setting
         if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
             raise ConfigError("pulses_per_setting must be a positive integer")
+        # A time tag is its window's center plus a jitter draw, rounded to
+        # int64 picoseconds; no draw ever reaches 64 sigma.
+        reach = max(map(abs, self.layout.centers_ps)) + 64.0 * self.detector.jitter_sigma_ps
+        if not reach < 2.0**62:
+            raise ConfigError("window centers and jitter put time tags beyond int64 picoseconds")
 
 
 _SECTIONS = {
@@ -297,6 +303,16 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _real(value, what: str) -> float:
+    """`value` as a float; a bool, a string or any other non-real is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{what} is out of the range of a float") from None
+
+
 def _run_points(
     config: ExperimentConfig,
     settings: tuple[PreparationSetting, ...],
@@ -442,7 +458,7 @@ def run_loss_sweep(
     pulses: int | None = None,
     workers: int | None = None,
 ) -> LossSweepResult:
-    losses = np.asarray(list(channel_losses_db), dtype=float)
+    losses = np.array([_real(v, "channel loss") for v in channel_losses_db], dtype=float)
     if losses.size == 0:
         raise InvalidInputError("need at least one channel loss value")
     if not np.all(np.isfinite(losses)) or np.any(losses < 0):
@@ -486,7 +502,7 @@ def run_pump_delay_scan(
     has NaN fidelity.  Every delay reuses the same RNG streams, so the
     curves vary smoothly with delay.
     """
-    delays = np.asarray(list(delays_ps), dtype=float)
+    delays = np.array([_real(v, "pump delay") for v in delays_ps], dtype=float)
     if delays.size == 0:
         raise InvalidInputError("need at least one pump delay")
     if not np.all(np.isfinite(delays)):
@@ -594,8 +610,7 @@ def run_stability(
     samples_per_hour) + 1 samples, at most MAX_VALUES; samples_per_hour
     is an integer of at least 1.
     """
-    if isinstance(hours, bool):
-        raise InvalidInputError("hours must be a number, got a boolean")
+    hours = _real(hours, "hours")
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
     samples_per_hour = _count(samples_per_hour, "samples_per_hour")

@@ -79,7 +79,7 @@ def write_time_tags_rows(path, tags: TimeTags) -> None:
         for k in range(len(tags)):
             f.write(
                 f"{int(tags.pulse_index[k])},{int(tags.detector_id[k])},"
-                f"{float(tags.timestamp_ps[k])!r}\n"
+                f"{int(tags.timestamp_ps[k])}\n"
             )
 
 
@@ -94,7 +94,7 @@ def read_time_tags_rows(path) -> TimeTags:
             a, b, c = line.split(",")
             pulse.append(int(a))
             det.append(int(b))
-            ts.append(float(c))
+            ts.append(int(c))
     return TimeTags(pulse, det, ts)
 
 

@@ -133,6 +133,26 @@ def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
     ).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers2"])
+def test_dumped_files_read_back_as_the_in_memory_record(tmp_path, monkeypatch, workers):
+    # timestamps are rounded to whole picoseconds once, when drawn, so the
+    # files give back the sink's tags column for column, and the same counts
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    dumped = tmp_path / "tags.csv"
+    argv = ["session", "--pulses", "25000", "--seed", "9", "--out", str(tmp_path / "rep.json")]
+    assert main([*argv, "--dump-tags", str(dumped), *workers]) == 0
+    _, tags, ledger = tagged_session(ExperimentConfig(seed=9), pulses=25_000)
+    back = read_time_tags(dumped)
+    assert len(back) > 1000 and back.timestamp_ps.dtype == np.int64
+    for name in ("pulse_index", "detector_id", "timestamp_ps"):
+        assert np.array_equal(getattr(back, name), getattr(tags, name)), name
+    layout = ExperimentConfig().layout
+    from_files = accumulate(back, layout, read_pulse_ledger(f"{dumped}.ledger"))
+    assert from_files == accumulate(tags, layout, ledger)
+    assert from_files.counts.sum() > 1000
+
+
 def test_session_failing_mid_run_leaves_no_dump_files(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
     original = experiment.simulate_blocks

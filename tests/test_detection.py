@@ -85,11 +85,12 @@ def _tagged_block(prep, n_pulses, source, budget, switch, det, rng, *, layout=No
 
 
 def _same_tags(a: TimeTags, b: TimeTags) -> bool:
-    """Equal columns, timestamps compared bit for bit."""
+    """Equal columns, timestamps as int64 whole picoseconds."""
     return (
         np.array_equal(a.pulse_index, b.pulse_index)
         and np.array_equal(a.detector_id, b.detector_id)
-        and np.array_equal(a.timestamp_ps.view(np.int64), b.timestamp_ps.view(np.int64))
+        and a.timestamp_ps.dtype == b.timestamp_ps.dtype == np.int64
+        and np.array_equal(a.timestamp_ps, b.timestamp_ps)
     )
 
 
@@ -113,7 +114,7 @@ def test_classify_in_and_out_of_window():
     expected = {
         8000.0: (Basis.TIME, 0),
         8400.0: (Basis.TIME, 0),  # edge inclusive
-        8400.1: None,
+        8401.0: None,
         -150.0: (Basis.PHASE, 0),
         5500.0: None,
         10935.0: (Basis.TIME, 1),
@@ -125,6 +126,23 @@ def test_classify_in_and_out_of_window():
             assert counts.sum() == 0, ts
         else:
             assert counts.sum() == counts[window] == 1, ts
+
+
+@pytest.mark.parametrize(
+    "center, inside",
+    [(8000.0, (7600, 8400)), (INTERFEROMETER_DELAY_PS, (2536, 3335))],
+    ids=["whole", "fractional"],
+)
+def test_window_edges_in_whole_picoseconds(center, inside):
+    # a window holds the stamps within 400 ps of its center, edges
+    # included; the center 2935.364... ps lies between whole picoseconds
+    layout = WindowLayout()
+    window = layout.centers_ps.index(center)
+    ledger = PulseLedger(0, np.zeros(1), np.zeros(1), np.zeros(1))
+    low, high = inside
+    for ts, hit in ((low, 1), (high, 1), (low - 1, 0), (high + 1, 0)):
+        counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
+        assert counts.sum() == counts[window // 2, window % 2] == hit, ts
 
 
 def test_overlapping_windows_rejected():
@@ -208,16 +226,40 @@ def test_recombination_phase_flips_phase_basis():
 
 
 def test_time_tags_validation():
-    assert len(_tags((0, 0, 0.0), (3, 1, -2.5))) == 2
+    assert len(_tags((0, 0, 0.0), (3, 1, -2))) == 2
     assert len(_tags()) == 0
     for bad in ((-1, 0, 0.0), (0, 2, 0.0), (0, -1, 0.0), (0, 0, math.inf), (0, 0, -math.inf),
-                (0, 0, math.nan), (0, 256, 0.0), (0, 257, 0.0), (0, -255, 0.0)):
+                (0, 0, math.nan), (0, 256, 0.0), (0, 257, 0.0), (0, -255, 0.0),
+                (0, 0, 0.5), (0, 0, -2.5), (0, 0, 1e-300)):
         with pytest.raises(InvalidInputError):
             _tags((1, 0, 5.0), bad)
     with pytest.raises(InvalidInputError, match="equal length"):
         TimeTags([0, 1], [0, 1], [0.0])
     with pytest.raises(InvalidInputError, match="equal length"):
         TimeTags([0], [0, 1], [0.0])
+
+
+def test_time_tags_hold_whole_picoseconds_as_int64():
+    made = np.array([-(2**63), -7, 0, 2**53 + 1, 2**63 - 1], dtype=np.int64)
+    for given in (made, made.tolist()):
+        tags = TimeTags(np.arange(5), np.zeros(5), given)
+        assert tags.timestamp_ps.dtype == np.int64
+        assert tags.timestamp_ps.tolist() == made.tolist()
+    # integral floats and unsigned integers that fit are taken as they are
+    for given, want in (
+        ([-3.0, 0.0, -0.0, 1e3, 2.0**62], [-3, 0, 0, 1000, 2**62]),
+        (np.array([0, 2**63 - 1], dtype=np.uint64), [0, 2**63 - 1]),
+        (np.array([5, -2], dtype=np.int8), [5, -2]),
+    ):
+        got = TimeTags(np.arange(len(want)), np.zeros(len(want)), given).timestamp_ps
+        assert got.dtype == np.int64 and got.tolist() == want, given
+    # a fraction is refused, not truncated; so is a value beyond int64
+    for bad in (
+        [1.7], [-0.5], [math.nan], [math.inf], [-math.inf], [2.0**63], [-(2.0**64)],
+        np.array([2**63], dtype=np.uint64), [2**64], np.array([0.25], dtype=np.float32),
+    ):
+        with pytest.raises(InvalidInputError, match="whole picoseconds"):
+            TimeTags([0], [0], bad)
 
 
 # ---------------------------------------------------------- session counts
@@ -783,49 +825,54 @@ def test_silent_frames_take_the_left_over_classes(tmp_path, probabilities):
 
 
 def test_tags_of_one_pulse_are_swapped_into_time_order():
-    # Strong pulses and darks give doubles.  The jitter is scale times the
-    # same standard normals at any sigma, so the 1 ps run tells each
-    # double's window-0 and window-1 draws apart and predicts the 2048 ps
-    # run's timestamps, where a window-1 tag can come first.
+    # Strong pulses and darks give doubles.  Both layouts have whole-ps
+    # centers, so in either run a tag is its window's center plus the same
+    # rounded jitter draw.  With windows 10 us apart each double's rows are
+    # window 0, then window 1; that tells the draws apart and predicts the
+    # close layout's timestamps, where a window-1 tag can come first.
     source = SourceConfig(mu=2.0, nu=0.3)
-    layout = WindowLayout()
-    runs = {}
-    for sigma in (1.0, 2048.0):
-        det = replace(IDEAL_DET, dark_count_rate_hz=1e8, jitter_sigma_ps=sigma)
-        _, runs[sigma], _ = _tagged_block(
+    det = replace(IDEAL_DET, dark_count_rate_hz=1e8, jitter_sigma_ps=2048.0)
+    layouts = [WindowLayout((0.0, 1e7, 2e7, 3e7)), WindowLayout((0.0, 2935.0, 8000.0, 10935.0))]
+    apart, close = (
+        _tagged_block(
             BB84_SETTINGS[1], 20_000, source, LossBudget(detector_db=0.0), PERFECT_SWITCH, det, _rng(47),
             layout=layout,
-        )
-    narrow, wide = runs[1.0], runs[2048.0]
-    assert np.array_equal(narrow.pulse_index, wide.pulse_index)
-    assert np.array_equal(narrow.detector_id, wide.detector_id)
-    assert np.array_equal(np.lexsort((wide.timestamp_ps, wide.pulse_index)), np.arange(len(wide)))
-    first = np.flatnonzero(np.diff(narrow.pulse_index) == 0)  # each double's first row
-    centers = np.reshape(layout.centers_ps, (2, 2))[narrow.detector_id[first]]
-    # at 1 ps a double's rows are window 0, then window 1; scale their draws
-    predicted = centers + 2048.0 * (narrow.timestamp_ps[np.stack([first, first + 1], 1)] - centers)
+        )[1]
+        for layout in layouts
+    )
+    assert np.array_equal(apart.pulse_index, close.pulse_index)
+    assert np.array_equal(apart.detector_id, close.detector_id)
+    assert np.array_equal(np.lexsort((close.timestamp_ps, close.pulse_index)), np.arange(len(close)))
+    first = np.flatnonzero(np.diff(apart.pulse_index) == 0)  # each double's first row
+    rows = np.stack([first, first + 1], 1)
+    assert np.all(np.diff(apart.timestamp_ps[rows], axis=1) > 5e6)  # window 0, then 1
+    shift = np.diff([np.reshape(layout.centers_ps, (2, 2)) for layout in layouts], axis=0)[0]
+    predicted = apart.timestamp_ps[rows] + shift[apart.detector_id[first]].astype(np.int64)
     inverted = predicted[:, 1] < predicted[:, 0]
     assert len(first) > 100 and inverted.sum() > 10
-    got = wide.timestamp_ps[np.stack([first, first + 1], 1)]
-    assert np.allclose(got, np.sort(predicted, axis=1), rtol=0, atol=1e-6)
+    assert np.array_equal(close.timestamp_ps[rows], np.sort(predicted, axis=1))
 
 
 def test_tag_file_header_is_checked(tmp_path):
     p = tmp_path / "bad.tags"
-    p.write_text("wrong,header,line\n0,0,0.0\n")
+    p.write_text("wrong,header,line\n0,0,0\n")
     with pytest.raises(InvalidInputError):
         read_time_tags(p)
 
 
-# Timestamps whose repr is short, signed zero, subnormal, huge or long.
-_EDGE_TIMESTAMPS = (3.2e-05, -0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1 / 3, 1e-300,
-                    -2.5e-7, 1.7976931348623157e308, 123456789.123456789)
+# Timestamps of one to nineteen digits, negative, past 32 and 53 bits, and the int64 ends.
+_EDGE_TIMESTAMPS = (0, -1, 1, 9, -10, 2**31 - 1, 2**31, -(2**31) - 1, 2**53 + 1, -(2**53) - 1,
+                    10**18, 2**63 - 1, -(2**63))
 
 
-def test_tag_files_round_trip_edge_floats_bit_exactly(tmp_path):
+def test_tag_files_round_trip_edge_integers_exactly(tmp_path):
     rng = _rng(24)
-    ts = np.concatenate([_EDGE_TIMESTAMPS, rng.normal(0.0, 1e4, 2000)])
-    tags = TimeTags(np.arange(len(ts)) * 7, rng.integers(0, 2, len(ts)), ts)
+    spread = np.rint(rng.normal(0.0, 1e4, 2000)).astype(np.int64)
+    ts = np.concatenate([np.array(_EDGE_TIMESTAMPS), spread])
+    # pulse indices past 2**31, and the last one at the int64 end
+    pulse = 2**31 - 5 + np.arange(len(ts)) * 7
+    pulse[-1] = 2**63 - 1
+    tags = TimeTags(pulse, rng.integers(0, 2, len(ts)), ts)
     write_time_tags(tmp_path / "fast", tags)
     write_time_tags_rows(tmp_path / "ref", tags)
     assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes()
@@ -849,13 +896,13 @@ def test_tag_writer_matches_the_row_by_row_reference_on_block_tags(tmp_path):
 
 def test_tag_reader_accepts_what_the_row_reader_accepts(tmp_path):
     variants = {
-        "blank lines": f"{TAG_HEADER}\n\n5,0,1.5\n\n6,1,-0.0\n\n",
-        "whitespace lines": f"{TAG_HEADER}\n5,0,1.5\n \t\n6,1,-0.0\n  \n",
-        "padding": f"{TAG_HEADER}\n 5 ,0, 1.5 \n\t6,1 ,-0.0\n",
-        "crlf": f"{TAG_HEADER}\r\n5,0,1.5\r\n6,1,-0.0\r\n",
-        "no final newline": f"{TAG_HEADER}\n5,0,1.5\n6,1,-0.0",
-        "exponents": f"{TAG_HEADER}\n5,0,1.5e3\n6,1,+2E-7\n7,1,.5\n8,0,3.\n",
-        "one row": f"{TAG_HEADER}\n5,0,1.5\n",
+        "blank lines": f"{TAG_HEADER}\n\n5,0,15\n\n6,1,-0\n\n",
+        "whitespace lines": f"{TAG_HEADER}\n5,0,15\n \t\n6,1,-0\n  \n",
+        "padding": f"{TAG_HEADER}\n 5 ,0, 15 \n\t6,1 ,-0\n",
+        "crlf": f"{TAG_HEADER}\r\n5,0,15\r\n6,1,-0\r\n",
+        "no final newline": f"{TAG_HEADER}\n5,0,15\n6,1,-0",
+        "signs and zeros": f"{TAG_HEADER}\n+5,0,+1500\n6,1,-007\n7,1,0\n",
+        "one row": f"{TAG_HEADER}\n5,0,15\n",
     }
     for name, text in variants.items():
         path = tmp_path / "tags"
@@ -863,17 +910,22 @@ def test_tag_reader_accepts_what_the_row_reader_accepts(tmp_path):
         assert _same_tags(read_time_tags(path), read_time_tags_rows(path)), name
 
 
-@pytest.mark.parametrize("row", ["0,0,nan", "0,1,inf", "0,0,-inf", "0,1,-Infinity", "0,0,NaN"])
-def test_tag_reader_rejects_non_finite_timestamps(tmp_path, row):
+@pytest.mark.parametrize(
+    "row", ["0,0,nan", "0,1,inf", "0,0,-inf", "0,1,1.5", "0,0,1e3", "0,1,2935.364037743738", "0,0,5."]
+)
+def test_tag_reader_rejects_non_integer_timestamps(tmp_path, row):
+    # a float tag file, as earlier versions wrote, is refused by its line
     path = tmp_path / "tags"
-    path.write_text(f"{TAG_HEADER}\n1,0,5.0\n{row}\n")
-    with pytest.raises(InvalidInputError, match="finite"):
+    path.write_text(f"{TAG_HEADER}\n1,0,5\n{row}\n")
+    with pytest.raises(InvalidInputError, match=f"line 3: expected {TAG_HEADER}, got '{row}'"):
         read_time_tags(path)
 
 
 def test_tag_reader_rejects_out_of_range_columns(tmp_path):
     path = tmp_path / "tags"
-    for row, match in (("-1,0,0.0", "non-negative"), ("0,2,0.0", "0 or 1")):
+    for row, match in (
+        ("-1,0,0", "non-negative"), ("0,2,0", "0 or 1"), ("0,0,9223372036854775808", "tag file")
+    ):
         path.write_text(f"{TAG_HEADER}\n{row}\n")
         with pytest.raises(InvalidInputError, match=match):
             read_time_tags(path)
@@ -941,12 +993,12 @@ def test_ledger_reader_accepts_what_the_row_reader_accepts(tmp_path):
         (read_pulse_ledger, LEDGER_HEADER, "", "empty pulse ledger"),
         (read_pulse_ledger, LEDGER_HEADER, "\n \n", "empty pulse ledger"),
         (read_time_tags, TAG_HEADER, "0,1\n", "line 2"),
-        (read_time_tags, TAG_HEADER, "0,1,0.0\n1,0,2.0,7\n", "line 3"),
-        (read_time_tags, TAG_HEADER, "0,x,0.0\n", "line 2"),
+        (read_time_tags, TAG_HEADER, "0,1,0\n1,0,2,7\n", "line 3"),
+        (read_time_tags, TAG_HEADER, "0,x,0\n", "line 2"),
         (read_pulse_ledger, LEDGER_HEADER, "0,1,0,1\n1,1,\u00e9,1\n", "line 3"),
         (read_pulse_ledger, LEDGER_HEADER + "\u00e9", "0,1,0,1\n", "line 1"),
-        (read_time_tags, TAG_HEADER, "0,1,0.0\n1,\u00e9,2.0\n", "line 3"),
-        (read_time_tags, "\u00e9" + TAG_HEADER, "0,1,0.0\n", "line 1"),
+        (read_time_tags, TAG_HEADER, "0,1,0\n1,\u00e9,2\n", "line 3"),
+        (read_time_tags, "\u00e9" + TAG_HEADER, "0,1,0\n", "line 1"),
     ],
     ids=[
         "ledger-too-few", "ledger-too-few-after-blank", "ledger-too-many",
@@ -1002,7 +1054,7 @@ def test_ledger_columns_are_int8(tmp_path):
 
 
 def test_tag_detector_ids_are_int8(tmp_path):
-    made = TimeTags([0, 1], np.array([1, 0], dtype=np.int64), [0.0, 1.5])
+    made = TimeTags([0, 1], np.array([1, 0], dtype=np.int64), [0, 15])
     write_time_tags(tmp_path / "tags", made)
     _, simulated, _ = _tagged_block(
         BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
@@ -1110,15 +1162,18 @@ def _edge_case_tags(rng, layout, n_pulses, n_tags):
         pulse = int(rng.integers(0, n_pulses))
         c = centers[rng.integers(0, 4)]
         kind = rng.integers(0, 4)
-        if kind == 0:  # exactly on a window edge: inside
-            ts = c + half * rng.choice([-1.0, 1.0])
-        elif kind == 1:  # just past an edge: outside
-            ts = np.nextafter(c + half, np.inf) if rng.random() < 0.5 else c - 1.5 * half
+        # the whole picoseconds at a window's edges: on the edge itself
+        # when the center is whole
+        low, high = math.ceil(c - half), math.floor(c + half)
+        if kind == 0:  # the last stamp inside an edge
+            ts = low if rng.random() < 0.5 else high
+        elif kind == 1:  # the first stamp past an edge: outside
+            ts = low - 1 if rng.random() < 0.5 else high + 1
         else:
-            ts = c + rng.normal(0.0, half)
-        tags.append((pulse, int(rng.integers(0, 2)), float(ts)))
+            ts = round(c + rng.normal(0.0, half))
+        tags.append((pulse, int(rng.integers(0, 2)), ts))
         if rng.random() < 0.2:  # a second tag of the same pulse, same window
-            tags.append((pulse, 0, float(c)))
+            tags.append((pulse, 0, round(c)))
     return _tags(*tags)
 
 

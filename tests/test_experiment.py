@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from timebin_qkd import detection, experiment
-from timebin_qkd.detection import DetectorModel, SessionCounts, accumulate, simulate_block
+from timebin_qkd.detection import (
+    DetectorModel,
+    SessionCounts,
+    WindowLayout,
+    accumulate,
+    simulate_block,
+)
 from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
@@ -663,6 +669,54 @@ def test_run_stability_refuses_boolean_hours(monkeypatch):
     monkeypatch.setattr(experiment, "_run_points", unreached)
     with pytest.raises(InvalidInputError, match="hours"):
         run_stability(ExperimentConfig(), hours=True)
+
+
+@pytest.mark.parametrize(
+    "flow, match",
+    [
+        (lambda cfg: run_stability(cfg, hours="2"), "hours"),
+        (lambda cfg: run_stability(cfg, hours=10**400), "hours"),
+        (lambda cfg: run_pump_delay_scan(cfg, ["a"]), "pump delay"),
+        (lambda cfg: run_pump_delay_scan(cfg, [0.0, None]), "pump delay"),
+        (lambda cfg: run_pump_delay_scan(cfg, [np.bool_(True)]), "pump delay"),
+        (lambda cfg: run_loss_sweep(cfg, ["a"]), "channel loss"),
+        (lambda cfg: run_loss_sweep(cfg, [True], pulses=1000), "channel loss"),
+        (lambda cfg: run_loss_sweep(cfg, [[1.0, 2.0]]), "channel loss"),
+    ],
+    ids=["hours-str", "hours-huge", "delay-str", "delay-none", "delay-numpy-bool",
+         "loss-str", "loss-bool", "loss-nested"],
+)
+def test_flows_refuse_non_numeric_arguments_before_any_block(flow, match, monkeypatch):
+    # these raised TypeError or ValueError, and a boolean loss ran at 1 dB
+    def no_blocks(*args):
+        pytest.fail("a block ran")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
+    with pytest.raises(InvalidInputError, match=match):
+        flow(ExperimentConfig(seed=3))
+
+
+def test_flows_take_numpy_and_integer_numbers():
+    cfg = ExperimentConfig(seed=3)
+    sweep = run_loss_sweep(cfg, np.array([4.0, 1]), pulses=1000)
+    assert sweep.channel_db.tolist() == [1.0, 4.0]
+    assert sweep.rates_bps.tolist() == run_loss_sweep(cfg, [1.0, 4.0], pulses=1000).rates_bps.tolist()
+    scan = run_pump_delay_scan(cfg, [np.float32(0.5), 2], pulses_per_point=500)
+    assert scan.delays_ps.tolist() == [0.5, 2.0]
+    assert run_stability(cfg, hours=np.int64(1), pulses_per_sample=200).times_h.tolist() == [
+        0.0, 0.5, 1.0
+    ]
+
+
+@pytest.mark.parametrize(
+    "layout, jitter",
+    [(WindowLayout((0.0, 3e3, 8e3, 2.0**62)), 150.0), (WindowLayout(), 2.0**56)],
+    ids=["center", "jitter"],
+)
+def test_config_refuses_time_tags_beyond_int64_picoseconds(layout, jitter):
+    detector = replace(DetectorModel(), jitter_sigma_ps=jitter)
+    with pytest.raises(ConfigError, match="int64 picoseconds"):
+        ExperimentConfig(layout=layout, detector=detector)
 
 
 def test_run_stability_takes_a_numpy_integer_samples_per_hour():

@@ -20,7 +20,7 @@ import pytest
 
 from timebin_qkd.cli import main
 
-SESSION_TAGS = "3b82c55c5a92d7512c865de944427e44c5256a149cf57facf6a5959e5f90f052"
+SESSION_TAGS = "261c851eab2726c7cc4907950e1478315f72b0598100cfb80f291c018522b7e1"
 SESSION_LEDGER = "49160d8c08c7845d3929e97d6596427e65041d4911ad2120e0440fc91507a3e7"
 SESSION_COUNTS = "131c15e1614de3b8c8cb1967c45ab48a2e2839c9810c6fe94aa8022e3bf473ab"
 SESSION_REPORT = "bf4f8a2387e970c7a139d9c4c157dd9de7b565360dfb4a412d8042a9039dfd46"

@@ -60,7 +60,7 @@ def test_ledger_read_back_and_accumulate_hold_little_beyond_the_ledger(tmp_path)
     )
     tags = TimeTags(
         np.sort(rng.choice(n, 5_000, replace=False)), rng.integers(0, 2, 5_000),
-        rng.normal(0.0, 150.0, 5_000),
+        np.rint(rng.normal(0.0, 150.0, 5_000)),
     )
     layout = ExperimentConfig().layout
     got = []
