@@ -265,6 +265,19 @@ def outcome_probabilities(
     return p0, p1, 0.0
 
 
+def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
+    """`values` as int64; a fraction, NaN, ±inf or a value beyond int64 is refused."""
+    values = np.asarray(values)
+    if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+        values = values.astype(np.float64)  # at least 2**63, so refused below
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.float64)
+        # NaN fails both bounds, and ±inf one of them
+        if not np.all((values >= -(2.0**63)) & (values < 2.0**63) & (np.rint(values) == values)):
+            raise InvalidInputError(f"{what} must be {must_be} within int64")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class PulseLedger:
     """Sender-side record of a pulse range: class and preparation per pulse.
@@ -274,7 +287,8 @@ class PulseLedger:
     is 0, 1 or 2 and every alpha and bit 0 or 1, so each is one digit in
     the ledger file and the columns are held as int8.  Values are
     range-checked in the input's own dtype (int64 for input that is not
-    integer), before narrowing, so 258 cannot wrap to 2.
+    integer), before narrowing, so 258 cannot wrap to 2.  A fraction, in
+    start_index or in a column, is refused, not truncated.
     """
 
     start_index: int
@@ -286,12 +300,13 @@ class PulseLedger:
         n = len(self.class_idx)
         if len(self.alpha) != n or len(self.bit) != n:
             raise InvalidInputError("ledger arrays must have equal length")
+        self.start_index = int(_whole(self.start_index, "start_index", "a whole number"))
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
         for name, top in (("class_idx", 2), ("alpha", 1), ("bit", 1)):
             values = np.asarray(getattr(self, name))
             if values.dtype.kind not in "iu":
-                values = values.astype(np.int64)
+                values = _whole(values, f"ledger {name} values")
             if n and (values.min() < 0 or values.max() > top):
                 raise InvalidInputError(f"ledger {name} values must lie in 0..{top}")
             setattr(self, name, values.astype(np.int8, copy=False))
@@ -306,9 +321,9 @@ class TimeTags:
 
     Row k says detector detector_id[k] (0 the phase pathway, 1 the time
     pathway) clicked timestamp_ps[k] whole picoseconds after the epoch of
-    pulse pulse_index[k].  Both are int64; a timestamp with a fraction is
-    refused, not truncated.  detector_id is range-checked, then held as
-    int8, so 256 cannot wrap to 0.
+    pulse pulse_index[k].  Both are int64.  A value with a fraction, in
+    any column, is refused, not truncated.  detector_id is range-checked,
+    then held as int8, so 256 cannot wrap to 0.
     """
 
     pulse_index: np.ndarray
@@ -316,17 +331,9 @@ class TimeTags:
     timestamp_ps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.pulse_index = np.asarray(self.pulse_index, dtype=np.int64)
-        detector_id = np.asarray(self.detector_id, dtype=np.int64)
-        ts = np.asarray(self.timestamp_ps)
-        if ts.dtype.kind == "u" and ts.size and ts.max() > _INT64_MAX:
-            ts = ts.astype(np.float64)  # at least 2**63, so refused below
-        if ts.dtype.kind not in "iu":
-            ts = ts.astype(np.float64)
-            # NaN fails both bounds, and ±inf one of them
-            if not np.all((ts >= -(2.0**63)) & (ts < 2.0**63) & (np.rint(ts) == ts)):
-                raise InvalidInputError("timestamp_ps must be whole picoseconds within int64")
-        self.timestamp_ps = ts.astype(np.int64, copy=False)
+        self.pulse_index = _whole(self.pulse_index, "pulse_index")
+        detector_id = _whole(self.detector_id, "detector_id")
+        self.timestamp_ps = _whole(self.timestamp_ps, "timestamp_ps", "whole picoseconds")
         n = len(self.pulse_index)
         if len(detector_id) != n or len(self.timestamp_ps) != n:
             raise InvalidInputError("tag arrays must have equal length")

@@ -29,6 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .analysis import (
     SETTING_LABELS,
@@ -327,7 +328,13 @@ def _run_points(
     setting runs a train of `pulses` pulses, an integer of at least 1, cut
     into blocks of BLOCK_PULSES.  Block b of setting s draws from
     derived_rng(config.seed, *key, s, b), and its first pulse has the
-    index s * pulses + b * BLOCK_PULSES in the tag record.  The engine
+    index s * pulses + b * BLOCK_PULSES in the tag record.  Each block gets
+    a new generator on its stream's seed sequence.  When every train is one
+    block, the engine derives each stream once for a run of consecutive
+    points with the same key (a sweep or a scan reuses its key for common
+    random numbers), so it holds at most one sequence per setting; a
+    longer train derives its streams block by block, at a cost its
+    full-size blocks dwarf, and keeps none.  The engine
     yields the summed counts of each point in order, as soon as its last
     block is in; with a sink it also draws each block's tags and ledger as
     the reduce reaches the block, on the calling thread, and hands them to
@@ -363,19 +370,26 @@ def _run_points(
     last = (len(settings) - 1, len(starts) - 1)
 
     def batches():
-        # each block as its stream key, its Block fields but the generator,
-        # and whether it ends its point
+        # each block as its stream's seed sequence, its Block fields but the
+        # generator, and whether it ends its point
         batch, batch_pulses = [], 0
+        streams, streams_key = {}, None
         for key, budget, switch in itertools.chain(peeked, points):
+            if key != streams_key:
+                streams, streams_key = {}, key
             for s, setting in enumerate(settings):
                 for b, start in enumerate(starts):
                     cnt = min(BLOCK_PULSES, pulses - start)
                     if batch and (batch_pulses + cnt > BLOCK_PULSES or len(batch) == BATCH_BLOCKS):
                         yield batch
                         batch, batch_pulses = [], 0
+                    seq = streams.get((s, b))
+                    if seq is None:
+                        seq = derived_rng(config.seed, *key, s, b).bit_generator.seed_seq
+                        if len(starts) == 1:
+                            streams[s, b] = seq
                     batch.append((
-                        (*key, s, b), setting, cnt, budget, switch, s * pulses + start,
-                        (s, b) == last,
+                        seq, setting, cnt, budget, switch, s * pulses + start, (s, b) == last,
                     ))
                     batch_pulses += cnt
         if batch:
@@ -384,8 +398,8 @@ def _run_points(
     def run(batch):
         results = simulate_blocks(
             [
-                Block(setting, cnt, budget, switch, derived_rng(config.seed, *stream), start)
-                for stream, setting, cnt, budget, switch, start, _ in batch
+                Block(setting, cnt, budget, switch, Generator(PCG64(seq)), start)
+                for seq, setting, cnt, budget, switch, start, _ in batch
             ],
             config.source,
             config.detector,

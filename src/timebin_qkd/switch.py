@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from scipy.special import ndtr
-
 from .errors import InvalidInputError
 from .qubit import TimeBinQubit
 
@@ -41,6 +39,7 @@ TIME_BANDWIDTH_PRODUCT = 0.441
 
 _C_M_PER_S = 299792458.0
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+_SQRT_HALF = math.sqrt(0.5)
 
 # Polarization mode indices used by SwitchedState amplitudes.
 POL_H = 0
@@ -136,6 +135,17 @@ def switching_efficiency(theta: float, delta_phi: float) -> float:
     return s2 * s2 * sp * sp
 
 
+def _normal_cdf(x: float) -> float:
+    # Standard normal CDF with the branches of cephes' ndtr: near 0 from
+    # erf, farther out from erfc(|x|/sqrt 2), which keeps the lower tail's
+    # digits that 0.5 + 0.5 * erf would cancel; the upper tail is 1 minus it.
+    z = x * _SQRT_HALF
+    if abs(z) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0 else tail
+
+
 def _overlap_weight(model: SwitchModel, delay_ps: float) -> float:
     # Slide integral of the normalized pump intensity across the signal
     # profile.  Each signal slice s accumulates the fraction of the pump
@@ -147,7 +157,7 @@ def _overlap_weight(model: SwitchModel, delay_ps: float) -> float:
         model.signal_fwhm_ps * _FWHM_TO_SIGMA,
     )
     half = 0.5 * model.walkoff_ps
-    w = float(ndtr((delay_ps + half) / sigma) - ndtr((delay_ps - half) / sigma))
+    w = _normal_cdf((delay_ps + half) / sigma) - _normal_cdf((delay_ps - half) / sigma)
     return min(max(w, 0.0), 1.0)
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,3 +577,36 @@ def test_stability_samples_without_events_are_null(tmp_path, extra):
     assert [row[1:] for row in rows[1:]] == [
         ["" if v is None else repr(v) for v in sample] for sample in zip(*series)
     ]
+
+
+# Runs the CLI with every scipy module made unimportable, then checks that
+# none was loaded: the package needs numpy alone at run time.
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from timebin_qkd.cli import main
+
+code = main(sys.argv[1:])
+assert not any(m.partition(".")[0] == "scipy" for m in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_session_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, "session", "--pulses", "20000", "--seed", "1",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["schema"] == REPORT_SCHEMA

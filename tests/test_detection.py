@@ -230,7 +230,8 @@ def test_time_tags_validation():
     assert len(_tags()) == 0
     for bad in ((-1, 0, 0.0), (0, 2, 0.0), (0, -1, 0.0), (0, 0, math.inf), (0, 0, -math.inf),
                 (0, 0, math.nan), (0, 256, 0.0), (0, 257, 0.0), (0, -255, 0.0),
-                (0, 0, 0.5), (0, 0, -2.5), (0, 0, 1e-300)):
+                (0, 0, 0.5), (0, 0, -2.5), (0, 0, 1e-300),
+                (1.7, 0, 0.0), (0.5, 1, 0.0), (0, 0.9, 0.0), (math.nan, 0, 0.0), (0, math.inf, 0.0)):
         with pytest.raises(InvalidInputError):
             _tags((1, 0, 5.0), bad)
     with pytest.raises(InvalidInputError, match="equal length"):
@@ -1022,9 +1023,20 @@ def test_malformed_rows_raise_input_errors_naming_the_row(
 def test_ledger_values_are_range_checked():
     ok = PulseLedger(0, [0, 1, 2], [0, 1, 0], [1, 0, 1])
     assert len(ok) == 3
-    for cls, alpha, bit in (([3], [0], [0]), ([-1], [0], [0]), ([0], [2], [0]), ([0], [0], [-1])):
+    for cls, alpha, bit in (
+        ([3], [0], [0]), ([-1], [0], [0]), ([0], [2], [0]), ([0], [0], [-1]),
+        # a fraction is refused, not truncated
+        ([1.5], [0.99], [0]), ([0.5], [0], [0]), ([0], [0.99], [0]), ([0], [0], [0.5]),
+        ([math.nan], [0], [0]),
+    ):
         with pytest.raises(InvalidInputError):
             PulseLedger(0, cls, alpha, bit)
+    for start in (0.5, -1, -1.0, math.nan, math.inf, 2.0**63):
+        with pytest.raises(InvalidInputError, match="start_index"):
+            PulseLedger(start, [1], [0], [0])
+    # integral floats are still taken
+    whole = PulseLedger(3.0, [2.0], [1.0], [0.0])
+    assert whole.start_index == 3 and whole.class_idx.tolist() == [2]
     # values that wrap to a valid int8 digit are rejected before narrowing
     for value in (258, 256, -254):
         wide = np.array([value], dtype=np.int64)

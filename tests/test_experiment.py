@@ -20,6 +20,7 @@ from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
     PURPOSE_SCAN,
+    PURPOSE_STABILITY,
     SCAN_SCHEMA,
     STABILITY_SCHEMA,
     SWEEP_SCHEMA,
@@ -182,6 +183,24 @@ def test_engine_lays_out_blocks_by_point_setting_and_block(monkeypatch):
                 )
         assert lone.counts.sum() > 0
         assert total == lone
+
+
+def test_engine_derives_each_stream_once_per_key(monkeypatch):
+    keys = []
+
+    def counting(master_seed, *key):
+        keys.append(key)
+        return derived_rng(master_seed, *key)
+
+    monkeypatch.setattr(experiment, "derived_rng", counting)
+    cfg = ExperimentConfig(seed=3)
+    # every scan point shares one key: two time settings, one block each
+    run_pump_delay_scan(cfg, np.arange(0.0, 8.0, 1.0), pulses_per_point=2_000)
+    assert sorted(keys) == [(PURPOSE_SCAN, 0, 0), (PURPOSE_SCAN, 1, 0)]
+    # each stability sample has a key of its own
+    keys.clear()
+    run_stability(cfg, hours=2, samples_per_hour=1, pulses_per_sample=2_000)
+    assert sorted(keys) == [(PURPOSE_STABILITY, k, s, 0) for k in range(3) for s in range(4)]
 
 
 def test_run_session_is_reproducible():

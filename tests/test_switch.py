@@ -15,6 +15,7 @@ from timebin_qkd.switch import (
     POL_H,
     POL_V,
     SwitchModel,
+    _normal_cdf,
     _overlap_weight,
     apply_switch_both_bins,
     effective_efficiency,
@@ -193,3 +194,17 @@ def test_phase_offset_lands_on_switched_amplitude():
     model = SwitchModel(bin_phase_offset=0.7)
     out = apply_switch_both_bins(prepare_state(0.0), model)
     assert math.isclose(math.atan2(out.amp(0, POL_V).imag, out.amp(0, POL_V).real), 0.7)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    edge = 1.0  # x / sqrt(2) == sqrt(1/2): where erf hands over to erfc
+    special = [0.0, -0.0, math.inf, -math.inf]
+    for x in (edge, -edge):
+        special += [x, math.nextafter(x, 0.0), math.nextafter(x, 2.0 * x)]
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 400_001), special])
+    got = np.array([_normal_cdf(float(x)) for x in xs])
+    assert np.max(np.abs(got - ndtr(xs))) <= 2.3e-16
+    assert (_normal_cdf(-math.inf), _normal_cdf(0.0), _normal_cdf(math.inf)) == (0.0, 0.5, 1.0)
+    assert math.isnan(_normal_cdf(math.nan))
