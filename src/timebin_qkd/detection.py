@@ -347,6 +347,28 @@ class TimeTags:
         return len(self.pulse_index)
 
 
+def _window_edges(layout: WindowLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last whole picosecond of each window, found exactly.
+
+    Window k holds the t with |t - center_k| <= width / 2.  Its edges are
+    found in Python integers from the floats' exact ratios, so no tag is
+    misplaced where float64 no longer holds every picosecond (from 2**53
+    on).  A window that holds no int64 picosecond gets first > last.
+    """
+    h, d = float(layout.width_ps).as_integer_ratio()
+    d *= 2  # width / 2 == h / d
+    first, last = [], []
+    for center in layout.centers_ps:
+        a, b = float(center).as_integer_ratio()
+        lo = -((h * b - a * d) // (b * d))  # ceil((a / b) - (h / d))
+        hi = (a * d + h * b) // (b * d)
+        if lo > _INT64_MAX or hi < -_INT64_MAX - 1:
+            lo, hi = 1, 0
+        first.append(max(lo, -_INT64_MAX - 1))
+        last.append(min(hi, _INT64_MAX))
+    return np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
+
+
 def accumulate(
     tags: TimeTags,
     layout: WindowLayout,
@@ -355,7 +377,9 @@ def accumulate(
     """Bin time tags into windows and tally counts against the ledger.
 
     Each tag lands in the window containing its timestamp, edges
-    included (the first in `centers_ps` order), or is discarded.
+    included (the first in `centers_ps` order), or is discarded; the
+    windows' edges are whole picoseconds found exactly (`_window_edges`),
+    so every int64 timestamp is placed exactly.
     Pulses with more than one windowed tag are discarded (deterministic, so
     pieces merge associatively).  pulses_sent comes from the ledger, so
     accumulating disjoint (tags, ledger) pieces and summing equals
@@ -376,7 +400,8 @@ def accumulate(
         raise InvalidInputError(
             f"tag pulse_index {pulse[outside.argmax()]} outside ledger range"
         )
-    in_window = np.abs(ts[:, None] - np.array(layout.centers_ps)) <= 0.5 * layout.width_ps
+    first, last = _window_edges(layout)
+    in_window = (ts[:, None] >= first) & (ts[:, None] <= last)
     hit = in_window.any(axis=1)
     window = in_window.argmax(axis=1)[hit]
     pulses, first, n_windowed = np.unique(pulse[hit], return_index=True, return_counts=True)
@@ -639,21 +664,15 @@ def _prune_dead_time_clusters(
     the chain that starts at each cluster's first event and steps to the
     first event at least `blocked` + 1 frames later; the chains are
     marked by pointer doubling, so the pass takes O(log n) array rounds.
+    The sampler passes only its clustered events, those within `blocked`
+    frames of a neighbour on either detector: any other event is kept and
+    blocks no event, so leaving it out changes no other event's fate.
     """
     keep = np.ones(len(frames), dtype=bool)
     if blocked <= 0 or len(frames) < 2:
         return keep
-    # Two events that close on one detector make every event between them
-    # close to its neighbours, so only events close to a neighbour on
-    # either detector can be clustered.
-    near = np.diff(frames) <= blocked
-    candidates = np.zeros(len(frames), dtype=bool)
-    candidates[1:] = near
-    candidates[:-1] |= near
-    candidates = np.flatnonzero(candidates)
-    # the candidates on detector 0, then on detector 1, each in frame order
-    on = detector[candidates]
-    on_detector = [candidates[on == d] for d in (0, 1)]
+    # the events on detector 0, then on detector 1, each in frame order
+    on_detector = [np.flatnonzero(detector == d) for d in (0, 1)]
     order = np.concatenate(on_detector)
     f = frames[order]
     close = np.diff(f) <= blocked
@@ -703,6 +722,12 @@ _EVENT_NO_SIGNAL = (_EVENT_SIGNAL == 0).astype(np.float64)
 # table, in row-major order.
 _CELL_CLASS = np.repeat(np.arange(3), _N_EVENTS)
 _CELL_STATE = np.tile(np.arange(_N_EVENTS), 3)
+# The states that click in both windows, and those that click in only
+# window 0 or only window 1 (as 0/1 counts); every event state clicks.
+_EVENT_DOUBLE = _EVENT_CLICK0 & _EVENT_CLICK1
+_EVENT_ONLY = np.array(
+    [_EVENT_CLICK0 & ~_EVENT_CLICK1, _EVENT_CLICK1 & ~_EVENT_CLICK0], dtype=np.int64
+).T
 
 
 class Block(NamedTuple):
@@ -784,84 +809,179 @@ def _event_tables(blocks: list[Block], source: SourceConfig, det: DetectorModel)
     )
 
 
-# Bits of a packed event key below the frame: the event's cell of its
-# block's (3, 22) table, 0 .. 65.
-_CELL_BITS = 7
+def _event_frames(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
+    """The sorted event frames of n frames that each hold an event with probability q.
+
+    Events of independent frames are a Bernoulli process, so the gaps
+    between them are Geometric(q), drawn by inversion as
+    1 + floor(E / lambda) with E standard exponential and
+    lambda = -log1p(-q).  The frames are the gaps' running sums less one,
+    cut at n.  Gaps are drawn in rounds sized to cover the frames left
+    with a wide margin, until their sum reaches n; one round almost
+    always does.  q = 0 draws nothing and gives no events, and q = 1
+    draws nothing and makes every frame an event.
+    """
+    if q <= 0.0 or n == 0:
+        return np.zeros(0, dtype=np.int64)
+    if q >= 1.0:
+        return np.arange(n, dtype=np.int64)
+    lam = -math.log1p(-q)
+    rounds, reach = [], 0
+    while reach < n:
+        left = n - reach
+        mean = left * q
+        gaps = rng.standard_exponential(min(left, int(mean + 6.0 * math.sqrt(mean) + 16.0)))
+        gaps /= lam
+        # a gap longer than the frames left ends the train: capping it
+        # moves no frame below n
+        np.minimum(gaps, left, out=gaps)
+        np.floor(gaps, out=gaps)
+        gaps += 1
+        # summed in place, in float64, which holds whole numbers exactly
+        # below 2**53; one buffer per round keeps the block's peak low
+        frames = np.cumsum(gaps, out=gaps)
+        frames += reach - 1
+        rounds.append(frames)
+        reach = int(frames[-1]) + 1
+    frames = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+    return frames[: np.searchsorted(frames, n)].astype(np.int64)
 
 
-def _draw_events(blocks: list[Block], source: SourceConfig, tables: np.ndarray, stride: int):
-    """Each block's class totals and events, then every event sorted by frame.
+def _draw_events(
+    blocks: list[Block], source: SourceConfig, tables: np.ndarray, blocked: int, stride: int
+):
+    """Each block's draws before dead time, and the batch's clustered events.
 
-    Each block draws from its own generator: its class totals, then the
-    event-state counts of its three classes, then one distinct frame per
-    event.  Block j's frames are then offset by j * stride, so the batch's
-    frames are distinct and one sort of (frame, cell) keys packed in an
-    int64 orders the batch by block, then frame.  Returns (class_totals,
-    frames, ev_block, ev_cls, ev_state): class_totals is (J, 3) and the
-    rest are per event, sorted, with frames offset.
+    Each block draws from its own generator: its event frames
+    (`_event_frames`, with q the event probability of a frame of any
+    class), then one uniform per clustered event, which picks its cell
+    (class, event state) by inversion, one multinomial of the cells of the
+    unclustered events and one multinomial of the classes of the silent
+    frames.  An event is clustered when a neighbouring event, on either
+    detector, is at most `blocked` frames away; only clustered events can
+    lose a click to dead time or block one.  Returns (class_totals,
+    frames, clustered, unclustered, cl_frames, cl_block, cl_cell):
+    class_totals (J, 3); per block its sorted event frames and their
+    clustered mask; the (J, 66) cell counts of the unclustered events; and
+    per clustered event of the batch, in block then frame order, its frame
+    offset by block * stride, its block and its cell of the block's
+    (3, 22) table.
     """
     n_blocks = len(blocks)
-    class_totals = np.empty((n_blocks, 3), dtype=np.int64)
-    per_cell = np.empty((n_blocks, 3 * _N_EVENTS), dtype=np.int64)
-    frames = []
-    for j, (block, table) in enumerate(zip(blocks, tables)):
-        totals = block.rng.multinomial(block.pulses, source.class_probabilities)
-        class_totals[j] = totals
-        per_cell[j] = block.rng.multinomial(totals, table)[:, :-1].ravel()
-        # choice() returns its sample in random order, so pairing it with the
-        # grouped event list puts every event on a uniformly random frame.
-        block_frames = block.rng.choice(block.pulses, per_cell[j].sum(), replace=False)
-        block_frames += j * stride
-        frames.append(block_frames)
-    keys = np.concatenate(frames)
-    keys <<= _CELL_BITS
-    keys |= np.repeat(np.tile(np.arange(3 * _N_EVENTS), n_blocks), per_cell.ravel())
-    keys.sort()
-    cell = keys & ((1 << _CELL_BITS) - 1)
-    keys >>= _CELL_BITS
-    # sorted, the events of block j are the j-th run of per_cell[j].sum()
-    ev_block = np.repeat(np.arange(n_blocks), per_cell.sum(axis=1))
-    return class_totals, keys, ev_block, _CELL_CLASS[cell], _CELL_STATE[cell]
+    # P(class, cell) of a frame: (J, 66) event cells and (J, 3) silent classes
+    weights = np.array(source.class_probabilities)[:, None] * tables
+    event_w = weights[:, :, :-1].reshape(n_blocks, 3 * _N_EVENTS)
+    silent_w = weights[:, :, -1]
+    event_mass = [math.fsum(row) for row in event_w.tolist()]
+    silent_mass = [math.fsum(row) for row in silent_w.tolist()]
+    frames = [
+        _event_frames(block.rng, block.pulses, e / (e + s))
+        for block, e, s in zip(blocks, event_mass, silent_mass)
+    ]
+
+    sizes = [len(f) for f in frames]
+    bounds = np.cumsum([0, *sizes])
+    # one axis for the batch, each block's frames one stride on from the
+    # last; a lone block's frames are used as they are, not copied
+    offset = np.concatenate(frames) if n_blocks > 1 else frames[0]
+    for j in range(1, n_blocks):
+        offset[bounds[j] : bounds[j + 1]] += j * stride
+    near = np.diff(offset) <= blocked
+    clustered = np.zeros(len(offset), dtype=bool)
+    clustered[1:] = near
+    clustered[:-1] |= near
+    cl_index = np.flatnonzero(clustered)
+    cl_block = np.searchsorted(bounds, cl_index, side="right") - 1
+    n_clustered = np.bincount(cl_block, minlength=n_blocks).tolist()
+
+    # Events are drawn only where q > 0, so event_mass > 0, and silent
+    # frames only where q < 1, so silent_mass > 0.
+    cdf = np.cumsum(event_w, axis=1)
+    cells = [np.zeros(0, dtype=np.intp)]
+    unclustered = np.zeros((n_blocks, 3 * _N_EVENTS), dtype=np.int64)
+    silent = np.zeros((n_blocks, 3), dtype=np.int64)
+    for j, block in enumerate(blocks):
+        rng, k = block.rng, n_clustered[j]
+        if k:
+            cells.append(np.searchsorted(cdf[j], rng.random(k) * cdf[j, -1], side="right"))
+        if sizes[j] > k:
+            unclustered[j] = rng.multinomial(sizes[j] - k, event_w[j] / event_mass[j])
+        if block.pulses > sizes[j]:
+            silent[j] = rng.multinomial(block.pulses - sizes[j], silent_w[j] / silent_mass[j])
+    # u * cdf[-1] can round up to cdf[-1]: that draw is the last cell of weight
+    last = 3 * _N_EVENTS - 1 - np.argmax(event_w[:, ::-1] > 0, axis=1)
+    cl_cell = np.minimum(np.concatenate(cells), last[cl_block])
+    cl_classes = np.bincount(cl_block * 3 + _CELL_CLASS[cl_cell], minlength=3 * n_blocks)
+    class_totals = (
+        silent + unclustered.reshape(n_blocks, 3, _N_EVENTS).sum(axis=2)
+        + cl_classes.reshape(n_blocks, 3)
+    )
+    masks = [clustered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return class_totals, frames, masks, unclustered, offset[cl_index], cl_block, cl_cell
 
 
 def _double_click_policy(
     blocks: list[Block],
-    ev_block: np.ndarray,
-    ev_state: np.ndarray,
+    cl_block: np.ndarray,
+    cl_state: np.ndarray,
     keep: np.ndarray,
+    unclustered: np.ndarray,
     det: DetectorModel,
 ):
-    """(click0, click1, counted, bit) of the events dead time kept.
+    """(counted, bit) of the clustered events, and the unclustered counts by bit.
 
-    Each block draws a coin for each of its surviving doubles only.
+    Dead time keeps every unclustered event.  Under the "random" policy
+    each block draws a coin for each of its surviving clustered doubles,
+    then one binomial(count, 0.5), the bit-1 share, for each unclustered
+    double cell; "discard" drops every double and draws nothing.  The
+    unclustered counts come back as a (J, 3, 22, 2) array indexed
+    [block][class][state][bit].
     """
-    click0 = _EVENT_CLICK0[ev_state] & keep
-    click1 = _EVENT_CLICK1[ev_state] & keep
+    click0 = _EVENT_CLICK0[cl_state] & keep
+    click1 = _EVENT_CLICK1[cl_state] & keep
     bit = click1.astype(np.int8)
+    cells = unclustered.reshape(len(blocks), 3, _N_EVENTS)
+    by_bit = cells[..., None] * _EVENT_ONLY
     if det.double_click_policy == "random":
         counted = click0 | click1
         double = click0 & click1
-        doubles = np.bincount(ev_block[double], minlength=len(blocks)).tolist()
-        coins = [block.rng.random(k) for block, k in zip(blocks, doubles)]
+        doubles = np.bincount(cl_block[double], minlength=len(blocks)).tolist()
+        pairs = cells[:, :, _EVENT_DOUBLE]
+        ones = np.zeros_like(pairs)
+        coins = [np.zeros(0)]
+        for j, (block, any_pairs) in enumerate(zip(blocks, pairs.any(axis=(1, 2)).tolist())):
+            if doubles[j]:
+                coins.append(block.rng.random(doubles[j]))
+            if any_pairs:
+                ones[j] = block.rng.binomial(pairs[j], 0.5)
         bit[double] = np.concatenate(coins) < 0.5
+        by_bit[:, :, _EVENT_DOUBLE, 0] = pairs - ones
+        by_bit[:, :, _EVENT_DOUBLE, 1] = ones
     else:
         counted = click0 ^ click1
-    return click0, click1, counted, bit
+    return counted, bit, by_bit
 
 
 def _tally(
     blocks: list[Block],
     class_totals: np.ndarray,
-    ev_block: np.ndarray,
-    ev_cls: np.ndarray,
+    cl_block: np.ndarray,
+    cl_cls: np.ndarray,
     beta: np.ndarray,
     bit: np.ndarray,
     counted: np.ndarray,
+    unclustered_by_bit: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each block's counted events and pulses sent: (J, 3, 2, 2, 2, 2) and (J, 3, 2, 2) arrays."""
+    """Each block's counted events and pulses sent: (J, 3, 2, 2, 2, 2) and (J, 3, 2, 2) arrays.
+
+    The clustered events are tallied one by one; the unclustered counts
+    go in by cell.
+    """
     n_blocks = len(blocks)
-    cell = ev_block * 12 + ev_cls * 4 + beta * 2 + bit
+    cell = cl_block * 12 + cl_cls * 4 + beta * 2 + bit
     tallied = np.bincount(cell[counted], minlength=12 * n_blocks).reshape(n_blocks, 3, 2, 2)
+    # the event states of pathway 0 come first, then those of pathway 1
+    tallied += unclustered_by_bit.reshape(n_blocks, 3, 2, _N_EVENTS // 2, 2).sum(axis=3)
     j = np.arange(n_blocks)
     alpha = [int(block.setting.basis) for block in blocks]
     i = [block.setting.bit for block in blocks]
@@ -876,21 +996,34 @@ def _tags_and_ledger(
     block: Block,
     class_totals: np.ndarray,
     frames: np.ndarray,
-    offset: int,
-    ev_cls: np.ndarray,
-    beta: np.ndarray,
-    click0: np.ndarray,
-    click1: np.ndarray,
+    clustered: np.ndarray,
+    cl_cell: np.ndarray,
+    cl_keep: np.ndarray,
+    unclustered: np.ndarray,
     det: DetectorModel,
     layout: WindowLayout,
 ) -> tuple[TimeTags, PulseLedger]:
     """The physical click record and the sender's ledger of one block.
 
-    `frames` are the block's event frames as sorted in its batch, each
-    `offset` past the block's own frame.
+    `frames` are the block's sorted event frames.  The `clustered` ones
+    have their cells in `cl_cell` and their dead-time fate in `cl_keep`;
+    `unclustered` counts the cells of the rest, which dead time keeps.
     """
     n, rng = block.pulses, block.rng
-    frames = frames - offset
+    # One shuffle arranges the unclustered cells over the unclustered
+    # frames, so every arrangement is equally likely.
+    labels = np.repeat(np.arange(3 * _N_EVENTS), unclustered)
+    rng.shuffle(labels)
+    cell = np.empty(len(frames), dtype=np.intp)
+    cell[clustered] = cl_cell
+    cell[~clustered] = labels
+    kept = np.ones(len(frames), dtype=bool)
+    kept[clustered] = cl_keep
+    ev_cls, state = _CELL_CLASS[cell], _CELL_STATE[cell]
+    beta = _EVENT_BETA[state]
+    click0 = _EVENT_CLICK0[state] & kept
+    click1 = _EVENT_CLICK1[state] & kept
+
     # Silent frames take the class totals the events left over.  All of
     # them get the largest left-over class; one ordered sample of distinct
     # silent frames then places the other two, its first r_a frames one
@@ -937,20 +1070,42 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
 
     Frames are independent, so a frame's fate is one of 22 event states
     (pathway, signal bit after the intrinsic flip, dark click per window;
-    see `_event_probabilities`) or silence.  Each block draws its class
-    totals, then per class the multinomial counts of the event states, and
-    places the events on distinct frames drawn uniformly without
-    replacement.  Dead time then drops clicks on a busy detector, and the
-    double-click policy draws a coin for each surviving double only.
+    see `_event_probabilities`) or silence, and with its class one of 66
+    event cells or a silent frame of one of 3 classes.  An event is
+    clustered when another event, on either detector, lies at most the
+    dead time (`blocked` frames) away.  Each block draws from its own
+    generator, in this order:
 
-    Only the draws are made block by block, each from the block's own
-    generator and in the order above.  The stages that draw nothing run
-    once for the whole batch, so a block's result does not depend on the
-    batch it is in: the event tables (`_pathway_outcomes` switches and
-    projects each distinct preparation and switch once), one sort of the
-    batch's events as packed (frame, cell) int64 keys, the dead-time pass
-    (pointer doubling over the clusters of close clicks, no per-event
-    loop), the click masks and the tally.
+    1. its event frames, a Bernoulli process of q = sum over classes c of
+       P(c) * P(event | c), from the block's (3, 23) table (the event
+       cells' share of the table weighted by P(c)): the frames are
+       cumsum(1 + floor(E / lambda)) - 1 with E = standard_exponential(m)
+       and lambda = -log1p(-q), cut at n, with more gaps drawn while their
+       sum falls short of n;
+    2. one cell per clustered event, i.i.d. from P(cell | event); one
+       multinomial of the unclustered events over the 66 cells; one
+       multinomial of the silent frames over P(class | silent).  The class
+       totals are the sums of these;
+    3. (after the batch's dead-time pass) a coin for each surviving
+       clustered double, then one binomial(count, 0.5) per unclustered
+       double cell, under the "random" double-click policy only;
+    4. (only when its record is called) one shuffle that arranges the
+       unclustered cells over the unclustered frames, one ordered sample
+       of silent frames that places the two smaller left-over classes,
+       then the jitter of window 0's and window 1's clicks.
+
+    Per-event work is done for clustered events only.  An unclustered
+    event is at least `blocked` + 1 frames from both of its neighbours,
+    so dead time keeps it and it blocks nothing (the non-paralyzable
+    model); its cell counts go straight into the tally.
+
+    The stages that draw nothing run once for the whole batch, so a
+    block's result does not depend on the batch it is in: the event
+    tables (`_pathway_outcomes` switches and projects each distinct
+    preparation and switch once), the dead-time pass over the clustered
+    events (pointer doubling over the clusters of close clicks, no
+    per-event loop; each block's frames offset one stride apart), the
+    click masks and the tally.
 
     Returns (counts, pulses_sent, record) per block, in order: the block's
     SessionCounts arrays, and record(layout), which draws the block's
@@ -967,18 +1122,23 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     blocked = min(_dead_frames(det, source), longest)
     stride = longest + blocked + 1
     tables = _event_tables(blocks, source, det)
-    class_totals, frames, ev_block, ev_cls, ev_state = _draw_events(blocks, source, tables, stride)
-    beta = _EVENT_BETA[ev_state]
-    keep = _prune_dead_time_clusters(frames, beta, blocked)
-    click0, click1, counted, bit = _double_click_policy(blocks, ev_block, ev_state, keep, det)
-    counts, sent = _tally(blocks, class_totals, ev_block, ev_cls, beta, bit, counted)
-    bounds = np.searchsorted(ev_block, np.arange(len(blocks) + 1)).tolist()
+    class_totals, frames, clustered, unclustered, cl_frames, cl_block, cl_cell = _draw_events(
+        blocks, source, tables, blocked, stride
+    )
+    cl_state = _CELL_STATE[cl_cell]
+    beta = _EVENT_BETA[cl_state]
+    keep = _prune_dead_time_clusters(cl_frames, beta, blocked)
+    counted, bit, by_bit = _double_click_policy(blocks, cl_block, cl_state, keep, unclustered, det)
+    counts, sent = _tally(
+        blocks, class_totals, cl_block, _CELL_CLASS[cl_cell], beta, bit, counted, by_bit
+    )
+    bounds = np.searchsorted(cl_block, np.arange(len(blocks) + 1)).tolist()
     out = []
     for j, block in enumerate(blocks):
         part = slice(bounds[j], bounds[j + 1])
         record = functools.partial(
-            _tags_and_ledger, block, class_totals[j], frames[part], j * stride,
-            ev_cls[part], beta[part], click0[part], click1[part], det,
+            _tags_and_ledger, block, class_totals[j], frames[j], clustered[j],
+            cl_cell[part], keep[part], unclustered[j], det,
         )
         out.append((counts[j], sent[j], record))
     return out

@@ -110,10 +110,14 @@ class ExperimentConfig:
         if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
             raise ConfigError("pulses_per_setting must be a positive integer")
         # A time tag is its window's center plus a jitter draw, rounded to
-        # int64 picoseconds; no draw ever reaches 64 sigma.
+        # int64 picoseconds; no draw ever reaches 64 sigma.  The sum is a
+        # float64, which holds every whole picosecond only below 2**53.
         reach = max(map(abs, self.layout.centers_ps)) + 64.0 * self.detector.jitter_sigma_ps
-        if not reach < 2.0**62:
-            raise ConfigError("window centers and jitter put time tags beyond int64 picoseconds")
+        if not reach < 2.0**53:
+            raise ConfigError(
+                "window centers and jitter put time tags at or beyond 2**53 ps, where float64 "
+                "no longer rounds them to whole int64 picoseconds"
+            )
 
 
 _SECTIONS = {

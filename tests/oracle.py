@@ -1,8 +1,10 @@
 """Closed-form expected counts of one preparation setting, for the tests.
 
-The block simulator draws frames independently, so the expected number of
-counted events in every [class][beta][j] cell follows from per-frame
-probabilities alone:
+The block simulator treats frames as independent: it draws the event
+frames as a Bernoulli process (geometric gaps between events), each
+event's cell from one law whatever its neighbours, and the silent
+frames' classes as counts.  So the expected number of counted events in
+every [class][beta][j] cell follows from per-frame probabilities alone:
 
 - class c with probability class_probabilities[c] and mean photon number
   mean_c;

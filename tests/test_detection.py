@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from timebin_qkd.detection import (
+    _CELL_STATE,
+    _EVENT_BETA,
     BASIS_GROUP_OFFSET_PS,
     INTERFEROMETER_DELAY_PS,
     LEDGER_CHUNK_ROWS,
@@ -21,6 +23,7 @@ from timebin_qkd.detection import (
     TimeTags,
     WindowLayout,
     _decode_written_ledger,
+    _draw_events,
     _event_probabilities,
     _event_tables,
     _pathway_outcomes,
@@ -143,6 +146,21 @@ def test_window_edges_in_whole_picoseconds(center, inside):
     for ts, hit in ((low, 1), (high, 1), (low - 1, 0), (high + 1, 0)):
         counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
         assert counts.sum() == counts[window // 2, window % 2] == hit, ts
+
+
+def test_windows_hold_whole_picoseconds_beyond_float64():
+    # at 1e17 ps float64 steps by 16 ps, so +401 and +408 would round onto
+    # the edge at +400; only the +400 tag is inside
+    c = 1e17
+    layout = WindowLayout((c, c + 3000, c + 6000, c + 9000), 800.0)
+    ledger = PulseLedger(0, np.zeros(3), np.zeros(3), np.zeros(3))
+    tags = TimeTags([0, 1, 2], [0, 0, 0], [int(c) + 400, int(c) + 401, int(c) + 408])
+    counts = accumulate(tags, layout, ledger).counts
+    assert counts.sum() == counts[0, 0, 0, 0, 0] == 1
+    # a window past the int64 range holds no int64 stamp, the largest included
+    far = WindowLayout((0.0, 3e3, 8e3, 1e30))
+    tags = TimeTags([0, 1, 2], [0, 0, 0], [2**63 - 1, -(2**63), 400])
+    assert accumulate(tags, far, ledger).counts.sum() == 1
 
 
 def test_overlapping_windows_rejected():
@@ -475,6 +493,37 @@ def test_cluster_dead_time_pass_matches_greedy_reference():
             _prune_dead_time_clusters(frames, detector, blocked),
             prune_dead_time_loop(frames.tolist(), detector.tolist(), blocked),
         ), (frames.tolist(), detector.tolist(), blocked)
+
+
+def test_dead_time_over_clustered_events_matches_the_pass_over_all_events():
+    # dense events (p_dark 0.08 per window), with B = 0, 1, 4 and B >= n;
+    # unclustered events get any detector, which must not matter
+    source = SourceConfig()
+    det = DetectorModel(dark_count_rate_hz=1e8)
+    rng = _rng(37)
+    clustered_seen = unclustered_seen = 0
+    for n in (1, 2, 7, 60, 400, 3000):
+        for blocked in (0, 1, 4, n, 3 * n):
+            blocks = [
+                Block(BB84_SETTINGS[k % 4], n, LossBudget(channel_db=(0.0, 10.0)[k % 2]),
+                      SwitchModel(), np.random.default_rng([37, n, blocked, k]))
+                for k in range(4)
+            ]
+            tables = _event_tables(blocks, source, det)
+            _, frames, clustered, _, cl_frames, cl_block, cl_cell = _draw_events(
+                blocks, source, tables, blocked, n + blocked + 1
+            )
+            beta = _EVENT_BETA[_CELL_STATE[cl_cell]]
+            keep = _prune_dead_time_clusters(cl_frames, beta, blocked)
+            for j, (block_frames, mask) in enumerate(zip(frames, clustered)):
+                detector = rng.integers(0, 2, len(block_frames))
+                detector[mask] = beta[cl_block == j]
+                kept = prune_dead_time_loop(block_frames.tolist(), detector.tolist(), blocked)
+                assert kept[~mask].all(), (n, blocked)
+                assert np.array_equal(keep[cl_block == j], kept[mask]), (n, blocked)
+                clustered_seen += mask.sum()
+                unclustered_seen += (~mask).sum()
+    assert clustered_seen > 1000 and unclustered_seen > 1000
 
 
 def _event_table_inputs(rng):

@@ -738,6 +738,19 @@ def test_config_refuses_time_tags_beyond_int64_picoseconds(layout, jitter):
         ExperimentConfig(layout=layout, detector=detector)
 
 
+def test_config_keeps_time_tags_where_float64_holds_whole_picoseconds():
+    # the engine rounds center + jitter, a float64, to int64 picoseconds:
+    # exact only below 2**53, and at 1e17 ps it would fall on 16 ps steps
+    c = 1e17
+    with pytest.raises(ConfigError, match="2\\*\\*53"):
+        ExperimentConfig(layout=WindowLayout((c, c + 3000, c + 6000, c + 9000)))
+    quiet = replace(DetectorModel(), jitter_sigma_ps=0.0)
+    edge = 2.0**53
+    with pytest.raises(ConfigError, match="2\\*\\*53"):
+        ExperimentConfig(layout=WindowLayout((0.0, 3e3, 8e3, edge)), detector=quiet)
+    ExperimentConfig(layout=WindowLayout((0.0, 3e3, 8e3, edge - 1.0)), detector=quiet)
+
+
 def test_run_stability_takes_a_numpy_integer_samples_per_hour():
     res = run_stability(
         ExperimentConfig(seed=4), hours=1, samples_per_hour=np.int64(2), pulses_per_sample=200
@@ -901,7 +914,8 @@ def test_scan_point_without_events_is_nan():
 
 
 def test_stability_sample_without_events_is_nan():
-    res = run_stability(ExperimentConfig(seed=6), hours=1.0, pulses_per_sample=20)
+    # at seed 7 some sample has no matched-basis event while the pooled counts do
+    res = run_stability(ExperimentConfig(seed=7), hours=1.0, pulses_per_sample=20)
     assert np.isnan(res.qber_series).any()
     assert any(np.isnan(series).any() for series in res.fidelity_series.values())
     assert not np.isnan(res.qber_aggregate)

@@ -20,10 +20,10 @@ import pytest
 
 from timebin_qkd.cli import main
 
-SESSION_TAGS = "261c851eab2726c7cc4907950e1478315f72b0598100cfb80f291c018522b7e1"
-SESSION_LEDGER = "49160d8c08c7845d3929e97d6596427e65041d4911ad2120e0440fc91507a3e7"
-SESSION_COUNTS = "131c15e1614de3b8c8cb1967c45ab48a2e2839c9810c6fe94aa8022e3bf473ab"
-SESSION_REPORT = "bf4f8a2387e970c7a139d9c4c157dd9de7b565360dfb4a412d8042a9039dfd46"
+SESSION_TAGS = "5f20e5ac0eb763c67cc3145e0bfbc4c3bfac943d737e3f51e2c433eb17f91059"
+SESSION_LEDGER = "a1c2f1f21c69a04c9d0d58c008d8173113c5da97ce9ccebb391968fc61b4d313"
+SESSION_COUNTS = "c9da03b862dd8621f22438a43d50f16e3f67abe64d63ede7ce2008c66fae0c7f"
+SESSION_REPORT = "a9655104d11eba65df9bd98024c0b622a215a5b9490e9d6fe9fa854dde9e84bc"
 
 # verb arguments, then {output file: sha256}; "out" is passed as --out.
 CASES = {
@@ -39,15 +39,15 @@ CASES = {
     ),
     "sweep-loss": (
         ["sweep-loss", "--losses", "0.45,4,8", "--pulses", "200000"],
-        {"out": "dbf51898126f73329e8b0bb3b927933476860bcb7e4ea2b9638270f9134c9c26"},
+        {"out": "ec972cf62f2aea152a8b4b0d325e91fc181fc8994edfb9c3805a0b5f3fa1349d"},
     ),
     "pump-scan": (
         ["pump-scan", "--delays=-4:12:0.25", "--pulses-per-point", "50000"],
-        {"out": "e28935375b6855b5329ea0c0e3cefa2271d4c35b42807b8d7931511c845a1985"},
+        {"out": "1e0b7f68a386dab51980d5b39336016b7359af0438d54eb7e7eab5dde0b51719"},
     ),
     "stability": (
         ["stability", "--hours", "2"],
-        {"out": "87712dce339fa9fb2d99c0e119e9a0c73a5e8b3396ae208ed32a8e79ad7df5d9"},
+        {"out": "846c24e7bf8535c103c4d2b6cc79e83366a973069a35b745dd744b3bc8cfb917"},
     ),
     # the receiver policies and switch settings the cases above leave at
     # their defaults
@@ -57,8 +57,8 @@ CASES = {
          "--set", "detector.recombination_phase=0.3",
          "--set", "switch.pump_delay_ps=1.5"],
         {
-            "counts": "a9af57ad4cc6438f14a17f2270367e138205a179c1bf44575d2f805944327f49",
-            "out": "782174e70658423f019808407908561e340adf7b98b8f26618c13674f9e4dbc4",
+            "counts": "3731f70119afd4612615528d86ef9b8e27cca73ed19befad3a2a35c6d0156c05",
+            "out": "95e853e6f672cc5d951447e9de5fb0bd4d61f2c31939ffb80ef03f833af3fab3",
         },
     ),
     "session-by-polarization": (
@@ -68,15 +68,15 @@ CASES = {
          "--set", "switch.theta=0.6",
          "--set", "switch.bin_phase_offset=0.4"],
         {
-            "counts": "072b3276f7cb144409f1ce5fe8bcc0030562cbb839fd0eecaf28818627b04284",
-            "out": "5572b7067583ba932b0fdc79144f7dd478a11f59ead5ddf0743f79ee9fcdb08b",
+            "counts": "f0d733520adab8c4e11785fb342eb9f7caef79d30273c70739b269ce1bcae87b",
+            "out": "ba60636ee048be0ed6633d78e8d4032374cff207f04379815f2e7eeccdfcaeb7",
         },
     ),
     "pump-scan-discard-stray": (
         ["pump-scan", "--delays=-2:8:0.5", "--pulses-per-point", "20000",
          "--set", "detector.stray_time_policy=discard",
          "--set", "detector.recombination_phase=-0.7"],
-        {"out": "5a314b45ff667c3b9410aad164611324785caa1997746834e91b0a40c16c73ff"},
+        {"out": "007052b644474242f131370c7d14622ee38fd342ef3c9555bd21e0cdb642d212"},
     ),
 }
 

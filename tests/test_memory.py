@@ -19,9 +19,11 @@ from timebin_qkd.detection import (
     TimeTags,
     accumulate,
     read_pulse_ledger,
+    simulate_block,
     write_pulse_ledger,
 )
-from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan
+from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan, run_session
+from timebin_qkd.qubit import BB84_SETTINGS
 
 MB = 1 << 20
 
@@ -76,3 +78,20 @@ def test_long_scan_keeps_only_its_per_point_results():
     small = _peak(lambda: run_pump_delay_scan(cfg, np.arange(30.0), pulses_per_point=20))
     large = _peak(lambda: run_pump_delay_scan(cfg, np.arange(300.0), pulses_per_point=20))
     assert large - small < 64 * 1024, (small, large)
+
+
+def test_counting_holds_only_per_event_arrays():
+    # a 1e6-pulse block draws about 20,000 events at the default loss;
+    # its arrays are a few hundred kB, where an array per pulse is 8 MB
+    cfg = ExperimentConfig(seed=3)
+
+    def block() -> None:
+        simulate_block(
+            BB84_SETTINGS[0], 1_000_000, cfg.source, cfg.budget, cfg.switch, cfg.detector,
+            np.random.default_rng(3),
+        )
+
+    block()
+    assert _peak(block) < MB
+    run_session(cfg, pulses=4_000_000, workers=2)
+    assert _peak(lambda: run_session(cfg, pulses=4_000_000, workers=2)) < 2 * MB
