@@ -14,7 +14,7 @@ multiplied up to bits per second by the pulse rate.
 from timebin_qkd.experiment import ExperimentConfig, run_session
 
 cfg = ExperimentConfig(seed=2024)
-res = run_session(cfg, pulses=500_000, workers=4)
+res = run_session(cfg, pulses=500_000)
 
 print("probability matrix, signal class (rows: sent, columns: measured):")
 labels = ("phase:0", "phase:1", "time:0", "time:1")

@@ -18,7 +18,7 @@ from timebin_qkd.source import transmittance
 
 cfg = ExperimentConfig(seed=2024)
 losses = [0.45, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-sweep = run_loss_sweep(cfg, losses, pulses=600_000, workers=4)
+sweep = run_loss_sweep(cfg, losses, pulses=600_000)
 
 fixed_db = cfg.budget.total_db - cfg.budget.channel_db
 r0 = sweep.rates_bps[0]

@@ -15,7 +15,7 @@ from timebin_qkd.experiment import ExperimentConfig, run_stability
 from timebin_qkd.qubit import Basis
 
 cfg = ExperimentConfig(seed=2024)
-res = run_stability(cfg, hours=8.0, samples_per_hour=1, pulses_per_sample=150_000, workers=4)
+res = run_stability(cfg, hours=8.0, samples_per_hour=1, pulses_per_sample=150_000)
 
 keys = [(Basis.PHASE, 0), (Basis.PHASE, 1), (Basis.TIME, 0), (Basis.TIME, 1)]
 print("hour  " + "".join(f"{'F(' + b.name.lower() + ':' + str(i) + ')':>10}" for b, i in keys) + "    QBER")

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Verbs mirror the library flows: session, sweep-loss, pump-scan, stability,
-analyze.  All verbs share --config/--set/--seed/--out/--format; results go
-to stdout as JSON unless redirected or asked for as CSV.  Errors print a
-one-line JSON object {"category", "message"} on stderr and map to stable
-exit codes: 2 config, 3 bad input, 4 I/O, 5 no data, 1 anything else.
+analyze.  Every verb takes --out/--format, and the four simulation verbs
+also take --config/--set/--seed; results go to stdout as JSON unless
+redirected or asked for as CSV.  Errors print a one-line JSON object
+{"category", "message"} on stderr and map to stable exit codes: 2 config,
+3 bad input, 4 I/O, 5 no data, 1 anything else.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ from .analysis import secret_key_rate
 from .detection import write_pulse_ledger, write_time_tags
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="write the result here instead of stdout")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_simulation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON configuration file (defaults apply if omitted)")
     p.add_argument(
         "--set",
@@ -54,9 +60,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="override one configuration value; repeatable",
     )
     p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--out", help="write the result here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, help="block simulation threads, capped at the CPU count")
+    _add_output(p)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("session", help="run all four settings, report the key rate")
-    _add_common(p)
+    _add_simulation(p)
     p.add_argument("--pulses", type=int, help="pulses per setting")
     p.add_argument("--save-counts", metavar="PATH", help="also write the raw counts JSON")
     p.add_argument(
@@ -77,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep-loss", help="key rate against channel loss")
-    _add_common(p)
+    _add_simulation(p)
     p.add_argument("--pulses", type=int, help="pulses per setting per point")
     p.add_argument(
         "--losses",
@@ -86,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("pump-scan", help="slot fidelities against pump delay")
-    _add_common(p)
+    _add_simulation(p)
     p.add_argument(
         "--delays",
         required=True,
@@ -95,13 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulses-per-point", type=int, default=200_000)
 
     p = sub.add_parser("stability", help="long session on a drifting setup")
-    _add_common(p)
+    _add_simulation(p)
     p.add_argument("--hours", type=float, default=28.0)
     p.add_argument("--samples-per-hour", type=int, default=2)
     p.add_argument("--pulses-per-sample", type=int, default=400_000)
 
     p = sub.add_parser("analyze", help="key-rate report from a saved counts file")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--counts", required=True, help="counts JSON written by session --save-counts")
 
     return parser
@@ -180,7 +184,7 @@ def _replaced_on_success(path: str):
 def _cmd_session(args) -> int:
     cfg = _config(args)
     if not args.dump_tags:
-        res = run_session(cfg, workers=args.workers)
+        res = run_session(cfg)
     else:
         # each block's tags and ledger are appended as the run reduces it
         with _replaced_on_success(args.dump_tags) as tag_file, _replaced_on_success(
@@ -191,7 +195,7 @@ def _cmd_session(args) -> int:
                 write_time_tags(tag_file, tags)
                 write_pulse_ledger(ledger_file, ledger)
 
-            res = run_session(cfg, workers=args.workers, sink=sink)
+            res = run_session(cfg, sink=sink)
     if args.save_counts:
         write_counts_json(args.save_counts, res.counts, cfg.source)
     payload = report_payload(res.report)
@@ -203,7 +207,7 @@ def _cmd_session(args) -> int:
 def _cmd_sweep_loss(args) -> int:
     cfg = _config(args)
     losses = _parse_values(args.losses, "loss")
-    res = run_loss_sweep(cfg, losses, workers=args.workers)
+    res = run_loss_sweep(cfg, losses)
     _emit(args, sweep_payload(res), sweep_csv(res))
     return 0
 
@@ -211,9 +215,7 @@ def _cmd_sweep_loss(args) -> int:
 def _cmd_pump_scan(args) -> int:
     cfg = _config(args)
     delays = _parse_values(args.delays, "delay")
-    res = run_pump_delay_scan(
-        cfg, delays, pulses_per_point=args.pulses_per_point, workers=args.workers
-    )
+    res = run_pump_delay_scan(cfg, delays, pulses_per_point=args.pulses_per_point)
     _emit(args, scan_payload(res), scan_csv(res))
     return 0
 
@@ -225,7 +227,6 @@ def _cmd_stability(args) -> int:
         hours=args.hours,
         samples_per_hour=args.samples_per_hour,
         pulses_per_sample=args.pulses_per_sample,
-        workers=args.workers,
     )
     _emit(args, stability_payload(res), stability_csv(res))
     return 0

@@ -6,26 +6,22 @@ splits each (point, setting) train into fixed-size pulse blocks; each block
 draws from its own RNG stream, derived from the master seed and the block's
 coordinates (the point's key, then setting index, then block index).  Results
 are integer count tensors summed in a fixed order, so a run is bit-for-bit
-reproducible for a given seed and identical whether blocks execute
-serially or on a thread pool.  Parameter sweeps reuse the same streams at
-every point (common random numbers), which keeps sweep curves smooth and
-makes a single-point sweep coincide exactly with a plain session.
+reproducible for a given seed, however the blocks fall into batches.
+Every batch runs on the calling thread.  Parameter sweeps reuse the same
+streams at every point (common random numbers), which keeps sweep curves
+smooth and makes a single-point sweep coincide exactly with a plain
+session.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import numbers
 import operator
-import os
 import typing
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -264,37 +260,6 @@ def _require_decoy_and_vacuum(source: SourceConfig) -> None:
         )
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_order(pool, fn, items: Iterable, window: int) -> Iterator[tuple]:
-    """(item, fn(item)) for each item, in order.
-
-    On a pool at most `window` items are submitted and not yet taken;
-    without one each item runs on the calling thread as its turn comes.
-    """
-    if pool is None:
-        for item in items:
-            yield item, fn(item)
-        return
-    pending: deque = deque()
-
-    def take():
-        # no reference to a taken result outlives the caller's use of it
-        done, future = pending.popleft()
-        return done, future.result()
-
-    for item in items:
-        if len(pending) == window:
-            yield take()
-        pending.append((item, pool.submit(fn, item)))
-    while pending:
-        yield take()
-
-
 def _count(value, what: str) -> int:
     """`value` as an int of at least 1; a bool or a non-integer is refused."""
     if isinstance(value, bool):
@@ -323,7 +288,6 @@ def _run_points(
     settings: tuple[PreparationSetting, ...],
     points: Iterable[tuple[tuple[int, ...], LossBudget, SwitchModel]],
     pulses: int,
-    workers: int | None,
     sink: Callable[[TimeTags, PulseLedger], None] | None = None,
 ) -> Iterator[SessionCounts]:
     """The block engine: simulate every setting at every point, reduced in order.
@@ -341,35 +305,18 @@ def _run_points(
     full-size blocks dwarf, and keeps none.  The engine
     yields the summed counts of each point in order, as soon as its last
     block is in; with a sink it also draws each block's tags and ledger as
-    the reduce reaches the block, on the calling thread, and hands them to
-    sink(tags, ledger), in point, setting and block order.  It keeps
-    nothing else, so its memory does not grow with the run.
+    the reduce reaches the block and hands them to sink(tags, ledger), in
+    point, setting and block order.  It keeps nothing else, so its memory
+    does not grow with the run.
 
     Consecutive blocks that together hold at most BLOCK_PULSES pulses, and
-    at most BATCH_BLOCKS of them, run as one batch through simulate_blocks:
+    at most BATCH_BLOCKS of them, run as one batch through simulate_blocks
+    on the calling thread, and each batch is reduced before the next runs:
     each block still draws from its own stream, and the stages without
     draws run once per batch.  A full-size block is a batch of its own.
-
-    `workers`, None or an integer of at least 1, bounds the threads: when
-    a train holds a full-size block, batches run on one pool of at most
-    that many, and otherwise on the calling thread.  A block shorter than
-    BLOCK_PULSES spends most of its time in Python holding the interpreter
-    lock, so a second thread would only contend for it.  The pool is
-    capped at the usable CPUs and at the run's full-size blocks, because it
-    starts a thread for any batch, short ones too, that finds none idle;
-    the cap reads only as many points as it allows threads.  At most twice
-    as many batches as threads are submitted and not yet reduced.  The
-    result does not depend on the thread count or on how the blocks fall
-    into batches.
+    The result does not depend on how the blocks fall into batches.
     """
     pulses = _count(pulses, "pulse count")
-    if workers is not None:
-        workers = _count(workers, "workers")
-    points = iter(points)
-    limit = min(workers or 1, _usable_cpus())
-    peeked = list(itertools.islice(points, limit))
-    full_blocks = len(peeked) * len(settings) * (pulses // BLOCK_PULSES)
-    threads = min(limit, full_blocks) if full_blocks else 1
     starts = range(0, pulses, BLOCK_PULSES)
     last = (len(settings) - 1, len(starts) - 1)
 
@@ -378,7 +325,7 @@ def _run_points(
         # generator, and whether it ends its point
         batch, batch_pulses = [], 0
         streams, streams_key = {}, None
-        for key, budget, switch in itertools.chain(peeked, points):
+        for key, budget, switch in points:
             if key != streams_key:
                 streams, streams_key = {}, key
             for s, setting in enumerate(settings):
@@ -399,7 +346,9 @@ def _run_points(
         if batch:
             yield batch
 
-    def run(batch):
+    counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
+    sent = np.zeros((3, 2, 2), dtype=np.int64)
+    for batch in batches():
         results = simulate_blocks(
             [
                 Block(setting, cnt, budget, switch, Generator(PCG64(seq)), start)
@@ -408,21 +357,14 @@ def _run_points(
             config.source,
             config.detector,
         )
-        # a record holds on to its batch's event arrays: keep none not drawn
-        return results if sink is not None else [(c, s, None) for c, s, _ in results]
-
-    counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
-    sent = np.zeros((3, 2, 2), dtype=np.int64)
-    with (ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()) as pool:
-        for batch, results in _in_order(pool, run, batches(), 2 * threads):
-            for (*_, ends_point), (block_counts, block_sent, record) in zip(batch, results):
-                if sink is not None:
-                    sink(*record(config.layout))
-                counts += block_counts
-                sent += block_sent
-                if ends_point:
-                    yield SessionCounts(counts, sent)
-                    counts, sent = np.zeros_like(counts), np.zeros_like(sent)
+        for (*_, ends_point), (block_counts, block_sent, record) in zip(batch, results):
+            if sink is not None:
+                sink(*record(config.layout))
+            counts += block_counts
+            sent += block_sent
+            if ends_point:
+                yield SessionCounts(counts, sent)
+                counts, sent = np.zeros_like(counts), np.zeros_like(sent)
 
 
 @dataclass
@@ -450,11 +392,16 @@ def run_session(
     `pulses` overrides pulses_per_setting.  With a sink, each block's time
     tags and pulse ledger go to sink(tags, ledger) as the block is
     reduced, in pulse-index order.
+
+    `workers` is accepted for compatibility and has no effect: None or an
+    integer of at least 1, and every batch runs on the calling thread.
     """
     n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
+    if workers is not None:
+        _count(workers, "workers")
     point = ((PURPOSE_SESSION,), config.budget, config.switch)
-    (total,) = _run_points(config, BB84_SETTINGS, [point], n, workers, sink)
+    (total,) = _run_points(config, BB84_SETTINGS, [point], n, sink)
     signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
     matrix = probability_matrix(total) if signal_rows.all() else None
     return SessionResult(total, matrix, secret_key_rate(total, config.source))
@@ -476,6 +423,11 @@ def run_loss_sweep(
     pulses: int | None = None,
     workers: int | None = None,
 ) -> LossSweepResult:
+    """Key rate at each channel loss, sorted, on the same streams at every loss.
+
+    `workers` is accepted for compatibility and has no effect: None or an
+    integer of at least 1, and every batch runs on the calling thread.
+    """
     losses = np.array([_real(v, "channel loss") for v in channel_losses_db], dtype=float)
     if losses.size == 0:
         raise InvalidInputError("need at least one channel loss value")
@@ -485,13 +437,15 @@ def run_loss_sweep(
 
     n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
+    if workers is not None:
+        _count(workers, "workers")
     points = (
         ((PURPOSE_SESSION,), replace(config.budget, channel_db=float(loss)), config.switch)
         for loss in losses
     )
     reports = [
         secret_key_rate(total, config.source)
-        for total in _run_points(config, BB84_SETTINGS, points, n, workers)
+        for total in _run_points(config, BB84_SETTINGS, points, n)
     ]
     rates = np.array([r.r_bps for r in reports])
     return LossSweepResult(losses, rates, reports)
@@ -519,19 +473,24 @@ def run_pump_delay_scan(
     fidelities condition on the time pathway; a point without such events
     has NaN fidelity.  Every delay reuses the same RNG streams, so the
     curves vary smoothly with delay.
+
+    `workers` is accepted for compatibility and has no effect: None or an
+    integer of at least 1, and every batch runs on the calling thread.
     """
     delays = np.array([_real(v, "pump delay") for v in delays_ps], dtype=float)
     if delays.size == 0:
         raise InvalidInputError("need at least one pump delay")
     if not np.all(np.isfinite(delays)):
         raise InvalidInputError("pump delays must be finite")
+    if workers is not None:
+        _count(workers, "workers")
 
     time_settings = tuple(s for s in BB84_SETTINGS if s.basis == Basis.TIME)
     points = (
         ((PURPOSE_SCAN,), config.budget, with_delay(config.switch, float(delay)))
         for delay in delays
     )
-    totals = _run_points(config, time_settings, points, pulses_per_point, workers)
+    totals = _run_points(config, time_settings, points, pulses_per_point)
     fidelity = np.full((2, len(delays)), math.nan)
     for k, total in enumerate(totals):
         for bit in (0, 1):
@@ -627,6 +586,9 @@ def run_stability(
     counts give the aggregate report.  The grid has round(hours *
     samples_per_hour) + 1 samples, at most MAX_VALUES; samples_per_hour
     is an integer of at least 1.
+
+    `workers` is accepted for compatibility and has no effect: None or an
+    integer of at least 1, and every batch runs on the calling thread.
     """
     hours = _real(hours, "hours")
     if not (math.isfinite(hours) and hours > 0):
@@ -637,6 +599,8 @@ def run_stability(
     if not grid <= MAX_VALUES or round(grid) + 1 > MAX_VALUES:
         raise InvalidInputError(f"stability samples exceed the limit of {MAX_VALUES}")
     _require_decoy_and_vacuum(config.source)
+    if workers is not None:
+        _count(workers, "workers")
 
     n_samples = int(round(grid)) + 1
     times = np.linspace(0.0, hours, n_samples)
@@ -652,7 +616,7 @@ def run_stability(
         ((PURPOSE_STABILITY, k), config.budget, drifted(*drift))
         for k, drift in enumerate(drift_state(config.drift, times))
     )
-    per_sample = list(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample, workers))
+    per_sample = list(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample))
 
     total = sum(per_sample, SessionCounts.zeros())
     per_fidelity = [fidelities(sample) for sample in per_sample]

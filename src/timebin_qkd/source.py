@@ -194,7 +194,7 @@ def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent, order-insensitive random stream for one work unit.
 
     Streams are derived from the master seed and an integer key tuple, so
-    blocks can run in any order (or in parallel) and still draw exactly the
-    same numbers.
+    blocks can run in any order, and fall into any batch, and still draw
+    exactly the same numbers.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))

@@ -116,17 +116,22 @@ def test_dump_tags_writes_record_and_ledger(tmp_path):
     assert np.array_equal(rebuilt.pulses_sent, saved.pulses_sent)
 
 
-@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers2"])
+# 25,000 pulses per setting: at 10,000 pulses a block, three blocks, the
+# last one short, and each full block a batch of its own; at 100,000, one
+# block per setting, and the four blocks share one batch
+BLOCK_LAYOUTS = pytest.mark.parametrize(
+    "block_pulses", [10_000, 100_000], ids=["three-blocks", "one-shared-batch"]
+)
+
+
+@BLOCK_LAYOUTS
 def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
-    tmp_path, monkeypatch, workers
+    tmp_path, monkeypatch, block_pulses
 ):
-    # 25,000 pulses per setting are three blocks, the last one short; with
-    # --workers 2 the blocks run on two real threads
-    monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", block_pulses)
     dumped = tmp_path / "tags.csv"
     argv = ["session", "--pulses", "25000", "--seed", "5", "--out", str(tmp_path / "rep.json")]
-    assert main([*argv, "--dump-tags", str(dumped), *workers]) == 0
+    assert main([*argv, "--dump-tags", str(dumped)]) == 0
     _, tags, ledger = tagged_session(ExperimentConfig(seed=5), pulses=25_000)
     write_time_tags(tmp_path / "whole.csv", tags)
     write_pulse_ledger(tmp_path / "whole.csv.ledger", ledger)
@@ -137,15 +142,14 @@ def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
     ).read_bytes()
 
 
-@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers2"])
-def test_dumped_files_read_back_as_the_in_memory_record(tmp_path, monkeypatch, workers):
+@BLOCK_LAYOUTS
+def test_dumped_files_read_back_as_the_in_memory_record(tmp_path, monkeypatch, block_pulses):
     # timestamps are rounded to whole picoseconds once, when drawn, so the
     # files give back the sink's tags column for column, and the same counts
-    monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", block_pulses)
     dumped = tmp_path / "tags.csv"
     argv = ["session", "--pulses", "25000", "--seed", "9", "--out", str(tmp_path / "rep.json")]
-    assert main([*argv, "--dump-tags", str(dumped), *workers]) == 0
+    assert main([*argv, "--dump-tags", str(dumped)]) == 0
     _, tags, ledger = tagged_session(ExperimentConfig(seed=9), pulses=25_000)
     back = read_time_tags(dumped)
     assert len(back) > 1000 and back.timestamp_ps.dtype == np.int64
@@ -267,6 +271,38 @@ def test_analyze_without_vacuum_pulses_reports_a_flagged_zero_rate(tmp_path):
     report = _strict_json(out.read_text())
     assert report["R_bps"] == 0.0 and report["Y_0"] is None
     assert "no-vacuum-pulses" in report["flags"]
+
+
+@pytest.mark.parametrize(
+    "flag", [["--config", "cfg.json"], ["--set", "source.mu=0.5"], ["--seed", "9"]]
+)
+def test_analyze_refuses_the_simulation_flags(flag, tmp_path, capsys):
+    # analyze reads only the counts file: a config, override or seed would be ignored
+    counts = tmp_path / "counts.json"
+    write_counts_json(counts, SessionCounts.zeros(), SourceConfig())
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--counts", str(counts), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["session", "--pulses", "1000"],
+        ["sweep-loss", "--losses", "1"],
+        ["pump-scan", "--delays", "0"],
+        ["stability", "--hours", "1"],
+        ["analyze", "--counts", "counts.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_worker_flag_is_gone(argv, capsys):
+    # every batch runs on the calling thread: no verb takes a thread count
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--workers", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
@@ -484,12 +520,6 @@ def test_config_values_of_the_wrong_type_or_not_finite_fail_before_simulating(
     err = _last_error(capsys)
     assert err["category"] == "config"
     assert override.split("=")[0].split(".")[-1] in err["message"]
-
-
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_workers_below_one_exit_with_input_error(workers, capsys):
-    assert main(["session", "--pulses", "1000", "--workers", workers]) == 3
-    assert _last_error(capsys)["category"] == "input"
 
 
 def test_detector_efficiency_is_the_budget_term(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -246,134 +247,6 @@ def test_tags_do_not_change_the_counts(dark_hz):
         assert tagged.counts == plain.counts
 
 
-class _PoolLog(list):
-    """max_workers of every pool created, plus each pool's peak in flight."""
-
-    def __init__(self):
-        super().__init__()
-        self.in_flight = []
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """max_workers of every pool the flows create, on a 3-CPU affinity mask.
-
-    The stand-in pool runs each submitted block at once, so no thread
-    starts.  `pool_sizes.in_flight` holds, per pool, the most blocks that
-    were ever submitted and not yet taken by the engine's reduce.
-    """
-    sizes = _PoolLog()
-
-    class Done:
-        def __init__(self, pool, value):
-            self.pool, self.value = pool, value
-
-        def result(self):
-            self.pool.outstanding -= 1
-            return self.value
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            sizes.in_flight.append(0)
-            self.outstanding = 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            self.outstanding += 1
-            sizes.in_flight[-1] = max(sizes.in_flight[-1], self.outstanding)
-            return Done(self, fn(*args))
-
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    return sizes
-
-
-def test_one_pool_per_flow_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
-    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
-    cfg = ExperimentConfig(seed=4)
-    delays = [0.0, 2.0, 4.0, 6.0]
-    scan = run_pump_delay_scan(cfg, delays, pulses_per_point=2_000, workers=100_000)
-    assert pool_sizes == [3]
-    serial = run_pump_delay_scan(cfg, delays, pulses_per_point=2_000, workers=1)
-    assert pool_sizes == [3]
-    assert scan.fidelity_t0.tolist() == serial.fidelity_t0.tolist()
-    assert scan.fidelity_t1.tolist() == serial.fidelity_t1.tolist()
-
-    run_session(cfg, pulses=2_000, workers=2)
-    run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000, workers=8)
-    run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
-    # two full-size blocks: the pool is capped at them
-    run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8)
-    # two full-size blocks per point, eight over the run: the CPUs cap it
-    run_pump_delay_scan(cfg, delays, pulses_per_point=1_000, workers=8)
-    run_session(cfg, pulses=2_000)
-    assert pool_sizes == [3, 2, 3, 3, 2, 3]
-
-
-def test_at_most_two_blocks_per_thread_are_in_flight(pool_sizes, monkeypatch):
-    # 40 blocks on 2 threads, then 24 on 3: the window fills, never overflows
-    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
-    cfg = ExperimentConfig(seed=4)
-    run_session(cfg, pulses=10_000, workers=2)
-    run_pump_delay_scan(cfg, [0.0, 2.0, 4.0, 6.0], pulses_per_point=3_000, workers=8)
-    assert pool_sizes == [2, 3]
-    assert pool_sizes.in_flight == [4, 6]
-
-
-def test_short_blocks_run_on_the_calling_thread(pool_sizes, monkeypatch):
-    # every block below BLOCK_PULSES: no pool, whatever `workers` allows
-    cfg = ExperimentConfig(seed=4)
-    run_pump_delay_scan(cfg, [0.0, 2.0, 4.0], pulses_per_point=2_000, workers=8)
-    run_session(cfg, pulses=2_000, workers=8)
-    run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000, workers=8)
-    run_stability(cfg, hours=1, pulses_per_sample=2_000, workers=8)
-    assert pool_sizes == []
-
-    # a train with a full-size block gets the pool: 1,500 pulses are one
-    # full block and one short block per setting, so the scan's two
-    # settings get a pool of two
-    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
-    run_session(cfg, pulses=1_500, workers=8)
-    run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8)
-    assert pool_sizes == [3, 2]
-
-
-@pytest.mark.parametrize(
-    "flow, full_blocks",
-    [
-        # two time-basis settings of one full-size block each
-        (lambda cfg: run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_000, workers=8), 2),
-        # and of one full-size and one short block each
-        (lambda cfg: run_pump_delay_scan(cfg, [0.0], pulses_per_point=1_500, workers=8), 2),
-        (lambda cfg: run_session(cfg, pulses=1_000, workers=8), 4),
-        # two points of two settings, one full-size and one short block each
-        (lambda cfg: run_pump_delay_scan(cfg, [0.0, 2.0], pulses_per_point=1_500, workers=8), 4),
-    ],
-)
-def test_no_more_threads_run_than_full_size_blocks(flow, full_blocks, monkeypatch):
-    # the affinity mask allows 8 threads, but short batches on a real pool
-    # must not start threads beyond the full-size blocks
-    monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    threads = set()
-    original = experiment.simulate_blocks
-
-    def recording(*args):
-        threads.add(threading.get_ident())
-        return original(*args)
-
-    monkeypatch.setattr(experiment, "simulate_blocks", recording)
-    flow(ExperimentConfig(seed=4))
-    assert threading.get_ident() not in threads
-    assert 1 <= len(threads) <= full_blocks
-
-
 def test_tables_switch_each_distinct_setting_and_switch_once(monkeypatch):
     # one batch per flow here; perfbench wraps the switch at this name.
     # The sweep's two points share their four (setting, switch) pairs.
@@ -396,9 +269,46 @@ def test_tables_switch_each_distinct_setting_and_switch_once(monkeypatch):
     assert len(switched) == 4
 
 
-def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
+def _session_outcome(cfg, **workers):
+    result = run_session(cfg, pulses=20_000, **workers)
+    return result.counts, result.report
+
+
+def _tagged_outcome(cfg, **workers):
+    result, tags, ledger = tagged_session(cfg, pulses=20_000, **workers)
+    return (
+        result.counts,
+        result.report,
+        *(getattr(tags, name) for name in ("pulse_index", "detector_id", "timestamp_ps")),
+        *(getattr(ledger, name) for name in ("class_idx", "alpha", "bit")),
+    )
+
+
+def _sweep_outcome(cfg, **workers):
+    sweep = run_loss_sweep(cfg, [1.0, 6.0], pulses=20_000, **workers)
+    return sweep.rates_bps, sweep.reports
+
+
+def _scan_outcome(cfg, **workers):
+    scan = run_pump_delay_scan(cfg, [0.0, 4.5], pulses_per_point=20_000, **workers)
+    return scan.fidelity_t0, scan.fidelity_t1
+
+
+def _stability_outcome(cfg, **workers):
+    run = run_stability(cfg, hours=1, samples_per_hour=1, pulses_per_sample=20_000, **workers)
+    return run.counts, run.report, run.qber_series
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [_session_outcome, _tagged_outcome, _sweep_outcome, _scan_outcome, _stability_outcome],
+    ids=["session", "tagged-session", "sweep", "scan", "stability"],
+)
+def test_every_flow_runs_its_blocks_on_the_calling_thread(flow, monkeypatch):
+    # every train holds full-size blocks, and two CPUs are usable whatever
+    # the host: `workers=2` still starts no thread and changes no result
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 10_000)
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     block_threads = set()
     original = experiment.simulate_blocks
 
@@ -408,36 +318,9 @@ def test_every_flow_gives_the_same_result_on_real_threads(monkeypatch):
 
     monkeypatch.setattr(experiment, "simulate_blocks", recording_block)
     cfg = ExperimentConfig(seed=21)
-
-    def flows(workers):
-        session = run_session(cfg, pulses=20_000, workers=workers)
-        tagged = tagged_session(cfg, pulses=20_000, workers=workers)
-        sweep = run_loss_sweep(cfg, [1.0, 6.0], pulses=20_000, workers=workers)
-        scan = run_pump_delay_scan(cfg, [0.0, 4.5], pulses_per_point=20_000, workers=workers)
-        stability = run_stability(
-            cfg, hours=1, samples_per_hour=1, pulses_per_sample=20_000, workers=workers
-        )
-        return session, tagged, sweep, scan, stability
-
-    serial = flows(None)
+    threaded = flow(cfg, workers=2)
     assert block_threads == {threading.get_ident()}
-    block_threads.clear()
-    threaded = flows(2)
-    assert threading.get_ident() not in block_threads
-
-    (s1, (t1, tags1, ledger1), w1, p1, b1) = serial
-    (s2, (t2, tags2, ledger2), w2, p2, b2) = threaded
-    assert s1.counts == s2.counts and s1.report == s2.report
-    assert t1.counts == s1.counts and t2.counts == s1.counts
-    for name in ("pulse_index", "detector_id", "timestamp_ps"):
-        assert np.array_equal(getattr(tags1, name), getattr(tags2, name))
-    for name in ("class_idx", "alpha", "bit"):
-        assert np.array_equal(getattr(ledger1, name), getattr(ledger2, name))
-    assert w1.rates_bps.tolist() == w2.rates_bps.tolist() and w1.reports == w2.reports
-    np.testing.assert_array_equal(p1.fidelity_t0, p2.fidelity_t0)
-    np.testing.assert_array_equal(p1.fidelity_t1, p2.fidelity_t1)
-    assert b1.counts == b2.counts and b1.report == b2.report
-    np.testing.assert_array_equal(b1.qber_series, b2.qber_series)
+    np.testing.assert_equal(threaded, flow(cfg))
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Golden bytes: the determinism contract pinned as sha256 of CLI outputs.
 
 Each case runs one CLI verb in-process at a fixed seed and compares the
-sha256 of every file it writes with a recorded value, serially and with
-`--workers 2`: same seed gives the same bytes, and parallel equals serial.
-The session case writes all four of its files (time tags, pulse ledger,
-counts and report).
+sha256 of every file it writes with a recorded value, with the default
+batches and with every block a batch of its own: same seed gives the same
+bytes, however the blocks fall into batches.  The session case writes all
+four of its files (time tags, pulse ledger, counts and report).
 
 The hashes depend on numpy's `Generator` streams.  A numpy release that
 changes the stream of a distribution the sampler draws from changes them
@@ -18,6 +18,7 @@ import hashlib
 
 import pytest
 
+from timebin_qkd import experiment
 from timebin_qkd.cli import main
 
 SESSION_TAGS = "5f20e5ac0eb763c67cc3145e0bfbc4c3bfac943d737e3f51e2c433eb17f91059"
@@ -81,14 +82,16 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers2"])
+@pytest.mark.parametrize("batch_blocks", [None, 1], ids=["batched", "one-block-batches"])
 @pytest.mark.parametrize("verb", list(CASES))
-def test_cli_outputs_keep_their_bytes(tmp_path, verb, workers):
+def test_cli_outputs_keep_their_bytes(tmp_path, monkeypatch, verb, batch_blocks):
+    if batch_blocks is not None:
+        monkeypatch.setattr(experiment, "BATCH_BLOCKS", batch_blocks)
     argv, expected = CASES[verb]
     paths = {"tags": tmp_path / "tags.csv", "counts": tmp_path / "counts.json"}
     argv = [a.format(**paths) for a in argv]
     paths["tags.ledger"] = tmp_path / "tags.csv.ledger"
     paths["out"] = tmp_path / "out.json"
-    assert main([*argv, "--out", str(paths["out"]), *workers]) == 0
+    assert main([*argv, "--out", str(paths["out"])]) == 0
     got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in expected}
     assert got == expected
