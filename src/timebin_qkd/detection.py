@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import operator
 import re
 import warnings
 from contextlib import nullcontext
@@ -263,6 +264,19 @@ def outcome_probabilities(
     p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
     p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
     return p0, p1, 0.0
+
+
+def _count(value, what: str, least: int = 1) -> int:
+    """`value` as an int of at least `least`; a bool or a non-integer is refused."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be an integer, got a boolean")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInputError(f"{what} must be at least {least}")
+    return value
 
 
 def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
@@ -921,67 +935,40 @@ def _draw_events(
 
 
 def _double_click_policy(
-    blocks: list[Block],
-    cl_block: np.ndarray,
-    cl_state: np.ndarray,
-    keep: np.ndarray,
-    unclustered: np.ndarray,
-    det: DetectorModel,
-):
-    """(counted, bit) of the clustered events, and the unclustered counts by bit.
+    blocks: list[Block], cells: np.ndarray, det: DetectorModel
+) -> np.ndarray:
+    """The counted events of the kept cells by bit: (J, 3, 22, 2), [block][class][state][bit].
 
-    Dead time keeps every unclustered event.  Under the "random" policy
-    each block draws a coin for each of its surviving clustered doubles,
-    then one binomial(count, 0.5), the bit-1 share, for each unclustered
-    double cell; "discard" drops every double and draws nothing.  The
-    unclustered counts come back as a (J, 3, 22, 2) array indexed
-    [block][class][state][bit].
+    `cells` holds the (J, 66) cell counts of the events dead time kept.
+    A single click counts with its window's bit.  Under the "random"
+    policy a block that holds any double draws one binomial(count, 0.5),
+    the bit-1 share, for each double cell; "discard" drops every double
+    and draws nothing.
     """
-    click0 = _EVENT_CLICK0[cl_state] & keep
-    click1 = _EVENT_CLICK1[cl_state] & keep
-    bit = click1.astype(np.int8)
-    cells = unclustered.reshape(len(blocks), 3, _N_EVENTS)
+    cells = cells.reshape(len(blocks), 3, _N_EVENTS)
     by_bit = cells[..., None] * _EVENT_ONLY
     if det.double_click_policy == "random":
-        counted = click0 | click1
-        double = click0 & click1
-        doubles = np.bincount(cl_block[double], minlength=len(blocks)).tolist()
         pairs = cells[:, :, _EVENT_DOUBLE]
         ones = np.zeros_like(pairs)
-        coins = [np.zeros(0)]
         for j, (block, any_pairs) in enumerate(zip(blocks, pairs.any(axis=(1, 2)).tolist())):
-            if doubles[j]:
-                coins.append(block.rng.random(doubles[j]))
             if any_pairs:
                 ones[j] = block.rng.binomial(pairs[j], 0.5)
-        bit[double] = np.concatenate(coins) < 0.5
         by_bit[:, :, _EVENT_DOUBLE, 0] = pairs - ones
         by_bit[:, :, _EVENT_DOUBLE, 1] = ones
-    else:
-        counted = click0 ^ click1
-    return counted, bit, by_bit
+    return by_bit
 
 
 def _tally(
-    blocks: list[Block],
-    class_totals: np.ndarray,
-    cl_block: np.ndarray,
-    cl_cls: np.ndarray,
-    beta: np.ndarray,
-    bit: np.ndarray,
-    counted: np.ndarray,
-    unclustered_by_bit: np.ndarray,
+    blocks: list[Block], class_totals: np.ndarray, by_bit: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each block's counted events and pulses sent: (J, 3, 2, 2, 2, 2) and (J, 3, 2, 2) arrays.
 
-    The clustered events are tallied one by one; the unclustered counts
-    go in by cell.
+    `by_bit` is `_double_click_policy`'s count per cell and bit, summed
+    here over the event states of each pathway.
     """
     n_blocks = len(blocks)
-    cell = cl_block * 12 + cl_cls * 4 + beta * 2 + bit
-    tallied = np.bincount(cell[counted], minlength=12 * n_blocks).reshape(n_blocks, 3, 2, 2)
     # the event states of pathway 0 come first, then those of pathway 1
-    tallied += unclustered_by_bit.reshape(n_blocks, 3, 2, _N_EVENTS // 2, 2).sum(axis=3)
+    tallied = by_bit.reshape(n_blocks, 3, 2, _N_EVENTS // 2, 2).sum(axis=3)
     j = np.arange(n_blocks)
     alpha = [int(block.setting.basis) for block in blocks]
     i = [block.setting.bit for block in blocks]
@@ -1086,9 +1073,9 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
        multinomial of the unclustered events over the 66 cells; one
        multinomial of the silent frames over P(class | silent).  The class
        totals are the sums of these;
-    3. (after the batch's dead-time pass) a coin for each surviving
-       clustered double, then one binomial(count, 0.5) per unclustered
-       double cell, under the "random" double-click policy only;
+    3. (after the batch's dead-time pass) one binomial(count, 0.5) per
+       double cell of the kept events, under the "random" double-click
+       policy only;
     4. (only when its record is called) one shuffle that arranges the
        unclustered cells over the unclustered frames, one ordered sample
        of silent frames that places the two smaller left-over classes,
@@ -1097,7 +1084,9 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     Per-event work is done for clustered events only.  An unclustered
     event is at least `blocked` + 1 frames from both of its neighbours,
     so dead time keeps it and it blocks nothing (the non-paralyzable
-    model); its cell counts go straight into the tally.
+    model).  Dead time keeps or drops a clustered event whole, so a kept
+    one is one more count in its cell: the double-click policy and the
+    tally see cell counts only.
 
     The stages that draw nothing run once for the whole batch, so a
     block's result does not depend on the batch it is in: the event
@@ -1105,7 +1094,7 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     preparation and switch once), the dead-time pass over the clustered
     events (pointer doubling over the clusters of close clicks, no
     per-event loop; each block's frames offset one stride apart), the
-    click masks and the tally.
+    kept cell counts and the tally.
 
     Returns (counts, pulses_sent, record) per block, in order: the block's
     SessionCounts arrays, and record(layout), which draws the block's
@@ -1125,13 +1114,12 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     class_totals, frames, clustered, unclustered, cl_frames, cl_block, cl_cell = _draw_events(
         blocks, source, tables, blocked, stride
     )
-    cl_state = _CELL_STATE[cl_cell]
-    beta = _EVENT_BETA[cl_state]
-    keep = _prune_dead_time_clusters(cl_frames, beta, blocked)
-    counted, bit, by_bit = _double_click_policy(blocks, cl_block, cl_state, keep, unclustered, det)
-    counts, sent = _tally(
-        blocks, class_totals, cl_block, _CELL_CLASS[cl_cell], beta, bit, counted, by_bit
-    )
+    keep = _prune_dead_time_clusters(cl_frames, _EVENT_BETA[_CELL_STATE[cl_cell]], blocked)
+    # a kept clustered event is one more count in its cell; `unclustered`
+    # itself stays as drawn, for the records
+    kept = np.bincount((cl_block * (3 * _N_EVENTS) + cl_cell)[keep], minlength=unclustered.size)
+    cells = unclustered + kept.reshape(unclustered.shape)
+    counts, sent = _tally(blocks, class_totals, _double_click_policy(blocks, cells, det))
     bounds = np.searchsorted(cl_block, np.arange(len(blocks) + 1)).tolist()
     out = []
     for j, block in enumerate(blocks):
@@ -1154,8 +1142,6 @@ def simulate_block(
     rng: np.random.Generator,
 ) -> SessionCounts:
     """The counts of a pulse train of one preparation setting: simulate_blocks of one block."""
-    if n_pulses < 0:
-        raise InvalidInputError("n_pulses must be non-negative")
-    block = Block(prep, int(n_pulses), budget, switch, rng)
+    block = Block(prep, _count(n_pulses, "n_pulses", least=0), budget, switch, rng)
     ((counts, sent, _),) = simulate_blocks([block], source, det)
     return SessionCounts(counts, sent)

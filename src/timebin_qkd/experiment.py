@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import numbers
-import operator
 import typing
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -43,6 +42,7 @@ from .detection import (
     SessionCounts,
     TimeTags,
     WindowLayout,
+    _count,
     simulate_block,  # noqa: F401  (perfbench/spans.py wraps it at this name)
     simulate_blocks,
 )
@@ -260,19 +260,6 @@ def _require_decoy_and_vacuum(source: SourceConfig) -> None:
         )
 
 
-def _count(value, what: str) -> int:
-    """`value` as an int of at least 1; a bool or a non-integer is refused."""
-    if isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be an integer, got a boolean")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise InvalidInputError(f"{what} must be positive")
-    return value
-
-
 def _real(value, what: str) -> float:
     """`value` as a float; a bool, a string or any other non-real is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -311,7 +298,8 @@ def _run_points(
 
     Consecutive blocks that together hold at most BLOCK_PULSES pulses, and
     at most BATCH_BLOCKS of them, run as one batch through simulate_blocks
-    on the calling thread, and each batch is reduced before the next runs:
+    on the calling thread, and each batch is reduced, and its records
+    dropped, before the next runs:
     each block still draws from its own stream, and the stages without
     draws run once per batch.  A full-size block is a batch of its own.
     The result does not depend on how the blocks fall into batches.
@@ -365,6 +353,8 @@ def _run_points(
             if ends_point:
                 yield SessionCounts(counts, sent)
                 counts, sent = np.zeros_like(counts), np.zeros_like(sent)
+        # each record holds its batch's event arrays: none outlives the reduce
+        del results, record
 
 
 @dataclass

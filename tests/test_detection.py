@@ -650,11 +650,17 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
 
 
 def test_block_rejects_negative_pulse_count():
-    with pytest.raises(InvalidInputError):
-        simulate_block(
-            BB84_SETTINGS[0], -1, SourceConfig(), LossBudget(),
-            PERFECT_SWITCH, IDEAL_DET, _rng(0),
+    def block(n):
+        return simulate_block(
+            BB84_SETTINGS[0], n, SourceConfig(), LossBudget(), PERFECT_SWITCH, IDEAL_DET, _rng(0)
         )
+
+    # a fraction or a bool used to be truncated, and a string raised a bare TypeError
+    for n in (-1, 2.9, True, np.float64(1000.5), "10"):
+        with pytest.raises(InvalidInputError, match="n_pulses"):
+            block(n)
+    assert block(0) == SessionCounts.zeros()
+    assert block(np.int64(1_000)) == block(1_000)
 
 
 def _batches(rng):

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -221,24 +222,45 @@ def test_run_session_is_reproducible():
         run_session(cfg, pulses=0)
 
 
-def test_run_session_tags_rebuild_the_counts():
+@pytest.mark.parametrize("policy", ["random", "discard"])
+@pytest.mark.parametrize(
+    "dark_hz, pulses", [(100.0, 5_000), (1e7, 200_000)], ids=["few-darks", "doubles"]
+)
+def test_run_session_tags_rebuild_the_counts(dark_hz, pulses, policy):
     # with no timing jitter every tag stays in its window, so offline
-    # accumulation of the tag record reproduces the online counts exactly
+    # accumulation of the tag record reproduces the online counts exactly.
+    # 1e7 Hz darks add doubles and clustered events that dead time drops.
+    # accumulate drops a pulse with two tags, a double: "discard" drops it
+    # too, and "random" counts it once, with a random bit, on its pathway.
     cfg = ExperimentConfig(seed=9)
-    cfg = replace(cfg, detector=replace(cfg.detector, jitter_sigma_ps=0.0))
-    res, tags, ledger = tagged_session(cfg, pulses=5_000)
-    assert len(ledger) == 4 * 5_000
+    cfg = replace(cfg, detector=replace(
+        cfg.detector, jitter_sigma_ps=0.0, dark_count_rate_hz=dark_hz, double_click_policy=policy,
+    ))
+    res, tags, ledger = tagged_session(cfg, pulses=pulses)
+    assert len(ledger) == 4 * pulses
     assert ledger.start_index == 0
     order = np.lexsort((tags.timestamp_ps, tags.pulse_index))
     assert np.array_equal(order, np.arange(len(tags)))
     rebuilt = accumulate(tags, cfg.layout, ledger)
-    assert rebuilt == res.counts
+    pulse, first, n_tags = np.unique(tags.pulse_index, return_index=True, return_counts=True)
+    two = pulse[n_tags == 2] - ledger.start_index
+    doubles = np.zeros((3, 2, 2, 2), dtype=np.int64)
+    np.add.at(doubles, (
+        ledger.class_idx[two], ledger.alpha[two], ledger.bit[two],
+        tags.detector_id[first[n_tags == 2]],
+    ), 1)
+    assert (doubles.sum() > 0) == (dark_hz > 100.0)
+    if policy == "discard" or not doubles.any():
+        assert rebuilt == res.counts
+    else:
+        assert np.array_equal(rebuilt.pulses_sent, res.counts.pulses_sent)
+        assert np.array_equal(res.counts.counts.sum(axis=4), rebuilt.counts.sum(axis=4) + doubles)
 
 
 @pytest.mark.parametrize("dark_hz", [100.0, 1e7])
 def test_tags_do_not_change_the_counts(dark_hz):
     # tag and ledger draws come after every draw the counts use; the high
-    # dark rate adds doubles, whose policy coins the counts do depend on
+    # dark rate adds doubles, whose policy binomials the counts do depend on
     cfg = ExperimentConfig(seed=13)
     cfg = replace(cfg, detector=replace(cfg.detector, dark_count_rate_hz=dark_hz))
     plain = run_session(cfg, pulses=200_000)
@@ -398,6 +420,36 @@ def test_each_block_reaches_the_sink_before_the_next_block_draws_its_tags(monkey
     run_session(ExperimentConfig(seed=2), pulses=2_000,
                 sink=lambda tags, ledger: events.append(("sink", ledger.start_index)))
     assert events == [(what, s * 2_000) for s in range(4) for what in ("tags", "sink")]
+
+
+@pytest.mark.parametrize(
+    "flow, batch_blocks",
+    [
+        # 12 full-size blocks, each a batch of its own
+        (lambda cfg: run_session(cfg, pulses=3_000_000), 1),
+        # 40 delays x 2 settings of 20,000 pulses: 5 batches of 16 blocks
+        (lambda cfg: run_pump_delay_scan(cfg, np.arange(40.0), pulses_per_point=20_000), 16),
+    ],
+    ids=["session", "scan"],
+)
+def test_no_record_outlives_the_reduce_of_its_batch(flow, batch_blocks, monkeypatch):
+    # each record holds its batch's event arrays, so a record still alive
+    # while the next batch is simulated doubles the engine's memory
+    records, alive, sizes = [], [], []
+    original = experiment.simulate_blocks
+
+    def watched(blocks, *args):
+        alive.append(sum(ref() is not None for ref in records))
+        results = original(blocks, *args)
+        records.extend(weakref.ref(record) for *_, record in results)
+        sizes.append(len(blocks))
+        return results
+
+    monkeypatch.setattr(experiment, "simulate_blocks", watched)
+    flow(ExperimentConfig(seed=3))
+    assert len(alive) > 1 and alive == [0] * len(alive)
+    assert all(ref() is None for ref in records)
+    assert set(sizes) == {batch_blocks}
 
 
 @pytest.mark.parametrize("pulses", [2500.7, 5e4, True, False, 0, -3, "100"])
