@@ -292,41 +292,64 @@ def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-@dataclass
 class PulseLedger:
     """Sender-side record of a pulse range: class and preparation per pulse.
 
     Covers pulses [start_index, start_index + len); accumulate() needs it
     to attribute windowed clicks to (class, alpha, i).  Every class index
     is 0, 1 or 2 and every alpha and bit 0 or 1, so each is one digit in
-    the ledger file and the columns are held as int8.  Values are
-    range-checked in the input's own dtype (int64 for input that is not
-    integer), before narrowing, so 258 cannot wrap to 2.  A fraction, in
-    start_index or in a column, is refused, not truncated.
+    the ledger file, and the ledger holds one byte per pulse: the int8
+    code class * 4 + alpha * 2 + bit.  Values are range-checked in the
+    input's own dtype (int64 for input that is not integer), before
+    narrowing, so 258 cannot wrap to 2.  A fraction, in start_index or in
+    a column, is refused, not truncated.  class_idx, alpha and bit are
+    int8 columns derived from the code on each access, and read-only.
     """
 
-    start_index: int
-    class_idx: np.ndarray
-    alpha: np.ndarray
-    bit: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.class_idx)
-        if len(self.alpha) != n or len(self.bit) != n:
+    def __init__(self, start_index, class_idx, alpha, bit) -> None:
+        n = len(class_idx)
+        if len(alpha) != n or len(bit) != n:
             raise InvalidInputError("ledger arrays must have equal length")
-        self.start_index = int(_whole(self.start_index, "start_index", "a whole number"))
+        self.start_index = int(_whole(start_index, "start_index", "a whole number"))
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
-        for name, top in (("class_idx", 2), ("alpha", 1), ("bit", 1)):
-            values = np.asarray(getattr(self, name))
+        columns = []
+        for name, values, top in (("class_idx", class_idx, 2), ("alpha", alpha, 1), ("bit", bit, 1)):
+            values = np.asarray(values)
             if values.dtype.kind not in "iu":
                 values = _whole(values, f"ledger {name} values")
             if n and (values.min() < 0 or values.max() > top):
                 raise InvalidInputError(f"ledger {name} values must lie in 0..{top}")
-            setattr(self, name, values.astype(np.int8, copy=False))
+            columns.append(values.astype(np.int8, copy=False))
+        cls, alpha, bit = columns
+        self._code = cls * 4 + alpha * 2 + bit
+
+    @classmethod
+    def _of_code(cls, start_index: int, code: np.ndarray) -> "PulseLedger":
+        """The ledger of an int8 code column whose values are known to lie in 0..11."""
+        ledger = cls.__new__(cls)
+        ledger.start_index, ledger._code = start_index, code
+        return ledger
 
     def __len__(self) -> int:
-        return len(self.class_idx)
+        return len(self._code)
+
+    def _column(self, shift: int, mask: int) -> np.ndarray:
+        column = (self._code >> shift) & mask
+        column.flags.writeable = False
+        return column
+
+    @property
+    def class_idx(self) -> np.ndarray:
+        return self._column(2, 3)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._column(1, 1)
+
+    @property
+    def bit(self) -> np.ndarray:
+        return self._column(0, 1)
 
 
 @dataclass
@@ -401,12 +424,12 @@ def accumulate(
     """
     out = SessionCounts.zeros()
     sent = out.pulses_sent.reshape(-1)
-    # tallied 2**16 pulses at a time in int8, one count per (class, alpha, i)
-    for lo in range(0, len(ledger), 1 << 16):
-        part = slice(lo, lo + (1 << 16))
-        flat_sent = ledger.class_idx[part] * 4 + ledger.alpha[part] * 2 + ledger.bit[part]
+    code = ledger._code
+    # a count of each of the 12 codes, 2**16 pulses at a time
+    for lo in range(0, len(code), 1 << 16):
+        part = code[lo : lo + (1 << 16)]
         for v in range(12):
-            sent[v] += np.count_nonzero(flat_sent == v)
+            sent[v] += np.count_nonzero(part == v)
 
     pulse, ts = tags.pulse_index, tags.timestamp_ps
     outside = (pulse < ledger.start_index) | (pulse >= ledger.start_index + len(ledger))
@@ -422,11 +445,7 @@ def accumulate(
     single = n_windowed == 1
     row = pulses[single] - ledger.start_index
     window = window[first[single]]
-    np.add.at(
-        out.counts,
-        (ledger.class_idx[row], ledger.alpha[row], ledger.bit[row], window // 2, window % 2),
-        1,
-    )
+    np.add.at(out.counts.reshape(12, 2, 2), (code[row], window // 2, window % 2), 1)
     return out
 
 
@@ -576,13 +595,15 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
     stays bounded.  `path` may also be a binary file open for writing: the
     rows are appended, after the header if the file is still empty.
     """
-    columns = (ledger.class_idx, ledger.alpha, ledger.bit)
     with _output(path) as f:
         if f.tell() == 0:
             f.write(LEDGER_HEADER.encode("ascii") + b"\n")
         for lo, hi, rows in _ledger_chunks(ledger.start_index, ledger.start_index + len(ledger)):
-            for digit, values in zip(rows[:, -6:-1:2].T, columns):
-                digit += values[lo:hi].view(np.uint8)
+            # each code's class, alpha and bit added to its row's "0"s
+            code = ledger._code[lo:hi].view(np.uint8)
+            rows[:, -6] += code >> 2
+            rows[:, -4] += (code >> 1) & 1
+            rows[:, -2] += code & 1
             f.write(rows)
 
 
@@ -618,13 +639,14 @@ def _decode_written_ledger(f) -> PulseLedger | None:
         rest -= rows * (width + 7)
     if index - 1 > _INT64_MAX:
         return None
-    columns = np.empty((3, index - start), dtype=np.uint8)
+    code = np.empty(index - start, dtype=np.int8)
+    digits = np.empty((3, LEDGER_CHUNK_ROWS), dtype=np.uint8)
     f.seek(pos)
     for lo, hi, rows in _ledger_chunks(start, index):
         data = f.read(rows.nbytes)
         if len(data) != rows.nbytes:
             return None
-        values = columns[:, lo:hi]
+        values = digits[:, : hi - lo]
         values[...] = np.frombuffer(data, np.uint8).reshape(rows.shape)[:, -6:-1:2].T
         values -= ord("0")
         if values[0].max() > 2 or values[1:].max() > 1:
@@ -633,7 +655,8 @@ def _decode_written_ledger(f) -> PulseLedger | None:
             digit += column
         if not data.startswith(rows):
             return None
-    return PulseLedger(start, *columns.view(np.int8))
+        code[lo:hi] = values[0] * 4 + values[1] * 2 + values[2]
+    return PulseLedger._of_code(start, code)
 
 
 def read_pulse_ledger(path) -> PulseLedger:
@@ -742,6 +765,10 @@ _EVENT_DOUBLE = _EVENT_CLICK0 & _EVENT_CLICK1
 _EVENT_ONLY = np.array(
     [_EVENT_CLICK0 & ~_EVENT_CLICK1, _EVENT_CLICK1 & ~_EVENT_CLICK0], dtype=np.int64
 ).T
+
+# Frames per chunk of the record's placement of the silent frames'
+# classes, which bounds its temporaries whatever the block length.
+PLACEMENT_CHUNK_FRAMES = 1 << 14
 
 
 class Block(NamedTuple):
@@ -995,6 +1022,9 @@ def _tags_and_ledger(
     `frames` are the block's sorted event frames.  The `clustered` ones
     have their cells in `cl_cell` and their dead-time fate in `cl_keep`;
     `unclustered` counts the cells of the rest, which dead time keeps.
+    The ledger's code column is the one pulse-sized array made: the
+    silent frames' classes are placed in it chunk by chunk, so every
+    other temporary is per event or per chunk.
     """
     n, rng = block.pulses, block.rng
     # One shuffle arranges the unclustered cells over the unclustered
@@ -1011,21 +1041,37 @@ def _tags_and_ledger(
     click0 = _EVENT_CLICK0[state] & kept
     click1 = _EVENT_CLICK1[state] & kept
 
-    # Silent frames take the class totals the events left over.  All of
-    # them get the largest left-over class; one ordered sample of distinct
-    # silent frames then places the other two, its first r_a frames one
-    # class and the rest the other, so every arrangement is equally likely.
+    # The ledger code of every pulse: the largest class the events left
+    # over, fill, written over by the events' classes, then by the other
+    # two, a and b.  Each chunk of PLACEMENT_CHUNK_FRAMES frames takes a
+    # hypergeometric share of the (a, b, fill) silent frames not yet
+    # placed, and one ordered sample of the chunk's silent frames places
+    # its a, then its b, so every arrangement over the silent frames is
+    # equally likely.
+    setting = int(block.setting.basis) * 2 + block.setting.bit
     left = class_totals - np.bincount(ev_cls, minlength=3)
     fill = int(left.argmax())
     a, b = (c for c in range(3) if c != fill)
-    r_a = int(left[a])
-    silent = np.ones(n, dtype=bool)
-    silent[frames] = False
-    placed = np.flatnonzero(silent)[rng.choice(n - len(frames), r_a + int(left[b]), replace=False)]
-    cls = np.full(n, fill, dtype=np.int8)
-    cls[frames] = ev_cls
-    cls[placed[:r_a]] = a
-    cls[placed[r_a:]] = b
+    code = np.full(n, fill * 4 + setting, dtype=np.int8)
+    code[frames] = ev_cls * 4 + setting
+    left = left[[a, b, fill]]
+    edges = [*range(0, n, PLACEMENT_CHUNK_FRAMES), n]
+    ends = np.searchsorted(frames, edges).tolist()
+    for lo, hi, first, last in zip(edges, edges[1:], ends, ends[1:]):
+        if left[0] + left[1] == 0:
+            break
+        quiet = hi - lo - (last - first)
+        if quiet == 0:
+            continue
+        k_a, k_b, _ = rng.multivariate_hypergeometric(left, quiet, method="marginals").tolist()
+        left -= (k_a, k_b, quiet - k_a - k_b)
+        if k_a + k_b == 0:
+            continue
+        silent = np.ones(hi - lo, dtype=bool)
+        silent[frames[first:last] - lo] = False
+        placed = lo + np.flatnonzero(silent)[rng.choice(quiet, k_a + k_b, replace=False)]
+        code[placed[:k_a]] = a * 4 + setting
+        code[placed[k_a:]] = b * 4 + setting
 
     # Window 0's jitter is drawn before window 1's; the tags are then
     # ordered by pulse, then time.  A pulse has at most one tag per window,
@@ -1043,13 +1089,7 @@ def _tags_and_ledger(
     swap = np.flatnonzero((pulse[1:] == pulse[:-1]) & (ts[1:] < ts[:-1]))
     ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
     tags = TimeTags(pulse, beta[idx][order], ts)
-    ledger = PulseLedger(
-        block.start_index,
-        cls,
-        np.full(n, int(block.setting.basis), dtype=np.int8),
-        np.full(n, block.setting.bit, dtype=np.int8),
-    )
-    return tags, ledger
+    return tags, PulseLedger._of_code(block.start_index, code)
 
 
 def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> list[tuple]:
@@ -1077,9 +1117,13 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
        double cell of the kept events, under the "random" double-click
        policy only;
     4. (only when its record is called) one shuffle that arranges the
-       unclustered cells over the unclustered frames, one ordered sample
-       of silent frames that places the two smaller left-over classes,
-       then the jitter of window 0's and window 1's clicks.
+       unclustered cells over the unclustered frames; then, per chunk of
+       PLACEMENT_CHUNK_FRAMES frames that holds silent frames while
+       either of the two smaller left-over classes is not all placed, one
+       multivariate hypergeometric of the chunk's share of the left-over
+       classes and, if it holds either smaller class, one ordered sample
+       of the chunk's silent frames that places them; then the jitter of
+       window 0's and window 1's clicks.
 
     Per-event work is done for clustered events only.  An unclustered
     event is at least `blocked` + 1 frames from both of its neighbours,

@@ -1101,7 +1101,8 @@ def test_ledger_values_are_range_checked():
                 PulseLedger(0, *columns)
 
 
-def test_ledger_columns_are_int8(tmp_path):
+def _ledgers_of_every_source(tmp_path) -> tuple[PulseLedger, ...]:
+    """A ledger made from columns, read by either reader path, and simulated."""
     made = PulseLedger(0, [0, 1, 2], np.array([0, 1, 0], dtype=np.int64), [1.0, 0.0, 1.0])
     write_pulse_ledger(tmp_path / "written", made)
     (tmp_path / "padded").write_text(f"{LEDGER_HEADER}\n 0,0,0,1\n1,1,1,0\n")
@@ -1109,15 +1110,30 @@ def test_ledger_columns_are_int8(tmp_path):
         BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
         DetectorModel(), _rng(3),
     )
-    ledgers = (
+    return (
         made,
         read_pulse_ledger(tmp_path / "written"),
         read_pulse_ledger(tmp_path / "padded"),
         simulated,
     )
-    for ledger in ledgers:
+
+
+def test_ledger_columns_are_int8(tmp_path):
+    for ledger in _ledgers_of_every_source(tmp_path):
         for name in ("class_idx", "alpha", "bit"):
             assert getattr(ledger, name).dtype == np.int8, name
+
+
+def test_ledger_is_one_byte_per_pulse_with_read_only_columns(tmp_path):
+    for ledger in _ledgers_of_every_source(tmp_path):
+        arrays = [v for v in vars(ledger).values() if isinstance(v, np.ndarray)]
+        assert [a.nbytes for a in arrays] == [len(ledger)]
+        for name in ("class_idx", "alpha", "bit"):
+            before = getattr(ledger, name).tolist()
+            # the columns are derived, so a write into one would be lost
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ledger, name)[0] = 1
+            assert getattr(ledger, name).tolist() == before, name
 
 
 def test_tag_detector_ids_are_int8(tmp_path):

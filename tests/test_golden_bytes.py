@@ -21,8 +21,8 @@ import pytest
 from timebin_qkd import experiment
 from timebin_qkd.cli import main
 
-SESSION_TAGS = "5f20e5ac0eb763c67cc3145e0bfbc4c3bfac943d737e3f51e2c433eb17f91059"
-SESSION_LEDGER = "a1c2f1f21c69a04c9d0d58c008d8173113c5da97ce9ccebb391968fc61b4d313"
+SESSION_TAGS = "a959e853233cdf41e4502171c8d724785b826928d8e073863b76b96d1bf403d4"
+SESSION_LEDGER = "3affc8ea2555fbd1dbacb450e18973cab24d756782ea5fca580cb7a51cefd54b"
 SESSION_COUNTS = "c9da03b862dd8621f22438a43d50f16e3f67abe64d63ede7ce2008c66fae0c7f"
 SESSION_REPORT = "a9655104d11eba65df9bd98024c0b622a215a5b9490e9d6fe9fa854dde9e84bc"
 

@@ -36,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.stats import chi2
 
-from timebin_qkd.detection import Block, simulate_blocks
+from timebin_qkd.detection import Block, PulseLedger, simulate_blocks
 from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS
 
@@ -106,6 +106,8 @@ def test_g_statistic_rejects_sorted_placement():
     # one block's silent classes sorted: every minority frame in one end
     _, _, (tags, ledger) = next(_records())
     silent = silent_frames(tags, ledger)
-    ledger.class_idx[silent] = np.sort(ledger.class_idx[silent])
+    cls = ledger.class_idx.copy()
+    cls[silent] = np.sort(cls[silent])
+    ledger = PulseLedger(ledger.start_index, cls, ledger.alpha, ledger.bit)
     g, df = g_statistic([silent_table(tags, ledger)])
     assert chi2.sf(g, df) < ALPHA

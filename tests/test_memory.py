@@ -15,11 +15,13 @@ import numpy as np
 from timebin_qkd import experiment
 from timebin_qkd.cli import main
 from timebin_qkd.detection import (
+    Block,
     PulseLedger,
     TimeTags,
     accumulate,
     read_pulse_ledger,
     simulate_block,
+    simulate_blocks,
     write_pulse_ledger,
 )
 from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan, run_session
@@ -53,7 +55,7 @@ def test_tag_dump_memory_does_not_grow_with_the_pulses(tmp_path, monkeypatch):
 
 
 def test_ledger_read_back_and_accumulate_hold_little_beyond_the_ledger(tmp_path):
-    # the ledger itself is 3 MB of int8 columns; the file is 13 MB
+    # the ledger itself is 1 MB, one byte per pulse; the file is 13 MB
     n = 1_000_000
     rng = np.random.default_rng(8)
     path = tmp_path / "ledger"
@@ -68,7 +70,27 @@ def test_ledger_read_back_and_accumulate_hold_little_beyond_the_ledger(tmp_path)
     got = []
     peak = _peak(lambda: got.append(accumulate(tags, layout, read_pulse_ledger(path))))
     assert got[0].pulses_sent.sum() == n
-    assert peak < 6 * MB, peak
+    assert peak < 3 * MB, peak
+
+
+def test_record_holds_no_pulse_sized_temporaries():
+    # a 1e6-pulse block's ledger is 1 MB and its 20,000 or so events a
+    # few hundred kB; one int64 array per pulse is 8 MB
+    cfg = ExperimentConfig(seed=3)
+
+    def block_record():
+        block = Block(
+            BB84_SETTINGS[0], 1_000_000, cfg.budget, cfg.switch, np.random.default_rng(3)
+        )
+        ((_, _, record),) = simulate_blocks([block], cfg.source, cfg.detector)
+        return record
+
+    block_record()(cfg.layout)  # warm-up: first-call caches are not part of the peak
+    record = block_record()
+    got = []
+    peak = _peak(lambda: got.append(record(cfg.layout)))
+    assert len(got[0][1]) == 1_000_000
+    assert peak < 4 * MB, peak
 
 
 def test_long_scan_keeps_only_its_per_point_results():
