@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-import operator
 import re
 import warnings
 from contextlib import nullcontext
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, _count
 from .qubit import Basis, PreparationSetting, mub_states
 from .source import IntensityClass, LossBudget, SourceConfig, transmittance
 from .switch import (
@@ -61,10 +60,10 @@ class DetectorModel:
     The detection efficiency is not here: it is LossBudget.detector_db,
     applied once with the rest of the loss budget.
 
-    dark_count_rate_hz: dark rate per detector; darks are injected per
-        window as rate * window duration.
+    dark_count_rate_hz: dark rate per detector; a window collects a dark
+        click with probability rate * WindowLayout.width_ps, the width the
+        tags are windowed over (see dark_prob_per_window).
     jitter_sigma_ps: Gaussian timing jitter applied to time tags.
-    window_ns: acceptance window around each slot center.
     dead_time_ns: detector dead time after a recorded click.
     intrinsic_error: probability a detected photon records the wrong bit
         (residual interference contrast, alignment); sets the error floor.
@@ -77,7 +76,6 @@ class DetectorModel:
 
     dark_count_rate_hz: float = 100.0
     jitter_sigma_ps: float = 150.0
-    window_ns: float = 0.8
     dead_time_ns: float = 50.0
     intrinsic_error: float = 0.008
     double_click_policy: str = "random"
@@ -89,8 +87,6 @@ class DetectorModel:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidInputError(f"{name} must be finite and non-negative")
-        if not (math.isfinite(self.window_ns) and self.window_ns > 0):
-            raise InvalidInputError("window_ns must be finite and positive")
         if not 0.0 <= self.intrinsic_error <= 0.5:
             raise InvalidInputError("intrinsic_error must lie in [0, 0.5]")
         if self.double_click_policy not in _DOUBLE_POLICIES:
@@ -99,15 +95,6 @@ class DetectorModel:
             raise InvalidInputError(f"stray_time_policy must be one of {_STRAY_POLICIES}")
         if not math.isfinite(self.recombination_phase):
             raise InvalidInputError("recombination_phase must be finite")
-        if not self.dark_prob_per_window <= 1.0:
-            raise InvalidInputError(
-                "dark_count_rate_hz * window_ns gives a dark probability per window "
-                f"of {self.dark_prob_per_window}, above 1"
-            )
-
-    @property
-    def dark_prob_per_window(self) -> float:
-        return self.dark_count_rate_hz * self.window_ns * 1e-9
 
 
 def _default_centers() -> tuple[float, float, float, float]:
@@ -143,6 +130,21 @@ class WindowLayout:
                 raise ConfigError(
                     f"windows overlap: centers {a} and {b} ps are closer than {self.width_ps} ps"
                 )
+
+
+def dark_prob_per_window(det: DetectorModel, layout: WindowLayout) -> float:
+    """The probability that one window of `layout` collects a dark click of `det`.
+
+    The dark rate times the window width, the width the tags are windowed
+    over; a probability above 1 is refused.
+    """
+    p = det.dark_count_rate_hz * (layout.width_ps / 1e3) * 1e-9
+    if not p <= 1.0:
+        raise InvalidInputError(
+            "detector.dark_count_rate_hz * layout.width_ps gives a dark probability "
+            f"per window of {p}, above 1"
+        )
+    return p
 
 
 @dataclass
@@ -264,19 +266,6 @@ def outcome_probabilities(
     p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
     p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
     return p0, p1, 0.0
-
-
-def _count(value, what: str, least: int = 1) -> int:
-    """`value` as an int of at least `least`; a bool or a non-integer is refused."""
-    if isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be an integer, got a boolean")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
-    if value < least:
-        raise InvalidInputError(f"{what} must be at least {least}")
-    return value
 
 
 def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
@@ -790,6 +779,7 @@ def _event_probabilities(
     q_surv: list[float],
     outcomes: list[list[tuple[float, float, float]]],
     det: DetectorModel,
+    layout: WindowLayout,
 ) -> np.ndarray:
     """(J, 3, 23) per-frame probabilities of J blocks: 22 event states, then the silent rest.
 
@@ -800,7 +790,7 @@ def _event_probabilities(
     flips with the intrinsic error.
     """
     e = det.intrinsic_error
-    p_dark = det.dark_prob_per_window
+    p_dark = dark_prob_per_window(det, layout)
     # The signal factor of a state is 1 - p_photon * (p0 + p1) without a
     # signal click and p_photon * P(bit) with one, written here as
     # 0 - p_photon * -P(bit), which is the same float.
@@ -839,14 +829,16 @@ def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tupl
     return [pathways[block.setting, block.switch] for block in blocks]
 
 
-def _event_tables(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> np.ndarray:
+def _event_tables(
+    blocks: list[Block], source: SourceConfig, det: DetectorModel, layout: WindowLayout
+) -> np.ndarray:
     """The (J, 3, 23) event probabilities of the frames of each block."""
     q_surv = [
         transmittance(block.budget.path_db) * transmittance(block.budget.detector_db)
         for block in blocks
     ]
     return _event_probabilities(
-        [source.mean_for(c) for c in range(3)], q_surv, _pathway_outcomes(blocks, det), det
+        [source.mean_for(c) for c in range(3)], q_surv, _pathway_outcomes(blocks, det), det, layout
     )
 
 
@@ -1092,7 +1084,9 @@ def _tags_and_ledger(
     return tags, PulseLedger._of_code(block.start_index, code)
 
 
-def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorModel) -> list[tuple]:
+def simulate_blocks(
+    blocks: list[Block], source: SourceConfig, det: DetectorModel, layout: WindowLayout
+) -> list[tuple]:
     """Simulate a batch of pulse trains, each drawing only its events from its own stream.
 
     Frames are independent, so a frame's fate is one of 22 event states
@@ -1140,10 +1134,14 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     per-event loop; each block's frames offset one stride apart), the
     kept cell counts and the tally.
 
+    The layout sets both the dark probability of a window
+    (`dark_prob_per_window`) and where the records put their tags, so the
+    counts and the records see one window.
+
     Returns (counts, pulses_sent, record) per block, in order: the block's
-    SessionCounts arrays, and record(layout), which draws the block's
-    (tags, ledger) from the block's stream: tags are the physical click
-    record (doubles keep both clicks, no policy applied).  Those draws come
+    SessionCounts arrays, and record(), which draws the block's (tags,
+    ledger) from the block's stream: tags are the physical click record
+    (doubles keep both clicks, no policy applied).  Those draws come
     after every draw the counts depend on, so calling a record never
     changes the counts, and nothing is drawn or computed for a record that
     is not called.  Call each record at most once.
@@ -1154,7 +1152,7 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
     # no dead-time cluster reaches from one block into the next.
     blocked = min(_dead_frames(det, source), longest)
     stride = longest + blocked + 1
-    tables = _event_tables(blocks, source, det)
+    tables = _event_tables(blocks, source, det, layout)
     class_totals, frames, clustered, unclustered, cl_frames, cl_block, cl_cell = _draw_events(
         blocks, source, tables, blocked, stride
     )
@@ -1170,7 +1168,7 @@ def simulate_blocks(blocks: list[Block], source: SourceConfig, det: DetectorMode
         part = slice(bounds[j], bounds[j + 1])
         record = functools.partial(
             _tags_and_ledger, block, class_totals[j], frames[j], clustered[j],
-            cl_cell[part], keep[part], unclustered[j], det,
+            cl_cell[part], keep[part], unclustered[j], det, layout,
         )
         out.append((counts[j], sent[j], record))
     return out
@@ -1183,9 +1181,10 @@ def simulate_block(
     budget: LossBudget,
     switch: SwitchModel,
     det: DetectorModel,
+    layout: WindowLayout,
     rng: np.random.Generator,
 ) -> SessionCounts:
     """The counts of a pulse train of one preparation setting: simulate_blocks of one block."""
     block = Block(prep, _count(n_pulses, "n_pulses", least=0), budget, switch, rng)
-    ((counts, sent, _),) = simulate_blocks([block], source, det)
+    ((counts, sent, _),) = simulate_blocks([block], source, det, layout)
     return SessionCounts(counts, sent)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import typing
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -42,11 +41,11 @@ from .detection import (
     SessionCounts,
     TimeTags,
     WindowLayout,
-    _count,
+    dark_prob_per_window,
     simulate_block,  # noqa: F401  (perfbench/spans.py wraps it at this name)
     simulate_blocks,
 )
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, _count, _real
 from .qubit import BB84_SETTINGS, Basis, PreparationSetting
 from .source import (
     DriftModel,
@@ -87,7 +86,9 @@ class ExperimentConfig:
 
     The detector efficiency is budget.detector_db, one term of the
     end-to-end loss budget; the detector model holds the rest of the
-    measurement chain.
+    measurement chain.  The window width is layout.width_ps alone: it sets
+    where a tag counts and, with the dark rate, the dark probability of a
+    window.
     """
 
     source: SourceConfig = field(default_factory=SourceConfig)
@@ -100,11 +101,14 @@ class ExperimentConfig:
     pulses_per_setting: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        count = self.pulses_per_setting
-        if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
-            raise ConfigError("pulses_per_setting must be a positive integer")
+        try:
+            object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
+            object.__setattr__(
+                self, "pulses_per_setting", _count(self.pulses_per_setting, "pulses_per_setting")
+            )
+            dark_prob_per_window(self.detector, self.layout)
+        except InvalidInputError as e:
+            raise ConfigError(str(e)) from e
         # A time tag is its window's center plus a jitter draw, rounded to
         # int64 picoseconds; no draw ever reaches 64 sigma.  The sum is a
         # float64, which holds every whole picosecond only below 2**53.
@@ -260,16 +264,6 @@ def _require_decoy_and_vacuum(source: SourceConfig) -> None:
         )
 
 
-def _real(value, what: str) -> float:
-    """`value` as a float; a bool, a string or any other non-real is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(f"{what} is out of the range of a float") from None
-
-
 def _run_points(
     config: ExperimentConfig,
     settings: tuple[PreparationSetting, ...],
@@ -344,10 +338,11 @@ def _run_points(
             ],
             config.source,
             config.detector,
+            config.layout,
         )
         for (*_, ends_point), (block_counts, block_sent, record) in zip(batch, results):
             if sink is not None:
-                sink(*record(config.layout))
+                sink(*record())
             counts += block_counts
             sent += block_sent
             if ends_point:

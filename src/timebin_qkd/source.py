@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count
 
 _PROB_TOL = 1e-12
 
@@ -135,8 +135,7 @@ class DriftModel:
                 "pump_power_rel_sigma must be at most 0.2: the walk reaches 5 sigma, "
                 "and the pump power 1 + offset must not go negative"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidInputError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
 
 
 def _reflect(x: float, bound: float) -> float:

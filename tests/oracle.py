@@ -12,7 +12,8 @@ every [class][beta][j] cell follows from per-frame probabilities alone:
   path transmittance times the detector efficiency (Poisson thinning);
 - the 50:50 pathway beta, then the projection `outcome_probabilities`
   and the intrinsic bit flip;
-- an independent dark click in each of the pathway's two windows;
+- an independent dark click in each of the pathway's two windows, with
+  the probability `dark_prob_per_window` of the layout's width;
 - the double-click policy: "random" splits a double 50:50 between the two
   bits, "discard" drops it.
 
@@ -35,7 +36,7 @@ import math
 
 import numpy as np
 
-from timebin_qkd.detection import outcome_probabilities
+from timebin_qkd.detection import dark_prob_per_window, outcome_probabilities
 from timebin_qkd.qubit import Basis, PreparationSetting
 from timebin_qkd.source import transmittance
 from timebin_qkd.switch import apply_switch_both_bins
@@ -47,7 +48,7 @@ def expected_counts(config, prep: PreparationSetting, n: int) -> tuple[np.ndarra
     sw = apply_switch_both_bins(prep.state(), config.switch)
     t = transmittance(config.budget.path_db) * transmittance(config.budget.detector_db)
     e = det.intrinsic_error
-    pd = det.dark_prob_per_window
+    pd = dark_prob_per_window(det, config.layout)
     dead_frames = math.ceil(det.dead_time_ns * 1e3 / src.frame_ps)
     share = 0.5 if det.double_click_policy == "random" else 0.0
 

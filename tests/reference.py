@@ -22,17 +22,22 @@ from timebin_qkd.detection import (
     SessionCounts,
     TimeTags,
     WindowLayout,
+    dark_prob_per_window,
 )
 from timebin_qkd.source import DriftModel, _reflect
 
 
 def event_probabilities_loop(
-    mean: float, q_surv: float, outcomes: list[tuple[float, float, float]], det: DetectorModel
+    mean: float,
+    q_surv: float,
+    outcomes: list[tuple[float, float, float]],
+    det: DetectorModel,
+    layout: WindowLayout,
 ) -> np.ndarray:
     """One class row of the event table: the 22 event states one by one, then the silent rest."""
     p_photon = -math.expm1(-mean * q_surv)
     e = det.intrinsic_error
-    p_dark = det.dark_prob_per_window
+    p_dark = dark_prob_per_window(det, layout)
     dark = (1.0 - p_dark, p_dark)
     signal = [
         (

@@ -177,7 +177,7 @@ def test_criterion_9_photon_statistics_and_loss_micro_oracles():
     src = replace(cfg.source, class_probabilities=(1.0, 0.0, 0.0))
     det = replace(cfg.detector, dark_count_rate_hz=0.0, dead_time_ns=0.0)
     counts = simulate_block(
-        BB84_SETTINGS[0], 1_000_000, src, cfg.budget, cfg.switch, det,
+        BB84_SETTINGS[0], 1_000_000, src, cfg.budget, cfg.switch, det, cfg.layout,
         np.random.default_rng(7),
     )
     q = counts.clicks(0) / counts.pulses(0)

@@ -27,6 +27,7 @@ from timebin_qkd.experiment import (
     STABILITY_SCHEMA,
     SWEEP_SCHEMA,
     ExperimentConfig,
+    config_from_dict,
     config_to_dict,
     read_counts_json,
     write_counts_json,
@@ -351,9 +352,10 @@ def _last_error(capsys):
         # non-finite or impossible source and detector values
         ["session", "--set", "source.rep_rate_hz=1e400"],
         ["session", "--set", "source.mu=1e400"],
-        ["session", "--set", "detector.window_ns=1e400"],
+        ["session", "--set", "layout.width_ps=1e400"],
         ["session", "--set", "detector.dark_count_rate_hz=1e12"],
-        ["session", "--set", "detector.window_ns=1e8"],
+        # 1e9 Hz is 0.8 dark clicks per 800 ps window, but 2 per 2000 ps
+        ["session", "--set", "detector.dark_count_rate_hz=1e9", "--set", "layout.width_ps=2000"],
         # values that pass a range check: NaN, an infinite center, an infinite
         # 5-sigma drift bound, and a pump power walk that would go negative
         ["session", "--set", "source.class_probabilities=[NaN,0.5,0.5]"],
@@ -502,7 +504,7 @@ def test_analyze_rejects_non_numeric_source_fields(field, value, tmp_path, capsy
 @pytest.mark.parametrize(
     "override",
     [
-        'source.mu="abc"', "source.mu=null", 'layout.width_ps="x"', "detector.window_ns=true",
+        'source.mu="abc"', "source.mu=null", 'layout.width_ps="x"', "detector.dead_time_ns=true",
         "seed=true", "seed=1.5", 'seed="7"', "pulses_per_setting=true",
         "drift.seed=-1", "drift.seed=1.5", 'drift.seed="x"', "drift.seed=true",
         "switch.delta_phi_peak=NaN", "switch.delta_phi_peak=Infinity",
@@ -520,6 +522,28 @@ def test_config_values_of_the_wrong_type_or_not_finite_fail_before_simulating(
     err = _last_error(capsys)
     assert err["category"] == "config"
     assert override.split("=")[0].split(".")[-1] in err["message"]
+
+
+def test_a_config_that_sets_the_old_detector_window_is_refused(tmp_path, capsys, monkeypatch):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a block ran before the config was rejected")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
+    payload = config_to_dict(ExperimentConfig(seed=3))
+    payload["detector"]["window_ns"] = 0.8
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    for argv in (
+        ["session", "--config", str(cfg_path)],
+        ["session", "--pulses", "1000", "--set", "detector.window_ns=0.8"],
+    ):
+        assert main(argv) == 2
+        err = _last_error(capsys)
+        assert err["category"] == "config" and "window_ns" in err["message"]
+    # the window width is layout.width_ps alone: the value moves there, in ps
+    del payload["detector"]["window_ns"]
+    payload["layout"]["width_ps"] = 0.8 * 1000
+    assert config_from_dict(payload) == ExperimentConfig(seed=3)
 
 
 def test_detector_efficiency_is_the_budget_term(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from timebin_qkd.detection import (
     _CELL_STATE,
     _EVENT_BETA,
+    _EVENT_STATES,
     BASIS_GROUP_OFFSET_PS,
     INTERFEROMETER_DELAY_PS,
     LEDGER_CHUNK_ROWS,
@@ -30,6 +31,7 @@ from timebin_qkd.detection import (
     _prune_dead_time_clusters,
     _read_ledger_rows,
     accumulate,
+    dark_prob_per_window,
     outcome_probabilities,
     read_pulse_ledger,
     read_time_tags,
@@ -66,6 +68,9 @@ IDEAL_DET = DetectorModel(
 )
 
 
+LAYOUT = WindowLayout()
+
+
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -79,12 +84,12 @@ def _select(tags: TimeTags, rows) -> TimeTags:
     return TimeTags(tags.pulse_index[rows], tags.detector_id[rows], tags.timestamp_ps[rows])
 
 
-def _tagged_block(prep, n_pulses, source, budget, switch, det, rng, *, layout=None, start_index=0):
+def _tagged_block(prep, n_pulses, source, budget, switch, det, rng, *, layout=LAYOUT, start_index=0):
     """(counts, tags, ledger) of one pulse train: simulate_blocks of one block, with tags."""
     ((counts, sent, record),) = simulate_blocks(
-        [Block(prep, n_pulses, budget, switch, rng, start_index)], source, det
+        [Block(prep, n_pulses, budget, switch, rng, start_index)], source, det, layout
     )
-    return (SessionCounts(counts, sent), *record(layout or WindowLayout()))
+    return (SessionCounts(counts, sent), *record())
 
 
 def _same_tags(a: TimeTags, b: TimeTags) -> bool:
@@ -172,8 +177,9 @@ def test_overlapping_windows_rejected():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ConfigError, match="centers_ps"):
             WindowLayout(centers_ps=(bad, 1000.0, 8000.0, 9000.0))
-    with pytest.raises(ConfigError, match="width_ps"):
-        WindowLayout(width_ps=math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="width_ps"):
+            WindowLayout(width_ps=bad)
 
 
 # ------------------------------------------------- projection probabilities
@@ -341,7 +347,7 @@ def test_block_gain_matches_poisson_threshold_formula():
     det = IDEAL_DET
     n = 400_000
     counts = simulate_block(
-        BB84_SETTINGS[0], n, source, budget, PERFECT_SWITCH, det, _rng(11)
+        BB84_SETTINGS[0], n, source, budget, PERFECT_SWITCH, det, LAYOUT, _rng(11)
     )
     eta = transmittance(budget.total_db)
     expected = 1.0 - math.exp(-source.mu * eta)
@@ -356,7 +362,7 @@ def test_block_gain_follows_the_budget_detector_term():
     for detector_db in (0.0, 2.2, 10.0):
         budget = LossBudget(detector_db=detector_db)
         counts = simulate_block(
-            BB84_SETTINGS[0], n, source, budget, PERFECT_SWITCH, IDEAL_DET, _rng(1)
+            BB84_SETTINGS[0], n, source, budget, PERFECT_SWITCH, IDEAL_DET, LAYOUT, _rng(1)
         )
         expected = -math.expm1(-source.mu * transmittance(budget.total_db))
         gains.append(counts.gain(IntensityClass.SIGNAL))
@@ -368,7 +374,7 @@ def test_block_splits_pathways_evenly():
     source = _signal_only()
     det = IDEAL_DET
     counts = simulate_block(
-        BB84_SETTINGS[0], 400_000, source, LossBudget(), PERFECT_SWITCH, det, _rng(12)
+        BB84_SETTINGS[0], 400_000, source, LossBudget(), PERFECT_SWITCH, det, LAYOUT, _rng(12)
     )
     c = counts.counts[0, 1, 0]
     in_time = c[1].sum()
@@ -381,9 +387,9 @@ def test_block_dark_rate_reproduces_vacuum_yield():
     det = replace(IDEAL_DET, dark_count_rate_hz=1e6)
     n = 1_000_000
     counts = simulate_block(
-        BB84_SETTINGS[0], n, source, LossBudget(), PERFECT_SWITCH, det, _rng(13)
+        BB84_SETTINGS[0], n, source, LossBudget(), PERFECT_SWITCH, det, LAYOUT, _rng(13)
     )
-    p = det.dark_prob_per_window
+    p = dark_prob_per_window(det, LAYOUT)
     expected = 1.0 - (1.0 - p) ** 2  # either window of the chosen pathway
     got = counts.gain(IntensityClass.VACUUM)
     assert abs(got - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
@@ -393,7 +399,7 @@ def test_block_intrinsic_error_sets_the_error_floor():
     source = _signal_only()
     det = replace(IDEAL_DET, intrinsic_error=0.008)
     counts = simulate_block(
-        BB84_SETTINGS[0], 2_000_000, source, LossBudget(), PERFECT_SWITCH, det, _rng(14)
+        BB84_SETTINGS[0], 2_000_000, source, LossBudget(), PERFECT_SWITCH, det, LAYOUT, _rng(14)
     )
     sig = IntensityClass.SIGNAL
     matched = counts.matched_clicks(sig)
@@ -406,7 +412,7 @@ def test_double_click_policy_changes_counted_events():
     base = replace(IDEAL_DET, dark_count_rate_hz=1e7)
     n = 1_000_000
     kept = simulate_block(
-        BB84_SETTINGS[0], n, source, LossBudget(), PERFECT_SWITCH, base, _rng(15)
+        BB84_SETTINGS[0], n, source, LossBudget(), PERFECT_SWITCH, base, LAYOUT, _rng(15)
     )
     dropped = simulate_block(
         BB84_SETTINGS[0],
@@ -415,9 +421,10 @@ def test_double_click_policy_changes_counted_events():
         LossBudget(),
         PERFECT_SWITCH,
         replace(base, double_click_policy="discard"),
+        LAYOUT,
         _rng(15),
     )
-    p = base.dark_prob_per_window
+    p = dark_prob_per_window(base, LAYOUT)
     diff = kept.clicks(IntensityClass.VACUUM) - dropped.clicks(IntensityClass.VACUUM)
     expected_doubles = n * p * p
     assert diff > 0
@@ -451,8 +458,10 @@ def test_dead_time_reduces_gain():
     budget = LossBudget()
     live = IDEAL_DET
     dead = replace(live, dead_time_ns=50.0)
-    a = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, live, _rng(17))
-    b = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, dead, _rng(17))
+    a = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, live, LAYOUT,
+                       _rng(17))
+    b = simulate_block(BB84_SETTINGS[0], 500_000, source, budget, PERFECT_SWITCH, dead, LAYOUT,
+                       _rng(17))
     assert b.clicks(IntensityClass.SIGNAL) < a.clicks(IntensityClass.SIGNAL)
 
 
@@ -509,7 +518,7 @@ def test_dead_time_over_clustered_events_matches_the_pass_over_all_events():
                       SwitchModel(), np.random.default_rng([37, n, blocked, k]))
                 for k in range(4)
             ]
-            tables = _event_tables(blocks, source, det)
+            tables = _event_tables(blocks, source, det, LAYOUT)
             _, frames, clustered, _, cl_frames, cl_block, cl_cell = _draw_events(
                 blocks, source, tables, blocked, n + blocked + 1
             )
@@ -601,23 +610,23 @@ def _random_switched_batches(rng, n_batches):
 def test_event_table_matches_the_per_state_reference_bit_for_bit():
     cases = list(_event_table_inputs(_rng(41)))
     assert len(cases) >= 50
-    assert {c[3].dark_prob_per_window for c in cases} >= {0.0, 0.08}
+    assert {dark_prob_per_window(c[3], LAYOUT) for c in cases} >= {0.0, 0.08}
     assert {c[3].intrinsic_error for c in cases} >= {0.0, 0.5}
     for k, (means, q_surv, outcomes, det) in enumerate(cases):
-        (table,) = _event_probabilities(means, [q_surv], [outcomes], det)
+        (table,) = _event_probabilities(means, [q_surv], [outcomes], det, LAYOUT)
         assert table.shape == (3, 23)
         for c, mean in enumerate(means):
-            assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det)), (
+            assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det, LAYOUT)), (
                 mean, q_surv, outcomes, det,
             )
         # batched: the survivals and outcomes of 16 cases, this one eighth,
         # under this case's means and detector
         batch = [cases[(k + d) % len(cases)][1:3] for d in range(-7, 9)]
-        tables = _event_probabilities(means, *zip(*batch), det)
+        tables = _event_probabilities(means, *zip(*batch), det, LAYOUT)
         assert tables.shape == (16, 3, 23)
         for (q, pathways), table in zip(batch, tables):
             for c, mean in enumerate(means):
-                assert np.array_equal(table[c], event_probabilities_loop(mean, q, pathways, det)), (
+                assert np.array_equal(table[c], event_probabilities_loop(mean, q, pathways, det, LAYOUT)), (
                     mean, q, pathways, det,
                 )
 
@@ -629,16 +638,15 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
     assert {d.stray_time_policy for _, d in cases} == {"random", "discard", "by_polarization"}
     assert {b.setting for blocks, _ in cases for b in blocks} == set(BB84_SETTINGS)
     for blocks, det in cases:
-        tables = _event_tables(blocks, source, det)
+        tables = _event_tables(blocks, source, det, LAYOUT)
         assert tables.shape == (len(blocks), 3, 23)
         for block, table in zip(blocks, tables):
             sw = apply_switch_both_bins(block.setting.state(), block.switch)
             outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
             q_surv = transmittance(block.budget.path_db) * transmittance(block.budget.detector_db)
             for c, mean in enumerate(means):
-                assert np.array_equal(table[c], event_probabilities_loop(mean, q_surv, outcomes, det)), (
-                    block, det,
-                )
+                expected = event_probabilities_loop(mean, q_surv, outcomes, det, LAYOUT)
+                assert np.array_equal(table[c], expected), (block, det)
     # generic amplitudes round differently in about one operation in a
     # thousand if an operation is changed, so many are compared
     for blocks, det in _random_switched_batches(_rng(47), 512):
@@ -652,7 +660,8 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
 def test_block_rejects_negative_pulse_count():
     def block(n):
         return simulate_block(
-            BB84_SETTINGS[0], n, SourceConfig(), LossBudget(), PERFECT_SWITCH, IDEAL_DET, _rng(0)
+            BB84_SETTINGS[0], n, SourceConfig(), LossBudget(), PERFECT_SWITCH, IDEAL_DET, LAYOUT,
+            _rng(0),
         )
 
     # a fraction or a bool used to be truncated, and a string raised a bare TypeError
@@ -699,7 +708,7 @@ def test_batched_blocks_equal_lone_blocks():
     for det, blocks, with_record in cases:
         batch = simulate_blocks(
             [Block(s, n, b, sw, _rng(key), start) for s, n, b, sw, key, start in blocks],
-            source, det,
+            source, det, layout,
         )
         for (setting, n, budget, switch, key, start), (counts, sent, record) in zip(
             blocks, batch, strict=True
@@ -710,11 +719,11 @@ def test_batched_blocks_equal_lone_blocks():
                     layout=layout, start_index=start,
                 )
             else:
-                lone = (simulate_block(setting, n, source, budget, switch, det, _rng(key)),)
+                lone = (simulate_block(setting, n, source, budget, switch, det, layout, _rng(key)),)
             assert lone[0] == SessionCounts(counts, sent), (det, key)
             n_events += int(counts.sum())
             if with_record:
-                tags, ledger = record(layout)
+                tags, ledger = record()
                 for name in ("pulse_index", "detector_id", "timestamp_ps"):
                     assert np.array_equal(getattr(tags, name), getattr(lone[1], name)), (det, key)
                 assert ledger.start_index == lone[2].start_index == start
@@ -826,7 +835,7 @@ def _assert_record_reads_back(tmp_path, tags, ledger, pulses_sent):
 def _tagged_batch(blocks, source, det):
     """(pulses_sent, tags, ledger) of each block of one simulate_blocks batch with tags."""
     return [
-        (sent, *record(WindowLayout())) for _, sent, record in simulate_blocks(blocks, source, det)
+        (sent, *record()) for _, sent, record in simulate_blocks(blocks, source, det, LAYOUT)
     ]
 
 
@@ -842,7 +851,7 @@ def test_tag_and_ledger_files_round_trip(tmp_path):
 def test_session_without_silent_frames_records_every_pulse(tmp_path):
     # a dark probability of 1.0 per window makes every frame an event
     det = replace(DetectorModel(), dark_count_rate_hz=1.25e9, dead_time_ns=0.0)
-    assert det.dark_prob_per_window == 1.0
+    assert dark_prob_per_window(det, LAYOUT) == 1.0
     res, tags, ledger = tagged_session(ExperimentConfig(detector=det, seed=3), pulses=2000)
     assert len(ledger) == 4 * 2000
     assert np.array_equal(np.unique(tags.pulse_index), np.arange(4 * 2000))
@@ -1293,12 +1302,40 @@ def test_detector_model_validation():
         DetectorModel(double_click_policy="coinflip")
     with pytest.raises(InvalidInputError):
         DetectorModel(stray_time_policy="whatever")
-    with pytest.raises(InvalidInputError):
-        DetectorModel(window_ns=0.0)
     with pytest.raises(InvalidInputError, match="finite"):
-        DetectorModel(window_ns=math.inf)
+        DetectorModel(dark_count_rate_hz=math.inf)
+
+
+def test_dark_probability_is_the_dark_rate_over_the_layout_width():
     # 1e12 Hz over 0.8 ns, and 100 Hz over 1e8 ns: ten dark clicks a window
-    for det in ({"dark_count_rate_hz": 1e12}, {"window_ns": 1e8}):
+    wide = WindowLayout(centers_ps=(0.0, 2e11, 4e11, 6e11), width_ps=1e11)
+    for det, layout in ((DetectorModel(dark_count_rate_hz=1e12), LAYOUT), (DetectorModel(), wide)):
         with pytest.raises(InvalidInputError, match="above 1"):
-            DetectorModel(**det)
-    assert DetectorModel(dark_count_rate_hz=1.25e9).dark_prob_per_window == 1.0
+            dark_prob_per_window(det, layout)
+    assert dark_prob_per_window(DetectorModel(dark_count_rate_hz=1.25e9), LAYOUT) == 1.0
+    # the same float as the rate times 0.8 ns, for any rate
+    for rate in (0.0, 100.0, 1e6, 1e8, 123.456, 1.25e9):
+        assert dark_prob_per_window(DetectorModel(dark_count_rate_hz=rate), LAYOUT) == rate * 0.8 * 1e-9
+
+
+def test_halving_the_layout_width_halves_the_dark_probability_of_the_event_tables():
+    source = SourceConfig()
+    det = DetectorModel(dark_count_rate_hz=1e8)
+    half = replace(LAYOUT, width_ps=LAYOUT.width_ps / 2)
+    p = dark_prob_per_window(det, LAYOUT)
+    assert dark_prob_per_window(det, half) == p / 2
+    blocks = [
+        Block(setting, 1000, LossBudget(channel_db=db), SwitchModel(), None)
+        for setting in BB84_SETTINGS for db in (0.0, 14.0)
+    ]
+    full, narrow = (_event_tables(blocks, source, det, layout) for layout in (LAYOUT, half))
+    # the tables see the width only through p_dark: half the width is half the rate
+    slower = replace(det, dark_count_rate_hz=det.dark_count_rate_hz / 2)
+    assert np.array_equal(narrow, _event_tables(blocks, source, slower, LAYOUT))
+    assert not np.array_equal(narrow, full)
+    # a vacuum frame with a dark click in both windows of a pathway: 0.5 * p * p
+    both = [k for k, (_, s, d0, d1) in enumerate(_EVENT_STATES) if s == 0 and d0 and d1]
+    assert len(both) == 2
+    vacuum = IntensityClass.VACUUM
+    assert np.all(full[:, vacuum, both] == 0.5 * p * p)
+    assert np.all(narrow[:, vacuum, both] == 0.5 * (p / 2) * (p / 2))

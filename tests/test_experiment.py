@@ -102,6 +102,29 @@ def test_config_rejects_bad_scalars():
         ExperimentConfig(seed=True)
 
 
+def test_config_takes_a_numpy_integer_seed_and_pulse_count_as_int():
+    cfg = ExperimentConfig(seed=np.int64(7), pulses_per_setting=np.uint32(123))
+    assert type(cfg.seed) is int and type(cfg.pulses_per_setting) is int
+    assert cfg == ExperimentConfig(seed=7, pulses_per_setting=123)
+    for kwargs in ({"seed": np.float64(7.0)}, {"pulses_per_setting": np.int64(0)}):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            ExperimentConfig(**kwargs)
+
+
+def test_config_refuses_a_dark_probability_above_one_from_the_rate_and_the_width():
+    # 1e9 Hz over the default 800 ps window is 0.8 dark clicks, over 2000 ps 2
+    fast = DetectorModel(dark_count_rate_hz=1e9)
+    wide = WindowLayout(width_ps=2000.0)
+    ExperimentConfig(detector=fast)
+    ExperimentConfig(layout=wide)
+    with pytest.raises(ConfigError, match="width_ps"):
+        ExperimentConfig(detector=fast, layout=wide)
+    # exactly one dark click per window is a probability, not above 1
+    ExperimentConfig(detector=DetectorModel(dark_count_rate_hz=1.25e9))
+    with pytest.raises(ConfigError, match="above 1"):
+        config_from_dict({"detector": {"dark_count_rate_hz": 1e9}, "layout": {"width_ps": 2000}})
+
+
 def test_config_values_keep_their_field_types():
     cfg = config_from_dict({"source": {"mu": 1}, "drift": {"seed": 5}})
     assert type(cfg.source.mu) is float and cfg.source.mu == 1.0
@@ -181,7 +204,7 @@ def test_engine_lays_out_blocks_by_point_setting_and_block(monkeypatch):
             for b, n in enumerate((1_000, 1_000, 500)):
                 rng = derived_rng(cfg.seed, PURPOSE_SCAN, s, b)
                 lone += simulate_block(
-                    setting, n, cfg.source, cfg.budget, switch, cfg.detector, rng
+                    setting, n, cfg.source, cfg.budget, switch, cfg.detector, cfg.layout, rng
                 )
         assert lone.counts.sum() > 0
         assert total == lone

@@ -96,7 +96,7 @@ def _blocks(cfg):
 def _drawn(cfg):
     """(blocked, q per block, the draw stage's output) of the twin blocks."""
     blocks = _blocks(cfg)
-    tables = _event_tables(blocks, cfg.source, cfg.detector)
+    tables = _event_tables(blocks, cfg.source, cfg.detector, cfg.layout)
     blocked = min(_dead_frames(cfg.detector, cfg.source), BLOCK)
     silent = np.array(cfg.source.class_probabilities) @ tables[:, :, -1].T
     drawn = _draw_events(blocks, cfg.source, tables, blocked, BLOCK + blocked + 1)
@@ -167,11 +167,11 @@ def test_event_spacings_are_geometric():
 def test_event_cells_do_not_depend_on_clustering_or_rank():
     cfg = _config()
     _, _, (_, frames, clustered, _, _, cl_block, cl_cell) = _drawn(cfg)
-    records = simulate_blocks(_blocks(cfg), cfg.source, cfg.detector)
+    records = simulate_blocks(_blocks(cfg), cfg.source, cfg.detector, cfg.layout)
     tables = np.zeros((4, 18, 2 * DECILES))
     doubles = 0
     for j, (block_frames, mask, (_, _, record)) in enumerate(zip(frames, clustered, records)):
-        tags, ledger = record(cfg.layout)
+        tags, ledger = record()
         cell = observed_cells(cfg, tags, ledger, block_frames)
         # the drawn cell of each clustered event, before dead time
         state = _CELL_STATE[cl_cell[cl_block == j]]
@@ -200,8 +200,8 @@ def test_independence_rejects_cells_sorted_by_rank():
     # one block's unclustered cells in frame order sorted: every rare cell at one end
     cfg = _config()
     _, _, (_, frames, clustered, *_) = _drawn(cfg)
-    (_, _, record), *_ = simulate_blocks(_blocks(cfg)[:1], cfg.source, cfg.detector)
-    tags, ledger = record(cfg.layout)
+    (_, _, record), *_ = simulate_blocks(_blocks(cfg)[:1], cfg.source, cfg.detector, cfg.layout)
+    tags, ledger = record()
     cell = observed_cells(cfg, tags, ledger, frames[0])[~clustered[0]]
     cell.sort()
     rank = np.arange(len(cell)) * DECILES // len(cell)

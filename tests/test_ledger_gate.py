@@ -84,9 +84,9 @@ def _records():
         for b in range(N_BLOCKS)
     ]
     for block, (_, sent, record) in zip(
-        blocks, simulate_blocks(blocks, cfg.source, det), strict=True
+        blocks, simulate_blocks(blocks, cfg.source, det, cfg.layout), strict=True
     ):
-        yield block, sent, record(cfg.layout)
+        yield block, sent, record()
 
 
 def test_silent_frame_classes_are_placed_uniformly():

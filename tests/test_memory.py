@@ -82,13 +82,13 @@ def test_record_holds_no_pulse_sized_temporaries():
         block = Block(
             BB84_SETTINGS[0], 1_000_000, cfg.budget, cfg.switch, np.random.default_rng(3)
         )
-        ((_, _, record),) = simulate_blocks([block], cfg.source, cfg.detector)
+        ((_, _, record),) = simulate_blocks([block], cfg.source, cfg.detector, cfg.layout)
         return record
 
-    block_record()(cfg.layout)  # warm-up: first-call caches are not part of the peak
+    block_record()()  # warm-up: first-call caches are not part of the peak
     record = block_record()
     got = []
-    peak = _peak(lambda: got.append(record(cfg.layout)))
+    peak = _peak(lambda: got.append(record()))
     assert len(got[0][1]) == 1_000_000
     assert peak < 4 * MB, peak
 
@@ -109,7 +109,7 @@ def test_counting_holds_only_per_event_arrays():
 
     def block() -> None:
         simulate_block(
-            BB84_SETTINGS[0], 1_000_000, cfg.source, cfg.budget, cfg.switch, cfg.detector,
+            BB84_SETTINGS[0], 1_000_000, cfg.source, cfg.budget, cfg.switch, cfg.detector, cfg.layout,
             np.random.default_rng(3),
         )
 

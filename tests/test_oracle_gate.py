@@ -85,7 +85,7 @@ def gate_case(case_index: int, cfg: ExperimentConfig) -> tuple[float, int]:
         for b in range(N_PER_SETTING // BLOCK):
             rng = np.random.default_rng([GATE_SEED, case_index, s_idx, b])
             counts = simulate_block(
-                prep, BLOCK, cfg.source, cfg.budget, cfg.switch, cfg.detector, rng
+                prep, BLOCK, cfg.source, cfg.budget, cfg.switch, cfg.detector, cfg.layout, rng
             )
             observed += counts.counts[:, int(prep.basis), prep.bit]
         cells, rest = expected_counts(cfg, prep, N_PER_SETTING)

@@ -189,7 +189,13 @@ def test_drift_model_takes_a_pump_power_bound_of_one():
     assert min(dpow for dpow, _ in drift_state(model, range(500))) >= -1.0
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None, np.float64(3.0), np.int64(-1)])
 def test_drift_model_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(InvalidInputError, match="seed"):
         DriftModel(seed=seed)
+
+
+def test_drift_model_takes_a_numpy_integer_seed_as_int():
+    model = DriftModel(seed=np.int64(3))
+    assert type(model.seed) is int and model == DriftModel(seed=3)
+    assert drift_state(model, [13.37]) == drift_state(DriftModel(seed=3), [13.37])
