@@ -3,9 +3,10 @@
 Verbs mirror the library flows: session, sweep-loss, pump-scan, stability,
 analyze.  Every verb takes --out/--format, and the four simulation verbs
 also take --config/--set/--seed; results go to stdout as JSON unless
-redirected or asked for as CSV.  Errors print a one-line JSON object
-{"category", "message"} on stderr and map to stable exit codes: 2 config,
-3 bad input, 4 I/O, 5 no data, 1 anything else.
+redirected or asked for as CSV.  A size flag reaches its flow only when
+given, so the flows own every default size.  Errors print a one-line JSON
+object {"category", "message"} on stderr and map to stable exit codes:
+2 config, 3 bad input, 4 I/O, 5 no data, 1 anything else.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ def _add_simulation(p: argparse.ArgumentParser) -> None:
     _add_output(p)
 
 
+def _add_size(p: argparse.ArgumentParser, flag: str, kind: type, help: str) -> None:
+    # absent from the namespace unless given, so the flow's default applies
+    p.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=f"{help} (default: the flow's)")
+
+
+def _sizes(args, *names: str) -> dict:
+    """The size flags among `names` that were given, as the flow's keywords."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timebin-qkd",
@@ -72,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("session", help="run all four settings, report the key rate")
     _add_simulation(p)
-    p.add_argument("--pulses", type=int, help="pulses per setting")
+    _add_size(p, "--pulses", int, "pulses per setting")
     p.add_argument("--save-counts", metavar="PATH", help="also write the raw counts JSON")
     p.add_argument(
         "--dump-tags",
@@ -82,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-loss", help="key rate against channel loss")
     _add_simulation(p)
-    p.add_argument("--pulses", type=int, help="pulses per setting per point")
+    _add_size(p, "--pulses", int, "pulses per setting per point")
     p.add_argument(
         "--losses",
         required=True,
@@ -96,13 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="pump delays in ps: comma list and/or start:stop:step ranges",
     )
-    p.add_argument("--pulses-per-point", type=int, default=200_000)
+    _add_size(p, "--pulses-per-point", int, "pulses per time-basis setting per delay")
 
     p = sub.add_parser("stability", help="long session on a drifting setup")
     _add_simulation(p)
-    p.add_argument("--hours", type=float, default=28.0)
-    p.add_argument("--samples-per-hour", type=int, default=2)
-    p.add_argument("--pulses-per-sample", type=int, default=400_000)
+    _add_size(p, "--hours", float, "length of the run in hours")
+    _add_size(p, "--samples-per-hour", int, "samples per hour")
+    _add_size(p, "--pulses-per-sample", int, "pulses per setting per sample")
 
     p = sub.add_parser("analyze", help="key-rate report from a saved counts file")
     _add_output(p)
@@ -112,13 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> ExperimentConfig:
-    """The config file (or the defaults), then --set, --seed and --pulses."""
+    """The config file (or the defaults), then --set and --seed."""
     base = load_config(args.config) if args.config else ExperimentConfig()
     payload = apply_overrides(config_to_dict(base), args.set)
     if args.seed is not None:
         payload["seed"] = args.seed
-    if getattr(args, "pulses", None) is not None:
-        payload["pulses_per_setting"] = args.pulses
     return config_from_dict(payload)
 
 
@@ -183,8 +192,9 @@ def _replaced_on_success(path: str):
 
 def _cmd_session(args) -> int:
     cfg = _config(args)
+    sizes = _sizes(args, "pulses")
     if not args.dump_tags:
-        res = run_session(cfg)
+        res = run_session(cfg, **sizes)
     else:
         # each block's tags and ledger are appended as the run reduces it
         with _replaced_on_success(args.dump_tags) as tag_file, _replaced_on_success(
@@ -195,7 +205,7 @@ def _cmd_session(args) -> int:
                 write_time_tags(tag_file, tags)
                 write_pulse_ledger(ledger_file, ledger)
 
-            res = run_session(cfg, sink=sink)
+            res = run_session(cfg, **sizes, sink=sink)
     if args.save_counts:
         write_counts_json(args.save_counts, res.counts, cfg.source)
     payload = report_payload(res.report)
@@ -207,7 +217,7 @@ def _cmd_session(args) -> int:
 def _cmd_sweep_loss(args) -> int:
     cfg = _config(args)
     losses = _parse_values(args.losses, "loss")
-    res = run_loss_sweep(cfg, losses)
+    res = run_loss_sweep(cfg, losses, **_sizes(args, "pulses"))
     _emit(args, sweep_payload(res), sweep_csv(res))
     return 0
 
@@ -215,19 +225,14 @@ def _cmd_sweep_loss(args) -> int:
 def _cmd_pump_scan(args) -> int:
     cfg = _config(args)
     delays = _parse_values(args.delays, "delay")
-    res = run_pump_delay_scan(cfg, delays, pulses_per_point=args.pulses_per_point)
+    res = run_pump_delay_scan(cfg, delays, **_sizes(args, "pulses_per_point"))
     _emit(args, scan_payload(res), scan_csv(res))
     return 0
 
 
 def _cmd_stability(args) -> int:
     cfg = _config(args)
-    res = run_stability(
-        cfg,
-        hours=args.hours,
-        samples_per_hour=args.samples_per_hour,
-        pulses_per_sample=args.pulses_per_sample,
-    )
+    res = run_stability(cfg, **_sizes(args, "hours", "samples_per_hour", "pulses_per_sample"))
     _emit(args, stability_payload(res), stability_csv(res))
     return 0
 

@@ -71,7 +71,9 @@ class DetectorModel:
         "discard" drops the event.
     stray_time_policy: handling of crossed-polarization modes in the time
         pathway ("random", "discard", or "by_polarization").
-    recombination_phase: phase error of the phase-basis recombination (rad).
+    recombination_phase: the one relative phase (rad) between the switched
+        early-bin V arm and the unswitched late-bin H arm where the
+        phase-basis recombination interferes them; the switch adds none.
     """
 
     dark_count_rate_hz: float = 100.0
@@ -237,9 +239,11 @@ def outcome_probabilities(
 ) -> tuple[float, float, float]:
     """(P bit0, P bit1, P discarded) for an incident photon, before darks.
 
-    The effective detected qubit is (e^{i chi} * amp(t0, V), amp(t1, H));
-    crossed-mode amplitude is handled per the detector's stray policy in
-    the time pathway and projects 50:50 in superposition pathways.
+    The effective detected qubit is (e^{i chi} * amp(t0, V), amp(t1, H)),
+    with chi the recombination phase, projected onto the basis pair of
+    mub_states(basis).  Crossed-mode amplitude is handled per the
+    detector's stray policy in the time pathway and projects 50:50 in
+    superposition pathways.
     """
     chi = det.recombination_phase
     psi0 = state.amp(0, POL_V) * complex(math.cos(chi), math.sin(chi))
@@ -248,24 +252,15 @@ def outcome_probabilities(
     stray_v = abs(state.amp(1, POL_V)) ** 2
     stray = stray_h + stray_v
 
-    if basis == Basis.TIME:
-        p0 = abs(psi0) ** 2
-        p1 = abs(psi1) ** 2
-        drop = 0.0
-        if det.stray_time_policy == "random":
-            p0 += 0.5 * stray
-            p1 += 0.5 * stray
-        elif det.stray_time_policy == "by_polarization":
-            p0 += stray_v
-            p1 += stray_h
-        else:
-            drop = stray
-        return p0, p1, drop
-
     b0, b1 = mub_states(basis)
-    p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
-    p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2 + 0.5 * stray
-    return p0, p1, 0.0
+    p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2
+    p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2
+    policy = det.stray_time_policy if basis == Basis.TIME else "random"
+    if policy == "by_polarization":
+        return p0 + stray_v, p1 + stray_h, 0.0
+    if policy == "discard":
+        return p0, p1, stray
+    return p0 + 0.5 * stray, p1 + 0.5 * stray, 0.0
 
 
 def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
@@ -815,18 +810,15 @@ def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tupl
     """Each block's (P bit0, P bit1, P dropped) in the phase, then the time pathway.
 
     Each is outcome_probabilities(apply_switch_both_bins(state, switch),
-    basis, det).  A batch's blocks share few preparations and switches, so
-    each distinct preparation's state, and each distinct (setting, switch)
-    pair's pathways, are computed once per batch and looked up per block.
+    basis, det), computed block by block.
     """
-    states = {setting: setting.state() for setting in {block.setting for block in blocks}}
-    pathways = {}
-    for setting, switch in {(block.setting, block.switch) for block in blocks}:
-        switched = apply_switch_both_bins(states[setting], switch)
-        pathways[setting, switch] = [
-            outcome_probabilities(switched, basis, det) for basis in (Basis.PHASE, Basis.TIME)
-        ]
-    return [pathways[block.setting, block.switch] for block in blocks]
+    outcomes = []
+    for block in blocks:
+        switched = apply_switch_both_bins(block.setting.state(), block.switch)
+        outcomes.append(
+            [outcome_probabilities(switched, basis, det) for basis in (Basis.PHASE, Basis.TIME)]
+        )
+    return outcomes
 
 
 def _event_tables(
@@ -1128,8 +1120,8 @@ def simulate_blocks(
 
     The stages that draw nothing run once for the whole batch, so a
     block's result does not depend on the batch it is in: the event
-    tables (`_pathway_outcomes` switches and projects each distinct
-    preparation and switch once), the dead-time pass over the clustered
+    tables (`_pathway_outcomes` switches and projects each block's
+    preparation), the dead-time pass over the clustered
     events (pointer doubling over the clusters of close clicks, no
     per-event loop; each block's frames offset one stride apart), the
     kept cell counts and the tally.

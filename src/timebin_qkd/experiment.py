@@ -88,7 +88,9 @@ class ExperimentConfig:
     end-to-end loss budget; the detector model holds the rest of the
     measurement chain.  The window width is layout.width_ps alone: it sets
     where a tag counts and, with the dark rate, the dark probability of a
-    window.
+    window.  The relative phase of the interfering arms is
+    detector.recombination_phase alone.  A config describes the setup,
+    not a run's size: each flow takes its pulse count as a keyword.
     """
 
     source: SourceConfig = field(default_factory=SourceConfig)
@@ -98,14 +100,10 @@ class ExperimentConfig:
     layout: WindowLayout = field(default_factory=WindowLayout)
     drift: DriftModel = field(default_factory=DriftModel)
     seed: int = 2024
-    pulses_per_setting: int = 1_000_000
 
     def __post_init__(self) -> None:
         try:
             object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
-            object.__setattr__(
-                self, "pulses_per_setting", _count(self.pulses_per_setting, "pulses_per_setting")
-            )
             dark_prob_per_window(self.detector, self.layout)
         except InvalidInputError as e:
             raise ConfigError(str(e)) from e
@@ -182,7 +180,7 @@ def _build_section(cls, payload: dict, section: str):
 def config_from_dict(payload: dict) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ConfigError("configuration must be a JSON object")
-    known = set(_SECTIONS) | {"seed", "pulses_per_setting"}
+    known = set(_SECTIONS) | {"seed"}
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
@@ -193,9 +191,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             if not isinstance(sub, dict):
                 raise ConfigError(f"'{section}' must be a JSON object")
             kwargs[section] = _build_section(cls, sub, section)
-    for scalar in ("seed", "pulses_per_setting"):
-        if scalar in payload:
-            kwargs[scalar] = _integer(payload[scalar], scalar)
+    if "seed" in payload:
+        kwargs["seed"] = _integer(payload["seed"], "seed")
     return ExperimentConfig(**kwargs)
 
 
@@ -208,7 +205,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
                 sub[k] = list(v)
         out[section] = sub
     out["seed"] = config.seed
-    out["pulses_per_setting"] = config.pulses_per_setting
     return out
 
 
@@ -368,25 +364,24 @@ class SessionResult:
 def run_session(
     config: ExperimentConfig,
     *,
-    pulses: int | None = None,
+    pulses: int = 1_000_000,
     workers: int | None = None,
     sink: Callable[[TimeTags, PulseLedger], None] | None = None,
 ) -> SessionResult:
     """Simulate all four preparation settings and reduce to matrix + report.
 
-    `pulses` overrides pulses_per_setting.  With a sink, each block's time
-    tags and pulse ledger go to sink(tags, ledger) as the block is
-    reduced, in pulse-index order.
+    Each setting runs `pulses` pulses, an integer of at least 1.  With a
+    sink, each block's time tags and pulse ledger go to sink(tags, ledger)
+    as the block is reduced, in pulse-index order.
 
     `workers` is accepted for compatibility and has no effect: None or an
     integer of at least 1, and every batch runs on the calling thread.
     """
-    n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
     if workers is not None:
         _count(workers, "workers")
     point = ((PURPOSE_SESSION,), config.budget, config.switch)
-    (total,) = _run_points(config, BB84_SETTINGS, [point], n, sink)
+    (total,) = _run_points(config, BB84_SETTINGS, [point], pulses, sink)
     signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
     matrix = probability_matrix(total) if signal_rows.all() else None
     return SessionResult(total, matrix, secret_key_rate(total, config.source))
@@ -405,10 +400,13 @@ def run_loss_sweep(
     config: ExperimentConfig,
     channel_losses_db,
     *,
-    pulses: int | None = None,
+    pulses: int = 1_000_000,
     workers: int | None = None,
 ) -> LossSweepResult:
     """Key rate at each channel loss, sorted, on the same streams at every loss.
+
+    Each setting runs `pulses` pulses at every loss, an integer of at
+    least 1.
 
     `workers` is accepted for compatibility and has no effect: None or an
     integer of at least 1, and every batch runs on the calling thread.
@@ -420,7 +418,6 @@ def run_loss_sweep(
         raise InvalidInputError("channel losses must be finite and non-negative")
     losses = np.sort(losses)
 
-    n = config.pulses_per_setting if pulses is None else pulses
     _require_decoy_and_vacuum(config.source)
     if workers is not None:
         _count(workers, "workers")
@@ -430,7 +427,7 @@ def run_loss_sweep(
     )
     reports = [
         secret_key_rate(total, config.source)
-        for total in _run_points(config, BB84_SETTINGS, points, n)
+        for total in _run_points(config, BB84_SETTINGS, points, pulses)
     ]
     rates = np.array([r.r_bps for r in reports])
     return LossSweepResult(losses, rates, reports)

@@ -76,8 +76,11 @@ class SwitchModel:
     pump_fwhm_ps / signal_fwhm_ps: Gaussian intensity FWHM durations.
     walkoff_ps: pump-signal temporal slide across the fiber.
     pump_delay_ps: pump arrival relative to the early bin (0 = centered).
-    bin_phase_offset: constant phase the switched component picks up.
     bin_separation_ps: delay of the late bin relative to the early one.
+
+    The switch adds no phase of its own: the one relative phase between
+    the switched and the unswitched arm is the receiver's,
+    DetectorModel.recombination_phase.
     """
 
     theta: float = math.pi / 4.0
@@ -86,7 +89,6 @@ class SwitchModel:
     signal_fwhm_ps: float = DEFAULT_SIGNAL_FWHM_PS
     walkoff_ps: float = DEFAULT_WALKOFF_PS
     pump_delay_ps: float = 0.0
-    bin_phase_offset: float = 0.0
     bin_separation_ps: float = DEFAULT_BIN_SEPARATION_PS
 
     def __post_init__(self) -> None:
@@ -199,11 +201,11 @@ class SwitchedState(NamedTuple):
         return sum(abs(a) ** 2 for pair in self for a in pair)
 
 
-def _bin_rotation(amp: complex, eta: float, phase: float) -> tuple[complex, complex]:
-    # H -> sqrt(1-eta) H + sqrt(eta) e^{i phase} V, unitary on the bin.
+def _bin_rotation(amp: complex, eta: float) -> tuple[complex, complex]:
+    # H -> sqrt(1-eta) H + sqrt(eta) V, a real rotation, unitary on the bin.
     stay = math.sqrt(max(0.0, 1.0 - eta))
     go = math.sqrt(min(1.0, max(0.0, eta)))
-    return amp * stay, amp * go * complex(math.cos(phase), math.sin(phase))
+    return amp * stay, amp * go
 
 
 def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState:
@@ -211,18 +213,17 @@ def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState
 
     Each bin's amplitude rotates by _bin_rotation into an unswitched H and
     a switched V part, the V part weighted by that bin's efficiency from
-    bin_efficiencies and turned by bin_phase_offset.  At the operating
-    point only the early bin switches; a pump delayed by about one bin
-    separation switches the late bin instead, which is what a delay scan
-    sweeps across.  The rotation is unitary on each bin, so the norm is
-    kept.  The receiver projects the result with
-    detection.outcome_probabilities, in the engine and in the tests alike.
+    bin_efficiencies.  The rotation is real: it adds no phase, and the
+    relative phase of the two arms is the receiver's
+    DetectorModel.recombination_phase.  At the operating point only the
+    early bin switches; a pump delayed by about one bin separation switches
+    the late bin instead, which is what a delay scan sweeps across.  The
+    rotation is unitary on each bin, so the norm is kept.  The receiver
+    projects the result with detection.outcome_probabilities, in the engine
+    and in the tests alike.
     """
     eta0, eta1 = bin_efficiencies(model)
-    phase = model.bin_phase_offset
-    return SwitchedState(
-        _bin_rotation(q.amp_t0, eta0, phase), _bin_rotation(q.amp_t1, eta1, phase)
-    )
+    return SwitchedState(_bin_rotation(q.amp_t0, eta0), _bin_rotation(q.amp_t1, eta1))
 
 
 def with_delay(model: SwitchModel, pump_delay_ps: float) -> SwitchModel:

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from timebin_qkd import experiment
+from timebin_qkd import cli, experiment
 from timebin_qkd.cli import MAX_VALUES, _parse_values, main
 from timebin_qkd.detection import (
+    DetectorModel,
     SessionCounts,
+    WindowLayout,
     accumulate,
     read_pulse_ledger,
     read_time_tags,
@@ -505,7 +508,7 @@ def test_analyze_rejects_non_numeric_source_fields(field, value, tmp_path, capsy
     "override",
     [
         'source.mu="abc"', "source.mu=null", 'layout.width_ps="x"', "detector.dead_time_ns=true",
-        "seed=true", "seed=1.5", 'seed="7"', "pulses_per_setting=true",
+        "seed=true", "seed=1.5", 'seed="7"', "detector.recombination_phase=true",
         "drift.seed=-1", "drift.seed=1.5", 'drift.seed="x"', "drift.seed=true",
         "switch.delta_phi_peak=NaN", "switch.delta_phi_peak=Infinity",
         "switch.walkoff_ps=Infinity", "switch.pump_fwhm_ps=Infinity", "switch.theta=NaN",
@@ -524,26 +527,98 @@ def test_config_values_of_the_wrong_type_or_not_finite_fail_before_simulating(
     assert override.split("=")[0].split(".")[-1] in err["message"]
 
 
-def test_a_config_that_sets_the_old_detector_window_is_refused(tmp_path, capsys, monkeypatch):
+_BEFORE_REMOVAL = ExperimentConfig(seed=3, detector=DetectorModel(recombination_phase=0.1))
+
+
+def _migrate_window(payload):
+    # the window width is layout.width_ps alone: the value moves there, in ps
+    payload["layout"]["width_ps"] = payload["detector"].pop("window_ns") * 1000
+    return replace(_BEFORE_REMOVAL, layout=WindowLayout(width_ps=800.0))
+
+
+def _migrate_phase(payload):
+    # the one relative phase is the receiver's: the offset adds into it
+    payload["detector"]["recombination_phase"] += payload["switch"].pop("bin_phase_offset")
+    return replace(_BEFORE_REMOVAL, detector=DetectorModel(recombination_phase=0.1 + 0.4))
+
+
+def _migrate_pulses(payload):
+    # a run's size is the flow's: --pulses or pulses= sets it
+    del payload["pulses_per_setting"]
+    return _BEFORE_REMOVAL
+
+
+@pytest.mark.parametrize(
+    "path, value, migrate",
+    [
+        ("detector.window_ns", 0.8, _migrate_window),
+        ("switch.bin_phase_offset", 0.4, _migrate_phase),
+        ("pulses_per_setting", 1000, _migrate_pulses),
+    ],
+    ids=["detector-window", "switch-phase", "pulses-per-setting"],
+)
+def test_a_config_that_sets_a_removed_key_is_refused(
+    path, value, migrate, tmp_path, capsys, monkeypatch
+):
     def no_blocks(*args, **kwargs):
         raise AssertionError("a block ran before the config was rejected")
 
     monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
-    payload = config_to_dict(ExperimentConfig(seed=3))
-    payload["detector"]["window_ns"] = 0.8
+    payload = config_to_dict(_BEFORE_REMOVAL)
+    *section, key = path.split(".")
+    (payload[section[0]] if section else payload)[key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))
     for argv in (
         ["session", "--config", str(cfg_path)],
-        ["session", "--pulses", "1000", "--set", "detector.window_ns=0.8"],
+        ["session", "--pulses", "1000", "--set", f"{path}={value}"],
     ):
         assert main(argv) == 2
         err = _last_error(capsys)
-        assert err["category"] == "config" and "window_ns" in err["message"]
-    # the window width is layout.width_ps alone: the value moves there, in ps
-    del payload["detector"]["window_ns"]
-    payload["layout"]["width_ps"] = 0.8 * 1000
-    assert config_from_dict(payload) == ExperimentConfig(seed=3)
+        assert err["category"] == "config" and key in err["message"]
+    expected = migrate(payload)
+    assert config_from_dict(payload) == expected
+
+
+# each verb's size flags and the flow that takes them, as the keyword the
+# flag spells
+_SIZE_FLAGS = [
+    (["session"], "--pulses", "run_session"),
+    (["sweep-loss", "--losses", "1"], "--pulses", "run_loss_sweep"),
+    (["pump-scan", "--delays", "0"], "--pulses-per-point", "run_pump_delay_scan"),
+    (["stability"], "--hours", "run_stability"),
+    (["stability"], "--samples-per-hour", "run_stability"),
+    (["stability"], "--pulses-per-sample", "run_stability"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, flow", _SIZE_FLAGS, ids=[f"{v[0]}{f}" for v, f, _ in _SIZE_FLAGS]
+)
+def test_a_size_flag_reaches_its_flow_only_when_given(verb, flag, flow, capsys, monkeypatch):
+    keyword = flag.lstrip("-").replace("-", "_")
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a block ran before the size was rejected")
+
+    monkeypatch.setattr(experiment, "simulate_blocks", no_blocks)
+    assert main([*verb, flag, "0"]) == 3
+    err = _last_error(capsys)
+    assert err["category"] == "input"
+    assert "pulses_per_setting" not in err["message"]
+
+    # without the flag the flow's own default applies: the keyword is not passed
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        raise InvalidInputError("recorded")
+
+    monkeypatch.setattr(cli, flow, record)
+    assert main(verb) == 3
+    assert len(calls) == 1 and keyword not in calls[0]
+    assert main([*verb, flag, "7"]) == 3
+    assert calls[1][keyword] == 7
 
 
 def test_detector_efficiency_is_the_budget_term(tmp_path, capsys):

@@ -561,7 +561,6 @@ def _switched_table_inputs(rng):
             theta=float(np.clip(math.pi / 4 + rng.normal(0.0, 0.05), 0.0, math.pi / 2)),
             delta_phi_peak=math.pi * (1.0 + rng.normal(0.0, 0.03)),
             pump_delay_ps=rng.uniform(-6.0, 14.0),
-            bin_phase_offset=rng.uniform(-math.pi, math.pi),
         ))
     for k in range(24):
         det = DetectorModel(
@@ -598,7 +597,7 @@ def _random_switched_batches(rng, n_batches):
                 LossBudget(),
                 SwitchModel(
                     theta=rng.uniform(0.0, math.pi / 2), delta_phi_peak=rng.uniform(0.0, 2 * math.pi),
-                    pump_delay_ps=rng.uniform(-8.0, 16.0), bin_phase_offset=rng.uniform(-math.pi, math.pi),
+                    pump_delay_ps=rng.uniform(-8.0, 16.0),
                 ),
                 None,
             )

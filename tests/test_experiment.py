@@ -63,7 +63,7 @@ def coarse_scan():
 
 
 def test_config_dict_round_trip():
-    cfg = ExperimentConfig(seed=7, pulses_per_setting=123)
+    cfg = ExperimentConfig(seed=7, detector=DetectorModel(recombination_phase=0.3))
     payload = config_to_dict(cfg)
     assert config_from_dict(payload) == cfg
     # survives a JSON round trip too (tuples come back as lists)
@@ -90,25 +90,23 @@ def test_config_rejects_bad_scalars():
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
-        ExperimentConfig(pulses_per_setting=0)
-    with pytest.raises(ConfigError):
         config_from_dict({"seed": 2.5})
     with pytest.raises(ConfigError):
         config_from_dict({"source": {"mu": -0.1}})
-    for scalar in ("seed", "pulses_per_setting"):
-        with pytest.raises(ConfigError, match=scalar):
-            config_from_dict({scalar: True})
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"seed": True})
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=True)
 
 
-def test_config_takes_a_numpy_integer_seed_and_pulse_count_as_int():
-    cfg = ExperimentConfig(seed=np.int64(7), pulses_per_setting=np.uint32(123))
-    assert type(cfg.seed) is int and type(cfg.pulses_per_setting) is int
-    assert cfg == ExperimentConfig(seed=7, pulses_per_setting=123)
-    for kwargs in ({"seed": np.float64(7.0)}, {"pulses_per_setting": np.int64(0)}):
-        with pytest.raises(ConfigError, match=next(iter(kwargs))):
-            ExperimentConfig(**kwargs)
+def test_config_takes_a_numpy_integer_seed_as_int():
+    for seed in (np.int64(7), np.uint32(7)):
+        cfg = ExperimentConfig(seed=seed)
+        assert type(cfg.seed) is int
+        assert cfg == ExperimentConfig(seed=7)
+    for seed in (np.float64(7.0), np.int64(-1)):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=seed)
 
 
 def test_config_refuses_a_dark_probability_above_one_from_the_rate_and_the_width():
@@ -292,9 +290,9 @@ def test_tags_do_not_change_the_counts(dark_hz):
         assert tagged.counts == plain.counts
 
 
-def test_tables_switch_each_distinct_setting_and_switch_once(monkeypatch):
-    # one batch per flow here; perfbench wraps the switch at this name.
-    # The sweep's two points share their four (setting, switch) pairs.
+def test_tables_switch_each_block_once(monkeypatch):
+    # one block per (point, setting) here; perfbench wraps the switch at
+    # this name.  The sweep's two points each switch their four settings.
     switched = []
     original = detection.apply_switch_both_bins
 
@@ -311,7 +309,7 @@ def test_tables_switch_each_distinct_setting_and_switch_once(monkeypatch):
     assert len(switched) == 4
     switched.clear()
     run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000)
-    assert len(switched) == 4
+    assert len(switched) == 8
 
 
 def _session_outcome(cfg, **workers):

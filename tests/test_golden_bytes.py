@@ -67,7 +67,7 @@ CASES = {
          "--set", "detector.stray_time_policy=by_polarization",
          "--set", "detector.double_click_policy=discard",
          "--set", "switch.theta=0.6",
-         "--set", "switch.bin_phase_offset=0.4"],
+         "--set", "detector.recombination_phase=0.4"],
         {
             "counts": "f0d733520adab8c4e11785fb342eb9f7caef79d30273c70739b269ce1bcae87b",
             "out": "ba60636ee048be0ed6633d78e8d4032374cff207f04379815f2e7eeccdfcaeb7",

@@ -175,7 +175,7 @@ def test_model_validation():
 
 @pytest.mark.parametrize("name", [
     "theta", "delta_phi_peak", "pump_fwhm_ps", "signal_fwhm_ps", "walkoff_ps",
-    "pump_delay_ps", "bin_phase_offset", "bin_separation_ps",
+    "pump_delay_ps", "bin_separation_ps",
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_model_requires_every_field_finite(name, value):
@@ -188,12 +188,6 @@ def test_with_delay_changes_only_the_delay():
     moved = with_delay(model, 2.5)
     assert moved.pump_delay_ps == 2.5
     assert replace(moved, pump_delay_ps=model.pump_delay_ps) == model
-
-
-def test_phase_offset_lands_on_switched_amplitude():
-    model = SwitchModel(bin_phase_offset=0.7)
-    out = apply_switch_both_bins(prepare_state(0.0), model)
-    assert math.isclose(math.atan2(out.amp(0, POL_V).imag, out.amp(0, POL_V).real), 0.7)
 
 
 def test_normal_cdf_matches_scipy_ndtr():
