@@ -16,6 +16,7 @@ expected at finite sample sizes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ SETTING_LABELS = ("phase:0", "phase:1", "time:0", "time:1")
 # Error-correction inefficiency and BB84 sifting factor of the rate formula.
 F_EC = 1.22
 SIFTING_FACTOR = 0.5
+
+# The largest mu whose e**mu, a factor of the decoy bound on Y_1, is a float.
+MAX_MU = math.log(sys.float_info.max)
 
 
 def _setting_index(basis: Basis, bit: int) -> int:
@@ -134,10 +138,12 @@ def decoy_bounds(
     y1_lower is exact when yields are photon-number independent of the
     intensity class; e1_upper additionally uses the measured vacuum yield.
     nu must be strictly positive: a vacuum decoy carries no slope
-    information and the bound degenerates.
+    information and the bound degenerates.  mu must be at most MAX_MU.
     """
     if not (math.isfinite(mu) and math.isfinite(nu) and 0.0 < nu < mu):
         raise InvalidInputError("need 0 < nu < mu")
+    if mu > MAX_MU:
+        raise InvalidInputError(f"mu must be at most {MAX_MU}, where e**mu is still a float")
     for name, v in (("q_mu", q_mu), ("q_nu", q_nu), ("e_mu", e_mu), ("e_nu", e_nu)):
         if not (math.isfinite(v) and 0.0 <= v <= 1.0):
             raise InvalidInputError(f"{name} must lie in [0, 1]")

@@ -25,7 +25,7 @@ import math
 import re
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,11 @@ INTERFEROMETER_DELAY_PS = 0.88 / 299792458.0 * 1e12
 # Electronic offset separating the two basis groups on the shared time axis.
 BASIS_GROUP_OFFSET_PS = 8000.0
 
+# Slot centers of the four windows, index basis * 2 + bit: (phase bit0,
+# phase bit1, time bit0, time bit1).  The closest two are one delay apart.
+WINDOW_CENTERS_PS = (0.0, INTERFEROMETER_DELAY_PS, BASIS_GROUP_OFFSET_PS,
+                     BASIS_GROUP_OFFSET_PS + INTERFEROMETER_DELAY_PS)
+
 
 _STRAY_POLICIES = ("random", "discard", "by_polarization")
 _DOUBLE_POLICIES = ("random", "discard")
@@ -63,7 +68,9 @@ class DetectorModel:
     dark_count_rate_hz: dark rate per detector; a window collects a dark
         click with probability rate * WindowLayout.width_ps, the width the
         tags are windowed over (see dark_prob_per_window).
-    jitter_sigma_ps: Gaussian timing jitter applied to time tags.
+    jitter_sigma_ps: Gaussian timing jitter applied to time tags.  A tag,
+        a center plus a jitter draw, is rounded from a float64, exact only
+        below 2**53 ps, so the last center plus 64 sigma stays below it.
     dead_time_ns: detector dead time after a recorded click.
     intrinsic_error: probability a detected photon records the wrong bit
         (residual interference contrast, alignment); sets the error floor.
@@ -97,41 +104,29 @@ class DetectorModel:
             raise InvalidInputError(f"stray_time_policy must be one of {_STRAY_POLICIES}")
         if not math.isfinite(self.recombination_phase):
             raise InvalidInputError("recombination_phase must be finite")
-
-
-def _default_centers() -> tuple[float, float, float, float]:
-    return (
-        0.0,
-        INTERFEROMETER_DELAY_PS,
-        BASIS_GROUP_OFFSET_PS,
-        BASIS_GROUP_OFFSET_PS + INTERFEROMETER_DELAY_PS,
-    )
+        if not max(WINDOW_CENTERS_PS) + 64.0 * self.jitter_sigma_ps < 2.0**53:
+            raise InvalidInputError(
+                "jitter_sigma_ps puts time tags at or beyond 2**53 ps, where float64 "
+                "no longer rounds them to whole int64 picoseconds"
+            )
 
 
 @dataclass(frozen=True)
 class WindowLayout:
-    """Slot centers of the four (basis, bit) windows and their common width.
+    """The common width of the four windows centered on WINDOW_CENTERS_PS.
 
-    centers_ps orders as (phase bit0, phase bit1, time bit0, time bit1);
-    index = basis * 2 + bit.  Windows must not overlap.
+    At most INTERFEROMETER_DELAY_PS, the closest spacing of two centers,
+    so no two windows overlap.
     """
 
-    centers_ps: tuple[float, float, float, float] = field(default_factory=_default_centers)
     width_ps: float = 800.0
 
     def __post_init__(self) -> None:
-        if len(self.centers_ps) != 4:
-            raise ConfigError("centers_ps must hold four slot centers")
-        if not all(math.isfinite(c) for c in self.centers_ps):
-            raise ConfigError("centers_ps must be finite")
-        if not (math.isfinite(self.width_ps) and self.width_ps > 0):
-            raise ConfigError("width_ps must be finite and positive")
-        ordered = sorted(self.centers_ps)
-        for a, b in zip(ordered, ordered[1:]):
-            if b - a < self.width_ps:
-                raise ConfigError(
-                    f"windows overlap: centers {a} and {b} ps are closer than {self.width_ps} ps"
-                )
+        if not 0.0 < self.width_ps <= INTERFEROMETER_DELAY_PS:
+            raise ConfigError(
+                f"width_ps must be positive and at most {INTERFEROMETER_DELAY_PS} ps, "
+                "the spacing of neighbouring slot centers"
+            )
 
 
 def dark_prob_per_window(det: DetectorModel, layout: WindowLayout) -> float:
@@ -371,22 +366,18 @@ class TimeTags:
 def _window_edges(layout: WindowLayout) -> tuple[np.ndarray, np.ndarray]:
     """The first and last whole picosecond of each window, found exactly.
 
-    Window k holds the t with |t - center_k| <= width / 2.  Its edges are
-    found in Python integers from the floats' exact ratios, so no tag is
-    misplaced where float64 no longer holds every picosecond (from 2**53
-    on).  A window that holds no int64 picosecond gets first > last.
+    Window k holds the t with |t - WINDOW_CENTERS_PS[k]| <= width / 2.
+    Its edges are found in Python integers from the floats' exact ratios,
+    so a tag on an edge is placed exactly.  A window too narrow to hold a
+    whole picosecond gets first > last.
     """
     h, d = float(layout.width_ps).as_integer_ratio()
     d *= 2  # width / 2 == h / d
     first, last = [], []
-    for center in layout.centers_ps:
+    for center in WINDOW_CENTERS_PS:
         a, b = float(center).as_integer_ratio()
-        lo = -((h * b - a * d) // (b * d))  # ceil((a / b) - (h / d))
-        hi = (a * d + h * b) // (b * d)
-        if lo > _INT64_MAX or hi < -_INT64_MAX - 1:
-            lo, hi = 1, 0
-        first.append(max(lo, -_INT64_MAX - 1))
-        last.append(min(hi, _INT64_MAX))
+        first.append(-((h * b - a * d) // (b * d)))  # ceil((a / b) - (h / d))
+        last.append((a * d + h * b) // (b * d))
     return np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
 
 
@@ -398,9 +389,9 @@ def accumulate(
     """Bin time tags into windows and tally counts against the ledger.
 
     Each tag lands in the window containing its timestamp, edges
-    included (the first in `centers_ps` order), or is discarded; the
-    windows' edges are whole picoseconds found exactly (`_window_edges`),
-    so every int64 timestamp is placed exactly.
+    included, or is discarded; the windows' edges are whole picoseconds
+    found exactly (`_window_edges`), so every int64 timestamp is placed
+    exactly.
     Pulses with more than one windowed tag are discarded (deterministic, so
     pieces merge associatively).  pulses_sent comes from the ledger, so
     accumulating disjoint (tags, ledger) pieces and summing equals
@@ -999,7 +990,6 @@ def _tags_and_ledger(
     cl_keep: np.ndarray,
     unclustered: np.ndarray,
     det: DetectorModel,
-    layout: WindowLayout,
 ) -> tuple[TimeTags, PulseLedger]:
     """The physical click record and the sender's ledger of one block.
 
@@ -1063,7 +1053,7 @@ def _tags_and_ledger(
     # the timestamps of a pulse's two tags may be out of order.
     n_clicks = (int(click0.sum()), int(click1.sum()))
     idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
-    centers = np.reshape(layout.centers_ps, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
+    centers = np.reshape(WINDOW_CENTERS_PS, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
     jitter = [rng.normal(0.0, det.jitter_sigma_ps, size=k) if k else np.zeros(0) for k in n_clicks]
     # a time tagger's whole picoseconds, rounded once here
     ts = np.rint(centers + np.concatenate(jitter)).astype(np.int64)
@@ -1126,9 +1116,10 @@ def simulate_blocks(
     per-event loop; each block's frames offset one stride apart), the
     kept cell counts and the tally.
 
-    The layout sets both the dark probability of a window
-    (`dark_prob_per_window`) and where the records put their tags, so the
-    counts and the records see one window.
+    The layout's width sets the dark probability of a window
+    (`dark_prob_per_window`); the records put each tag at its window's
+    center in WINDOW_CENTERS_PS, plus jitter, where `accumulate` counts it
+    with the same width.
 
     Returns (counts, pulses_sent, record) per block, in order: the block's
     SessionCounts arrays, and record(), which draws the block's (tags,
@@ -1160,7 +1151,7 @@ def simulate_blocks(
         part = slice(bounds[j], bounds[j + 1])
         record = functools.partial(
             _tags_and_ledger, block, class_totals[j], frames[j], clustered[j],
-            cl_cell[part], keep[part], unclustered[j], det, layout,
+            cl_cell[part], keep[part], unclustered[j], det,
         )
         out.append((counts[j], sent[j], record))
     return out

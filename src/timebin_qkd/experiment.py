@@ -26,6 +26,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .analysis import (
+    MAX_MU,
     SETTING_LABELS,
     KeyRateReport,
     conditional_probabilities,
@@ -107,15 +108,6 @@ class ExperimentConfig:
             dark_prob_per_window(self.detector, self.layout)
         except InvalidInputError as e:
             raise ConfigError(str(e)) from e
-        # A time tag is its window's center plus a jitter draw, rounded to
-        # int64 picoseconds; no draw ever reaches 64 sigma.  The sum is a
-        # float64, which holds every whole picosecond only below 2**53.
-        reach = max(map(abs, self.layout.centers_ps)) + 64.0 * self.detector.jitter_sigma_ps
-        if not reach < 2.0**53:
-            raise ConfigError(
-                "window centers and jitter put time tags at or beyond 2**53 ps, where float64 "
-                "no longer rounds them to whole int64 picoseconds"
-            )
 
 
 _SECTIONS = {
@@ -247,10 +239,12 @@ def apply_overrides(payload: dict, overrides: list[str]) -> dict:
 def _require_decoy_and_vacuum(source: SourceConfig) -> None:
     """Reject, before any block runs, a source the key-rate analysis cannot use.
 
-    The decoy bounds need a decoy class with nu > 0 and a vacuum class to
-    anchor the background yield.
+    The decoy bounds need a decoy class with nu > 0, a vacuum class to
+    anchor the background yield, and a mu of at most MAX_MU.
     """
     _, p_decoy, p_vacuum = source.class_probabilities
+    if source.mu > MAX_MU:
+        raise ConfigError(f"source.mu must be at most {MAX_MU}, where e**mu is still a float")
     if not source.nu > 0:
         raise ConfigError("source.nu must be positive: the decoy bounds need a non-empty decoy")
     if p_decoy == 0.0 or p_vacuum == 0.0:
@@ -294,7 +288,6 @@ def _run_points(
     draws run once per batch.  A full-size block is a batch of its own.
     The result does not depend on how the blocks fall into batches.
     """
-    pulses = _count(pulses, "pulse count")
     starts = range(0, pulses, BLOCK_PULSES)
     last = (len(settings) - 1, len(starts) - 1)
 
@@ -377,6 +370,7 @@ def run_session(
     `workers` is accepted for compatibility and has no effect: None or an
     integer of at least 1, and every batch runs on the calling thread.
     """
+    pulses = _count(pulses, "pulses")
     _require_decoy_and_vacuum(config.source)
     if workers is not None:
         _count(workers, "workers")
@@ -418,6 +412,7 @@ def run_loss_sweep(
         raise InvalidInputError("channel losses must be finite and non-negative")
     losses = np.sort(losses)
 
+    pulses = _count(pulses, "pulses")
     _require_decoy_and_vacuum(config.source)
     if workers is not None:
         _count(workers, "workers")
@@ -464,6 +459,7 @@ def run_pump_delay_scan(
         raise InvalidInputError("need at least one pump delay")
     if not np.all(np.isfinite(delays)):
         raise InvalidInputError("pump delays must be finite")
+    pulses_per_point = _count(pulses_per_point, "pulses_per_point")
     if workers is not None:
         _count(workers, "workers")
 
@@ -576,6 +572,7 @@ def run_stability(
     if not (math.isfinite(hours) and hours > 0):
         raise InvalidInputError("hours must be positive")
     samples_per_hour = _count(samples_per_hour, "samples_per_hour")
+    pulses_per_sample = _count(pulses_per_sample, "pulses_per_sample")
     # counted before the grid is built; an infinite product is never rounded
     grid = hours * samples_per_hour
     if not grid <= MAX_VALUES or round(grid) + 1 > MAX_VALUES:

@@ -17,6 +17,7 @@ import numpy as np
 
 from timebin_qkd.detection import (
     _EVENT_STATES,
+    WINDOW_CENTERS_PS,
     DetectorModel,
     PulseLedger,
     SessionCounts,
@@ -106,7 +107,7 @@ def read_time_tags_rows(path) -> TimeTags:
 def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | None:
     """(pathway, bit) of the first window containing the timestamp, or None."""
     half = 0.5 * layout.width_ps
-    for idx, c in enumerate(layout.centers_ps):
+    for idx, c in enumerate(WINDOW_CENTERS_PS):
         if abs(timestamp_ps - c) <= half:
             return idx // 2, idx % 2
     return None

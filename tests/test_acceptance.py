@@ -2,8 +2,9 @@
 
 Run `python3 -m pytest -v tests/test_acceptance.py` to get one pass/fail
 line per criterion; run with -s to also see the measured numbers.  Heavy
-tests use four worker threads, which test_criterion_8 proves is exactly
-equivalent to serial execution.
+tests pass workers=4, which the flows accept for compatibility and ignore:
+every batch runs on the calling thread, and test_criterion_8 checks that
+such a run gives the same bytes as one without it.
 """
 
 from __future__ import annotations

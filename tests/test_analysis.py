@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from timebin_qkd.analysis import (
+    MAX_MU,
     AnalyticChannel,
     binary_entropy,
     conditional_probabilities,
@@ -191,6 +192,18 @@ def test_decoy_bounds_validation_and_flags():
     est = decoy_bounds(0.011, 0.01, 0.0015, 0.5, 0.8, 0.1, 0.0)
     if est.y1_lower > 0.0:
         assert "e1-clamped-one" in est.flags or est.e1_upper <= 1.0
+
+
+def test_decoy_bounds_take_a_mu_only_while_its_exponential_is_a_float():
+    # e**MAX_MU is the largest float power of e; at 709 the signal term
+    # swamps the decoy term and Y_1 clamps to a flagged zero
+    assert math.isfinite(math.exp(MAX_MU))
+    for mu in (709.0, MAX_MU):
+        est = decoy_bounds(1.0, 0.01, 0.5, 0.01, mu, 0.1, 0.0)
+        assert est.y1_lower == 0.0 and "y1-clamped-zero" in est.flags
+    for mu in (math.nextafter(MAX_MU, math.inf), 710.0, 800.0):
+        with pytest.raises(InvalidInputError, match="mu"):
+            decoy_bounds(1.0, 0.01, 0.5, 0.01, mu, 0.1, 0.0)
 
 
 def test_key_rate_reproduces_hand_formula():

@@ -13,6 +13,7 @@ import pytest
 from timebin_qkd import cli, experiment
 from timebin_qkd.cli import MAX_VALUES, _parse_values, main
 from timebin_qkd.detection import (
+    WINDOW_CENTERS_PS,
     DetectorModel,
     SessionCounts,
     WindowLayout,
@@ -277,6 +278,32 @@ def test_analyze_without_vacuum_pulses_reports_a_flagged_zero_rate(tmp_path):
     assert "no-vacuum-pulses" in report["flags"]
 
 
+@pytest.mark.parametrize("mu, code", [(709.0, 0), (800.0, 3)])
+def test_analyze_refuses_a_mu_whose_exponential_is_no_float(mu, code, tmp_path, capsys):
+    # e**709 is a float, and the bound on Y_1 clamps to a flagged zero;
+    # e**800 overflowed in the decoy bounds
+    path = tmp_path / "counts.json"
+    counts = SessionCounts.zeros()
+    counts.pulses_sent[:] = 1000
+    counts.counts[:2] = 3
+    write_counts_json(path, counts, SourceConfig(mu=mu))
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--counts", str(path), "--out", str(out)]) == code
+    if code:
+        err = _last_error(capsys)
+        assert err["category"] == "input" and "mu" in err["message"]
+    else:
+        assert "y1-clamped-zero" in _strict_json(out.read_text())["flags"]
+
+
+def test_session_at_a_mu_of_709_reports_a_flagged_zero_rate(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["session", "--pulses", "2000", "--seed", "1", "--set", "source.mu=709", "--out"]
+    assert main([*argv, str(out)]) == 0
+    report = _strict_json(out.read_text())
+    assert report["R_bps"] == 0.0 and "y1-clamped-zero" in report["flags"]
+
+
 @pytest.mark.parametrize(
     "flag", [["--config", "cfg.json"], ["--set", "source.mu=0.5"], ["--seed", "9"]]
 )
@@ -359,11 +386,15 @@ def _last_error(capsys):
         ["session", "--set", "detector.dark_count_rate_hz=1e12"],
         # 1e9 Hz is 0.8 dark clicks per 800 ps window, but 2 per 2000 ps
         ["session", "--set", "detector.dark_count_rate_hz=1e9", "--set", "layout.width_ps=2000"],
-        # values that pass a range check: NaN, an infinite center, an infinite
-        # 5-sigma drift bound, and a pump power walk that would go negative
+        # a jitter that puts tags beyond 2**53 ps, and a mu whose e**mu, in
+        # the decoy bounds, is no float: it failed after every block had run
+        ["session", "--set", "detector.jitter_sigma_ps=1e17"],
+        ["session", "--pulses", "20000", "--seed", "1", "--set", "source.mu=800"],
+        ["sweep-loss", "--losses", "0.45", "--pulses", "20000", "--set", "source.mu=710"],
+        ["stability", "--hours", "1", "--set", "source.mu=710"],
+        # values that pass a range check: NaN, an infinite 5-sigma drift
+        # bound, and a pump power walk that would go negative
         ["session", "--set", "source.class_probabilities=[NaN,0.5,0.5]"],
-        ["session", "--set", "layout.centers_ps=[NaN,1000,8000,9000]"],
-        ["session", "--set", "layout.centers_ps=[-Infinity,1000,8000,9000]"],
         ["stability", "--hours", "1", "--set", "drift.pump_power_rel_sigma=1e308"],
         ["stability", "--hours", "1", "--set", "drift.pump_polarization_sigma=1e308"],
         ["stability", "--hours", "1", "--set", "drift.pump_power_rel_sigma=2"],
@@ -542,6 +573,12 @@ def _migrate_phase(payload):
     return replace(_BEFORE_REMOVAL, detector=DetectorModel(recombination_phase=0.1 + 0.4))
 
 
+def _migrate_centers(payload):
+    # the four slot centers are the receiver's, fixed at WINDOW_CENTERS_PS
+    del payload["layout"]["centers_ps"]
+    return _BEFORE_REMOVAL
+
+
 def _migrate_pulses(payload):
     # a run's size is the flow's: --pulses or pulses= sets it
     del payload["pulses_per_setting"]
@@ -554,8 +591,9 @@ def _migrate_pulses(payload):
         ("detector.window_ns", 0.8, _migrate_window),
         ("switch.bin_phase_offset", 0.4, _migrate_phase),
         ("pulses_per_setting", 1000, _migrate_pulses),
+        ("layout.centers_ps", list(WINDOW_CENTERS_PS), _migrate_centers),
     ],
-    ids=["detector-window", "switch-phase", "pulses-per-setting"],
+    ids=["detector-window", "switch-phase", "pulses-per-setting", "layout-centers"],
 )
 def test_a_config_that_sets_a_removed_key_is_refused(
     path, value, migrate, tmp_path, capsys, monkeypatch
@@ -605,7 +643,7 @@ def test_a_size_flag_reaches_its_flow_only_when_given(verb, flag, flow, capsys, 
     assert main([*verb, flag, "0"]) == 3
     err = _last_error(capsys)
     assert err["category"] == "input"
-    assert "pulses_per_setting" not in err["message"]
+    assert keyword in err["message"]
 
     # without the flag the flow's own default applies: the keyword is not passed
     calls = []

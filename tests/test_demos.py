@@ -2,7 +2,8 @@
 
 The demos import only the public modules and assert their own headline
 facts, so running them in-process catches an API change that breaks one;
-running the README's blocks keeps its examples in step with the API.
+running the README's blocks keeps its examples in step with the API, and
+its configuration table is checked against the config's fields.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from timebin_qkd.experiment import ExperimentConfig, config_to_dict
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
 
 
 def test_demos_are_found():
@@ -36,3 +40,19 @@ def test_readme_blocks_are_found():
 def test_readme_block_runs(block, capsys):
     exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out
+
+
+def test_readme_config_table_names_every_field():
+    # the rows under "| section | fields (defaults) |": each section, or
+    # "scalar" for the top-level keys, and the backticked names in its row
+    table = README.split("\n| section | fields", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| (`\w+`|scalar) \| (.*) \|$", table, re.M)
+    documented = {
+        section.strip("`"): sorted(re.findall(r"`(\w+)`", fields)) for section, fields in rows
+    }
+    config = config_to_dict(ExperimentConfig())
+    expected = {
+        section: sorted(value) for section, value in config.items() if isinstance(value, dict)
+    }
+    expected["scalar"] = sorted(key for key, value in config.items() if not isinstance(value, dict))
+    assert documented == expected

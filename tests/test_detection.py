@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from timebin_qkd import detection
 from timebin_qkd.detection import (
     _CELL_STATE,
     _EVENT_BETA,
@@ -17,6 +18,7 @@ from timebin_qkd.detection import (
     LEDGER_CHUNK_ROWS,
     LEDGER_HEADER,
     TAG_HEADER,
+    WINDOW_CENTERS_PS,
     Block,
     DetectorModel,
     PulseLedger,
@@ -106,8 +108,8 @@ def _same_tags(a: TimeTags, b: TimeTags) -> bool:
 
 
 def test_default_window_centers():
-    # centers_ps index is pathway * 2 + bit, pathway 0 = phase, 1 = time
-    phase0, phase1, time0, time1 = WindowLayout().centers_ps
+    # the index is pathway * 2 + bit, pathway 0 = phase, 1 = time
+    phase0, phase1, time0, time1 = WINDOW_CENTERS_PS
     assert phase0 == 0.0
     assert phase1 == pytest.approx(2935.364037743738, abs=1e-9)
     assert time0 == 8000.0
@@ -145,7 +147,7 @@ def test_window_edges_in_whole_picoseconds(center, inside):
     # a window holds the stamps within 400 ps of its center, edges
     # included; the center 2935.364... ps lies between whole picoseconds
     layout = WindowLayout()
-    window = layout.centers_ps.index(center)
+    window = WINDOW_CENTERS_PS.index(center)
     ledger = PulseLedger(0, np.zeros(1), np.zeros(1), np.zeros(1))
     low, high = inside
     for ts, hit in ((low, 1), (high, 1), (low - 1, 0), (high + 1, 0)):
@@ -153,31 +155,19 @@ def test_window_edges_in_whole_picoseconds(center, inside):
         assert counts.sum() == counts[window // 2, window % 2] == hit, ts
 
 
-def test_windows_hold_whole_picoseconds_beyond_float64():
-    # at 1e17 ps float64 steps by 16 ps, so +401 and +408 would round onto
-    # the edge at +400; only the +400 tag is inside
-    c = 1e17
-    layout = WindowLayout((c, c + 3000, c + 6000, c + 9000), 800.0)
-    ledger = PulseLedger(0, np.zeros(3), np.zeros(3), np.zeros(3))
-    tags = TimeTags([0, 1, 2], [0, 0, 0], [int(c) + 400, int(c) + 401, int(c) + 408])
-    counts = accumulate(tags, layout, ledger).counts
+def test_tags_at_the_int64_ends_land_in_no_window():
+    # only the 400 ps tag is in a window; 2**53 + 1 has no float64
+    ledger = PulseLedger(0, np.zeros(4), np.zeros(4), np.zeros(4))
+    tags = TimeTags([0, 1, 2, 3], [0, 0, 0, 0], [2**63 - 1, -(2**63), 2**53 + 1, 400])
+    counts = accumulate(tags, WindowLayout(), ledger).counts
     assert counts.sum() == counts[0, 0, 0, 0, 0] == 1
-    # a window past the int64 range holds no int64 stamp, the largest included
-    far = WindowLayout((0.0, 3e3, 8e3, 1e30))
-    tags = TimeTags([0, 1, 2], [0, 0, 0], [2**63 - 1, -(2**63), 400])
-    assert accumulate(tags, far, ledger).counts.sum() == 1
 
 
 def test_overlapping_windows_rejected():
-    with pytest.raises(ConfigError):
-        WindowLayout(centers_ps=(0.0, 500.0, 8000.0, 10935.0), width_ps=800.0)
-    with pytest.raises(ConfigError):
-        WindowLayout(width_ps=0.0)
-    # a NaN or infinite center passes the overlap check
-    for bad in (math.nan, -math.inf):
-        with pytest.raises(ConfigError, match="centers_ps"):
-            WindowLayout(centers_ps=(bad, 1000.0, 8000.0, 9000.0))
-    for bad in (math.nan, math.inf):
+    # the closest two centers are one interferometer delay apart
+    WindowLayout(width_ps=INTERFEROMETER_DELAY_PS)
+    wider = math.nextafter(INTERFEROMETER_DELAY_PS, math.inf)
+    for bad in (0.0, -800.0, wider, 3000.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="width_ps"):
             WindowLayout(width_ps=bad)
 
@@ -764,7 +754,7 @@ def test_accumulate_jitter_losses_match_window_acceptance():
     # each tag's offset from the nearest slot center of its pathway; the
     # slots are 2.9 ns apart, so no 150 ps jitter draw crosses halfway
     ts = tags.timestamp_ps
-    centers = np.array(layout.centers_ps).reshape(2, 2)[tags.detector_id]
+    centers = np.reshape(WINDOW_CENTERS_PS, (2, 2))[tags.detector_id]
     offsets = ts - centers[np.arange(len(ts)), np.abs(ts[:, None] - centers).argmin(axis=1)]
     # sample sd of n normal draws has standard error ~ sigma / sqrt(2n)
     assert abs(np.std(offsets) - 150.0) < 4.0 * 150.0 / math.sqrt(2 * len(offsets))
@@ -888,30 +878,31 @@ def test_silent_frames_take_the_left_over_classes(tmp_path, probabilities):
         _assert_record_reads_back(tmp_path, tags, ledger, sent)
 
 
-def test_tags_of_one_pulse_are_swapped_into_time_order():
-    # Strong pulses and darks give doubles.  Both layouts have whole-ps
-    # centers, so in either run a tag is its window's center plus the same
-    # rounded jitter draw.  With windows 10 us apart each double's rows are
-    # window 0, then window 1; that tells the draws apart and predicts the
-    # close layout's timestamps, where a window-1 tag can come first.
+def test_tags_of_one_pulse_are_swapped_into_time_order(monkeypatch):
+    # Strong pulses and darks give doubles.  The far-apart run moves window
+    # k by k * 10 us, a whole number of picoseconds, so in either run a tag
+    # is its window's center plus the same jitter draw, rounded.  There each
+    # double's rows are window 0, then window 1; that tells the draws apart
+    # and predicts the real centers' timestamps, where a window-1 tag can
+    # come first.
     source = SourceConfig(mu=2.0, nu=0.3)
     det = replace(IDEAL_DET, dark_count_rate_hz=1e8, jitter_sigma_ps=2048.0)
-    layouts = [WindowLayout((0.0, 1e7, 2e7, 3e7)), WindowLayout((0.0, 2935.0, 8000.0, 10935.0))]
-    apart, close = (
-        _tagged_block(
-            BB84_SETTINGS[1], 20_000, source, LossBudget(detector_db=0.0), PERFECT_SWITCH, det, _rng(47),
-            layout=layout,
-        )[1]
-        for layout in layouts
-    )
+    far = tuple(c + k * 1e7 for k, c in enumerate(WINDOW_CENTERS_PS))
+    runs = []
+    for centers in (far, WINDOW_CENTERS_PS):
+        monkeypatch.setattr(detection, "WINDOW_CENTERS_PS", centers)
+        runs.append(_tagged_block(
+            BB84_SETTINGS[1], 20_000, source, LossBudget(detector_db=0.0), PERFECT_SWITCH, det, _rng(47)
+        )[1])
+    apart, close = runs
     assert np.array_equal(apart.pulse_index, close.pulse_index)
     assert np.array_equal(apart.detector_id, close.detector_id)
     assert np.array_equal(np.lexsort((close.timestamp_ps, close.pulse_index)), np.arange(len(close)))
     first = np.flatnonzero(np.diff(apart.pulse_index) == 0)  # each double's first row
     rows = np.stack([first, first + 1], 1)
     assert np.all(np.diff(apart.timestamp_ps[rows], axis=1) > 5e6)  # window 0, then 1
-    shift = np.diff([np.reshape(layout.centers_ps, (2, 2)) for layout in layouts], axis=0)[0]
-    predicted = apart.timestamp_ps[rows] + shift[apart.detector_id[first]].astype(np.int64)
+    shift = np.array([0, -1, -2, -3], dtype=np.int64).reshape(2, 2) * 10**7
+    predicted = apart.timestamp_ps[rows] + shift[apart.detector_id[first]]
     inverted = predicted[:, 1] < predicted[:, 0]
     assert len(first) > 100 and inverted.sum() > 10
     assert np.array_equal(close.timestamp_ps[rows], np.sort(predicted, axis=1))
@@ -1246,7 +1237,7 @@ def test_ledger_reader_edge_cases_match_the_row_reader(tmp_path, body, accepted)
 
 def _edge_case_tags(rng, layout, n_pulses, n_tags):
     """Unsorted tags over n_pulses pulses, rich in window edges and repeats."""
-    centers = np.array(layout.centers_ps)
+    centers = np.array(WINDOW_CENTERS_PS)
     half = 0.5 * layout.width_ps
     tags = []
     for _ in range(n_tags):
@@ -1269,11 +1260,10 @@ def _edge_case_tags(rng, layout, n_pulses, n_tags):
 
 
 def test_accumulate_matches_the_dict_loop_reference():
-    # windows that touch: a tag on the shared edge is in both, and counts
-    # in the first
-    touching = WindowLayout((0.0, 800.0, 8000.0, 8800.0), 800.0)
+    # the widest windows touch their neighbours at a fraction of a picosecond
+    widest = WindowLayout(width_ps=INTERFEROMETER_DELAY_PS)
     for seed in range(40):
-        layout = touching if seed % 2 else WindowLayout()
+        layout = widest if seed % 2 else WindowLayout()
         rng = _rng(100 + seed)
         n = int(rng.integers(1, 60))
         start = int(rng.integers(0, 1000))
@@ -1303,12 +1293,33 @@ def test_detector_model_validation():
         DetectorModel(stray_time_policy="whatever")
     with pytest.raises(InvalidInputError, match="finite"):
         DetectorModel(dark_count_rate_hz=math.inf)
+    with pytest.raises(InvalidInputError, match="recombination_phase"):
+        DetectorModel(recombination_phase=math.nan)
+
+
+def test_detector_model_refuses_time_tags_beyond_int64_picoseconds():
+    with pytest.raises(InvalidInputError, match="int64 picoseconds"):
+        DetectorModel(jitter_sigma_ps=2.0**56)
+
+
+def test_detector_model_keeps_time_tags_where_float64_holds_whole_picoseconds():
+    # a tag is a center plus a jitter draw, rounded from a float64: exact
+    # only below 2**53, so the last center plus 64 sigma must stay below it
+    assert max(WINDOW_CENTERS_PS) + 64 * (2**47 - 256) < 2**53
+    DetectorModel(jitter_sigma_ps=2.0**47 - 256)
+    # 64 sigma alone is below 2**53 here: the last center tips it over
+    for sigma in (2.0**47 - 128, 2.0**47):
+        with pytest.raises(InvalidInputError, match="2\\*\\*53"):
+            DetectorModel(jitter_sigma_ps=sigma)
 
 
 def test_dark_probability_is_the_dark_rate_over_the_layout_width():
-    # 1e12 Hz over 0.8 ns, and 100 Hz over 1e8 ns: ten dark clicks a window
-    wide = WindowLayout(centers_ps=(0.0, 2e11, 4e11, 6e11), width_ps=1e11)
-    for det, layout in ((DetectorModel(dark_count_rate_hz=1e12), LAYOUT), (DetectorModel(), wide)):
+    # 1e12 Hz over 0.8 ns is 800 dark clicks a window, 1e9 Hz over 2 ns 2
+    wide = WindowLayout(width_ps=2000.0)
+    for det, layout in (
+        (DetectorModel(dark_count_rate_hz=1e12), LAYOUT),
+        (DetectorModel(dark_count_rate_hz=1e9), wide),
+    ):
         with pytest.raises(InvalidInputError, match="above 1"):
             dark_prob_per_window(det, layout)
     assert dark_prob_per_window(DetectorModel(dark_count_rate_hz=1.25e9), LAYOUT) == 1.0

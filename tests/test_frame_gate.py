@@ -59,6 +59,7 @@ from timebin_qkd.detection import (
     _EVENT_BETA,
     _EVENT_CLICK0,
     _EVENT_CLICK1,
+    WINDOW_CENTERS_PS,
     Block,
     _dead_frames,
     _draw_events,
@@ -138,7 +139,7 @@ def observed_cells(cfg, tags, ledger, frames) -> np.ndarray:
     """Each event frame's observable cell from the record: class * 6 + pathway * 3 + clicks,
     clicks 0 for window 0 only, 1 for window 1 only and 2 for both; -1 without a tag."""
     start = ledger.start_index
-    centers = np.rint(np.reshape(cfg.layout.centers_ps, (2, 2))).astype(np.int64)
+    centers = np.rint(np.reshape(WINDOW_CENTERS_PS, (2, 2))).astype(np.int64)
     window = (tags.timestamp_ps == centers[tags.detector_id, 1]).astype(np.int64)
     pattern = np.bincount(tags.pulse_index - start, weights=1 << window, minlength=len(ledger))
     pathway = np.zeros(len(ledger), dtype=np.int64)

@@ -109,7 +109,7 @@ def placements() -> np.ndarray:
             )
             _, ledger = _tags_and_ledger(
                 block, class_totals, EVENTS, np.zeros(len(EVENTS), dtype=bool), no_events,
-                no_events.astype(bool), unclustered, cfg.detector, cfg.layout,
+                no_events.astype(bool), unclustered, cfg.detector,
             )
             rows[seed] = ledger.class_idx[SILENT]
     assert not ledger.class_idx[EVENTS].any()
