@@ -124,6 +124,28 @@ class DecoyEstimates:
     flags: tuple[str, ...]
 
 
+def decoy_coefficient(mu: float, nu: float) -> float:
+    """The factor mu / (mu nu - nu**2) of the decoy bound on Y_1.
+
+    The one check of the (mu, nu) domain: it needs 0 < nu < mu, mu at most
+    MAX_MU, and a positive denominator whose quotient is a finite float.
+    A vacuum decoy carries no slope information, and a nu so small that
+    mu nu - nu**2 rounds to zero, or mu over it overflows, leaves the bound
+    no number; each raises InvalidInputError.
+    """
+    if not (math.isfinite(mu) and math.isfinite(nu) and 0.0 < nu < mu):
+        raise InvalidInputError("need 0 < nu < mu")
+    if mu > MAX_MU:
+        raise InvalidInputError(f"mu must be at most {MAX_MU}, where e**mu is still a float")
+    denominator = mu * nu - nu * nu
+    if not (denominator > 0.0 and math.isfinite(mu / denominator)):
+        raise InvalidInputError(
+            f"nu = {nu!r} is too small beside mu = {mu!r}: the decoy coefficient "
+            "mu / (mu*nu - nu**2) of the bound on Y_1 is no finite float"
+        )
+    return mu / denominator
+
+
 def decoy_bounds(
     q_mu: float,
     e_mu: float,
@@ -137,13 +159,9 @@ def decoy_bounds(
 
     y1_lower is exact when yields are photon-number independent of the
     intensity class; e1_upper additionally uses the measured vacuum yield.
-    nu must be strictly positive: a vacuum decoy carries no slope
-    information and the bound degenerates.  mu must be at most MAX_MU.
+    (mu, nu) must be a pair decoy_coefficient takes.
     """
-    if not (math.isfinite(mu) and math.isfinite(nu) and 0.0 < nu < mu):
-        raise InvalidInputError("need 0 < nu < mu")
-    if mu > MAX_MU:
-        raise InvalidInputError(f"mu must be at most {MAX_MU}, where e**mu is still a float")
+    coeff = decoy_coefficient(mu, nu)
     for name, v in (("q_mu", q_mu), ("q_nu", q_nu), ("e_mu", e_mu), ("e_nu", e_nu)):
         if not (math.isfinite(v) and 0.0 <= v <= 1.0):
             raise InvalidInputError(f"{name} must lie in [0, 1]")
@@ -151,7 +169,6 @@ def decoy_bounds(
         raise InvalidInputError("y0 must lie in [0, 1]")
 
     flags: list[str] = []
-    coeff = mu / (mu * nu - nu * nu)
     y1 = coeff * (
         q_nu * math.exp(nu)
         - q_mu * math.exp(mu) * (nu * nu) / (mu * mu)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, _count
+from .errors import InvalidInputError, _count
 from .qubit import Basis, PreparationSetting, mub_states
 from .source import IntensityClass, LossBudget, SourceConfig, transmittance
 from .switch import (
@@ -123,7 +123,7 @@ class WindowLayout:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.width_ps <= INTERFEROMETER_DELAY_PS:
-            raise ConfigError(
+            raise InvalidInputError(
                 f"width_ps must be positive and at most {INTERFEROMETER_DELAY_PS} ps, "
                 "the spacing of neighbouring slot centers"
             )

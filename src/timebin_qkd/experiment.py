@@ -6,7 +6,9 @@ splits each (point, setting) train into fixed-size pulse blocks; each block
 draws from its own RNG stream, derived from the master seed and the block's
 coordinates (the point's key, then setting index, then block index).  Results
 are integer count tensors summed in a fixed order, so a run is bit-for-bit
-reproducible for a given seed, however the blocks fall into batches.
+reproducible for a given seed, however the blocks fall into batches.  The
+stability flow's drift walks derive from the same master seed, channel c
+under the key (PURPOSE_DRIFT, c).
 Every batch runs on the calling thread.  Parameter sweeps reuse the same
 streams at every point (common random numbers), which keeps sweep curves
 smooth and makes a single-point sweep coincide exactly with a plain
@@ -26,10 +28,10 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .analysis import (
-    MAX_MU,
     SETTING_LABELS,
     KeyRateReport,
     conditional_probabilities,
+    decoy_coefficient,
     fidelities,
     probability_matrix,
     qber,
@@ -49,6 +51,9 @@ from .detection import (
 from .errors import ConfigError, InvalidInputError, _count, _real
 from .qubit import BB84_SETTINGS, Basis, PreparationSetting
 from .source import (
+    PURPOSE_SCAN,
+    PURPOSE_SESSION,
+    PURPOSE_STABILITY,
     DriftModel,
     IntensityClass,
     LossBudget,
@@ -68,11 +73,6 @@ BATCH_BLOCKS = 16
 # Upper bound on the points of a grid: the samples of a stability run, and
 # the values one --losses or --delays argument may expand to.
 MAX_VALUES = 100_000
-
-# Stream-key purposes: keeps session, scan, and stability draws disjoint.
-PURPOSE_SESSION = 0
-PURPOSE_SCAN = 1
-PURPOSE_STABILITY = 2
 
 COUNTS_SCHEMA = "timebin-qkd-counts/1"
 REPORT_SCHEMA = "timebin-qkd-report/1"
@@ -139,9 +139,9 @@ def _integer(value, where: str) -> int:
 def _build_section(cls, payload: dict, section: str):
     """One config section from its parsed JSON, each value of its field's type.
 
-    A float field takes a JSON number, an int field a JSON integer, a
-    string field a string and a tuple field a list of numbers; a boolean
-    is none of these.  The dataclass then checks the values' ranges.
+    A float field takes a JSON number, a string field a string and a
+    tuple field a list of numbers; a boolean is none of these.  The
+    dataclass then checks the values' ranges.
     """
     kinds = typing.get_type_hints(cls)
     unknown = set(payload) - set(kinds)
@@ -153,8 +153,6 @@ def _build_section(cls, payload: dict, section: str):
         kind = kinds[k]
         if kind is float:
             v = _number(v, where)
-        elif kind is int:
-            v = _integer(v, where)
         elif kind is str:
             if type(v) is not str:
                 raise ConfigError(f"'{where}' must be a string, got {v!r}")
@@ -239,14 +237,14 @@ def apply_overrides(payload: dict, overrides: list[str]) -> dict:
 def _require_decoy_and_vacuum(source: SourceConfig) -> None:
     """Reject, before any block runs, a source the key-rate analysis cannot use.
 
-    The decoy bounds need a decoy class with nu > 0, a vacuum class to
-    anchor the background yield, and a mu of at most MAX_MU.
+    The decoy bounds need a (mu, nu) pair that decoy_coefficient takes, a
+    decoy class, and a vacuum class to anchor the background yield.
     """
+    try:
+        decoy_coefficient(source.mu, source.nu)
+    except InvalidInputError as e:
+        raise ConfigError(f"invalid 'source' section: {e}") from e
     _, p_decoy, p_vacuum = source.class_probabilities
-    if source.mu > MAX_MU:
-        raise ConfigError(f"source.mu must be at most {MAX_MU}, where e**mu is still a float")
-    if not source.nu > 0:
-        raise ConfigError("source.nu must be positive: the decoy bounds need a non-empty decoy")
     if p_decoy == 0.0 or p_vacuum == 0.0:
         raise ConfigError(
             "source.class_probabilities must give the decoy and vacuum classes "
@@ -559,11 +557,12 @@ def run_stability(
 
     Pump power drift scales the peak nonlinear phase; polarization drift
     offsets the switch interaction angle.  Both follow the configured
-    bounded random walks.  Per-sample fidelities and signal QBER form the
-    series, NaN where a sample has no matched-basis event for them; pooled
-    counts give the aggregate report.  The grid has round(hours *
-    samples_per_hour) + 1 samples, at most MAX_VALUES; samples_per_hour
-    is an integer of at least 1.
+    bounded random walks, drawn from config.seed like every block.
+    Per-sample fidelities and signal QBER form the series, NaN where a
+    sample has no matched-basis event for them; pooled counts give the
+    aggregate report.  The grid has round(hours * samples_per_hour) + 1
+    samples, at most MAX_VALUES; samples_per_hour is an integer of at
+    least 1.
 
     `workers` is accepted for compatibility and has no effect: None or an
     integer of at least 1, and every batch runs on the calling thread.
@@ -593,7 +592,7 @@ def run_stability(
 
     samples = (
         ((PURPOSE_STABILITY, k), config.budget, drifted(*drift))
-        for k, drift in enumerate(drift_state(config.drift, times))
+        for k, drift in enumerate(drift_state(config.drift, config.seed, times))
     )
     per_sample = list(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample))
 

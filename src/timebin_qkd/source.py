@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import InvalidInputError, _count
+from .errors import InvalidInputError
 
 _PROB_TOL = 1e-12
 
@@ -118,12 +118,12 @@ class DriftModel:
     grid, reflected at +/- 5 sigma_step so excursions stay bounded; values
     between grid points are linearly interpolated and the walk starts at 0.
     Both bounds must be finite, and the power bound at most 1, so that the
-    pump power 1 + offset never goes negative.
+    pump power 1 + offset never goes negative.  The walks' steps come from
+    the master seed (see drift_state), so the model holds no seed.
     """
 
     pump_power_rel_sigma: float = 0.005
     pump_polarization_sigma: float = 0.005
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("pump_power_rel_sigma", "pump_polarization_sigma"):
@@ -135,7 +135,6 @@ class DriftModel:
                 "pump_power_rel_sigma must be at most 0.2: the walk reaches 5 sigma, "
                 "and the pump power 1 + offset must not go negative"
             )
-        object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
 
 
 def _reflect(x: float, bound: float) -> float:
@@ -155,7 +154,7 @@ def _walk(sigma: float, seed: int, channel: int, n_hours: int) -> list[float]:
     # One reflected random walk, hourly resolution, value 0 at t = 0.  A
     # longer walk begins with the same steps, so its values do not depend
     # on n_hours.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD21F7, channel)))
+    rng = derived_rng(seed, PURPOSE_DRIFT, channel)
     steps = rng.normal(0.0, sigma, size=n_hours) if sigma > 0 else np.zeros(n_hours)
     bound = 5.0 * sigma
     values = [0.0]
@@ -166,19 +165,21 @@ def _walk(sigma: float, seed: int, channel: int, n_hours: int) -> list[float]:
     return values
 
 
-def drift_state(model: DriftModel, times_h) -> list[tuple[float, float]]:
+def drift_state(model: DriftModel, seed: int, times_h) -> list[tuple[float, float]]:
     """(relative pump power offset, polarization angle offset) at each time.
 
-    Each channel's walk is drawn once, up to the last time.  Deterministic
-    in (model, t): the same model always reproduces the same trajectory bit
-    for bit, whatever the other times.
+    Channel c (0 pump power, 1 polarization) draws its steps from
+    derived_rng(seed, PURPOSE_DRIFT, c), seed being the master seed, and
+    its walk is drawn once, up to the last time.  Deterministic in
+    (model, seed, t): the same model and seed always reproduce the same
+    trajectory bit for bit, whatever the other times.
     """
     times = [float(t) for t in times_h]
     if not all(math.isfinite(t) and t >= 0 for t in times):
         raise InvalidInputError("drift times must be finite and non-negative")
     n_hours = math.floor(max(times, default=0.0)) + 1
     walks = [
-        _walk(sigma, model.seed, channel, n_hours)
+        _walk(sigma, seed, channel, n_hours)
         for channel, sigma in enumerate((model.pump_power_rel_sigma, model.pump_polarization_sigma))
     ]
     out = []
@@ -187,6 +188,14 @@ def drift_state(model: DriftModel, times_h) -> list[tuple[float, float]]:
         frac = t - n
         out.append(tuple(w[n] + (w[n + 1] - w[n]) * frac for w in walks))
     return out
+
+
+# Stream-key purposes, the first entry of every key derived_rng takes:
+# keeps session, scan, stability and drift draws disjoint.
+PURPOSE_SESSION = 0
+PURPOSE_SCAN = 1
+PURPOSE_STABILITY = 2
+PURPOSE_DRIFT = 3
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -25,7 +25,7 @@ from timebin_qkd.detection import (
     WindowLayout,
     dark_prob_per_window,
 )
-from timebin_qkd.source import DriftModel, _reflect
+from timebin_qkd.source import PURPOSE_DRIFT, DriftModel, _reflect, derived_rng
 
 
 def event_probabilities_loop(
@@ -155,7 +155,7 @@ def prune_dead_time_loop(frames, detector, blocked: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _walk_grid(sigma: float, seed: int, channel: int, n_hours: int) -> tuple[float, ...]:
     # One reflected random walk, hourly resolution, value 0 at t = 0.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD21F7, channel)))
+    rng = derived_rng(seed, PURPOSE_DRIFT, channel)
     steps = rng.normal(0.0, sigma, size=n_hours) if sigma > 0 else np.zeros(n_hours)
     bound = 5.0 * sigma
     values = [0.0]
@@ -169,7 +169,7 @@ def _walk_grid(sigma: float, seed: int, channel: int, n_hours: int) -> tuple[flo
 _GRID_QUANTUM = 64
 
 
-def drift_state_at(model: DriftModel, t_hours: float) -> tuple[float, float]:
+def drift_state_at(model: DriftModel, seed: int, t_hours: float) -> tuple[float, float]:
     """The drift at one time, from a cached walk whose length is quantized
     to 64 hours, so that nearby times share a cache entry."""
     n = int(math.floor(t_hours))
@@ -179,7 +179,7 @@ def drift_state_at(model: DriftModel, t_hours: float) -> tuple[float, float]:
     for channel, sigma in enumerate(
         (model.pump_power_rel_sigma, model.pump_polarization_sigma)
     ):
-        grid = _walk_grid(sigma, model.seed, channel, length)
+        grid = _walk_grid(sigma, seed, channel, length)
         a, b = grid[n], grid[n + 1]
         out.append(a + (b - a) * frac)
     return out[0], out[1]

@@ -12,6 +12,7 @@ from timebin_qkd.analysis import (
     binary_entropy,
     conditional_probabilities,
     decoy_bounds,
+    decoy_coefficient,
     fidelities,
     probability_matrix,
     qber,
@@ -19,7 +20,8 @@ from timebin_qkd.analysis import (
     secret_key_rate_from_values,
 )
 from timebin_qkd.detection import SessionCounts
-from timebin_qkd.errors import InvalidInputError, NoDataError
+from timebin_qkd.errors import ConfigError, InvalidInputError, NoDataError
+from timebin_qkd.experiment import _require_decoy_and_vacuum
 from timebin_qkd.qubit import Basis
 from timebin_qkd.source import IntensityClass, SourceConfig
 
@@ -206,6 +208,19 @@ def test_decoy_bounds_take_a_mu_only_while_its_exponential_is_a_float():
             decoy_bounds(1.0, 0.01, 0.5, 0.01, mu, 0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "mu, nu",
+    [
+        (0.3, 5e-324),  # mu*nu - nu**2 rounds to zero
+        (0.8, 1e-320),  # mu over it overflows, and Y_1, e_1 and Q_1 were NaN
+        (MAX_MU, 5e-324),
+    ],
+)
+def test_decoy_bounds_refuse_a_pair_whose_coefficient_is_no_float(mu, nu):
+    with pytest.raises(InvalidInputError, match="nu"):
+        decoy_bounds(0.03, 0.01, 0.001, 0.3, mu, nu, 0.001)
+
+
 def test_key_rate_reproduces_hand_formula():
     mu, nu, y0 = 0.8, 0.1, 1.6e-7
     ch = AnalyticChannel(eta=0.03507518739525679, y0=y0, e_detector=0.008)
@@ -280,6 +295,63 @@ def test_decoy_class_without_matched_events_gives_flagged_zero_rate():
     assert (report.y1_lower, report.q1_lower, report.e1_upper) == (0.0, 0.0, 1.0)
     assert "no-decoy-events" in report.flags
     assert report.to_dict()["E_nu"] is None
+
+
+def _accepted(mu: float, nu: float) -> bool:
+    try:
+        _require_decoy_and_vacuum(SourceConfig(mu=mu, nu=nu))
+    except ConfigError:
+        return False
+    return True
+
+
+def _smallest_accepted_nu(mu: float) -> float:
+    # positive floats order as their bit patterns, and a nu this small is
+    # refused only below a threshold, so bisect the bit patterns
+    def as_float(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    lo, hi = 0, int(np.float64(1e-300).view(np.int64))
+    assert _accepted(mu, as_float(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _accepted(mu, as_float(mid)) else (mid, hi)
+    return as_float(hi)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.8, MAX_MU])
+def test_the_flows_and_the_decoy_bounds_share_one_smallest_nu(mu):
+    # the flows refuse a pair exactly where decoy_coefficient does
+    nu = _smallest_accepted_nu(mu)
+    assert math.isfinite(decoy_coefficient(mu, nu))
+    with pytest.raises(InvalidInputError, match="nu"):
+        decoy_coefficient(mu, math.nextafter(nu, 0.0))
+
+
+def test_no_source_the_flows_accept_crashes_the_key_rate_report():
+    # the edges of the (mu, nu) domain the flows accept: the smallest nu
+    # beside a mu below 0.5, where mu*nu - nu**2 rounds to zero first, the
+    # default mu and mu at MAX_MU, and MAX_MU with the default nu
+    sources = [SourceConfig(mu=mu, nu=_smallest_accepted_nu(mu)) for mu in (0.3, 0.8, MAX_MU)]
+    sources.append(SourceConfig(mu=MAX_MU, nu=0.1))
+    signal = [[96, 4, 10, 10], [2, 98, 10, 10], [10, 10, 99, 1], [10, 10, 3, 97]]
+    # decoy events all in the matched pathway, none an error; the vacuum
+    # class either clicks as often as the decoy or is sent with no events
+    equal_gains = _counts_with_rows(signal)
+    no_vacuum_events = _counts_with_rows(signal)
+    for counts in (equal_gains, no_vacuum_events):
+        counts.pulses_sent[1:] = 1000
+        counts.counts[1, 0, 0, 0, 0] = 5
+        counts.counts[1, 1, 1, 1, 1] = 5
+    equal_gains.counts[2, 0, 0, 0, 0] = 10
+    assert equal_gains.gain(IntensityClass.DECOY) == equal_gains.gain(IntensityClass.VACUUM)
+    assert no_vacuum_events.gain(IntensityClass.VACUUM) == 0.0
+    for source in sources:
+        for counts in (equal_gains, no_vacuum_events):
+            report = secret_key_rate(counts, source)
+            assert report.e_nu == 0.0
+            values = (report.y1_lower, report.e1_upper, report.q1_lower, report.r_bps)
+            assert all(math.isfinite(v) for v in values), (source, values)
 
 
 def test_signal_class_without_matched_events_gives_flagged_zero_rate():

@@ -296,6 +296,20 @@ def test_analyze_refuses_a_mu_whose_exponential_is_no_float(mu, code, tmp_path, 
         assert "y1-clamped-zero" in _strict_json(out.read_text())["flags"]
 
 
+@pytest.mark.parametrize("mu, nu", [(0.3, 5e-324), (0.8, 1e-320)])
+def test_analyze_refuses_a_decoy_pair_whose_coefficient_is_no_float(mu, nu, tmp_path, capsys):
+    # mu*nu - nu**2 rounds to zero at mu 0.3, and mu over it overflows at
+    # mu 0.8: the bound on Y_1 divided by zero, or was NaN
+    path = tmp_path / "counts.json"
+    counts = SessionCounts.zeros()
+    counts.pulses_sent[:] = 1000
+    counts.counts[:2] = 3
+    write_counts_json(path, counts, SourceConfig(mu=mu, nu=nu))
+    assert main(["analyze", "--counts", str(path)]) == 3
+    err = _last_error(capsys)
+    assert err["category"] == "input" and "nu" in err["message"]
+
+
 def test_session_at_a_mu_of_709_reports_a_flagged_zero_rate(tmp_path):
     out = tmp_path / "report.json"
     argv = ["session", "--pulses", "2000", "--seed", "1", "--set", "source.mu=709", "--out"]
@@ -392,6 +406,15 @@ def _last_error(capsys):
         ["session", "--pulses", "20000", "--seed", "1", "--set", "source.mu=800"],
         ["sweep-loss", "--losses", "0.45", "--pulses", "20000", "--set", "source.mu=710"],
         ["stability", "--hours", "1", "--set", "source.mu=710"],
+        # a nu so small that mu*nu - nu**2 rounds to zero: the decoy bound
+        # on Y_1 divided by zero after every block had run
+        [
+            "session", "--pulses", "200000", "--seed", "1", "--set", "source.mu=0.3",
+            "--set", "source.nu=5e-324", "--set", "detector.dark_count_rate_hz=1e5",
+        ],
+        ["sweep-loss", "--losses", "0.45", "--set", "source.mu=0.3", "--set", "source.nu=5e-324"],
+        # at mu 0.8 the denominator is a float, but mu over it overflows
+        ["stability", "--hours", "1", "--set", "source.nu=1e-320"],
         # values that pass a range check: NaN, an infinite 5-sigma drift
         # bound, and a pump power walk that would go negative
         ["session", "--set", "source.class_probabilities=[NaN,0.5,0.5]"],
@@ -540,7 +563,6 @@ def test_analyze_rejects_non_numeric_source_fields(field, value, tmp_path, capsy
     [
         'source.mu="abc"', "source.mu=null", 'layout.width_ps="x"', "detector.dead_time_ns=true",
         "seed=true", "seed=1.5", 'seed="7"', "detector.recombination_phase=true",
-        "drift.seed=-1", "drift.seed=1.5", 'drift.seed="x"', "drift.seed=true",
         "switch.delta_phi_peak=NaN", "switch.delta_phi_peak=Infinity",
         "switch.walkoff_ps=Infinity", "switch.pump_fwhm_ps=Infinity", "switch.theta=NaN",
     ],
@@ -579,6 +601,12 @@ def _migrate_centers(payload):
     return _BEFORE_REMOVAL
 
 
+def _migrate_drift_seed(payload):
+    # the drift walks draw from the master seed: the top-level seed sets them
+    del payload["drift"]["seed"]
+    return _BEFORE_REMOVAL
+
+
 def _migrate_pulses(payload):
     # a run's size is the flow's: --pulses or pulses= sets it
     del payload["pulses_per_setting"]
@@ -592,8 +620,9 @@ def _migrate_pulses(payload):
         ("switch.bin_phase_offset", 0.4, _migrate_phase),
         ("pulses_per_setting", 1000, _migrate_pulses),
         ("layout.centers_ps", list(WINDOW_CENTERS_PS), _migrate_centers),
+        ("drift.seed", 1, _migrate_drift_seed),
     ],
-    ids=["detector-window", "switch-phase", "pulses-per-setting", "layout-centers"],
+    ids=["detector-window", "switch-phase", "pulses-per-setting", "layout-centers", "drift-seed"],
 )
 def test_a_config_that_sets_a_removed_key_is_refused(
     path, value, migrate, tmp_path, capsys, monkeypatch

@@ -42,7 +42,7 @@ from timebin_qkd.detection import (
     write_pulse_ledger,
     write_time_tags,
 )
-from timebin_qkd.errors import ConfigError, InvalidInputError
+from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS, Basis, PreparationSetting, mub_states, overlap_probability
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
@@ -168,7 +168,7 @@ def test_overlapping_windows_rejected():
     WindowLayout(width_ps=INTERFEROMETER_DELAY_PS)
     wider = math.nextafter(INTERFEROMETER_DELAY_PS, math.inf)
     for bad in (0.0, -800.0, wider, 3000.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="width_ps"):
+        with pytest.raises(InvalidInputError, match="width_ps"):
             WindowLayout(width_ps=bad)
 
 

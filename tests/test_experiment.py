@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timebin_qkd import detection, experiment
+from timebin_qkd import detection, experiment, source
 from timebin_qkd.detection import (
     DetectorModel,
     SessionCounts,
@@ -21,8 +21,6 @@ from timebin_qkd.detection import (
 from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
-    PURPOSE_SCAN,
-    PURPOSE_STABILITY,
     SCAN_SCHEMA,
     STABILITY_SCHEMA,
     SWEEP_SCHEMA,
@@ -49,7 +47,7 @@ from timebin_qkd.experiment import (
     write_counts_json,
 )
 from timebin_qkd.qubit import BB84_SETTINGS, Basis
-from timebin_qkd.source import derived_rng
+from timebin_qkd.source import PURPOSE_DRIFT, PURPOSE_SCAN, PURPOSE_STABILITY, derived_rng
 from timebin_qkd.switch import with_delay
 
 from sinks import tagged_session
@@ -124,17 +122,14 @@ def test_config_refuses_a_dark_probability_above_one_from_the_rate_and_the_width
 
 
 def test_config_values_keep_their_field_types():
-    cfg = config_from_dict({"source": {"mu": 1}, "drift": {"seed": 5}})
+    cfg = config_from_dict({"source": {"mu": 1}})
     assert type(cfg.source.mu) is float and cfg.source.mu == 1.0
-    assert cfg.drift.seed == 5
     for section, key, value in [
         ("source", "mu", "0.8"), ("source", "mu", None), ("source", "mu", True),
         ("source", "mu", [0.8]), ("source", "mu", 10**400),
         ("source", "class_probabilities", ["0.7", 0.2, 0.1]),
         ("source", "class_probabilities", 0.7),
         ("detector", "stray_time_policy", 1),
-        ("drift", "seed", 1.5), ("drift", "seed", True), ("drift", "seed", "1"),
-        ("drift", "seed", -1),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict({section: {key: value}})
@@ -215,14 +210,18 @@ def test_engine_derives_each_stream_once_per_key(monkeypatch):
         return derived_rng(master_seed, *key)
 
     monkeypatch.setattr(experiment, "derived_rng", counting)
+    monkeypatch.setattr(source, "derived_rng", counting)
     cfg = ExperimentConfig(seed=3)
     # every scan point shares one key: two time settings, one block each
     run_pump_delay_scan(cfg, np.arange(0.0, 8.0, 1.0), pulses_per_point=2_000)
     assert sorted(keys) == [(PURPOSE_SCAN, 0, 0), (PURPOSE_SCAN, 1, 0)]
-    # each stability sample has a key of its own
+    # each stability sample has a key of its own, and each drift channel one
     keys.clear()
     run_stability(cfg, hours=2, samples_per_hour=1, pulses_per_sample=2_000)
-    assert sorted(keys) == [(PURPOSE_STABILITY, k, s, 0) for k in range(3) for s in range(4)]
+    assert sorted(keys) == [(PURPOSE_STABILITY, k, s, 0) for k in range(3) for s in range(4)] + [
+        (PURPOSE_DRIFT, 0),
+        (PURPOSE_DRIFT, 1),
+    ]
 
 
 def test_run_session_is_reproducible():
@@ -605,6 +604,30 @@ def test_run_stability_small_grid():
         run_stability(cfg, samples_per_hour=0)
     with pytest.raises(InvalidInputError):
         run_stability(cfg, pulses_per_sample=0)
+
+
+def test_the_stability_drift_follows_the_master_seed(monkeypatch):
+    # the switch of every sample, as the flow hands it to the engine
+    switches = {}
+    original = experiment._run_points
+
+    def recording(config, settings, points, pulses):
+        points = list(points)
+        switches[config.seed] = [switch for _, _, switch in points]
+        return original(config, settings, points, pulses)
+
+    monkeypatch.setattr(experiment, "_run_points", recording)
+    for seed in (1, 2):
+        cfg = ExperimentConfig(seed=seed)
+        run_stability(cfg, hours=3.0, samples_per_hour=1, pulses_per_sample=200)
+        drift = source.drift_state(cfg.drift, seed, [0.0, 1.0, 2.0, 3.0])
+        assert [switch.delta_phi_peak for switch in switches[seed]] == [
+            cfg.switch.delta_phi_peak * (1.0 + dpow) for dpow, _ in drift
+        ]
+        assert [switch.theta for switch in switches[seed]] == [
+            cfg.switch.theta + dtheta for _, dtheta in drift
+        ]
+    assert switches[1] != switches[2]
 
 
 @pytest.mark.parametrize("per_hour", [0.5, 1.5, True, "2", 0, -1])

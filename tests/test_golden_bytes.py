@@ -48,7 +48,7 @@ CASES = {
     ),
     "stability": (
         ["stability", "--hours", "2"],
-        {"out": "846c24e7bf8535c103c4d2b6cc79e83366a973069a35b745dd744b3bc8cfb917"},
+        {"out": "c11a35fdafca50a4ba6dd5526549142b361a2200233b9e4babf53bf26cd87a7c"},
     ),
     # the receiver policies and switch settings the cases above leave at
     # their defaults

@@ -87,33 +87,48 @@ def test_sample_photon_number_shapes():
 
 def test_drift_starts_at_zero_and_is_deterministic():
     model = DriftModel()
-    assert drift_state(model, [0.0]) == [(0.0, 0.0)]
-    (a,) = drift_state(model, [13.37])
-    assert drift_state(model, [13.37]) == [a]
-    assert drift_state(DriftModel(seed=1), [13.37]) != [a]
-    assert drift_state(model, []) == []
+    assert drift_state(model, 0, [0.0]) == [(0.0, 0.0)]
+    (a,) = drift_state(model, 0, [13.37])
+    assert drift_state(model, 0, [13.37]) == [a]
+    assert drift_state(model, 1, [13.37]) != [a]
+    assert drift_state(model, 0, []) == []
+
+
+def test_drift_is_a_function_of_the_model_the_seed_and_the_time():
+    model = DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02)
+    times = [0.5, 1.0, 7.25, 27.999]
+    one = drift_state(model, 1, times)
+    # the same model, seed and times give the same values
+    assert drift_state(model, 1, times) == one
+    # the master seed sets both walks
+    two = drift_state(model, 2, times)
+    for channel in (0, 1):
+        assert [v[channel] for v in one] != [v[channel] for v in two]
+    # a time's value does not depend on the other times
+    assert [drift_state(model, 1, [t])[0] for t in times] == one
+    assert drift_state(model, 1, [*reversed(times), 300.0])[:-1] == one[::-1]
 
 
 @pytest.mark.parametrize(
-    "model",
+    "model, seed",
     [
-        DriftModel(),
-        DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02, seed=5),
-        DriftModel(pump_power_rel_sigma=0.0, pump_polarization_sigma=0.3, seed=2),
+        (DriftModel(), 0),
+        (DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02), 5),
+        (DriftModel(pump_power_rel_sigma=0.0, pump_polarization_sigma=0.3), 2),
     ],
 )
-def test_drift_equals_the_per_time_walk_bit_for_bit(model):
+def test_drift_equals_the_per_time_walk_bit_for_bit(model, seed):
     # one walk drawn up to the last time gives every time the value of the
     # cached per-time walk, whose length was quantized to 64 hours
     grid = [0.0, 1.0, 27.0, 63.0, 64.0, 65.0, 127.0, 128.0, 300.0]
     fractional = [0.5, 13.37, 27.999, 63.5, 64.25, 200.75, 299.999]
     rng_times = np.random.default_rng(3).uniform(0.0, 300.0, size=50).tolist()
     for times in (grid, fractional, rng_times, sorted(rng_times), [0.0], [63.5], [64.0]):
-        got = drift_state(model, times)
-        want = [reference.drift_state_at(model, t) for t in times]
+        got = drift_state(model, seed, times)
+        want = [reference.drift_state_at(model, seed, t) for t in times]
         assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
         # the same time gives the same value whatever the other times
-        assert drift_state(model, times[:1]) == got[:1]
+        assert drift_state(model, seed, times[:1]) == got[:1]
 
 
 def test_drift_over_a_long_grid_holds_one_walk():
@@ -123,7 +138,7 @@ def test_drift_over_a_long_grid_holds_one_walk():
     times = np.arange(20_001.0)
     tracemalloc.start()
     try:
-        out = drift_state(model, times)
+        out = drift_state(model, 0, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -134,13 +149,13 @@ def test_drift_over_a_long_grid_holds_one_walk():
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_drift_refuses_a_time_that_is_not_finite_and_non_negative(bad):
     with pytest.raises(InvalidInputError):
-        drift_state(DriftModel(), [1.0, bad])
+        drift_state(DriftModel(), 0, [1.0, bad])
 
 
 def test_drift_stays_bounded():
     model = DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02)
     rng = np.random.default_rng(8)
-    for dpow, dpol in drift_state(model, rng.uniform(0.0, 300.0, size=400)):
+    for dpow, dpol in drift_state(model, 0, rng.uniform(0.0, 300.0, size=400)):
         assert abs(dpow) <= 5.0 * 0.01 + 1e-12
         assert abs(dpol) <= 5.0 * 0.02 + 1e-12
 
@@ -150,14 +165,14 @@ def test_drift_is_continuous_between_grid_points():
     bound = 5.0 * model.pump_power_rel_sigma
     rng = np.random.default_rng(9)
     times = rng.uniform(0.0, 100.0, size=200)
-    for (a, _), (b, _) in zip(drift_state(model, times), drift_state(model, times + 0.01)):
+    for (a, _), (b, _) in zip(drift_state(model, 0, times), drift_state(model, 0, times + 0.01)):
         # linear interpolation of a walk confined to [-bound, bound]
         assert abs(b - a) <= 2.0 * bound * 0.01 + 1e-12
 
 
 def test_zero_sigma_drift_is_identically_zero():
     model = DriftModel(pump_power_rel_sigma=0.0, pump_polarization_sigma=0.0)
-    assert drift_state(model, [0.0, 1.0, 27.5, 100.0]) == [(0.0, 0.0)] * 4
+    assert drift_state(model, 0, [0.0, 1.0, 27.5, 100.0]) == [(0.0, 0.0)] * 4
 
 
 def test_derived_streams_are_keyed():
@@ -185,17 +200,5 @@ def test_drift_model_needs_finite_bounds_and_a_non_negative_pump_power(sigmas):
 
 
 def test_drift_model_takes_a_pump_power_bound_of_one():
-    model = DriftModel(pump_power_rel_sigma=0.2, seed=3)
-    assert min(dpow for dpow, _ in drift_state(model, range(500))) >= -1.0
-
-
-@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None, np.float64(3.0), np.int64(-1)])
-def test_drift_model_seed_must_be_a_non_negative_integer(seed):
-    with pytest.raises(InvalidInputError, match="seed"):
-        DriftModel(seed=seed)
-
-
-def test_drift_model_takes_a_numpy_integer_seed_as_int():
-    model = DriftModel(seed=np.int64(3))
-    assert type(model.seed) is int and model == DriftModel(seed=3)
-    assert drift_state(model, [13.37]) == drift_state(DriftModel(seed=3), [13.37])
+    model = DriftModel(pump_power_rel_sigma=0.2)
+    assert min(dpow for dpow, _ in drift_state(model, 3, range(500))) >= -1.0
