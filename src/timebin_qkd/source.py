@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count
 
 _PROB_TOL = 1e-12
 
@@ -172,8 +172,11 @@ def drift_state(model: DriftModel, seed: int, times_h) -> list[tuple[float, floa
     derived_rng(seed, PURPOSE_DRIFT, c), seed being the master seed, and
     its walk is drawn once, up to the last time.  Deterministic in
     (model, seed, t): the same model and seed always reproduce the same
-    trajectory bit for bit, whatever the other times.
+    trajectory bit for bit, whatever the other times.  The seed must be a
+    non-negative integer, as ExperimentConfig.seed is: numpy would read
+    None as a call for fresh entropy, and True as 1.
     """
+    seed = _count(seed, "seed", least=0)
     times = [float(t) for t in times_h]
     if not all(math.isfinite(t) and t >= 0 for t in times):
         raise InvalidInputError("drift times must be finite and non-negative")

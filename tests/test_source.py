@@ -202,3 +202,14 @@ def test_drift_model_needs_finite_bounds_and_a_non_negative_pump_power(sigmas):
 def test_drift_model_takes_a_pump_power_bound_of_one():
     model = DriftModel(pump_power_rel_sigma=0.2)
     assert min(dpow for dpow, _ in drift_state(model, 3, range(500))) >= -1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None, np.float64(3.0), np.int64(-1)])
+def test_drift_state_seed_must_be_a_non_negative_integer(seed):
+    # None would draw the walk from fresh entropy, and True would run as seed 1
+    with pytest.raises(InvalidInputError, match="seed"):
+        drift_state(DriftModel(), seed, [13.37])
+
+
+def test_drift_state_takes_a_numpy_integer_seed_as_int():
+    assert drift_state(DriftModel(), np.int64(3), [13.37]) == drift_state(DriftModel(), 3, [13.37])
