@@ -4,9 +4,10 @@ Dump a session's records, read them back, and count them again
 
 `session --dump-tags PATH` writes the two records a session's counts come
 from: the receiver's time tags at PATH (one row per click: pulse, detector,
-whole picoseconds) and the sender's pulse ledger at PATH.ledger (one row
-per pulse: intensity class, basis and bit).  Reading both back and binning
-each tag into the detection window around its slot rebuilds the counts.
+whole picoseconds) and the sender's pulse ledger at PATH.ledger (a header
+line, then one byte per pulse: its intensity class, basis and bit).
+Reading both back and binning each tag into the detection window around
+its slot rebuilds the counts.
 The rebuilt counts see every pulse sent, but not every event: timing
 jitter moves a few clicks out of their 0.8 ns window, and a pulse with
 clicks in both windows of its pathway is dropped, where the session

@@ -276,9 +276,9 @@ class PulseLedger:
 
     Covers pulses [start_index, start_index + len); accumulate() needs it
     to attribute windowed clicks to (class, alpha, i).  Every class index
-    is 0, 1 or 2 and every alpha and bit 0 or 1, so each is one digit in
-    the ledger file, and the ledger holds one byte per pulse: the int8
-    code class * 4 + alpha * 2 + bit.  Values are range-checked in the
+    is 0, 1 or 2 and every alpha and bit 0 or 1, so the ledger holds one
+    byte per pulse, in memory and in the ledger file: the int8 code
+    class * 4 + alpha * 2 + bit.  Values are range-checked in the
     input's own dtype (int64 for input that is not integer), before
     narrowing, so 258 cannot wrap to 2.  A fraction, in start_index or in
     a column, is refused, not truncated.  class_idx, alpha and bit are
@@ -425,20 +425,14 @@ def accumulate(
 
 
 TAG_HEADER = "pulse_index,detector_id,timestamp_ps"
-LEDGER_HEADER = "pulse_index,intensity_class,alpha,bit"
+_LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Pulse indices in an aligned run of _RUN share all but their last four
-# digits, which the ledger writer copies from one template per run.
-_RUN = 10_000
-_ROW_TAIL = np.frombuffer(b",0,0,0\n", dtype=np.uint8)
+# Tag rows formatted at a time; bounds the memory of the writer whatever
+# the number of tags.
+TAG_CHUNK_ROWS = 20_000
 
-# Ledger rows formatted or read back at a time, a whole number of runs;
-# bounds the memory of each whatever the ledger length.  Tag rows are
-# formatted in batches of the same size.
-LEDGER_CHUNK_ROWS = 2 * _RUN
-
-# A whitespace-only line, and one field of a tag or ledger row.
+# A whitespace-only line, and one field of a tag row.
 _BLANK_LINE = re.compile(r"(?m)^[ \t\v\f]+$")
 _INT_FIELD = r"[ \t]*[+-]?\d+[ \t]*"
 
@@ -451,10 +445,10 @@ def _load_rows(f, dtype: np.dtype) -> np.ndarray:
 
 
 def _read_rows(path, header: str, what: str) -> np.ndarray:
-    """The rows of a tag or ledger file: one int64 field per name in `header`.
+    """The rows of a tag file: one int64 field per name in `header`.
 
     One loadtxt call parses the body.  loadtxt rejects whitespace-only
-    lines, which the formats allow, and numbers rows inconsistently in its
+    lines, which the format allows, and numbers rows inconsistently in its
     errors; when it refuses the body, the text is re-read with
     whitespace-only lines emptied and the first line that is not empty or
     comma-separated integers (a float timestamp, say) is reported by line.
@@ -498,22 +492,28 @@ def write_time_tags(path, tags: TimeTags) -> None:
     Every field is a decimal integer; timestamps are whole picoseconds.
     `path` may also be a binary file open for writing: the rows are
     appended, after the header if the file is still empty.  Rows are
-    formatted at most LEDGER_CHUNK_ROWS at a time.
+    formatted at most TAG_CHUNK_ROWS at a time.
     """
     with _output(path) as f:
         if f.tell() == 0:
             f.write(TAG_HEADER.encode("ascii") + b"\n")
-        for lo in range(0, len(tags), LEDGER_CHUNK_ROWS):
-            part = slice(lo, lo + LEDGER_CHUNK_ROWS)
+        for lo in range(0, len(tags), TAG_CHUNK_ROWS):
+            part = slice(lo, lo + TAG_CHUNK_ROWS)
             # the columns interleaved row by row, so one `%` formats the chunk
             rows = np.stack([getattr(tags, name)[part] for name in TAG_HEADER.split(",")], 1)
             f.write((("%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii"))
 
 
 def read_time_tags(path) -> TimeTags:
-    """Read a tag file of integers; one loadtxt call parses every row."""
+    """Read a tag file of integers; one loadtxt call parses every row.
+
+    The int64 columns are copied out of loadtxt's 24-byte rows, so the
+    tags keep 17 bytes per tag and the rows are freed.
+    """
     rows = _read_rows(path, TAG_HEADER, "tag file")
-    return TimeTags(rows["pulse_index"], rows["detector_id"], rows["timestamp_ps"])
+    return TimeTags(
+        rows["pulse_index"].copy(), rows["detector_id"], rows["timestamp_ps"].copy()
+    )
 
 
 def _non_ascii_line(path) -> int:
@@ -524,139 +524,46 @@ def _non_ascii_line(path) -> int:
     return len(data[: first + 1].splitlines())
 
 
-def _ledger_chunks(start_index: int, end_index: int):
-    """The ledger file body of pulses [start_index, end_index), chunk by chunk.
-
-    Yields (lo, hi, rows): rows is the C-contiguous (hi - lo, width + 7)
-    byte matrix of the file rows of pulses start_index + lo ..
-    start_index + hi - 1, with each of the three digit columns
-    `rows[:, -6:-1:2]` still "0".  Each chunk holds rows of one index width
-    and lies in one aligned block of LEDGER_CHUNK_ROWS indices.  It is cut
-    from a (runs, _RUN, width + 7) matrix of whole runs: one run's rows of
-    low digits and ",0,0,0\n" are broadcast over every run, then each
-    run's high digits are written once.
-    """
-    # the four low digits of 0.._RUN - 1, built per call so that importing
-    # the module allocates nothing
-    low_digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, _RUN).T + ord("0")
-    first = start_index
-    while first < end_index:
-        width = len(str(first))
-        low = min(width, 4)
-        run = np.empty((_RUN, width + 7), dtype=np.uint8)
-        run[:, width - low : width] = low_digits[:, 4 - low :]
-        run[:, width:] = _ROW_TAIL
-        width_end = min(end_index, 10**width)
-        while first < width_end:
-            stop = min(width_end, first - first % LEDGER_CHUNK_ROWS + LEDGER_CHUNK_ROWS)
-            base = first - first % _RUN
-            runs = -(-(stop - base) // _RUN)
-            mat = np.empty((runs, _RUN, width + 7), dtype=np.uint8)
-            mat[:] = run
-            if width > 4:
-                high = "".join(map(str, range(base // _RUN, base // _RUN + runs)))
-                digits = np.frombuffer(high.encode("ascii"), dtype=np.uint8)
-                for col, digit in enumerate(digits.reshape(runs, width - 4).T):
-                    mat[:, :, col] = digit[:, None]
-            rows = mat.reshape(-1, width + 7)[first - base : stop - base]
-            yield first - start_index, stop - start_index, rows
-            first = stop
-
-
 def write_pulse_ledger(path, ledger: PulseLedger) -> None:
-    """Write the sender record: pulse_index,intensity_class,alpha,bit.
+    """Write the sender record: one header line, then one int8 code per pulse.
 
-    Rows are formatted at most LEDGER_CHUNK_ROWS at a time, so memory
-    stays bounded.  `path` may also be a binary file open for writing: the
-    rows are appended, after the header if the file is still empty.
+    The header is `timebin-qkd pulse ledger/2 start_index=<N>`; each byte
+    after it is a pulse's code class * 4 + alpha * 2 + bit, in pulse order.
+    `path` may also be a binary file open for writing: the codes are
+    appended, after the header if the file is still empty, so a ledger
+    appended this way must continue where the file's last one ended.
     """
     with _output(path) as f:
         if f.tell() == 0:
-            f.write(LEDGER_HEADER.encode("ascii") + b"\n")
-        for lo, hi, rows in _ledger_chunks(ledger.start_index, ledger.start_index + len(ledger)):
-            # each code's class, alpha and bit added to its row's "0"s
-            code = ledger._code[lo:hi].view(np.uint8)
-            rows[:, -6] += code >> 2
-            rows[:, -4] += (code >> 1) & 1
-            rows[:, -2] += code & 1
-            f.write(rows)
-
-
-def _decode_written_ledger(f) -> PulseLedger | None:
-    """The ledger whose written file is exactly what binary file `f` holds, or None.
-
-    Rows of one index width have one length, so the file's size fixes
-    where each width starts and the digit columns are read at fixed
-    offsets.  The file is read one writer chunk at a time, and each chunk
-    is accepted only if the writer's own chunk of the values it gives
-    reproduces it byte for byte; the last index must fit the int64 the row
-    reader parses into.
-    """
-    header = LEDGER_HEADER.encode("ascii") + b"\n"
-    size = f.seek(0, io.SEEK_END)
-    f.seek(0)
-    head = f.read(len(header) + 21)
-    if not head.startswith(header):
-        return None
-    pos = len(header)
-    comma = head.find(b",", pos)
-    digits = head[pos:comma]
-    if comma < 0 or not digits.isdigit():
-        return None
-    start = index = int(digits)
-    rest = size - pos
-    while rest:
-        width = len(str(index))
-        rows = min(10**width - index, rest // (width + 7))
-        if rows == 0:
-            return None
-        index += rows
-        rest -= rows * (width + 7)
-    if index - 1 > _INT64_MAX:
-        return None
-    code = np.empty(index - start, dtype=np.int8)
-    digits = np.empty((3, LEDGER_CHUNK_ROWS), dtype=np.uint8)
-    f.seek(pos)
-    for lo, hi, rows in _ledger_chunks(start, index):
-        data = f.read(rows.nbytes)
-        if len(data) != rows.nbytes:
-            return None
-        values = digits[:, : hi - lo]
-        values[...] = np.frombuffer(data, np.uint8).reshape(rows.shape)[:, -6:-1:2].T
-        values -= ord("0")
-        if values[0].max() > 2 or values[1:].max() > 1:
-            return None
-        for digit, column in zip(rows[:, -6:-1:2].T, values):
-            digit += column
-        if not data.startswith(rows):
-            return None
-        code[lo:hi] = values[0] * 4 + values[1] * 2 + values[2]
-    return PulseLedger._of_code(start, code)
+            f.write(_LEDGER_HEAD + b"%d\n" % ledger.start_index)
+        f.write(ledger._code.tobytes())
 
 
 def read_pulse_ledger(path) -> PulseLedger:
-    """Read a ledger file.
+    """Read a ledger file: one header check, then one read of the codes.
 
-    A file that is exactly what write_pulse_ledger writes is decoded at
-    fixed offsets, one chunk at a time; any other file goes through one
-    loadtxt call, which also accepts padding, CRLF and blank lines and
-    names a bad line.
+    A header that is not `timebin-qkd pulse ledger/2 start_index=<N>`
+    with N digits, a pulse index beyond int64, an empty body or a code
+    outside 0..11 is refused; so is the CSV ledger of earlier versions.
     """
     with open(path, "rb") as f:
-        ledger = _decode_written_ledger(f)
-    return ledger if ledger is not None else _read_ledger_rows(path)
-
-
-def _read_ledger_rows(path) -> PulseLedger:
-    """The loadtxt path of read_pulse_ledger, which takes any ledger file."""
-    rows = _read_rows(path, LEDGER_HEADER, "ledger")
-    if len(rows) == 0:
+        line = f.readline(len(_LEDGER_HEAD) + 64)
+        digits = line[len(_LEDGER_HEAD) : -1]
+        if not (line.startswith(_LEDGER_HEAD) and line.endswith(b"\n") and digits.isdigit()):
+            raise InvalidInputError(
+                f"unrecognized pulse ledger header {line[:64]!r}: expected "
+                f"'{_LEDGER_HEAD.decode()}<N>' (CSV ledgers of earlier versions are not read)"
+            )
+        code = np.fromfile(f, np.int8)
+    start = int(digits)
+    if len(code) == 0:
         raise InvalidInputError("empty pulse ledger")
-    idx = rows["pulse_index"]
-    start = int(idx[0])
-    if not np.array_equal(idx, np.arange(start, start + len(idx))):
-        raise InvalidInputError("ledger pulse indices must be contiguous")
-    return PulseLedger(start, rows["intensity_class"], rows["alpha"], rows["bit"])
+    if start + len(code) - 1 > _INT64_MAX:
+        raise InvalidInputError("ledger pulse indices must lie within int64")
+    # as uint8 a negative code is at least 128
+    if code.view(np.uint8).max() > 11:
+        raise InvalidInputError("ledger codes must lie in 0..11")
+    return PulseLedger._of_code(start, code)
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:

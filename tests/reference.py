@@ -1,4 +1,4 @@
-"""Row-by-row reference versions of the tag and ledger file code, accumulate,
+"""Row-by-row reference versions of the tag file code, accumulate,
 the event table, the dead-time pass and the drift walk.
 
 These are the plain Python loops the vectorized functions in
@@ -51,32 +51,6 @@ def event_probabilities_loop(
     probs = [0.5 * signal[b][s] * dark[d0] * dark[d1] for b, s, d0, d1 in _EVENT_STATES]
     probs.append(max(0.0, 1.0 - math.fsum(probs)))
     return np.array(probs)
-
-
-def write_pulse_ledger_rows(path, ledger: PulseLedger) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write("pulse_index,intensity_class,alpha,bit\n")
-        for row in range(len(ledger)):
-            f.write(
-                f"{ledger.start_index + row},{int(ledger.class_idx[row])},"
-                f"{int(ledger.alpha[row])},{int(ledger.bit[row])}\n"
-            )
-
-
-def read_pulse_ledger_rows(path) -> PulseLedger:
-    idx, cls, alpha, bit = [], [], [], []
-    with open(path, "r", encoding="ascii") as f:
-        f.readline()
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, c, d = line.split(",")
-            idx.append(int(a))
-            cls.append(int(b))
-            alpha.append(int(c))
-            bit.append(int(d))
-    return PulseLedger(idx[0], np.array(cls), np.array(alpha), np.array(bit))
 
 
 def write_time_tags_rows(path, tags: TimeTags) -> None:

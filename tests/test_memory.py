@@ -55,7 +55,7 @@ def test_tag_dump_memory_does_not_grow_with_the_pulses(tmp_path, monkeypatch):
 
 
 def test_ledger_read_back_and_accumulate_hold_little_beyond_the_ledger(tmp_path):
-    # the ledger itself is 1 MB, one byte per pulse; the file is 13 MB
+    # the ledger is 1 MB, one byte per pulse, in memory and in the file
     n = 1_000_000
     rng = np.random.default_rng(8)
     path = tmp_path / "ledger"
