@@ -1,5 +1,5 @@
-"""Row-by-row reference versions of the tag file code, accumulate,
-the event table, the dead-time pass and the drift walk.
+"""Row-by-row reference versions of the tag file code, the ledger file
+decoder, accumulate, the event table, the dead-time pass and the drift walk.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced, and the per-time drift evaluation that
@@ -76,6 +76,30 @@ def read_time_tags_rows(path) -> TimeTags:
             det.append(int(b))
             ts.append(int(c))
     return TimeTags(pulse, det, ts)
+
+
+# The ledger file's header, before the start index and its newline.
+LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
+
+
+def decode_pulse_ledger(data: bytes) -> tuple[int, list, list, list] | None:
+    """(start_index, class_idx, alpha, bit) of a ledger file's bytes, or None.
+
+    None when the file is not one a writer could have made: the first
+    line is not LEDGER_HEAD, then at least one ASCII digit, then a
+    newline, within 64 bytes after LEDGER_HEAD; the body is empty; a
+    byte of the body is not a code 0..11; or a pulse index passes int64.
+    """
+    end = data.find(b"\n")
+    if end < 0 or end >= len(LEDGER_HEAD) + 64 or not data.startswith(LEDGER_HEAD):
+        return None
+    digits = data[len(LEDGER_HEAD) : end]
+    if not digits or any(c not in b"0123456789" for c in digits):
+        return None
+    start, body = int(digits), data[end + 1 :]
+    if not body or any(c > 11 for c in body) or start + len(body) - 1 > 2**63 - 1:
+        return None
+    return start, [c // 4 for c in body], [c // 2 % 2 for c in body], [c % 2 for c in body]
 
 
 def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | None:

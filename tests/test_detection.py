@@ -45,7 +45,9 @@ from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmi
 from timebin_qkd.switch import SwitchModel, apply_switch_both_bins, with_delay
 
 from reference import (
+    LEDGER_HEAD,
     accumulate_loop,
+    decode_pulse_ledger,
     event_probabilities_loop,
     prune_dead_time_loop,
     read_time_tags_rows,
@@ -1021,10 +1023,6 @@ def test_malformed_rows_raise_input_errors_naming_the_row(tmp_path, header, body
             read_time_tags(path)
 
 
-# The ledger file's header, before the start index and its newline.
-LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
-
-
 def _random_ledger(rng, start_index: int, n: int) -> PulseLedger:
     return PulseLedger(
         start_index, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
@@ -1065,6 +1063,69 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
     assert _same_ledger(read_pulse_ledger(path), whole)
 
 
+def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
+    rng = _rng(24)
+    first, second = _random_ledger(rng, 0, 6), _random_ledger(rng, 6, 9)
+    path = tmp_path / "ledger"
+    write_pulse_ledger(path, first)
+    # a file opened for appending starts at its end, so no second header
+    with open(path, "ab") as f:
+        write_pulse_ledger(f, second)
+    whole = PulseLedger(0, *(
+        np.concatenate([getattr(first, name), getattr(second, name)])
+        for name in ("class_idx", "alpha", "bit")
+    ))
+    assert path.read_bytes().count(LEDGER_HEAD) == 1
+    assert _same_ledger(read_pulse_ledger(path), whole)
+
+
+def _mutants(rng, data: bytes, header_len: int, count: int):
+    """Copies of a ledger file with one byte replaced, dropped or inserted, or its tail cut."""
+    near = b"0123456789\n\r:+- \x00\x0b\x0c\x7f\x80\xff"
+    for _ in range(count):
+        # half of the edits fall in the header line, newline included
+        top = header_len if rng.random() < 0.5 else len(data)
+        at = int(rng.integers(0, top))
+        value = near[rng.integers(len(near))] if rng.random() < 0.7 else rng.integers(256)
+        byte = bytes([int(value)])
+        kind = rng.integers(4)
+        if kind == 0:
+            yield data[:at] + byte + data[at + 1 :]
+        elif kind == 1:
+            yield data[:at] + data[at + 1 :]
+        elif kind == 2:
+            yield data[:at] + byte + data[at:]
+        else:
+            yield data[:at]
+
+
+@pytest.mark.parametrize("start_index", [0, 9, 99_999, 2**63 - 40, 2**63 - 1])
+def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, start_index):
+    rng = _rng(start_index)
+    n = min(int(rng.integers(1, 30)), 2**63 - start_index)
+    ledger = _random_ledger(rng, start_index, n)
+    path = tmp_path / "ledger"
+    write_pulse_ledger(path, ledger)
+    written = path.read_bytes()
+    assert decode_pulse_ledger(written) == (
+        start_index, ledger.class_idx.tolist(), ledger.alpha.tolist(), ledger.bit.tolist()
+    )
+    outcomes = set()
+    for data in _mutants(rng, written, len(written) - n, 300):
+        path.write_bytes(data)
+        expected = decode_pulse_ledger(data)
+        outcomes.add(expected is None)
+        if expected is None:
+            with pytest.raises(InvalidInputError):
+                read_pulse_ledger(path)
+        else:
+            back = read_pulse_ledger(path)
+            got = (back.start_index, back.class_idx.tolist(), back.alpha.tolist(), back.bit.tolist())
+            assert got == expected, data
+    # the edits made both files the reader takes and files it refuses
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize(
     "data, match",
     [
@@ -1080,11 +1141,24 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
         (LEDGER_HEAD + b"%d\n\x01" % 2**63, "int64"),
         (LEDGER_HEAD + b"%d\n\x01\x01" % (2**63 - 1), "int64"),
         (b"", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD + b"0\r\n\x01", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD.replace(b"pulse", b"puls\xc3\xa9") + b"0\n\x01", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD + "\u0661\u0662".encode() + b"\n\x01", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD + b"1:\n\x01", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD.replace(b"/2", b"/1") + b"0\n\x01", "unrecognized pulse ledger header"),
+        (b"\xef\xbb\xbf" + LEDGER_HEAD + b"0\n\x01", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD + b"0" * 64 + b"\n\x01", "unrecognized pulse ledger header"),
+        (LEDGER_HEAD + b"0\n\x01\x80", "0..11"),
+        (LEDGER_HEAD + b"0\n\x7f\x01", "0..11"),
+        (LEDGER_HEAD + b"0\n" + bytes(range(12)) * 1000 + b"\x0c", "0..11"),
     ],
     ids=[
         "csv-of-earlier-versions", "truncated-header", "header-without-newline", "no-start-index",
         "signed-start-index", "padded-start-index", "code-12", "code-minus-1", "empty-body",
-        "start-index-beyond-int64", "last-index-beyond-int64", "empty-file",
+        "start-index-beyond-int64", "last-index-beyond-int64", "empty-file", "crlf-header",
+        "non-ascii-header", "non-ascii-digits", "colon-in-start-index", "version-1-header",
+        "byte-order-mark", "start-index-past-64-bytes", "code-minus-128", "code-127",
+        "bad-code-after-12000-good-ones",
     ],
 )
 def test_ledger_reader_refuses_what_the_writer_cannot_write(tmp_path, data, match):
@@ -1100,6 +1174,29 @@ def test_ledger_reader_takes_the_last_int64_pulse_index(tmp_path):
     ledger = read_pulse_ledger(path)
     assert ledger.start_index == 2**63 - 1
     assert (ledger.class_idx.tolist(), ledger.alpha.tolist(), ledger.bit.tolist()) == ([2], [1], [1])
+
+
+def test_ledger_reader_takes_a_start_index_of_63_digits(tmp_path):
+    # the header line may run to 64 bytes past its fixed head
+    path = tmp_path / "ledger"
+    path.write_bytes(LEDGER_HEAD + b"0" * 62 + b"7\n\x05")
+    ledger = read_pulse_ledger(path)
+    assert ledger.start_index == 7 and ledger._code.tolist() == [5]
+
+
+def test_read_pulse_ledger_keeps_one_byte_per_pulse(tmp_path):
+    n = 200_000
+    path = tmp_path / "ledger"
+    write_pulse_ledger(path, _random_ledger(_rng(27), 0, n))
+    tracemalloc.start()
+    try:
+        ledger = read_pulse_ledger(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) == n
+    # the codes as read are the ledger's one column: no row, copy or cast
+    assert n <= retained <= peak < 1.05 * n, (retained / n, peak / n)
 
 
 def test_ledger_values_are_range_checked():
