@@ -3,9 +3,10 @@ Dump a session's records, read them back, and count them again
 ===============================================================
 
 `session --dump-tags PATH` writes the two records a session's counts come
-from: the receiver's time tags at PATH (one row per click: pulse, detector,
-whole picoseconds) and the sender's pulse ledger at PATH.ledger (a header
-line, then one byte per pulse: its intensity class, basis and bit).
+from, both binary: the receiver's time tags at PATH (a header line, then
+one 17-byte record per click: pulse, detector, whole picoseconds) and the
+sender's pulse ledger at PATH.ledger (a header line, then one byte per
+pulse: its intensity class, basis and bit).
 Reading both back and binning each tag into the detection window around
 its slot rebuilds the counts.
 The rebuilt counts see every pulse sent, but not every event: timing
@@ -32,7 +33,7 @@ from timebin_qkd.source import IntensityClass
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
-    tags_path, counts_path = tmp / "tags.csv", tmp / "counts.json"
+    tags_path, counts_path = tmp / "tags.bin", tmp / "counts.json"
     argv = [
         "session", "--pulses", "100000", "--seed", "8",
         "--dump-tags", str(tags_path), "--save-counts", str(counts_path),
@@ -48,9 +49,9 @@ rebuilt = accumulate(tags, ExperimentConfig().layout, ledger)
 assert np.array_equal(rebuilt.pulses_sent, counted.pulses_sent)
 assert (rebuilt.counts.sum(axis=4) <= counted.counts.sum(axis=4)).all()
 
-print(f"time tags: {len(tags):,} clicks, {sizes['tags.csv']:,} bytes")
+print(f"time tags: {len(tags):,} clicks, {sizes['tags.bin']:,} bytes")
 print(f"ledger:    {len(ledger):,} pulses from index {ledger.start_index}, "
-      f"{sizes['tags.csv.ledger']:,} bytes")
+      f"{sizes['tags.bin.ledger']:,} bytes")
 print(f"{'class':>7} {'pulses':>9} {'counted':>8} {'rebuilt':>8} {'kept':>7}")
 for cls in IntensityClass:
     n, k = counted.clicks(cls), rebuilt.clicks(cls)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import SessionCounts
-from .errors import InvalidInputError, NoDataError
+from .errors import InvalidInputError, NoDataError, _count
 from .qubit import Basis
 from .source import IntensityClass, SourceConfig
 
@@ -36,12 +36,20 @@ SIFTING_FACTOR = 0.5
 MAX_MU = math.log(sys.float_info.max)
 
 
-def _setting_index(basis: Basis, bit: int) -> int:
-    if basis not in (Basis.PHASE, Basis.TIME):
-        raise InvalidInputError("settings exist only for the two BB84 bases")
-    if bit not in (0, 1):
-        raise InvalidInputError("bit must be 0 or 1")
-    return int(basis) * 2 + bit
+# What each count-tensor index (intensity, alpha, i, beta) names, and its largest value.
+_INDEX_RANGES = (("intensity class", 2), ("basis", 1), ("bit", 1), ("basis", 1))
+
+
+def _indices(*values) -> list[int]:
+    """Count-tensor indices (intensity, alpha, i, beta), or the first of them, as ints.
+
+    Each must be an integer, not a bool, within its range, so that -1
+    cannot read the last entry; checked before any indexing.
+    """
+    for value, (what, top) in zip(values, _INDEX_RANGES):
+        if _count(value, what, least=0) > top:
+            raise InvalidInputError(f"{what} must be at most {top}")
+    return [int(value) for value in values]
 
 
 def probability_matrix(counts: SessionCounts) -> np.ndarray:
@@ -67,11 +75,12 @@ def conditional_probabilities(
     beta: Basis,
 ) -> tuple[float, float]:
     """(P(j=0), P(j=1)) conditioned on measuring pathway beta."""
-    c = counts.counts[int(intensity), int(alpha), i, int(beta)]
+    intensity, alpha, i, beta = _indices(intensity, alpha, i, beta)
+    c = counts.counts[intensity, alpha, i, beta]
     total = int(c[0] + c[1])
     if total == 0:
         raise NoDataError(
-            f"no events for preparation {SETTING_LABELS[_setting_index(alpha, i)]} "
+            f"no events for preparation {SETTING_LABELS[alpha * 2 + i]} "
             f"measured in the {Basis(beta).name.lower()} pathway"
         )
     return int(c[0]) / total, int(c[1]) / total
@@ -84,7 +93,7 @@ def fidelities(
 
     A setting without a matched-basis event has fidelity NaN.
     """
-    c = counts.counts[int(intensity)]
+    c = counts.counts[_indices(intensity)[0]]
     out = {}
     for alpha in (Basis.PHASE, Basis.TIME):
         for i in (0, 1):
@@ -97,6 +106,7 @@ def qber(
     counts: SessionCounts, intensity: IntensityClass = IntensityClass.SIGNAL
 ) -> float:
     """Sifted error rate over matched-basis events of one intensity class."""
+    (intensity,) = _indices(intensity)
     matched = counts.matched_clicks(intensity)
     if matched == 0:
         raise NoDataError(

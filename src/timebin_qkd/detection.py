@@ -5,7 +5,8 @@ phase-basis pathway ending on one detector each.  A polarizing delayed
 interferometer (0.88 m path difference, 2.935 ns) maps the two orthogonal
 polarizations to two nanosecond slots per pathway, giving four detection
 windows per repetition frame.  Counting is by pulse outcome; time tags are
-an equivalent record of the same clicks for external tooling.
+an equivalent record of the same clicks for external tooling, written,
+like the pulse ledger, as one header line and then fixed-size records.
 
 Probabilities come straight from the switched-state amplitudes: the
 effective detected qubit is (switched early-bin V amplitude, unswitched
@@ -20,10 +21,7 @@ interference partner and genuinely project 50:50.
 from __future__ import annotations
 
 import functools
-import io
 import math
-import re
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -424,104 +422,53 @@ def accumulate(
     return out
 
 
-TAG_HEADER = "pulse_index,detector_id,timestamp_ps"
+_TAG_HEAD = b"timebin-qkd time tags/2\n"
+# One tag on disk: packed, little-endian, 17 bytes.
+_TAG_RECORD = np.dtype([("pulse_index", "<i8"), ("detector_id", "i1"), ("timestamp_ps", "<i8")])
 _LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Tag rows formatted at a time; bounds the memory of the writer whatever
-# the number of tags.
-TAG_CHUNK_ROWS = 20_000
 
-# A whitespace-only line, and one field of a tag row.
-_BLANK_LINE = re.compile(r"(?m)^[ \t\v\f]+$")
-_INT_FIELD = r"[ \t]*[+-]?\d+[ \t]*"
-
-
-def _load_rows(f, dtype: np.dtype) -> np.ndarray:
-    with warnings.catch_warnings():
-        # loadtxt warns on input without rows; the caller reports it
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(f, delimiter=",", dtype=dtype, ndmin=1, comments=None)
-
-
-def _read_rows(path, header: str, what: str) -> np.ndarray:
-    """The rows of a tag file: one int64 field per name in `header`.
-
-    One loadtxt call parses the body.  loadtxt rejects whitespace-only
-    lines, which the format allows, and numbers rows inconsistently in its
-    errors; when it refuses the body, the text is re-read with
-    whitespace-only lines emptied and the first line that is not empty or
-    comma-separated integers (a float timestamp, say) is reported by line.
-    """
-    names = header.split(",")
-    dtype = np.dtype([(name, np.int64) for name in names])
-    bad_line = re.compile(rf"(?m)^(?!{_INT_FIELD}(?:,{_INT_FIELD}){{{len(names) - 1}}}$).+$")
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            found = f.readline().strip()
-            if found != header:
-                raise InvalidInputError(f"unrecognized {what} header: {found!r}")
-            body_start = f.tell()
-            try:
-                return _load_rows(f, dtype)
-            except ValueError:
-                f.seek(body_start)
-                body = _BLANK_LINE.sub("", f.read())
-    except UnicodeDecodeError:
-        raise InvalidInputError(f"{what} line {_non_ascii_line(path)}: not ASCII text") from None
-    bad = bad_line.search(body)
-    if bad is not None:
-        lineno = body.count("\n", 0, bad.start()) + 2
-        raise InvalidInputError(
-            f"{what} line {lineno}: expected {header}, got {bad.group().strip()!r}"
-        )
-    try:
-        return _load_rows(io.StringIO(body), dtype)
-    except ValueError as e:
-        raise InvalidInputError(f"malformed {what}: {e}") from e
-
-
-def _output(target):
-    """`target` itself if it is an open file, else `target` opened for binary writing."""
-    return nullcontext(target) if hasattr(target, "write") else open(target, "wb")
+def _append(target, head: bytes, body: bytes) -> None:
+    """Write `body` to a new file at `target`, or append it if `target` is an
+    open binary file; `head` goes first while the file is still empty."""
+    with nullcontext(target) if hasattr(target, "write") else open(target, "wb") as f:
+        if f.tell() == 0:
+            f.write(head)
+        f.write(body)
 
 
 def write_time_tags(path, tags: TimeTags) -> None:
-    """Write tags as line-oriented text: pulse_index,detector_id,timestamp_ps.
+    """Write the click record: one header line, then one 17-byte record per tag.
 
-    Every field is a decimal integer; timestamps are whole picoseconds.
-    `path` may also be a binary file open for writing: the rows are
-    appended, after the header if the file is still empty.  Rows are
-    formatted at most TAG_CHUNK_ROWS at a time.
+    The header is `timebin-qkd time tags/2`; a record is a tag's packed
+    little-endian int64 pulse_index, int8 detector_id and int64
+    timestamp_ps.  `path` may also be a binary file open for writing: the
+    records are appended, after the header if the file is still empty.
     """
-    with _output(path) as f:
-        if f.tell() == 0:
-            f.write(TAG_HEADER.encode("ascii") + b"\n")
-        for lo in range(0, len(tags), TAG_CHUNK_ROWS):
-            part = slice(lo, lo + TAG_CHUNK_ROWS)
-            # the columns interleaved row by row, so one `%` formats the chunk
-            rows = np.stack([getattr(tags, name)[part] for name in TAG_HEADER.split(",")], 1)
-            f.write((("%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())).encode("ascii"))
+    columns = [tags.pulse_index, tags.detector_id, tags.timestamp_ps]
+    _append(path, _TAG_HEAD, np.rec.fromarrays(columns, dtype=_TAG_RECORD).tobytes())
 
 
 def read_time_tags(path) -> TimeTags:
-    """Read a tag file of integers; one loadtxt call parses every row.
+    """Read a tag file: one header check, then one read of the records.
 
-    The int64 columns are copied out of loadtxt's 24-byte rows, so the
-    tags keep 17 bytes per tag and the rows are freed.
+    A header that is not `timebin-qkd time tags/2` (the CSV tag file of
+    earlier versions, say) or a body that is not whole records is refused.
+    The int64 columns are copied out, so the tags keep 17 bytes per tag.
     """
-    rows = _read_rows(path, TAG_HEADER, "tag file")
-    return TimeTags(
-        rows["pulse_index"].copy(), rows["detector_id"], rows["timestamp_ps"].copy()
-    )
-
-
-def _non_ascii_line(path) -> int:
-    """The line number, header included, of the first non-ASCII byte."""
     with open(path, "rb") as f:
-        data = f.read()
-    first = re.search(rb"[\x80-\xff]", data).start()
-    return len(data[: first + 1].splitlines())
+        head = f.read(len(_TAG_HEAD))
+        if head != _TAG_HEAD:
+            raise InvalidInputError(
+                f"unrecognized tag file header {head!r}: expected {_TAG_HEAD!r} "
+                "(CSV tag files of earlier versions are not read)"
+            )
+        body = f.read()
+    if len(body) % _TAG_RECORD.itemsize:
+        raise InvalidInputError(f"tag file body of {len(body)} bytes is not whole 17-byte records")
+    rec = np.frombuffer(body, _TAG_RECORD)
+    return TimeTags(rec["pulse_index"].copy(), rec["detector_id"], rec["timestamp_ps"].copy())
 
 
 def write_pulse_ledger(path, ledger: PulseLedger) -> None:
@@ -533,10 +480,7 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
     appended, after the header if the file is still empty, so a ledger
     appended this way must continue where the file's last one ended.
     """
-    with _output(path) as f:
-        if f.tell() == 0:
-            f.write(_LEDGER_HEAD + b"%d\n" % ledger.start_index)
-        f.write(ledger._code.tobytes())
+    _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger._code.tobytes())
 
 
 def read_pulse_ledger(path) -> PulseLedger:
@@ -955,9 +899,7 @@ def _tags_and_ledger(
         code[placed[k_a:]] = b * 4 + setting
 
     # Window 0's jitter is drawn before window 1's; the tags are then
-    # ordered by pulse, then time.  A pulse has at most one tag per window,
-    # both on its pathway's detector, so after a stable sort by pulse only
-    # the timestamps of a pulse's two tags may be out of order.
+    # ordered by pulse, then time.
     n_clicks = (int(click0.sum()), int(click1.sum()))
     idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
     centers = np.reshape(WINDOW_CENTERS_PS, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
@@ -965,11 +907,8 @@ def _tags_and_ledger(
     # a time tagger's whole picoseconds, rounded once here
     ts = np.rint(centers + np.concatenate(jitter)).astype(np.int64)
     pulse = block.start_index + frames[idx]
-    order = np.argsort(pulse, kind="stable")
-    pulse, ts = pulse[order], ts[order]
-    swap = np.flatnonzero((pulse[1:] == pulse[:-1]) & (ts[1:] < ts[:-1]))
-    ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
-    tags = TimeTags(pulse, beta[idx][order], ts)
+    order = np.lexsort((ts, pulse))
+    tags = TimeTags(pulse[order], beta[idx][order], ts[order])
     return tags, PulseLedger._of_code(block.start_index, code)
 
 

@@ -1,11 +1,11 @@
-"""Row-by-row reference versions of the tag file code, the ledger file
-decoder, accumulate, the event table, the dead-time pass and the drift walk.
+"""Row-by-row reference versions of the tag and ledger file decoders,
+accumulate, the event table, the dead-time pass and the drift walk.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced, and the per-time drift evaluation that
 `timebin_qkd.source.drift_state` replaced.  They are slow and kept only so
-the tests can require byte-identical files, identical counts and
-bit-identical probabilities and drift values from the newer code.
+the tests can require identical tags, ledgers and counts and bit-identical
+probabilities and drift values from the newer code.
 """
 
 from __future__ import annotations
@@ -53,29 +53,31 @@ def event_probabilities_loop(
     return np.array(probs)
 
 
-def write_time_tags_rows(path, tags: TimeTags) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write("pulse_index,detector_id,timestamp_ps\n")
-        for k in range(len(tags)):
-            f.write(
-                f"{int(tags.pulse_index[k])},{int(tags.detector_id[k])},"
-                f"{int(tags.timestamp_ps[k])}\n"
-            )
+# The tag file's header line, newline included.
+TAG_HEAD = b"timebin-qkd time tags/2\n"
 
 
-def read_time_tags_rows(path) -> TimeTags:
-    pulse, det, ts = [], [], []
-    with open(path, "r", encoding="ascii") as f:
-        f.readline()
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, c = line.split(",")
-            pulse.append(int(a))
-            det.append(int(b))
-            ts.append(int(c))
-    return TimeTags(pulse, det, ts)
+def decode_time_tags(data: bytes) -> tuple[list, list, list] | None:
+    """(pulse_index, detector_id, timestamp_ps) of a tag file's bytes, or None.
+
+    None when the file is not one a writer could have made: it does not
+    start with TAG_HEAD; the body after it is not whole 17-byte records
+    (little-endian int64 pulse index, int8 detector, int64 timestamp); a
+    pulse index is negative; or a detector is not 0 or 1.
+    """
+    if not data.startswith(TAG_HEAD):
+        return None
+    body = data[len(TAG_HEAD) :]
+    if len(body) % 17:
+        return None
+    pulse, detector, ts = [], [], []
+    for at in range(0, len(body), 17):
+        pulse.append(int.from_bytes(body[at : at + 8], "little", signed=True))
+        detector.append(int.from_bytes(body[at + 8 : at + 9], "little", signed=True))
+        ts.append(int.from_bytes(body[at + 9 : at + 17], "little", signed=True))
+    if any(p < 0 for p in pulse) or any(d not in (0, 1) for d in detector):
+        return None
+    return pulse, detector, ts
 
 
 # The ledger file's header, before the start index and its newline.

@@ -127,6 +127,56 @@ def test_fidelity_of_a_setting_without_matched_events_is_nan():
     assert all(math.isnan(v) for v in fidelities(counts, IntensityClass.DECOY).values())
 
 
+_SIGNAL, _PHASE, _TIME = IntensityClass.SIGNAL, Basis.PHASE, Basis.TIME
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, -1, _TIME),
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, 2, _TIME),
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, True, _TIME),
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, 1.0, _TIME),
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, np.True_, _TIME),
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, 0, 5),
+        lambda c: conditional_probabilities(c, _SIGNAL, _TIME, 0, -1),
+        lambda c: conditional_probabilities(c, _SIGNAL, -1, 0, _PHASE),
+        lambda c: conditional_probabilities(c, _SIGNAL, False, 0, _PHASE),
+        lambda c: conditional_probabilities(c, 3, _PHASE, 0, _PHASE),
+        lambda c: conditional_probabilities(c, -1, _PHASE, 0, _PHASE),
+        lambda c: conditional_probabilities(SessionCounts.zeros(), _SIGNAL, _TIME, -1, _TIME),
+        lambda c: fidelities(c, -1),
+        lambda c: fidelities(c, 3),
+        lambda c: fidelities(c, True),
+        lambda c: fidelities(c, "signal"),
+        lambda c: qber(c, -1),
+        lambda c: qber(c, 3),
+        lambda c: qber(c, True),
+        lambda c: qber(SessionCounts.zeros(), -1),
+    ],
+    ids=[
+        "cond-bit-minus-1", "cond-bit-2", "cond-bit-true", "cond-bit-float", "cond-bit-numpy-bool",
+        "cond-beta-5", "cond-beta-minus-1", "cond-alpha-minus-1", "cond-alpha-false",
+        "cond-intensity-3", "cond-intensity-minus-1", "cond-no-counts-bit-minus-1",
+        "fidelities-minus-1", "fidelities-3", "fidelities-true", "fidelities-str",
+        "qber-minus-1", "qber-3", "qber-true", "qber-no-counts-minus-1",
+    ],
+)
+def test_count_indices_are_checked_before_use(call):
+    # every class holds events, so no call fails for want of data
+    counts = _counts_with_rows([[96, 4, 10, 10], [2, 98, 10, 10], [10, 10, 99, 1], [10, 10, 3, 97]])
+    counts.counts[1:] = counts.counts[0]
+    counts.pulses_sent[1:] = counts.pulses_sent[0]
+    with pytest.raises(InvalidInputError):
+        call(counts)
+
+
+def test_count_indices_take_numpy_and_plain_integers():
+    counts = _counts_with_rows([[96, 4, 10, 10], [2, 98, 10, 10], [10, 10, 99, 1], [10, 10, 3, 97]])
+    assert conditional_probabilities(counts, np.int64(0), 1, np.int8(1), Basis.TIME) == (0.03, 0.97)
+    assert qber(counts, 0) == qber(counts) and fidelities(counts, np.uint8(0)) == fidelities(counts)
+
+
 def test_decoy_bounds_hand_computed_case():
     """Fully worked numerical example, done with plain floats here and
     frozen; guards the algebra against sign and normalization slips."""

@@ -361,7 +361,7 @@ def test_session_too_short_for_every_class_writes_its_files(tmp_path, seed):
     ])
     assert rc == 0
     assert len(read_pulse_ledger(tmp_path / "tags.csv.ledger")) == 4
-    assert paths["tags.csv"].read_text().startswith("pulse_index,")
+    assert paths["tags.csv"].read_bytes().startswith(b"timebin-qkd time tags/2\n")
     assert read_counts_json(paths["counts.json"])[0].pulses_sent.sum() == 4
     report = _strict_json(paths["report.json"].read_text())
     assert report["R_bps"] == 0.0 and report["flags"]

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import math
+import struct
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +15,6 @@ from timebin_qkd.detection import (
     _EVENT_STATES,
     BASIS_GROUP_OFFSET_PS,
     INTERFEROMETER_DELAY_PS,
-    TAG_HEADER,
     WINDOW_CENTERS_PS,
     Block,
     DetectorModel,
@@ -46,12 +45,12 @@ from timebin_qkd.switch import SwitchModel, apply_switch_both_bins, with_delay
 
 from reference import (
     LEDGER_HEAD,
+    TAG_HEAD,
     accumulate_loop,
     decode_pulse_ledger,
+    decode_time_tags,
     event_probabilities_loop,
     prune_dead_time_loop,
-    read_time_tags_rows,
-    write_time_tags_rows,
 )
 from sinks import tagged_session
 
@@ -924,62 +923,91 @@ def test_tag_files_round_trip_edge_integers_exactly(tmp_path):
     pulse = 2**31 - 5 + np.arange(len(ts)) * 7
     pulse[-1] = 2**63 - 1
     tags = TimeTags(pulse, rng.integers(0, 2, len(ts)), ts)
-    write_time_tags(tmp_path / "fast", tags)
-    write_time_tags_rows(tmp_path / "ref", tags)
-    assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes()
-    assert _same_tags(read_time_tags(tmp_path / "fast"), tags)
+    write_time_tags(tmp_path / "all", tags)
+    assert _same_tags(read_time_tags(tmp_path / "all"), tags)
+    # the first three tags, byte for byte: the header line, then packed
+    # little-endian (int64, int8, int64) records
+    write_time_tags(tmp_path / "small", _select(tags, slice(0, 3)))
+    assert (tmp_path / "small").read_bytes() == TAG_HEAD + b"".join(
+        struct.pack("<qbq", p, d, t)
+        for p, d, t in zip(pulse[:3].tolist(), tags.detector_id[:3].tolist(), _EDGE_TIMESTAMPS[:3])
+    )
+    write_time_tags(tmp_path / "edges", TimeTags([2**63 - 1, 0], [1, 0], [2**63 - 1, -(2**63)]))
+    assert (tmp_path / "edges").read_bytes() == (
+        b"timebin-qkd time tags/2\n"
+        + b"\xff" * 7 + b"\x7f" + b"\x01" + b"\xff" * 7 + b"\x7f"
+        + b"\x00" * 8 + b"\x00" + b"\x00" * 7 + b"\x80"
+    )
+    # a header-only file holds no tags
     write_time_tags(tmp_path / "empty", _tags())
-    assert (tmp_path / "empty").read_text() == TAG_HEADER + "\n"
+    assert (tmp_path / "empty").read_bytes() == TAG_HEAD
     assert len(read_time_tags(tmp_path / "empty")) == 0
 
 
-def test_tag_writer_matches_the_row_by_row_reference_on_block_tags(tmp_path):
+def test_tag_file_of_block_tags_decodes_to_its_tags(tmp_path):
     det = replace(IDEAL_DET, jitter_sigma_ps=150.0, dark_count_rate_hz=1e6)
     _, tags, _ = _tagged_block(
         BB84_SETTINGS[1], 50_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
         det, _rng(25), start_index=999_990,
     )
-    write_time_tags(tmp_path / "fast", tags)
-    write_time_tags_rows(tmp_path / "ref", tags)
-    assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes()
-    assert _same_tags(read_time_tags(tmp_path / "fast"), read_time_tags_rows(tmp_path / "ref"))
+    write_time_tags(tmp_path / "tags", tags)
+    data = (tmp_path / "tags").read_bytes()
+    assert len(tags) > 100 and len(data) == len(TAG_HEAD) + 17 * len(tags)
+    assert decode_time_tags(data) == (
+        tags.pulse_index.tolist(), tags.detector_id.tolist(), tags.timestamp_ps.tolist()
+    )
+    assert _same_tags(read_time_tags(tmp_path / "tags"), tags)
 
 
-def test_tag_reader_accepts_what_the_row_reader_accepts(tmp_path):
-    variants = {
-        "blank lines": f"{TAG_HEADER}\n\n5,0,15\n\n6,1,-0\n\n",
-        "whitespace lines": f"{TAG_HEADER}\n5,0,15\n \t\n6,1,-0\n  \n",
-        "padding": f"{TAG_HEADER}\n 5 ,0, 15 \n\t6,1 ,-0\n",
-        "crlf": f"{TAG_HEADER}\r\n5,0,15\r\n6,1,-0\r\n",
-        "no final newline": f"{TAG_HEADER}\n5,0,15\n6,1,-0",
-        "signs and zeros": f"{TAG_HEADER}\n+5,0,+1500\n6,1,-007\n7,1,0\n",
-        "one row": f"{TAG_HEADER}\n5,0,15\n",
-    }
-    for name, text in variants.items():
-        path = tmp_path / "tags"
-        path.write_bytes(text.encode("ascii"))
-        assert _same_tags(read_time_tags(path), read_time_tags_rows(path)), name
+def test_tags_appended_to_one_file_read_back_as_their_concatenation(tmp_path):
+    first, second = _tags((4, 0, 15), (4, 0, 2900)), _tags((9, 1, 8000))
+    path = tmp_path / "tags"
+    with open(path, "wb") as f:
+        write_time_tags(f, first)
+        write_time_tags(f, _tags())
+        write_time_tags(f, second)
+    # a file opened for appending starts at its end, so no second header
+    with open(path, "ab") as f:
+        write_time_tags(f, first)
+    assert path.read_bytes().count(TAG_HEAD) == 1
+    assert _same_tags(
+        read_time_tags(path), _tags((4, 0, 15), (4, 0, 2900), (9, 1, 8000), (4, 0, 15), (4, 0, 2900))
+    )
+
+
+_ONE_TAG = struct.pack("<qbq", 5, 1, 8000)
 
 
 @pytest.mark.parametrize(
-    "row", ["0,0,nan", "0,1,inf", "0,0,-inf", "0,1,1.5", "0,0,1e3", "0,1,2935.364037743738", "0,0,5."]
+    "data, match",
+    [
+        (b"pulse_index,detector_id,timestamp_ps\n5,1,8000\n", "CSV tag files of earlier versions"),
+        (TAG_HEAD + _ONE_TAG[:-1], "not whole 17-byte records"),
+        (TAG_HEAD + _ONE_TAG + _ONE_TAG[:9], "not whole 17-byte records"),
+        (b"timebin-qkd time stamps/2\n" + _ONE_TAG, "unrecognized tag file header"),
+        (TAG_HEAD.replace(b"/2", b"/1") + _ONE_TAG, "unrecognized tag file header"),
+        (TAG_HEAD[:-1], "unrecognized tag file header"),
+        (TAG_HEAD[:-1] + _ONE_TAG, "unrecognized tag file header"),
+        (TAG_HEAD[:-1] + b"\r\n" + _ONE_TAG, "unrecognized tag file header"),
+        (b"\xef\xbb\xbf" + TAG_HEAD + _ONE_TAG, "unrecognized tag file header"),
+        (TAG_HEAD + struct.pack("<qbq", 5, 2, 8000), "0 or 1"),
+        (TAG_HEAD + struct.pack("<qbq", 5, -1, 8000), "0 or 1"),
+        (TAG_HEAD + _ONE_TAG + struct.pack("<qbq", -1, 0, 15), "non-negative"),
+        (TAG_HEAD + struct.pack("<qbq", -(2**63), 0, 15), "non-negative"),
+        (b"", "unrecognized tag file header"),
+    ],
+    ids=[
+        "csv-of-earlier-versions", "truncated-record", "truncated-second-record", "wrong-header",
+        "version-1-header", "header-only-without-newline", "header-without-newline",
+        "crlf-header", "byte-order-mark", "detector-2", "detector-minus-1",
+        "negative-pulse-index", "int64-min-pulse-index", "empty-file",
+    ],
 )
-def test_tag_reader_rejects_non_integer_timestamps(tmp_path, row):
-    # a float tag file, as earlier versions wrote, is refused by its line
+def test_tag_reader_refuses_what_the_writer_cannot_write(tmp_path, data, match):
     path = tmp_path / "tags"
-    path.write_text(f"{TAG_HEADER}\n1,0,5\n{row}\n")
-    with pytest.raises(InvalidInputError, match=f"line 3: expected {TAG_HEADER}, got '{row}'"):
+    path.write_bytes(data)
+    with pytest.raises(InvalidInputError, match=match):
         read_time_tags(path)
-
-
-def test_tag_reader_rejects_out_of_range_columns(tmp_path):
-    path = tmp_path / "tags"
-    for row, match in (
-        ("-1,0,0", "non-negative"), ("0,2,0", "0 or 1"), ("0,0,9223372036854775808", "tag file")
-    ):
-        path.write_text(f"{TAG_HEADER}\n{row}\n")
-        with pytest.raises(InvalidInputError, match=match):
-            read_time_tags(path)
 
 
 def test_read_time_tags_keeps_17_bytes_per_tag(tmp_path):
@@ -998,29 +1026,6 @@ def test_read_time_tags_keeps_17_bytes_per_tag(tmp_path):
         tracemalloc.stop()
     assert len(tags) == n
     assert 17 * n <= retained < 17.5 * n, retained / n
-
-
-@pytest.mark.parametrize(
-    "header, body, match",
-    [
-        (TAG_HEADER, "0,1\n", "line 2"),
-        (TAG_HEADER, "0,1,0\n1,0,2,7\n", "line 3"),
-        (TAG_HEADER, "0,x,0\n", "line 2"),
-        (TAG_HEADER, "0,1,0\n1,\u00e9,2\n", "line 3"),
-        ("\u00e9" + TAG_HEADER, "0,1,0\n", "line 1"),
-    ],
-    ids=[
-        "tags-too-few", "tags-too-many", "tags-not-integer",
-        "tags-non-ascii-row", "tags-non-ascii-header",
-    ],
-)
-def test_malformed_rows_raise_input_errors_naming_the_row(tmp_path, header, body, match):
-    path = tmp_path / "file"
-    path.write_text(f"{header}\n{body}", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidInputError, match=match):
-            read_time_tags(path)
 
 
 def _random_ledger(rng, start_index: int, n: int) -> PulseLedger:
@@ -1080,7 +1085,7 @@ def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
 
 
 def _mutants(rng, data: bytes, header_len: int, count: int):
-    """Copies of a ledger file with one byte replaced, dropped or inserted, or its tail cut."""
+    """Copies of a record file with one byte replaced, dropped or inserted, or its tail cut."""
     near = b"0123456789\n\r:+- \x00\x0b\x0c\x7f\x80\xff"
     for _ in range(count):
         # half of the edits fall in the header line, newline included
@@ -1121,6 +1126,33 @@ def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, star
         else:
             back = read_pulse_ledger(path)
             got = (back.start_index, back.class_idx.tolist(), back.alpha.tolist(), back.bit.tolist())
+            assert got == expected, data
+    # the edits made both files the reader takes and files it refuses
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_tag_reader_agrees_with_the_reference_on_mutated_files(tmp_path, seed):
+    rng = _rng([28, seed])
+    n = int(rng.integers(1, 12))
+    pulse = np.sort(rng.integers(0, 2**63 - 1, n, dtype=np.int64, endpoint=True))
+    ts = rng.choice(np.array(_EDGE_TIMESTAMPS), n)
+    tags = TimeTags(pulse, rng.integers(0, 2, n), ts)
+    path = tmp_path / "tags"
+    write_time_tags(path, tags)
+    written = path.read_bytes()
+    assert decode_time_tags(written) == (pulse.tolist(), tags.detector_id.tolist(), ts.tolist())
+    outcomes = set()
+    for data in _mutants(rng, written, len(TAG_HEAD), 300):
+        path.write_bytes(data)
+        expected = decode_time_tags(data)
+        outcomes.add(expected is None)
+        if expected is None:
+            with pytest.raises(InvalidInputError):
+                read_time_tags(path)
+        else:
+            back = read_time_tags(path)
+            got = (back.pulse_index.tolist(), back.detector_id.tolist(), back.timestamp_ps.tolist())
             assert got == expected, data
     # the edits made both files the reader takes and files it refuses
     assert outcomes == {True, False}

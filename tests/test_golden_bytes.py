@@ -21,7 +21,7 @@ import pytest
 from timebin_qkd import experiment
 from timebin_qkd.cli import main
 
-SESSION_TAGS = "a959e853233cdf41e4502171c8d724785b826928d8e073863b76b96d1bf403d4"
+SESSION_TAGS = "6f2151d71ae049ebe221f9c78a846ae94316b71278803b187c5ae0462237d4c1"
 SESSION_LEDGER = "5e091d1e7d8a13b32001b5cf129ba7fc21627ea150de411908a32e3fc7bd8cdf"
 SESSION_COUNTS = "c9da03b862dd8621f22438a43d50f16e3f67abe64d63ede7ce2008c66fae0c7f"
 SESSION_REPORT = "a9655104d11eba65df9bd98024c0b622a215a5b9490e9d6fe9fa854dde9e84bc"
