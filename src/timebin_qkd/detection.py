@@ -142,6 +142,15 @@ def dark_prob_per_window(det: DetectorModel, layout: WindowLayout) -> float:
     return p
 
 
+def _class_index(cls) -> int:
+    """`cls` as an intensity class index; a bool, a non-integer or a value
+    outside 0..2 is refused, so -1 cannot read the vacuum class."""
+    index = _count(cls, "intensity class", least=0)
+    if index > 2:
+        raise InvalidInputError("intensity class must be at most 2")
+    return index
+
+
 @dataclass
 class SessionCounts:
     """Event counts N_{i,j} indexed [class][alpha][i][beta][j].
@@ -183,10 +192,10 @@ class SessionCounts:
         )
 
     def clicks(self, cls: IntensityClass) -> int:
-        return int(self.counts[int(cls)].sum())
+        return int(self.counts[_class_index(cls)].sum())
 
     def pulses(self, cls: IntensityClass) -> int:
-        return int(self.pulses_sent[int(cls)].sum())
+        return int(self.pulses_sent[_class_index(cls)].sum())
 
     def gain(self, cls: IntensityClass) -> float:
         """Recorded events per pulse sent; 0.0 for a class that was never sent."""
@@ -194,11 +203,11 @@ class SessionCounts:
         return self.clicks(cls) / n if n else 0.0
 
     def matched_clicks(self, cls: IntensityClass) -> int:
-        c = self.counts[int(cls)]
+        c = self.counts[_class_index(cls)]
         return int(c[0, :, 0, :].sum() + c[1, :, 1, :].sum())
 
     def matched_errors(self, cls: IntensityClass) -> int:
-        c = self.counts[int(cls)]
+        c = self.counts[_class_index(cls)]
         return int(c[0, 0, 0, 1] + c[0, 1, 0, 0] + c[1, 0, 1, 1] + c[1, 1, 1, 0])
 
     def to_dict(self) -> dict:
@@ -387,9 +396,11 @@ def accumulate(
     """Bin time tags into windows and tally counts against the ledger.
 
     Each tag lands in the window containing its timestamp, edges
-    included, or is discarded; the windows' edges are whole picoseconds
+    included, or is discarded.  The windows' edges are whole picoseconds
     found exactly (`_window_edges`), so every int64 timestamp is placed
-    exactly.
+    exactly: one binary search of the timestamps into the eight sorted
+    edges finds each tag's window, and a window too narrow to hold a whole
+    picosecond holds no tag.
     Pulses with more than one windowed tag are discarded (deterministic, so
     pieces merge associatively).  pulses_sent comes from the ledger, so
     accumulating disjoint (tags, ledger) pieces and summing equals
@@ -411,14 +422,18 @@ def accumulate(
             f"tag pulse_index {pulse[outside.argmax()]} outside ledger range"
         )
     first, last = _window_edges(layout)
-    in_window = (ts[:, None] >= first) & (ts[:, None] <= last)
-    hit = in_window.any(axis=1)
-    window = in_window.argmax(axis=1)[hit]
+    # the sorted edges first[0], last[0] + 1, first[1], ...: a tag in
+    # window k has 2k + 1 of them at or below it, a tag outside every
+    # window an even number
+    slot = np.searchsorted(np.column_stack([first, last + 1]).ravel(), ts, side="right")
+    hit = slot % 2 == 1
+    window = slot[hit] // 2
     pulses, first, n_windowed = np.unique(pulse[hit], return_index=True, return_counts=True)
     single = n_windowed == 1
     row = pulses[single] - ledger.start_index
     window = window[first[single]]
-    np.add.at(out.counts.reshape(12, 2, 2), (code[row], window // 2, window % 2), 1)
+    # the flat count index is code * 4 + window, window = beta * 2 + j
+    out.counts += np.bincount(code[row] * 4 + window, minlength=48).reshape(out.counts.shape)
     return out
 
 
@@ -899,7 +914,9 @@ def _tags_and_ledger(
         code[placed[k_a:]] = b * 4 + setting
 
     # Window 0's jitter is drawn before window 1's; the tags are then
-    # ordered by pulse, then time.
+    # ordered by pulse, then time.  A pulse has at most one tag per window,
+    # both on its pathway's detector, so after a stable sort by pulse only
+    # the timestamps of a pulse's two tags may be out of order.
     n_clicks = (int(click0.sum()), int(click1.sum()))
     idx = np.concatenate([np.flatnonzero(click0), np.flatnonzero(click1)])
     centers = np.reshape(WINDOW_CENTERS_PS, (2, 2))[beta[idx], np.repeat([0, 1], n_clicks)]
@@ -907,8 +924,11 @@ def _tags_and_ledger(
     # a time tagger's whole picoseconds, rounded once here
     ts = np.rint(centers + np.concatenate(jitter)).astype(np.int64)
     pulse = block.start_index + frames[idx]
-    order = np.lexsort((ts, pulse))
-    tags = TimeTags(pulse[order], beta[idx][order], ts[order])
+    order = np.argsort(pulse, kind="stable")
+    pulse, ts = pulse[order], ts[order]
+    swap = np.flatnonzero((pulse[1:] == pulse[:-1]) & (ts[1:] < ts[:-1]))
+    ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
+    tags = TimeTags(pulse, beta[idx][order], ts)
     return tags, PulseLedger._of_code(block.start_index, code)
 
 

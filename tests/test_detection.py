@@ -319,6 +319,24 @@ def test_counts_reductions_on_known_tensor():
     assert c.gain(sig) == pytest.approx(63 / 400)
 
 
+def test_counts_reductions_refuse_a_class_outside_0_to_2():
+    c = SessionCounts.zeros()
+    c.pulses_sent[IntensityClass.VACUUM] = 10  # 40 vacuum pulses, 3 vacuum events
+    c.counts[IntensityClass.VACUUM, 0, 0, 0, 0] = 3
+    c.pulses_sent[IntensityClass.DECOY] = 5
+    reductions = (c.clicks, c.pulses, c.gain, c.matched_clicks, c.matched_errors)
+    # -1 would read the vacuum class, True the decoy class
+    for cls in (-1, 3, True, 1.5):
+        for reduce in reductions:
+            with pytest.raises(InvalidInputError, match="intensity class"):
+                reduce(cls)
+    for cls in (*IntensityClass, np.int64(1)):
+        for reduce in reductions:
+            assert reduce(cls) == reduce(int(cls))
+    assert c.clicks(IntensityClass.VACUUM) == 3 and c.pulses(np.int64(1)) == 20
+    assert c.gain(IntensityClass.VACUUM) == 3 / 40
+
+
 # ----------------------------------------------------------- block engine
 
 
@@ -1011,8 +1029,8 @@ def test_tag_reader_refuses_what_the_writer_cannot_write(tmp_path, data, match):
 
 
 def test_read_time_tags_keeps_17_bytes_per_tag(tmp_path):
-    # two int64 columns and one int8 column, copied out of loadtxt's
-    # 24-byte rows, which are freed
+    # two int64 columns and one int8 column, copied out of the 17-byte
+    # records np.frombuffer reads, which are freed
     n = 100_000
     rng = _rng(26)
     write_time_tags(
@@ -1350,6 +1368,23 @@ def test_accumulate_matches_the_dict_loop_reference():
     )
     assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger)
     assert accumulate(_tags(), layout, ledger) == accumulate_loop(_tags(), layout, ledger)
+    # at width 0.5 windows 1 and 3 hold no whole picosecond
+    first, last = detection._window_edges(WindowLayout(width_ps=0.5))
+    assert (first == last + 1).tolist() == [False, True, False, True]
+    for seed, width in enumerate((0.5, 0.999, 1.0, 800.0, INTERFEROMETER_DELAY_PS)):
+        layout = WindowLayout(width_ps=width)
+        first, last = detection._window_edges(layout)
+        rng = _rng(200 + seed)
+        # each window's first - 1, first, last and last + 1, each alone on
+        # one of pulses 0..15, then again on one of pulses 16..23; shuffled
+        stamps = np.tile(np.concatenate([first - 1, first, last, last + 1]), 2)
+        pulse = np.concatenate([np.arange(16), 16 + rng.integers(0, 8, 16)])
+        tags = _select(TimeTags(5 + pulse, rng.integers(0, 2, 32), stamps), rng.permutation(32))
+        ledger = _random_ledger(rng, 5, 24)
+        counts = accumulate(tags, layout, ledger)
+        assert counts == accumulate_loop(tags, layout, ledger), width
+        # the lone first and last of every window that holds a picosecond
+        assert counts.counts.sum() >= 2 * np.count_nonzero(first <= last), width
 
 
 def test_detector_model_validation():
