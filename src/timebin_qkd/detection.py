@@ -181,7 +181,9 @@ class SessionCounts:
         if (recorded > self.pulses_sent).any():
             raise InvalidInputError("more recorded events than pulses sent")
 
-    def __add__(self, other: "SessionCounts") -> "SessionCounts":
+    def __add__(self, other: object) -> "SessionCounts":
+        if not isinstance(other, SessionCounts):
+            return NotImplemented
         return SessionCounts(self.counts + other.counts, self.pulses_sent + other.pulses_sent)
 
     def __eq__(self, other: object) -> bool:
@@ -667,11 +669,13 @@ def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tupl
     """Each block's (P bit0, P bit1, P dropped) in the phase, then the time pathway.
 
     Each is outcome_probabilities(apply_switch_both_bins(state, switch),
-    basis, det), computed block by block.
+    basis, det), computed block by block from its setting's state, which
+    is prepared once per batch.
     """
+    states = {setting: setting.state() for setting in {block.setting for block in blocks}}
     outcomes = []
     for block in blocks:
-        switched = apply_switch_both_bins(block.setting.state(), block.switch)
+        switched = apply_switch_both_bins(states[block.setting], block.switch)
         outcomes.append(
             [outcome_probabilities(switched, basis, det) for basis in (Basis.PHASE, Basis.TIME)]
         )

@@ -30,7 +30,7 @@ from numpy.random import PCG64, Generator
 from .analysis import (
     SETTING_LABELS,
     KeyRateReport,
-    conditional_probabilities,
+    conditional_probabilities,  # noqa: F401  (perfbench/spans.py wraps it at this name)
     decoy_coefficient,
     fidelities,
     probability_matrix,
@@ -65,10 +65,11 @@ from .switch import SwitchModel, with_delay
 
 BLOCK_PULSES = 1_000_000
 
-# Most blocks one batch holds.  Consecutive blocks that together hold at
-# most BLOCK_PULSES pulses run as one batch; the cap bounds a batch's
-# memory when the blocks are tiny.
-BATCH_BLOCKS = 16
+# Most blocks one batch holds.  A full-size block is a batch of its own;
+# consecutive shorter blocks that together hold at most 2 * BLOCK_PULSES
+# pulses run as one batch, and this cap bounds a batch's memory when the
+# blocks are tiny.
+BATCH_BLOCKS = 32
 
 # Upper bound on the points of a grid: the samples of a stability run, and
 # the values one --losses or --delays argument may expand to.
@@ -278,13 +279,14 @@ def _run_points(
     point, setting and block order.  It keeps nothing else, so its memory
     does not grow with the run.
 
-    Consecutive blocks that together hold at most BLOCK_PULSES pulses, and
-    at most BATCH_BLOCKS of them, run as one batch through simulate_blocks
-    on the calling thread, and each batch is reduced, and its records
-    dropped, before the next runs:
-    each block still draws from its own stream, and the stages without
-    draws run once per batch.  A full-size block is a batch of its own.
-    The result does not depend on how the blocks fall into batches.
+    A full-size block is a batch of its own.  Consecutive shorter blocks
+    that together hold at most 2 * BLOCK_PULSES pulses, and at most
+    BATCH_BLOCKS of them, run as one batch; as only a train's last block
+    is short, no batch holds two blocks of one train.  Each batch runs
+    through simulate_blocks on the calling thread, and is reduced, and its
+    records dropped, before the next runs: each block still draws from its
+    own stream, and the stages without draws run once per batch.  The
+    result does not depend on how the blocks fall into batches.
     """
     starts = range(0, pulses, BLOCK_PULSES)
     last = (len(settings) - 1, len(starts) - 1)
@@ -300,7 +302,10 @@ def _run_points(
             for s, setting in enumerate(settings):
                 for b, start in enumerate(starts):
                     cnt = min(BLOCK_PULSES, pulses - start)
-                    if batch and (batch_pulses + cnt > BLOCK_PULSES or len(batch) == BATCH_BLOCKS):
+                    full = cnt == BLOCK_PULSES
+                    if batch and (
+                        full or batch_pulses + cnt > 2 * BLOCK_PULSES or len(batch) == BATCH_BLOCKS
+                    ):
                         yield batch
                         batch, batch_pulses = [], 0
                     seq = streams.get((s, b))
@@ -312,6 +317,9 @@ def _run_points(
                         seq, setting, cnt, budget, switch, s * pulses + start, (s, b) == last,
                     ))
                     batch_pulses += cnt
+                    if full:
+                        yield batch
+                        batch, batch_pulses = [], 0
         if batch:
             yield batch
 
@@ -445,9 +453,10 @@ def run_pump_delay_scan(
     """Scan the pump arrival time and read out both time slots.
 
     Only the two time-basis preparations are simulated; the reported
-    fidelities condition on the time pathway; a point without such events
-    has NaN fidelity.  Every delay reuses the same RNG streams, so the
-    curves vary smoothly with delay.
+    fidelities are the matched-basis ones of `fidelities`, conditioned on
+    the time pathway; a point without such events has NaN fidelity.  Every
+    delay reuses the same RNG streams, so the curves vary smoothly with
+    delay, and its short blocks share batches across delays.
 
     `workers` is accepted for compatibility and has no effect: None or an
     integer of at least 1, and every batch runs on the calling thread.
@@ -467,13 +476,10 @@ def run_pump_delay_scan(
         for delay in delays
     )
     totals = _run_points(config, time_settings, points, pulses_per_point)
-    fidelity = np.full((2, len(delays)), math.nan)
+    fidelity = np.empty((2, len(delays)))
     for k, total in enumerate(totals):
-        for bit in (0, 1):
-            if total.counts[IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME].any():
-                fidelity[bit, k] = conditional_probabilities(
-                    total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME
-                )[bit]
+        point = fidelities(total)
+        fidelity[:, k] = point[(Basis.TIME, 0)], point[(Basis.TIME, 1)]
     return PumpScanResult(delays, *fidelity)
 
 

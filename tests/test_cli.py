@@ -539,6 +539,18 @@ def test_analyze_rejects_non_integer_counts(value, tmp_path, capsys):
     assert _last_error(capsys)["category"] == "input"
 
 
+def test_analyze_rejects_stacked_counts(tmp_path, capsys):
+    # a file that holds a stack of count sets, one per block, is refused
+    counts = tmp_path / "counts.json"
+    _run_session(tmp_path, "report.json", "--save-counts", str(counts))
+    payload = json.loads(counts.read_text())
+    payload["counts"] = [payload["counts"]] * 3
+    payload["pulses_sent"] = [payload["pulses_sent"]] * 3
+    counts.write_text(json.dumps(payload))
+    assert main(["analyze", "--counts", str(counts)]) == 3
+    assert _last_error(capsys)["category"] == "input"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["mu", "nu", "rep_rate_hz"])
 @pytest.mark.parametrize("value", ["abc", None, [1], True, 10**400])

@@ -298,6 +298,25 @@ def test_counts_validation():
         SessionCounts(bad.counts, bad.pulses_sent)
     with pytest.raises(InvalidInputError):
         SessionCounts(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
+    # a (J, 3,2,2,2,2) stack of count sets is no count set: clicks() and
+    # the key rate would index its block axis as the class
+    for lead in (1, 3):
+        counts = np.zeros((lead, 3, 2, 2, 2, 2), dtype=np.int64)
+        sent = np.ones((lead, 3, 2, 2), dtype=np.int64)
+        with pytest.raises(InvalidInputError, match=r"\(3,2,2,2,2\)"):
+            SessionCounts(counts, sent)
+        with pytest.raises(InvalidInputError, match=r"\(3,2,2,2,2\)"):
+            SessionCounts.from_dict({"counts": counts.tolist(), "pulses_sent": sent.tolist()})
+
+
+@pytest.mark.parametrize("other", [1, 0.0, None, "counts"])
+def test_counts_add_only_counts(other):
+    # __add__ used to read other.counts unchecked, which raised AttributeError
+    counts = SessionCounts.zeros()
+    with pytest.raises(TypeError):
+        counts + other
+    with pytest.raises(TypeError):
+        other + counts
 
 
 def test_counts_reductions_on_known_tensor():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from timebin_qkd import detection, experiment, source
+from timebin_qkd.analysis import conditional_probabilities
 from timebin_qkd.detection import (
     DetectorModel,
     SessionCounts,
@@ -18,7 +19,7 @@ from timebin_qkd.detection import (
     accumulate,
     simulate_block,
 )
-from timebin_qkd.errors import ConfigError, InvalidInputError
+from timebin_qkd.errors import ConfigError, InvalidInputError, NoDataError
 from timebin_qkd.experiment import (
     COUNTS_SCHEMA,
     SCAN_SCHEMA,
@@ -47,7 +48,13 @@ from timebin_qkd.experiment import (
     write_counts_json,
 )
 from timebin_qkd.qubit import BB84_SETTINGS, Basis
-from timebin_qkd.source import PURPOSE_DRIFT, PURPOSE_SCAN, PURPOSE_STABILITY, derived_rng
+from timebin_qkd.source import (
+    PURPOSE_DRIFT,
+    PURPOSE_SCAN,
+    PURPOSE_STABILITY,
+    IntensityClass,
+    derived_rng,
+)
 from timebin_qkd.switch import with_delay
 
 from sinks import tagged_session
@@ -381,19 +388,103 @@ def batch_sizes(monkeypatch):
 def test_short_blocks_share_a_batch_up_to_the_block_size(batch_sizes, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_PULSES", 1_000)
     cfg = ExperimentConfig(seed=4)
-    # four trains of 250 pulses fill one batch; of 300, the fourth starts another
-    run_session(cfg, pulses=250)
-    run_session(cfg, pulses=300)
+    # a batch of short blocks holds at most 2 * BLOCK_PULSES pulses: four
+    # trains of 500 pulses fill one; of 600, the fourth starts another
+    run_session(cfg, pulses=500)
+    run_session(cfg, pulses=600)
     # a full-size block is a batch of its own; 2,500 pulses are 1,000 + 1,000 + 500
     run_session(cfg, pulses=2_500)
-    # 40 delays x 2 settings of 20 pulses: at most BATCH_BLOCKS blocks a batch
+    # 40 delays x 2 settings of 20 pulses: at most BATCH_BLOCKS = 32 blocks a batch
     run_pump_delay_scan(cfg, np.arange(40.0), pulses_per_point=20)
     assert batch_sizes == [
-        [250] * 4,
-        [300] * 3, [300],
+        [500] * 4,
+        [600] * 3, [600],
         *[[1_000], [1_000], [500]] * 4,
-        *[[20] * experiment.BATCH_BLOCKS] * 5,
+        [20] * 32, [20] * 32, [20] * 16,
     ]
+
+
+def test_batches_follow_the_batch_rule_for_any_train(monkeypatch):
+    # seeded random trains at 50 pulses a block: full-size blocks, short
+    # trains, and trains of full blocks and a short last one
+    block = 50
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", block)
+    batches = []
+    original = experiment.simulate_blocks
+
+    def recording(blocks, *args):
+        batches.append(blocks)
+        return original(blocks, *args)
+
+    monkeypatch.setattr(experiment, "simulate_blocks", recording)
+    cfg = ExperimentConfig(seed=6)
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        pulses = int(rng.choice([
+            rng.integers(1, 7), rng.integers(1, block), block * rng.integers(1, 4),
+            rng.integers(block + 1, 6 * block),
+        ]))
+        settings = BB84_SETTINGS[:rng.integers(1, 5)]
+        # each point's loss tells its blocks apart from those of other points
+        points = [
+            ((PURPOSE_SCAN,), replace(cfg.budget, channel_db=float(k)), cfg.switch)
+            for k in range(rng.integers(1, 25))
+        ]
+        batches.clear()
+        assert len(list(experiment._run_points(cfg, settings, points, pulses))) == len(points)
+        order = [
+            (b.budget.channel_db, b.start_index) for blocks in batches for b in blocks
+        ]
+        starts = range(0, pulses, block)
+        assert order == [
+            (float(k), s * pulses + start)
+            for k in range(len(points)) for s in range(len(settings)) for start in starts
+        ], pulses
+        for blocks in batches:
+            sizes = [b.pulses for b in blocks]
+            assert len(blocks) <= 32 and sum(sizes) <= 2 * block
+            assert block not in sizes or sizes == [block]
+            trains = [(b.budget.channel_db, b.setting) for b in blocks]
+            assert len(set(trains)) == len(trains)
+        # a batch of short blocks is cut only when the next block is full or
+        # would break a cap
+        for blocks, after in zip(batches, batches[1:]):
+            if blocks[0].pulses < block:
+                assert (
+                    after[0].pulses == block or len(blocks) == 32
+                    or sum(b.pulses for b in blocks) + after[0].pulses > 2 * block
+                )
+
+
+def test_scan_fidelity_is_the_time_pathway_share_of_each_point(monkeypatch):
+    totals = []
+    original = experiment._run_points
+
+    def recording(*args, **kwargs):
+        for total in original(*args, **kwargs):
+            totals.append(total)
+            yield total
+
+    monkeypatch.setattr(experiment, "_run_points", recording)
+    delays = np.linspace(-4.0, 12.0, 10)
+    cfg = ExperimentConfig(seed=17)
+    # at 300 dB no point has a time-pathway event
+    for channel_db in (cfg.budget.channel_db, 300.0):
+        totals.clear()
+        lossy = replace(cfg, budget=replace(cfg.budget, channel_db=channel_db))
+        scan = run_pump_delay_scan(lossy, delays, pulses_per_point=3_000)
+        expected = np.full((2, len(delays)), np.nan)
+        for k, total in enumerate(totals):
+            for bit in (0, 1):
+                try:
+                    expected[bit, k] = conditional_probabilities(
+                        total, IntensityClass.SIGNAL, Basis.TIME, bit, Basis.TIME
+                    )[bit]
+                except NoDataError:
+                    pass
+        assert len(totals) == len(delays)
+        assert np.stack([scan.fidelity_t0, scan.fidelity_t1]).tobytes() == expected.tobytes()
+        assert np.isnan(expected).all() == (channel_db == 300.0)
 
 
 def test_flows_do_not_depend_on_the_batches(monkeypatch):
@@ -442,16 +533,17 @@ def test_each_block_reaches_the_sink_before_the_next_block_draws_its_tags(monkey
 
 
 @pytest.mark.parametrize(
-    "flow, batch_blocks",
+    "flow, layout",
     [
         # 12 full-size blocks, each a batch of its own
-        (lambda cfg: run_session(cfg, pulses=3_000_000), 1),
-        # 40 delays x 2 settings of 20,000 pulses: 5 batches of 16 blocks
-        (lambda cfg: run_pump_delay_scan(cfg, np.arange(40.0), pulses_per_point=20_000), 16),
+        (lambda cfg: run_session(cfg, pulses=3_000_000), [1] * 12),
+        # 40 delays x 2 settings of 20,000 pulses: batches of 32, 32 and 16 blocks
+        (lambda cfg: run_pump_delay_scan(cfg, np.arange(40.0), pulses_per_point=20_000),
+         [32, 32, 16]),
     ],
     ids=["session", "scan"],
 )
-def test_no_record_outlives_the_reduce_of_its_batch(flow, batch_blocks, monkeypatch):
+def test_no_record_outlives_the_reduce_of_its_batch(flow, layout, monkeypatch):
     # each record holds its batch's event arrays, so a record still alive
     # while the next batch is simulated doubles the engine's memory
     records, alive, sizes = [], [], []
@@ -468,7 +560,7 @@ def test_no_record_outlives_the_reduce_of_its_batch(flow, batch_blocks, monkeypa
     flow(ExperimentConfig(seed=3))
     assert len(alive) > 1 and alive == [0] * len(alive)
     assert all(ref() is None for ref in records)
-    assert set(sizes) == {batch_blocks}
+    assert sizes == layout
 
 
 @pytest.mark.parametrize("pulses", [2500.7, 5e4, True, False, 0, -3, "100"])

@@ -102,6 +102,29 @@ def test_long_scan_keeps_only_its_per_point_results():
     assert large - small < 64 * 1024, (small, large)
 
 
+def test_widest_scan_batch_holds_only_per_event_arrays(monkeypatch):
+    # 5 delays x 2 settings of 4e5 pulses are two batches at the pulse cap,
+    # 2 * BLOCK_PULSES; each batch's blocks draw some 40,000 events in all,
+    # where an array per pulse of the batch is 16 MB
+    cfg = ExperimentConfig(seed=3)
+    batches = []
+    original = experiment.simulate_blocks
+
+    def recording(blocks, *args):
+        batches.append(sum(block.pulses for block in blocks))
+        return original(blocks, *args)
+
+    monkeypatch.setattr(experiment, "simulate_blocks", recording)
+
+    def scan() -> None:
+        run_pump_delay_scan(cfg, np.arange(5.0), pulses_per_point=400_000)
+
+    scan()
+    assert batches == [2 * experiment.BLOCK_PULSES] * 2
+    peak = _peak(scan)
+    assert peak < 4 * MB, peak
+
+
 def test_counting_holds_only_per_event_arrays():
     # a 1e6-pulse block draws about 20,000 events at the default loss;
     # its arrays are a few hundred kB, where an array per pulse is 8 MB
