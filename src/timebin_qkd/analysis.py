@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import SessionCounts
-from .errors import InvalidInputError, NoDataError, _count
+from .detection import SessionCounts, _indices
+from .errors import InvalidInputError, NoDataError
 from .qubit import Basis
 from .source import IntensityClass, SourceConfig
 
@@ -34,22 +34,6 @@ SIFTING_FACTOR = 0.5
 
 # The largest mu whose e**mu, a factor of the decoy bound on Y_1, is a float.
 MAX_MU = math.log(sys.float_info.max)
-
-
-# What each count-tensor index (intensity, alpha, i, beta) names, and its largest value.
-_INDEX_RANGES = (("intensity class", 2), ("basis", 1), ("bit", 1), ("basis", 1))
-
-
-def _indices(*values) -> list[int]:
-    """Count-tensor indices (intensity, alpha, i, beta), or the first of them, as ints.
-
-    Each must be an integer, not a bool, within its range, so that -1
-    cannot read the last entry; checked before any indexing.
-    """
-    for value, (what, top) in zip(values, _INDEX_RANGES):
-        if _count(value, what, least=0) > top:
-            raise InvalidInputError(f"{what} must be at most {top}")
-    return [int(value) for value in values]
 
 
 def probability_matrix(counts: SessionCounts) -> np.ndarray:

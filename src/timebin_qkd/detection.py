@@ -142,13 +142,22 @@ def dark_prob_per_window(det: DetectorModel, layout: WindowLayout) -> float:
     return p
 
 
-def _class_index(cls) -> int:
-    """`cls` as an intensity class index; a bool, a non-integer or a value
-    outside 0..2 is refused, so -1 cannot read the vacuum class."""
-    index = _count(cls, "intensity class", least=0)
-    if index > 2:
-        raise InvalidInputError("intensity class must be at most 2")
-    return index
+# What each count-tensor index (intensity, alpha, i, beta) names, and its largest value.
+_INDEX_RANGES = (("intensity class", 2), ("basis", 1), ("bit", 1), ("basis", 1))
+
+
+def _indices(*values) -> list[int]:
+    """Count-tensor indices (intensity, alpha, i, beta), or the first of them, as ints.
+
+    The one check of an index into SessionCounts, for its own reductions
+    and for `analysis` alike.  Each must be an integer, not a bool, within
+    its range, so that -1 cannot read the last entry; checked before any
+    indexing.
+    """
+    for value, (what, top) in zip(values, _INDEX_RANGES):
+        if _count(value, what, least=0) > top:
+            raise InvalidInputError(f"{what} must be at most {top}")
+    return [int(value) for value in values]
 
 
 @dataclass
@@ -194,10 +203,10 @@ class SessionCounts:
         )
 
     def clicks(self, cls: IntensityClass) -> int:
-        return int(self.counts[_class_index(cls)].sum())
+        return int(self.counts[_indices(cls)[0]].sum())
 
     def pulses(self, cls: IntensityClass) -> int:
-        return int(self.pulses_sent[_class_index(cls)].sum())
+        return int(self.pulses_sent[_indices(cls)[0]].sum())
 
     def gain(self, cls: IntensityClass) -> float:
         """Recorded events per pulse sent; 0.0 for a class that was never sent."""
@@ -205,11 +214,11 @@ class SessionCounts:
         return self.clicks(cls) / n if n else 0.0
 
     def matched_clicks(self, cls: IntensityClass) -> int:
-        c = self.counts[_class_index(cls)]
+        c = self.counts[_indices(cls)[0]]
         return int(c[0, :, 0, :].sum() + c[1, :, 1, :].sum())
 
     def matched_errors(self, cls: IntensityClass) -> int:
-        c = self.counts[_class_index(cls)]
+        c = self.counts[_indices(cls)[0]]
         return int(c[0, 0, 0, 1] + c[0, 1, 0, 0] + c[1, 0, 1, 1] + c[1, 1, 1, 0])
 
     def to_dict(self) -> dict:
@@ -281,43 +290,39 @@ def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
 
 
 class PulseLedger:
-    """Sender-side record of a pulse range: class and preparation per pulse.
+    """Sender-side record of a pulse range: one code per pulse.
 
     Covers pulses [start_index, start_index + len); accumulate() needs it
-    to attribute windowed clicks to (class, alpha, i).  Every class index
-    is 0, 1 or 2 and every alpha and bit 0 or 1, so the ledger holds one
-    byte per pulse, in memory and in the ledger file: the int8 code
-    class * 4 + alpha * 2 + bit.  Values are range-checked in the
-    input's own dtype (int64 for input that is not integer), before
-    narrowing, so 258 cannot wrap to 2.  A fraction, in start_index or in
-    a column, is refused, not truncated.  class_idx, alpha and bit are
-    int8 columns derived from the code on each access, and read-only.
+    to attribute windowed clicks to (class, alpha, i).  A pulse's code is
+    class * 4 + alpha * 2 + bit, so the ledger holds one int8 byte per
+    pulse, in memory and in the ledger file.  This constructor is the one
+    owner of the ledger's rules, for the engine, the file reader and any
+    other caller: start_index is a whole number of at least 0, the ledger
+    holds at least one pulse, its last pulse index fits in int64, and every
+    code lies in 0..11.  Codes are range-checked in the input's own dtype
+    (int64 for input that is not integer), before narrowing, so 268 cannot
+    wrap to 12.  A fraction, in start_index or in a code, is refused, not
+    truncated.  An int8 code column is kept as given, not copied.
+    class_idx, alpha and bit are int8 columns derived from the code on each
+    access, and read-only.
     """
 
-    def __init__(self, start_index, class_idx, alpha, bit) -> None:
-        n = len(class_idx)
-        if len(alpha) != n or len(bit) != n:
-            raise InvalidInputError("ledger arrays must have equal length")
+    def __init__(self, start_index, code) -> None:
         self.start_index = int(_whole(start_index, "start_index", "a whole number"))
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
-        columns = []
-        for name, values, top in (("class_idx", class_idx, 2), ("alpha", alpha, 1), ("bit", bit, 1)):
-            values = np.asarray(values)
-            if values.dtype.kind not in "iu":
-                values = _whole(values, f"ledger {name} values")
-            if n and (values.min() < 0 or values.max() > top):
-                raise InvalidInputError(f"ledger {name} values must lie in 0..{top}")
-            columns.append(values.astype(np.int8, copy=False))
-        cls, alpha, bit = columns
-        self._code = cls * 4 + alpha * 2 + bit
-
-    @classmethod
-    def _of_code(cls, start_index: int, code: np.ndarray) -> "PulseLedger":
-        """The ledger of an int8 code column whose values are known to lie in 0..11."""
-        ledger = cls.__new__(cls)
-        ledger.start_index, ledger._code = start_index, code
-        return ledger
+        code = np.asarray(code)
+        if len(code) == 0:
+            raise InvalidInputError("empty pulse ledger")
+        if self.start_index + len(code) - 1 > _INT64_MAX:
+            raise InvalidInputError("ledger pulse indices must lie within int64")
+        if code.dtype.kind not in "iu":
+            code = _whole(code, "ledger codes")
+        # as uint8 a negative int8 code is at least 128, so one pass checks both ends
+        wide = code.view(np.uint8) if code.dtype == np.int8 else code
+        if wide.max() > 11 or (wide.dtype.kind == "i" and wide.min() < 0):
+            raise InvalidInputError("ledger codes must lie in 0..11")
+        self._code = code.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return len(self._code)
@@ -504,8 +509,11 @@ def read_pulse_ledger(path) -> PulseLedger:
     """Read a ledger file: one header check, then one read of the codes.
 
     A header that is not `timebin-qkd pulse ledger/2 start_index=<N>`
-    with N digits, a pulse index beyond int64, an empty body or a code
-    outside 0..11 is refused; so is the CSV ledger of earlier versions.
+    with N digits is refused, and so is the CSV ledger of earlier
+    versions.  The start index and the codes then go to the PulseLedger
+    constructor, which refuses what it would refuse from any caller: an
+    empty body, a pulse index beyond int64 or a code outside 0..11.  So
+    every ledger the writer can write reads back.
     """
     with open(path, "rb") as f:
         line = f.readline(len(_LEDGER_HEAD) + 64)
@@ -516,15 +524,7 @@ def read_pulse_ledger(path) -> PulseLedger:
                 f"'{_LEDGER_HEAD.decode()}<N>' (CSV ledgers of earlier versions are not read)"
             )
         code = np.fromfile(f, np.int8)
-    start = int(digits)
-    if len(code) == 0:
-        raise InvalidInputError("empty pulse ledger")
-    if start + len(code) - 1 > _INT64_MAX:
-        raise InvalidInputError("ledger pulse indices must lie within int64")
-    # as uint8 a negative code is at least 128
-    if code.view(np.uint8).max() > 11:
-        raise InvalidInputError("ledger codes must lie in 0..11")
-    return PulseLedger._of_code(start, code)
+    return PulseLedger(int(digits), code)
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:
@@ -933,7 +933,7 @@ def _tags_and_ledger(
     swap = np.flatnonzero((pulse[1:] == pulse[:-1]) & (ts[1:] < ts[:-1]))
     ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
     tags = TimeTags(pulse, beta[idx][order], ts)
-    return tags, PulseLedger._of_code(block.start_index, code)
+    return tags, PulseLedger(block.start_index, code)
 
 
 def simulate_blocks(

@@ -121,27 +121,11 @@ _SECTIONS = {
 }
 
 
-def _number(value, where: str) -> float:
-    # a JSON number only: a string, null, list or boolean is not cast
-    if type(value) not in (int, float):
-        raise ConfigError(f"'{where}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as e:
-        raise ConfigError(f"'{where}' out of range: {e}") from e
-
-
-def _integer(value, where: str) -> int:
-    if type(value) is not int:
-        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
-    return value
-
-
 def _build_section(cls, payload: dict, section: str):
     """One config section from its parsed JSON, each value of its field's type.
 
-    A float field takes a JSON number, a string field a string and a
-    tuple field a list of numbers; a boolean is none of these.  The
+    A float field takes a number (`errors._real`), a string field a string
+    and a tuple field a list of numbers; a boolean is none of these.  The
     dataclass then checks the values' ranges.
     """
     kinds = typing.get_type_hints(cls)
@@ -149,20 +133,20 @@ def _build_section(cls, payload: dict, section: str):
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
     kwargs = {}
-    for k, v in payload.items():
-        where = f"{section}.{k}"
-        kind = kinds[k]
-        if kind is float:
-            v = _number(v, where)
-        elif kind is str:
-            if type(v) is not str:
-                raise ConfigError(f"'{where}' must be a string, got {v!r}")
-        else:  # a tuple of floats
-            if not isinstance(v, (list, tuple)):
-                raise ConfigError(f"'{where}' must be a list")
-            v = tuple(_number(x, where) for x in v)
-        kwargs[k] = v
     try:
+        for k, v in payload.items():
+            where = f"{section}.{k}"
+            kind = kinds[k]
+            if kind is float:
+                v = _real(v, where)
+            elif kind is str:
+                if type(v) is not str:
+                    raise ConfigError(f"'{where}' must be a string, got {v!r}")
+            else:  # a tuple of floats
+                if not isinstance(v, (list, tuple)):
+                    raise ConfigError(f"'{where}' must be a list")
+                v = tuple(_real(x, where) for x in v)
+            kwargs[k] = v
         return cls(**kwargs)
     except InvalidInputError as e:
         raise ConfigError(f"invalid '{section}' section: {e}") from e
@@ -183,7 +167,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
                 raise ConfigError(f"'{section}' must be a JSON object")
             kwargs[section] = _build_section(cls, sub, section)
     if "seed" in payload:
-        kwargs["seed"] = _integer(payload["seed"], "seed")
+        kwargs["seed"] = payload["seed"]
     return ExperimentConfig(**kwargs)
 
 
@@ -642,14 +626,7 @@ def read_counts_json(path) -> tuple[SessionCounts, SourceConfig]:
     for name in ("mu", "nu", "rep_rate_hz"):
         if name not in payload:
             raise InvalidInputError(f"counts file missing field: {name!r}")
-        value = payload[name]
-        # a JSON number only: a string, null, list or boolean is not cast
-        if type(value) not in (int, float):
-            raise InvalidInputError(f"counts field {name!r} must be a number, got {value!r}")
-        try:
-            fields[name] = float(value)
-        except OverflowError as e:
-            raise InvalidInputError(f"counts field {name!r} out of range: {e}") from e
+        fields[name] = _real(payload[name], f"counts field {name!r}")
     return counts, SourceConfig(**fields)
 
 

@@ -202,10 +202,9 @@ class SwitchedState(NamedTuple):
 
 
 def _bin_rotation(amp: complex, eta: float) -> tuple[complex, complex]:
-    # H -> sqrt(1-eta) H + sqrt(eta) V, a real rotation, unitary on the bin.
-    stay = math.sqrt(max(0.0, 1.0 - eta))
-    go = math.sqrt(min(1.0, max(0.0, eta)))
-    return amp * stay, amp * go
+    # H -> sqrt(1-eta) H + sqrt(eta) V, a real rotation, unitary on the bin;
+    # eta, a product of squared sines, lies in [0, 1]
+    return amp * math.sqrt(1.0 - eta), amp * math.sqrt(eta)
 
 
 def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState:

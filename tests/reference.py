@@ -1,5 +1,6 @@
 """Row-by-row reference versions of the tag and ledger file decoders,
-accumulate, the event table, the dead-time pass and the drift walk.
+accumulate, the event table, the dead-time pass and the drift walk, and
+the tests' one builder of a ledger from its columns.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced, and the per-time drift evaluation that
@@ -102,6 +103,16 @@ def decode_pulse_ledger(data: bytes) -> tuple[int, list, list, list] | None:
     if not body or any(c > 11 for c in body) or start + len(body) - 1 > 2**63 - 1:
         return None
     return start, [c // 4 for c in body], [c // 2 % 2 for c in body], [c % 2 for c in body]
+
+
+def ledger_of_columns(start_index, class_idx, alpha, bit) -> PulseLedger:
+    """The ledger of class, alpha and bit columns, through its code class * 4 + alpha * 2 + bit.
+
+    PulseLedger is built from its code column alone; this is the tests'
+    one way to build one from the three columns a reader of it sees.
+    """
+    code = np.asarray(class_idx) * 4 + np.asarray(alpha) * 2 + np.asarray(bit)
+    return PulseLedger(start_index, code)
 
 
 def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | None:

@@ -50,6 +50,7 @@ from reference import (
     decode_pulse_ledger,
     decode_time_tags,
     event_probabilities_loop,
+    ledger_of_columns,
     prune_dead_time_loop,
 )
 from sinks import tagged_session
@@ -124,7 +125,7 @@ def test_classify_in_and_out_of_window():
         5500.0: None,
         10935.0: (Basis.TIME, 1),
     }
-    ledger = PulseLedger(0, np.zeros(1), np.zeros(1), np.zeros(1))
+    ledger = PulseLedger(0, [0])
     for ts, window in expected.items():
         counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
         if window is None:
@@ -143,7 +144,7 @@ def test_window_edges_in_whole_picoseconds(center, inside):
     # included; the center 2935.364... ps lies between whole picoseconds
     layout = WindowLayout()
     window = WINDOW_CENTERS_PS.index(center)
-    ledger = PulseLedger(0, np.zeros(1), np.zeros(1), np.zeros(1))
+    ledger = PulseLedger(0, [0])
     low, high = inside
     for ts, hit in ((low, 1), (high, 1), (low - 1, 0), (high + 1, 0)):
         counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
@@ -152,7 +153,7 @@ def test_window_edges_in_whole_picoseconds(center, inside):
 
 def test_tags_at_the_int64_ends_land_in_no_window():
     # only the 400 ps tag is in a window; 2**53 + 1 has no float64
-    ledger = PulseLedger(0, np.zeros(4), np.zeros(4), np.zeros(4))
+    ledger = PulseLedger(0, np.zeros(4, dtype=np.int8))
     tags = TimeTags([0, 1, 2, 3], [0, 0, 0, 0], [2**63 - 1, -(2**63), 2**53 + 1, 400])
     counts = accumulate(tags, WindowLayout(), ledger).counts
     assert counts.sum() == counts[0, 0, 0, 0, 0] == 1
@@ -807,10 +808,8 @@ def test_accumulate_is_associative_over_ledger_pieces():
         _rng(20),
     )
     cut = 40_000
-    first = PulseLedger(0, ledger.class_idx[:cut], ledger.alpha[:cut], ledger.bit[:cut])
-    second = PulseLedger(
-        cut, ledger.class_idx[cut:], ledger.alpha[cut:], ledger.bit[cut:]
-    )
+    first = ledger_of_columns(0, ledger.class_idx[:cut], ledger.alpha[:cut], ledger.bit[:cut])
+    second = ledger_of_columns(cut, ledger.class_idx[cut:], ledger.alpha[cut:], ledger.bit[cut:])
     tags_a = _select(tags, tags.pulse_index < cut)
     tags_b = _select(tags, tags.pulse_index >= cut)
     whole = accumulate(tags, layout, ledger)
@@ -819,7 +818,7 @@ def test_accumulate_is_associative_over_ledger_pieces():
 
 def test_accumulate_discards_multi_window_pulses():
     layout = WindowLayout()
-    ledger = PulseLedger(0, np.zeros(3), np.ones(3), np.zeros(3))
+    ledger = ledger_of_columns(0, np.zeros(3), np.ones(3), np.zeros(3))
     tags = _tags(
         (0, 1, 8000.0),
         (0, 1, 10935.0),  # second window, same pulse: dropped
@@ -834,7 +833,7 @@ def test_accumulate_discards_multi_window_pulses():
 
 def test_accumulate_rejects_out_of_range_tags():
     layout = WindowLayout()
-    ledger = PulseLedger(10, np.zeros(5), np.zeros(5), np.zeros(5))
+    ledger = PulseLedger(10, np.zeros(5, dtype=np.int8))
     with pytest.raises(InvalidInputError):
         accumulate(_tags((3, 0, 0.0)), layout, ledger)
 
@@ -1066,7 +1065,7 @@ def test_read_time_tags_keeps_17_bytes_per_tag(tmp_path):
 
 
 def _random_ledger(rng, start_index: int, n: int) -> PulseLedger:
-    return PulseLedger(
+    return ledger_of_columns(
         start_index, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
     )
 
@@ -1097,7 +1096,7 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
     with open(path, "wb") as f:
         write_pulse_ledger(f, first)
         write_pulse_ledger(f, second)
-    whole = PulseLedger(40, *(
+    whole = ledger_of_columns(40, *(
         np.concatenate([getattr(first, name), getattr(second, name)])
         for name in ("class_idx", "alpha", "bit")
     ))
@@ -1113,7 +1112,7 @@ def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
     # a file opened for appending starts at its end, so no second header
     with open(path, "ab") as f:
         write_pulse_ledger(f, second)
-    whole = PulseLedger(0, *(
+    whole = ledger_of_columns(0, *(
         np.concatenate([getattr(first, name), getattr(second, name)])
         for name in ("class_idx", "alpha", "bit")
     ))
@@ -1269,34 +1268,56 @@ def test_read_pulse_ledger_keeps_one_byte_per_pulse(tmp_path):
 
 
 def test_ledger_values_are_range_checked():
-    ok = PulseLedger(0, [0, 1, 2], [0, 1, 0], [1, 0, 1])
+    ok = PulseLedger(0, [1, 6, 9])
     assert len(ok) == 3
-    for cls, alpha, bit in (
-        ([3], [0], [0]), ([-1], [0], [0]), ([0], [2], [0]), ([0], [0], [-1]),
-        # a fraction is refused, not truncated
-        ([1.5], [0.99], [0]), ([0.5], [0], [0]), ([0], [0.99], [0]), ([0], [0], [0.5]),
-        ([math.nan], [0], [0]),
-    ):
-        with pytest.raises(InvalidInputError):
-            PulseLedger(0, cls, alpha, bit)
+    assert (ok.class_idx.tolist(), ok.alpha.tolist(), ok.bit.tolist()) == (
+        [0, 1, 2], [0, 1, 0], [1, 0, 1]
+    )
+    # a fraction is refused, not truncated
+    for code in ([12], [-1], [1.5], [0.5], [math.nan]):
+        with pytest.raises(InvalidInputError, match="ledger codes"):
+            PulseLedger(0, code)
     for start in (0.5, -1, -1.0, math.nan, math.inf, 2.0**63):
         with pytest.raises(InvalidInputError, match="start_index"):
-            PulseLedger(start, [1], [0], [0])
+            PulseLedger(start, [4])
     # integral floats are still taken
-    whole = PulseLedger(3.0, [2.0], [1.0], [0.0])
+    whole = PulseLedger(3.0, [10.0])
     assert whole.start_index == 3 and whole.class_idx.tolist() == [2]
-    # values that wrap to a valid int8 digit are rejected before narrowing
-    for value in (258, 256, -254):
-        wide = np.array([value], dtype=np.int64)
-        zero = np.zeros(1, dtype=np.int64)
-        for columns in ((wide, zero, zero), (zero, wide, zero), (zero, zero, wide)):
-            with pytest.raises(InvalidInputError):
-                PulseLedger(0, *columns)
+    # codes are checked in their own dtype before narrowing to int8, where
+    # 267 would wrap to 11, 256 to 0 and -254 to 2
+    for value in (268, 267, 256, -254):
+        with pytest.raises(InvalidInputError, match="0..11"):
+            PulseLedger(0, np.array([0, value], dtype=np.int64))
+    # a negative int8 code is refused, and so is an unsigned one past 11
+    for code in (np.array([5, -1], dtype=np.int8), np.array([5, -128], dtype=np.int8),
+                 np.array([12], dtype=np.uint8), np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(InvalidInputError):
+            PulseLedger(0, code)
+
+
+def test_ledger_refuses_what_its_file_could_not_hold():
+    # the last pulse index passes int64
+    with pytest.raises(InvalidInputError, match="int64"):
+        PulseLedger(2**63 - 1, [0, 0])
+    with pytest.raises(InvalidInputError, match="empty pulse ledger"):
+        PulseLedger(0, [])
+
+
+@pytest.mark.parametrize(
+    "start_index, code",
+    [(0, [0]), (2**63 - 1, [11]), (2**63 - 12, list(range(12))), (7, [3, 0, 11, 11, 4, 9])],
+    ids=["start-0", "last-int64-index", "twelve-codes-to-the-int64-end", "several-pulses"],
+)
+def test_every_ledger_the_constructor_takes_reads_back_equal(tmp_path, start_index, code):
+    ledger = PulseLedger(start_index, code)
+    write_pulse_ledger(tmp_path / "ledger", ledger)
+    back = read_pulse_ledger(tmp_path / "ledger")
+    assert back.start_index == start_index and back._code.tolist() == code
 
 
 def _ledgers_of_every_source(tmp_path) -> tuple[PulseLedger, ...]:
     """A ledger made from columns, read back from its file, and simulated."""
-    made = PulseLedger(0, [0, 1, 2], np.array([0, 1, 0], dtype=np.int64), [1.0, 0.0, 1.0])
+    made = ledger_of_columns(0, [0, 1, 2], np.array([0, 1, 0], dtype=np.int64), [1.0, 0.0, 1.0])
     write_pulse_ledger(tmp_path / "written", made)
     _, _, simulated = _tagged_block(
         BB84_SETTINGS[0], 5_000, SourceConfig(), LossBudget(), PERFECT_SWITCH,
@@ -1372,7 +1393,7 @@ def test_accumulate_matches_the_dict_loop_reference():
         rng = _rng(100 + seed)
         n = int(rng.integers(1, 60))
         start = int(rng.integers(0, 1000))
-        ledger = PulseLedger(
+        ledger = ledger_of_columns(
             start, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
         )
         tags = _edge_case_tags(rng, layout, n, int(rng.integers(0, 80)))

@@ -53,6 +53,7 @@ from timebin_qkd.source import (
     PURPOSE_SCAN,
     PURPOSE_STABILITY,
     IntensityClass,
+    SourceConfig,
     derived_rng,
 )
 from timebin_qkd.switch import with_delay
@@ -112,6 +113,17 @@ def test_config_takes_a_numpy_integer_seed_as_int():
     for seed in (np.float64(7.0), np.int64(-1)):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(seed=seed)
+
+
+def test_config_of_numpy_numbers_reads_back_from_its_own_dict():
+    cfg = ExperimentConfig(
+        source=SourceConfig(mu=np.float64(0.8), rep_rate_hz=np.float64(4e7)),
+        layout=WindowLayout(width_ps=np.float64(700.0)),
+        seed=np.int64(5),
+    )
+    back = config_from_dict(config_to_dict(cfg))
+    assert back == cfg
+    assert type(back.source.mu) is float and type(back.seed) is int
 
 
 def test_config_refuses_a_dark_probability_above_one_from_the_rate_and_the_width():

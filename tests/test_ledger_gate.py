@@ -36,9 +36,11 @@ from dataclasses import replace
 import numpy as np
 from scipy.stats import chi2
 
-from timebin_qkd.detection import Block, PulseLedger, simulate_blocks
+from timebin_qkd.detection import Block, simulate_blocks
 from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS
+
+from reference import ledger_of_columns
 
 LEDGER_SEED = 20261018
 ALPHA = 1e-4
@@ -108,6 +110,6 @@ def test_g_statistic_rejects_sorted_placement():
     silent = silent_frames(tags, ledger)
     cls = ledger.class_idx.copy()
     cls[silent] = np.sort(cls[silent])
-    ledger = PulseLedger(ledger.start_index, cls, ledger.alpha, ledger.bit)
+    ledger = ledger_of_columns(ledger.start_index, cls, ledger.alpha, ledger.bit)
     g, df = g_statistic([silent_table(tags, ledger)])
     assert chi2.sf(g, df) < ALPHA

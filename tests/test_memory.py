@@ -16,7 +16,6 @@ from timebin_qkd import experiment
 from timebin_qkd.cli import main
 from timebin_qkd.detection import (
     Block,
-    PulseLedger,
     TimeTags,
     accumulate,
     read_pulse_ledger,
@@ -26,6 +25,8 @@ from timebin_qkd.detection import (
 )
 from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan, run_session
 from timebin_qkd.qubit import BB84_SETTINGS
+
+from reference import ledger_of_columns
 
 MB = 1 << 20
 
@@ -60,7 +61,7 @@ def test_ledger_read_back_and_accumulate_hold_little_beyond_the_ledger(tmp_path)
     rng = np.random.default_rng(8)
     path = tmp_path / "ledger"
     write_pulse_ledger(
-        path, PulseLedger(0, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        path, ledger_of_columns(0, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
     )
     tags = TimeTags(
         np.sort(rng.choice(n, 5_000, replace=False)), rng.integers(0, 2, 5_000),
