@@ -297,9 +297,9 @@ class PulseLedger:
     class * 4 + alpha * 2 + bit, so the ledger holds one int8 byte per
     pulse, in memory and in the ledger file.  This constructor is the one
     owner of the ledger's rules, for the engine, the file reader and any
-    other caller: start_index is a whole number of at least 0, the ledger
-    holds at least one pulse, its last pulse index fits in int64, and every
-    code lies in 0..11.  Codes are range-checked in the input's own dtype
+    other caller: start_index is a whole number of at least 0, the codes
+    are one column of at least one pulse, the last pulse index fits in
+    int64, and every code lies in 0..11.  Codes are range-checked in the input's own dtype
     (int64 for input that is not integer), before narrowing, so 268 cannot
     wrap to 12.  A fraction, in start_index or in a code, is refused, not
     truncated.  An int8 code column is kept as given, not copied.
@@ -312,6 +312,8 @@ class PulseLedger:
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
         code = np.asarray(code)
+        if code.ndim != 1:
+            raise InvalidInputError("ledger codes must be one column")
         if len(code) == 0:
             raise InvalidInputError("empty pulse ledger")
         if self.start_index + len(code) - 1 > _INT64_MAX:

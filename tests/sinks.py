@@ -25,5 +25,5 @@ def tagged_session(config, **kwargs) -> tuple[SessionResult, TimeTags, PulseLedg
     return (
         res,
         TimeTags(*joined(tags, ("pulse_index", "detector_id", "timestamp_ps"))),
-        PulseLedger(ledgers[0].start_index, *joined(ledgers, ("_code",))),
+        PulseLedger(ledgers[0].start_index, np.concatenate([ledger._code for ledger in ledgers])),
     )

@@ -1301,6 +1301,11 @@ def test_ledger_refuses_what_its_file_could_not_hold():
         PulseLedger(2**63 - 1, [0, 0])
     with pytest.raises(InvalidInputError, match="empty pulse ledger"):
         PulseLedger(0, [])
+    # a table of codes would be written as its flattened bytes and read
+    # back as another ledger
+    for code in (np.zeros((2, 3), dtype=np.int8), 5):
+        with pytest.raises(InvalidInputError, match="one column"):
+            PulseLedger(0, code)
 
 
 @pytest.mark.parametrize(
