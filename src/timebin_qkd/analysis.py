@@ -75,14 +75,17 @@ def fidelities(
 ) -> dict[tuple[Basis, int], float]:
     """Matched-basis readout fidelity per prepared setting.
 
-    A setting without a matched-basis event has fidelity NaN.
+    A setting without a matched-basis event has fidelity NaN.  The counts
+    are read once, as Python ints, so each ratio is int / int true
+    division.
     """
-    c = counts.counts[_indices(intensity)[0]]
+    c = counts.counts[_indices(intensity)[0]].tolist()
     out = {}
     for alpha in (Basis.PHASE, Basis.TIME):
         for i in (0, 1):
-            matched = int(c[alpha, i, alpha].sum())
-            out[(alpha, i)] = int(c[alpha, i, alpha, i]) / matched if matched else math.nan
+            matched = c[alpha][i][alpha]
+            total = matched[0] + matched[1]
+            out[(alpha, i)] = matched[i] / total if total else math.nan
     return out
 
 

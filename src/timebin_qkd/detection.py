@@ -247,16 +247,16 @@ class SessionCounts:
             raise InvalidInputError(f"counts entry out of range: {e}") from e
 
 
-def outcome_probabilities(
-    state: SwitchedState, basis: Basis, det: DetectorModel
-) -> tuple[float, float, float]:
-    """(P bit0, P bit1, P discarded) for an incident photon, before darks.
+def _projection(state: SwitchedState, det: DetectorModel) -> tuple[tuple, tuple]:
+    """The (P bit0, P bit1, P discarded) of the phase, then the time pathway.
 
     The effective detected qubit is (e^{i chi} * amp(t0, V), amp(t1, H)),
     with chi the recombination phase, projected onto the basis pair of
-    mub_states(basis).  Crossed-mode amplitude is handled per the
-    detector's stray policy in the time pathway and projects 50:50 in
-    superposition pathways.
+    mub_states(basis) of each pathway.  The phase factor, the effective
+    qubit and the crossed-mode (stray) weights do not depend on the basis,
+    so both pathways are projected from one computation of them.
+    Crossed-mode amplitude is handled per the detector's stray policy in
+    the time pathway and projects 50:50 in superposition pathways.
     """
     chi = det.recombination_phase
     psi0 = state.amp(0, POL_V) * complex(math.cos(chi), math.sin(chi))
@@ -265,24 +265,47 @@ def outcome_probabilities(
     stray_v = abs(state.amp(1, POL_V)) ** 2
     stray = stray_h + stray_v
 
-    b0, b1 = mub_states(basis)
-    p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2
-    p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2
-    policy = det.stray_time_policy if basis == Basis.TIME else "random"
-    if policy == "by_polarization":
-        return p0 + stray_v, p1 + stray_h, 0.0
-    if policy == "discard":
-        return p0, p1, stray
-    return p0 + 0.5 * stray, p1 + 0.5 * stray, 0.0
+    pathways = []
+    for basis in (Basis.PHASE, Basis.TIME):
+        b0, b1 = mub_states(basis)
+        p0 = abs(b0.amp_t0.conjugate() * psi0 + b0.amp_t1.conjugate() * psi1) ** 2
+        p1 = abs(b1.amp_t0.conjugate() * psi0 + b1.amp_t1.conjugate() * psi1) ** 2
+        policy = det.stray_time_policy if basis == Basis.TIME else "random"
+        if policy == "by_polarization":
+            pathways.append((p0 + stray_v, p1 + stray_h, 0.0))
+        elif policy == "discard":
+            pathways.append((p0, p1, stray))
+        else:
+            pathways.append((p0 + 0.5 * stray, p1 + 0.5 * stray, 0.0))
+    return tuple(pathways)
+
+
+def outcome_probabilities(
+    state: SwitchedState, basis: Basis, det: DetectorModel
+) -> tuple[float, float, float]:
+    """(P bit0, P bit1, P discarded) for an incident photon, before darks.
+
+    The pathway of `basis` from `_projection`, the one projection of the
+    engine and of the tests.  An unknown basis is refused (`mub_states`).
+    """
+    mub_states(basis)
+    return _projection(state, det)[int(basis)]
 
 
 def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
-    """`values` as int64; a fraction, NaN, ±inf or a value beyond int64 is refused."""
+    """`values` as int64; a fraction, NaN, ±inf or a value beyond int64 is refused.
+
+    A Python int beyond the float range, which numpy holds as an object,
+    is refused with the rest.
+    """
     values = np.asarray(values)
     if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
         values = values.astype(np.float64)  # at least 2**63, so refused below
     if values.dtype.kind not in "iu":
-        values = values.astype(np.float64)
+        try:
+            values = values.astype(np.float64)
+        except OverflowError as e:
+            raise InvalidInputError(f"{what} must be {must_be} within int64") from e
         # NaN fails both bounds, and ±inf one of them
         if not np.all((values >= -(2.0**63)) & (values < 2.0**63) & (np.rint(values) == values)):
             raise InvalidInputError(f"{what} must be {must_be} within int64")
@@ -641,9 +664,10 @@ def _event_probabilities(
 
     Row c of block j is the class of mean photon number means[c].  A
     Poisson(mean) pulse thinned by q_surv[j] gives a photon click with
-    probability 1 - exp(-mean * q_surv[j]); the click then projects per
-    outcomes[j][beta], the (P bit0, P bit1, P dropped) of its pathway, and
-    flips with the intrinsic error.
+    probability 1 - exp(-mean * q_surv[j]), computed once per distinct
+    q_surv of the batch; the click then projects per outcomes[j][beta],
+    the (P bit0, P bit1, P dropped) of its pathway, and flips with the
+    intrinsic error.
     """
     e = det.intrinsic_error
     p_dark = dark_prob_per_window(det, layout)
@@ -657,7 +681,8 @@ def _event_probabilities(
         ]
         for pathways in outcomes
     ])[:, _EVENT_BETA, _EVENT_SIGNAL]
-    p_photon = np.array([[[-math.expm1(-mean * q)] for mean in means] for q in q_surv])
+    photon = {q: [[-math.expm1(-mean * q)] for mean in means] for q in set(q_surv)}
+    p_photon = np.array([photon[q] for q in q_surv])
     dark = np.array([1.0 - p_dark, p_dark])
     probs = (
         0.5 * (_EVENT_NO_SIGNAL - p_photon * slope[:, None, :])
@@ -667,20 +692,26 @@ def _event_probabilities(
     return np.concatenate([probs, np.reshape(rest, (len(q_surv), 3, 1))], axis=2)
 
 
-def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[list[tuple]]:
+def _pathway_outcomes(blocks: list[Block], det: DetectorModel) -> list[tuple]:
     """Each block's (P bit0, P bit1, P dropped) in the phase, then the time pathway.
 
-    Each is outcome_probabilities(apply_switch_both_bins(state, switch),
-    basis, det), computed block by block from its setting's state, which
-    is prepared once per batch.
+    Both are `_projection(apply_switch_both_bins(state, switch), det)`,
+    computed once per distinct (setting, switch) pair of the batch and
+    shared by its blocks, and each setting's state is prepared once.  The
+    pairs are told apart by identity, which costs less than hashing the
+    models' fields: the flows hand all the settings of a point one switch,
+    and every point of a loss sweep the config's.
     """
-    states = {setting: setting.state() for setting in {block.setting for block in blocks}}
-    outcomes = []
+    states, pairs, outcomes = {}, {}, []
     for block in blocks:
-        switched = apply_switch_both_bins(states[block.setting], block.switch)
-        outcomes.append(
-            [outcome_probabilities(switched, basis, det) for basis in (Basis.PHASE, Basis.TIME)]
-        )
+        pair = id(block.setting), id(block.switch)
+        projected = pairs.get(pair)
+        if projected is None:
+            state = states.get(pair[0])
+            if state is None:
+                state = states[pair[0]] = block.setting.state()
+            projected = pairs[pair] = _projection(apply_switch_both_bins(state, block.switch), det)
+        outcomes.append(projected)
     return outcomes
 
 
@@ -725,14 +756,21 @@ def _event_frames(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
         np.minimum(gaps, left, out=gaps)
         np.floor(gaps, out=gaps)
         gaps += 1
-        # summed in place, in float64, which holds whole numbers exactly
-        # below 2**53; one buffer per round keeps the block's peak low
+        # the round's offset goes into its first gap; summed in place, in
+        # float64, which holds whole numbers exactly below 2**53; one
+        # buffer per round keeps the block's peak low
+        gaps[0] += reach - 1
         frames = np.cumsum(gaps, out=gaps)
-        frames += reach - 1
         rounds.append(frames)
         reach = int(frames[-1]) + 1
     frames = rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
     return frames[: np.searchsorted(frames, n)].astype(np.int64)
+
+
+def _row_shares(weights: np.ndarray, masses: list[float]) -> np.ndarray:
+    """Each row of `weights` over its mass, in one division; a row of zero mass stays 0."""
+    mass = np.array(masses)[:, None]
+    return np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
 
 
 def _draw_events(
@@ -783,7 +821,9 @@ def _draw_events(
     n_clustered = np.bincount(cl_block, minlength=n_blocks).tolist()
 
     # Events are drawn only where q > 0, so event_mass > 0, and silent
-    # frames only where q < 1, so silent_mass > 0.
+    # frames only where q < 1, so silent_mass > 0; a row of zero mass is
+    # never drawn from, and is left at zero rather than divided.
+    event_p, silent_p = _row_shares(event_w, event_mass), _row_shares(silent_w, silent_mass)
     cdf = np.cumsum(event_w, axis=1)
     cells = [np.zeros(0, dtype=np.intp)]
     unclustered = np.zeros((n_blocks, 3 * _N_EVENTS), dtype=np.int64)
@@ -793,9 +833,9 @@ def _draw_events(
         if k:
             cells.append(np.searchsorted(cdf[j], rng.random(k) * cdf[j, -1], side="right"))
         if sizes[j] > k:
-            unclustered[j] = rng.multinomial(sizes[j] - k, event_w[j] / event_mass[j])
+            unclustered[j] = rng.multinomial(sizes[j] - k, event_p[j])
         if block.pulses > sizes[j]:
-            silent[j] = rng.multinomial(block.pulses - sizes[j], silent_w[j] / silent_mass[j])
+            silent[j] = rng.multinomial(block.pulses - sizes[j], silent_p[j])
     # u * cdf[-1] can round up to cdf[-1]: that draw is the last cell of weight
     last = 3 * _N_EVENTS - 1 - np.argmax(event_w[:, ::-1] > 0, axis=1)
     cl_cell = np.minimum(np.concatenate(cells), last[cl_block])
@@ -982,8 +1022,9 @@ def simulate_blocks(
 
     The stages that draw nothing run once for the whole batch, so a
     block's result does not depend on the batch it is in: the event
-    tables (`_pathway_outcomes` switches and projects each block's
-    preparation), the dead-time pass over the clustered
+    tables (`_pathway_outcomes` switches and projects each distinct
+    (setting, switch) pair once, and the photon-click probability is
+    computed once per distinct survival), the dead-time pass over the clustered
     events (pointer doubling over the clusters of close clicks, no
     per-event loop; each block's frames offset one stride apart), the
     kept cell counts and the tally.
@@ -999,7 +1040,8 @@ def simulate_blocks(
     (doubles keep both clicks, no policy applied).  Those draws come
     after every draw the counts depend on, so calling a record never
     changes the counts, and nothing is drawn or computed for a record that
-    is not called.  Call each record at most once.
+    is not called, not even the slicing of the batch's arrays down to its
+    block.  Call each record at most once.
     """
     longest = max(block.pulses for block in blocks)
     # A block's events are less than `longest` frames apart, so a longer
@@ -1017,16 +1059,16 @@ def simulate_blocks(
     kept = np.bincount((cl_block * (3 * _N_EVENTS) + cl_cell)[keep], minlength=unclustered.size)
     cells = unclustered + kept.reshape(unclustered.shape)
     counts, sent = _tally(blocks, class_totals, _double_click_policy(blocks, cells, det))
-    bounds = np.searchsorted(cl_block, np.arange(len(blocks) + 1)).tolist()
-    out = []
-    for j, block in enumerate(blocks):
-        part = slice(bounds[j], bounds[j + 1])
-        record = functools.partial(
-            _tags_and_ledger, block, class_totals[j], frames[j], clustered[j],
-            cl_cell[part], keep[part], unclustered[j], det,
+
+    def record(j: int) -> tuple[TimeTags, PulseLedger]:
+        # the block's share of the batch's clustered events, cut only here
+        lo, hi = np.searchsorted(cl_block, (j, j + 1)).tolist()
+        return _tags_and_ledger(
+            blocks[j], class_totals[j], frames[j], clustered[j],
+            cl_cell[lo:hi], keep[lo:hi], unclustered[j], det,
         )
-        out.append((counts[j], sent[j], record))
-    return out
+
+    return [(counts[j], sent[j], functools.partial(record, j)) for j in range(len(blocks))]
 
 
 def simulate_block(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import (
     SETTING_LABELS,
@@ -237,6 +238,24 @@ def _require_decoy_and_vacuum(source: SourceConfig) -> None:
         )
 
 
+class _StreamSeed(ISeedSequence):
+    """A cached stream's seed sequence with its PCG64 seeding words, hashed once.
+
+    PCG64 seeds itself from generate_state(4, np.uint64): that request
+    gets a copy of the words, and any other goes to the sequence itself,
+    so a generator on it draws exactly what one on the sequence draws.
+    """
+
+    def __init__(self, seq: np.random.SeedSequence) -> None:
+        self._seq = seq
+        self._words = seq.generate_state(4, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype == np.uint64:
+            return self._words.copy()
+        return self._seq.generate_state(n_words, dtype)
+
+
 def _run_points(
     config: ExperimentConfig,
     settings: tuple[PreparationSetting, ...],
@@ -250,13 +269,16 @@ def _run_points(
     setting runs a train of `pulses` pulses, an integer of at least 1, cut
     into blocks of BLOCK_PULSES.  Block b of setting s draws from
     derived_rng(config.seed, *key, s, b), and its first pulse has the
-    index s * pulses + b * BLOCK_PULSES in the tag record.  Each block gets
-    a new generator on its stream's seed sequence.  When every train is one
-    block, the engine derives each stream once for a run of consecutive
-    points with the same key (a sweep or a scan reuses its key for common
-    random numbers), so it holds at most one sequence per setting; a
-    longer train derives its streams block by block, at a cost its
-    full-size blocks dwarf, and keeps none.  The engine
+    index s * pulses + b * BLOCK_PULSES in the tag record.  A newly derived
+    stream's first block draws from the generator derived_rng returns.
+    When every train is one block, the engine derives each stream once for
+    a run of consecutive points with the same key (a sweep or a scan
+    reuses its key for common random numbers), so it holds at most one
+    stream per setting, as a `_StreamSeed` that keeps its PCG64 seeding
+    words: every later block on the stream starts a new generator from
+    those words, hashed once, and draws what one on the stream's seed
+    sequence draws.  A longer train derives its streams block by block, at
+    a cost its full-size blocks dwarf, and keeps none.  The engine
     yields the summed counts of each point in order, as soon as its last
     block is in; with a sink it also draws each block's tags and ledger as
     the reduce reaches the block and hands them to sink(tags, ledger), in
@@ -269,15 +291,15 @@ def _run_points(
     is short, no batch holds two blocks of one train.  Each batch runs
     through simulate_blocks on the calling thread, and is reduced, and its
     records dropped, before the next runs: each block still draws from its
-    own stream, and the stages without draws run once per batch.  The
+    own stream, and the stages without draws run once per batch, which
+    switches and projects each distinct (setting, switch) pair once.  The
     result does not depend on how the blocks fall into batches.
     """
     starts = range(0, pulses, BLOCK_PULSES)
     last = (len(settings) - 1, len(starts) - 1)
 
     def batches():
-        # each block as its stream's seed sequence, its Block fields but the
-        # generator, and whether it ends its point
+        # each block, and whether it ends its point
         batch, batch_pulses = [], 0
         streams, streams_key = {}, None
         for key, budget, switch in points:
@@ -292,14 +314,15 @@ def _run_points(
                     ):
                         yield batch
                         batch, batch_pulses = [], 0
-                    seq = streams.get((s, b))
-                    if seq is None:
-                        seq = derived_rng(config.seed, *key, s, b).bit_generator.seed_seq
+                    seed = streams.get((s, b))
+                    if seed is None:
+                        rng = derived_rng(config.seed, *key, s, b)
                         if len(starts) == 1:
-                            streams[s, b] = seq
-                    batch.append((
-                        seq, setting, cnt, budget, switch, s * pulses + start, (s, b) == last,
-                    ))
+                            streams[s, b] = _StreamSeed(rng.bit_generator.seed_seq)
+                    else:
+                        rng = Generator(PCG64(seed))
+                    block = Block(setting, cnt, budget, switch, rng, s * pulses + start)
+                    batch.append((block, (s, b) == last))
                     batch_pulses += cnt
                     if full:
                         yield batch
@@ -310,23 +333,17 @@ def _run_points(
     counts = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
     sent = np.zeros((3, 2, 2), dtype=np.int64)
     for batch in batches():
-        results = simulate_blocks(
-            [
-                Block(setting, cnt, budget, switch, Generator(PCG64(seq)), start)
-                for seq, setting, cnt, budget, switch, start, _ in batch
-            ],
-            config.source,
-            config.detector,
-            config.layout,
-        )
-        for (*_, ends_point), (block_counts, block_sent, record) in zip(batch, results):
+        blocks, ends = zip(*batch)
+        results = simulate_blocks(list(blocks), config.source, config.detector, config.layout)
+        for ends_point, (block_counts, block_sent, record) in zip(ends, results):
             if sink is not None:
                 sink(*record())
             counts += block_counts
             sent += block_sent
             if ends_point:
                 yield SessionCounts(counts, sent)
-                counts, sent = np.zeros_like(counts), np.zeros_like(sent)
+                # once per point: np.zeros takes a fifth of np.zeros_like's time
+                counts, sent = np.zeros(counts.shape, np.int64), np.zeros(sent.shape, np.int64)
         # each record holds its batch's event arrays: none outlives the reduce
         del results, record
 

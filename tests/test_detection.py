@@ -1295,6 +1295,16 @@ def test_ledger_values_are_range_checked():
             PulseLedger(0, code)
 
 
+def test_python_ints_beyond_the_float_range_are_refused():
+    # numpy holds them as objects, whose cast to float64 overflows
+    with pytest.raises(InvalidInputError, match="start_index"):
+        PulseLedger(10**400, [0])
+    with pytest.raises(InvalidInputError, match="pulse_index"):
+        TimeTags([10**400], [0], [0])
+    with pytest.raises(InvalidInputError, match="whole picoseconds"):
+        TimeTags([0], [0], [-(10**400)])
+
+
 def test_ledger_refuses_what_its_file_could_not_hold():
     # the last pulse index passes int64
     with pytest.raises(InvalidInputError, match="int64"):

@@ -308,8 +308,9 @@ def test_tags_do_not_change_the_counts(dark_hz):
 
 
 def test_tables_switch_each_block_once(monkeypatch):
-    # one block per (point, setting) here; perfbench wraps the switch at
-    # this name.  The sweep's two points each switch their four settings.
+    # one switch per distinct (setting, switch) pair of a batch; perfbench
+    # wraps the switch at this name.  Each of the scan's delays is a switch
+    # of its own, and the sweep's two points, one batch, share theirs.
     switched = []
     original = detection.apply_switch_both_bins
 
@@ -326,7 +327,7 @@ def test_tables_switch_each_block_once(monkeypatch):
     assert len(switched) == 4
     switched.clear()
     run_loss_sweep(cfg, [1.0, 2.0], pulses=2_000)
-    assert len(switched) == 8
+    assert len(switched) == 4
 
 
 def _session_outcome(cfg, **workers):
@@ -635,6 +636,72 @@ def test_single_point_sweep_matches_session():
     point = replace(cfg, budget=replace(cfg.budget, channel_db=4.0))
     direct = run_session(point, pulses=25_000)
     assert sweep.reports[0].to_dict() == direct.report.to_dict()
+
+
+def test_each_sweep_point_matches_its_session():
+    # the three points are one batch, so they share each setting's switch
+    # and projection, and each still draws the session's streams
+    cfg = ExperimentConfig(seed=12)
+    losses = [1.0, 4.0, 7.0]
+    sweep = run_loss_sweep(cfg, losses, pulses=25_000)
+    for loss, report in zip(losses, sweep.reports):
+        point = replace(cfg, budget=replace(cfg.budget, channel_db=loss))
+        assert report.to_dict() == run_session(point, pulses=25_000).report.to_dict()
+
+
+def test_each_scan_delay_matches_its_own_scan():
+    # a later delay reseeds its streams from the cached words; a lone
+    # delay derives them afresh
+    cfg = ExperimentConfig(seed=21)
+    delays = [-1.0, 2.0, 5.0]
+    scan = run_pump_delay_scan(cfg, delays, pulses_per_point=5_000)
+    for k, delay in enumerate(delays):
+        lone = run_pump_delay_scan(cfg, [delay], pulses_per_point=5_000)
+        for a, b in ((scan.fidelity_t0[k], lone.fidelity_t0[0]), (scan.fidelity_t1[k], lone.fidelity_t1[0])):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _engine_draws(rng):
+    # one call of each Generator method the engine calls, at small sizes
+    labels = np.arange(40)
+    rng.shuffle(labels)
+    return [
+        rng.standard_exponential(7),
+        rng.random(5),
+        rng.multinomial(1_000, [0.1, 0.2, 0.3, 0.4]),
+        rng.multinomial([30, 40], [0.5, 0.25, 0.25]),
+        rng.binomial([3, 9, 27], 0.5),
+        labels,
+        rng.multivariate_hypergeometric([5, 7, 900], 50, method="marginals"),
+        rng.choice(1_000, 30, replace=False),
+        rng.normal(0.0, 150.0, size=6),
+        rng.poisson(0.8, size=6),
+    ]
+
+
+def test_cached_stream_draws_what_its_seed_sequence_draws():
+    for key in [(0, 0, 0), (1, 1, 0), (2, 7, 3, 0)]:
+        seq = derived_rng(2024, *key).bit_generator.seed_seq
+        cached = experiment._StreamSeed(seq)
+        for _ in range(2):  # each generator on the cached words starts afresh
+            expected = _engine_draws(np.random.Generator(np.random.PCG64(seq)))
+            got = _engine_draws(np.random.Generator(np.random.PCG64(cached)))
+            for a, b in zip(expected, got):
+                assert a.dtype == b.dtype and np.array_equal(a, b), key
+
+
+def test_cached_stream_passes_other_requests_to_its_sequence():
+    seq = np.random.SeedSequence(entropy=7, spawn_key=(1, 0, 0))
+    cached = experiment._StreamSeed(seq)
+    words = cached.generate_state(4, np.uint64)
+    assert np.array_equal(words, seq.generate_state(4, np.uint64))
+    words[0] ^= 1  # a copy: the next generator still gets the right words
+    assert np.array_equal(cached.generate_state(4, np.uint64), seq.generate_state(4, np.uint64))
+    for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64), (1, np.uint32)]:
+        got = cached.generate_state(n_words, dtype)
+        want = seq.generate_state(n_words, dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n_words, dtype)
+    assert np.array_equal(cached.generate_state(3), seq.generate_state(3))
 
 
 def test_sweep_sorts_and_loses_rate_with_loss():
