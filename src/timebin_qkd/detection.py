@@ -325,7 +325,10 @@ class PulseLedger:
     int64, and every code lies in 0..11.  Codes are range-checked in the input's own dtype
     (int64 for input that is not integer), before narrowing, so 268 cannot
     wrap to 12.  A fraction, in start_index or in a code, is refused, not
-    truncated.  An int8 code column is kept as given, not copied.
+    truncated.  A read-only int8 column that owns its memory, as the engine
+    and the file reader hand over, is kept as given; any other column is
+    copied into a read-only one, so a later write into the caller's array
+    cannot change the ledger past these checks.
     class_idx, alpha and bit are int8 columns derived from the code on each
     access, and read-only.
     """
@@ -347,7 +350,10 @@ class PulseLedger:
         wide = code.view(np.uint8) if code.dtype == np.int8 else code
         if wide.max() > 11 or (wide.dtype.kind == "i" and wide.min() < 0):
             raise InvalidInputError("ledger codes must lie in 0..11")
-        self._code = code.astype(np.int8, copy=False)
+        if code.dtype != np.int8 or code.flags.writeable or code.base is not None:
+            code = code.astype(np.int8)
+            code.flags.writeable = False
+        self._code = code
 
     def __len__(self) -> int:
         return len(self._code)
@@ -430,20 +436,22 @@ def accumulate(
     Each tag lands in the window containing its timestamp, edges
     included, or is discarded.  The windows' edges are whole picoseconds
     found exactly (`_window_edges`), so every int64 timestamp is placed
-    exactly: one binary search of the timestamps into the eight sorted
-    edges finds each tag's window, and a window too narrow to hold a whole
-    picosecond holds no tag.
+    exactly: a tag's count of the eight ascending edges at or below it,
+    one int8 comparison pass per edge, names its window, and a window too
+    narrow to hold a whole picosecond holds no tag.
     Pulses with more than one windowed tag are discarded (deterministic, so
-    pieces merge associatively).  pulses_sent comes from the ledger, so
-    accumulating disjoint (tags, ledger) pieces and summing equals
-    accumulating the concatenation.
+    pieces merge associatively).  They are found from the runs of equal
+    pulses in the windowed tags' pulse column, which is sorted first only
+    when it is not already in pulse order, as every file the CLI writes is.
+    pulses_sent comes from the ledger, so accumulating disjoint (tags,
+    ledger) pieces and summing equals accumulating the concatenation.
     """
     out = SessionCounts.zeros()
     sent = out.pulses_sent.reshape(-1)
     code = ledger._code
-    # a count of each of the 12 codes, 2**16 pulses at a time
-    for lo in range(0, len(code), 1 << 16):
-        part = code[lo : lo + (1 << 16)]
+    # a count of each of the 12 codes, 2**18 pulses at a time
+    for lo in range(0, len(code), 1 << 18):
+        part = code[lo : lo + (1 << 18)]
         for v in range(12):
             sent[v] += np.count_nonzero(part == v)
 
@@ -454,18 +462,29 @@ def accumulate(
             f"tag pulse_index {pulse[outside.argmax()]} outside ledger range"
         )
     first, last = _window_edges(layout)
-    # the sorted edges first[0], last[0] + 1, first[1], ...: a tag in
-    # window k has 2k + 1 of them at or below it, a tag outside every
-    # window an even number
-    slot = np.searchsorted(np.column_stack([first, last + 1]).ravel(), ts, side="right")
-    hit = slot % 2 == 1
-    window = slot[hit] // 2
-    pulses, first, n_windowed = np.unique(pulse[hit], return_index=True, return_counts=True)
-    single = n_windowed == 1
+    # the edges first[0], last[0] + 1, first[1], ... ascend: a tag in
+    # window k is at or past 2k + 1 of them, a tag outside every window
+    # past an even number
+    slot = np.zeros(len(ts), dtype=np.int8)
+    for edge in np.column_stack([first, last + 1]).ravel().tolist():
+        slot += ts >= edge
+    hit = (slot & 1).view(bool)
+    pulses, window = pulse[hit], slot[hit] >> 1
+    step = np.diff(pulses)
+    if (step < 0).any():
+        order = np.argsort(pulses, kind="stable")
+        pulses, window = pulses[order], window[order]
+        step = np.diff(pulses)
+    # a pulse with one windowed tag is a run of one: unlike both neighbours
+    apart = np.ones(len(pulses) + 1, dtype=bool)
+    np.not_equal(step, 0, out=apart[1:-1])
+    single = apart[:-1] & apart[1:]
     row = pulses[single] - ledger.start_index
-    window = window[first[single]]
-    # the flat count index is code * 4 + window, window = beta * 2 + j
-    out.counts += np.bincount(code[row] * 4 + window, minlength=48).reshape(out.counts.shape)
+    # the flat count index is code * 4 + window, window = beta * 2 + j;
+    # below 48, so int8 holds it
+    out.counts += np.bincount(code[row] * 4 + window[single], minlength=48).reshape(
+        out.counts.shape
+    )
     return out
 
 
@@ -476,9 +495,10 @@ _LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _append(target, head: bytes, body: bytes) -> None:
-    """Write `body` to a new file at `target`, or append it if `target` is an
-    open binary file; `head` goes first while the file is still empty."""
+def _append(target, head: bytes, body: np.ndarray) -> None:
+    """Write `body`'s bytes to a new file at `target`, or append them if
+    `target` is an open binary file; `head` goes first while the file is
+    still empty.  `body` is a contiguous array, written without a copy."""
     with nullcontext(target) if hasattr(target, "write") else open(target, "wb") as f:
         if f.tell() == 0:
             f.write(head)
@@ -493,8 +513,10 @@ def write_time_tags(path, tags: TimeTags) -> None:
     timestamp_ps.  `path` may also be a binary file open for writing: the
     records are appended, after the header if the file is still empty.
     """
-    columns = [tags.pulse_index, tags.detector_id, tags.timestamp_ps]
-    _append(path, _TAG_HEAD, np.rec.fromarrays(columns, dtype=_TAG_RECORD).tobytes())
+    records = np.empty(len(tags), dtype=_TAG_RECORD)
+    for name in _TAG_RECORD.names:
+        records[name] = getattr(tags, name)
+    _append(path, _TAG_HEAD, records)
 
 
 def read_time_tags(path) -> TimeTags:
@@ -527,7 +549,7 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
     appended, after the header if the file is still empty, so a ledger
     appended this way must continue where the file's last one ended.
     """
-    _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger._code.tobytes())
+    _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger._code)
 
 
 def read_pulse_ledger(path) -> PulseLedger:
@@ -549,6 +571,7 @@ def read_pulse_ledger(path) -> PulseLedger:
                 f"'{_LEDGER_HEAD.decode()}<N>' (CSV ledgers of earlier versions are not read)"
             )
         code = np.fromfile(f, np.int8)
+    code.flags.writeable = False  # so the ledger keeps it without a copy
     return PulseLedger(int(digits), code)
 
 
@@ -893,6 +916,33 @@ def _tally(
     return counts, sent
 
 
+def _hypergeometric_marginals(
+    rng: np.random.Generator, colors: list[int], nsample: int
+) -> list[int]:
+    """How many of each colour `nsample` draws without replacement take from `colors`.
+
+    The same draws, in the same order, as
+    `rng.multivariate_hypergeometric(colors, nsample, method="marginals")`
+    for three colours, from scalar `hypergeometric` calls on Python ints:
+    past half the total the complement is drawn, each colour but the last
+    draws its share of the sample left against the colours after it, and
+    the draws stop once the sample is used up.
+    """
+    total = sum(colors)
+    complement = nsample > total // 2
+    rest = total - nsample if complement else nsample
+    taken = [0, 0, 0]
+    others = total
+    for j in (0, 1):
+        if rest == 0:
+            break
+        others -= colors[j]
+        taken[j] = rng.hypergeometric(colors[j], others, rest)
+        rest -= taken[j]
+    taken[2] = rest
+    return [c - k for c, k in zip(colors, taken)] if complement else taken
+
+
 def _tags_and_ledger(
     block: Block,
     class_totals: np.ndarray,
@@ -935,29 +985,34 @@ def _tags_and_ledger(
     # its a, then its b, so every arrangement over the silent frames is
     # equally likely.
     setting = int(block.setting.basis) * 2 + block.setting.bit
-    left = class_totals - np.bincount(ev_cls, minlength=3)
-    fill = int(left.argmax())
+    left = (class_totals - np.bincount(ev_cls, minlength=3)).tolist()
+    fill = left.index(max(left))
     a, b = (c for c in range(3) if c != fill)
     code = np.full(n, fill * 4 + setting, dtype=np.int8)
     code[frames] = ev_cls * 4 + setting
-    left = left[[a, b, fill]]
+    left = [left[a], left[b], left[fill]]
     edges = [*range(0, n, PLACEMENT_CHUNK_FRAMES), n]
     ends = np.searchsorted(frames, edges).tolist()
+    # one mask of a chunk's silent frames, reused for every chunk
+    silent_mask = np.empty(min(n, PLACEMENT_CHUNK_FRAMES), dtype=bool)
     for lo, hi, first, last in zip(edges, edges[1:], ends, ends[1:]):
         if left[0] + left[1] == 0:
             break
         quiet = hi - lo - (last - first)
         if quiet == 0:
             continue
-        k_a, k_b, _ = rng.multivariate_hypergeometric(left, quiet, method="marginals").tolist()
-        left -= (k_a, k_b, quiet - k_a - k_b)
+        k_a, k_b, k_fill = _hypergeometric_marginals(rng, left, quiet)
+        left = [left[0] - k_a, left[1] - k_b, left[2] - k_fill]
         if k_a + k_b == 0:
             continue
-        silent = np.ones(hi - lo, dtype=bool)
+        silent = silent_mask[: hi - lo]
+        silent.fill(True)
         silent[frames[first:last] - lo] = False
-        placed = lo + np.flatnonzero(silent)[rng.choice(quiet, k_a + k_b, replace=False)]
-        code[placed[:k_a]] = a * 4 + setting
-        code[placed[k_a:]] = b * 4 + setting
+        placed = np.flatnonzero(silent)[rng.choice(quiet, k_a + k_b, replace=False)]
+        chunk = code[lo:hi]
+        chunk[placed[:k_a]] = a * 4 + setting
+        chunk[placed[k_a:]] = b * 4 + setting
+    code.flags.writeable = False  # so the ledger keeps it without a copy
 
     # Window 0's jitter is drawn before window 1's; the tags are then
     # ordered by pulse, then time.  A pulse has at most one tag per window,
@@ -1007,11 +1062,13 @@ def simulate_blocks(
     4. (only when its record is called) one shuffle that arranges the
        unclustered cells over the unclustered frames; then, per chunk of
        PLACEMENT_CHUNK_FRAMES frames that holds silent frames while
-       either of the two smaller left-over classes is not all placed, one
-       multivariate hypergeometric of the chunk's share of the left-over
-       classes and, if it holds either smaller class, one ordered sample
-       of the chunk's silent frames that places them; then the jitter of
-       window 0's and window 1's clicks.
+       either of the two smaller left-over classes is not all placed, the
+       chunk's share of the left-over classes, at most two scalar
+       hypergeometric draws (`_hypergeometric_marginals`, the draws of
+       numpy's "marginals" multivariate hypergeometric), and, if the
+       share holds either smaller class, one ordered sample of the
+       chunk's silent frames that places them; then the jitter of window
+       0's and window 1's clicks.
 
     Per-event work is done for clustered events only.  An unclustered
     event is at least `blocked` + 1 frames from both of its neighbours,

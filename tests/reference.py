@@ -1,10 +1,12 @@
 """Row-by-row reference versions of the tag and ledger file decoders,
-accumulate, the event table, the dead-time pass and the drift walk, and
-the tests' one builder of a ledger from its columns.
+accumulate, the event table, the dead-time pass and the drift walk, the
+binary search that placed a tag in its window, and the tests' one builder
+of a ledger from its columns.
 
 These are the plain Python loops the vectorized functions in
-`timebin_qkd.detection` replaced, and the per-time drift evaluation that
-`timebin_qkd.source.drift_state` replaced.  They are slow and kept only so
+`timebin_qkd.detection` replaced, the per-time drift evaluation that
+`timebin_qkd.source.drift_state` replaced, and the window search that
+`accumulate`'s comparison passes replaced.  They are kept only so
 the tests can require identical tags, ledgers and counts and bit-identical
 probabilities and drift values from the newer code.
 """
@@ -24,6 +26,7 @@ from timebin_qkd.detection import (
     SessionCounts,
     TimeTags,
     WindowLayout,
+    _window_edges,
     dark_prob_per_window,
 )
 from timebin_qkd.source import PURPOSE_DRIFT, DriftModel, _reflect, derived_rng
@@ -122,6 +125,19 @@ def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | Non
         if abs(timestamp_ps - c) <= half:
             return idx // 2, idx % 2
     return None
+
+
+def windows_by_search(layout: WindowLayout, timestamp_ps) -> np.ndarray:
+    """Each int64 stamp's window 0..3, or -1 outside every window.
+
+    One binary search of the stamps into the eight ascending whole
+    picosecond edges first[0], last[0] + 1, first[1], ...: a stamp past an
+    odd count 2k + 1 of them lies in window k.  This is the search that
+    `accumulate`'s int8 comparison passes replaced.
+    """
+    first, last = _window_edges(layout)
+    slot = np.searchsorted(np.column_stack([first, last + 1]).ravel(), timestamp_ps, side="right")
+    return np.where(slot % 2 == 1, slot // 2, -1)
 
 
 def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -> SessionCounts:

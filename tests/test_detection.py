@@ -15,6 +15,7 @@ from timebin_qkd.detection import (
     _EVENT_STATES,
     BASIS_GROUP_OFFSET_PS,
     INTERFEROMETER_DELAY_PS,
+    PLACEMENT_CHUNK_FRAMES,
     WINDOW_CENTERS_PS,
     Block,
     DetectorModel,
@@ -25,6 +26,7 @@ from timebin_qkd.detection import (
     _draw_events,
     _event_probabilities,
     _event_tables,
+    _hypergeometric_marginals,
     _pathway_outcomes,
     _prune_dead_time_clusters,
     accumulate,
@@ -52,6 +54,7 @@ from reference import (
     event_probabilities_loop,
     ledger_of_columns,
     prune_dead_time_loop,
+    windows_by_search,
 )
 from sinks import tagged_session
 
@@ -818,17 +821,60 @@ def test_accumulate_is_associative_over_ledger_pieces():
 
 def test_accumulate_discards_multi_window_pulses():
     layout = WindowLayout()
-    ledger = ledger_of_columns(0, np.zeros(3), np.ones(3), np.zeros(3))
-    tags = _tags(
+    ledger = ledger_of_columns(0, np.zeros(4), np.ones(4), np.zeros(4))
+    rows = [
         (0, 1, 8000.0),
         (0, 1, 10935.0),  # second window, same pulse: dropped
         (1, 1, 8000.0),
         (2, 1, 5000.0),  # outside every window: ignored
+        (3, 0, 0.0),
+        (3, 0, 5.0),  # second tag in the same window: dropped too
+    ]
+    # in pulse order, reversed, and with each pulse's tags apart; the
+    # last two are sorted first
+    for order in (rows, rows[::-1], rows[::2] + rows[1::2]):
+        out = accumulate(_tags(*order), layout, ledger)
+        assert out.counts.sum() == 1
+        assert out.counts[0, 1, 0, 1, 0] == 1
+        assert out.pulses_sent[0, 1, 0] == 4
+
+
+def test_accumulate_counts_tags_in_any_row_order_as_in_pulse_order():
+    # darks and wide jitter give pulses with two tags, in one window or two
+    det = replace(IDEAL_DET, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6)
+    _, tags, ledger = _tagged_block(
+        BB84_SETTINGS[1], 100_000, SourceConfig(), LossBudget(), PERFECT_SWITCH, det,
+        _rng(31), start_index=9,
     )
-    out = accumulate(tags, layout, ledger)
-    assert out.counts.sum() == 1
-    assert out.counts[0, 1, 0, 1, 0] == 1
-    assert out.pulses_sent[0, 1, 0] == 3
+    assert np.all(np.diff(tags.pulse_index) >= 0)
+    assert np.any(np.diff(tags.pulse_index) == 0)
+    in_order = accumulate(tags, LAYOUT, ledger)
+    assert in_order.counts.sum() > 0
+    n = len(tags)
+    for rows in (np.arange(n)[::-1], _rng(32).permutation(n), _rng(33).permutation(n)):
+        assert accumulate(_select(tags, rows), LAYOUT, ledger) == in_order
+
+
+@pytest.mark.parametrize("width", [0.5, 0.999, 1.0, 800.0, INTERFEROMETER_DELAY_PS])
+def test_each_window_edge_lands_where_a_binary_search_puts_it(width):
+    layout = WindowLayout(width_ps=width)
+    first, last = detection._window_edges(layout)
+    # each window's first and last whole picosecond, and one outside each
+    stamps = np.concatenate([first - 1, first, last, last + 1])
+    want = windows_by_search(layout, stamps)
+    ledger = PulseLedger(0, np.zeros(len(stamps), dtype=np.int8))
+    for ts, window in zip(stamps.tolist(), want.tolist()):
+        got = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0].reshape(4)
+        assert got.tolist() == [int(k == window) for k in range(4)], (ts, window)
+    # all of them at once, one per pulse, in shuffled rows
+    rows = _rng(34).permutation(len(stamps))
+    tags = TimeTags(rows, np.zeros(len(stamps), dtype=np.int8), stamps[rows])
+    got = accumulate(tags, layout, ledger).counts[0, 0, 0].reshape(4)
+    assert got.tolist() == np.bincount(want[want >= 0], minlength=4).tolist()
+    # the first and last of a window that holds a whole picosecond land in it
+    holds = first <= last
+    assert (want[4:8] == np.where(holds, np.arange(4), -1)).all()
+    assert (want[8:12] == np.where(holds, np.arange(4), -1)).all()
 
 
 def test_accumulate_rejects_out_of_range_tags():
@@ -1318,6 +1364,43 @@ def test_ledger_refuses_what_its_file_could_not_hold():
             PulseLedger(0, code)
 
 
+def test_a_later_write_into_the_callers_codes_leaves_the_ledger_unchanged():
+    base = np.zeros(3, dtype=np.int8)
+    view = base[:]
+    view.flags.writeable = False  # read-only, but its base is not
+    for code, owner in [
+        (np.zeros(3, dtype=np.int8), None),
+        (view, base),
+        (np.zeros(3, dtype=np.int64), None),
+    ]:
+        owner = code if owner is None else owner
+        ledger = PulseLedger(0, code)
+        owner[0] = 99
+        assert ledger._code.tolist() == [0, 0, 0]
+        assert ledger.class_idx.tolist() == [0, 0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            ledger._code[0] = 99
+
+
+def test_a_read_only_code_column_is_kept_without_a_copy(tmp_path):
+    n = 1_000_000
+    code = np.zeros(n, dtype=np.int8)
+    code.flags.writeable = False
+    for given, kept in [(code, True), (np.zeros(n, dtype=np.int8), False)]:
+        tracemalloc.start()
+        try:
+            ledger = PulseLedger(0, given)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (ledger._code is given) == kept
+        assert retained < 0.01 * n if kept else retained >= n, retained
+    # the engine and the reader hand over columns of that kind, so the
+    # ledger holds the one byte per pulse they made
+    for ledger in _ledgers_of_every_source(tmp_path)[1:]:
+        assert not ledger._code.flags.writeable and ledger._code.base is None
+
+
 @pytest.mark.parametrize(
     "start_index, code",
     [(0, [0]), (2**63 - 1, [11]), (2**63 - 12, list(range(12))), (7, [3, 0, 11, 11, 4, 9])],
@@ -1328,6 +1411,37 @@ def test_every_ledger_the_constructor_takes_reads_back_equal(tmp_path, start_ind
     write_pulse_ledger(tmp_path / "ledger", ledger)
     back = read_pulse_ledger(tmp_path / "ledger")
     assert back.start_index == start_index and back._code.tolist() == code
+
+
+def _marginals_cases():
+    # a zero colour; nsample 0 and nsample = total; nsample either side of
+    # total // 2, an even and an odd total; and the engine's chunk sizes,
+    # a full chunk of a 1e6-pulse block with its events taken out and the
+    # last chunk of one of 2.5e5
+    yield [0, 40, 200], 30
+    yield [40, 0, 200], 150
+    yield [40, 200, 0], 120
+    for colors in ([13, 29, 158], [13, 29, 159]):
+        total = sum(colors)
+        yield colors, 0
+        yield colors, total
+        for nsample in (total // 2 - 1, total // 2, total // 2 + 1):
+            yield colors, nsample
+    yield [30_421, 61_207, 888_612], PLACEMENT_CHUNK_FRAMES - 318
+    yield [812, 1_671, 7_440], 250_000 % PLACEMENT_CHUNK_FRAMES - 93
+
+
+@pytest.mark.parametrize("colors, nsample", list(_marginals_cases()))
+def test_hypergeometric_pair_draws_what_the_marginals_method_draws(colors, nsample):
+    for seed in range(25):
+        numpy_rng, pair_rng = _rng(seed), _rng(seed)
+        want = numpy_rng.multivariate_hypergeometric(colors, nsample, method="marginals")
+        got = _hypergeometric_marginals(pair_rng, colors, nsample)
+        assert got == want.tolist() and sum(got) == nsample, seed
+        assert all(type(k) is int for k in got)
+        # both generators are left on the same next draw
+        assert pair_rng.bit_generator.state == numpy_rng.bit_generator.state, seed
+        assert pair_rng.integers(2**62, size=3).tolist() == numpy_rng.integers(2**62, size=3).tolist()
 
 
 def _ledgers_of_every_source(tmp_path) -> tuple[PulseLedger, ...]:

@@ -672,7 +672,7 @@ def _engine_draws(rng):
         rng.multinomial([30, 40], [0.5, 0.25, 0.25]),
         rng.binomial([3, 9, 27], 0.5),
         labels,
-        rng.multivariate_hypergeometric([5, 7, 900], 50, method="marginals"),
+        np.array([rng.hypergeometric(5, 907, 50), rng.hypergeometric(7, 900, 50)]),
         rng.choice(1_000, 30, replace=False),
         rng.normal(0.0, 150.0, size=6),
         rng.poisson(0.8, size=6),
