@@ -117,7 +117,6 @@ class DecoyEstimates:
     y1_lower: float
     e1_upper: float
     q1_lower: float
-    y0: float | None
     flags: tuple[str, ...]
 
 
@@ -191,7 +190,7 @@ def decoy_bounds(
             flags.append("e1-clamped-one")
 
     q1 = y1 * mu * math.exp(-mu)
-    return DecoyEstimates(y1, e1, q1, y0, tuple(flags))
+    return DecoyEstimates(y1, e1, q1, tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ def secret_key_rate_from_values(
         f"no-{name}-events" for name, e in (("signal", e_mu), ("decoy", e_nu)) if e is None
     ) + (("no-vacuum-pulses",) if y0 is None else ())
     if missing:
-        est = DecoyEstimates(0.0, 1.0, 0.0, y0, missing)
+        est = DecoyEstimates(0.0, 1.0, 0.0, missing)
     else:
         est = decoy_bounds(q_mu, e_mu, q_nu, e_nu, mu, nu, y0)
     flags = list(est.flags)

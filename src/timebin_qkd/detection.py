@@ -250,6 +250,9 @@ class SessionCounts:
 def _projection(state: SwitchedState, det: DetectorModel) -> tuple[tuple, tuple]:
     """The (P bit0, P bit1, P discarded) of the phase, then the time pathway.
 
+    Indexed by int(basis), this is the one projection of the engine and
+    of the tests, before darks.
+
     The effective detected qubit is (e^{i chi} * amp(t0, V), amp(t1, H)),
     with chi the recombination phase, projected onto the basis pair of
     mub_states(basis) of each pathway.  The phase factor, the effective
@@ -280,18 +283,6 @@ def _projection(state: SwitchedState, det: DetectorModel) -> tuple[tuple, tuple]
     return tuple(pathways)
 
 
-def outcome_probabilities(
-    state: SwitchedState, basis: Basis, det: DetectorModel
-) -> tuple[float, float, float]:
-    """(P bit0, P bit1, P discarded) for an incident photon, before darks.
-
-    The pathway of `basis` from `_projection`, the one projection of the
-    engine and of the tests.  An unknown basis is refused (`mub_states`).
-    """
-    mub_states(basis)
-    return _projection(state, det)[int(basis)]
-
-
 def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
     """`values` as int64; a fraction, NaN, ±inf or a value beyond int64 is refused.
 
@@ -316,21 +307,21 @@ class PulseLedger:
     """Sender-side record of a pulse range: one code per pulse.
 
     Covers pulses [start_index, start_index + len); accumulate() needs it
-    to attribute windowed clicks to (class, alpha, i).  A pulse's code is
-    class * 4 + alpha * 2 + bit, so the ledger holds one int8 byte per
-    pulse, in memory and in the ledger file.  This constructor is the one
-    owner of the ledger's rules, for the engine, the file reader and any
-    other caller: start_index is a whole number of at least 0, the codes
-    are one column of at least one pulse, the last pulse index fits in
-    int64, and every code lies in 0..11.  Codes are range-checked in the input's own dtype
-    (int64 for input that is not integer), before narrowing, so 268 cannot
-    wrap to 12.  A fraction, in start_index or in a code, is refused, not
-    truncated.  A read-only int8 column that owns its memory, as the engine
-    and the file reader hand over, is kept as given; any other column is
-    copied into a read-only one, so a later write into the caller's array
-    cannot change the ledger past these checks.
-    class_idx, alpha and bit are int8 columns derived from the code on each
-    access, and read-only.
+    to attribute windowed clicks to (class, alpha, i).  `code` is the int8
+    column class * 4 + alpha * 2 + bit, 0..11, one byte per pulse in
+    memory and in the ledger file.  It is read-only: rebinding it raises
+    AttributeError and a write into it ValueError.  This constructor is
+    the one owner of the ledger's rules, for the engine, the file reader
+    and any other caller: start_index is a whole number of at least 0,
+    the codes are one column of at least one pulse, the last pulse index
+    fits in int64, and every code lies in 0..11.  Codes are range-checked
+    in the input's own dtype (int64 for input that is not integer), before
+    narrowing, so 268 cannot wrap to 12.  A fraction, in start_index or in
+    a code, is refused, not truncated.  A read-only int8 column that owns
+    its memory, as the engine and the file reader hand over, is kept as
+    given; any other column is copied into a read-only one, so a later
+    write into the caller's array cannot change the ledger past these
+    checks.
     """
 
     def __init__(self, start_index, code) -> None:
@@ -358,22 +349,9 @@ class PulseLedger:
     def __len__(self) -> int:
         return len(self._code)
 
-    def _column(self, shift: int, mask: int) -> np.ndarray:
-        column = (self._code >> shift) & mask
-        column.flags.writeable = False
-        return column
-
     @property
-    def class_idx(self) -> np.ndarray:
-        return self._column(2, 3)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self._column(1, 1)
-
-    @property
-    def bit(self) -> np.ndarray:
-        return self._column(0, 1)
+    def code(self) -> np.ndarray:
+        return self._code
 
 
 @dataclass
@@ -448,7 +426,7 @@ def accumulate(
     """
     out = SessionCounts.zeros()
     sent = out.pulses_sent.reshape(-1)
-    code = ledger._code
+    code = ledger.code
     # a count of each of the 12 codes, 2**18 pulses at a time
     for lo in range(0, len(code), 1 << 18):
         part = code[lo : lo + (1 << 18)]
@@ -549,7 +527,7 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
     appended, after the header if the file is still empty, so a ledger
     appended this way must continue where the file's last one ended.
     """
-    _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger._code)
+    _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger.code)
 
 
 def read_pulse_ledger(path) -> PulseLedger:

@@ -601,15 +601,21 @@ def run_stability(
         ((PURPOSE_STABILITY, k), config.budget, drifted(*drift))
         for k, drift in enumerate(drift_state(config.drift, config.seed, times))
     )
-    per_sample = list(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample))
+    # each sample's counts are reduced as they stream in, so memory holds
+    # the series and the running total, not every sample's counts
+    fidelity_rows = np.empty((4, n_samples))
+    qber_series = np.empty(n_samples)
+    total = SessionCounts.zeros()
+    for k, sample in enumerate(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample)):
+        fidelity_rows[:, k] = list(fidelities(sample).values())
+        qber_series[k] = _qber_or_nan(sample)
+        total += sample
 
-    total = sum(per_sample, SessionCounts.zeros())
-    per_fidelity = [fidelities(sample) for sample in per_sample]
     means = fidelities(total)
     return StabilityResult(
         times_h=times,
-        fidelity_series={key: np.array([f[key] for f in per_fidelity]) for key in means},
-        qber_series=np.array([_qber_or_nan(sample) for sample in per_sample]),
+        fidelity_series=dict(zip(means, fidelity_rows)),
+        qber_series=qber_series,
         counts=total,
         report=secret_key_rate(total, config.source),
         mean_fidelities=means,

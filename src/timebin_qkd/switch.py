@@ -197,9 +197,6 @@ class SwitchedState(NamedTuple):
     def amp(self, time_bin: int, pol: int) -> complex:
         return self[time_bin][pol]
 
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for pair in self for a in pair)
-
 
 def _bin_rotation(amp: complex, eta: float) -> tuple[complex, complex]:
     # H -> sqrt(1-eta) H + sqrt(eta) V, a real rotation, unitary on the bin;
@@ -218,8 +215,8 @@ def apply_switch_both_bins(q: TimeBinQubit, model: SwitchModel) -> SwitchedState
     early bin switches; a pump delayed by about one bin separation switches
     the late bin instead, which is what a delay scan sweeps across.  The
     rotation is unitary on each bin, so the norm is kept.  The receiver
-    projects the result with detection.outcome_probabilities, in the engine
-    and in the tests alike.
+    projects the result with detection._projection, in the engine and in
+    the tests alike.
     """
     eta0, eta1 = bin_efficiencies(model)
     return SwitchedState(_bin_rotation(q.amp_t0, eta0), _bin_rotation(q.amp_t1, eta1))

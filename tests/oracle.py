@@ -10,8 +10,8 @@ every [class][beta][j] cell follows from per-frame probabilities alone:
   mean_c;
 - a photon click with probability 1 - exp(-mean_c * T), where T is the
   path transmittance times the detector efficiency (Poisson thinning);
-- the 50:50 pathway beta, then the projection `outcome_probabilities`
-  and the intrinsic bit flip;
+- the 50:50 pathway beta, then the projection `_projection` and the
+  intrinsic bit flip;
 - an independent dark click in each of the pathway's two windows, with
   the probability `dark_prob_per_window` of the layout's width;
 - the double-click policy: "random" splits a double 50:50 between the two
@@ -25,7 +25,7 @@ renewal process with mean cycle B + 1/r_d frames, so the factor is exact
 up to the restart at each block boundary.
 
 The oracle and the engine share the switch and the projection
-(`apply_switch_both_bins`, then `outcome_probabilities`), so a gate built
+(`apply_switch_both_bins`, then `_projection`), so a gate built
 on this oracle checks the sampler: the draws, dead time, the double-click
 policy and the tally.
 """
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from timebin_qkd.detection import dark_prob_per_window, outcome_probabilities
+from timebin_qkd.detection import _projection, dark_prob_per_window
 from timebin_qkd.qubit import Basis, PreparationSetting
 from timebin_qkd.source import transmittance
 from timebin_qkd.switch import apply_switch_both_bins
@@ -57,7 +57,7 @@ def expected_counts(config, prep: PreparationSetting, n: int) -> tuple[np.ndarra
     for c, p_class in enumerate(src.class_probabilities):
         p_photon = -math.expm1(-src.mean_for(c) * t)
         for beta in (Basis.PHASE, Basis.TIME):
-            p0, p1, _ = outcome_probabilities(sw, beta, det)
+            p0, p1, _ = _projection(sw, det)[int(beta)]
             sig0 = p_photon * (p0 * (1.0 - e) + p1 * e)
             sig1 = p_photon * (p1 * (1.0 - e) + p0 * e)
             silent = 1.0 - sig0 - sig1

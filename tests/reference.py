@@ -118,6 +118,16 @@ def ledger_of_columns(start_index, class_idx, alpha, bit) -> PulseLedger:
     return PulseLedger(start_index, code)
 
 
+def ledger_columns(ledger: PulseLedger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(class_idx, alpha, bit) of a ledger, decoded from its code class * 4 + alpha * 2 + bit.
+
+    The inverse of ledger_of_columns, as int8 columns; the tests' one way
+    to read a ledger's three columns.
+    """
+    code = ledger.code
+    return code // 4, code // 2 % 2, code % 2
+
+
 def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | None:
     """(pathway, bit) of the first window containing the timestamp, or None."""
     half = 0.5 * layout.width_ps
@@ -142,8 +152,8 @@ def windows_by_search(layout: WindowLayout, timestamp_ps) -> np.ndarray:
 
 def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -> SessionCounts:
     out = SessionCounts.zeros()
-    flat_sent = ledger.class_idx * 4 + ledger.alpha * 2 + ledger.bit
-    out.pulses_sent += np.bincount(flat_sent, minlength=12).reshape(3, 2, 2)
+    class_idx, alpha, bit = ledger_columns(ledger)
+    out.pulses_sent += np.bincount(class_idx * 4 + alpha * 2 + bit, minlength=12).reshape(3, 2, 2)
 
     classified: dict[int, tuple[int, int]] = {}
     multi: set[int] = set()
@@ -158,7 +168,7 @@ def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -
         classified[pulse] = hit
     for pi, (beta, j) in classified.items():
         row = pi - ledger.start_index
-        out.counts[ledger.class_idx[row], ledger.alpha[row], ledger.bit[row], beta, j] += 1
+        out.counts[class_idx[row], alpha[row], bit[row], beta, j] += 1
     return out
 
 

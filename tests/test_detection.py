@@ -28,10 +28,10 @@ from timebin_qkd.detection import (
     _event_tables,
     _hypergeometric_marginals,
     _pathway_outcomes,
+    _projection,
     _prune_dead_time_clusters,
     accumulate,
     dark_prob_per_window,
-    outcome_probabilities,
     read_pulse_ledger,
     read_time_tags,
     simulate_block,
@@ -52,6 +52,7 @@ from reference import (
     decode_pulse_ledger,
     decode_time_tags,
     event_probabilities_loop,
+    ledger_columns,
     ledger_of_columns,
     prune_dead_time_loop,
     windows_by_search,
@@ -182,7 +183,7 @@ def test_probabilities_reproduce_state_overlaps():
         q = setting.state()
         sw = apply_switch_both_bins(q, PERFECT_SWITCH)
         for basis in Basis:
-            p0, p1, drop = outcome_probabilities(sw, basis, IDEAL_DET)
+            p0, p1, drop = _projection(sw, IDEAL_DET)[int(basis)]
             b0, b1 = mub_states(basis)
             assert p0 == pytest.approx(overlap_probability(q, b0), abs=1e-9)
             assert p1 == pytest.approx(overlap_probability(q, b1), abs=1e-9)
@@ -202,7 +203,7 @@ def test_probabilities_sum_to_one_for_all_policies():
         for policy in ("random", "discard", "by_polarization"):
             det = replace(IDEAL_DET, stray_time_policy=policy)
             for basis in Basis:
-                p0, p1, drop = outcome_probabilities(sw, basis, det)
+                p0, p1, drop = _projection(sw, det)[int(basis)]
                 assert p0 >= 0.0 and p1 >= 0.0 and drop >= 0.0
                 assert p0 + p1 + drop == pytest.approx(1.0, abs=1e-12)
 
@@ -212,16 +213,16 @@ def test_unswitched_stray_policies():
     off = SwitchModel(delta_phi_peak=0.0)
     sw = apply_switch_both_bins(BB84_SETTINGS[0].state(), off)  # prepared t0
 
-    p0, p1, drop = outcome_probabilities(sw, Basis.TIME, IDEAL_DET)
+    p0, p1, drop = _projection(sw, IDEAL_DET)[Basis.TIME]
     assert (p0, p1, drop) == (0.5, 0.5, 0.0)  # no usable bit, random
 
     det = replace(IDEAL_DET, stray_time_policy="discard")
-    p0, p1, drop = outcome_probabilities(sw, Basis.TIME, det)
+    p0, p1, drop = _projection(sw, det)[Basis.TIME]
     assert (p0, p1) == (0.0, 0.0)
     assert drop == pytest.approx(1.0, abs=1e-12)
 
     det = replace(IDEAL_DET, stray_time_policy="by_polarization")
-    p0, p1, drop = outcome_probabilities(sw, Basis.TIME, det)
+    p0, p1, drop = _projection(sw, det)[Basis.TIME]
     # H-polarized light exits in the late slot, so the bit reads wrong
     assert p1 == pytest.approx(1.0, abs=1e-12)
     assert p0 == 0.0 and drop == 0.0
@@ -231,10 +232,9 @@ def test_recombination_phase_flips_phase_basis():
     setting = BB84_SETTINGS[2]  # phase, bit 0
     sw = apply_switch_both_bins(setting.state(), PERFECT_SWITCH)
     det = replace(IDEAL_DET, recombination_phase=math.pi)
-    p0, p1, _ = outcome_probabilities(sw, Basis.PHASE, det)
+    (p0, p1, _), (t0, t1, _) = _projection(sw, det)
     assert p1 == pytest.approx(1.0, abs=1e-9)
-    t0, t1, _ = outcome_probabilities(sw, Basis.TIME, det)
-    ref0, ref1, _ = outcome_probabilities(sw, Basis.TIME, IDEAL_DET)
+    ref0, ref1, _ = _projection(sw, IDEAL_DET)[Basis.TIME]
     assert (t0, t1) == pytest.approx((ref0, ref1), abs=1e-12)
 
 
@@ -656,7 +656,7 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
                 )
 
     # the whole chain: (setting, switch, detector) -> table, against
-    # apply_switch_both_bins -> outcome_probabilities -> the per-state loop
+    # apply_switch_both_bins -> _projection -> the per-state loop
     source = SourceConfig()
     means = [source.mean_for(c) for c in range(3)]
     cases = list(_switched_table_inputs(_rng(43)))
@@ -667,7 +667,7 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
         assert tables.shape == (len(blocks), 3, 23)
         for block, table in zip(blocks, tables):
             sw = apply_switch_both_bins(block.setting.state(), block.switch)
-            outcomes = [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)]
+            outcomes = _projection(sw, det)
             q_surv = transmittance(block.budget.path_db) * transmittance(block.budget.detector_db)
             for c, mean in enumerate(means):
                 expected = event_probabilities_loop(mean, q_surv, outcomes, det, LAYOUT)
@@ -677,9 +677,7 @@ def test_event_table_matches_the_per_state_reference_bit_for_bit():
     for blocks, det in _random_switched_batches(_rng(47), 512):
         for block, pathways in zip(blocks, _pathway_outcomes(blocks, det)):
             sw = apply_switch_both_bins(block.setting.state(), block.switch)
-            assert list(pathways) == [outcome_probabilities(sw, b, det) for b in (Basis.PHASE, Basis.TIME)], (
-                block, det,
-            )
+            assert pathways == _projection(sw, det), (block, det)
 
 
 def test_block_rejects_negative_pulse_count():
@@ -752,8 +750,7 @@ def test_batched_blocks_equal_lone_blocks():
                 for name in ("pulse_index", "detector_id", "timestamp_ps"):
                     assert np.array_equal(getattr(tags, name), getattr(lone[1], name)), (det, key)
                 assert ledger.start_index == lone[2].start_index == start
-                for name in ("class_idx", "alpha", "bit"):
-                    assert np.array_equal(getattr(ledger, name), getattr(lone[2], name)), (det, key)
+                assert np.array_equal(ledger.code, lone[2].code), (det, key)
     assert n_events > 10_000
 
 
@@ -811,8 +808,8 @@ def test_accumulate_is_associative_over_ledger_pieces():
         _rng(20),
     )
     cut = 40_000
-    first = ledger_of_columns(0, ledger.class_idx[:cut], ledger.alpha[:cut], ledger.bit[:cut])
-    second = ledger_of_columns(cut, ledger.class_idx[cut:], ledger.alpha[cut:], ledger.bit[cut:])
+    first = PulseLedger(0, ledger.code[:cut])
+    second = PulseLedger(cut, ledger.code[cut:])
     tags_a = _select(tags, tags.pulse_index < cut)
     tags_b = _select(tags, tags.pulse_index >= cut)
     whole = accumulate(tags, layout, ledger)
@@ -891,10 +888,8 @@ def _assert_record_reads_back(tmp_path, tags, ledger, pulses_sent):
     assert _same_tags(read_time_tags(tmp_path / "run.tags"), tags)
     back = read_pulse_ledger(tmp_path / "run.ledger")
     assert back.start_index == ledger.start_index
-    for name in ("class_idx", "alpha", "bit"):
-        assert np.array_equal(getattr(back, name), getattr(ledger, name))
-    flat = back.class_idx.astype(np.int64) * 4 + back.alpha * 2 + back.bit
-    assert np.array_equal(np.bincount(flat, minlength=12).reshape(3, 2, 2), pulses_sent)
+    assert np.array_equal(back.code, ledger.code)
+    assert np.array_equal(np.bincount(back.code, minlength=12).reshape(3, 2, 2), pulses_sent)
     assert np.array_equal(accumulate(tags, WindowLayout(), back).pulses_sent, pulses_sent)
 
 
@@ -949,7 +944,7 @@ def test_silent_frames_take_the_left_over_classes(tmp_path, probabilities):
         for j, s in enumerate(BB84_SETTINGS)
     ]
     for sent, tags, ledger in _tagged_batch(blocks, source, det):
-        per_class = np.bincount(ledger.class_idx, minlength=3)
+        per_class = np.bincount(ledger_columns(ledger)[0], minlength=3)
         assert len(tags) > 0 and per_class.argmax() == np.argmax(probabilities)
         assert np.array_equal(per_class > 0, np.array(probabilities) > 0)
         _assert_record_reads_back(tmp_path, tags, ledger, sent)
@@ -1117,9 +1112,7 @@ def _random_ledger(rng, start_index: int, n: int) -> PulseLedger:
 
 
 def _same_ledger(a: PulseLedger, b: PulseLedger) -> bool:
-    return a.start_index == b.start_index and all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("class_idx", "alpha", "bit")
-    )
+    return a.start_index == b.start_index and np.array_equal(a.code, b.code)
 
 
 @pytest.mark.parametrize("start_index", [0, 9, 123_456_789, 2**63 - 1000])
@@ -1131,7 +1124,7 @@ def test_ledger_file_is_a_header_line_and_one_code_byte_per_pulse(tmp_path, star
     header = LEDGER_HEAD + str(start_index).encode() + b"\n"
     assert written[: len(header)] == header and len(written) == len(header) + 1000
     code = np.frombuffer(written[len(header) :], np.int8)
-    assert np.array_equal(code, ledger.class_idx * 4 + ledger.alpha * 2 + ledger.bit)
+    assert np.array_equal(code, ledger.code)
     assert _same_ledger(read_pulse_ledger(path), ledger)
 
 
@@ -1142,10 +1135,7 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
     with open(path, "wb") as f:
         write_pulse_ledger(f, first)
         write_pulse_ledger(f, second)
-    whole = ledger_of_columns(40, *(
-        np.concatenate([getattr(first, name), getattr(second, name)])
-        for name in ("class_idx", "alpha", "bit")
-    ))
+    whole = PulseLedger(40, np.concatenate([first.code, second.code]))
     assert path.read_bytes().count(LEDGER_HEAD) == 1
     assert _same_ledger(read_pulse_ledger(path), whole)
 
@@ -1158,10 +1148,7 @@ def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
     # a file opened for appending starts at its end, so no second header
     with open(path, "ab") as f:
         write_pulse_ledger(f, second)
-    whole = ledger_of_columns(0, *(
-        np.concatenate([getattr(first, name), getattr(second, name)])
-        for name in ("class_idx", "alpha", "bit")
-    ))
+    whole = PulseLedger(0, np.concatenate([first.code, second.code]))
     assert path.read_bytes().count(LEDGER_HEAD) == 1
     assert _same_ledger(read_pulse_ledger(path), whole)
 
@@ -1195,7 +1182,7 @@ def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, star
     write_pulse_ledger(path, ledger)
     written = path.read_bytes()
     assert decode_pulse_ledger(written) == (
-        start_index, ledger.class_idx.tolist(), ledger.alpha.tolist(), ledger.bit.tolist()
+        start_index, *(column.tolist() for column in ledger_columns(ledger))
     )
     outcomes = set()
     for data in _mutants(rng, written, len(written) - n, 300):
@@ -1207,7 +1194,7 @@ def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, star
                 read_pulse_ledger(path)
         else:
             back = read_pulse_ledger(path)
-            got = (back.start_index, back.class_idx.tolist(), back.alpha.tolist(), back.bit.tolist())
+            got = (back.start_index, *(column.tolist() for column in ledger_columns(back)))
             assert got == expected, data
     # the edits made both files the reader takes and files it refuses
     assert outcomes == {True, False}
@@ -1287,7 +1274,7 @@ def test_ledger_reader_takes_the_last_int64_pulse_index(tmp_path):
     path.write_bytes(LEDGER_HEAD + b"%d\n\x0b" % (2**63 - 1))
     ledger = read_pulse_ledger(path)
     assert ledger.start_index == 2**63 - 1
-    assert (ledger.class_idx.tolist(), ledger.alpha.tolist(), ledger.bit.tolist()) == ([2], [1], [1])
+    assert [column.tolist() for column in ledger_columns(ledger)] == [[2], [1], [1]]
 
 
 def test_ledger_reader_takes_a_start_index_of_63_digits(tmp_path):
@@ -1295,7 +1282,7 @@ def test_ledger_reader_takes_a_start_index_of_63_digits(tmp_path):
     path = tmp_path / "ledger"
     path.write_bytes(LEDGER_HEAD + b"0" * 62 + b"7\n\x05")
     ledger = read_pulse_ledger(path)
-    assert ledger.start_index == 7 and ledger._code.tolist() == [5]
+    assert ledger.start_index == 7 and ledger.code.tolist() == [5]
 
 
 def test_read_pulse_ledger_keeps_one_byte_per_pulse(tmp_path):
@@ -1316,9 +1303,7 @@ def test_read_pulse_ledger_keeps_one_byte_per_pulse(tmp_path):
 def test_ledger_values_are_range_checked():
     ok = PulseLedger(0, [1, 6, 9])
     assert len(ok) == 3
-    assert (ok.class_idx.tolist(), ok.alpha.tolist(), ok.bit.tolist()) == (
-        [0, 1, 2], [0, 1, 0], [1, 0, 1]
-    )
+    assert [column.tolist() for column in ledger_columns(ok)] == [[0, 1, 2], [0, 1, 0], [1, 0, 1]]
     # a fraction is refused, not truncated
     for code in ([12], [-1], [1.5], [0.5], [math.nan]):
         with pytest.raises(InvalidInputError, match="ledger codes"):
@@ -1328,7 +1313,7 @@ def test_ledger_values_are_range_checked():
             PulseLedger(start, [4])
     # integral floats are still taken
     whole = PulseLedger(3.0, [10.0])
-    assert whole.start_index == 3 and whole.class_idx.tolist() == [2]
+    assert whole.start_index == 3 and whole.code.tolist() == [10]
     # codes are checked in their own dtype before narrowing to int8, where
     # 267 would wrap to 11, 256 to 0 and -254 to 2
     for value in (268, 267, 256, -254):
@@ -1376,10 +1361,9 @@ def test_a_later_write_into_the_callers_codes_leaves_the_ledger_unchanged():
         owner = code if owner is None else owner
         ledger = PulseLedger(0, code)
         owner[0] = 99
-        assert ledger._code.tolist() == [0, 0, 0]
-        assert ledger.class_idx.tolist() == [0, 0, 0]
+        assert ledger.code.tolist() == [0, 0, 0]
         with pytest.raises(ValueError, match="read-only"):
-            ledger._code[0] = 99
+            ledger.code[0] = 99
 
 
 def test_a_read_only_code_column_is_kept_without_a_copy(tmp_path):
@@ -1393,12 +1377,12 @@ def test_a_read_only_code_column_is_kept_without_a_copy(tmp_path):
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert (ledger._code is given) == kept
+        assert (ledger.code is given) == kept
         assert retained < 0.01 * n if kept else retained >= n, retained
     # the engine and the reader hand over columns of that kind, so the
     # ledger holds the one byte per pulse they made
     for ledger in _ledgers_of_every_source(tmp_path)[1:]:
-        assert not ledger._code.flags.writeable and ledger._code.base is None
+        assert not ledger.code.flags.writeable and ledger.code.base is None
 
 
 @pytest.mark.parametrize(
@@ -1410,7 +1394,7 @@ def test_every_ledger_the_constructor_takes_reads_back_equal(tmp_path, start_ind
     ledger = PulseLedger(start_index, code)
     write_pulse_ledger(tmp_path / "ledger", ledger)
     back = read_pulse_ledger(tmp_path / "ledger")
-    assert back.start_index == start_index and back._code.tolist() == code
+    assert back.start_index == start_index and back.code.tolist() == code
 
 
 def _marginals_cases():
@@ -1459,22 +1443,23 @@ def _ledgers_of_every_source(tmp_path) -> tuple[PulseLedger, ...]:
     )
 
 
-def test_ledger_columns_are_int8(tmp_path):
+def test_ledger_code_is_int8(tmp_path):
     for ledger in _ledgers_of_every_source(tmp_path):
-        for name in ("class_idx", "alpha", "bit"):
-            assert getattr(ledger, name).dtype == np.int8, name
+        assert ledger.code.dtype == np.int8
 
 
-def test_ledger_is_one_byte_per_pulse_with_read_only_columns(tmp_path):
+def test_ledger_is_one_byte_per_pulse_with_a_read_only_code(tmp_path):
     for ledger in _ledgers_of_every_source(tmp_path):
         arrays = [v for v in vars(ledger).values() if isinstance(v, np.ndarray)]
         assert [a.nbytes for a in arrays] == [len(ledger)]
-        for name in ("class_idx", "alpha", "bit"):
-            before = getattr(ledger, name).tolist()
-            # the columns are derived, so a write into one would be lost
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(ledger, name)[0] = 1
-            assert getattr(ledger, name).tolist() == before, name
+        before = ledger.code.tolist()
+        # the code passed the constructor's checks; neither a write into
+        # it nor a new column may bypass them
+        with pytest.raises(ValueError, match="read-only"):
+            ledger.code[0] = 1
+        with pytest.raises(AttributeError):
+            ledger.code = np.zeros(len(ledger), dtype=np.int8)
+        assert ledger.code.tolist() == before
 
 
 def test_tag_detector_ids_are_int8(tmp_path):

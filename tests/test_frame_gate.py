@@ -69,6 +69,8 @@ from timebin_qkd.detection import (
 from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS
 
+from reference import ledger_columns
+
 FRAME_SEED = 20261019
 ALPHA = 1e-4
 N_BLOCKS = 36
@@ -144,7 +146,7 @@ def observed_cells(cfg, tags, ledger, frames) -> np.ndarray:
     pattern = np.bincount(tags.pulse_index - start, weights=1 << window, minlength=len(ledger))
     pathway = np.zeros(len(ledger), dtype=np.int64)
     pathway[tags.pulse_index - start] = tags.detector_id
-    cell = ledger.class_idx[frames] * 6 + pathway[frames] * 3 + pattern[frames].astype(np.int64) - 1
+    cell = ledger_columns(ledger)[0][frames] * 6 + pathway[frames] * 3 + pattern[frames].astype(np.int64) - 1
     cell[pattern[frames] == 0] = -1
     return cell
 

@@ -40,7 +40,7 @@ from timebin_qkd.detection import Block, simulate_blocks
 from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS
 
-from reference import ledger_of_columns
+from reference import ledger_columns, ledger_of_columns
 
 LEDGER_SEED = 20261018
 ALPHA = 1e-4
@@ -58,7 +58,7 @@ def silent_frames(tags, ledger) -> np.ndarray:
 
 def silent_table(tags, ledger) -> np.ndarray:
     """(3, DECILES) counts of a block's silent frames by class and rank decile."""
-    cls = ledger.class_idx[silent_frames(tags, ledger)].astype(np.int64)
+    cls = ledger_columns(ledger)[0][silent_frames(tags, ledger)].astype(np.int64)
     decile = np.arange(len(cls)) * DECILES // max(len(cls), 1)
     return np.bincount(cls * DECILES + decile, minlength=3 * DECILES).reshape(3, DECILES)
 
@@ -95,7 +95,7 @@ def test_silent_frame_classes_are_placed_uniformly():
     tables = []
     for block, sent, (tags, ledger) in _records():
         alpha, i = int(block.setting.basis), block.setting.bit
-        assert np.array_equal(np.bincount(ledger.class_idx, minlength=3), sent[:, alpha, i])
+        assert np.array_equal(np.bincount(ledger_columns(ledger)[0], minlength=3), sent[:, alpha, i])
         assert sent.sum() == sent[:, alpha, i].sum() == BLOCK
         tables.append(silent_table(tags, ledger))
     g, df = g_statistic(tables)
@@ -108,8 +108,8 @@ def test_g_statistic_rejects_sorted_placement():
     # one block's silent classes sorted: every minority frame in one end
     _, _, (tags, ledger) = next(_records())
     silent = silent_frames(tags, ledger)
-    cls = ledger.class_idx.copy()
+    cls, alpha, bit = ledger_columns(ledger)
     cls[silent] = np.sort(cls[silent])
-    ledger = ledger_of_columns(ledger.start_index, cls, ledger.alpha, ledger.bit)
+    ledger = ledger_of_columns(ledger.start_index, cls, alpha, bit)
     g, df = g_statistic([silent_table(tags, ledger)])
     assert chi2.sf(g, df) < ALPHA

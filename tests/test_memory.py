@@ -23,7 +23,7 @@ from timebin_qkd.detection import (
     simulate_blocks,
     write_pulse_ledger,
 )
-from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan, run_session
+from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan, run_session, run_stability
 from timebin_qkd.qubit import BB84_SETTINGS
 
 from reference import ledger_of_columns
@@ -100,6 +100,24 @@ def test_long_scan_keeps_only_its_per_point_results():
     run_pump_delay_scan(cfg, [0.0], pulses_per_point=20)
     small = _peak(lambda: run_pump_delay_scan(cfg, np.arange(30.0), pulses_per_point=20))
     large = _peak(lambda: run_pump_delay_scan(cfg, np.arange(300.0), pulses_per_point=20))
+    assert large - small < 64 * 1024, (small, large)
+
+
+def test_long_stability_run_keeps_only_its_per_sample_series():
+    # per extra sample the result keeps its time and five series entries,
+    # six float64 (48 B); the run holds its drift offsets, a tuple of two
+    # floats in a list (112 B), and for a while its times as a list of
+    # floats (32 B): about 190 B a sample, 52 KB for the 270 extra ones.
+    # Each sample's counts, 60 int64 in two arrays, take about 1 KB with
+    # their objects, so a run that kept them all would grow by some 270 KB
+    cfg = ExperimentConfig(seed=3)
+
+    def stability(hours: int) -> None:
+        run_stability(cfg, hours=hours, samples_per_hour=1, pulses_per_sample=20)
+
+    stability(1)
+    small = _peak(lambda: stability(29))
+    large = _peak(lambda: stability(299))
     assert large - small < 64 * 1024, (small, large)
 
 

@@ -56,6 +56,8 @@ from timebin_qkd.detection import _N_EVENTS, Block, _tags_and_ledger
 from timebin_qkd.experiment import ExperimentConfig
 from timebin_qkd.qubit import BB84_SETTINGS
 
+from reference import ledger_columns
+
 PLACEMENT_SEED = 20261019
 CONTROL_SEED = 20261020
 ALPHA = 1e-4
@@ -111,9 +113,10 @@ def placements() -> np.ndarray:
                 block, class_totals, EVENTS, np.zeros(len(EVENTS), dtype=bool), no_events,
                 no_events.astype(bool), unclustered, cfg.detector,
             )
-            rows[seed] = ledger.class_idx[SILENT]
-    assert not ledger.class_idx[EVENTS].any()
-    assert ledger.alpha.all() and ledger.bit.all()
+            rows[seed] = ledger_columns(ledger)[0][SILENT]
+    class_idx, alpha, bit = ledger_columns(ledger)
+    assert not class_idx[EVENTS].any()
+    assert alpha.all() and bit.all()
     return rows
 
 
