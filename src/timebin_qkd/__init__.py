@@ -4,7 +4,7 @@ all-optical Kerr-effect receiver switch, threshold detection with the
 usual imperfections, and the vacuum+weak decoy bound on the key rate.
 """
 
-from .errors import ConfigError, InvalidInputError, InvalidStateError, NoDataError
+from .errors import ConfigError, InvalidInputError
 from .qubit import (
     BB84_SETTINGS,
     Basis,
@@ -63,8 +63,6 @@ __all__ = [
     "DEFAULT_WALKOFF_PS",
     "ExperimentConfig",
     "InvalidInputError",
-    "InvalidStateError",
-    "NoDataError",
     "SwitchModel",
     "accumulate",
     "config_from_dict",

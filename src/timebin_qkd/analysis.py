@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import SessionCounts, _indices
-from .errors import InvalidInputError, NoDataError
+from .errors import InvalidInputError
 from .qubit import Basis
 from .source import IntensityClass, SourceConfig
 
@@ -36,19 +36,17 @@ SIFTING_FACTOR = 0.5
 MAX_MU = math.log(sys.float_info.max)
 
 
-def probability_matrix(counts: SessionCounts) -> np.ndarray:
+def probability_matrix(counts: SessionCounts) -> np.ndarray | None:
     """Measured conditional probabilities P(beta, j | alpha, i, clicked) of the signal class.
 
     A (4, 4) float64 array: rows are prepared settings, columns measured
     (pathway, slot), both in SETTING_LABELS order.  Each entry is its count
-    over the row total, correctly rounded.
+    over the row total, correctly rounded.  None when a preparation
+    recorded no signal-class event, so its row has no ratio.
     """
     rows = counts.counts[IntensityClass.SIGNAL].reshape(4, 4)
     totals = rows.sum(axis=1)
-    if not totals.all():
-        empty = SETTING_LABELS[int(np.argmin(totals))]
-        raise NoDataError(f"no recorded events for preparation {empty}")
-    return rows / totals[:, None]
+    return rows / totals[:, None] if totals.all() else None
 
 
 def conditional_probabilities(
@@ -58,16 +56,11 @@ def conditional_probabilities(
     i: int,
     beta: Basis,
 ) -> tuple[float, float]:
-    """(P(j=0), P(j=1)) conditioned on measuring pathway beta."""
+    """(P(j=0), P(j=1)) conditioned on measuring pathway beta; NaN without an event there."""
     intensity, alpha, i, beta = _indices(intensity, alpha, i, beta)
     c = counts.counts[intensity, alpha, i, beta]
     total = int(c[0] + c[1])
-    if total == 0:
-        raise NoDataError(
-            f"no events for preparation {SETTING_LABELS[alpha * 2 + i]} "
-            f"measured in the {Basis(beta).name.lower()} pathway"
-        )
-    return int(c[0]) / total, int(c[1]) / total
+    return (int(c[0]) / total, int(c[1]) / total) if total else (math.nan, math.nan)
 
 
 def fidelities(
@@ -92,14 +85,10 @@ def fidelities(
 def qber(
     counts: SessionCounts, intensity: IntensityClass = IntensityClass.SIGNAL
 ) -> float:
-    """Sifted error rate over matched-basis events of one intensity class."""
+    """Sifted error rate over matched-basis events of one intensity class; NaN without one."""
     (intensity,) = _indices(intensity)
     matched = counts.matched_clicks(intensity)
-    if matched == 0:
-        raise NoDataError(
-            f"no matched-basis events for class {IntensityClass(intensity).name.lower()}"
-        )
-    return counts.matched_errors(intensity) / matched
+    return counts.matched_errors(intensity) / matched if matched else math.nan
 
 
 def binary_entropy(x: float) -> float:
@@ -240,27 +229,28 @@ class KeyRateReport:
 
 def secret_key_rate_from_values(
     q_mu: float,
-    e_mu: float | None,
+    e_mu: float,
     q_nu: float,
-    e_nu: float | None,
-    y0: float | None,
+    e_nu: float,
+    y0: float,
     mu: float,
     nu: float,
     rep_rate_hz: float,
 ) -> KeyRateReport:
     """Rate formula on already-extracted gains and error rates.
 
-    An error rate of None means its class had no matched-basis events; a
-    y0 of None means no vacuum-class pulse was sent, so the background
+    An error rate of NaN means its class had no matched-basis events; a
+    y0 of NaN means no vacuum-class pulse was sent, so the background
     yield is unknown.  The decoy pair then bounds nothing, so the
     single-photon terms take their no-information values (Y_1 = Q_1 = 0,
     e_1 = 1) and the report carries the flag "no-decoy-events",
-    "no-signal-events" or "no-vacuum-pulses".  Either way the rate is
-    zero; without signal events it is zero by definition, since there is
-    no sifted key to correct.
+    "no-signal-events" or "no-vacuum-pulses", and None for that value.
+    Either way the rate is zero; without signal events it is zero by
+    definition, since there is no sifted key to correct.
     """
     if not rep_rate_hz > 0:
         raise InvalidInputError("rep_rate_hz must be positive")
+    e_mu, e_nu, y0 = (None if math.isnan(v) else v for v in (e_mu, e_nu, y0))
     missing = tuple(
         f"no-{name}-events" for name, e in (("signal", e_mu), ("decoy", e_nu)) if e is None
     ) + (("no-vacuum-pulses",) if y0 is None else ())
@@ -303,22 +293,17 @@ def secret_key_rate(counts: SessionCounts, source: SourceConfig) -> KeyRateRepor
     sifted matched-basis QBER of that class, and the vacuum yield is the
     gain of the vacuum class.  A signal or decoy class without a
     matched-basis event (deep loss, or never sent) leaves its error rate
-    undefined, and a vacuum class that was never sent leaves the vacuum
-    yield undefined; the rate is then zero, flagged "no-signal-events",
-    "no-decoy-events" or "no-vacuum-pulses", rather than an error.
+    undefined (NaN), and a vacuum class that was never sent leaves the
+    vacuum yield undefined; the rate is then zero, flagged
+    "no-signal-events", "no-decoy-events" or "no-vacuum-pulses", rather
+    than an error.
     """
-    y0 = counts.gain(IntensityClass.VACUUM) if counts.pulses(IntensityClass.VACUUM) else None
-    q_mu = counts.gain(IntensityClass.SIGNAL)
-    q_nu = counts.gain(IntensityClass.DECOY)
-    e_mu, e_nu = (
-        qber(counts, cls) if counts.matched_clicks(cls) else None
-        for cls in (IntensityClass.SIGNAL, IntensityClass.DECOY)
-    )
+    y0 = counts.gain(IntensityClass.VACUUM) if counts.pulses(IntensityClass.VACUUM) else math.nan
     return secret_key_rate_from_values(
-        q_mu,
-        e_mu,
-        q_nu,
-        e_nu,
+        counts.gain(IntensityClass.SIGNAL),
+        qber(counts, IntensityClass.SIGNAL),
+        counts.gain(IntensityClass.DECOY),
+        qber(counts, IntensityClass.DECOY),
         y0,
         source.mu,
         source.nu,
@@ -367,10 +352,9 @@ class AnalyticChannel:
         return 0.5 * self.y0 * (1.0 - detect) + self.e_detector * detect
 
     def error_rate(self, mean_photons: float) -> float:
+        """Error gain over gain; NaN at zero gain, where no event is recorded."""
         g = self.gain(mean_photons)
-        if g == 0.0:
-            raise NoDataError("zero gain: error rate undefined")
-        return self.error_gain(mean_photons) / g
+        return self.error_gain(mean_photons) / g if g else math.nan
 
     def rate(self, mu: float, nu: float, rep_rate_hz: float) -> KeyRateReport:
         return secret_key_rate_from_values(

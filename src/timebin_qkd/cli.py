@@ -6,7 +6,7 @@ also take --config/--set/--seed; results go to stdout as JSON unless
 redirected or asked for as CSV.  A size flag reaches its flow only when
 given, so the flows own every default size.  Errors print a one-line JSON
 object {"category", "message"} on stderr and map to stable exit codes:
-2 config, 3 bad input, 4 I/O, 5 no data, 1 anything else.
+2 config, 3 bad input, 4 I/O, 1 anything else.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .errors import ConfigError, InvalidInputError, InvalidStateError, NoDataError
+from .errors import ConfigError, InvalidInputError
 from .experiment import (
     MAX_VALUES,
     ExperimentConfig,
@@ -178,11 +178,12 @@ def _replaced_on_success(path: str):
     """A binary file at a sibling temp name, moved to `path` when the with-body returns.
 
     If the body raises, the temp file is removed instead, so a failed run
-    leaves no partial file at `path`.
+    leaves no partial file at `path`.  The file is open for reading too,
+    since the ledger writer reads its header back before it appends.
     """
     tmp = f"{path}.partial"
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "w+b") as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -264,10 +265,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.verb](args)
     except ConfigError as e:
         return _fail("config", e, 2)
-    except (InvalidInputError, InvalidStateError) as e:
+    except InvalidInputError as e:
         return _fail("input", e, 3)
-    except NoDataError as e:
-        return _fail("no-data", e, 5)
     except OSError as e:
         return _fail("io", e, 4)
     except Exception as e:  # pragma: no cover - safety net

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -523,11 +524,39 @@ def write_pulse_ledger(path, ledger: PulseLedger) -> None:
 
     The header is `timebin-qkd pulse ledger/2 start_index=<N>`; each byte
     after it is a pulse's code class * 4 + alpha * 2 + bit, in pulse order.
-    `path` may also be a binary file open for writing: the codes are
-    appended, after the header if the file is still empty, so a ledger
-    appended this way must continue where the file's last one ended.
+    `path` may also be a binary file open for reading and writing: the
+    codes are appended at its end, after the header if the file is still
+    empty.  A file that already holds a ledger has its header read back,
+    and a ledger that does not begin at that start index plus the codes
+    written, a gap or an overlap, is refused before a byte is written; so
+    is a file not open for reading.
     """
+    if hasattr(path, "write"):
+        if not path.readable():
+            raise InvalidInputError("an open ledger file must be readable too (w+b or a+b)")
+        end = path.seek(0, os.SEEK_END)
+        if end:
+            path.seek(0)
+            next_index = _ledger_start(path) + end - path.tell()
+            path.seek(end)
+            if ledger.start_index != next_index:
+                raise InvalidInputError(
+                    f"ledger starts at pulse {ledger.start_index}, "
+                    f"but the file's ledger goes on at pulse {next_index}"
+                )
     _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger.code)
+
+
+def _ledger_start(f) -> int:
+    """The start index of the ledger header line `f` reads next; a garbled header is refused."""
+    line = f.readline(len(_LEDGER_HEAD) + 64)
+    digits = line[len(_LEDGER_HEAD) : -1]
+    if not (line.startswith(_LEDGER_HEAD) and line.endswith(b"\n") and digits.isdigit()):
+        raise InvalidInputError(
+            f"unrecognized pulse ledger header {line[:64]!r}: expected "
+            f"'{_LEDGER_HEAD.decode()}<N>' (CSV ledgers of earlier versions are not read)"
+        )
+    return int(digits)
 
 
 def read_pulse_ledger(path) -> PulseLedger:
@@ -541,16 +570,10 @@ def read_pulse_ledger(path) -> PulseLedger:
     every ledger the writer can write reads back.
     """
     with open(path, "rb") as f:
-        line = f.readline(len(_LEDGER_HEAD) + 64)
-        digits = line[len(_LEDGER_HEAD) : -1]
-        if not (line.startswith(_LEDGER_HEAD) and line.endswith(b"\n") and digits.isdigit()):
-            raise InvalidInputError(
-                f"unrecognized pulse ledger header {line[:64]!r}: expected "
-                f"'{_LEDGER_HEAD.decode()}<N>' (CSV ledgers of earlier versions are not read)"
-            )
+        start_index = _ledger_start(f)
         code = np.fromfile(f, np.int8)
     code.flags.writeable = False  # so the ledger keeps it without a copy
-    return PulseLedger(int(digits), code)
+    return PulseLedger(start_index, code)
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:

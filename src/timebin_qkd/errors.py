@@ -10,16 +10,8 @@ class InvalidInputError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-class InvalidStateError(ValueError):
-    """A quantum state object violates its normalization contract."""
-
-
 class ConfigError(ValueError):
     """A configuration file, key, or value is not acceptable."""
-
-
-class NoDataError(RuntimeError):
-    """A statistic was requested from counts that contain no events for it."""
 
 
 def _count(value, what: str, least: int = 1) -> int:

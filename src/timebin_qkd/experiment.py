@@ -56,7 +56,6 @@ from .source import (
     PURPOSE_SESSION,
     PURPOSE_STABILITY,
     DriftModel,
-    IntensityClass,
     LossBudget,
     SourceConfig,
     derived_rng,
@@ -383,9 +382,7 @@ def run_session(
         _count(workers, "workers")
     point = ((PURPOSE_SESSION,), config.budget, config.switch)
     (total,) = _run_points(config, BB84_SETTINGS, [point], pulses, sink)
-    signal_rows = total.counts[IntensityClass.SIGNAL].sum(axis=(2, 3))
-    matrix = probability_matrix(total) if signal_rows.all() else None
-    return SessionResult(total, matrix, secret_key_rate(total, config.source))
+    return SessionResult(total, probability_matrix(total), secret_key_rate(total, config.source))
 
 
 @dataclass
@@ -548,10 +545,6 @@ class StabilityResult:
     qber_aggregate: float
 
 
-def _qber_or_nan(counts: SessionCounts) -> float:
-    return qber(counts) if counts.matched_clicks(IntensityClass.SIGNAL) else math.nan
-
-
 def run_stability(
     config: ExperimentConfig,
     *,
@@ -597,9 +590,10 @@ def run_stability(
             delta_phi_peak=config.switch.delta_phi_peak * (1.0 + dpow),
         )
 
+    power, angle = drift_state(config.drift, config.seed, times)
     samples = (
-        ((PURPOSE_STABILITY, k), config.budget, drifted(*drift))
-        for k, drift in enumerate(drift_state(config.drift, config.seed, times))
+        ((PURPOSE_STABILITY, k), config.budget, drifted(float(power[k]), float(angle[k])))
+        for k in range(n_samples)
     )
     # each sample's counts are reduced as they stream in, so memory holds
     # the series and the running total, not every sample's counts
@@ -608,7 +602,7 @@ def run_stability(
     total = SessionCounts.zeros()
     for k, sample in enumerate(_run_points(config, BB84_SETTINGS, samples, pulses_per_sample)):
         fidelity_rows[:, k] = list(fidelities(sample).values())
-        qber_series[k] = _qber_or_nan(sample)
+        qber_series[k] = qber(sample)
         total += sample
 
     means = fidelities(total)
@@ -619,7 +613,7 @@ def run_stability(
         counts=total,
         report=secret_key_rate(total, config.source),
         mean_fidelities=means,
-        qber_aggregate=_qber_or_nan(total),
+        qber_aggregate=qber(total),
     )
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError
 
 NORM_TOL = 1e-9
 
@@ -48,9 +48,9 @@ class TimeBinQubit:
     def __post_init__(self) -> None:
         for a in (self.amp_t0, self.amp_t1):
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise InvalidStateError("amplitudes must be finite")
+                raise InvalidInputError("amplitudes must be finite")
         if abs(self.norm_sq() - 1.0) > NORM_TOL:
-            raise InvalidStateError(
+            raise InvalidInputError(
                 f"state is not normalized: |a0|^2+|a1|^2 = {self.norm_sq()!r}"
             )
 

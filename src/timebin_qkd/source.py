@@ -150,7 +150,7 @@ def _reflect(x: float, bound: float) -> float:
     return y
 
 
-def _walk(sigma: float, seed: int, channel: int, n_hours: int) -> list[float]:
+def _walk(sigma: float, seed: int, channel: int, n_hours: int) -> np.ndarray:
     # One reflected random walk, hourly resolution, value 0 at t = 0.  A
     # longer walk begins with the same steps, so its values do not depend
     # on n_hours.
@@ -162,35 +162,35 @@ def _walk(sigma: float, seed: int, channel: int, n_hours: int) -> list[float]:
     for s in steps:
         x = _reflect(x + float(s), bound)
         values.append(x)
-    return values
+    return np.array(values)
 
 
-def drift_state(model: DriftModel, seed: int, times_h) -> list[tuple[float, float]]:
-    """(relative pump power offset, polarization angle offset) at each time.
+def drift_state(model: DriftModel, seed: int, times_h) -> tuple[np.ndarray, np.ndarray]:
+    """(relative pump power offsets, polarization angle offsets) at the times.
 
-    Channel c (0 pump power, 1 polarization) draws its steps from
-    derived_rng(seed, PURPOSE_DRIFT, c), seed being the master seed, and
-    its walk is drawn once, up to the last time.  Deterministic in
+    Two float64 arrays of one entry per time.  Channel c (0 pump power,
+    1 polarization) draws its steps from derived_rng(seed, PURPOSE_DRIFT, c),
+    seed being the master seed, and its walk is drawn once, up to the last
+    time.  Deterministic in
     (model, seed, t): the same model and seed always reproduce the same
     trajectory bit for bit, whatever the other times.  The seed must be a
     non-negative integer, as ExperimentConfig.seed is: numpy would read
     None as a call for fresh entropy, and True as 1.
     """
     seed = _count(seed, "seed", least=0)
-    times = [float(t) for t in times_h]
-    if not all(math.isfinite(t) and t >= 0 for t in times):
-        raise InvalidInputError("drift times must be finite and non-negative")
-    n_hours = math.floor(max(times, default=0.0)) + 1
-    walks = [
-        _walk(sigma, seed, channel, n_hours)
-        for channel, sigma in enumerate((model.pump_power_rel_sigma, model.pump_polarization_sigma))
-    ]
-    out = []
-    for t in times:
-        n = math.floor(t)
-        frac = t - n
-        out.append(tuple(w[n] + (w[n + 1] - w[n]) * frac for w in walks))
-    return out
+    times = np.asarray(times_h, dtype=np.float64)
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise InvalidInputError("drift times must be a sequence of finite, non-negative numbers")
+    n_hours = math.floor(times.max(initial=0.0)) + 1
+    whole = np.floor(times)
+    n, frac = whole.astype(np.intp), times - whole
+    sigmas = (model.pump_power_rel_sigma, model.pump_polarization_sigma)
+    # a generator, so one walk is held at a time
+    power, angle = (
+        w[n] + (w[n + 1] - w[n]) * frac
+        for w in (_walk(sigma, seed, channel, n_hours) for channel, sigma in enumerate(sigmas))
+    )
+    return power, angle
 
 
 # Stream-key purposes, the first entry of every key derived_rng takes:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from timebin_qkd.analysis import (
     secret_key_rate_from_values,
 )
 from timebin_qkd.detection import SessionCounts
-from timebin_qkd.errors import ConfigError, InvalidInputError, NoDataError
+from timebin_qkd.errors import ConfigError, InvalidInputError
 from timebin_qkd.experiment import _require_decoy_and_vacuum
 from timebin_qkd.qubit import Basis
 from timebin_qkd.source import IntensityClass, SourceConfig
@@ -76,7 +78,7 @@ def test_probability_matrix_entries_are_correctly_rounded_ratios():
     assert m[0, 0] == 30 / 40 and m[2, 2] == 70 / 80
 
 
-def test_probability_matrix_names_the_empty_row():
+def test_probability_matrix_with_an_empty_row_is_none():
     counts = _counts_with_rows(
         [
             [10, 0, 0, 0],
@@ -85,8 +87,7 @@ def test_probability_matrix_names_the_empty_row():
             [0, 0, 0, 10],
         ]
     )
-    with pytest.raises(NoDataError, match="phase:1"):
-        probability_matrix(counts)
+    assert probability_matrix(counts) is None
 
 
 def test_fidelities_and_qber_on_known_counts():
@@ -107,8 +108,7 @@ def test_fidelities_and_qber_on_known_counts():
     assert qber(counts) == pytest.approx(10.0 / 400.0)
     p = conditional_probabilities(counts, IntensityClass.SIGNAL, Basis.PHASE, 0, Basis.TIME)
     assert p == (0.5, 0.5)
-    with pytest.raises(NoDataError):
-        qber(counts, IntensityClass.DECOY)
+    assert math.isnan(qber(counts, IntensityClass.DECOY))
 
 
 def test_fidelity_of_a_setting_without_matched_events_is_nan():
@@ -336,8 +336,7 @@ def test_decoy_class_without_matched_events_gives_flagged_zero_rate():
     counts.pulses_sent[1] = 1000
     # decoy clicks only in the mismatched pathway: a gain but no error rate
     counts.counts[1, 0, 0, 1, 0] = 3
-    with pytest.raises(NoDataError):
-        qber(counts, IntensityClass.DECOY)
+    assert math.isnan(qber(counts, IntensityClass.DECOY))
     report = secret_key_rate(counts, SourceConfig())
     assert report.r_bps == 0.0
     assert report.q_nu == pytest.approx(3 / 4000)
@@ -345,6 +344,48 @@ def test_decoy_class_without_matched_events_gives_flagged_zero_rate():
     assert (report.y1_lower, report.q1_lower, report.e1_upper) == (0.0, 0.0, 1.0)
     assert "no-decoy-events" in report.flags
     assert report.to_dict()["E_nu"] is None
+
+
+def _counts_without(cls: IntensityClass) -> SessionCounts:
+    """Counts with events in every cell of every class but `cls`, which was sent and saw none."""
+    counts = SessionCounts.zeros()
+    counts.pulses_sent[:] = 1000
+    counts.counts[:] = 5
+    counts.counts[cls] = 0
+    return counts
+
+
+def test_every_statistic_of_counts_without_events_is_nan_or_none():
+    # no data is a value: a statistic without events for it is NaN, the
+    # matrix None, and the report a flagged zero whose payload holds no NaN
+    for counts in (SessionCounts.zeros(), *(_counts_without(cls) for cls in IntensityClass)):
+        for cls in IntensityClass:
+            empty = counts.clicks(cls) == 0
+            assert math.isnan(qber(counts, cls)) == empty
+            assert [math.isnan(f) for f in fidelities(counts, cls).values()] == [empty] * 4
+            for alpha, i, beta in itertools.product(Basis, (0, 1), Basis):
+                p = conditional_probabilities(counts, cls, alpha, i, beta)
+                assert [math.isnan(v) for v in p] == [empty] * 2
+        assert (probability_matrix(counts) is None) == (counts.clicks(IntensityClass.SIGNAL) == 0)
+        report = secret_key_rate(counts, SourceConfig())
+        assert report.r_per_pulse == report.r_bps == 0.0
+        undefined = {
+            "no-signal-events": counts.clicks(IntensityClass.SIGNAL) == 0,
+            "no-decoy-events": counts.clicks(IntensityClass.DECOY) == 0,
+            "no-vacuum-pulses": counts.pulses(IntensityClass.VACUUM) == 0,
+        }
+        assert [report.e_mu is None, report.e_nu is None, report.y0 is None] == list(
+            undefined.values()
+        )
+        assert [f for f in report.flags if f in undefined] == [f for f, v in undefined.items() if v]
+        json.dumps(report.to_dict(), allow_nan=False)
+    # a channel with no gain at all: the closed form's error rates are NaN
+    ch = AnalyticChannel(0, 0, 0)
+    assert math.isnan(ch.error_rate(0.8)) and math.isnan(ch.error_rate(0.1))
+    report = ch.rate(0.8, 0.1, 8e7)
+    assert report.r_bps == 0.0 and report.flags == ("no-signal-events", "no-decoy-events")
+    assert (report.e_mu, report.e_nu, report.y0) == (None, None, 0.0)
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 def _accepted(mu: float, nu: float) -> bool:

@@ -1132,7 +1132,7 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
     rng = _rng(23)
     first, second = _random_ledger(rng, 40, 7), _random_ledger(rng, 47, 5)
     path = tmp_path / "ledger"
-    with open(path, "wb") as f:
+    with open(path, "w+b") as f:
         write_pulse_ledger(f, first)
         write_pulse_ledger(f, second)
     whole = PulseLedger(40, np.concatenate([first.code, second.code]))
@@ -1145,12 +1145,35 @@ def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
     first, second = _random_ledger(rng, 0, 6), _random_ledger(rng, 6, 9)
     path = tmp_path / "ledger"
     write_pulse_ledger(path, first)
-    # a file opened for appending starts at its end, so no second header
-    with open(path, "ab") as f:
+    # the file already holds a ledger, so no second header
+    with open(path, "a+b") as f:
         write_pulse_ledger(f, second)
     whole = PulseLedger(0, np.concatenate([first.code, second.code]))
     assert path.read_bytes().count(LEDGER_HEAD) == 1
     assert _same_ledger(read_pulse_ledger(path), whole)
+
+
+@pytest.mark.parametrize("start", [100, 6, 3, 0], ids=["gap", "gap-of-one", "overlap", "restart"])
+def test_ledger_that_does_not_continue_the_open_file_is_refused_unwritten(tmp_path, start):
+    # the file's ledger holds pulses 0..4, so the next one must start at 5
+    rng = _rng(25)
+    path = tmp_path / "ledger"
+    with open(path, "w+b") as f:
+        write_pulse_ledger(f, _random_ledger(rng, 0, 5))
+        written = path.read_bytes()
+        with pytest.raises(InvalidInputError, match="goes on at pulse 5"):
+            write_pulse_ledger(f, _random_ledger(rng, start, 5))
+        write_pulse_ledger(f, _random_ledger(rng, 5, 2))
+    assert path.read_bytes()[: len(written)] == written
+    assert len(read_pulse_ledger(path)) == 7
+
+
+def test_ledger_needs_an_open_file_it_can_read(tmp_path):
+    path = tmp_path / "ledger"
+    with open(path, "wb") as f:
+        with pytest.raises(InvalidInputError, match="readable"):
+            write_pulse_ledger(f, _random_ledger(_rng(26), 0, 5))
+    assert path.read_bytes() == b""
 
 
 def _mutants(rng, data: bytes, header_len: int, count: int):

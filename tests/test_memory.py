@@ -25,6 +25,7 @@ from timebin_qkd.detection import (
 )
 from timebin_qkd.experiment import ExperimentConfig, run_pump_delay_scan, run_session, run_stability
 from timebin_qkd.qubit import BB84_SETTINGS
+from timebin_qkd.source import DriftModel, drift_state
 
 from reference import ledger_of_columns
 
@@ -105,9 +106,8 @@ def test_long_scan_keeps_only_its_per_point_results():
 
 def test_long_stability_run_keeps_only_its_per_sample_series():
     # per extra sample the result keeps its time and five series entries,
-    # six float64 (48 B); the run holds its drift offsets, a tuple of two
-    # floats in a list (112 B), and for a while its times as a list of
-    # floats (32 B): about 190 B a sample, 52 KB for the 270 extra ones.
+    # six float64 (48 B), and the run holds its two drift offsets, two
+    # float64 (16 B): 64 B a sample, 17 KB for the 270 extra ones.
     # Each sample's counts, 60 int64 in two arrays, take about 1 KB with
     # their objects, so a run that kept them all would grow by some 270 KB
     cfg = ExperimentConfig(seed=3)
@@ -119,6 +119,22 @@ def test_long_stability_run_keeps_only_its_per_sample_series():
     small = _peak(lambda: stability(29))
     large = _peak(lambda: stability(299))
     assert large - small < 64 * 1024, (small, large)
+
+
+def test_drift_at_the_longest_grid_keeps_two_floats_a_time():
+    # MAX_VALUES times: two float64 arrays are 1.6 MB, where a list of one
+    # (power, angle) tuple per time held 11.2 MB at a 20.8 MB peak
+    times = np.linspace(0.0, experiment.MAX_VALUES - 1.0, experiment.MAX_VALUES)
+    kept = []
+    tracemalloc.start()
+    try:
+        kept.append(drift_state(DriftModel(), 3, times))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * MB, retained
+    assert peak < 10 * MB, peak
+    assert [a.nbytes for a in kept[0]] == [8 * experiment.MAX_VALUES] * 2
 
 
 def test_widest_scan_batch_holds_only_per_event_arrays(monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from timebin_qkd.errors import InvalidInputError, InvalidStateError
+from timebin_qkd.errors import InvalidInputError
 from timebin_qkd.qubit import (
     BB84_SETTINGS,
     Basis,
@@ -78,9 +78,9 @@ def test_overlap_probability_bounds_and_symmetry():
 
 
 def test_state_validation():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidInputError):
         TimeBinQubit(1.0 + 0.0j, 1.0 + 0.0j)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidInputError):
         TimeBinQubit(complex(math.nan), 0.0j)
     with pytest.raises(InvalidInputError):
         prepare_state(math.inf)

@@ -85,28 +85,44 @@ def test_sample_photon_number_shapes():
         sample_photon_number(-0.1, rng)
 
 
+def _drift(model: DriftModel, seed, times) -> list[tuple[float, float]]:
+    """drift_state's two arrays as one (power, angle) pair of floats per time."""
+    power, angle = drift_state(model, seed, times)
+    return list(zip(power.tolist(), angle.tolist()))
+
+
+def test_drift_state_is_two_float64_arrays_of_one_entry_per_time():
+    for times in ([], [0.0], [13.37, 0.5, 2.0], range(5), np.linspace(0.0, 28.0, 57)):
+        arrays = drift_state(DriftModel(), 4, times)
+        assert len(arrays) == 2
+        for a in arrays:
+            assert a.dtype == np.float64 and a.shape == (len(times),)
+    with pytest.raises(InvalidInputError):
+        drift_state(DriftModel(), 0, [[1.0, 2.0]])
+
+
 def test_drift_starts_at_zero_and_is_deterministic():
     model = DriftModel()
-    assert drift_state(model, 0, [0.0]) == [(0.0, 0.0)]
-    (a,) = drift_state(model, 0, [13.37])
-    assert drift_state(model, 0, [13.37]) == [a]
-    assert drift_state(model, 1, [13.37]) != [a]
-    assert drift_state(model, 0, []) == []
+    assert _drift(model, 0, [0.0]) == [(0.0, 0.0)]
+    (a,) = _drift(model, 0, [13.37])
+    assert _drift(model, 0, [13.37]) == [a]
+    assert _drift(model, 1, [13.37]) != [a]
+    assert _drift(model, 0, []) == []
 
 
 def test_drift_is_a_function_of_the_model_the_seed_and_the_time():
     model = DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02)
     times = [0.5, 1.0, 7.25, 27.999]
-    one = drift_state(model, 1, times)
+    one = _drift(model, 1, times)
     # the same model, seed and times give the same values
-    assert drift_state(model, 1, times) == one
+    assert _drift(model, 1, times) == one
     # the master seed sets both walks
-    two = drift_state(model, 2, times)
+    two = _drift(model, 2, times)
     for channel in (0, 1):
         assert [v[channel] for v in one] != [v[channel] for v in two]
     # a time's value does not depend on the other times
-    assert [drift_state(model, 1, [t])[0] for t in times] == one
-    assert drift_state(model, 1, [*reversed(times), 300.0])[:-1] == one[::-1]
+    assert [_drift(model, 1, [t])[0] for t in times] == one
+    assert _drift(model, 1, [*reversed(times), 300.0])[:-1] == one[::-1]
 
 
 @pytest.mark.parametrize(
@@ -124,11 +140,11 @@ def test_drift_equals_the_per_time_walk_bit_for_bit(model, seed):
     fractional = [0.5, 13.37, 27.999, 63.5, 64.25, 200.75, 299.999]
     rng_times = np.random.default_rng(3).uniform(0.0, 300.0, size=50).tolist()
     for times in (grid, fractional, rng_times, sorted(rng_times), [0.0], [63.5], [64.0]):
-        got = drift_state(model, seed, times)
+        got = _drift(model, seed, times)
         want = [reference.drift_state_at(model, seed, t) for t in times]
         assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
         # the same time gives the same value whatever the other times
-        assert drift_state(model, seed, times[:1]) == got[:1]
+        assert _drift(model, seed, times[:1]) == got[:1]
 
 
 def test_drift_over_a_long_grid_holds_one_walk():
@@ -138,11 +154,11 @@ def test_drift_over_a_long_grid_holds_one_walk():
     times = np.arange(20_001.0)
     tracemalloc.start()
     try:
-        out = drift_state(model, 0, times)
+        power, angle = drift_state(model, 0, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out) == len(times)
+    assert len(power) == len(angle) == len(times)
     assert peak < 10 * (1 << 20), peak
 
 
@@ -155,7 +171,7 @@ def test_drift_refuses_a_time_that_is_not_finite_and_non_negative(bad):
 def test_drift_stays_bounded():
     model = DriftModel(pump_power_rel_sigma=0.01, pump_polarization_sigma=0.02)
     rng = np.random.default_rng(8)
-    for dpow, dpol in drift_state(model, 0, rng.uniform(0.0, 300.0, size=400)):
+    for dpow, dpol in _drift(model, 0, rng.uniform(0.0, 300.0, size=400)):
         assert abs(dpow) <= 5.0 * 0.01 + 1e-12
         assert abs(dpol) <= 5.0 * 0.02 + 1e-12
 
@@ -165,14 +181,14 @@ def test_drift_is_continuous_between_grid_points():
     bound = 5.0 * model.pump_power_rel_sigma
     rng = np.random.default_rng(9)
     times = rng.uniform(0.0, 100.0, size=200)
-    for (a, _), (b, _) in zip(drift_state(model, 0, times), drift_state(model, 0, times + 0.01)):
+    for (a, _), (b, _) in zip(_drift(model, 0, times), _drift(model, 0, times + 0.01)):
         # linear interpolation of a walk confined to [-bound, bound]
         assert abs(b - a) <= 2.0 * bound * 0.01 + 1e-12
 
 
 def test_zero_sigma_drift_is_identically_zero():
     model = DriftModel(pump_power_rel_sigma=0.0, pump_polarization_sigma=0.0)
-    assert drift_state(model, 0, [0.0, 1.0, 27.5, 100.0]) == [(0.0, 0.0)] * 4
+    assert _drift(model, 0, [0.0, 1.0, 27.5, 100.0]) == [(0.0, 0.0)] * 4
 
 
 def test_derived_streams_are_keyed():
@@ -201,7 +217,7 @@ def test_drift_model_needs_finite_bounds_and_a_non_negative_pump_power(sigmas):
 
 def test_drift_model_takes_a_pump_power_bound_of_one():
     model = DriftModel(pump_power_rel_sigma=0.2)
-    assert min(dpow for dpow, _ in drift_state(model, 3, range(500))) >= -1.0
+    assert min(dpow for dpow, _ in _drift(model, 3, range(500))) >= -1.0
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None, np.float64(3.0), np.int64(-1)])
@@ -212,4 +228,4 @@ def test_drift_state_seed_must_be_a_non_negative_integer(seed):
 
 
 def test_drift_state_takes_a_numpy_integer_seed_as_int():
-    assert drift_state(DriftModel(), np.int64(3), [13.37]) == drift_state(DriftModel(), 3, [13.37])
+    assert _drift(DriftModel(), np.int64(3), [13.37]) == _drift(DriftModel(), 3, [13.37])
