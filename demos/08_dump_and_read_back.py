@@ -5,8 +5,9 @@ Dump a session's records, read them back, and count them again
 `session --dump-tags PATH` writes the two records a session's counts come
 from, both binary: the receiver's time tags at PATH (a header line, then
 one 17-byte record per click: pulse, detector, whole picoseconds) and the
-sender's pulse ledger at PATH.ledger (a header line, then one byte per
-pulse: its intensity class, basis and bit).
+sender's pulse ledger at PATH.ledger (a header line, then per block the
+pulses sent of each intensity class, basis and bit, and 9 bytes for each
+event pulse, the only pulses a tag can fall on: its index and code).
 Reading both back and binning each tag into the detection window around
 its slot rebuilds the counts.
 The rebuilt counts see every pulse sent, but not every event: timing
@@ -51,7 +52,7 @@ assert (rebuilt.counts.sum(axis=4) <= counted.counts.sum(axis=4)).all()
 
 print(f"time tags: {len(tags):,} clicks, {sizes['tags.bin']:,} bytes")
 print(f"ledger:    {len(ledger):,} pulses from index {ledger.start_index}, "
-      f"{sizes['tags.bin.ledger']:,} bytes")
+      f"{len(ledger.index):,} event pulses, {sizes['tags.bin.ledger']:,} bytes")
 print(f"{'class':>7} {'pulses':>9} {'counted':>8} {'rebuilt':>8} {'kept':>7}")
 for cls in IntensityClass:
     n, k = counted.clicks(cls), rebuilt.clicks(cls)

@@ -179,7 +179,7 @@ def _replaced_on_success(path: str):
 
     If the body raises, the temp file is removed instead, so a failed run
     leaves no partial file at `path`.  The file is open for reading too,
-    since the ledger writer reads its header back before it appends.
+    since the ledger writer walks its range records before it appends.
     """
     tmp = f"{path}.partial"
     try:

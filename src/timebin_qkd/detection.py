@@ -7,6 +7,8 @@ polarizations to two nanosecond slots per pathway, giving four detection
 windows per repetition frame.  Counting is by pulse outcome; time tags are
 an equivalent record of the same clicks for external tooling, written,
 like the pulse ledger, as one header line and then fixed-size records.
+The pulse ledger holds what sifting announces, the codes of the event
+pulses, and the code totals of its range: it grows with the events.
 
 Probabilities come straight from the switched-state amplitudes: the
 effective detected qubit is (switched early-bin V amplitude, unswitched
@@ -305,54 +307,83 @@ def _whole(values, what: str, must_be: str = "whole numbers") -> np.ndarray:
 
 
 class PulseLedger:
-    """Sender-side record of a pulse range: one code per pulse.
+    """Sender-side record of a pulse range: its code totals and its event pulses' codes.
 
     Covers pulses [start_index, start_index + len); accumulate() needs it
-    to attribute windowed clicks to (class, alpha, i).  `code` is the int8
-    column class * 4 + alpha * 2 + bit, 0..11, one byte per pulse in
-    memory and in the ledger file.  It is read-only: rebinding it raises
-    AttributeError and a write into it ValueError.  This constructor is
-    the one owner of the ledger's rules, for the engine, the file reader
-    and any other caller: start_index is a whole number of at least 0,
-    the codes are one column of at least one pulse, the last pulse index
-    fits in int64, and every code lies in 0..11.  Codes are range-checked
-    in the input's own dtype (int64 for input that is not integer), before
-    narrowing, so 268 cannot wrap to 12.  A fraction, in start_index or in
-    a code, is refused, not truncated.  A read-only int8 column that owns
-    its memory, as the engine and the file reader hand over, is kept as
-    given; any other column is copied into a read-only one, so a later
-    write into the caller's array cannot change the ledger past these
-    checks.
+    to attribute windowed clicks to (class, alpha, i).  A code is class *
+    4 + alpha * 2 + bit, 0..11.  `totals` counts the range's pulses of
+    each code (12 int64); `index` holds the sorted int64 indices of the
+    event pulses, the only ones a tag can fall on, and `code` their int8
+    codes.  This constructor owns every ledger rule, for the engine, the
+    file reader and any caller: start_index and pulses are whole numbers
+    of at least 0 and 1, the last pulse index fits in int64, the totals
+    are non-negative and sum to pulses, the indices lie in the range and
+    strictly increase, the codes lie in 0..11 (checked in their own dtype
+    before narrowing, so 268 cannot wrap to 12) and none occurs more often
+    than its total; a fraction is refused.  The columns are read-only
+    copies, so no later write into the caller's arrays can bypass this.
     """
 
-    def __init__(self, start_index, code) -> None:
+    def __init__(self, start_index, pulses, totals, index, code) -> None:
         self.start_index = int(_whole(start_index, "start_index", "a whole number"))
         if self.start_index < 0:
             raise InvalidInputError("start_index must be non-negative")
-        code = np.asarray(code)
-        if code.ndim != 1:
-            raise InvalidInputError("ledger codes must be one column")
-        if len(code) == 0:
+        self._pulses = int(_whole(pulses, "pulses", "a whole number"))
+        if self._pulses < 1:
             raise InvalidInputError("empty pulse ledger")
-        if self.start_index + len(code) - 1 > _INT64_MAX:
+        end = self.start_index + self._pulses
+        if end - 1 > _INT64_MAX:
             raise InvalidInputError("ledger pulse indices must lie within int64")
+        totals = _whole(totals, "ledger totals")
+        if totals.shape != (12,) or (totals < 0).any() or sum(totals.tolist()) != self._pulses:
+            raise InvalidInputError(
+                "ledger totals must be one non-negative count per code 0..11 and sum to the pulses"
+            )
+        index, code = np.asarray(index), np.asarray(code)
+        if index.ndim != 1 or code.ndim != 1 or len(index) != len(code):
+            raise InvalidInputError("ledger indices and codes must be two columns of equal length")
+        index = _whole(index, "ledger pulse indices")
         if code.dtype.kind not in "iu":
             code = _whole(code, "ledger codes")
-        # as uint8 a negative int8 code is at least 128, so one pass checks both ends
-        wide = code.view(np.uint8) if code.dtype == np.int8 else code
-        if wide.max() > 11 or (wide.dtype.kind == "i" and wide.min() < 0):
-            raise InvalidInputError("ledger codes must lie in 0..11")
-        if code.dtype != np.int8 or code.flags.writeable or code.base is not None:
-            code = code.astype(np.int8)
-            code.flags.writeable = False
-        self._code = code
+        if len(code):
+            # as uint8 a negative int8 code is at least 128, so one pass checks both ends
+            wide = code.view(np.uint8) if code.dtype == np.int8 else code
+            if wide.max() > 11 or (wide.dtype.kind == "i" and wide.min() < 0):
+                raise InvalidInputError("ledger codes must lie in 0..11")
+            first, last = int(index[0]), int(index[-1])
+            if (index[1:] <= index[:-1]).any() or not self.start_index <= first <= last < end:
+                raise InvalidInputError("ledger indices must strictly increase within its pulses")
+        self._index, self._code = _read_only(index, np.int64), _read_only(code, np.int8)
+        # each code's count from the radix-sorted codes, 1 B an event where bincount takes 8
+        ranked = np.sort(self._code, kind="stable")
+        seen = np.diff(np.searchsorted(ranked, np.arange(13, dtype=np.int8))) > totals
+        if seen.any():
+            raise InvalidInputError(f"ledger code {seen.argmax()} occurs more often than its total")
+        self._totals = _read_only(totals, np.int64)
 
     def __len__(self) -> int:
-        return len(self._code)
+        return self._pulses
 
-    @property
-    def code(self) -> np.ndarray:
-        return self._code
+    totals = property(lambda self: self._totals)
+    index = property(lambda self: self._index)
+    code = property(lambda self: self._code)
+
+
+def _read_only(column: np.ndarray, dtype) -> np.ndarray:
+    column = column.astype(dtype)
+    column.flags.writeable = False
+    return column
+
+
+def _joined(ledgers: list[PulseLedger]) -> PulseLedger:
+    """One ledger of consecutive ranges, in pulse order."""
+    return PulseLedger(
+        ledgers[0].start_index,
+        sum(len(ledger) for ledger in ledgers),
+        np.sum([ledger.totals for ledger in ledgers], axis=0),
+        np.concatenate([ledger.index for ledger in ledgers]),
+        np.concatenate([ledger.code for ledger in ledgers]),
+    )
 
 
 @dataclass
@@ -418,27 +449,25 @@ def accumulate(
     exactly: a tag's count of the eight ascending edges at or below it,
     one int8 comparison pass per edge, names its window, and a window too
     narrow to hold a whole picosecond holds no tag.
-    Pulses with more than one windowed tag are discarded (deterministic, so
-    pieces merge associatively).  They are found from the runs of equal
-    pulses in the windowed tags' pulse column, which is sorted first only
-    when it is not already in pulse order, as every file the CLI writes is.
-    pulses_sent comes from the ledger, so accumulating disjoint (tags,
-    ledger) pieces and summing equals accumulating the concatenation.
+    Each tag finds its pulse among the ledger's event pulses by a binary
+    search, and a tag on any other pulse is refused.  Pulses with more
+    than one windowed tag are discarded (deterministic, so pieces merge
+    associatively): they are the runs of equal event rows among the
+    windowed tags, sorted first only when they are not already in pulse
+    order, as every file the CLI writes is.  pulses_sent is the ledger's
+    totals, so accumulating disjoint (tags, ledger) pieces and summing
+    equals accumulating the concatenation.
     """
     out = SessionCounts.zeros()
-    sent = out.pulses_sent.reshape(-1)
-    code = ledger.code
-    # a count of each of the 12 codes, 2**18 pulses at a time
-    for lo in range(0, len(code), 1 << 18):
-        part = code[lo : lo + (1 << 18)]
-        for v in range(12):
-            sent[v] += np.count_nonzero(part == v)
-
-    pulse, ts = tags.pulse_index, tags.timestamp_ps
-    outside = (pulse < ledger.start_index) | (pulse >= ledger.start_index + len(ledger))
-    if outside.any():
+    out.pulses_sent += ledger.totals.reshape(out.pulses_sent.shape)
+    pulse, ts, index = tags.pulse_index, tags.timestamp_ps, ledger.index
+    # each tag's row among the event pulses, which ascend with the pulses
+    row = np.searchsorted(index, pulse)
+    event = row < len(index)
+    event[event] = index[row[event]] == pulse[event]
+    if not event.all():
         raise InvalidInputError(
-            f"tag pulse_index {pulse[outside.argmax()]} outside ledger range"
+            f"tag pulse_index {pulse[event.argmin()]} holds no event in the ledger"
         )
     first, last = _window_edges(layout)
     # the edges first[0], last[0] + 1, first[1], ... ascend: a tag in
@@ -448,40 +477,45 @@ def accumulate(
     for edge in np.column_stack([first, last + 1]).ravel().tolist():
         slot += ts >= edge
     hit = (slot & 1).view(bool)
-    pulses, window = pulse[hit], slot[hit] >> 1
-    step = np.diff(pulses)
+    rows, window = row[hit], slot[hit] >> 1
+    step = np.diff(rows)
     if (step < 0).any():
-        order = np.argsort(pulses, kind="stable")
-        pulses, window = pulses[order], window[order]
-        step = np.diff(pulses)
+        order = np.argsort(rows, kind="stable")
+        rows, window = rows[order], window[order]
+        step = np.diff(rows)
     # a pulse with one windowed tag is a run of one: unlike both neighbours
-    apart = np.ones(len(pulses) + 1, dtype=bool)
+    apart = np.ones(len(rows) + 1, dtype=bool)
     np.not_equal(step, 0, out=apart[1:-1])
     single = apart[:-1] & apart[1:]
-    row = pulses[single] - ledger.start_index
     # the flat count index is code * 4 + window, window = beta * 2 + j;
     # below 48, so int8 holds it
-    out.counts += np.bincount(code[row] * 4 + window[single], minlength=48).reshape(
-        out.counts.shape
-    )
+    out.counts += np.bincount(
+        ledger.code[rows[single]] * 4 + window[single], minlength=48
+    ).reshape(out.counts.shape)
     return out
 
 
 _TAG_HEAD = b"timebin-qkd time tags/2\n"
 # One tag on disk: packed, little-endian, 17 bytes.
 _TAG_RECORD = np.dtype([("pulse_index", "<i8"), ("detector_id", "i1"), ("timestamp_ps", "<i8")])
-_LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
+_LEDGER_HEAD = b"timebin-qkd pulse ledger/3\n"
+# One appended range of a ledger file, then each of its event pulses:
+# packed, little-endian, 120 and 9 bytes.
+_RANGE_RECORD = np.dtype(
+    [("start_index", "<i8"), ("pulses", "<i8"), ("totals", "<i8", (12,)), ("events", "<i8")]
+)
+_EVENT_RECORD = np.dtype([("index", "<i8"), ("code", "i1")])
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _append(target, head: bytes, body: np.ndarray) -> None:
-    """Write `body`'s bytes to a new file at `target`, or append them if
+def _append(target, head: bytes, *bodies: np.ndarray) -> None:
+    """Write the `bodies`' bytes to a new file at `target`, or append them if
     `target` is an open binary file; `head` goes first while the file is
-    still empty.  `body` is a contiguous array, written without a copy."""
+    still empty.  Each body is a contiguous array, written without a copy."""
     with nullcontext(target) if hasattr(target, "write") else open(target, "wb") as f:
         if f.tell() == 0:
             f.write(head)
-        f.write(body)
+        f.writelines(bodies)
 
 
 def write_time_tags(path, tags: TimeTags) -> None:
@@ -520,60 +554,94 @@ def read_time_tags(path) -> TimeTags:
 
 
 def write_pulse_ledger(path, ledger: PulseLedger) -> None:
-    """Write the sender record: one header line, then one int8 code per pulse.
+    """Write the sender record: a header line, one range record, its event records.
 
-    The header is `timebin-qkd pulse ledger/2 start_index=<N>`; each byte
-    after it is a pulse's code class * 4 + alpha * 2 + bit, in pulse order.
-    `path` may also be a binary file open for reading and writing: the
-    codes are appended at its end, after the header if the file is still
-    empty.  A file that already holds a ledger has its header read back,
-    and a ledger that does not begin at that start index plus the codes
-    written, a gap or an overlap, is refused before a byte is written; so
-    is a file not open for reading.
+    The header is `timebin-qkd pulse ledger/3`; the range record holds
+    the packed little-endian int64 start index, pulses, 12 code totals
+    and event count (120 bytes), and each event record an event pulse's
+    int64 index and int8 code (9 bytes).  `path` may also be a binary
+    file open for reading and writing: the range is appended, after the
+    header if the file is still empty.  The file's range records are
+    walked first, and a ledger that does not begin where the last ends,
+    a gap or an overlap, is refused unwritten; so is a file not open for
+    reading.
     """
     if hasattr(path, "write"):
         if not path.readable():
             raise InvalidInputError("an open ledger file must be readable too (w+b or a+b)")
         end = path.seek(0, os.SEEK_END)
         if end:
-            path.seek(0)
-            next_index = _ledger_start(path) + end - path.tell()
+            next_index = ledger.start_index
+            for rec, _ in _ledger_ranges(path, end):
+                next_index = int(rec["start_index"]) + int(rec["pulses"])
             path.seek(end)
             if ledger.start_index != next_index:
                 raise InvalidInputError(
                     f"ledger starts at pulse {ledger.start_index}, "
                     f"but the file's ledger goes on at pulse {next_index}"
                 )
-    _append(path, _LEDGER_HEAD + b"%d\n" % ledger.start_index, ledger.code)
+    record = (ledger.start_index, len(ledger), ledger.totals, len(ledger.index))
+    events = np.rec.fromarrays([ledger.index, ledger.code], dtype=_EVENT_RECORD)
+    _append(path, _LEDGER_HEAD, np.array([record], _RANGE_RECORD), events)
 
 
-def _ledger_start(f) -> int:
-    """The start index of the ledger header line `f` reads next; a garbled header is refused."""
-    line = f.readline(len(_LEDGER_HEAD) + 64)
-    digits = line[len(_LEDGER_HEAD) : -1]
-    if not (line.startswith(_LEDGER_HEAD) and line.endswith(b"\n") and digits.isdigit()):
+def _ledger_ranges(f, end: int):
+    """Each range record of the ledger file `f`, `end` bytes long, and its events' offset.
+
+    A header that is not `timebin-qkd pulse ledger/3`, a record cut short,
+    an event count the file does not hold, or a range that does not begin
+    where the one before ends is refused.  `f` may be moved between yields.
+    """
+    f.seek(0)
+    head = f.read(len(_LEDGER_HEAD))
+    if head != _LEDGER_HEAD:
         raise InvalidInputError(
-            f"unrecognized pulse ledger header {line[:64]!r}: expected "
-            f"'{_LEDGER_HEAD.decode()}<N>' (CSV ledgers of earlier versions are not read)"
+            f"unrecognized pulse ledger header {head!r}: expected {_LEDGER_HEAD!r} "
+            "(pulse ledger/2 files and CSV ledgers of earlier versions are not read)"
         )
-    return int(digits)
+    at, next_index = len(_LEDGER_HEAD), None
+    while at < end:
+        f.seek(at)
+        data = f.read(_RANGE_RECORD.itemsize)
+        if len(data) < _RANGE_RECORD.itemsize:
+            raise InvalidInputError(f"pulse ledger range record at byte {at} is cut short")
+        rec = np.frombuffer(data, _RANGE_RECORD)[0]
+        at += _RANGE_RECORD.itemsize
+        events = int(rec["events"])
+        if not 0 <= events <= (end - at) // _EVENT_RECORD.itemsize:
+            raise InvalidInputError(f"pulse ledger range holds {events} events in {end - at} bytes")
+        start = int(rec["start_index"])
+        if next_index is not None and start != next_index:
+            raise InvalidInputError(
+                f"ledger range starts at pulse {start}, "
+                f"but the file's ledger goes on at pulse {next_index}"
+            )
+        yield rec, at
+        at += events * _EVENT_RECORD.itemsize
+        next_index = start + int(rec["pulses"])
 
 
 def read_pulse_ledger(path) -> PulseLedger:
-    """Read a ledger file: one header check, then one read of the codes.
+    """Read a ledger file: its ranges, walked in order, joined into one ledger.
 
-    A header that is not `timebin-qkd pulse ledger/2 start_index=<N>`
-    with N digits is refused, and so is the CSV ledger of earlier
-    versions.  The start index and the codes then go to the PulseLedger
-    constructor, which refuses what it would refuse from any caller: an
-    empty body, a pulse index beyond int64 or a code outside 0..11.  So
-    every ledger the writer can write reads back.
+    The walk (`_ledger_ranges`) refuses the /2 and CSV ledgers of earlier
+    versions, records cut short and ranges with a gap or an overlap.  Each
+    range goes to the PulseLedger constructor, which refuses what it
+    would from any caller, and a file without one is an empty ledger.
+    So every ledger the writer can write reads back.
     """
+    ranges = []
     with open(path, "rb") as f:
-        start_index = _ledger_start(f)
-        code = np.fromfile(f, np.int8)
-    code.flags.writeable = False  # so the ledger keeps it without a copy
-    return PulseLedger(start_index, code)
+        for rec, at in _ledger_ranges(f, f.seek(0, os.SEEK_END)):
+            f.seek(at)
+            data = f.read(int(rec["events"]) * _EVENT_RECORD.itemsize)
+            events = np.frombuffer(data, _EVENT_RECORD)
+            ranges.append(PulseLedger(
+                rec["start_index"], rec["pulses"], rec["totals"], events["index"], events["code"]
+            ))
+    if not ranges:
+        raise InvalidInputError("empty pulse ledger")
+    return ranges[0] if len(ranges) == 1 else _joined(ranges)
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:
@@ -657,10 +725,6 @@ _EVENT_DOUBLE = _EVENT_CLICK0 & _EVENT_CLICK1
 _EVENT_ONLY = np.array(
     [_EVENT_CLICK0 & ~_EVENT_CLICK1, _EVENT_CLICK1 & ~_EVENT_CLICK0], dtype=np.int64
 ).T
-
-# Frames per chunk of the record's placement of the silent frames'
-# classes, which bounds its temporaries whatever the block length.
-PLACEMENT_CHUNK_FRAMES = 1 << 14
 
 
 class Block(NamedTuple):
@@ -917,33 +981,6 @@ def _tally(
     return counts, sent
 
 
-def _hypergeometric_marginals(
-    rng: np.random.Generator, colors: list[int], nsample: int
-) -> list[int]:
-    """How many of each colour `nsample` draws without replacement take from `colors`.
-
-    The same draws, in the same order, as
-    `rng.multivariate_hypergeometric(colors, nsample, method="marginals")`
-    for three colours, from scalar `hypergeometric` calls on Python ints:
-    past half the total the complement is drawn, each colour but the last
-    draws its share of the sample left against the colours after it, and
-    the draws stop once the sample is used up.
-    """
-    total = sum(colors)
-    complement = nsample > total // 2
-    rest = total - nsample if complement else nsample
-    taken = [0, 0, 0]
-    others = total
-    for j in (0, 1):
-        if rest == 0:
-            break
-        others -= colors[j]
-        taken[j] = rng.hypergeometric(colors[j], others, rest)
-        rest -= taken[j]
-    taken[2] = rest
-    return [c - k for c, k in zip(colors, taken)] if complement else taken
-
-
 def _tags_and_ledger(
     block: Block,
     class_totals: np.ndarray,
@@ -959,11 +996,11 @@ def _tags_and_ledger(
     `frames` are the block's sorted event frames.  The `clustered` ones
     have their cells in `cl_cell` and their dead-time fate in `cl_keep`;
     `unclustered` counts the cells of the rest, which dead time keeps.
-    The ledger's code column is the one pulse-sized array made: the
-    silent frames' classes are placed in it chunk by chunk, so every
-    other temporary is per event or per chunk.
+    The ledger holds the class totals and the code of each event frame,
+    whether dead time kept its clicks or not: no array is as long as the
+    block.
     """
-    n, rng = block.pulses, block.rng
+    rng = block.rng
     # One shuffle arranges the unclustered cells over the unclustered
     # frames, so every arrangement is equally likely.
     labels = np.repeat(np.arange(3 * _N_EVENTS), unclustered)
@@ -973,47 +1010,15 @@ def _tags_and_ledger(
     cell[~clustered] = labels
     kept = np.ones(len(frames), dtype=bool)
     kept[clustered] = cl_keep
-    ev_cls, state = _CELL_CLASS[cell], _CELL_STATE[cell]
+    state = _CELL_STATE[cell]
     beta = _EVENT_BETA[state]
     click0 = _EVENT_CLICK0[state] & kept
     click1 = _EVENT_CLICK1[state] & kept
 
-    # The ledger code of every pulse: the largest class the events left
-    # over, fill, written over by the events' classes, then by the other
-    # two, a and b.  Each chunk of PLACEMENT_CHUNK_FRAMES frames takes a
-    # hypergeometric share of the (a, b, fill) silent frames not yet
-    # placed, and one ordered sample of the chunk's silent frames places
-    # its a, then its b, so every arrangement over the silent frames is
-    # equally likely.
+    # the code of a pulse of class c is c * 4 + setting
     setting = int(block.setting.basis) * 2 + block.setting.bit
-    left = (class_totals - np.bincount(ev_cls, minlength=3)).tolist()
-    fill = left.index(max(left))
-    a, b = (c for c in range(3) if c != fill)
-    code = np.full(n, fill * 4 + setting, dtype=np.int8)
-    code[frames] = ev_cls * 4 + setting
-    left = [left[a], left[b], left[fill]]
-    edges = [*range(0, n, PLACEMENT_CHUNK_FRAMES), n]
-    ends = np.searchsorted(frames, edges).tolist()
-    # one mask of a chunk's silent frames, reused for every chunk
-    silent_mask = np.empty(min(n, PLACEMENT_CHUNK_FRAMES), dtype=bool)
-    for lo, hi, first, last in zip(edges, edges[1:], ends, ends[1:]):
-        if left[0] + left[1] == 0:
-            break
-        quiet = hi - lo - (last - first)
-        if quiet == 0:
-            continue
-        k_a, k_b, k_fill = _hypergeometric_marginals(rng, left, quiet)
-        left = [left[0] - k_a, left[1] - k_b, left[2] - k_fill]
-        if k_a + k_b == 0:
-            continue
-        silent = silent_mask[: hi - lo]
-        silent.fill(True)
-        silent[frames[first:last] - lo] = False
-        placed = np.flatnonzero(silent)[rng.choice(quiet, k_a + k_b, replace=False)]
-        chunk = code[lo:hi]
-        chunk[placed[:k_a]] = a * 4 + setting
-        chunk[placed[k_a:]] = b * 4 + setting
-    code.flags.writeable = False  # so the ledger keeps it without a copy
+    totals = np.zeros(12, dtype=np.int64)
+    totals[setting::4] = class_totals
 
     # Window 0's jitter is drawn before window 1's; the tags are then
     # ordered by pulse, then time.  A pulse has at most one tag per window,
@@ -1031,7 +1036,8 @@ def _tags_and_ledger(
     swap = np.flatnonzero((pulse[1:] == pulse[:-1]) & (ts[1:] < ts[:-1]))
     ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
     tags = TimeTags(pulse, beta[idx][order], ts)
-    return tags, PulseLedger(block.start_index, code)
+    index, code = block.start_index + frames, _CELL_CLASS[cell] * 4 + setting
+    return tags, PulseLedger(block.start_index, block.pulses, totals, index, code)
 
 
 def simulate_blocks(
@@ -1061,15 +1067,9 @@ def simulate_blocks(
        double cell of the kept events, under the "random" double-click
        policy only;
     4. (only when its record is called) one shuffle that arranges the
-       unclustered cells over the unclustered frames; then, per chunk of
-       PLACEMENT_CHUNK_FRAMES frames that holds silent frames while
-       either of the two smaller left-over classes is not all placed, the
-       chunk's share of the left-over classes, at most two scalar
-       hypergeometric draws (`_hypergeometric_marginals`, the draws of
-       numpy's "marginals" multivariate hypergeometric), and, if the
-       share holds either smaller class, one ordered sample of the
-       chunk's silent frames that places them; then the jitter of window
-       0's and window 1's clicks.
+       unclustered cells over the unclustered frames, then the jitter of
+       window 0's and window 1's clicks.  The ledger takes the class
+       totals and the event frames' classes and draws nothing.
 
     Per-event work is done for clustered events only.  An unclustered
     event is at least `blocked` + 1 frames from both of its neighbours,

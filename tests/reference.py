@@ -1,7 +1,8 @@
 """Row-by-row reference versions of the tag and ledger file decoders,
 accumulate, the event table, the dead-time pass and the drift walk, the
-binary search that placed a tag in its window, and the tests' one builder
-of a ledger from its columns.
+binary search that placed a tag in its window, the tests' builders of a
+ledger from a code or three columns per pulse, and the expansion of a
+ledger into one code per pulse.
 
 These are the plain Python loops the vectorized functions in
 `timebin_qkd.detection` replaced, the per-time drift evaluation that
@@ -84,48 +85,118 @@ def decode_time_tags(data: bytes) -> tuple[list, list, list] | None:
     return pulse, detector, ts
 
 
-# The ledger file's header, before the start index and its newline.
-LEDGER_HEAD = b"timebin-qkd pulse ledger/2 start_index="
+# The ledger file's header line, newline included.
+LEDGER_HEAD = b"timebin-qkd pulse ledger/3\n"
 
 
-def decode_pulse_ledger(data: bytes) -> tuple[int, list, list, list] | None:
-    """(start_index, class_idx, alpha, bit) of a ledger file's bytes, or None.
+def _int64(data: bytes, at: int) -> int:
+    return int.from_bytes(data[at : at + 8], "little", signed=True)
 
-    None when the file is not one a writer could have made: the first
-    line is not LEDGER_HEAD, then at least one ASCII digit, then a
-    newline, within 64 bytes after LEDGER_HEAD; the body is empty; a
-    byte of the body is not a code 0..11; or a pulse index passes int64.
+
+def decode_pulse_ledger(data: bytes) -> tuple[int, int, list, list, list] | None:
+    """(start_index, pulses, totals, index, code) of a ledger file's bytes, or None.
+
+    The file's ranges joined: the first start index, the summed pulses
+    and per-code totals, and the event indices and codes in file order.
+    None when the file is not one a writer could have made: it does not
+    start with LEDGER_HEAD; it holds no range; a range is not a whole
+    120-byte record (little-endian int64 start index, pulses, 12 totals
+    and event count) followed by that many whole 9-byte event records
+    (int64 index, int8 code); or, within a range, the start index is
+    negative, the pulses are fewer than 1, the last pulse index passes
+    int64, a total is negative, the totals do not sum to the pulses, an
+    index is outside the range or not past the one before, a code is
+    outside 0..11, or a code occurs more often than its total; or a range
+    does not begin where the one before ends.
     """
-    end = data.find(b"\n")
-    if end < 0 or end >= len(LEDGER_HEAD) + 64 or not data.startswith(LEDGER_HEAD):
+    if not data.startswith(LEDGER_HEAD):
         return None
-    digits = data[len(LEDGER_HEAD) : end]
-    if not digits or any(c not in b"0123456789" for c in digits):
+    at, first, pulses, totals, index, code = len(LEDGER_HEAD), None, 0, [0] * 12, [], []
+    while at < len(data):
+        if len(data) - at < 120:
+            return None
+        start, n = _int64(data, at), _int64(data, at + 8)
+        counts = [_int64(data, at + 16 + 8 * k) for k in range(12)]
+        events = _int64(data, at + 112)
+        at += 120
+        if events < 0 or len(data) - at < 9 * events:
+            return None
+        if start < 0 or n < 1 or start + n - 1 > 2**63 - 1:
+            return None
+        if min(counts) < 0 or sum(counts) != n:
+            return None
+        if first is not None and start != first + pulses:
+            return None
+        seen = [0] * 12
+        last = start - 1
+        for _ in range(events):
+            i, c = _int64(data, at), data[at + 8]
+            at += 9
+            if not last < i < start + n or c > 11:
+                return None
+            seen[c] += 1
+            last = i
+            index.append(i)
+            code.append(c)
+        if any(s > t for s, t in zip(seen, counts)):
+            return None
+        first = start if first is None else first
+        pulses += n
+        totals = [t + c for t, c in zip(totals, counts)]
+    if first is None:
         return None
-    start, body = int(digits), data[end + 1 :]
-    if not body or any(c > 11 for c in body) or start + len(body) - 1 > 2**63 - 1:
-        return None
-    return start, [c // 4 for c in body], [c // 2 % 2 for c in body], [c % 2 for c in body]
+    return first, pulses, totals, index, code
+
+
+def ledger_of_codes(start_index, code) -> PulseLedger:
+    """The ledger of one code per pulse, every pulse an event pulse.
+
+    Tags may then fall on any of its pulses, as on a dense ledger.
+    """
+    code = np.asarray(code)
+    totals = np.bincount(code.astype(np.int64), minlength=12)
+    return PulseLedger(start_index, len(code), totals, start_index + np.arange(len(code)), code)
 
 
 def ledger_of_columns(start_index, class_idx, alpha, bit) -> PulseLedger:
-    """The ledger of class, alpha and bit columns, through its code class * 4 + alpha * 2 + bit.
+    """The ledger of class, alpha and bit columns, one pulse each, every pulse an event pulse.
 
-    PulseLedger is built from its code column alone; this is the tests'
-    one way to build one from the three columns a reader of it sees.
+    Built through the code class * 4 + alpha * 2 + bit of each pulse
+    (`ledger_of_codes`); the tests' one way to build one from the three
+    columns a reader of it sees.
     """
     code = np.asarray(class_idx) * 4 + np.asarray(alpha) * 2 + np.asarray(bit)
-    return PulseLedger(start_index, code)
+    return ledger_of_codes(start_index, code)
 
 
 def ledger_columns(ledger: PulseLedger) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(class_idx, alpha, bit) of a ledger, decoded from its code class * 4 + alpha * 2 + bit.
+    """(class_idx, alpha, bit) of a ledger's event pulses, decoded from their codes.
 
     The inverse of ledger_of_columns, as int8 columns; the tests' one way
     to read a ledger's three columns.
     """
     code = ledger.code
     return code // 4, code // 2 % 2, code % 2
+
+
+def dense_codes(ledger: PulseLedger, rng: np.random.Generator) -> np.ndarray:
+    """One int8 code per pulse of the ledger: its events' codes, and its silent codes anywhere.
+
+    The codes the totals leave over after the events' are arranged at
+    random, by `rng`, over the pulses that hold no event: any such
+    arrangement agrees with the ledger, since no tag falls on those
+    pulses.  This is the recipe for a reader that wants one code per
+    pulse.
+    """
+    left = ledger.totals - np.bincount(ledger.code, minlength=12)
+    silent = np.repeat(np.arange(12, dtype=np.int8), left)
+    rng.shuffle(silent)
+    code = np.empty(len(ledger), dtype=np.int8)
+    event = np.zeros(len(ledger), dtype=bool)
+    event[ledger.index - ledger.start_index] = True
+    code[event] = ledger.code
+    code[~event] = silent
+    return code
 
 
 def classify(layout: WindowLayout, timestamp_ps: float) -> tuple[int, int] | None:
@@ -150,10 +221,11 @@ def windows_by_search(layout: WindowLayout, timestamp_ps) -> np.ndarray:
     return np.where(slot % 2 == 1, slot // 2, -1)
 
 
-def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -> SessionCounts:
+def accumulate_loop(tags: TimeTags, layout: WindowLayout, start_index: int, code) -> SessionCounts:
+    """accumulate tag by tag against one code per pulse from start_index on (`dense_codes`)."""
     out = SessionCounts.zeros()
-    class_idx, alpha, bit = ledger_columns(ledger)
-    out.pulses_sent += np.bincount(class_idx * 4 + alpha * 2 + bit, minlength=12).reshape(3, 2, 2)
+    code = np.asarray(code)
+    out.pulses_sent += np.bincount(code, minlength=12).reshape(3, 2, 2)
 
     classified: dict[int, tuple[int, int]] = {}
     multi: set[int] = set()
@@ -167,8 +239,8 @@ def accumulate_loop(tags: TimeTags, layout: WindowLayout, ledger: PulseLedger) -
             continue
         classified[pulse] = hit
     for pi, (beta, j) in classified.items():
-        row = pi - ledger.start_index
-        out.counts[class_idx[row], alpha[row], bit[row], beta, j] += 1
+        c = int(code[pi - start_index])
+        out.counts[c // 4, c // 2 % 2, c % 2, beta, j] += 1
     return out
 
 

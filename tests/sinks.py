@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from timebin_qkd.detection import PulseLedger, TimeTags
+from timebin_qkd.detection import PulseLedger, TimeTags, _joined
 from timebin_qkd.experiment import SessionResult, run_session
 
 
@@ -25,5 +25,5 @@ def tagged_session(config, **kwargs) -> tuple[SessionResult, TimeTags, PulseLedg
     return (
         res,
         TimeTags(*joined(tags, ("pulse_index", "detector_id", "timestamp_ps"))),
-        PulseLedger(ledgers[0].start_index, np.concatenate([ledger.code for ledger in ledgers])),
+        _joined(ledgers),
     )

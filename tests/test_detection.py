@@ -8,14 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timebin_qkd import detection
+from timebin_qkd import detection, experiment
 from timebin_qkd.detection import (
     _CELL_STATE,
     _EVENT_BETA,
     _EVENT_STATES,
     BASIS_GROUP_OFFSET_PS,
     INTERFEROMETER_DELAY_PS,
-    PLACEMENT_CHUNK_FRAMES,
     WINDOW_CENTERS_PS,
     Block,
     DetectorModel,
@@ -26,7 +25,7 @@ from timebin_qkd.detection import (
     _draw_events,
     _event_probabilities,
     _event_tables,
-    _hypergeometric_marginals,
+    _joined,
     _pathway_outcomes,
     _projection,
     _prune_dead_time_clusters,
@@ -40,7 +39,7 @@ from timebin_qkd.detection import (
     write_time_tags,
 )
 from timebin_qkd.errors import InvalidInputError
-from timebin_qkd.experiment import ExperimentConfig
+from timebin_qkd.experiment import ExperimentConfig, run_session
 from timebin_qkd.qubit import BB84_SETTINGS, Basis, PreparationSetting, mub_states, overlap_probability
 from timebin_qkd.source import IntensityClass, LossBudget, SourceConfig, transmittance
 from timebin_qkd.switch import SwitchModel, apply_switch_both_bins, with_delay
@@ -51,8 +50,10 @@ from reference import (
     accumulate_loop,
     decode_pulse_ledger,
     decode_time_tags,
+    dense_codes,
     event_probabilities_loop,
     ledger_columns,
+    ledger_of_codes,
     ledger_of_columns,
     prune_dead_time_loop,
     windows_by_search,
@@ -129,7 +130,7 @@ def test_classify_in_and_out_of_window():
         5500.0: None,
         10935.0: (Basis.TIME, 1),
     }
-    ledger = PulseLedger(0, [0])
+    ledger = ledger_of_codes(0, [0])
     for ts, window in expected.items():
         counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
         if window is None:
@@ -148,7 +149,7 @@ def test_window_edges_in_whole_picoseconds(center, inside):
     # included; the center 2935.364... ps lies between whole picoseconds
     layout = WindowLayout()
     window = WINDOW_CENTERS_PS.index(center)
-    ledger = PulseLedger(0, [0])
+    ledger = ledger_of_codes(0, [0])
     low, high = inside
     for ts, hit in ((low, 1), (high, 1), (low - 1, 0), (high + 1, 0)):
         counts = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0]
@@ -157,7 +158,7 @@ def test_window_edges_in_whole_picoseconds(center, inside):
 
 def test_tags_at_the_int64_ends_land_in_no_window():
     # only the 400 ps tag is in a window; 2**53 + 1 has no float64
-    ledger = PulseLedger(0, np.zeros(4, dtype=np.int8))
+    ledger = ledger_of_codes(0, np.zeros(4, dtype=np.int8))
     tags = TimeTags([0, 1, 2, 3], [0, 0, 0, 0], [2**63 - 1, -(2**63), 2**53 + 1, 400])
     counts = accumulate(tags, WindowLayout(), ledger).counts
     assert counts.sum() == counts[0, 0, 0, 0, 0] == 1
@@ -749,8 +750,8 @@ def test_batched_blocks_equal_lone_blocks():
                 tags, ledger = record()
                 for name in ("pulse_index", "detector_id", "timestamp_ps"):
                     assert np.array_equal(getattr(tags, name), getattr(lone[1], name)), (det, key)
-                assert ledger.start_index == lone[2].start_index == start
-                assert np.array_equal(ledger.code, lone[2].code), (det, key)
+                assert ledger.start_index == start
+                assert _same_ledger(ledger, lone[2]), (det, key)
     assert n_events > 10_000
 
 
@@ -808,12 +809,24 @@ def test_accumulate_is_associative_over_ledger_pieces():
         _rng(20),
     )
     cut = 40_000
-    first = PulseLedger(0, ledger.code[:cut])
-    second = PulseLedger(cut, ledger.code[cut:])
+    # the pieces take their silent codes from one dense expansion
+    dense = dense_codes(ledger, _rng(21))
+    first, second = _piece(ledger, dense, 0, cut), _piece(ledger, dense, cut, len(ledger))
+    assert _same_ledger(_joined([first, second]), ledger)
     tags_a = _select(tags, tags.pulse_index < cut)
     tags_b = _select(tags, tags.pulse_index >= cut)
     whole = accumulate(tags, layout, ledger)
     assert accumulate(tags_a, layout, first) + accumulate(tags_b, layout, second) == whole
+
+
+def _piece(ledger: PulseLedger, dense: np.ndarray, lo: int, hi: int) -> PulseLedger:
+    """The ledger of pulses lo..hi - 1 of `ledger`, its totals counted from its dense codes."""
+    start = ledger.start_index
+    events = (ledger.index >= start + lo) & (ledger.index < start + hi)
+    return PulseLedger(
+        start + lo, hi - lo, np.bincount(dense[lo:hi], minlength=12),
+        ledger.index[events], ledger.code[events],
+    )
 
 
 def test_accumulate_discards_multi_window_pulses():
@@ -859,7 +872,7 @@ def test_each_window_edge_lands_where_a_binary_search_puts_it(width):
     # each window's first and last whole picosecond, and one outside each
     stamps = np.concatenate([first - 1, first, last, last + 1])
     want = windows_by_search(layout, stamps)
-    ledger = PulseLedger(0, np.zeros(len(stamps), dtype=np.int8))
+    ledger = ledger_of_codes(0, np.zeros(len(stamps), dtype=np.int8))
     for ts, window in zip(stamps.tolist(), want.tolist()):
         got = accumulate(_tags((0, 0, ts)), layout, ledger).counts[0, 0, 0].reshape(4)
         assert got.tolist() == [int(k == window) for k in range(4)], (ts, window)
@@ -876,9 +889,11 @@ def test_each_window_edge_lands_where_a_binary_search_puts_it(width):
 
 def test_accumulate_rejects_out_of_range_tags():
     layout = WindowLayout()
-    ledger = PulseLedger(10, np.zeros(5, dtype=np.int8))
-    with pytest.raises(InvalidInputError):
-        accumulate(_tags((3, 0, 0.0)), layout, ledger)
+    ledger = ledger_of_codes(10, np.zeros(5, dtype=np.int8))
+    # before and past pulses 10..14, in a window or in none
+    for row in ((3, 0, 0.0), (15, 0, 5000.0)):
+        with pytest.raises(InvalidInputError, match=f"pulse_index {row[0]} holds no event"):
+            accumulate(_tags(row), layout, ledger)
 
 
 def _assert_record_reads_back(tmp_path, tags, ledger, pulses_sent):
@@ -887,9 +902,10 @@ def _assert_record_reads_back(tmp_path, tags, ledger, pulses_sent):
     write_pulse_ledger(tmp_path / "run.ledger", ledger)
     assert _same_tags(read_time_tags(tmp_path / "run.tags"), tags)
     back = read_pulse_ledger(tmp_path / "run.ledger")
-    assert back.start_index == ledger.start_index
-    assert np.array_equal(back.code, ledger.code)
-    assert np.array_equal(np.bincount(back.code, minlength=12).reshape(3, 2, 2), pulses_sent)
+    assert _same_ledger(back, ledger)
+    assert np.array_equal(back.totals.reshape(3, 2, 2), pulses_sent)
+    # every tag falls on an event pulse
+    assert np.isin(tags.pulse_index, back.index).all()
     assert np.array_equal(accumulate(tags, WindowLayout(), back).pulses_sent, pulses_sent)
 
 
@@ -916,6 +932,7 @@ def test_session_without_silent_frames_records_every_pulse(tmp_path):
     res, tags, ledger = tagged_session(ExperimentConfig(detector=det, seed=3), pulses=2000)
     assert len(ledger) == 4 * 2000
     assert np.array_equal(np.unique(tags.pulse_index), np.arange(4 * 2000))
+    assert np.array_equal(ledger.index, np.arange(4 * 2000))
     _assert_record_reads_back(tmp_path, tags, ledger, res.counts.pulses_sent)
 
 
@@ -936,7 +953,7 @@ def test_one_pulse_blocks_record_their_pulse(tmp_path):
 @pytest.mark.parametrize(
     "probabilities", [(1.0, 0.0, 0.0), (0.15, 0.6, 0.25)], ids=["one_class", "decoy_largest"]
 )
-def test_silent_frames_take_the_left_over_classes(tmp_path, probabilities):
+def test_ledger_totals_hold_the_classes_sent(tmp_path, probabilities):
     source = SourceConfig(class_probabilities=probabilities)
     det = replace(DetectorModel(), dark_count_rate_hz=1e6)
     blocks = [
@@ -944,8 +961,9 @@ def test_silent_frames_take_the_left_over_classes(tmp_path, probabilities):
         for j, s in enumerate(BB84_SETTINGS)
     ]
     for sent, tags, ledger in _tagged_batch(blocks, source, det):
-        per_class = np.bincount(ledger_columns(ledger)[0], minlength=3)
+        per_class = ledger.totals.reshape(3, 4).sum(axis=1)
         assert len(tags) > 0 and per_class.argmax() == np.argmax(probabilities)
+        assert np.array_equal(np.bincount(ledger_columns(ledger)[0], minlength=3) > 0, per_class > 0)
         assert np.array_equal(per_class > 0, np.array(probabilities) > 0)
         _assert_record_reads_back(tmp_path, tags, ledger, sent)
 
@@ -1105,26 +1123,41 @@ def test_read_time_tags_keeps_17_bytes_per_tag(tmp_path):
     assert 17 * n <= retained < 17.5 * n, retained / n
 
 
-def _random_ledger(rng, start_index: int, n: int) -> PulseLedger:
-    return ledger_of_columns(
-        start_index, rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+def _random_ledger(rng, start_index: int, n: int, event_share: float = 0.3) -> PulseLedger:
+    """A ledger of n pulses with random codes, each pulse an event pulse with probability event_share."""
+    dense = rng.integers(0, 12, n)
+    events = np.flatnonzero(rng.random(n) < event_share)
+    return PulseLedger(
+        start_index, n, np.bincount(dense, minlength=12), start_index + events, dense[events]
     )
 
 
 def _same_ledger(a: PulseLedger, b: PulseLedger) -> bool:
-    return a.start_index == b.start_index and np.array_equal(a.code, b.code)
+    return (
+        (a.start_index, len(a)) == (b.start_index, len(b))
+        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ("totals", "index", "code"))
+    )
+
+
+def _range_bytes(start: int, pulses: int, totals, events) -> bytes:
+    """One range of a ledger file: its 120-byte record, then its 9-byte (index, code) records."""
+    events = list(events)
+    return struct.pack("<15q", start, pulses, *totals, len(events)) + b"".join(
+        struct.pack("<qb", index, code) for index, code in events
+    )
 
 
 @pytest.mark.parametrize("start_index", [0, 9, 123_456_789, 2**63 - 1000])
-def test_ledger_file_is_a_header_line_and_one_code_byte_per_pulse(tmp_path, start_index):
+def test_ledger_file_is_a_header_line_a_range_record_and_9_byte_events(tmp_path, start_index):
     ledger = _random_ledger(_rng(22), start_index, 1000)
+    assert 0 < len(ledger.index) < 1000
     path = tmp_path / "ledger"
     write_pulse_ledger(path, ledger)
     written = path.read_bytes()
-    header = LEDGER_HEAD + str(start_index).encode() + b"\n"
-    assert written[: len(header)] == header and len(written) == len(header) + 1000
-    code = np.frombuffer(written[len(header) :], np.int8)
-    assert np.array_equal(code, ledger.code)
+    assert written == LEDGER_HEAD + _range_bytes(
+        start_index, 1000, ledger.totals.tolist(), zip(ledger.index.tolist(), ledger.code.tolist())
+    )
+    assert len(written) == len(LEDGER_HEAD) + 120 + 9 * len(ledger.index)
     assert _same_ledger(read_pulse_ledger(path), ledger)
 
 
@@ -1135,9 +1168,10 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
     with open(path, "w+b") as f:
         write_pulse_ledger(f, first)
         write_pulse_ledger(f, second)
-    whole = PulseLedger(40, np.concatenate([first.code, second.code]))
     assert path.read_bytes().count(LEDGER_HEAD) == 1
-    assert _same_ledger(read_pulse_ledger(path), whole)
+    whole = read_pulse_ledger(path)
+    assert _same_ledger(whole, _joined([first, second]))
+    assert (whole.start_index, len(whole)) == (40, 12)
 
 
 def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
@@ -1148,24 +1182,36 @@ def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
     # the file already holds a ledger, so no second header
     with open(path, "a+b") as f:
         write_pulse_ledger(f, second)
-    whole = PulseLedger(0, np.concatenate([first.code, second.code]))
     assert path.read_bytes().count(LEDGER_HEAD) == 1
-    assert _same_ledger(read_pulse_ledger(path), whole)
+    assert _same_ledger(read_pulse_ledger(path), _joined([first, second]))
 
 
 @pytest.mark.parametrize("start", [100, 6, 3, 0], ids=["gap", "gap-of-one", "overlap", "restart"])
 def test_ledger_that_does_not_continue_the_open_file_is_refused_unwritten(tmp_path, start):
-    # the file's ledger holds pulses 0..4, so the next one must start at 5
+    # the file's ranges hold pulses 0..4, so the next one must start at 5
     rng = _rng(25)
     path = tmp_path / "ledger"
     with open(path, "w+b") as f:
-        write_pulse_ledger(f, _random_ledger(rng, 0, 5))
+        write_pulse_ledger(f, _random_ledger(rng, 0, 2))
+        write_pulse_ledger(f, _random_ledger(rng, 2, 3))
         written = path.read_bytes()
         with pytest.raises(InvalidInputError, match="goes on at pulse 5"):
             write_pulse_ledger(f, _random_ledger(rng, start, 5))
         write_pulse_ledger(f, _random_ledger(rng, 5, 2))
     assert path.read_bytes()[: len(written)] == written
     assert len(read_pulse_ledger(path)) == 7
+
+
+def test_ledger_appended_to_a_garbled_file_is_refused_unwritten(tmp_path):
+    # the writer walks the range records already there before it appends
+    path = tmp_path / "ledger"
+    write_pulse_ledger(path, _random_ledger(_rng(29), 0, 40))
+    cut = path.read_bytes()[:-1]
+    path.write_bytes(cut)
+    with open(path, "a+b") as f:
+        with pytest.raises(InvalidInputError, match="events"):
+            write_pulse_ledger(f, _random_ledger(_rng(30), 40, 5))
+    assert path.read_bytes() == cut
 
 
 def test_ledger_needs_an_open_file_it_can_read(tmp_path):
@@ -1180,7 +1226,7 @@ def _mutants(rng, data: bytes, header_len: int, count: int):
     """Copies of a record file with one byte replaced, dropped or inserted, or its tail cut."""
     near = b"0123456789\n\r:+- \x00\x0b\x0c\x7f\x80\xff"
     for _ in range(count):
-        # half of the edits fall in the header line, newline included
+        # half of the edits fall in the first header_len bytes, the header
         top = header_len if rng.random() < 0.5 else len(data)
         at = int(rng.integers(0, top))
         value = near[rng.integers(len(near))] if rng.random() < 0.7 else rng.integers(256)
@@ -1196,19 +1242,31 @@ def _mutants(rng, data: bytes, header_len: int, count: int):
             yield data[:at]
 
 
+def _ledger_tuple(ledger: PulseLedger) -> tuple:
+    """A ledger as decode_pulse_ledger gives it."""
+    return (
+        ledger.start_index, len(ledger), ledger.totals.tolist(),
+        ledger.index.tolist(), ledger.code.tolist(),
+    )
+
+
 @pytest.mark.parametrize("start_index", [0, 9, 99_999, 2**63 - 40, 2**63 - 1])
 def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, start_index):
+    # one range, or two where the int64 end leaves room; the edits fall in
+    # the header line and the first range record half the time
     rng = _rng(start_index)
     n = min(int(rng.integers(1, 30)), 2**63 - start_index)
-    ledger = _random_ledger(rng, start_index, n)
+    ledgers = [_random_ledger(rng, start_index, n, event_share=0.5)]
+    if start_index + n + 4 <= 2**63:
+        ledgers.append(_random_ledger(rng, start_index + n, 4, event_share=0.5))
     path = tmp_path / "ledger"
-    write_pulse_ledger(path, ledger)
+    with open(path, "w+b") as f:
+        for ledger in ledgers:
+            write_pulse_ledger(f, ledger)
     written = path.read_bytes()
-    assert decode_pulse_ledger(written) == (
-        start_index, *(column.tolist() for column in ledger_columns(ledger))
-    )
+    assert decode_pulse_ledger(written) == _ledger_tuple(_joined(ledgers))
     outcomes = set()
-    for data in _mutants(rng, written, len(written) - n, 300):
+    for data in _mutants(rng, written, len(LEDGER_HEAD) + 120, 400):
         path.write_bytes(data)
         expected = decode_pulse_ledger(data)
         outcomes.add(expected is None)
@@ -1216,9 +1274,7 @@ def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, star
             with pytest.raises(InvalidInputError):
                 read_pulse_ledger(path)
         else:
-            back = read_pulse_ledger(path)
-            got = (back.start_index, *(column.tolist() for column in ledger_columns(back)))
-            assert got == expected, data
+            assert _ledger_tuple(read_pulse_ledger(path)) == expected, data
     # the edits made both files the reader takes and files it refuses
     assert outcomes == {True, False}
 
@@ -1250,109 +1306,154 @@ def test_tag_reader_agrees_with_the_reference_on_mutated_files(tmp_path, seed):
     assert outcomes == {True, False}
 
 
+_ONE = [1] + [0] * 11  # the totals of one pulse of code 0
+_CODE_11 = [0] * 11 + [1]
+
+
 @pytest.mark.parametrize(
     "data, match",
     [
-        (b"pulse_index,intensity_class,alpha,bit\n0,1,0,1\n", "timebin-qkd pulse ledger/2"),
+        (b"pulse_index,intensity_class,alpha,bit\n0,1,0,1\n", "CSV ledgers of earlier versions"),
+        (b"timebin-qkd pulse ledger/2 start_index=0\n\x01", "pulse ledger/2 files"),
+        (LEDGER_HEAD.replace(b"/3", b"/1") + _range_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
         (LEDGER_HEAD[:-5], "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"12", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"+5\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"5 \n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"0\n\x01\x0c\x02", "0..11"),
-        (LEDGER_HEAD + b"0\n\x01\xff\x02", "0..11"),
-        (LEDGER_HEAD + b"0\n", "empty pulse ledger"),
-        (LEDGER_HEAD + b"%d\n\x01" % 2**63, "int64"),
-        (LEDGER_HEAD + b"%d\n\x01\x01" % (2**63 - 1), "int64"),
+        (LEDGER_HEAD[:-1], "unrecognized pulse ledger header"),
+        (LEDGER_HEAD[:-1] + b"\r\n" + _range_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
+        (b"\xef\xbb\xbf" + LEDGER_HEAD + _range_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
         (b"", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"0\r\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD.replace(b"pulse", b"puls\xc3\xa9") + b"0\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + "\u0661\u0662".encode() + b"\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"1:\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD.replace(b"/2", b"/1") + b"0\n\x01", "unrecognized pulse ledger header"),
-        (b"\xef\xbb\xbf" + LEDGER_HEAD + b"0\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"0" * 64 + b"\n\x01", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD + b"0\n\x01\x80", "0..11"),
-        (LEDGER_HEAD + b"0\n\x7f\x01", "0..11"),
-        (LEDGER_HEAD + b"0\n" + bytes(range(12)) * 1000 + b"\x0c", "0..11"),
+        (LEDGER_HEAD, "empty pulse ledger"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [])[:-1], "range record at byte 27 is cut short"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, []) + b"\x00" * 119, "at byte 147 is cut short"),
+        (LEDGER_HEAD + _range_bytes(0, 2, [2] + [0] * 11, [(0, 0), (1, 0)])[:-1], "holds 2 events"),
+        (LEDGER_HEAD + _range_bytes(0, 2, [2] + [0] * 11, [])[:-8] + struct.pack("<q", -1), "holds -1 events"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, 12)]), "0..11"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, -1)]), "0..11"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, 127)]), "0..11"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, -128)]), "0..11"),
+        (LEDGER_HEAD + _range_bytes(0, 3, [2] + [0] * 11, []), "sum to the pulses"),
+        (LEDGER_HEAD + _range_bytes(0, 1, [2, -1] + [0] * 10, []), "non-negative"),
+        (LEDGER_HEAD + _range_bytes(0, 3, [3] + [0] * 11, [(1, 0), (1, 0)]), "strictly increase"),
+        (LEDGER_HEAD + _range_bytes(0, 3, [3] + [0] * 11, [(2, 0), (1, 0)]), "strictly increase"),
+        (LEDGER_HEAD + _range_bytes(5, 3, [3] + [0] * 11, [(4, 0)]), "within its pulses"),
+        (LEDGER_HEAD + _range_bytes(5, 3, [3] + [0] * 11, [(8, 0)]), "within its pulses"),
+        (LEDGER_HEAD + _range_bytes(0, 2, [1, 1] + [0] * 10, [(0, 1), (1, 1)]), "code 1 occurs more often"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, 11)]), "code 11 occurs more often"),
+        (LEDGER_HEAD + _range_bytes(-1, 1, _ONE, []), "start_index"),
+        (LEDGER_HEAD + _range_bytes(0, 0, [0] * 12, []), "empty pulse ledger"),
+        (LEDGER_HEAD + _range_bytes(2**63 - 1, 2, [2] + [0] * 11, []), "int64"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, []) + _range_bytes(2, 1, _ONE, []), "goes on at pulse 1"),
+        (LEDGER_HEAD + _range_bytes(0, 2, [2] + [0] * 11, []) + _range_bytes(1, 1, _ONE, []), "goes on at pulse 2"),
+        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, []) + _range_bytes(1, 1, _CODE_11, [(1, 0)]), "code 0 occurs more often"),
+        (
+            LEDGER_HEAD + _range_bytes(0, 12_001, [1001] * 11 + [990], [*((i, i % 12) for i in range(12_000)), (12_000, 12)]),
+            "0..11",
+        ),
     ],
     ids=[
-        "csv-of-earlier-versions", "truncated-header", "header-without-newline", "no-start-index",
-        "signed-start-index", "padded-start-index", "code-12", "code-minus-1", "empty-body",
-        "start-index-beyond-int64", "last-index-beyond-int64", "empty-file", "crlf-header",
-        "non-ascii-header", "non-ascii-digits", "colon-in-start-index", "version-1-header",
-        "byte-order-mark", "start-index-past-64-bytes", "code-minus-128", "code-127",
-        "bad-code-after-12000-good-ones",
+        "csv-of-earlier-versions", "version-2-file", "version-1-header", "truncated-header",
+        "header-without-newline", "crlf-header", "byte-order-mark", "empty-file", "no-range",
+        "truncated-range-record", "truncated-second-range-record", "truncated-event-body",
+        "negative-event-count", "code-12", "code-minus-1", "code-127", "code-minus-128",
+        "totals-not-summing-to-the-pulses", "negative-total", "repeated-index", "decreasing-index",
+        "index-before-the-range", "index-past-the-range", "code-past-its-total",
+        "code-without-a-total", "negative-start-index", "range-of-no-pulses",
+        "last-index-beyond-int64", "gap-between-ranges", "overlapping-ranges",
+        "code-past-its-own-ranges-total", "bad-code-after-12000-good-ones",
     ],
 )
 def test_ledger_reader_refuses_what_the_writer_cannot_write(tmp_path, data, match):
     path = tmp_path / "ledger"
     path.write_bytes(data)
+    assert decode_pulse_ledger(data) is None
     with pytest.raises(InvalidInputError, match=match):
         read_pulse_ledger(path)
 
 
 def test_ledger_reader_takes_the_last_int64_pulse_index(tmp_path):
     path = tmp_path / "ledger"
-    path.write_bytes(LEDGER_HEAD + b"%d\n\x0b" % (2**63 - 1))
+    path.write_bytes(LEDGER_HEAD + _range_bytes(2**63 - 1, 1, _CODE_11, [(2**63 - 1, 11)]))
     ledger = read_pulse_ledger(path)
-    assert ledger.start_index == 2**63 - 1
+    assert (ledger.start_index, len(ledger), ledger.index.tolist()) == (2**63 - 1, 1, [2**63 - 1])
     assert [column.tolist() for column in ledger_columns(ledger)] == [[2], [1], [1]]
 
 
-def test_ledger_reader_takes_a_start_index_of_63_digits(tmp_path):
-    # the header line may run to 64 bytes past its fixed head
+def test_ledger_reader_takes_ranges_without_events(tmp_path):
+    # a range of silent pulses holds its totals alone
     path = tmp_path / "ledger"
-    path.write_bytes(LEDGER_HEAD + b"0" * 62 + b"7\n\x05")
+    path.write_bytes(
+        LEDGER_HEAD + _range_bytes(7, 3, [0, 3] + [0] * 10, [])
+        + _range_bytes(10, 2, [0, 1, 1] + [0] * 9, [(11, 2)]) + _range_bytes(12, 5, [0] * 11 + [5], [])
+    )
     ledger = read_pulse_ledger(path)
-    assert ledger.start_index == 7 and ledger.code.tolist() == [5]
+    assert _ledger_tuple(ledger) == (7, 10, [0, 4, 1] + [0] * 8 + [5], [11], [2])
+    assert decode_pulse_ledger(path.read_bytes()) == _ledger_tuple(ledger)
 
 
-def test_read_pulse_ledger_keeps_one_byte_per_pulse(tmp_path):
-    n = 200_000
+def test_read_pulse_ledger_keeps_9_bytes_per_event(tmp_path):
+    n = 400_000
     path = tmp_path / "ledger"
-    write_pulse_ledger(path, _random_ledger(_rng(27), 0, n))
+    write_pulse_ledger(path, _random_ledger(_rng(27), 0, n, event_share=0.5))
+    events = (path.stat().st_size - len(LEDGER_HEAD) - 120) // 9
     tracemalloc.start()
     try:
         ledger = read_pulse_ledger(path)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ledger) == n
-    # the codes as read are the ledger's one column: no row, copy or cast
-    assert n <= retained <= peak < 1.05 * n, (retained / n, peak / n)
+    assert len(ledger) == n and len(ledger.index) == events > 0.45 * n
+    # the index and code columns, copied out of the file's records, which
+    # are freed; at the peak both are held, with at most a byte per event
+    # of temporaries
+    assert 9 * events <= retained < 9 * events + 4096, retained / events
+    assert peak < 20 * events, peak / events
 
 
 def test_ledger_values_are_range_checked():
-    ok = PulseLedger(0, [1, 6, 9])
+    ok = PulseLedger(0, 3, np.bincount([1, 6, 9], minlength=12), [0, 1, 2], [1, 6, 9])
     assert len(ok) == 3
     assert [column.tolist() for column in ledger_columns(ok)] == [[0, 1, 2], [0, 1, 0], [1, 0, 1]]
     # a fraction is refused, not truncated
     for code in ([12], [-1], [1.5], [0.5], [math.nan]):
         with pytest.raises(InvalidInputError, match="ledger codes"):
-            PulseLedger(0, code)
+            PulseLedger(0, 1, _ONE, [0], code)
     for start in (0.5, -1, -1.0, math.nan, math.inf, 2.0**63):
         with pytest.raises(InvalidInputError, match="start_index"):
-            PulseLedger(start, [4])
+            PulseLedger(start, 1, _ONE, [], [])
+    for pulses in (0.5, 1.5, math.nan):
+        with pytest.raises(InvalidInputError, match="pulses"):
+            PulseLedger(0, pulses, _ONE, [], [])
+    for totals in ([0.5, 0.5] + [0] * 10, [math.inf] + [0] * 11):
+        with pytest.raises(InvalidInputError, match="ledger totals"):
+            PulseLedger(0, 1, totals, [], [])
+    with pytest.raises(InvalidInputError, match="ledger pulse indices"):
+        PulseLedger(0, 2, [2] + [0] * 11, [0.5], [0])
     # integral floats are still taken
-    whole = PulseLedger(3.0, [10.0])
-    assert whole.start_index == 3 and whole.code.tolist() == [10]
+    whole = PulseLedger(3.0, 1.0, [0.0] * 10 + [1.0, 0.0], [3.0], [10.0])
+    assert (whole.start_index, len(whole), whole.code.tolist()) == (3, 1, [10])
     # codes are checked in their own dtype before narrowing to int8, where
     # 267 would wrap to 11, 256 to 0 and -254 to 2
     for value in (268, 267, 256, -254):
         with pytest.raises(InvalidInputError, match="0..11"):
-            PulseLedger(0, np.array([0, value], dtype=np.int64))
+            PulseLedger(0, 2, [2] + [0] * 11, [0, 1], np.array([0, value], dtype=np.int64))
     # a negative int8 code is refused, and so is an unsigned one past 11
-    for code in (np.array([5, -1], dtype=np.int8), np.array([5, -128], dtype=np.int8),
+    for code in (np.array([-1], dtype=np.int8), np.array([-128], dtype=np.int8),
                  np.array([12], dtype=np.uint8), np.array([2**64 - 1], dtype=np.uint64)):
         with pytest.raises(InvalidInputError):
-            PulseLedger(0, code)
+            PulseLedger(0, 1, _ONE, [0], code)
+    # 12 totals, none negative, that sum to the pulses, even past int64
+    for totals in ([1] * 11, [1] * 13, [[1] * 12]):
+        with pytest.raises(InvalidInputError, match="one non-negative count per code"):
+            PulseLedger(0, 12, totals, [], [])
+    with pytest.raises(InvalidInputError, match="sum to the pulses"):
+        PulseLedger(0, 2, [2**62] * 8 + [2] + [0] * 3, [], [])
 
 
 def test_python_ints_beyond_the_float_range_are_refused():
     # numpy holds them as objects, whose cast to float64 overflows
     with pytest.raises(InvalidInputError, match="start_index"):
-        PulseLedger(10**400, [0])
+        PulseLedger(10**400, 1, _ONE, [], [])
+    with pytest.raises(InvalidInputError, match="ledger totals"):
+        PulseLedger(0, 1, [10**400] + [0] * 11, [], [])
     with pytest.raises(InvalidInputError, match="pulse_index"):
         TimeTags([10**400], [0], [0])
     with pytest.raises(InvalidInputError, match="whole picoseconds"):
@@ -1362,17 +1463,33 @@ def test_python_ints_beyond_the_float_range_are_refused():
 def test_ledger_refuses_what_its_file_could_not_hold():
     # the last pulse index passes int64
     with pytest.raises(InvalidInputError, match="int64"):
-        PulseLedger(2**63 - 1, [0, 0])
+        PulseLedger(2**63 - 1, 2, [2] + [0] * 11, [], [])
     with pytest.raises(InvalidInputError, match="empty pulse ledger"):
-        PulseLedger(0, [])
-    # a table of codes would be written as its flattened bytes and read
-    # back as another ledger
-    for code in (np.zeros((2, 3), dtype=np.int8), 5):
-        with pytest.raises(InvalidInputError, match="one column"):
-            PulseLedger(0, code)
+        PulseLedger(0, 0, [0] * 12, [], [])
+    # a table of codes or indices would be written as its flattened bytes
+    # and read back as another ledger; each code needs its index
+    for index, code in ((np.zeros((2, 3)), np.zeros((2, 3))), (5, 5), ([0, 1], [0]), ([0], [0, 1])):
+        with pytest.raises(InvalidInputError, match="two columns of equal length"):
+            PulseLedger(0, 6, [6] + [0] * 11, index, code)
 
 
-def test_a_later_write_into_the_callers_codes_leaves_the_ledger_unchanged():
+def test_a_tag_on_a_pulse_without_an_event_is_refused():
+    # pulses 10..19, events on 12 and 15 only
+    ledger = PulseLedger(10, 10, [8, 2] + [0] * 10, [12, 15], [1, 1])
+    layout = WindowLayout()
+    ok = accumulate(_tags((12, 0, 0), (15, 0, 0), (15, 1, 8000)), layout, ledger)
+    # pulse 15's two windowed tags are dropped
+    assert ok.counts[0, 0, 1, 0, 0] == ok.counts.sum() == 1 and ok.pulses_sent.sum() == 10
+    for pulse in (10, 13, 16, 19):
+        with pytest.raises(InvalidInputError, match=f"pulse_index {pulse} holds no event"):
+            accumulate(_tags((12, 0, 0), (pulse, 0, 2935)), layout, ledger)
+    # nor may it fall on a pulse of a ledger without events
+    silent = PulseLedger(0, 4, [4] + [0] * 11, [], [])
+    with pytest.raises(InvalidInputError, match="holds no event"):
+        accumulate(_tags((2, 1, 8000)), layout, silent)
+
+
+def test_a_later_write_into_the_callers_columns_leaves_the_ledger_unchanged():
     base = np.zeros(3, dtype=np.int8)
     view = base[:]
     view.flags.writeable = False  # read-only, but its base is not
@@ -1382,30 +1499,32 @@ def test_a_later_write_into_the_callers_codes_leaves_the_ledger_unchanged():
         (np.zeros(3, dtype=np.int64), None),
     ]:
         owner = code if owner is None else owner
-        ledger = PulseLedger(0, code)
-        owner[0] = 99
-        assert ledger.code.tolist() == [0, 0, 0]
-        with pytest.raises(ValueError, match="read-only"):
-            ledger.code[0] = 99
+        index, totals = np.arange(3), np.array([3] + [0] * 11)
+        ledger = PulseLedger(0, 3, totals, index, code)
+        owner[0], index[0], totals[0] = 99, 1, 0
+        assert ledger.code.tolist() == [0, 0, 0] and ledger.index.tolist() == [0, 1, 2]
+        assert ledger.totals[0] == 3
+        for column in (ledger.code, ledger.index, ledger.totals):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 99
 
 
-def test_a_read_only_code_column_is_kept_without_a_copy(tmp_path):
-    n = 1_000_000
-    code = np.zeros(n, dtype=np.int8)
-    code.flags.writeable = False
-    for given, kept in [(code, True), (np.zeros(n, dtype=np.int8), False)]:
+def test_ledger_copies_each_column_once():
+    # read-only or not, the caller's columns are copied, once, into the
+    # ledger's 9 bytes per event
+    n = 200_000
+    for read_only in (True, False):
+        index, code = np.arange(n), np.zeros(n, dtype=np.int8)
+        index.flags.writeable = code.flags.writeable = not read_only
         tracemalloc.start()
         try:
-            ledger = PulseLedger(0, given)
-            retained = tracemalloc.get_traced_memory()[0]
+            ledger = PulseLedger(0, n, [n] + [0] * 11, index, code)
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (ledger.code is given) == kept
-        assert retained < 0.01 * n if kept else retained >= n, retained
-    # the engine and the reader hand over columns of that kind, so the
-    # ledger holds the one byte per pulse they made
-    for ledger in _ledgers_of_every_source(tmp_path)[1:]:
-        assert not ledger.code.flags.writeable and ledger.code.base is None
+        assert ledger.index is not index and ledger.code is not code
+        assert 9 * n <= retained < 9 * n + 4096, retained / n
+        assert peak < 10.1 * n, peak / n
 
 
 @pytest.mark.parametrize(
@@ -1414,41 +1533,15 @@ def test_a_read_only_code_column_is_kept_without_a_copy(tmp_path):
     ids=["start-0", "last-int64-index", "twelve-codes-to-the-int64-end", "several-pulses"],
 )
 def test_every_ledger_the_constructor_takes_reads_back_equal(tmp_path, start_index, code):
-    ledger = PulseLedger(start_index, code)
-    write_pulse_ledger(tmp_path / "ledger", ledger)
-    back = read_pulse_ledger(tmp_path / "ledger")
-    assert back.start_index == start_index and back.code.tolist() == code
-
-
-def _marginals_cases():
-    # a zero colour; nsample 0 and nsample = total; nsample either side of
-    # total // 2, an even and an odd total; and the engine's chunk sizes,
-    # a full chunk of a 1e6-pulse block with its events taken out and the
-    # last chunk of one of 2.5e5
-    yield [0, 40, 200], 30
-    yield [40, 0, 200], 150
-    yield [40, 200, 0], 120
-    for colors in ([13, 29, 158], [13, 29, 159]):
-        total = sum(colors)
-        yield colors, 0
-        yield colors, total
-        for nsample in (total // 2 - 1, total // 2, total // 2 + 1):
-            yield colors, nsample
-    yield [30_421, 61_207, 888_612], PLACEMENT_CHUNK_FRAMES - 318
-    yield [812, 1_671, 7_440], 250_000 % PLACEMENT_CHUNK_FRAMES - 93
-
-
-@pytest.mark.parametrize("colors, nsample", list(_marginals_cases()))
-def test_hypergeometric_pair_draws_what_the_marginals_method_draws(colors, nsample):
-    for seed in range(25):
-        numpy_rng, pair_rng = _rng(seed), _rng(seed)
-        want = numpy_rng.multivariate_hypergeometric(colors, nsample, method="marginals")
-        got = _hypergeometric_marginals(pair_rng, colors, nsample)
-        assert got == want.tolist() and sum(got) == nsample, seed
-        assert all(type(k) is int for k in got)
-        # both generators are left on the same next draw
-        assert pair_rng.bit_generator.state == numpy_rng.bit_generator.state, seed
-        assert pair_rng.integers(2**62, size=3).tolist() == numpy_rng.integers(2**62, size=3).tolist()
+    # every pulse an event, then only the odd pulses, then none
+    n = len(code)
+    totals = np.bincount(code, minlength=12)
+    for events in (np.arange(n), np.arange(1, n, 2), np.arange(0)):
+        ledger = PulseLedger(start_index, n, totals, start_index + events, np.array(code)[events])
+        write_pulse_ledger(tmp_path / "ledger", ledger)
+        back = read_pulse_ledger(tmp_path / "ledger")
+        assert _same_ledger(back, ledger)
+        assert decode_pulse_ledger((tmp_path / "ledger").read_bytes()) == _ledger_tuple(ledger)
 
 
 def _ledgers_of_every_source(tmp_path) -> tuple[PulseLedger, ...]:
@@ -1466,23 +1559,26 @@ def _ledgers_of_every_source(tmp_path) -> tuple[PulseLedger, ...]:
     )
 
 
-def test_ledger_code_is_int8(tmp_path):
+def test_ledger_columns_are_int64_totals_and_indices_and_int8_codes(tmp_path):
     for ledger in _ledgers_of_every_source(tmp_path):
+        assert ledger.totals.dtype == ledger.index.dtype == np.int64
         assert ledger.code.dtype == np.int8
 
 
-def test_ledger_is_one_byte_per_pulse_with_a_read_only_code(tmp_path):
+def test_ledger_holds_9_bytes_per_event_in_read_only_columns(tmp_path):
     for ledger in _ledgers_of_every_source(tmp_path):
         arrays = [v for v in vars(ledger).values() if isinstance(v, np.ndarray)]
-        assert [a.nbytes for a in arrays] == [len(ledger)]
-        before = ledger.code.tolist()
-        # the code passed the constructor's checks; neither a write into
-        # it nor a new column may bypass them
-        with pytest.raises(ValueError, match="read-only"):
-            ledger.code[0] = 1
-        with pytest.raises(AttributeError):
-            ledger.code = np.zeros(len(ledger), dtype=np.int8)
-        assert ledger.code.tolist() == before
+        assert sorted(a.nbytes for a in arrays) == sorted([96, 8 * len(ledger.index), len(ledger.index)])
+        for name in ("totals", "index", "code"):
+            column = getattr(ledger, name)
+            before = column.tolist()
+            # the columns passed the constructor's checks; neither a write
+            # into one nor a new column may bypass them
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+            with pytest.raises(AttributeError):
+                setattr(ledger, name, np.zeros(len(column), dtype=column.dtype))
+            assert getattr(ledger, name).tolist() == before
 
 
 def test_tag_detector_ids_are_int8(tmp_path):
@@ -1535,7 +1631,9 @@ def test_accumulate_matches_the_dict_loop_reference():
         )
         tags = _edge_case_tags(rng, layout, n, int(rng.integers(0, 80)))
         tags.pulse_index += start
-        assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger), seed
+        # every pulse of these ledgers is an event pulse: the codes are dense
+        loop = accumulate_loop(tags, layout, start, ledger.code)
+        assert accumulate(tags, layout, ledger) == loop, seed
     # a full block's tags
     layout = WindowLayout()
     det = replace(IDEAL_DET, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6)
@@ -1543,8 +1641,9 @@ def test_accumulate_matches_the_dict_loop_reference():
         BB84_SETTINGS[3], 100_000, SourceConfig(), LossBudget(), PERFECT_SWITCH, det,
         _rng(23), start_index=77,
     )
-    assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, ledger)
-    assert accumulate(_tags(), layout, ledger) == accumulate_loop(_tags(), layout, ledger)
+    dense = dense_codes(ledger, _rng(24))
+    assert accumulate(tags, layout, ledger) == accumulate_loop(tags, layout, 77, dense)
+    assert accumulate(_tags(), layout, ledger) == accumulate_loop(_tags(), layout, 77, dense)
     # at width 0.5 windows 1 and 3 hold no whole picosecond
     first, last = detection._window_edges(WindowLayout(width_ps=0.5))
     assert (first == last + 1).tolist() == [False, True, False, True]
@@ -1557,11 +1656,37 @@ def test_accumulate_matches_the_dict_loop_reference():
         stamps = np.tile(np.concatenate([first - 1, first, last, last + 1]), 2)
         pulse = np.concatenate([np.arange(16), 16 + rng.integers(0, 8, 16)])
         tags = _select(TimeTags(5 + pulse, rng.integers(0, 2, 32), stamps), rng.permutation(32))
-        ledger = _random_ledger(rng, 5, 24)
+        ledger = _random_ledger(rng, 5, 24, event_share=1.0)
         counts = accumulate(tags, layout, ledger)
-        assert counts == accumulate_loop(tags, layout, ledger), width
+        assert counts == accumulate_loop(tags, layout, 5, ledger.code), width
         # the lone first and last of every window that holds a picosecond
         assert counts.counts.sum() >= 2 * np.count_nonzero(first <= last), width
+
+
+def test_accumulate_of_ledger_pieces_equals_the_loop_over_any_dense_expansion(monkeypatch):
+    # a session cut into blocks of 5,000 pulses, three per setting, with
+    # darks and wide jitter for pulses with two tags and tags out of every
+    # window; each piece's silent codes take several arrangements
+    monkeypatch.setattr(experiment, "BLOCK_PULSES", 5_000)
+    cfg = ExperimentConfig(seed=35)
+    cfg = replace(cfg, detector=replace(cfg.detector, jitter_sigma_ps=400.0, dark_count_rate_hz=1e6))
+    pieces = []
+    res = run_session(cfg, pulses=12_000, sink=lambda tags, ledger: pieces.append((tags, ledger)))
+    assert len(pieces) == 12
+    total = SessionCounts.zeros()
+    for k, (tags, ledger) in enumerate(pieces):
+        counts = accumulate(tags, cfg.layout, ledger)
+        for seed in range(3):
+            dense = dense_codes(ledger, _rng([36, k, seed]))
+            assert np.array_equal(np.bincount(dense, minlength=12), ledger.totals)
+            assert np.array_equal(dense[ledger.index - ledger.start_index], ledger.code)
+            assert counts == accumulate_loop(tags, cfg.layout, ledger.start_index, dense), (k, seed)
+        total += counts
+    # the pieces joined give the sum of their counts
+    _, all_tags, whole = tagged_session(cfg, pulses=12_000)
+    assert total.pulses_sent.sum() == 48_000 and total == accumulate(all_tags, cfg.layout, whole)
+    assert np.array_equal(total.pulses_sent, res.counts.pulses_sent)
+    assert 0 < total.counts.sum() < res.counts.counts.sum()
 
 
 def test_detector_model_validation():

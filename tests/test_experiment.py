@@ -282,7 +282,9 @@ def test_run_session_tags_rebuild_the_counts(dark_hz, pulses, policy):
     assert np.array_equal(order, np.arange(len(tags)))
     rebuilt = accumulate(tags, cfg.layout, ledger)
     pulse, first, n_tags = np.unique(tags.pulse_index, return_index=True, return_counts=True)
-    two = pulse[n_tags == 2] - ledger.start_index
+    # every tagged pulse is an event pulse: its code is found among the events'
+    two = np.searchsorted(ledger.index, pulse[n_tags == 2])
+    assert np.array_equal(ledger.index[two], pulse[n_tags == 2])
     doubles = np.zeros((3, 2, 2, 2), dtype=np.int64)
     class_idx, alpha, bit = ledger_columns(ledger)
     np.add.at(doubles, (class_idx[two], alpha[two], bit[two], tags.detector_id[first[n_tags == 2]]), 1)
@@ -668,8 +670,6 @@ def _engine_draws(rng):
         rng.multinomial([30, 40], [0.5, 0.25, 0.25]),
         rng.binomial([3, 9, 27], 0.5),
         labels,
-        np.array([rng.hypergeometric(5, 907, 50), rng.hypergeometric(7, 900, 50)]),
-        rng.choice(1_000, 30, replace=False),
         rng.normal(0.0, 150.0, size=6),
         rng.poisson(0.8, size=6),
     ]

@@ -146,7 +146,9 @@ def observed_cells(cfg, tags, ledger, frames) -> np.ndarray:
     pattern = np.bincount(tags.pulse_index - start, weights=1 << window, minlength=len(ledger))
     pathway = np.zeros(len(ledger), dtype=np.int64)
     pathway[tags.pulse_index - start] = tags.detector_id
-    cell = ledger_columns(ledger)[0][frames] * 6 + pathway[frames] * 3 + pattern[frames].astype(np.int64) - 1
+    # every event frame is an event pulse of the ledger, in frame order
+    assert np.array_equal(ledger.index, start + frames)
+    cell = ledger_columns(ledger)[0] * 6 + pathway[frames] * 3 + pattern[frames].astype(np.int64) - 1
     cell[pattern[frames] == 0] = -1
     return cell
 

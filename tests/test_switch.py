@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from timebin_qkd.errors import InvalidInputError
-from timebin_qkd.qubit import mub_states, prepare_state, Basis
+from timebin_qkd.qubit import prepare_state
 from timebin_qkd.switch import (
     DEFAULT_BIN_SEPARATION_PS,
     DEFAULT_PUMP_FWHM_PS,
