@@ -5,9 +5,10 @@ Dump a session's records, read them back, and count them again
 `session --dump-tags PATH` writes the two records a session's counts come
 from, both binary: the receiver's time tags at PATH (a header line, then
 one 17-byte record per click: pulse, detector, whole picoseconds) and the
-sender's pulse ledger at PATH.ledger (a header line, then per block the
-pulses sent of each intensity class, basis and bit, and 9 bytes for each
-event pulse, the only pulses a tag can fall on: its index and code).
+sender's pulse ledger at PATH.ledger (a header line, then one summary of
+the pulses sent of each intensity class, basis and bit, kept up to date
+as each block is appended, and 9 bytes for each event pulse, the only
+pulses a tag can fall on: its index and code).
 Reading both back and binning each tag into the detection window around
 its slot rebuilds the counts.
 The rebuilt counts see every pulse sent, but not every event: timing

@@ -22,7 +22,7 @@ from .switch import (
     switching_efficiency,
     with_delay,
 )
-from .source import sample_photon_number, transmittance
+from .source import transmittance
 from .detection import (
     accumulate,
     read_pulse_ledger,
@@ -83,7 +83,6 @@ __all__ = [
     "run_pump_delay_scan",
     "run_session",
     "run_stability",
-    "sample_photon_number",
     "secret_key_rate",
     "simulate_block",
     "switching_efficiency",

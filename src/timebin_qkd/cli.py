@@ -178,8 +178,9 @@ def _replaced_on_success(path: str):
     """A binary file at a sibling temp name, moved to `path` when the with-body returns.
 
     If the body raises, the temp file is removed instead, so a failed run
-    leaves no partial file at `path`.  The file is open for reading too,
-    since the ledger writer walks its range records before it appends.
+    leaves no partial file at `path`.  The file is open for reading and
+    not in append mode, since the ledger writer reads its one summary
+    record before it appends and then rewrites that record in place.
     """
     tmp = f"{path}.partial"
     try:

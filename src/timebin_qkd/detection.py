@@ -8,7 +8,9 @@ windows per repetition frame.  Counting is by pulse outcome; time tags are
 an equivalent record of the same clicks for external tooling, written,
 like the pulse ledger, as one header line and then fixed-size records.
 The pulse ledger holds what sifting announces, the codes of the event
-pulses, and the code totals of its range: it grows with the events.
+pulses, and the code totals of its range: it grows with the events.  Its
+file holds one summary record, rewritten in place as events are
+appended, so it is the same bytes however a run was cut into blocks.
 
 Probabilities come straight from the switched-state amplitudes: the
 effective detected qubit is (switched early-bin V amplitude, unswitched
@@ -375,17 +377,6 @@ def _read_only(column: np.ndarray, dtype) -> np.ndarray:
     return column
 
 
-def _joined(ledgers: list[PulseLedger]) -> PulseLedger:
-    """One ledger of consecutive ranges, in pulse order."""
-    return PulseLedger(
-        ledgers[0].start_index,
-        sum(len(ledger) for ledger in ledgers),
-        np.sum([ledger.totals for ledger in ledgers], axis=0),
-        np.concatenate([ledger.index for ledger in ledgers]),
-        np.concatenate([ledger.code for ledger in ledgers]),
-    )
-
-
 @dataclass
 class TimeTags:
     """The click record as columns: one row per click, in any order.
@@ -498,10 +489,10 @@ def accumulate(
 _TAG_HEAD = b"timebin-qkd time tags/2\n"
 # One tag on disk: packed, little-endian, 17 bytes.
 _TAG_RECORD = np.dtype([("pulse_index", "<i8"), ("detector_id", "i1"), ("timestamp_ps", "<i8")])
-_LEDGER_HEAD = b"timebin-qkd pulse ledger/3\n"
-# One appended range of a ledger file, then each of its event pulses:
+_LEDGER_HEAD = b"timebin-qkd pulse ledger/4\n"
+# A ledger file's one summary record, then each of its event pulses:
 # packed, little-endian, 120 and 9 bytes.
-_RANGE_RECORD = np.dtype(
+_SUMMARY_RECORD = np.dtype(
     [("start_index", "<i8"), ("pulses", "<i8"), ("totals", "<i8", (12,)), ("events", "<i8")]
 )
 _EVENT_RECORD = np.dtype([("index", "<i8"), ("code", "i1")])
@@ -554,94 +545,90 @@ def read_time_tags(path) -> TimeTags:
 
 
 def write_pulse_ledger(path, ledger: PulseLedger) -> None:
-    """Write the sender record: a header line, one range record, its event records.
+    """Write the sender record: a header line, one summary record, its event records.
 
-    The header is `timebin-qkd pulse ledger/3`; the range record holds
+    The header is `timebin-qkd pulse ledger/4`; the summary record holds
     the packed little-endian int64 start index, pulses, 12 code totals
     and event count (120 bytes), and each event record an event pulse's
     int64 index and int8 code (9 bytes).  `path` may also be a binary
-    file open for reading and writing: the range is appended, after the
-    header if the file is still empty.  The file's range records are
-    walked first, and a ledger that does not begin where the last ends,
-    a gap or an overlap, is refused unwritten; so is a file not open for
-    reading.
+    file open for reading and for writing in place (w+b or r+b; an a+b
+    file cannot rewrite its summary and is refused unwritten).  There
+    the events are appended, after the header and summary if the file is
+    still empty, and the summary is rewritten with the pulses, totals and
+    events summed; so the file is the same bytes however the ledger was
+    cut into appends.  The file's header, summary and size are read and
+    checked first, and a ledger that does not begin where the file's
+    ends, a gap or an overlap, is refused unwritten.
     """
+    summary = np.array(
+        [(ledger.start_index, len(ledger), ledger.totals, len(ledger.index))], _SUMMARY_RECORD
+    )
+    events = np.rec.fromarrays([ledger.index, ledger.code], dtype=_EVENT_RECORD)
     if hasattr(path, "write"):
-        if not path.readable():
-            raise InvalidInputError("an open ledger file must be readable too (w+b or a+b)")
-        end = path.seek(0, os.SEEK_END)
-        if end:
-            next_index = ledger.start_index
-            for rec, _ in _ledger_ranges(path, end):
-                next_index = int(rec["start_index"]) + int(rec["pulses"])
-            path.seek(end)
-            if ledger.start_index != next_index:
+        if "a" in getattr(path, "mode", "") or not path.readable():
+            raise InvalidInputError(
+                "an open ledger file must be readable and rewritable in place (w+b or r+b, not a+b)"
+            )
+        if path.seek(0, os.SEEK_END):
+            old = _ledger_summary(path)
+            going_on = int(old["start_index"]) + int(old["pulses"])
+            if ledger.start_index != going_on:
                 raise InvalidInputError(
                     f"ledger starts at pulse {ledger.start_index}, "
-                    f"but the file's ledger goes on at pulse {next_index}"
+                    f"but the file's ledger goes on at pulse {going_on}"
                 )
-    record = (ledger.start_index, len(ledger), ledger.totals, len(ledger.index))
-    events = np.rec.fromarrays([ledger.index, ledger.code], dtype=_EVENT_RECORD)
-    _append(path, _LEDGER_HEAD, np.array([record], _RANGE_RECORD), events)
+            summary["start_index"] = old["start_index"]
+            for name in ("pulses", "totals", "events"):
+                summary[name] += old[name]
+            path.seek(len(_LEDGER_HEAD))
+            path.write(summary)
+            path.seek(0, os.SEEK_END)
+            path.write(events)
+            return
+    _append(path, _LEDGER_HEAD, summary, events)
 
 
-def _ledger_ranges(f, end: int):
-    """Each range record of the ledger file `f`, `end` bytes long, and its events' offset.
+def _ledger_summary(f) -> np.void:
+    """The summary record of the ledger file `f`, which is left just past it.
 
-    A header that is not `timebin-qkd pulse ledger/3`, a record cut short,
-    an event count the file does not hold, or a range that does not begin
-    where the one before ends is refused.  `f` may be moved between yields.
+    A header that is not `timebin-qkd pulse ledger/4`, a summary cut
+    short, or a file whose size is not the header, the summary and its
+    event count's 9-byte records is refused.
     """
+    end = f.seek(0, os.SEEK_END)
     f.seek(0)
     head = f.read(len(_LEDGER_HEAD))
     if head != _LEDGER_HEAD:
         raise InvalidInputError(
-            f"unrecognized pulse ledger header {head!r}: expected {_LEDGER_HEAD!r} "
-            "(pulse ledger/2 files and CSV ledgers of earlier versions are not read)"
+            f"unrecognized pulse ledger header {head!r}: expected {_LEDGER_HEAD!r} (pulse "
+            "ledger/3 files, pulse ledger/2 files and CSV ledgers of earlier versions are not read)"
         )
-    at, next_index = len(_LEDGER_HEAD), None
-    while at < end:
-        f.seek(at)
-        data = f.read(_RANGE_RECORD.itemsize)
-        if len(data) < _RANGE_RECORD.itemsize:
-            raise InvalidInputError(f"pulse ledger range record at byte {at} is cut short")
-        rec = np.frombuffer(data, _RANGE_RECORD)[0]
-        at += _RANGE_RECORD.itemsize
-        events = int(rec["events"])
-        if not 0 <= events <= (end - at) // _EVENT_RECORD.itemsize:
-            raise InvalidInputError(f"pulse ledger range holds {events} events in {end - at} bytes")
-        start = int(rec["start_index"])
-        if next_index is not None and start != next_index:
-            raise InvalidInputError(
-                f"ledger range starts at pulse {start}, "
-                f"but the file's ledger goes on at pulse {next_index}"
-            )
-        yield rec, at
-        at += events * _EVENT_RECORD.itemsize
-        next_index = start + int(rec["pulses"])
+    data = f.read(_SUMMARY_RECORD.itemsize)
+    if len(data) < _SUMMARY_RECORD.itemsize:
+        raise InvalidInputError(f"pulse ledger summary record at byte {len(head)} is cut short")
+    summary = np.frombuffer(data, _SUMMARY_RECORD)[0]
+    events, body = int(summary["events"]), end - f.tell()
+    if body != events * _EVENT_RECORD.itemsize:
+        raise InvalidInputError(
+            f"pulse ledger summary counts {events} events, but {body} bytes follow it"
+        )
+    return summary
 
 
 def read_pulse_ledger(path) -> PulseLedger:
-    """Read a ledger file: its ranges, walked in order, joined into one ledger.
+    """Read a ledger file: its summary, then its events in one read.
 
-    The walk (`_ledger_ranges`) refuses the /2 and CSV ledgers of earlier
-    versions, records cut short and ranges with a gap or an overlap.  Each
-    range goes to the PulseLedger constructor, which refuses what it
-    would from any caller, and a file without one is an empty ledger.
-    So every ledger the writer can write reads back.
+    `_ledger_summary` refuses the /3, /2 and CSV ledgers of earlier
+    versions, a summary cut short and an event body longer or shorter
+    than the summary counts.  The summary and the events go to one
+    PulseLedger constructor call, which refuses what it would from any
+    caller.  So every ledger the writer can write reads back.
     """
-    ranges = []
     with open(path, "rb") as f:
-        for rec, at in _ledger_ranges(f, f.seek(0, os.SEEK_END)):
-            f.seek(at)
-            data = f.read(int(rec["events"]) * _EVENT_RECORD.itemsize)
-            events = np.frombuffer(data, _EVENT_RECORD)
-            ranges.append(PulseLedger(
-                rec["start_index"], rec["pulses"], rec["totals"], events["index"], events["code"]
-            ))
-    if not ranges:
-        raise InvalidInputError("empty pulse ledger")
-    return ranges[0] if len(ranges) == 1 else _joined(ranges)
+        summary = _ledger_summary(f)
+        events = np.frombuffer(f.read(), _EVENT_RECORD)
+    start, pulses, totals = summary["start_index"], summary["pulses"], summary["totals"]
+    return PulseLedger(start, pulses, totals, events["index"], events["code"])
 
 
 def _dead_frames(det: DetectorModel, source: SourceConfig) -> int:

@@ -99,17 +99,6 @@ def transmittance(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def sample_photon_number(mean, rng: np.random.Generator, size=None):
-    """Poisson photon number draw(s) for the given mean(s)."""
-    mean_arr = np.asarray(mean, dtype=float)
-    if np.any(~np.isfinite(mean_arr)) or np.any(mean_arr < 0):
-        raise InvalidInputError("mean photon number must be finite and non-negative")
-    out = rng.poisson(mean_arr if size is None else mean, size=size)
-    if np.ndim(mean) == 0 and size is None:
-        return int(out)
-    return out
-
-
 @dataclass(frozen=True)
 class DriftModel:
     """Slow drift of pump power (relative) and pump polarization (rad).

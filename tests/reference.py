@@ -86,7 +86,7 @@ def decode_time_tags(data: bytes) -> tuple[list, list, list] | None:
 
 
 # The ledger file's header line, newline included.
-LEDGER_HEAD = b"timebin-qkd pulse ledger/3\n"
+LEDGER_HEAD = b"timebin-qkd pulse ledger/4\n"
 
 
 def _int64(data: bytes, at: int) -> int:
@@ -96,56 +96,41 @@ def _int64(data: bytes, at: int) -> int:
 def decode_pulse_ledger(data: bytes) -> tuple[int, int, list, list, list] | None:
     """(start_index, pulses, totals, index, code) of a ledger file's bytes, or None.
 
-    The file's ranges joined: the first start index, the summed pulses
-    and per-code totals, and the event indices and codes in file order.
     None when the file is not one a writer could have made: it does not
-    start with LEDGER_HEAD; it holds no range; a range is not a whole
-    120-byte record (little-endian int64 start index, pulses, 12 totals
-    and event count) followed by that many whole 9-byte event records
-    (int64 index, int8 code); or, within a range, the start index is
-    negative, the pulses are fewer than 1, the last pulse index passes
-    int64, a total is negative, the totals do not sum to the pulses, an
-    index is outside the range or not past the one before, a code is
-    outside 0..11, or a code occurs more often than its total; or a range
-    does not begin where the one before ends.
+    start with LEDGER_HEAD; the header is not followed by one whole
+    120-byte summary record (little-endian int64 start index, pulses, 12
+    totals and event count) and exactly that many whole 9-byte event
+    records (int64 index, int8 code); or the start index is negative, the
+    pulses are fewer than 1, the last pulse index passes int64, a total
+    is negative, the totals do not sum to the pulses, an index is outside
+    the ledger's pulses or not past the one before, a code is outside
+    0..11, or a code occurs more often than its total.
     """
-    if not data.startswith(LEDGER_HEAD):
+    if not data.startswith(LEDGER_HEAD) or len(data) - len(LEDGER_HEAD) < 120:
         return None
-    at, first, pulses, totals, index, code = len(LEDGER_HEAD), None, 0, [0] * 12, [], []
-    while at < len(data):
-        if len(data) - at < 120:
-            return None
-        start, n = _int64(data, at), _int64(data, at + 8)
-        counts = [_int64(data, at + 16 + 8 * k) for k in range(12)]
-        events = _int64(data, at + 112)
-        at += 120
-        if events < 0 or len(data) - at < 9 * events:
-            return None
-        if start < 0 or n < 1 or start + n - 1 > 2**63 - 1:
-            return None
-        if min(counts) < 0 or sum(counts) != n:
-            return None
-        if first is not None and start != first + pulses:
-            return None
-        seen = [0] * 12
-        last = start - 1
-        for _ in range(events):
-            i, c = _int64(data, at), data[at + 8]
-            at += 9
-            if not last < i < start + n or c > 11:
-                return None
-            seen[c] += 1
-            last = i
-            index.append(i)
-            code.append(c)
-        if any(s > t for s, t in zip(seen, counts)):
-            return None
-        first = start if first is None else first
-        pulses += n
-        totals = [t + c for t, c in zip(totals, counts)]
-    if first is None:
+    at = len(LEDGER_HEAD)
+    start, n = _int64(data, at), _int64(data, at + 8)
+    totals = [_int64(data, at + 16 + 8 * k) for k in range(12)]
+    events = _int64(data, at + 112)
+    at += 120
+    if len(data) - at != 9 * events:
         return None
-    return first, pulses, totals, index, code
+    if start < 0 or n < 1 or start + n - 1 > 2**63 - 1:
+        return None
+    if min(totals) < 0 or sum(totals) != n:
+        return None
+    seen, last, index, code = [0] * 12, start - 1, [], []
+    for at in range(at, len(data), 9):
+        i, c = _int64(data, at), data[at + 8]
+        if not last < i < start + n or c > 11:
+            return None
+        seen[c] += 1
+        last = i
+        index.append(i)
+        code.append(c)
+    if any(s > t for s, t in zip(seen, totals)):
+        return None
+    return start, n, totals, index, code
 
 
 def ledger_of_codes(start_index, code) -> PulseLedger:

@@ -1,11 +1,23 @@
-"""A list sink for run_session, and the session's record joined from its blocks."""
+"""A list sink for run_session, the session's record joined from its blocks,
+and the join of consecutive ledgers."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from timebin_qkd.detection import PulseLedger, TimeTags, _joined
+from timebin_qkd.detection import PulseLedger, TimeTags
 from timebin_qkd.experiment import SessionResult, run_session
+
+
+def joined_ledger(ledgers) -> PulseLedger:
+    """One ledger of consecutive ranges, in pulse order."""
+    return PulseLedger(
+        ledgers[0].start_index,
+        sum(len(ledger) for ledger in ledgers),
+        np.sum([ledger.totals for ledger in ledgers], axis=0),
+        np.concatenate([ledger.index for ledger in ledgers]),
+        np.concatenate([ledger.code for ledger in ledgers]),
+    )
 
 
 def tagged_session(config, **kwargs) -> tuple[SessionResult, TimeTags, PulseLedger]:
@@ -25,5 +37,5 @@ def tagged_session(config, **kwargs) -> tuple[SessionResult, TimeTags, PulseLedg
     return (
         res,
         TimeTags(*joined(tags, ("pulse_index", "detector_id", "timestamp_ps"))),
-        _joined(ledgers),
+        joined_ledger(ledgers),
     )

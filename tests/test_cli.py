@@ -142,17 +142,11 @@ def test_dump_streamed_across_blocks_equals_the_whole_session_written_at_once(
     write_pulse_ledger(tmp_path / "whole.csv.ledger", ledger)
     assert len(ledger) == 100_000 and len(tags) > 0
     assert dumped.read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    # the dump holds one range per block, the whole ledger one range; both
-    # read back as the sink's ledger
-    streamed, whole = (read_pulse_ledger(tmp_path / name) for name in ("tags.csv.ledger", "whole.csv.ledger"))
-    for back in (streamed, whole):
-        assert (back.start_index, len(back)) == (0, 100_000)
-        for name in ("totals", "index", "code"):
-            assert np.array_equal(getattr(back, name), getattr(ledger, name)), name
-    blocks = 4 * -(-25_000 // block_pulses)
-    head = len(b"timebin-qkd pulse ledger/3\n")
-    for name, ranges in (("tags.csv.ledger", blocks), ("whole.csv.ledger", 1)):
-        assert (tmp_path / name).stat().st_size == head + 120 * ranges + 9 * len(ledger.index)
+    # the dump's appends summed into one summary record: the same bytes as
+    # the whole ledger written at once, however the blocks fell
+    streamed = (tmp_path / "tags.csv.ledger").read_bytes()
+    assert streamed == (tmp_path / "whole.csv.ledger").read_bytes()
+    assert len(streamed) == len(b"timebin-qkd pulse ledger/4\n") + 120 + 9 * len(ledger.index)
 
 
 @BLOCK_LAYOUTS

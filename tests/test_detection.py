@@ -25,7 +25,6 @@ from timebin_qkd.detection import (
     _draw_events,
     _event_probabilities,
     _event_tables,
-    _joined,
     _pathway_outcomes,
     _projection,
     _prune_dead_time_clusters,
@@ -58,7 +57,7 @@ from reference import (
     prune_dead_time_loop,
     windows_by_search,
 )
-from sinks import tagged_session
+from sinks import joined_ledger, tagged_session
 
 PERFECT_SWITCH = SwitchModel()
 
@@ -812,7 +811,7 @@ def test_accumulate_is_associative_over_ledger_pieces():
     # the pieces take their silent codes from one dense expansion
     dense = dense_codes(ledger, _rng(21))
     first, second = _piece(ledger, dense, 0, cut), _piece(ledger, dense, cut, len(ledger))
-    assert _same_ledger(_joined([first, second]), ledger)
+    assert _same_ledger(joined_ledger([first, second]), ledger)
     tags_a = _select(tags, tags.pulse_index < cut)
     tags_b = _select(tags, tags.pulse_index >= cut)
     whole = accumulate(tags, layout, ledger)
@@ -1139,8 +1138,12 @@ def _same_ledger(a: PulseLedger, b: PulseLedger) -> bool:
     )
 
 
-def _range_bytes(start: int, pulses: int, totals, events) -> bytes:
-    """One range of a ledger file: its 120-byte record, then its 9-byte (index, code) records."""
+_ONE = [1] + [0] * 11  # the totals of one pulse of code 0
+_CODE_11 = [0] * 11 + [1]
+
+
+def _ledger_bytes(start: int, pulses: int, totals, events) -> bytes:
+    """A ledger file past its header: the 120-byte summary record, then the 9-byte (index, code) records."""
     events = list(events)
     return struct.pack("<15q", start, pulses, *totals, len(events)) + b"".join(
         struct.pack("<qb", index, code) for index, code in events
@@ -1148,13 +1151,13 @@ def _range_bytes(start: int, pulses: int, totals, events) -> bytes:
 
 
 @pytest.mark.parametrize("start_index", [0, 9, 123_456_789, 2**63 - 1000])
-def test_ledger_file_is_a_header_line_a_range_record_and_9_byte_events(tmp_path, start_index):
+def test_ledger_file_is_a_header_line_a_summary_record_and_9_byte_events(tmp_path, start_index):
     ledger = _random_ledger(_rng(22), start_index, 1000)
     assert 0 < len(ledger.index) < 1000
     path = tmp_path / "ledger"
     write_pulse_ledger(path, ledger)
     written = path.read_bytes()
-    assert written == LEDGER_HEAD + _range_bytes(
+    assert written == LEDGER_HEAD + _ledger_bytes(
         start_index, 1000, ledger.totals.tolist(), zip(ledger.index.tolist(), ledger.code.tolist())
     )
     assert len(written) == len(LEDGER_HEAD) + 120 + 9 * len(ledger.index)
@@ -1168,10 +1171,12 @@ def test_ledgers_appended_to_one_file_read_back_as_their_concatenation(tmp_path)
     with open(path, "w+b") as f:
         write_pulse_ledger(f, first)
         write_pulse_ledger(f, second)
-    assert path.read_bytes().count(LEDGER_HEAD) == 1
     whole = read_pulse_ledger(path)
-    assert _same_ledger(whole, _joined([first, second]))
+    assert _same_ledger(whole, joined_ledger([first, second]))
     assert (whole.start_index, len(whole)) == (40, 12)
+    # the appends' file is the bytes of their join written at once
+    write_pulse_ledger(tmp_path / "at-once", whole)
+    assert path.read_bytes() == (tmp_path / "at-once").read_bytes()
 
 
 def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
@@ -1180,38 +1185,60 @@ def test_ledger_appended_to_a_reopened_file_keeps_one_header(tmp_path):
     path = tmp_path / "ledger"
     write_pulse_ledger(path, first)
     # the file already holds a ledger, so no second header
-    with open(path, "a+b") as f:
+    with open(path, "r+b") as f:
         write_pulse_ledger(f, second)
     assert path.read_bytes().count(LEDGER_HEAD) == 1
-    assert _same_ledger(read_pulse_ledger(path), _joined([first, second]))
+    assert _same_ledger(read_pulse_ledger(path), joined_ledger([first, second]))
 
 
 @pytest.mark.parametrize("start", [100, 6, 3, 0], ids=["gap", "gap-of-one", "overlap", "restart"])
 def test_ledger_that_does_not_continue_the_open_file_is_refused_unwritten(tmp_path, start):
-    # the file's ranges hold pulses 0..4, so the next one must start at 5
+    # the file's ledger holds pulses 0..4, so the next one must start at 5
     rng = _rng(25)
     path = tmp_path / "ledger"
     with open(path, "w+b") as f:
         write_pulse_ledger(f, _random_ledger(rng, 0, 2))
         write_pulse_ledger(f, _random_ledger(rng, 2, 3))
+        f.flush()
         written = path.read_bytes()
         with pytest.raises(InvalidInputError, match="goes on at pulse 5"):
             write_pulse_ledger(f, _random_ledger(rng, start, 5))
+        f.flush()
+        assert path.read_bytes() == written
         write_pulse_ledger(f, _random_ledger(rng, 5, 2))
-    assert path.read_bytes()[: len(written)] == written
     assert len(read_pulse_ledger(path)) == 7
 
 
 def test_ledger_appended_to_a_garbled_file_is_refused_unwritten(tmp_path):
-    # the writer walks the range records already there before it appends
+    # the writer checks the file's size against its summary before it appends
     path = tmp_path / "ledger"
     write_pulse_ledger(path, _random_ledger(_rng(29), 0, 40))
     cut = path.read_bytes()[:-1]
     path.write_bytes(cut)
-    with open(path, "a+b") as f:
+    with open(path, "r+b") as f:
         with pytest.raises(InvalidInputError, match="events"):
             write_pulse_ledger(f, _random_ledger(_rng(30), 40, 5))
     assert path.read_bytes() == cut
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (LEDGER_HEAD.replace(b"/4", b"/3") + _ledger_bytes(0, 1, _ONE, []), "pulse ledger/3 files"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [])[:-1], "summary record at byte 27 is cut short"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, []) + b"\x00", "counts 0 events, but 1 bytes"),
+    ],
+    ids=["version-3-file", "truncated-summary-record", "byte-past-the-count"],
+)
+def test_ledger_appended_to_a_file_it_cannot_read_is_refused_unwritten(tmp_path, data, match):
+    # the summary is rewritten in place, so a file whose summary the
+    # writer cannot trust is left as it was
+    path = tmp_path / "ledger"
+    path.write_bytes(data)
+    with open(path, "r+b") as f:
+        with pytest.raises(InvalidInputError, match=match):
+            write_pulse_ledger(f, _random_ledger(_rng(31), 1, 5))
+    assert path.read_bytes() == data
 
 
 def test_ledger_needs_an_open_file_it_can_read(tmp_path):
@@ -1220,6 +1247,50 @@ def test_ledger_needs_an_open_file_it_can_read(tmp_path):
         with pytest.raises(InvalidInputError, match="readable"):
             write_pulse_ledger(f, _random_ledger(_rng(26), 0, 5))
     assert path.read_bytes() == b""
+    # an append-mode file writes at its end whatever the position, so the
+    # writer could not rewrite the summary: it is refused, empty or not
+    with open(path, "a+b") as f:
+        with pytest.raises(InvalidInputError, match="not a\\+b"):
+            write_pulse_ledger(f, _random_ledger(_rng(26), 0, 5))
+    assert path.read_bytes() == b""
+    write_pulse_ledger(path, _random_ledger(_rng(26), 0, 5))
+    written = path.read_bytes()
+    with open(path, "a+b") as f:
+        with pytest.raises(InvalidInputError, match="not a\\+b"):
+            write_pulse_ledger(f, _random_ledger(_rng(26), 5, 5))
+    assert path.read_bytes() == written
+
+
+class _ReadCounter:
+    """An open file that counts the bytes its reads return."""
+
+    def __init__(self, f) -> None:
+        self._f, self.read_bytes = f, 0
+
+    def read(self, *args) -> bytes:
+        data = self._f.read(*args)
+        self.read_bytes += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+def test_ledger_append_reads_the_same_bytes_however_many_appends_came_before(tmp_path):
+    # each append reads the header and the summary, not the earlier appends
+    rng = _rng(31)
+    read = {}
+    with open(tmp_path / "ledger", "w+b") as f:
+        counted = _ReadCounter(f)
+        write_pulse_ledger(counted, _random_ledger(rng, 0, 1))
+        for k in range(1, 1001):
+            before = counted.read_bytes
+            write_pulse_ledger(counted, _random_ledger(rng, k, 1))
+            if k in (1, 10, 1000):
+                read[k] = counted.read_bytes - before
+    assert read[1] == read[10] == read[1000] <= len(LEDGER_HEAD) + 120, read
+    back = read_pulse_ledger(tmp_path / "ledger")
+    assert (back.start_index, len(back)) == (0, 1001)
 
 
 def _mutants(rng, data: bytes, header_len: int, count: int):
@@ -1252,8 +1323,8 @@ def _ledger_tuple(ledger: PulseLedger) -> tuple:
 
 @pytest.mark.parametrize("start_index", [0, 9, 99_999, 2**63 - 40, 2**63 - 1])
 def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, start_index):
-    # one range, or two where the int64 end leaves room; the edits fall in
-    # the header line and the first range record half the time
+    # one ledger, or two appended where the int64 end leaves room; the
+    # edits fall in the header line and the summary record half the time
     rng = _rng(start_index)
     n = min(int(rng.integers(1, 30)), 2**63 - start_index)
     ledgers = [_random_ledger(rng, start_index, n, event_share=0.5)]
@@ -1264,9 +1335,12 @@ def test_ledger_reader_agrees_with_the_reference_on_mutated_files(tmp_path, star
         for ledger in ledgers:
             write_pulse_ledger(f, ledger)
     written = path.read_bytes()
-    assert decode_pulse_ledger(written) == _ledger_tuple(_joined(ledgers))
+    assert decode_pulse_ledger(written) == _ledger_tuple(joined_ledger(ledgers))
+    # a file the reader takes has exactly the summary's size, so only a
+    # replaced byte leaves one, mostly a byte replaced by its own value:
+    # about 1 edit in 180 at these seeds, so 2,000 edits make about 11
     outcomes = set()
-    for data in _mutants(rng, written, len(LEDGER_HEAD) + 120, 400):
+    for data in _mutants(rng, written, len(LEDGER_HEAD) + 120, 2000):
         path.write_bytes(data)
         expected = decode_pulse_ledger(data)
         outcomes.add(expected is None)
@@ -1306,59 +1380,59 @@ def test_tag_reader_agrees_with_the_reference_on_mutated_files(tmp_path, seed):
     assert outcomes == {True, False}
 
 
-_ONE = [1] + [0] * 11  # the totals of one pulse of code 0
-_CODE_11 = [0] * 11 + [1]
-
-
 @pytest.mark.parametrize(
     "data, match",
     [
         (b"pulse_index,intensity_class,alpha,bit\n0,1,0,1\n", "CSV ledgers of earlier versions"),
         (b"timebin-qkd pulse ledger/2 start_index=0\n\x01", "pulse ledger/2 files"),
-        (LEDGER_HEAD.replace(b"/3", b"/1") + _range_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
+        (LEDGER_HEAD.replace(b"/4", b"/3") + _ledger_bytes(0, 1, _ONE, []), "pulse ledger/3 files"),
+        (LEDGER_HEAD.replace(b"/4", b"/1") + _ledger_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
         (LEDGER_HEAD[:-5], "unrecognized pulse ledger header"),
         (LEDGER_HEAD[:-1], "unrecognized pulse ledger header"),
-        (LEDGER_HEAD[:-1] + b"\r\n" + _range_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
-        (b"\xef\xbb\xbf" + LEDGER_HEAD + _range_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
+        (LEDGER_HEAD[:-1] + b"\r\n" + _ledger_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
+        (b"\xef\xbb\xbf" + LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, []), "unrecognized pulse ledger header"),
         (b"", "unrecognized pulse ledger header"),
-        (LEDGER_HEAD, "empty pulse ledger"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [])[:-1], "range record at byte 27 is cut short"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, []) + b"\x00" * 119, "at byte 147 is cut short"),
-        (LEDGER_HEAD + _range_bytes(0, 2, [2] + [0] * 11, [(0, 0), (1, 0)])[:-1], "holds 2 events"),
-        (LEDGER_HEAD + _range_bytes(0, 2, [2] + [0] * 11, [])[:-8] + struct.pack("<q", -1), "holds -1 events"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, 12)]), "0..11"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, -1)]), "0..11"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, 127)]), "0..11"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, -128)]), "0..11"),
-        (LEDGER_HEAD + _range_bytes(0, 3, [2] + [0] * 11, []), "sum to the pulses"),
-        (LEDGER_HEAD + _range_bytes(0, 1, [2, -1] + [0] * 10, []), "non-negative"),
-        (LEDGER_HEAD + _range_bytes(0, 3, [3] + [0] * 11, [(1, 0), (1, 0)]), "strictly increase"),
-        (LEDGER_HEAD + _range_bytes(0, 3, [3] + [0] * 11, [(2, 0), (1, 0)]), "strictly increase"),
-        (LEDGER_HEAD + _range_bytes(5, 3, [3] + [0] * 11, [(4, 0)]), "within its pulses"),
-        (LEDGER_HEAD + _range_bytes(5, 3, [3] + [0] * 11, [(8, 0)]), "within its pulses"),
-        (LEDGER_HEAD + _range_bytes(0, 2, [1, 1] + [0] * 10, [(0, 1), (1, 1)]), "code 1 occurs more often"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, [(0, 11)]), "code 11 occurs more often"),
-        (LEDGER_HEAD + _range_bytes(-1, 1, _ONE, []), "start_index"),
-        (LEDGER_HEAD + _range_bytes(0, 0, [0] * 12, []), "empty pulse ledger"),
-        (LEDGER_HEAD + _range_bytes(2**63 - 1, 2, [2] + [0] * 11, []), "int64"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, []) + _range_bytes(2, 1, _ONE, []), "goes on at pulse 1"),
-        (LEDGER_HEAD + _range_bytes(0, 2, [2] + [0] * 11, []) + _range_bytes(1, 1, _ONE, []), "goes on at pulse 2"),
-        (LEDGER_HEAD + _range_bytes(0, 1, _ONE, []) + _range_bytes(1, 1, _CODE_11, [(1, 0)]), "code 0 occurs more often"),
+        (LEDGER_HEAD, "summary record at byte 27 is cut short"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [])[:-1], "summary record at byte 27 is cut short"),
+        (LEDGER_HEAD + _ledger_bytes(0, 2, [2] + [0] * 11, [(0, 0), (1, 0)])[:-1], "counts 2 events, but 17 bytes"),
+        (LEDGER_HEAD + _ledger_bytes(0, 2, [2] + [0] * 11, [(0, 0)]) + struct.pack("<qb", 1, 0), "counts 1 events, but 18 bytes"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, []) + b"\x00", "counts 0 events, but 1 bytes"),
         (
-            LEDGER_HEAD + _range_bytes(0, 12_001, [1001] * 11 + [990], [*((i, i % 12) for i in range(12_000)), (12_000, 12)]),
+            LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [(0, 0)]) + _ledger_bytes(1, 1, _ONE, [(1, 0)]),
+            "counts 1 events, but 138 bytes",
+        ),
+        (LEDGER_HEAD + _ledger_bytes(0, 2, [2] + [0] * 11, [])[:-8] + struct.pack("<q", -1), "counts -1 events"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [(0, 12)]), "0..11"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [(0, -1)]), "0..11"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [(0, 127)]), "0..11"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [(0, -128)]), "0..11"),
+        (LEDGER_HEAD + _ledger_bytes(0, 3, [2] + [0] * 11, []), "sum to the pulses"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, [2, -1] + [0] * 10, []), "non-negative"),
+        (LEDGER_HEAD + _ledger_bytes(0, 3, [3] + [0] * 11, [(1, 0), (1, 0)]), "strictly increase"),
+        (LEDGER_HEAD + _ledger_bytes(0, 3, [3] + [0] * 11, [(2, 0), (1, 0)]), "strictly increase"),
+        (LEDGER_HEAD + _ledger_bytes(5, 3, [3] + [0] * 11, [(4, 0)]), "within its pulses"),
+        (LEDGER_HEAD + _ledger_bytes(5, 3, [3] + [0] * 11, [(8, 0)]), "within its pulses"),
+        (LEDGER_HEAD + _ledger_bytes(0, 2, [1, 1] + [0] * 10, [(0, 1), (1, 1)]), "code 1 occurs more often"),
+        (LEDGER_HEAD + _ledger_bytes(0, 1, _ONE, [(0, 11)]), "code 11 occurs more often"),
+        (LEDGER_HEAD + _ledger_bytes(-1, 1, _ONE, []), "start_index"),
+        (LEDGER_HEAD + _ledger_bytes(0, 0, [0] * 12, []), "empty pulse ledger"),
+        (LEDGER_HEAD + _ledger_bytes(2**63 - 1, 2, [2] + [0] * 11, []), "int64"),
+        (
+            LEDGER_HEAD + _ledger_bytes(0, 12_001, [1001] * 11 + [990], [*((i, i % 12) for i in range(12_000)), (12_000, 12)]),
             "0..11",
         ),
     ],
     ids=[
-        "csv-of-earlier-versions", "version-2-file", "version-1-header", "truncated-header",
-        "header-without-newline", "crlf-header", "byte-order-mark", "empty-file", "no-range",
-        "truncated-range-record", "truncated-second-range-record", "truncated-event-body",
-        "negative-event-count", "code-12", "code-minus-1", "code-127", "code-minus-128",
-        "totals-not-summing-to-the-pulses", "negative-total", "repeated-index", "decreasing-index",
-        "index-before-the-range", "index-past-the-range", "code-past-its-total",
-        "code-without-a-total", "negative-start-index", "range-of-no-pulses",
-        "last-index-beyond-int64", "gap-between-ranges", "overlapping-ranges",
-        "code-past-its-own-ranges-total", "bad-code-after-12000-good-ones",
+        "csv-of-earlier-versions", "version-2-file", "version-3-file", "version-1-header",
+        "truncated-header", "header-without-newline", "crlf-header", "byte-order-mark", "empty-file",
+        "no-summary-record", "truncated-summary-record", "event-body-short-of-the-count",
+        "event-body-past-the-count", "byte-past-the-count", "second-summary-record",
+        "negative-event-count", "code-12",
+        "code-minus-1", "code-127", "code-minus-128", "totals-not-summing-to-the-pulses",
+        "negative-total", "repeated-index", "decreasing-index", "index-before-the-range",
+        "index-past-the-range", "code-past-its-total", "code-without-a-total",
+        "negative-start-index", "range-of-no-pulses", "last-index-beyond-int64",
+        "bad-code-after-12000-good-ones",
     ],
 )
 def test_ledger_reader_refuses_what_the_writer_cannot_write(tmp_path, data, match):
@@ -1371,19 +1445,23 @@ def test_ledger_reader_refuses_what_the_writer_cannot_write(tmp_path, data, matc
 
 def test_ledger_reader_takes_the_last_int64_pulse_index(tmp_path):
     path = tmp_path / "ledger"
-    path.write_bytes(LEDGER_HEAD + _range_bytes(2**63 - 1, 1, _CODE_11, [(2**63 - 1, 11)]))
+    path.write_bytes(LEDGER_HEAD + _ledger_bytes(2**63 - 1, 1, _CODE_11, [(2**63 - 1, 11)]))
     ledger = read_pulse_ledger(path)
     assert (ledger.start_index, len(ledger), ledger.index.tolist()) == (2**63 - 1, 1, [2**63 - 1])
     assert [column.tolist() for column in ledger_columns(ledger)] == [[2], [1], [1]]
 
 
 def test_ledger_reader_takes_ranges_without_events(tmp_path):
-    # a range of silent pulses holds its totals alone
+    # a range of silent pulses adds its totals alone to the summary
     path = tmp_path / "ledger"
-    path.write_bytes(
-        LEDGER_HEAD + _range_bytes(7, 3, [0, 3] + [0] * 10, [])
-        + _range_bytes(10, 2, [0, 1, 1] + [0] * 9, [(11, 2)]) + _range_bytes(12, 5, [0] * 11 + [5], [])
-    )
+    with open(path, "w+b") as f:
+        for ledger in (
+            PulseLedger(7, 3, [0, 3] + [0] * 10, [], []),
+            PulseLedger(10, 2, [0, 1, 1] + [0] * 9, [11], [2]),
+            PulseLedger(12, 5, [0] * 11 + [5], [], []),
+        ):
+            write_pulse_ledger(f, ledger)
+    assert path.read_bytes() == LEDGER_HEAD + _ledger_bytes(7, 10, [0, 4, 1] + [0] * 8 + [5], [(11, 2)])
     ledger = read_pulse_ledger(path)
     assert _ledger_tuple(ledger) == (7, 10, [0, 4, 1] + [0] * 8 + [5], [11], [2])
     assert decode_pulse_ledger(path.read_bytes()) == _ledger_tuple(ledger)

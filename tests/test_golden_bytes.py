@@ -22,7 +22,7 @@ from timebin_qkd import experiment
 from timebin_qkd.cli import main
 
 SESSION_TAGS = "6dcf0fbc57c4935ed90887341ea180d0f10ee98326f720c09a2de2a128f54944"
-SESSION_LEDGER = "89b636e9948250414a007553ac5f5dae4a3105014b7adb84d38eb48b0561a944"
+SESSION_LEDGER = "f30f3022ed7b7e45b12c97cd73d33fe7c7b1d9ad8c58c0301aafe30dc4a90664"
 SESSION_COUNTS = "c9da03b862dd8621f22438a43d50f16e3f67abe64d63ede7ce2008c66fae0c7f"
 SESSION_REPORT = "a9655104d11eba65df9bd98024c0b622a215a5b9490e9d6fe9fa854dde9e84bc"
 

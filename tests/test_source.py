@@ -15,7 +15,6 @@ from timebin_qkd.source import (
     SourceConfig,
     derived_rng,
     drift_state,
-    sample_photon_number,
     transmittance,
 )
 
@@ -61,28 +60,6 @@ def test_source_config_defaults_and_validation():
             SourceConfig(**kwargs)
     # a source without vacuum is valid; the key-rate flows reject it
     SourceConfig(class_probabilities=(0.8, 0.2, 0.0))
-
-
-def test_poisson_statistics_match_the_mean():
-    rng = np.random.default_rng(424242)
-    n = 1_000_000
-    draws = sample_photon_number(0.8, rng, size=n)
-    # sample mean, 4 sigma
-    assert abs(draws.mean() - 0.8) < 4.0 * math.sqrt(0.8 / n)
-    # vacuum fraction against exp(-0.8)
-    p0 = 0.44932896411722156
-    frac = np.mean(draws == 0)
-    assert abs(frac - p0) < 4.0 * math.sqrt(p0 * (1.0 - p0) / n)
-
-
-def test_sample_photon_number_shapes():
-    rng = np.random.default_rng(1)
-    assert isinstance(sample_photon_number(0.5, rng), int)
-    arr = sample_photon_number([0.5, 1.0, 0.0], rng)
-    assert arr.shape == (3,)
-    assert arr[2] == 0
-    with pytest.raises(InvalidInputError):
-        sample_photon_number(-0.1, rng)
 
 
 def _drift(model: DriftModel, seed, times) -> list[tuple[float, float]]:
